@@ -12,9 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from quadricheck.cli import fuzz_configuration
-from quadricheck.oracle import oracle_decide
-from quadricheck.reductions import decide
+from quadricheck.cli import fuzz_check
 
 
 def main():
@@ -26,17 +24,19 @@ def main():
     branches = Counter()
     verdicts = Counter()
     disagreements = []
+    errors = []
     start = time.perf_counter()
     total = 0
     for seed in range(args.seeds):
         for index in range(args.count):
-            points = fuzz_configuration(seed, index)
-            decision = decide(points)
-            truth = oracle_decide(points)
+            decision, failure = fuzz_check(seed, index)
             total += 1
+            if decision is None:
+                errors.append((seed, failure))
+                continue
             branches[decision.branch] += 1
             verdicts[decision.on_quadric] += 1
-            if decision.on_quadric != truth:
+            if failure is not None:
                 disagreements.append((seed, index))
     elapsed = time.perf_counter() - start
 
@@ -44,8 +44,12 @@ def main():
     print(f"verdicts: {verdicts[True]} on-quadric, {verdicts[False]} off")
     for branch, n in branches.most_common():
         print(f"  {branch:40s} {n}")
+    for seed, failure in errors:
+        print(f"ERROR seed {seed} index {failure['index']}: {failure['error']}")
+        print(f"  points: {failure['points']}")
     if disagreements:
         print(f"DISAGREEMENTS: {disagreements}")
+    if errors or disagreements:
         return 3
     print("all verdicts agree with the determinant oracle")
     return 0

@@ -1,16 +1,18 @@
 """Command-line surface: decide a configuration, generate fixtures, fuzz.
 
 Exit codes: 0 success, 2 malformed input or unknown kind, 3 disagreement
-between the synthetic pipeline and the determinant oracle (must never
-happen in a correct build).
+between the synthetic pipeline and the determinant oracle, or an exception
+from the pipeline during fuzzing (must never happen in a correct build).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +23,16 @@ from .projective import Point
 
 class ConfigError(ValueError):
     pass
+
+
+# Numerators and denominators of input coordinates are capped at this many
+# bits.  Generated fixtures stay within 24; the benchmark's generic corpus,
+# whose 64-bit rationals are cleared to integers, reaches 256.
+MAX_COORD_BITS = 1024
+# Decimal digits a coordinate string may denote, counting its exponent, so
+# that no oversized integer is built before the bit cap is checked.
+_MAX_COORD_DIGITS = 2 * MAX_COORD_BITS
+_EXPONENT = re.compile(r"[eE]\s*([-+]?[\d_]+)\s*$")
 
 
 @dataclass(frozen=True)
@@ -38,6 +50,22 @@ class InputConfig:
         return [self.points[i] for i in self.labels]
 
 
+def _parse_coordinate(value) -> Fraction:
+    """One coordinate as a Fraction, refused before parsing when its text
+    could denote more than MAX_COORD_BITS bits, and after when it does."""
+    text = str(value)
+    digits = len(text)
+    if digits <= _MAX_COORD_DIGITS:
+        exponent = _EXPONENT.search(text)
+        if exponent:
+            digits += abs(int(exponent.group(1)))
+    if digits <= _MAX_COORD_DIGITS:
+        coord = Fraction(text)
+        if max(coord.numerator.bit_length(), coord.denominator.bit_length()) <= MAX_COORD_BITS:
+            return coord
+    raise ConfigError(f"coordinate {text[:40]!r} exceeds {MAX_COORD_BITS} bits")
+
+
 def load_points(payload) -> InputConfig:
     if not isinstance(payload, dict) or "points" not in payload:
         raise ConfigError("input must be a JSON object with a 'points' array")
@@ -49,14 +77,20 @@ def load_points(payload) -> InputConfig:
         if not isinstance(entry, list) or len(entry) != 4:
             raise ConfigError("each point is an array of 4 rational strings")
         try:
-            points.append(Point(Fraction(str(c)) for c in entry))
+            points.append(Point(_parse_coordinate(c) for c in entry))
+        except ConfigError:
+            raise
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad point {entry}: {exc}") from None
     labels = payload.get("labels")
     if labels is not None:
-        if sorted(labels) != list(range(10)):
+        if (
+            not isinstance(labels, list)
+            or any(type(i) is not int for i in labels)
+            or sorted(labels) != list(range(10))
+        ):
             raise ConfigError("'labels' must be a permutation of 0..9")
-        labels = tuple(int(i) for i in labels)
+        labels = tuple(labels)
     return InputConfig(tuple(points), labels)
 
 
@@ -66,7 +100,7 @@ def load_config(path) -> InputConfig:
             payload = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     return load_points(payload)
 
@@ -153,28 +187,45 @@ def fuzz_configuration(seed, index):
     return fixtures.mutate_coplanar(sub)
 
 
+def fuzz_check(seed, index):
+    """Decide fuzz configuration `index` of `seed` by both methods.
+
+    Returns (decision, failure).  failure is None when the verdicts agree.
+    Otherwise it is a JSON-ready record with the index and the
+    configuration: of the disagreement (with the branch), or of the
+    exception `decide` raised (with its text and traceback; decision is
+    then None), so that one bad configuration does not end a fuzz run.
+    """
+    points = fuzz_configuration(seed, index)
+    record = {"index": index, "points": points_to_json(points)["points"]}
+    try:
+        decision = reductions.decide(points)
+    except Exception as exc:  # recorded with its configuration; the run goes on
+        record["error"] = f"{type(exc).__name__}: {exc}"
+        record["traceback"] = traceback.format_exc()
+        return None, record
+    if decision.on_quadric != oracle_decide(points):
+        record["branch"] = decision.branch
+        return decision, record
+    return decision, None
+
+
 def cmd_fuzz(args) -> int:
     disagreements = []
+    errors = []
     for index in range(args.count):
-        points = fuzz_configuration(args.seed, index)
-        decision = reductions.decide(points)
-        truth = oracle_decide(points)
-        if decision.on_quadric != truth:
-            disagreements.append(
-                {
-                    "index": index,
-                    "branch": decision.branch,
-                    "points": points_to_json(points)["points"],
-                }
-            )
+        decision, failure = fuzz_check(args.seed, index)
+        if failure is not None:
+            (errors if decision is None else disagreements).append(failure)
     summary = {
         "seed": args.seed,
         "count": args.count,
-        "agreements": args.count - len(disagreements),
+        "agreements": args.count - len(disagreements) - len(errors),
         "disagreements": disagreements,
+        "errors": errors,
     }
     sys.stdout.write(_dump(summary, args.pretty))
-    return 3 if disagreements else 0
+    return 3 if disagreements or errors else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

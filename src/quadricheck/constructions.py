@@ -159,12 +159,11 @@ def line_meet_line(l1: Extensor, l2: Extensor, trace=None) -> Point:
 
     The meet of coplanar lines degenerates (their supports do not span), so
     the point is computed as meet(l1, join(l2, w)) for the first witness w
-    off the common plane.
+    off the common plane.  Distinct coplanar lines span a single plane,
+    which misses one of E0..E3; only coincident lines leave every hit zero.
     """
     if l1.grade != 2 or l2.grade != 2:
         raise ValueError("line_meet_line needs two lines")
-    if l1.canonical() == l2.canonical():
-        raise ValueError("the lines coincide")
     if scalar_of(join(l1, l2)) != 0:
         raise ValueError("the lines are skew; they do not meet")
     for w in (E0, E1, E2, E3):
@@ -174,7 +173,7 @@ def line_meet_line(l1: Extensor, l2: Extensor, trace=None) -> Point:
             point = as_point(hit)
             _record(trace, "meet", [l1, l2], point)
             return point
-    raise GeometryError("no standard basis witness off the common plane")
+    raise ValueError("the lines coincide")
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +364,16 @@ def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None, avoid
     the composite fixes zero and infinity and sends the unit to px, hence
     py to the product point.  Parameters 0 and infinity degenerate the
     figure, so those products are returned directly as the analytically
-    forced point (0 * infinity raises InfinityProduct).
+    forced point (0 * infinity raises InfinityProduct).  On the line the
+    parameters 0 and infinity belong to zero and infinity alone, so the
+    degenerate case is an incidence test on canonical points.
     """
     _require_on_line(frame, px)
     _require_on_line(frame, py)
-    x = parameter_of(frame, px)
-    y = parameter_of(frame, py)
-    degenerate = {Fraction(0), INFINITY}
-    if x in degenerate or y in degenerate:
+    ends = (frame.zero, frame.infinity)
+    if px in ends or py in ends:
+        x = parameter_of(frame, px)
+        y = parameter_of(frame, py)
         result = point_at_parameter(frame, param_mul(x, y))
         _record(
             trace,

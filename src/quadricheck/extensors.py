@@ -3,7 +3,9 @@
 Join is the wedge product; meet is the dual product given by the split
 shuffle formula, extended bilinearly from basis extensors.  Coefficients
 are indexed by lexicographically sorted subsets of {0,1,2,3}, and the
-grade-4 extensor e0e1e2e3 is identified with the scalar 1.
+grade-4 extensor e0e1e2e3 is identified with the scalar 1.  The sign of
+every basis product is computed once, at import, into one table per pair
+of grades; join, meet and support_basis only read those tables.
 """
 
 from __future__ import annotations
@@ -24,6 +26,63 @@ def _perm_sign(seq):
             if seq[i] > seq[j]:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+def _join_table(j, k):
+    """Structure constants of e_S ∧ e_T for |S| = j, |T| = k: one
+    (index_a, index_b, index_out, sign) per pair of disjoint subsets, in the
+    order the bilinear sum visits them."""
+    index = _INDEX[j + k]
+    table = []
+    for ia, s in enumerate(SUBSETS[j]):
+        for ib, t in enumerate(SUBSETS[k]):
+            if set(s) & set(t):
+                continue
+            inv = sum(1 for x in s for y in t if x > y)
+            sign = -1 if inv % 2 else 1
+            table.append((ia, ib, index[tuple(sorted(s + t))], sign))
+    return tuple(table)
+
+
+def _meet_table(j, k):
+    """Structure constants of the split-shuffle meet of e_S and e_T for
+    |S| = j, |T| = k, j + k >= 4: one (index_a, index_b, index_out, sign)
+    per shuffle (u, rest) of S whose leading block u of size 4 - k is
+    disjoint from T."""
+    index = _INDEX[j + k - 4]
+    table = []
+    for ia, s in enumerate(SUBSETS[j]):
+        for ib, t in enumerate(SUBSETS[k]):
+            tset = set(t)
+            for u in combinations(s, 4 - k):
+                if set(u) & tset:
+                    continue
+                rest = tuple(x for x in s if x not in u)
+                shuffle_inv = sum(1 for x in u for y in rest if x > y)
+                sign = _perm_sign(u + t)
+                if shuffle_inv % 2:
+                    sign = -sign
+                table.append((ia, ib, index[rest], sign))
+    return tuple(table)
+
+
+_JOIN = {(j, k): _join_table(j, k) for j in range(5) for k in range(5 - j)}
+_MEET = {(j, k): _meet_table(j, k) for j in range(5) for k in range(4 - j, 5)}
+
+
+def _bilinear(table, ca_all, cb_all, grade):
+    """Output coefficients of the bilinear product a table describes; zero
+    coefficients of either factor contribute nothing and are skipped."""
+    out = [0] * len(SUBSETS[grade])
+    for ia, ib, io, sign in table:
+        ca = ca_all[ia]
+        if ca == 0:
+            continue
+        cb = cb_all[ib]
+        if cb == 0:
+            continue
+        out[io] += sign * ca * cb
+    return out
 
 
 class GradeOverflow(GeometryError):
@@ -61,9 +120,6 @@ class Extensor:
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
-
-    def coeff(self, subset):
-        return self.coeffs[_INDEX[self.grade][tuple(subset)]]
 
     def scale(self, factor):
         return Extensor(self.grade, tuple(factor * c for c in self.coeffs))
@@ -139,18 +195,7 @@ def join(a: Extensor, b: Extensor) -> Extensor:
     grade = a.grade + b.grade
     if grade > 4:
         raise GradeOverflow(f"grades {a.grade} + {b.grade} exceed 4")
-    out = [0] * len(SUBSETS[grade])
-    index = _INDEX[grade]
-    for s, ca in zip(SUBSETS[a.grade], a.coeffs):
-        if ca == 0:
-            continue
-        for t, cb in zip(SUBSETS[b.grade], b.coeffs):
-            if cb == 0 or set(s) & set(t):
-                continue
-            inv = sum(1 for x in s for y in t if x > y)
-            sign = -1 if inv % 2 else 1
-            out[index[tuple(sorted(s + t))]] += sign * ca * cb
-    return Extensor(grade, out)
+    return Extensor(grade, _bilinear(_JOIN[a.grade, b.grade], a.coeffs, b.coeffs, grade))
 
 
 def join_points(*points) -> Extensor:
@@ -183,29 +228,10 @@ def meet(a: Extensor, b: Extensor) -> Extensor:
     when grade(a) + grade(b) < 4; supports intersect exactly when the
     result is nonzero and the supports jointly span.
     """
-    j, k = a.grade, b.grade
-    grade = j + k - 4
+    grade = a.grade + b.grade - 4
     if grade < 0:
         return Extensor.zero(0)
-    out = [0] * len(SUBSETS[grade])
-    index = _INDEX[grade]
-    for s, ca in zip(SUBSETS[j], a.coeffs):
-        if ca == 0:
-            continue
-        for t, cb in zip(SUBSETS[k], b.coeffs):
-            if cb == 0:
-                continue
-            tset = set(t)
-            for u in combinations(s, 4 - k):
-                if set(u) & tset:
-                    continue
-                rest = tuple(x for x in s if x not in u)
-                shuffle_inv = sum(1 for x in u for y in rest if x > y)
-                sign = _perm_sign(u + t)
-                if shuffle_inv % 2:
-                    sign = -sign
-                out[index[rest]] += sign * ca * cb
-    return Extensor(grade, out)
+    return Extensor(grade, _bilinear(_MEET[a.grade, b.grade], a.coeffs, b.coeffs, grade))
 
 
 def support_basis(e: Extensor):
@@ -223,18 +249,9 @@ def support_basis(e: Extensor):
         raise ZeroExtensor("scalars have no support basis")
     if e.grade == 4:
         return [Point(v) for v in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
-    rows = []
-    for tgt in SUBSETS[e.grade + 1]:
-        row = []
-        for i in range(4):
-            if i not in tgt:
-                row.append(0)
-                continue
-            src = tuple(x for x in tgt if x != i)
-            inv = sum(1 for x in src if x > i)
-            sign = -1 if inv % 2 else 1
-            row.append(sign * e.coeff(src))
-        rows.append(row)
+    rows = [[0] * 4 for _ in SUBSETS[e.grade + 1]]
+    for ia, i, io, sign in _JOIN[e.grade, 1]:
+        rows[io][i] = sign * e.coeffs[ia]
     basis = kernel_basis(rows)
     points = [Point(v) for v in basis]
     if len(points) != e.grade:

@@ -4,8 +4,9 @@ import pytest
 
 from quadricheck import cli, reductions
 from quadricheck.constructions import ConstructionTrace, verify_replay
-from quadricheck.decision import Decision
+from quadricheck.decision import Decision, InternalInconsistency
 from quadricheck.oracle import sample_on_quadric
+from quadricheck.projective import Point
 
 
 def write_config(path, points):
@@ -133,6 +134,25 @@ class TestFuzz:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["agreements"] == 0
 
+    def test_decide_exception_recorded_and_run_continues(self, capsys, monkeypatch):
+        true_decide = reductions.decide
+
+        def failing_on_third(points, with_trace=False):
+            if points == cli.fuzz_configuration(1, 2):
+                raise InternalInconsistency("injected")
+            return true_decide(points, with_trace=with_trace)
+
+        monkeypatch.setattr(reductions, "decide", failing_on_third)
+        code = cli.main(["fuzz", "--seed", "1", "--count", "5"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert out["agreements"] == 4 and out["disagreements"] == []
+        [error] = out["errors"]
+        assert error["index"] == 2
+        assert error["error"] == "InternalInconsistency: injected"
+        assert "Traceback" in error["traceback"]
+        assert error["points"] == cli.points_to_json(cli.fuzz_configuration(1, 2))["points"]
+
     def test_injected_bug_detected(self, capsys, monkeypatch):
         true_decide = reductions.decide
 
@@ -197,3 +217,65 @@ class TestLabelHints:
             json.dumps({"points": [p.to_strings() for p in pts], "labels": [0] * 10})
         )
         assert cli.main(["decide", str(path)]) == 2
+
+
+class TestInputHardening:
+    """Each malformed input exits 2 with a message, never a traceback."""
+
+    @staticmethod
+    def decide_payload(tmp_path, capsys, payload):
+        path = tmp_path / "cfg.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        code = cli.main(["decide", str(path), "--method", "oracle"])
+        err = capsys.readouterr().err
+        return code, err
+
+    @staticmethod
+    def rows():
+        return [p.to_strings() for p in sample_on_quadric("harden", 10)]
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, "9"],
+            5,
+            [0.0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+            [True, 0, 2, 3, 4, 5, 6, 7, 8, 9],
+        ],
+        ids=["string-label", "not-a-list", "float-label", "bool-label"],
+    )
+    def test_labels_must_be_a_list_of_ints(self, tmp_path, capsys, labels):
+        payload = {"points": self.rows(), "labels": labels}
+        code, err = self.decide_payload(tmp_path, capsys, payload)
+        assert code == 2
+        assert err.startswith("error: ") and "labels" in err
+
+    @pytest.mark.parametrize(
+        "coordinate",
+        ["1e100000", "1e-100000", "1" * 5000, "3/" + "7" * 400],
+        ids=["huge-exponent", "huge-negative-exponent", "long-integer", "wide-denominator"],
+    )
+    def test_oversized_coordinate_rejected(self, tmp_path, capsys, coordinate):
+        rows = self.rows()
+        rows[3][1] = coordinate
+        code, err = self.decide_payload(tmp_path, capsys, {"points": rows})
+        assert code == 2
+        assert err.startswith("error: ") and f"{cli.MAX_COORD_BITS} bits" in err
+
+    def test_integer_past_json_digit_limit_rejected(self, tmp_path, capsys):
+        rows = self.rows()
+        rows[0][0] = "BIG"
+        payload = json.dumps({"points": rows}).replace('"BIG"', "1" + "0" * 5000)
+        code, err = self.decide_payload(tmp_path, capsys, payload)
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_cap_admits_wide_corpus_coordinates(self):
+        wide = str(2**256 - 1)
+        rows = self.rows()
+        rows[0] = [wide, "1/" + wide, "-" + wide, "3"]
+        cfg = cli.load_points({"points": rows})
+        assert cfg.points[0] == Point((wide, "1/" + wide, "-" + wide, "3"))
+        rows[0][0] = str(2**cli.MAX_COORD_BITS)
+        with pytest.raises(cli.ConfigError):
+            cli.load_points({"points": rows})

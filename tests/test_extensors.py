@@ -1,8 +1,11 @@
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import points, random_point, seeded
+from conftest import points, random_fraction, random_point, seeded
 from quadricheck.extensors import (
     Extensor,
     GradeOverflow,
@@ -23,11 +26,161 @@ from quadricheck.extensors import (
     support_basis,
 )
 from quadricheck.oracle import segre_point
-from quadricheck.projective import E0, E1, E2, E3, Point, bracket, rank_of_points
+from quadricheck.projective import (
+    E0,
+    E1,
+    E2,
+    E3,
+    Point,
+    bracket,
+    kernel_basis,
+    rank_of_points,
+)
 
 
 def segre_ruling(s):
     return join_points(Point((1, s, 0, 0)), Point((0, 0, 1, s)))
+
+
+# Direct definitions of join, meet and the support-basis rows, with every
+# sign recomputed from the subsets on each call.  The library reads the
+# same signs from tables built at import; these are the reference.
+SUBSETS = {k: tuple(combinations(range(4), k)) for k in range(5)}
+
+
+def _inversions(seq):
+    return sum(1 for i, x in enumerate(seq) for y in seq[i + 1 :] if x > y)
+
+
+def reference_join(a, b):
+    grade = a.grade + b.grade
+    out = [0] * len(SUBSETS[grade])
+    for s, ca in zip(SUBSETS[a.grade], a.coeffs):
+        if ca == 0:
+            continue
+        for t, cb in zip(SUBSETS[b.grade], b.coeffs):
+            if cb == 0 or set(s) & set(t):
+                continue
+            sign = -1 if _inversions(s + t) % 2 else 1
+            out[SUBSETS[grade].index(tuple(sorted(s + t)))] += sign * ca * cb
+    return tuple(out)
+
+
+def reference_meet(a, b):
+    j, k = a.grade, b.grade
+    grade = j + k - 4
+    if grade < 0:
+        return (0,)
+    out = [0] * len(SUBSETS[grade])
+    for s, ca in zip(SUBSETS[j], a.coeffs):
+        if ca == 0:
+            continue
+        for t, cb in zip(SUBSETS[k], b.coeffs):
+            if cb == 0:
+                continue
+            for u in combinations(s, 4 - k):
+                if set(u) & set(t):
+                    continue
+                rest = tuple(x for x in s if x not in u)
+                parity = _inversions(u + t) + _inversions(u + rest)
+                sign = -1 if parity % 2 else 1
+                out[SUBSETS[grade].index(rest)] += sign * ca * cb
+    return tuple(out)
+
+
+def reference_support_rows(e):
+    """Rows of v -> join(e, v), one per basis subset of grade e.grade + 1."""
+    rows = []
+    for tgt in SUBSETS[e.grade + 1]:
+        row = []
+        for i in range(4):
+            if i not in tgt:
+                row.append(0)
+                continue
+            src = tuple(x for x in tgt if x != i)
+            sign = -1 if _inversions(src + (i,)) % 2 else 1
+            row.append(sign * e.coeffs[SUBSETS[e.grade].index(src)])
+        rows.append(row)
+    return rows
+
+
+def random_extensor(rng, grade, kind):
+    """Integer or Fraction coefficients; sparse keeps about a third of them."""
+    coeffs = []
+    for _ in SUBSETS[grade]:
+        if kind == "sparse" and rng.random() < 0.67:
+            coeffs.append(0)
+        elif kind == "fraction":
+            coeffs.append(random_fraction(rng))
+        else:
+            coeffs.append(rng.randint(-20, 20))
+    return Extensor(grade, coeffs)
+
+
+def same_coefficients(got, want):
+    return tuple(got) == tuple(want) and [type(c) for c in got] == [type(c) for c in want]
+
+
+KINDS = ("int", "fraction", "sparse", "zero")
+
+
+def extensor_pairs(name):
+    rng = seeded(name)
+    for kind in KINDS:
+        for _ in range(12):
+            for j in range(5):
+                for k in range(5):
+                    if kind == "zero":
+                        a = Extensor.zero(j)
+                        b = random_extensor(rng, k, "fraction")
+                        yield (b, a) if rng.random() < 0.5 else (a, b)
+                    else:
+                        yield random_extensor(rng, j, kind), random_extensor(rng, k, kind)
+
+
+class TestAgainstDirectDefinitions:
+    def test_join_every_grade_pair(self):
+        seen = set()
+        for a, b in extensor_pairs("reference-join"):
+            if a.grade + b.grade > 4:
+                continue
+            seen.add((a.grade, b.grade))
+            got = join(a, b)
+            assert got.grade == a.grade + b.grade
+            assert same_coefficients(got.coeffs, reference_join(a, b))
+        assert len(seen) == 15
+
+    def test_meet_every_grade_pair(self):
+        seen = set()
+        for a, b in extensor_pairs("reference-meet"):
+            seen.add((a.grade, b.grade))
+            got = meet(a, b)
+            assert got.grade == max(a.grade + b.grade - 4, 0)
+            assert same_coefficients(got.coeffs, reference_meet(a, b))
+        assert len(seen) == 25
+
+    def test_support_basis_of_decomposables(self):
+        rng = seeded("reference-support")
+        for grade in (1, 2, 3):
+            for _ in range(20):
+                pts = [random_point(rng, bound=6) for _ in range(grade)]
+                e = join_points(*pts)
+                if rng.random() < 0.5:
+                    e = e.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                if e.is_zero():
+                    continue
+                want = [Point(v) for v in kernel_basis(reference_support_rows(e))]
+                assert support_basis(e) == want
+
+    def test_mixed_int_and_fraction_factors(self):
+        rng = seeded("reference-mixed")
+        for j in range(5):
+            for k in range(5):
+                a = random_extensor(rng, j, "int")
+                b = random_extensor(rng, k, "fraction")
+                if j + k <= 4:
+                    assert same_coefficients(join(a, b).coeffs, reference_join(a, b))
+                assert same_coefficients(meet(a, b).coeffs, reference_meet(a, b))
 
 
 class TestJoin:
