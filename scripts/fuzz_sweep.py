@@ -40,7 +40,8 @@ def main():
                 disagreements.append((seed, index))
     elapsed = time.perf_counter() - start
 
-    print(f"{total} configurations in {elapsed:.1f}s ({elapsed / total * 1000:.1f} ms each)")
+    per_config_ms = elapsed / total * 1000 if total else 0.0
+    print(f"{total} configurations in {elapsed:.1f}s ({per_config_ms:.1f} ms each)")
     print(f"verdicts: {verdicts[True]} on-quadric, {verdicts[False]} off")
     for branch, n in branches.most_common():
         print(f"  {branch:40s} {n}")

@@ -2,6 +2,9 @@
 """Replay a construction trace file and verify it reproduces every step.
 
 Usage: python scripts/replay_trace.py trace.json [trace2.json ...]
+
+Exit codes: 0 every trace replays bit-exactly, 1 a step output differs,
+2 no argument, or a file that cannot be read, parsed or replayed.
 """
 
 import json
@@ -11,28 +14,45 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from quadricheck.constructions import ConstructionTrace, replay_trace
+from quadricheck.projective import GeometryError
+
+# What an unreadable file, or a trace whose steps do not parse or do not
+# replay, raises: reported as bad input (exit 2), never as a traceback.
+UNREPLAYABLE = (OSError, ValueError, LookupError, TypeError, ArithmeticError, GeometryError)
+
+
+def replay_file(path):
+    """Replay one trace file; returns (step count, ids of mismatching steps)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        trace = ConstructionTrace.from_json(json.load(fh))
+    outputs = replay_trace(trace)
+    mismatches = [
+        step.step_id for step, got in zip(trace.steps, outputs) if got != step.output
+    ]
+    return len(trace.steps), mismatches
 
 
 def main(paths):
     if not paths:
         print("usage: replay_trace.py trace.json [...]", file=sys.stderr)
         return 2
-    failed = False
+    status = 0
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            trace = ConstructionTrace.from_json(json.load(fh))
-        outputs = replay_trace(trace)
-        mismatches = [
-            step.step_id
-            for step, got in zip(trace.steps, outputs)
-            if got != step.output
-        ]
+        try:
+            steps, mismatches = replay_file(path)
+        except UNREPLAYABLE as exc:
+            print(
+                f"error: {path}: not a replayable trace ({type(exc).__name__}: {exc})",
+                file=sys.stderr,
+            )
+            status = 2
+            continue
         if mismatches:
-            failed = True
-            print(f"{path}: {len(trace.steps)} steps, MISMATCH at {mismatches}")
+            status = max(status, 1)
+            print(f"{path}: {steps} steps, MISMATCH at {mismatches}")
         else:
-            print(f"{path}: {len(trace.steps)} steps replayed bit-exactly")
-    return 1 if failed else 0
+            print(f"{path}: {steps} steps replayed bit-exactly")
+    return status
 
 
 if __name__ == "__main__":

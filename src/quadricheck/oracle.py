@@ -56,8 +56,6 @@ def oracle_decide(points) -> bool:
 def quadric_through(points):
     """Exact basis of the quadrics vanishing at all the given points."""
     rows = [veronese_row(p) for p in points]
-    if not rows:
-        rows = []
     vectors = kernel_basis(rows) if rows else [
         tuple(1 if i == j else 0 for i in range(10)) for j in range(10)
     ]

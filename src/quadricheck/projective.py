@@ -3,7 +3,9 @@
 Points carry canonical integer coordinates (coprime, first nonzero entry
 positive), so point equality is tuple equality and every determinant built
 from canonical points is plain integer arithmetic.  Local parameters on a
-line live in Q together with a single tagged INFINITY value.
+line live in Q together with a single tagged INFINITY value.  Rank, kernel,
+linear solves, determinants and transform inverses all read one
+fraction-free (Bareiss) echelon form, computed by `_echelon`.
 """
 
 from __future__ import annotations
@@ -176,49 +178,72 @@ def _det_any(*columns):
     return det4(*columns)
 
 
-def rank_of_vectors(vectors) -> int:
-    """Exact rank of the span of the given coordinate vectors.
+def _echelon(rows):
+    """Fraction-free (Bareiss) row echelon form of a rational matrix.
 
-    Integer inputs take a fraction-free elimination path; anything else is
-    reduced over Q.
+    Each row is first cleared to integers; scaling a row keeps the rank, the
+    pivot columns and the kernel.  Pivots are the first nonzero entry of their
+    column, and every update below a pivot divides exactly by the previous
+    pivot (Sylvester's identity), so entries stay integer minors of the
+    cleared matrix.  Returns (rows, pivot columns, factor): rows below the
+    rank are zero, and for a square matrix det = factor × last row's last
+    entry, where factor is the swap sign over the product of the row
+    multipliers (an int for integer input, a Fraction otherwise).
     """
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    if all(type(x) is int for row in rows for x in row):
-        rank = 0
-        for c in range(cols):
-            pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            prow = rows[rank]
-            pv = prow[c]
-            for i in range(rank + 1, len(rows)):
-                xv = rows[i][c]
-                if xv != 0:
-                    rows[i] = [pv * a - xv * b for a, b in zip(rows[i], prow)]
-            rank += 1
-            if rank == min(len(rows), cols):
+    a = []
+    factor = 1
+    for row in rows:
+        if all(type(x) is int for x in row):
+            a.append(list(row))
+        else:
+            row = [Fraction(x) for x in row]
+            mult = lcm(*(x.denominator for x in row))
+            a.append([x.numerator * (mult // x.denominator) for x in row])
+            factor = Fraction(factor, mult)
+    m = len(a)
+    n = len(a[0]) if a else 0
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(n):
+        for i in range(r, m):
+            if a[i][c] != 0:
                 break
-        return rank
-    rows = [[Fraction(x) for x in v] for v in rows]
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
+        else:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c] / prow[c]
-                rows[i] = [rows[i][k] - f * prow[k] for k in range(cols)]
-        rank += 1
-        if rank == min(len(rows), cols):
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            factor = -factor
+        prow = a[r]
+        pv = prow[c]
+        for i in range(r + 1, m):
+            row = a[i]
+            x = row[c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * pv - x * prow[j]) // prev
+            row[c] = 0
+        prev = pv
+        pivots.append(c)
+        r += 1
+        if r == m:
             break
-    return rank
+    return a, pivots, factor
+
+
+def _back_substitute(rows, pivots, col, n):
+    """The n unknowns x with Σ_j rows[r][j]·x_j = rows[r][col] for every pivot
+    row r of an echelon form, each non-pivot unknown set to 0."""
+    x = [Fraction(0)] * n
+    for r in reversed(range(len(pivots))):
+        row = rows[r]
+        rhs = row[col] - sum(row[c] * x[c] for c in pivots[r + 1 :])
+        x[pivots[r]] = Fraction(rhs, row[pivots[r]])
+    return x
+
+
+def rank_of_vectors(vectors) -> int:
+    """Exact rank of the span of the given rational coordinate vectors."""
+    return len(_echelon(vectors)[1])
 
 
 def rank_of_points(points) -> int:
@@ -229,93 +254,40 @@ def rank_of_points(points) -> int:
 def kernel_basis(rows):
     """Basis of the right kernel of the row matrix, as integer tuples.
 
-    Echelon form over Q, free variables set to 1 in ascending column order;
-    each basis vector is cleared to coprime integers with positive leading
-    sign, so the output is deterministic.
+    One vector per free column in ascending order, with that free variable 1
+    and the others 0; each is cleared to coprime integers with positive
+    leading sign, so the output is deterministic.
     """
-    rows = [[Fraction(x) for x in r] for r in rows]
-    if not rows:
+    a, pivots, _ = _echelon(rows)
+    if not a:
         raise ValueError("kernel_basis needs the column count from its rows")
-    cols = len(rows[0])
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        rows[rank] = [x / prow[c] for x in prow]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [rows[i][k] - f * prow[k] for k in range(cols)]
-        pivots.append(c)
-        rank += 1
+    cols = len(a[0])
     basis = []
-    free = [c for c in range(cols) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(_canonical_ints(vec))
+    for fc in range(cols):
+        if fc not in pivots:
+            # x solves A·x = column fc, so x − e_fc lies in the kernel
+            x = _back_substitute(a, pivots, fc, cols)
+            x[fc] = -1
+            basis.append(_canonical_ints(x))
     return basis
 
 
 def bareiss_det(rows):
-    """Fraction-free determinant of a square integer matrix."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if any(len(r) != n for r in a):
+    """Exact determinant of a square rational matrix, fraction-free."""
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    a, _, factor = _echelon(rows)
+    return factor * a[-1][-1]
 
 
 def coordinates_in_basis(basis_points, p: Point):
     """Write p as a rational combination of the basis points, or None."""
-    rows = [[Fraction(bp.coords[i]) for bp in basis_points] for i in range(p.dim)]
-    target = [Fraction(c) for c in p.coords]
     n = len(basis_points)
-    aug = [rows[i] + [target[i]] for i in range(p.dim)]
-    rank = 0
-    pivots = []
-    for c in range(n):
-        pivot = next((i for i in range(rank, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        prow = aug[rank]
-        aug[rank] = [x / prow[c] for x in prow]
-        prow = aug[rank]
-        for i in range(len(aug)):
-            if i != rank and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [aug[i][k] - f * prow[k] for k in range(n + 1)]
-        pivots.append(c)
-        rank += 1
-    for i in range(rank, len(aug)):
-        if aug[i][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        sol[pc] = aug[r][n]
-    return tuple(sol)
+    aug = [[bp.coords[i] for bp in basis_points] + [p.coords[i]] for i in range(p.dim)]
+    a, pivots, _ = _echelon(aug)
+    if pivots and pivots[-1] == n:
+        return None
+    return tuple(_back_substitute(a, pivots, n, n))
 
 
 def cross_ratio(a: Point, b: Point, c: Point, d: Point, witnesses=()):
@@ -399,17 +371,11 @@ class Transform:
         return cls(tuple(tuple(col[i] for col in columns) for i in range(4)))
 
     def inverse(self) -> "Transform":
-        a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(4)]
-             for i, row in enumerate(self.matrix)]
-        for c in range(4):
-            pivot = next(i for i in range(c, 4) if a[i][c] != 0)
-            a[c], a[pivot] = a[pivot], a[c]
-            a[c] = [x / a[c][c] for x in a[c]]
-            for i in range(4):
-                if i != c and a[i][c] != 0:
-                    f = a[i][c]
-                    a[i] = [a[i][k] - f * a[c][k] for k in range(8)]
-        return Transform(tuple(tuple(row[4:]) for row in a))
+        a, pivots, _ = _echelon(
+            [list(row) + [int(i == j) for j in range(4)] for i, row in enumerate(self.matrix)]
+        )
+        cols = [_back_substitute(a, pivots, 4 + j, 4) for j in range(4)]
+        return Transform(tuple(tuple(col[i] for col in cols) for i in range(4)))
 
 
 MONOMIALS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))

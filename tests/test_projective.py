@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,9 @@ from quadricheck.projective import (
     Point,
     QuadricCoeffs,
     Transform,
+    bareiss_det,
     bracket,
+    coordinates_in_basis,
     cross_ratio,
     det4,
     kernel_basis,
@@ -40,6 +43,138 @@ def naive_det(matrix):
 
 def naive_det_cols(*cols):
     return naive_det([[col[i] for col in cols] for i in range(len(cols))])
+
+
+def reference_rref(rows):
+    """Textbook Gauss-Jordan over Q: (reduced rows, pivot columns, scale),
+    where scale is the swap sign times the product of the pivots, so that a
+    square matrix has determinant scale when every column is a pivot."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots, scale = [], Fraction(1)
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            scale = -scale
+        scale *= rows[r][c]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots, scale
+
+
+def reference_kernel(rows):
+    """Kernel vectors with one free variable 1 and the others 0, as coprime
+    integers with a positive leading entry."""
+    reduced, pivots, _ = reference_rref(rows)
+    cols = len(rows[0])
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        mult = lcm(*(v.denominator for v in vec))
+        ints = [int(v * mult) for v in vec]
+        g = gcd(*ints)
+        if next(v for v in ints if v != 0) < 0:
+            g = -g
+        basis.append(tuple(v // g for v in ints))
+    return basis
+
+
+def reference_solve(columns, target):
+    """The x with Σ x_j columns[j] = target and every free unknown 0, or None."""
+    n = len(columns)
+    aug = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
+    reduced, pivots, _ = reference_rref(aug)
+    if n in pivots:
+        return None
+    sol = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        sol[pc] = reduced[r][n]
+    return tuple(sol)
+
+
+def reference_det(rows):
+    """Cofactor expansion up to 7x7; beyond, where it has n! terms, the
+    Gauss-Jordan pivot product, typed as the expansion would be: an int for
+    integer entries, a Fraction when any entry is one."""
+    if len(rows) <= 7:
+        return naive_det(rows)
+    _, pivots, scale = reference_rref(rows)
+    det = scale if len(pivots) == len(rows) else Fraction(0)
+    return det if any(type(x) is not int for r in rows for x in r) else int(det)
+
+
+def reference_inverse(matrix):
+    n = len(matrix)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    reduced, _, _ = reference_rref([list(r) + e for r, e in zip(matrix, eye)])
+    return tuple(tuple(r[n:]) for r in reduced)
+
+
+def seeded_matrix(rng, m, n, shape, entries):
+    """An m x n matrix of the given shape ("random", "sparse", "low-rank",
+    "repeated-row", "zero-row" or "zero-column") with "int", "fraction" or
+    "mixed" entries.  Sparse matrices are mostly zeros, so that elimination
+    has to swap rows."""
+
+    def entry():
+        if shape == "sparse" and rng.random() < 0.6:
+            return 0
+        if entries == "int" or (entries == "mixed" and rng.random() < 0.5):
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    if shape == "low-rank":
+        k = rng.randint(1, max(1, min(m, n) - 1))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        right = [[entry() for _ in range(n)] for _ in range(k)]
+        return [[sum(x * r[j] for x, r in zip(row, right)) for j in range(n)] for row in left]
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if shape == "repeated-row" and m > 1:
+        src, dst = rng.sample(range(m), 2)
+        factor = 1 if entries == "int" else Fraction(-2, 3)
+        rows[dst] = [factor * x for x in rows[src]]
+    elif shape == "zero-row":
+        rows[rng.randrange(m)] = [0] * n
+    elif shape == "zero-column":
+        c = rng.randrange(n)
+        for row in rows:
+            row[c] = 0
+    return rows
+
+
+SHAPES = ("random", "sparse", "low-rank", "repeated-row", "zero-row", "zero-column")
+SIZES = ((1, 1), (2, 2), (1, 4), (4, 1), (3, 5), (5, 3), (4, 4), (6, 6), (7, 4), (4, 9),
+         (8, 8), (10, 7), (10, 10), (10, 11))
+
+
+def seeded_matrices(name):
+    """Every shape and entry kind at every size, square, tall and wide."""
+    rng = seeded(name)
+    for shape in SHAPES:
+        for entries in ("int", "fraction", "mixed"):
+            for m, n in SIZES:
+                yield seeded_matrix(rng, m, n, shape, entries)
+
+
+def same_typed(got, want):
+    """Equal as values and, entry by entry, as types."""
+    if isinstance(want, (tuple, list)):
+        return (
+            type(got) is type(want)
+            and len(got) == len(want)
+            and all(same_typed(g, w) for g, w in zip(got, want))
+        )
+    return type(got) is type(want) and got == want
 
 
 class TestPoint:
@@ -272,6 +407,64 @@ class TestKernel:
     def test_dimension_count(self):
         rows = [[1, 0, 0, 0], [0, 1, 0, 0]]
         assert len(kernel_basis(rows)) == 2
+
+
+class TestAgainstDirectDefinitions:
+    def test_rank(self):
+        for rows in seeded_matrices("reference-rank"):
+            _, pivots, _ = reference_rref(rows)
+            assert same_typed(rank_of_vectors(rows), len(pivots))
+
+    def test_kernel_basis(self):
+        for rows in seeded_matrices("reference-kernel"):
+            assert same_typed(kernel_basis(rows), reference_kernel(rows))
+
+    def test_bareiss_det(self):
+        for rows in seeded_matrices("reference-det"):
+            if len(rows) == len(rows[0]):
+                assert same_typed(bareiss_det(rows), reference_det(rows))
+
+    def test_bareiss_det_of_rational_matrices(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        assert same_typed(bareiss_det([[half, 0], [0, half]]), Fraction(1, 4))
+        assert same_typed(
+            bareiss_det([[half, third], [Fraction(1, 5), Fraction(1, 7)]]), Fraction(1, 210)
+        )
+
+    def test_coordinates_in_basis(self):
+        rng = seeded("reference-solve")
+        outcomes = set()
+        for dim in (2, 3, 4):
+            for size in range(1, dim + 2):
+                for _ in range(12):
+                    basis = [random_point(rng, bound=4).coords[:dim] for _ in range(size)]
+                    if rng.random() < 0.3:
+                        basis[-1] = basis[0]
+                    if rng.random() < 0.5:
+                        weights = [rng.randint(-3, 3) for _ in basis]
+                        target = [sum(w * b[i] for w, b in zip(weights, basis)) for i in range(dim)]
+                    else:
+                        target = random_point(rng, bound=4).coords[:dim]
+                    if not (all(any(b) for b in basis) and any(target)):
+                        continue
+                    basis = [Point(b) for b in basis]
+                    want = reference_solve([b.coords for b in basis], Point(target).coords)
+                    assert same_typed(coordinates_in_basis(basis, Point(target)), want)
+                    outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_transform_inverse(self):
+        rng = seeded("reference-inverse")
+        checked = 0
+        for entries in ("int", "fraction", "mixed"):
+            for _ in range(15):
+                try:
+                    t = Transform(seeded_matrix(rng, 4, 4, "random", entries))
+                except ValueError:
+                    continue
+                assert same_typed(t.inverse().matrix, reference_inverse(t.matrix))
+                checked += 1
+        assert checked >= 40
 
 
 class TestQuadricCoeffs:

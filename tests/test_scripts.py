@@ -1,0 +1,67 @@
+"""Each script under scripts/ run as a user runs it: in its own process."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from quadricheck import cli
+from quadricheck.oracle import sample_generic
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *map(str, args)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestFuzzSweep:
+    def test_zero_seeds(self):
+        result = run_script("fuzz_sweep.py", "--seeds", 0)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("0 configurations")
+
+    def test_small_sweep_agrees(self):
+        result = run_script("fuzz_sweep.py", "--seeds", 1, "--count", 3)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.startswith("3 configurations")
+        assert "all verdicts agree" in result.stdout
+
+
+class TestReplayTrace:
+    def test_decide_trace_replays(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cli.points_to_json(sample_generic("scripts-trace", 10))))
+        trace = tmp_path / "trace.json"
+        assert cli.main(["decide", str(config), "--method", "synthetic", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert json.loads(trace.read_text())["steps"]
+        result = run_script("replay_trace.py", trace)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().endswith("steps replayed bit-exactly")
+
+    def test_missing_file(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        result = run_script("replay_trace.py", missing)
+        assert result.returncode == 2
+        assert result.stderr.count("\n") == 1 and str(missing) in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_malformed_trace(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"steps": [{"id": 0}]}))
+        result = run_script("replay_trace.py", bad)
+        assert result.returncode == 2
+        assert result.stderr.count("\n") == 1 and str(bad) in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_det_identity_experiment():
+    result = run_script("det_identity_experiment.py", "--configs", 1, "--perms", 2)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "holds with sign +1 on 2" in result.stdout
