@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Print a sha256 digest of the pipeline's decisions (and traces) over a
+fixed corpus, so that two versions of the code can be shown to decide
+byte-identically.
+
+The corpus is fuzz configurations 0..count-1 of the seed, followed by one
+`fixtures.generate_branch(kind, seed)` fixture per generated kind.  Each
+decision is hashed as its canonical JSON line; with --trace each
+configuration is decided with a construction trace, and the traces (an
+empty step list for the special-position exits) are hashed the same way.
+
+Usage: python scripts/decision_digest.py --seed 5 --count 100 [--trace]
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from quadricheck import cli, fixtures, reductions
+
+
+def canonical(payload) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+def corpus(seed, count):
+    for index in range(count):
+        yield cli.fuzz_configuration(seed, index)
+    for kind in fixtures.GENERATED_KINDS:
+        yield fixtures.generate_branch(kind, seed)
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--count", type=int, required=True)
+    parser.add_argument("--trace", action="store_true", help="also digest the traces")
+    args = parser.parse_args()
+
+    decisions = hashlib.sha256()
+    traces = hashlib.sha256()
+    total = 0
+    for points in corpus(args.seed, args.count):
+        decision = reductions.decide(points, with_trace=args.trace)
+        decisions.update(canonical(decision.to_json()))
+        if args.trace:
+            traces.update(canonical(decision.trace.to_json() if decision.trace else {"steps": []}))
+        total += 1
+    print(f"decisions {decisions.hexdigest()} {total} configurations")
+    if args.trace:
+        print(f"traces {traces.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

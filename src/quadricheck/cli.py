@@ -13,6 +13,7 @@ import re
 import sys
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -213,14 +214,18 @@ def fuzz_check(seed, index):
 def cmd_fuzz(args) -> int:
     disagreements = []
     errors = []
+    census = Counter()
     for index in range(args.count):
         decision, failure = fuzz_check(args.seed, index)
+        if decision is not None:
+            census[decision.branch] += 1
         if failure is not None:
             (errors if decision is None else disagreements).append(failure)
     summary = {
         "seed": args.seed,
         "count": args.count,
         "agreements": args.count - len(disagreements) - len(errors),
+        "census": dict(sorted(census.items())),
         "disagreements": disagreements,
         "errors": errors,
     }

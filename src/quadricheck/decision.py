@@ -26,7 +26,6 @@ BRANCHES = (
     "plane-line-case",
     "two-lines-grassmann",
     "coplanar",
-    "coplanar-with-two-lines",
     "two-planes",
     "plane-split",
     "generic",

@@ -27,13 +27,13 @@ from .extensors import line_through, meet, plane_form, plane_through
 from .projective import (
     GeometryError,
     MONOMIALS,
+    IncidenceTable,
     Point,
     QuadricCoeffs,
     Transform,
     bracket,
     det4,
     kernel_basis,
-    rank_of_points,
 )
 
 log = logging.getLogger(__name__)
@@ -214,20 +214,22 @@ def construct_test_point(points, col, trace=None) -> Point:
     return recover_from_chart(tet, chart, projections, trace=trace)
 
 
-def genericity_violation(points):
-    """Reason the four genericity conditions fail, or None."""
+def genericity_violation(points, table=None):
+    """Reason the four genericity conditions fail, or None.  `table` is the
+    IncidenceTable of the points, built when not given."""
     pts = list(points)
     if len(pts) != 10:
         return "need exactly 10 points"
     if len(set(pts)) != 10:
         return "points are not all distinct"
+    table = table or IncidenceTable(pts)
     for quad in combinations(range(10), 4):
-        if rank_of_points([pts[i] for i in quad]) <= 2:
+        if table.on_a_line(quad):
             return f"points {quad} are collinear"
     for pair in ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5)):
-        if bracket(*(pts[i] for i in pair)) == 0:
+        if table.bracket_vanishes(*pair):
             return "lines 01, 23, 45 are not mutually skew"
-    if rank_of_points(pts[6:10]) < 4:
+    if table.bracket_vanishes(6, 7, 8, 9):
         return "points 6..9 are coplanar"
     return None
 
@@ -245,9 +247,9 @@ class GenericConfig:
     witnesses: tuple
 
     @classmethod
-    def validate(cls, points) -> "GenericConfig":
+    def validate(cls, points, table=None) -> "GenericConfig":
         pts = list(points)
-        reason = genericity_violation(pts)
+        reason = genericity_violation(pts, table)
         if reason is not None:
             raise PreconditionViolated(reason)
         witnesses = tuple(
@@ -257,16 +259,17 @@ class GenericConfig:
         return cls(tuple(pts), witnesses)
 
 
-def decide_generic(points, trace=None) -> Decision:
+def decide_generic(points, trace=None, table=None) -> Decision:
     """Decide a configuration satisfying the genericity conditions.
 
     Relabels the first six points so Q != 0 (the labeling is carried in the
     Decision), takes the two-planes exit on a zero column of M, otherwise
     constructs the four test points and answers by their coplanarity; on a
     YES verdict the quadric is recovered from the kernel of M through the
-    reducible-quadric basis.
+    reducible-quadric basis.  `table` is the IncidenceTable of the points,
+    built when not given.
     """
-    config = GenericConfig.validate(points)
+    config = GenericConfig.validate(points, table)
     pts = list(config.points)
     sigma = find_Q_labeling(pts[:6])
     relabeled = [pts[i] for i in sigma] + pts[6:]

@@ -5,13 +5,17 @@ positive), so point equality is tuple equality and every determinant built
 from canonical points is plain integer arithmetic.  Local parameters on a
 line live in Q together with a single tagged INFINITY value.  Rank, kernel,
 linear solves, determinants and transform inverses all read one
-fraction-free (Bareiss) echelon form, computed by `_echelon`.
+fraction-free (Bareiss) echelon form, computed by `_echelon`.  The
+incidences of a configuration (collinear triples, vanishing brackets,
+planar conic charts) are read through one memoizing `IncidenceTable`.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 
@@ -67,17 +71,17 @@ def param_mul(x, y):
 
 
 def _canonical_ints(values):
-    fracs = [Fraction(v) for v in values]
-    if all(f == 0 for f in fracs):
+    ints = tuple(values)
+    if not all(type(v) is int for v in ints):
+        fracs = [Fraction(v) for v in ints]
+        mult = lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (mult // f.denominator) for f in fracs]
+    if not any(ints):
         raise ValueError("homogeneous coordinates must not all be zero")
-    mult = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * mult) for f in fracs]
     g = gcd(*ints)
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 class Point:
@@ -146,21 +150,17 @@ def det4(a, b, c, d):
     Laplace expansion along the first two columns; exact for ints and
     Fractions alike.
     """
-    m = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m[i, j] = a[i] * b[j] - a[j] * b[i]
-    n = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            n[i, j] = c[i] * d[j] - c[j] * d[i]
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    c0, c1, c2, c3 = c
+    d0, d1, d2, d3 = d
     return (
-        m[0, 1] * n[2, 3]
-        - m[0, 2] * n[1, 3]
-        + m[0, 3] * n[1, 2]
-        + m[1, 2] * n[0, 3]
-        - m[1, 3] * n[0, 2]
-        + m[2, 3] * n[0, 1]
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
     )
 
 
@@ -288,6 +288,152 @@ def coordinates_in_basis(basis_points, p: Point):
     if pivots and pivots[-1] == n:
         return None
     return tuple(_back_substitute(a, pivots, n, n))
+
+
+# Degree-2 monomials of planar coordinates, in the order of the conic rows.
+CONIC_MONOMIALS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+# Rows kept by each of the four 3x3 minors of a 4x3 coordinate matrix.
+_MINOR_ROWS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def _dependent(points) -> bool:
+    """Whether three or four points of P^3 are dependent: the four 3x3 minors
+    of a triple (the coordinates of its join) vanish, or its bracket does."""
+    if len(points) == 4:
+        return bracket(*points) == 0
+    a, b, c = (p.coords for p in points)
+    return all(
+        det3((a[i], a[j], a[k]), (b[i], b[j], b[k]), (c[i], c[j], c[k])) == 0
+        for i, j, k in _MINOR_ROWS
+    )
+
+
+def _conic_row(basis, p: Point):
+    """The CONIC_MONOMIALS of p's coordinates in the basis of three points
+    spanning a plane through p, cleared to integers."""
+    c = coordinates_in_basis(basis, p)
+    mult = lcm(*(f.denominator for f in c))
+    v = [f.numerator * (mult // f.denominator) for f in c]
+    return tuple(v[i] * v[j] for i, j in CONIC_MONOMIALS)
+
+
+class _Dependence(dict):
+    """Bitmask of three or four of the points -> whether they are dependent,
+    computed on the first read of each mask."""
+
+    def __init__(self, points):
+        super().__init__()
+        self.points = points
+
+    def __missing__(self, mask):
+        pts = [p for n, p in enumerate(self.points) if mask >> n & 1]
+        dependent = self[mask] = _dependent(pts)
+        return dependent
+
+
+class IncidenceTable:
+    """The incidences of one configuration of points of P^3, each computed
+    the first time it is read and then memoized:
+
+    - whether a triple is collinear (its join vanishes);
+    - whether a bracket vanishes;
+    - one planar chart per plane read through `conic_det`: the
+      conic-monomial row of every point of the configuration on that plane,
+      in the basis of its first independent triple.
+
+    Entries are keyed by the bitmask of the points' indices.  Everything
+    else is derived from them:
+
+    - A set has rank <= 2 iff all its sub-triples are collinear: a set of
+      rank >= 3 holds three independent points.  (So four points are
+      collinear iff all four of their sub-triples are.)
+    - A set has rank <= 3 iff all its sub-brackets vanish: a set of rank 4
+      holds a basis, whose bracket is nonzero.
+    - Whether a conic determinant is zero does not depend on the chart:
+      another basis of the plane changes the coordinates by an invertible
+      3x3 matrix A and every conic row by the invertible symmetric square
+      of A, and scaling a row scales the determinant by a nonzero factor.
+
+    `relabeled(labeling)` is a view of the same entries in which index r
+    names the point labeling.perm[r], so a relabeled configuration reads
+    what the original one computed.  The table lives as long as the
+    decision that builds it.
+    """
+
+    def __init__(self, points):
+        self._points = list(points)
+        self._bits = [1 << n for n in range(len(self._points))]
+        self._dependent = _Dependence(self._points)
+        self._charts = {}  # mask of a plane -> {bit of a point on it: conic row}
+
+    def relabeled(self, labeling) -> "IncidenceTable":
+        view = copy(self)
+        view._bits = [self._bits[i] for i in labeling.perm]
+        return view
+
+    def collinear(self, i, j, k) -> bool:
+        """Whether points i, j, k (distinct indices) lie on a line."""
+        b = self._bits
+        return self._dependent[b[i] | b[j] | b[k]]
+
+    def bracket_vanishes(self, i, j, k, l) -> bool:
+        """Whether [ijkl] = 0 for distinct indices i, j, k, l."""
+        b = self._bits
+        return self._dependent[b[i] | b[j] | b[k] | b[l]]
+
+    def on_a_line(self, indices) -> bool:
+        """Whether the points at the distinct indices have rank <= 2."""
+        b, dependent = self._bits, self._dependent
+        for i, j, k in combinations(indices, 3):
+            if not dependent[b[i] | b[j] | b[k]]:
+                return False
+        return True
+
+    def on_a_plane(self, indices) -> bool:
+        """Whether the points at the distinct indices have rank <= 3."""
+        b, dependent = self._bits, self._dependent
+        for i, j, k, l in combinations(indices, 4):
+            if not dependent[b[i] | b[j] | b[k] | b[l]]:
+                return False
+        return True
+
+    def conic_det(self, indices):
+        """Determinant of the conic rows of six coplanar points in the chart
+        of their plane: zero iff they lie on a conic of that plane.  Raises
+        ValueError when they are collinear or not coplanar."""
+        bits = [self._bits[i] for i in indices]
+        basis = self._first_independent(bits)
+        if basis is None:
+            raise ValueError("the six points are collinear")
+        rows = self._chart(self._plane(basis[0] | basis[1] | basis[2]))
+        if any(bit not in rows for bit in bits):
+            raise ValueError("point is not in the plane of the basis")
+        return bareiss_det([rows[bit] for bit in bits])
+
+    def _first_independent(self, bits):
+        """The first triple of the points with these bits that is not collinear."""
+        dependent = self._dependent
+        return next((t for t in combinations(bits, 3) if not dependent[t[0] | t[1] | t[2]]), None)
+
+    def _plane(self, triple):
+        """Mask of every point on the plane of an independent triple."""
+        plane = triple
+        for n in range(len(self._points)):
+            bit = 1 << n
+            if not triple & bit and self._dependent[triple | bit]:
+                plane |= bit
+        return plane
+
+    def _chart(self, plane):
+        rows = self._charts.get(plane)
+        if rows is None:
+            on = [n for n in range(len(self._points)) if plane >> n & 1]
+            triple = self._first_independent([1 << n for n in on])
+            basis = [self._points[bit.bit_length() - 1] for bit in triple]
+            rows = {1 << n: _conic_row(basis, self._points[n]) for n in on}
+            self._charts[plane] = rows
+        return rows
 
 
 def cross_ratio(a: Point, b: Point, c: Point, d: Point, witnesses=()):

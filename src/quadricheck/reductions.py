@@ -6,13 +6,19 @@ two lines), then finds three skew label-lines, and finally relabels via the
 skew-swap and split-skew constructions until the four leftover points are
 in general position.  Every verdict is decided synthetically; YES verdicts
 carry a certificate quadric when one is naturally available.
+
+`normalize` builds one `IncidenceTable` of the points and hands it to every
+exit, to skew-line discovery and to the relabeling checks (through views of
+it under each labeling), so each collinear triple, vanishing bracket and
+planar conic chart is computed at most once per decision, and only when an
+exit reads it.  Each function also runs without a table and then builds its
+own.
 """
 
 from __future__ import annotations
 
 import logging
 from itertools import combinations
-from math import lcm
 
 from . import generic_case
 from .constructions import ConstructionTrace, line_meet_line
@@ -39,17 +45,14 @@ from .extensors import (
 )
 from .oracle import oracle_decide, quadric_through
 from .projective import (
+    IncidenceTable,
     Point,
-    bareiss_det,
     bracket,
     kernel_basis,
-    coordinates_in_basis,
     rank_of_points,
 )
 
 log = logging.getLogger(__name__)
-
-CONIC_MONOMIALS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 def _kernel_certificate(points):
@@ -57,12 +60,9 @@ def _kernel_certificate(points):
     return basis[0] if basis else None
 
 
-def collinear_triples(points):
-    return [
-        t
-        for t in combinations(range(len(points)), 3)
-        if rank_of_points([points[i] for i in t]) <= 2
-    ]
+def collinear_triples(points, table=None):
+    table = table or IncidenceTable(points)
+    return [t for t in combinations(range(len(points)), 3) if table.collinear(*t)]
 
 
 # ---------------------------------------------------------------------------
@@ -76,43 +76,21 @@ def qd_duplicates(points):
     return None
 
 
-def qd_four_collinear(points):
+def qd_four_collinear(points, table=None):
     """YES when some four points are collinear: three of them force any
     quadric to contain the whole line."""
+    table = table or IncidenceTable(points)
     for quad in combinations(range(len(points)), 4):
-        if rank_of_points([points[i] for i in quad]) <= 2:
+        if table.on_a_line(quad):
             return Decision(True, "four-collinear", None, _kernel_certificate(points))
     return None
 
 
-def planar_coordinates(six):
-    """Coordinates of six coplanar points in a basis of three of them."""
-    basis = None
-    for t in combinations(range(6), 3):
-        if rank_of_points([six[i] for i in t]) == 3:
-            basis = [six[i] for i in t]
-            break
-    if basis is None:
-        raise ValueError("the six points are collinear")
-    coords = []
-    for p in six:
-        c = coordinates_in_basis(basis, p)
-        if c is None:
-            raise ValueError("point is not in the plane of the basis")
-        coords.append(c)
-    return coords
-
-
 def planar_conic_det(six):
-    """6x6 determinant of the planar degree-2 monomials; zero iff the six
-    coplanar points lie on a conic.  Independent of the basis choice."""
-    coords = planar_coordinates(six)
-    rows = []
-    for c in coords:
-        mult = lcm(*(f.denominator for f in c))
-        v = [int(f * mult) for f in c]
-        rows.append(tuple(v[i] * v[j] for i, j in CONIC_MONOMIALS))
-    return bareiss_det(rows)
+    """6x6 determinant of the planar degree-2 monomials in a basis of the
+    first independent triple; zero iff the six coplanar points lie on a
+    conic.  Whether it is zero is independent of the basis choice."""
+    return IncidenceTable(six).conic_det(range(len(six)))
 
 
 def pascal_collinear(six):
@@ -131,17 +109,17 @@ def pascal_collinear(six):
     return rank_of_points(hits) <= 2
 
 
-def qd_six_on_plane_conic(points):
+def qd_six_on_plane_conic(points, table=None):
     """YES when six points lie on a degree-2 plane curve; each hit is
     cross-checked against the hexagon collinearity criterion."""
+    table = table or IncidenceTable(points)
     for subset in combinations(range(len(points)), 6):
-        six = [points[i] for i in subset]
-        r = rank_of_points(six)
-        if r > 3:
+        if not table.on_a_plane(subset):
             continue
-        if r <= 2 or planar_conic_det(six) == 0:
-            if r == 3:
-                check = pascal_collinear(six)
+        on_line = table.on_a_line(subset)
+        if on_line or table.conic_det(subset) == 0:
+            if not on_line:
+                check = pascal_collinear([points[i] for i in subset])
                 if check is False:
                     raise InternalInconsistency(
                         f"conic determinant and hexagon criterion disagree on {subset}"
@@ -165,16 +143,18 @@ def _three_disjoint_covers(triples):
                 yield t1, t2, t3
 
 
-def qd_three_lines(points):
+def qd_three_lines(points, table=None):
     """Nine points on three lines: two meeting lines give six points on a
     degenerate plane conic; three skew lines leave the verdict to the
     criterion xL0L1L2x = 0 on the tenth point."""
-    triples = collinear_triples(points)
+    table = table or IncidenceTable(points)
+    triples = collinear_triples(points, table)
     for t1, t2, t3 in _three_disjoint_covers(triples):
         lines = [line_through(points[t[0]], points[t[1]]) for t in (t1, t2, t3)]
+        # two point-lines meet iff the bracket of their spanning points vanishes
         meeting = any(
-            scalar_of(join(u, v)) == 0
-            for u, v in combinations(lines, 2)
+            table.bracket_vanishes(u[0], u[1], v[0], v[1])
+            for u, v in combinations((t1, t2, t3), 2)
         )
         if meeting:
             # six of the points lie on the degenerate conic formed by the
@@ -196,7 +176,7 @@ def transversal_through(p: Point, l1: Extensor, l2: Extensor) -> Extensor:
     return join(from_point(p), hit).canonical()
 
 
-def _two_lines_meeting_case(points, base_pair, ab_pts, r_pt, cx_idx):
+def _two_lines_meeting_case(points, table, base_pair, ab_pts, r_pt, cx_idx):
     """Two transversals meeting at r on one of the lines: any quadric
     through the configuration splits into the plane of a, b, r and a plane
     through the line holding r, so the verdict reads off two incidences."""
@@ -205,7 +185,7 @@ def _two_lines_meeting_case(points, base_pair, ab_pts, r_pt, cx_idx):
     c_in = contains_point(plane_abr, c_pt)
     x_in = contains_point(plane_abr, x_pt)
     base_pts = [points[base_pair[0]], points[base_pair[1]]]
-    coplanar_with_base = rank_of_points(base_pts + [c_pt, x_pt]) <= 3
+    coplanar_with_base = table.bracket_vanishes(base_pair[0], base_pair[1], *cx_idx)
     on = c_in or x_in or coplanar_with_base
     cert = None
     if on:
@@ -223,7 +203,7 @@ def _two_lines_meeting_case(points, base_pair, ab_pts, r_pt, cx_idx):
     return Decision(on, "plane-line-case", None, cert)
 
 
-def qd_two_lines(points):
+def qd_two_lines(points, table=None):
     """Six points on two skew lines, three on each.
 
     The transversals from the four leftover points to the two lines decide
@@ -231,18 +211,18 @@ def qd_two_lines(points):
     two incidences, and three skew transversals hand the verdict to the
     criterion on the fourth point.
     """
-    triples = collinear_triples(points)
+    table = table or IncidenceTable(points)
+    triples = collinear_triples(points, table)
     for t1, t2 in combinations(triples, 2):
         if set(t1) & set(t2):
             continue
-        span = [points[t1[0]], points[t1[1]], points[t2[0]], points[t2[1]]]
-        if bracket(*span) == 0:
+        if table.bracket_vanishes(t1[0], t1[1], t2[0], t2[1]):
             continue
         l1 = line_through(points[t1[0]], points[t1[1]])
         l2 = line_through(points[t2[0]], points[t2[1]])
         rest = sorted(set(range(10)) - set(t1) - set(t2))
         for idx in rest:
-            if contains_point(l1, points[idx]) or contains_point(l2, points[idx]):
+            if table.collinear(t1[0], t1[1], idx) or table.collinear(t2[0], t2[1], idx):
                 raise PreconditionViolated(
                     f"point {idx} lies on one of the two lines"
                 )
@@ -271,7 +251,7 @@ def qd_two_lines(points):
                     )
                 cx = [i for i in rest if i not in (u, v)]
                 return _two_lines_meeting_case(
-                    points, base_pair, (points[u], points[v]), r_pt, cx
+                    points, table, base_pair, (points[u], points[v]), r_pt, cx
                 )
         value = grassmann_criterion(
             points[rest[3]], trans[rest[0]], trans[rest[1]], trans[rest[2]]
@@ -286,55 +266,51 @@ def qd_two_lines(points):
 # finding three skew lines
 
 
-def _first_independent_triple(points):
-    for t in combinations(range(len(points)), 3):
-        if rank_of_points([points[i] for i in t]) == 3:
-            return t
-    return None
+def _first_independent_triple(indices, table):
+    return next((t for t in combinations(indices, 3) if not table.collinear(*t)), None)
 
 
-def find_three_skew(points):
+def find_three_skew(points, table=None):
     """Skew-line discovery: returns a Decision for the flat exits, or the
     six input indices to relabel onto the line roles 0..5.
 
     If every pair of point-lines meets, all ten points are coplanar.  Given
-    one skew pair, a point off both lines exists (no four collinear), and a
-    third mutually skew line through it exists unless all ten points sit on
-    the union of two planes.
+    one skew pair, a point off both lines exists: otherwise one of the two
+    lines holds five of the points, which the four-collinear exit has
+    already taken.  A third mutually skew line through it exists unless all
+    ten points sit on the union of two planes.
     """
+    table = table or IncidenceTable(points)
     first_pair = None
     for ij in combinations(range(10), 2):
         for kl in combinations(range(10), 2):
-            if set(ij) & set(kl):
+            if ij[0] in kl or ij[1] in kl:
                 continue
-            if bracket(points[ij[0]], points[ij[1]], points[kl[0]], points[kl[1]]) != 0:
+            if not table.bracket_vanishes(*ij, *kl):
                 first_pair = ij + kl
                 break
         if first_pair:
             break
     if first_pair is None:
-        triple = _first_independent_triple(points)
+        triple = _first_independent_triple(range(10), table)
         if triple is None:
             raise InternalInconsistency("ten distinct points cannot be collinear")
         form = plane_form(plane_through(*(points[i] for i in triple)))
         return Decision(True, "coplanar", None, PlanePair((form, form)))
     i, j, k, l = first_pair
-    line_ij = line_through(points[i], points[j])
-    line_kl = line_through(points[k], points[l])
     m = next(
         (
             idx
             for idx in range(10)
             if idx not in first_pair
-            and not contains_point(line_ij, points[idx])
-            and not contains_point(line_kl, points[idx])
+            and not table.collinear(i, j, idx)
+            and not table.collinear(k, l, idx)
         ),
         None,
     )
     if m is None:
-        # unreachable after the four-collinear exit; kept for safety
-        return Decision(
-            True, "coplanar-with-two-lines", None, _kernel_certificate(points)
+        raise InternalInconsistency(
+            "every point lies on one of two skew lines, so one holds five"
         )
     n = next(
         (
@@ -342,8 +318,8 @@ def find_three_skew(points):
             for idx in range(10)
             if idx not in first_pair
             and idx != m
-            and bracket(points[i], points[j], points[m], points[idx]) != 0
-            and bracket(points[k], points[l], points[m], points[idx]) != 0
+            and not table.bracket_vanishes(i, j, m, idx)
+            and not table.bracket_vanishes(k, l, m, idx)
         ),
         None,
     )
@@ -466,7 +442,7 @@ def split_skew(ab, cd, ef, plane: Extensor):
 # the normalization pipeline
 
 
-def _plane_split_decision(points, plane: Extensor) -> Decision:
+def _plane_split_decision(points, table, plane: Extensor) -> Decision:
     """Six or more coplanar points on no conic force the plane into every
     quadric; the verdict is whether the remaining points are coplanar."""
     form = plane_form(plane)
@@ -474,7 +450,7 @@ def _plane_split_decision(points, plane: Extensor) -> Decision:
     outside = [i for i in range(10) if i not in inside]
     if len(inside) < 6:
         raise InternalInconsistency("plane-split exit needs six coplanar points")
-    on = rank_of_points([points[i] for i in outside]) <= 3 if outside else True
+    on = table.on_a_plane(outside)
     cert = None
     if on:
         if outside:
@@ -554,36 +530,38 @@ def _apply_split(points, labeling: Labeling, plane: Extensor, keep: int) -> Labe
     return Labeling(tuple(perm))
 
 
-def _plane_of_last_four(pts):
-    if rank_of_points(pts[6:10]) != 3:
+def _plane_of_last_four(pts, table=None):
+    table = table or IncidenceTable(pts)
+    last_four = range(6, 10)
+    # rank 3: the bracket vanishes and the four are not on a line
+    if not table.bracket_vanishes(*last_four) or table.on_a_line(last_four):
         raise InternalInconsistency("expected exactly coplanar last four points")
-    for t in combinations(range(6, 10), 3):
-        if rank_of_points([pts[i] for i in t]) == 3:
-            return plane_through(pts[t[0]], pts[t[1]], pts[t[2]])
-    raise InternalInconsistency("no independent triple among the last four")
+    a, b, c = _first_independent_triple(last_four, table)
+    return plane_through(pts[a], pts[b], pts[c])
 
 
-def _verified(points, labeling: Labeling):
+def _verified(points, table, labeling: Labeling):
     relabeled = labeling.apply(points)
-    reason = generic_case.genericity_violation(relabeled)
+    reason = generic_case.genericity_violation(relabeled, table.relabeled(labeling))
     if reason is not None:
         raise InternalInconsistency(f"relabeling breaks genericity: {reason}")
     return labeling
 
 
-def _ensure_general_position(points, labeling: Labeling):
+def _ensure_general_position(points, table, labeling: Labeling):
     current = labeling
     for _ in range(4):
         pts = current.apply(points)
-        if rank_of_points(pts[6:10]) == 4:
-            return _verified(points, current)
-        plane = _plane_of_last_four(pts)
+        view = table.relabeled(current)
+        if not view.bracket_vanishes(6, 7, 8, 9):
+            return _verified(points, table, current)
+        plane = _plane_of_last_four(pts, view)
         for a, b in _ROLE_LINE_PAIRS:
             if contains_point(plane, pts[a]) and contains_point(plane, pts[b]):
-                return _plane_split_decision(points, plane)
+                return _plane_split_decision(points, table, plane)
         swap = _find_valid_swap(points, current, plane)
         if swap is not None:
-            return _verified(points, swap)
+            return _verified(points, table, swap)
         committed = None
         for keep in range(3):
             try:
@@ -592,16 +570,16 @@ def _ensure_general_position(points, labeling: Labeling):
                 continue
             swap = _find_valid_swap(points, candidate, plane)
             if swap is not None:
-                return _verified(points, swap)
+                return _verified(points, table, swap)
             if committed is None:
                 committed = candidate
         if committed is None:
             break
         current = committed
-    return _safety_net(points)
+    return _safety_net(points, table)
 
 
-def _safety_net(points):
+def _safety_net(points, table):
     """Last resort: exhaustive search for a generic labeling or any flat
     structure; defers to the determinant oracle only if all else fails."""
     log.warning("case tree fell through; entering exhaustive search")
@@ -617,52 +595,61 @@ def _safety_net(points):
                 rest = tuple(sorted(set(range(10)) - set(roles)))
                 candidate = Labeling(roles + rest)
                 relabeled = candidate.apply(points)
-                if generic_case.genericity_violation(relabeled) is None:
+                view = table.relabeled(candidate)
+                if generic_case.genericity_violation(relabeled, view) is None:
                     return candidate
     for subset in combinations(range(10), 6):
-        six = [points[i] for i in subset]
-        if rank_of_points(six) == 3:
-            triple = _first_independent_triple(six)
-            plane = plane_through(six[triple[0]], six[triple[1]], six[triple[2]])
-            return _plane_split_decision(points, plane)
+        if table.on_a_plane(subset) and not table.on_a_line(subset):
+            a, b, c = _first_independent_triple(subset, table)
+            plane = plane_through(points[a], points[b], points[c])
+            return _plane_split_decision(points, table, plane)
     log.error("deferring to the determinant oracle for %s", points)
     verdict = oracle_decide(points)
     cert = _kernel_certificate(points) if verdict else None
     return Decision(verdict, "oracle-fallback", None, cert)
 
 
-def normalize(points):
+def normalize(points, table=None):
     """Run the reduction pipeline: a Decision for quadric-decidable special
-    positions, otherwise a labeling meeting the generic preconditions."""
+    positions, otherwise a labeling meeting the generic preconditions.
+
+    Every incidence test reads one IncidenceTable of the points, built here
+    unless the caller passes it."""
     points = list(points)
     if len(points) != 10 or any(p.dim != 4 for p in points):
         raise ValueError("the pipeline expects exactly 10 points of P^3")
+    table = table or IncidenceTable(points)
+    decision = qd_duplicates(points)
+    if decision is not None:
+        return decision
     for check in (
-        qd_duplicates,
         qd_four_collinear,
         qd_six_on_plane_conic,
         qd_three_lines,
         qd_two_lines,
     ):
-        decision = check(points)
+        decision = check(points, table)
         if decision is not None:
             return decision
-    result = find_three_skew(points)
+    result = find_three_skew(points, table)
     if isinstance(result, Decision):
         return result
     rest = tuple(sorted(set(range(10)) - set(result)))
     labeling = Labeling(tuple(result) + rest)
-    return _ensure_general_position(points, labeling)
+    return _ensure_general_position(points, table, labeling)
 
 
 def decide(points, with_trace=False) -> Decision:
     """Full synthetic decision for ten points of P^3."""
-    outcome = normalize(points)
+    table = IncidenceTable(points)
+    outcome = normalize(points, table)
     if isinstance(outcome, Decision):
         return outcome
     trace = ConstructionTrace() if with_trace else None
     relabeled = outcome.apply(points)
-    inner = generic_case.decide_generic(relabeled, trace=trace)
+    inner = generic_case.decide_generic(
+        relabeled, trace=trace, table=table.relabeled(outcome)
+    )
     return Decision(
         inner.on_quadric,
         inner.branch,

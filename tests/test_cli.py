@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -152,6 +153,26 @@ class TestFuzz:
         assert error["error"] == "InternalInconsistency: injected"
         assert "Traceback" in error["traceback"]
         assert error["points"] == cli.points_to_json(cli.fuzz_configuration(1, 2))["points"]
+
+    def test_census_counts_branches(self, capsys):
+        code = cli.main(["fuzz", "--seed", "2", "--count", "10"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        want = Counter(reductions.decide(cli.fuzz_configuration(2, i)).branch for i in range(10))
+        assert out["census"] == dict(want) and list(out["census"]) == sorted(want)
+
+    def test_census_leaves_out_errors(self, capsys, monkeypatch):
+        true_decide = reductions.decide
+
+        def failing_on_first(points, with_trace=False):
+            if points == cli.fuzz_configuration(1, 0):
+                raise InternalInconsistency("injected")
+            return true_decide(points, with_trace=with_trace)
+
+        monkeypatch.setattr(reductions, "decide", failing_on_first)
+        assert cli.main(["fuzz", "--seed", "1", "--count", "3"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert sum(out["census"].values()) == 2 and len(out["errors"]) == 1
 
     def test_injected_bug_detected(self, capsys, monkeypatch):
         true_decide = reductions.decide

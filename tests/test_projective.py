@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import coords, points, random_point, scalars, seeded
+from quadricheck import projective
 from quadricheck.projective import (
     E0,
     E1,
@@ -479,3 +480,62 @@ class TestQuadricCoeffs:
     def test_round_trip(self):
         q = QuadricCoeffs((0, 0, 0, 1, 0, -1, 0, 0, 0, 0))
         assert QuadricCoeffs.from_strings(q.to_strings()) == q
+
+
+def reference_canonical_ints(values):
+    """Coprime integers with a positive first nonzero entry, by way of
+    Fractions cleared with the lcm of their denominators."""
+    fracs = [Fraction(v) for v in values]
+    if all(f == 0 for f in fracs):
+        raise ValueError("homogeneous coordinates must not all be zero")
+    mult = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * mult) for f in fracs]
+    g = gcd(*ints)
+    if next(v for v in ints if v != 0) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
+def coordinate_inputs(name, n):
+    """Seeded n-entry inputs of int, Fraction, string and mixed entries,
+    with zeros, negatives and common factors."""
+    rng = seeded(name)
+
+    def entry(kind):
+        if kind == "mixed":
+            kind = rng.choice(("int", "fraction", "string"))
+        if rng.random() < 0.25:
+            value = Fraction(0)
+        else:
+            value = Fraction(rng.randint(-40, 40), 1 if kind == "int" else rng.randint(1, 12))
+        if kind == "int":
+            return int(value) * rng.choice((1, 2, 6))
+        return str(value) if kind == "string" else value
+
+    for kind in ("int", "fraction", "string", "mixed"):
+        for _ in range(40):
+            values = [entry(kind) for _ in range(n)]
+            if any(Fraction(v) for v in values):
+                yield values
+
+
+class TestCanonicalInts:
+    def test_point(self):
+        for values in coordinate_inputs("canonical-point", 4):
+            assert same_typed(Point(values).coords, reference_canonical_ints(values))
+
+    def test_quadric_coeffs(self):
+        for values in coordinate_inputs("canonical-quadric", 10):
+            assert same_typed(QuadricCoeffs(values).coeffs, reference_canonical_ints(values))
+
+    def test_kernel_basis(self, monkeypatch):
+        matrices = list(seeded_matrices("canonical-kernel"))
+        matrices += [[[str(x) for x in row] for row in rows] for rows in matrices[::3]]
+        got = [kernel_basis(rows) for rows in matrices]
+        monkeypatch.setattr(projective, "_canonical_ints", reference_canonical_ints)
+        assert all(same_typed(g, kernel_basis(rows)) for g, rows in zip(got, matrices))
+
+    @pytest.mark.parametrize("zeros", [(0, 0, 0, 0), (Fraction(0),) * 4, ("0", "0/3", "-0", "0")])
+    def test_all_zero_rejected(self, zeros):
+        with pytest.raises(ValueError, match="must not all be zero"):
+            Point(zeros)

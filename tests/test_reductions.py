@@ -1,15 +1,46 @@
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
 
 from conftest import random_point, seeded
-from quadricheck.decision import Decision, Labeling, PreconditionViolated
-from quadricheck.extensors import contains_point, join_points, line_through, plane_through, scalar_of, join
+from quadricheck import fixtures, projective
+from quadricheck.constructions import line_meet_line
+from quadricheck.decision import (
+    Decision,
+    InternalInconsistency,
+    Labeling,
+    PlanePair,
+    PreconditionViolated,
+)
+from quadricheck.extensors import (
+    contains_point,
+    grassmann_criterion,
+    join,
+    join_points,
+    line_through,
+    plane_form,
+    plane_through,
+    scalar_of,
+)
 from quadricheck.generic_case import genericity_violation
 from quadricheck.oracle import oracle_decide, sample_generic, sample_on_quadric, segre_point
-from quadricheck.projective import Point, bracket, rank_of_points
+from quadricheck.projective import (
+    CONIC_MONOMIALS,
+    GeometryError,
+    IncidenceTable,
+    Point,
+    bareiss_det,
+    bracket,
+    coordinates_in_basis,
+    rank_of_points,
+)
 from quadricheck.reductions import (
     CE_DF,
+    _kernel_certificate,
+    _three_disjoint_covers,
+    transversal_through,
     _find_valid_swap,
     _plane_of_last_four,
     collinear_triples,
@@ -267,6 +298,14 @@ class TestFindThreeSkew:
         assert isinstance(d, Decision) and d.branch == "two-planes" and d.on_quadric
         assert oracle_decide(pts)
         assert all(evaluate_certificate(d.certificate, p) == 0 for p in pts)
+
+    def test_five_on_a_line_is_inconsistent(self):
+        # every point off the first skew pair lies on one of its two lines,
+        # which the four-collinear exit takes before skew-line discovery
+        pts = [Point((1, t, 0, 0)) for t in range(5)] + [Point((0, 0, 1, t)) for t in range(5)]
+        assert qd_four_collinear(pts) is not None
+        with pytest.raises(InternalInconsistency, match="one holds five"):
+            find_three_skew(pts)
 
     def test_segre_config_yields_labeling(self):
         pts = sample_on_quadric("fts-segre", 10)
@@ -546,3 +585,339 @@ class TestPipelineProperties:
         assert sorted(d.labeling.perm) == list(range(10))
         relabeled = d.labeling.apply(pts)
         assert genericity_violation(relabeled) is None
+
+
+# ---------------------------------------------------------------------------
+# the incidence table against direct scans
+#
+# Each reference below recomputes every incidence from `rank_of_points` and
+# `bracket`, as the exits did before they read an IncidenceTable.  The one
+# deliberate difference: when every point lies on one of the first two skew
+# lines, find_three_skew now raises instead of returning a branch.
+
+
+def ref_planar_conic_det(six):
+    basis = None
+    for t in combinations(range(6), 3):
+        if rank_of_points([six[i] for i in t]) == 3:
+            basis = [six[i] for i in t]
+            break
+    if basis is None:
+        raise ValueError("the six points are collinear")
+    rows = []
+    for p in six:
+        c = coordinates_in_basis(basis, p)
+        if c is None:
+            raise ValueError("point is not in the plane of the basis")
+        mult = lcm(*(f.denominator for f in c))
+        v = [int(f * mult) for f in c]
+        rows.append(tuple(v[i] * v[j] for i, j in CONIC_MONOMIALS))
+    return bareiss_det(rows)
+
+
+def ref_collinear_triples(points):
+    return [
+        t
+        for t in combinations(range(len(points)), 3)
+        if rank_of_points([points[i] for i in t]) <= 2
+    ]
+
+
+def ref_four_collinear(points):
+    for quad in combinations(range(len(points)), 4):
+        if rank_of_points([points[i] for i in quad]) <= 2:
+            return Decision(True, "four-collinear", None, _kernel_certificate(points))
+    return None
+
+
+def ref_six_on_plane_conic(points):
+    for subset in combinations(range(len(points)), 6):
+        six = [points[i] for i in subset]
+        r = rank_of_points(six)
+        if r > 3:
+            continue
+        if r <= 2 or ref_planar_conic_det(six) == 0:
+            if r == 3 and pascal_collinear(six) is False:
+                raise InternalInconsistency(
+                    f"conic determinant and hexagon criterion disagree on {subset}"
+                )
+            return Decision(True, "six-on-conic", None, _kernel_certificate(points))
+    return None
+
+
+def ref_three_lines(points):
+    for t1, t2, t3 in _three_disjoint_covers(ref_collinear_triples(points)):
+        lines = [line_through(points[t[0]], points[t[1]]) for t in (t1, t2, t3)]
+        if any(scalar_of(join(u, v)) == 0 for u, v in combinations(lines, 2)):
+            return Decision(True, "six-on-conic", None, _kernel_certificate(points))
+        (x_idx,) = set(range(10)) - set(t1) - set(t2) - set(t3)
+        on = grassmann_criterion(points[x_idx], *lines) == 0
+        cert = _kernel_certificate(points) if on else None
+        return Decision(on, "three-lines-grassmann", None, cert)
+    return None
+
+
+def ref_two_lines_meeting_case(points, base_pair, ab_pts, r_pt, cx_idx):
+    plane_abr = plane_through(ab_pts[0], ab_pts[1], r_pt)
+    c_pt, x_pt = (points[i] for i in cx_idx)
+    c_in = contains_point(plane_abr, c_pt)
+    x_in = contains_point(plane_abr, x_pt)
+    base_pts = [points[base_pair[0]], points[base_pair[1]]]
+    on = c_in or x_in or rank_of_points(base_pts + [c_pt, x_pt]) <= 3
+    cert = None
+    if on:
+        leftover = [p for p, inside in ((c_pt, c_in), (x_pt, x_in)) if not inside]
+        if leftover:
+            residual = plane_through(base_pts[0], base_pts[1], leftover[0])
+        else:
+            extra = next(
+                e
+                for e in projective.STANDARD_BASIS
+                if not contains_point(line_through(*base_pts), e)
+            )
+            residual = plane_through(base_pts[0], base_pts[1], extra)
+        cert = PlanePair((plane_form(plane_abr), plane_form(residual)))
+    return Decision(on, "plane-line-case", None, cert)
+
+
+def ref_two_lines(points):
+    triples = ref_collinear_triples(points)
+    for t1, t2 in combinations(triples, 2):
+        if set(t1) & set(t2):
+            continue
+        if bracket(points[t1[0]], points[t1[1]], points[t2[0]], points[t2[1]]) == 0:
+            continue
+        l1 = line_through(points[t1[0]], points[t1[1]])
+        l2 = line_through(points[t2[0]], points[t2[1]])
+        rest = sorted(set(range(10)) - set(t1) - set(t2))
+        for idx in rest:
+            if contains_point(l1, points[idx]) or contains_point(l2, points[idx]):
+                raise PreconditionViolated(f"point {idx} lies on one of the two lines")
+        trans = {idx: transversal_through(points[idx], l1, l2) for idx in rest}
+        for u, v in combinations(rest, 2):
+            if trans[u] == trans[v]:
+                return Decision(
+                    True, "two-lines-coincident-transversals", None, _kernel_certificate(points)
+                )
+        for u, v in combinations(rest, 2):
+            if scalar_of(join(trans[u], trans[v])) == 0:
+                r_pt = line_meet_line(trans[u], trans[v])
+                if contains_point(l1, r_pt):
+                    base_pair = t1
+                elif contains_point(l2, r_pt):
+                    base_pair = t2
+                else:
+                    raise InternalInconsistency(
+                        "transversals meet off both lines despite skewness"
+                    )
+                cx = [i for i in rest if i not in (u, v)]
+                return ref_two_lines_meeting_case(
+                    points, base_pair, (points[u], points[v]), r_pt, cx
+                )
+        value = grassmann_criterion(
+            points[rest[3]], trans[rest[0]], trans[rest[1]], trans[rest[2]]
+        )
+        on = value == 0
+        cert = _kernel_certificate(points) if on else None
+        return Decision(on, "two-lines-grassmann", None, cert)
+    return None
+
+
+def ref_first_independent_triple(points):
+    for t in combinations(range(len(points)), 3):
+        if rank_of_points([points[i] for i in t]) == 3:
+            return t
+    return None
+
+
+def ref_find_three_skew(points):
+    first_pair = None
+    for ij in combinations(range(10), 2):
+        for kl in combinations(range(10), 2):
+            if set(ij) & set(kl):
+                continue
+            if bracket(points[ij[0]], points[ij[1]], points[kl[0]], points[kl[1]]) != 0:
+                first_pair = ij + kl
+                break
+        if first_pair:
+            break
+    if first_pair is None:
+        triple = ref_first_independent_triple(points)
+        if triple is None:
+            raise InternalInconsistency("ten distinct points cannot be collinear")
+        form = plane_form(plane_through(*(points[i] for i in triple)))
+        return Decision(True, "coplanar", None, PlanePair((form, form)))
+    i, j, k, l = first_pair
+    line_ij = line_through(points[i], points[j])
+    line_kl = line_through(points[k], points[l])
+    m = next(
+        (
+            idx
+            for idx in range(10)
+            if idx not in first_pair
+            and not contains_point(line_ij, points[idx])
+            and not contains_point(line_kl, points[idx])
+        ),
+        None,
+    )
+    if m is None:
+        raise InternalInconsistency("every point lies on one of two skew lines, so one holds five")
+    n = next(
+        (
+            idx
+            for idx in range(10)
+            if idx not in first_pair
+            and idx != m
+            and bracket(points[i], points[j], points[m], points[idx]) != 0
+            and bracket(points[k], points[l], points[m], points[idx]) != 0
+        ),
+        None,
+    )
+    if n is None:
+        form_a = plane_form(plane_through(points[i], points[j], points[m]))
+        form_b = plane_form(plane_through(points[k], points[l], points[m]))
+        pair = PlanePair((form_a, form_b))
+        if any(pair.evaluate(p) != 0 for p in points):
+            raise InternalInconsistency("two-planes exit certificate failed")
+        return Decision(True, "two-planes", None, pair)
+    return [i, j, k, l, m, n]
+
+
+def ref_genericity_violation(pts):
+    if len(set(pts)) != 10:
+        return "points are not all distinct"
+    for quad in combinations(range(10), 4):
+        if rank_of_points([pts[i] for i in quad]) <= 2:
+            return f"points {quad} are collinear"
+    for pair in ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5)):
+        if bracket(*(pts[i] for i in pair)) == 0:
+            return "lines 01, 23, 45 are not mutually skew"
+    if rank_of_points(pts[6:10]) < 4:
+        return "points 6..9 are coplanar"
+    return None
+
+
+def outcome(fn, *args):
+    """What a call returns, with Decisions as JSON, or the error it raises."""
+    try:
+        result = fn(*args)
+    except (GeometryError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return result.to_json() if isinstance(result, Decision) else result
+
+
+def _incidence_inputs():
+    rng = seeded("incidence-inputs")
+
+    def distinct_points(zero_at):
+        """Ten distinct points, point k with coordinate zero_at(k) zero."""
+        pts = []
+        while len(pts) < 10:
+            c = [rng.randint(-12, 12) for _ in range(4)]
+            c[zero_at(len(pts))] = 0
+            if any(c) and Point(c) not in pts:
+                pts.append(Point(c))
+        return pts
+
+    configs = [(kind, fixtures.generate_branch(kind, 1)) for kind in fixtures.GENERATED_KINDS]
+    configs.append(("generic sample", sample_generic("incidence-generic", 10, bound=20)))
+    configs.append(("on-quadric sample", sample_on_quadric("incidence-quadric", 10)))
+    duplicates = sample_generic("incidence-duplicates", 10, bound=20)
+    duplicates[7] = duplicates[2]
+    configs.append(("duplicates", duplicates))
+    configs.append(("ten coplanar", distinct_points(lambda k: 3)))
+    configs.append(("two planes", distinct_points(lambda k: 3 * (k % 2))))
+    configs.append(("split-skew instance", C4_POINTS))
+    labelings = [Labeling.identity()]
+    for _ in range(2):
+        perm = list(range(10))
+        rng.shuffle(perm)
+        labelings.append(Labeling(tuple(perm)))
+    return configs, labelings
+
+
+@pytest.fixture(scope="module")
+def incidence_inputs():
+    return _incidence_inputs()
+
+
+EXITS = (
+    (qd_four_collinear, ref_four_collinear),
+    (qd_six_on_plane_conic, ref_six_on_plane_conic),
+    (qd_three_lines, ref_three_lines),
+    (qd_two_lines, ref_two_lines),
+    (find_three_skew, ref_find_three_skew),
+    (collinear_triples, ref_collinear_triples),
+)
+
+
+class TestIncidenceTable:
+    def test_answers_match_ranks_brackets_and_charts(self, incidence_inputs):
+        configs, labelings = incidence_inputs
+        coplanar_sixes = 0
+        for name, points in configs:
+            table = IncidenceTable(points)
+            for labeling in labelings:
+                view = table.relabeled(labeling)
+                pts = labeling.apply(points)
+                for t in combinations(range(10), 3):
+                    rank = rank_of_points([pts[i] for i in t])
+                    assert view.collinear(*t) == (rank <= 2), (name, t)
+                for q in combinations(range(10), 4):
+                    vanishes = bracket(*(pts[i] for i in q)) == 0
+                    assert view.bracket_vanishes(*q) == vanishes, (name, q)
+                for k in (4, 5, 6):
+                    for subset in combinations(range(10), k):
+                        rank = rank_of_points([pts[i] for i in subset])
+                        assert view.on_a_line(subset) == (rank <= 2), (name, subset)
+                        assert view.on_a_plane(subset) == (rank <= 3), (name, subset)
+                for subset in combinations(range(10), 6):
+                    six = [pts[i] for i in subset]
+                    got = outcome(view.conic_det, subset)
+                    want = outcome(ref_planar_conic_det, six)
+                    if isinstance(want, tuple):
+                        assert got == want, (name, subset)
+                    else:
+                        coplanar_sixes += 1
+                        assert (got == 0) == (want == 0), (name, subset)
+                        assert planar_conic_det(six) == want
+        assert coplanar_sixes > 3 * 210
+
+    def test_exits_match_direct_scans(self, incidence_inputs):
+        configs, labelings = incidence_inputs
+        for name, points in configs:
+            table = IncidenceTable(points)
+            for labeling in labelings:
+                view = table.relabeled(labeling)
+                pts = labeling.apply(points)
+                for new, ref in EXITS:
+                    want = outcome(ref, pts)
+                    assert outcome(new, pts, view) == want, (name, new.__name__)
+                    assert outcome(new, pts) == want, (name, new.__name__)
+                want = ref_genericity_violation(pts)
+                assert genericity_violation(pts, view) == want, name
+                assert genericity_violation(pts) == want, name
+
+    def test_decisions_reach_every_exit(self, incidence_inputs):
+        configs, _ = incidence_inputs
+        branches = {decide(points).branch for _, points in configs}
+        assert branches >= set(fixtures.GENERATED_KINDS)
+
+    def test_entries_computed_once_and_only_when_read(self, monkeypatch):
+        computed = []
+        dependent = projective._dependent
+
+        def counting(points):
+            computed.append(tuple(points))
+            return dependent(points)
+
+        monkeypatch.setattr(projective, "_dependent", counting)
+        pts = sample_generic("incidence-lazy", 10, bound=20)
+        u, v = pts[4], pts[5]
+        pts[:4] = [Point(tuple(a + t * b for a, b in zip(u.coords, v.coords))) for t in range(4)]
+        table = IncidenceTable(pts)
+        assert qd_four_collinear(pts, table) is not None
+        assert len(computed) == 4  # the four sub-triples of (0, 1, 2, 3)
+        view = table.relabeled(Labeling((3, 2, 1, 0, 4, 5, 6, 7, 8, 9)))
+        assert view.on_a_line((0, 1, 2, 3)) and view.collinear(3, 1, 0)
+        assert len(computed) == 4

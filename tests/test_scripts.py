@@ -1,11 +1,12 @@
 """Each script under scripts/ run as a user runs it: in its own process."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from quadricheck import cli
+from quadricheck import cli, fixtures, reductions
 from quadricheck.oracle import sample_generic
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -59,6 +60,26 @@ class TestReplayTrace:
         assert result.returncode == 2
         assert result.stderr.count("\n") == 1 and str(bad) in result.stderr
         assert "Traceback" not in result.stderr
+
+
+class TestDecisionDigest:
+    def test_digest_of_decisions_and_traces(self):
+        plain = run_script("decision_digest.py", "--seed", 3, "--count", 2)
+        traced = run_script("decision_digest.py", "--seed", 3, "--count", 2, "--trace")
+        assert plain.returncode == 0 and traced.returncode == 0, plain.stderr + traced.stderr
+        [decisions] = plain.stdout.splitlines()
+        configs = [cli.fuzz_configuration(3, i) for i in range(2)]
+        configs += [fixtures.generate_branch(kind, 3) for kind in fixtures.GENERATED_KINDS]
+        digest = hashlib.sha256()
+        for points in configs:
+            decision = reductions.decide(points).to_json()
+            line = json.dumps(decision, sort_keys=True, separators=(",", ":"))
+            digest.update(line.encode() + b"\n")
+        assert decisions == f"decisions {digest.hexdigest()} {len(configs)} configurations"
+        # tracing changes no decision, and adds the digest of the traces
+        assert traced.stdout.splitlines()[0] == decisions
+        assert len(traced.stdout.splitlines()[1].split()) == 2
+        assert traced.stdout.splitlines()[1].startswith("traces ")
 
 
 def test_det_identity_experiment():
