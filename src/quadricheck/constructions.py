@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .extensors import (
     Extensor,
@@ -154,21 +155,48 @@ def _as_extensor(value):
     return from_point(value) if isinstance(value, Point) else value
 
 
-def line_meet_line(l1: Extensor, l2: Extensor, trace=None) -> Point:
+_WITNESSES = tuple(from_point(w) for w in (E0, E1, E2, E3))
+
+
+class WitnessPlanes:
+    """The planes join(l, E_k), k = 0..3, that `line_meet_line` tries for
+    its second line l, each built on first use.  A figure that meets many
+    lines with one fixed line keeps one of these for it."""
+
+    __slots__ = ("line", "_planes")
+
+    def __init__(self, line: Extensor):
+        self.line = line
+        self._planes = [None, None, None, None]
+
+    def __getitem__(self, k) -> Extensor:
+        plane = self._planes[k]
+        if plane is None:
+            plane = self._planes[k] = join(self.line, _WITNESSES[k])
+        return plane
+
+
+def line_meet_line(l1: Extensor, l2: Extensor, trace=None, witness_planes=None) -> Point:
     """Intersection point of two distinct coplanar lines in P^3.
 
     The meet of coplanar lines degenerates (their supports do not span), so
     the point is computed as meet(l1, join(l2, w)) for the first witness w
     off the common plane.  Distinct coplanar lines span a single plane,
     which misses one of E0..E3; only coincident lines leave every hit zero.
+    `witness_planes` are the WitnessPlanes of l2 when the caller keeps them;
+    they are built here when not given.
     """
     if l1.grade != 2 or l2.grade != 2:
         raise ValueError("line_meet_line needs two lines")
     if scalar_of(join(l1, l2)) != 0:
         raise ValueError("the lines are skew; they do not meet")
-    for w in (E0, E1, E2, E3):
-        # hit is nonzero exactly when w is off the common plane
-        hit = meet(l1, join(l2, from_point(w)))
+    if witness_planes is None:
+        witness_planes = WitnessPlanes(l2)
+    elif witness_planes.line != l2:
+        raise ValueError("the witness planes belong to another line")
+    for k in range(4):
+        # hit is nonzero exactly when E_k is off the common plane
+        hit = meet(l1, witness_planes[k])
         if not hit.is_zero():
             point = as_point(hit)
             _record(trace, "meet", [l1, l2], point)
@@ -182,7 +210,15 @@ def line_meet_line(l1: Extensor, l2: Extensor, trace=None) -> Point:
 
 @dataclass(frozen=True)
 class LineFrame:
-    """Zero, infinity and unit on a line; fixes local parameters on it."""
+    """Zero, infinity and unit on a line; fixes local parameters on it.
+
+    A frame memoizes, each on first read, what every construction on it
+    shares: its line, the witness planes `line_meet_line` tries against
+    that line (`line_planes`), and the scaffold of its von Staudt product
+    and inverse (`scaffold()`): the auxiliaries that `choose_auxiliaries`
+    picks for it and the parts of both figures that do not depend on the
+    input point.
+    """
 
     zero: Point
     infinity: Point
@@ -195,8 +231,58 @@ class LineFrame:
         if rank_of_points(pts) > 2:
             raise ValueError("frame points must be collinear")
 
+    @cached_property
+    def line_planes(self) -> WitnessPlanes:
+        return WitnessPlanes(line_through(self.zero, self.infinity))
+
     def line(self) -> Extensor:
-        return line_through(self.zero, self.infinity)
+        return self.line_planes.line
+
+    @cached_property
+    def _scaffold(self) -> Scaffold:
+        return Scaffold(self, *choose_auxiliaries(self))
+
+    def scaffold(self, avoid=()) -> Scaffold:
+        """The scaffold on the auxiliaries choose_auxiliaries(self, avoid):
+        memoized for an empty `avoid`, built afresh for any other."""
+        if avoid:
+            return Scaffold(self, *choose_auxiliaries(self, avoid))
+        return self._scaffold
+
+
+class Scaffold:
+    """The part of a frame's von Staudt figures that does not depend on the
+    input point, for one auxiliary point a (the inverse names it b) and
+    line L' through zero:
+
+    - `product`: a·unit, p1' = (a·unit) ∩ L', and a·infinity;
+    - `inverse`: unit·a, c2 = (unit·a) ∩ L', and infinity·a;
+
+    each built on first read, with the witness planes of the fixed lines L',
+    a·infinity and infinity·a that `line_meet_line` tries.
+    """
+
+    def __init__(self, frame: LineFrame, a: Point, lprime: Extensor):
+        self.frame = frame
+        self.a = a
+        self.lprime = lprime
+        self.lprime_planes = WitnessPlanes(lprime)
+
+    @cached_property
+    def product(self):
+        """(a·unit, p1', a·infinity, witness planes of a·infinity)."""
+        la1 = line_through(self.a, self.frame.unit)
+        p1p = line_meet_line(la1, self.lprime, witness_planes=self.lprime_planes)
+        linf = line_through(self.a, self.frame.infinity)
+        return la1, p1p, linf, WitnessPlanes(linf)
+
+    @cached_property
+    def inverse(self):
+        """(unit·a, c2, infinity·a, witness planes of infinity·a)."""
+        l1b = line_through(self.frame.unit, self.a)
+        c2 = line_meet_line(l1b, self.lprime, witness_planes=self.lprime_planes)
+        linfb = line_through(self.frame.infinity, self.a)
+        return l1b, c2, linfb, WitnessPlanes(linfb)
 
 
 def parameter_of(frame: LineFrame, p: Point):
@@ -222,10 +308,15 @@ def point_at_parameter(frame: LineFrame, x) -> Point:
 
 @dataclass(frozen=True)
 class Tetrahedron:
-    """Four points in general position plus a unit off every face plane."""
+    """Four points in general position plus a unit off every face plane.
+
+    `edge_frame(i, j)` memoizes each frame it builds, so the constructions
+    on one edge share that frame's memos (see LineFrame).
+    """
 
     vertices: tuple
     unit: Point
+    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vertices = tuple(self.vertices)
@@ -244,11 +335,14 @@ class Tetrahedron:
     def edge_frame(self, i: int, j: int) -> LineFrame:
         """Frame on edge ij: zero at vertex i, infinity at vertex j, unit cut
         out by the plane through the other two vertices and the unit."""
-        k, l = (m for m in range(4) if m not in (i, j))
-        edge = line_through(self.vertices[i], self.vertices[j])
-        plane = plane_through(self.vertices[k], self.vertices[l], self.unit)
-        unit_ij = as_point(meet(edge, plane))
-        return LineFrame(self.vertices[i], self.vertices[j], unit_ij)
+        frame = self._frames.get((i, j))
+        if frame is None:
+            k, l = (m for m in range(4) if m not in (i, j))
+            edge = line_through(self.vertices[i], self.vertices[j])
+            plane = plane_through(self.vertices[k], self.vertices[l], self.unit)
+            unit_ij = as_point(meet(edge, plane))
+            frame = self._frames[i, j] = LineFrame(self.vertices[i], self.vertices[j], unit_ij)
+        return frame
 
 
 def project_to_edge(tet: Tetrahedron, i: int, j: int, p: Point, trace=None) -> Point:
@@ -382,29 +476,28 @@ def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None, avoid
             result,
         )
         return result
-    a, lprime = choose_auxiliaries(frame, avoid)
+    scaffold = frame.scaffold(avoid)
+    a, lprime = scaffold.a, scaffold.lprime
+    la1, p1p, linf, linf_planes = scaffold.product
     line = frame.line()
 
-    la1 = line_through(a, frame.unit)
     t_la1 = _record(trace, "join", [a, frame.unit], la1)
-    p1p = line_meet_line(la1, lprime)
     t_p1p = _record(trace, "meet", [_tok(t_la1, la1), lprime], p1p)
 
     lay = line_through(a, py)
     t_lay = _record(trace, "join", [a, py], lay)
-    pyp = line_meet_line(lay, lprime)
+    pyp = line_meet_line(lay, lprime, witness_planes=scaffold.lprime_planes)
     t_pyp = _record(trace, "meet", [_tok(t_lay, lay), lprime], pyp)
 
     lx = line_through(p1p, px)
     t_lx = _record(trace, "join", [_tok(t_p1p, p1p), px], lx)
-    linf = line_through(a, frame.infinity)
     t_linf = _record(trace, "join", [a, frame.infinity], linf)
-    b = line_meet_line(lx, linf)
+    b = line_meet_line(lx, linf, witness_planes=linf_planes)
     t_b = _record(trace, "meet", [_tok(t_lx, lx), _tok(t_linf, linf)], b)
 
     lback = line_through(b, pyp)
     t_lback = _record(trace, "join", [_tok(t_b, b), _tok(t_pyp, pyp)], lback)
-    result = line_meet_line(lback, line)
+    result = line_meet_line(lback, line, witness_planes=frame.line_planes)
     _record(trace, "meet", [_tok(t_lback, lback), line], result)
     _record(trace, "product", [frame.zero, frame.infinity, frame.unit, px, py], result)
     return result
@@ -419,44 +512,49 @@ def von_staudt_inverse(frame: LineFrame, px: Point, trace=None, avoid=()) -> Poi
     and infinity to zero.
     """
     _require_on_line(frame, px)
-    b, lprime = choose_auxiliaries(frame, avoid)
+    scaffold = frame.scaffold(avoid)
+    b, lprime = scaffold.a, scaffold.lprime
+    l1b, c2, linfb, linfb_planes = scaffold.inverse
     line = frame.line()
 
     lxb = line_through(px, b)
     t_lxb = _record(trace, "join", [px, b], lxb)
-    c1 = line_meet_line(lxb, lprime)
+    c1 = line_meet_line(lxb, lprime, witness_planes=scaffold.lprime_planes)
     t_c1 = _record(trace, "meet", [_tok(t_lxb, lxb), lprime], c1)
 
     l_c11 = line_through(c1, frame.unit)
     t_l_c11 = _record(trace, "join", [_tok(t_c1, c1), frame.unit], l_c11)
-    linfb = line_through(frame.infinity, b)
     t_linfb = _record(trace, "join", [frame.infinity, b], linfb)
-    a = line_meet_line(l_c11, linfb)
+    a = line_meet_line(l_c11, linfb, witness_planes=linfb_planes)
     t_a = _record(trace, "meet", [_tok(t_l_c11, l_c11), _tok(t_linfb, linfb)], a)
 
-    l1b = line_through(frame.unit, b)
     t_l1b = _record(trace, "join", [frame.unit, b], l1b)
-    c2 = line_meet_line(l1b, lprime)
     t_c2 = _record(trace, "meet", [_tok(t_l1b, l1b), lprime], c2)
 
     lfinal = line_through(c2, a)
     t_lfinal = _record(trace, "join", [_tok(t_c2, c2), _tok(t_a, a)], lfinal)
-    result = line_meet_line(lfinal, line)
+    result = line_meet_line(lfinal, line, witness_planes=frame.line_planes)
     _record(trace, "meet", [_tok(t_lfinal, lfinal), line], result)
     _record(trace, "inverse", [frame.zero, frame.infinity, frame.unit, px], result)
     return result
 
 
-def local_param_point(d: Point, e: Point, a: Point, b: Point, c: Point, trace=None) -> Point:
+def local_param_point(
+    d: Point, e: Point, a: Point, b: Point, c: Point, trace=None, line=None, plane=None
+) -> Point:
     """meet(de, abc) = [abce]d - [abcd]e.
 
     With the frame (zero=d, infinity=e, unit=<d+e>) the local parameter of
     the point is -[abcd]/[abce]; in particular it is d itself when d lies
-    on the plane and e when e does.
+    on the plane and e when e does.  `line` and `plane` are the extensors
+    of de and abc when the caller holds them; they are built here when not
+    given.
     """
-    line = line_through(d, e)
+    if line is None:
+        line = line_through(d, e)
     t_line = _record(trace, "join", [d, e], line)
-    plane = plane_through(a, b, c)
+    if plane is None:
+        plane = plane_through(a, b, c)
     t_plane = _record(trace, "join", [a, b, c], plane)
     hit = meet(line, plane)
     if hit.is_zero():
@@ -470,7 +568,7 @@ def local_param_point(d: Point, e: Point, a: Point, b: Point, c: Point, trace=No
 # trace replay
 
 
-def _execute_step(op, inputs):
+def _execute_step(op, inputs, frames):
     if op == "join":
         exts = [_as_extensor(v) for v in inputs]
         out = exts[0]
@@ -491,26 +589,39 @@ def _execute_step(op, inputs):
         return as_point(meet(meet(planes[0], planes[1]), planes[2]))
     if op == "product":
         z, i, u, px, py = inputs
-        return von_staudt_product(LineFrame(z, i, u), px, py)
+        return von_staudt_product(_frame(frames, z, i, u), px, py)
     if op == "degenerate-product":
         z, i, u, px, py = inputs
-        frame = LineFrame(z, i, u)
+        frame = _frame(frames, z, i, u)
         return point_at_parameter(
             frame, param_mul(parameter_of(frame, px), parameter_of(frame, py))
         )
     if op == "inverse":
         z, i, u, px = inputs
-        return von_staudt_inverse(LineFrame(z, i, u), px)
+        return von_staudt_inverse(_frame(frames, z, i, u), px)
     raise ValueError(f"unknown trace op {op!r}")
 
 
+def _frame(frames, zero, infinity, unit) -> LineFrame:
+    """The replay's one LineFrame on (zero, infinity, unit), built from the
+    step inputs the first time they occur."""
+    key = (zero, infinity, unit)
+    frame = frames.get(key)
+    if frame is None:
+        frame = frames[key] = LineFrame(zero, infinity, unit)
+    return frame
+
+
 def replay_trace(trace: ConstructionTrace):
-    """Re-execute every step; returns the list of recomputed outputs."""
+    """Re-execute every step; returns the list of recomputed outputs.  The
+    summary steps on one frame share one LineFrame, and with it the frame's
+    memoized scaffold."""
     outputs = {}
     results = []
+    frames = {}
     for step in trace.steps:
         resolved = [outputs[v] if isinstance(v, int) else v for v in step.inputs]
-        value = _execute_step(step.op, resolved)
+        value = _execute_step(step.op, resolved, frames)
         outputs[step.step_id] = value
         results.append(value)
     return results

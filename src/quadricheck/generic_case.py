@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
 from .constructions import (
@@ -23,14 +24,13 @@ from .constructions import (
     von_staudt_product,
 )
 from .decision import Decision, Labeling, PlanePair, PreconditionViolated
-from .extensors import line_through, meet, plane_form, plane_through
+from .extensors import plane_form, plane_through
 from .projective import (
     GeometryError,
     MONOMIALS,
     IncidenceTable,
     Point,
     QuadricCoeffs,
-    Transform,
     bracket,
     det4,
     kernel_basis,
@@ -45,10 +45,6 @@ class NoPermutation(GeometryError):
 
 class ZeroColumn(GeometryError):
     """A column of M vanishes; the caller must take the two-planes exit."""
-
-
-class Degenerate(GeometryError):
-    """The incidence check requires [0123] != 0."""
 
 
 # The basis of reducible quadrics through points 0..5: each entry is a pair
@@ -76,33 +72,6 @@ def compute_Q(points):
     )
 
 
-def q_coordinate_polynomial(v4, v5):
-    """Q as a polynomial in the coordinates of points 4 and 5 when points
-    0..3 sit exactly at the standard basis vectors."""
-    x4, y4, z4, w4 = v4
-    x5, y5, z5, w5 = v5
-    return -x5 * y4 * z5 * w4 + x4 * y5 * z5 * w4 + x5 * y4 * z4 * w5 - x4 * y4 * z5 * w5
-
-
-def ceva_incidence_check(points):
-    """Scalar vanishing iff the lines 1p, 2q, 3r concur, where p = 23 ∩ 015,
-    q = 13 ∩ 024 and r = 12 ∩ 345; equals [0123]^2 * Q exactly.
-
-    The three meets are coned over point 0 so the concurrency becomes a
-    single exact bracket expression on the meet representatives.
-    """
-    p0, p1, p2, p3, p4, p5 = points[:6]
-    if bracket(p0, p1, p2, p3) == 0:
-        raise Degenerate("[0123] = 0")
-    p = meet(line_through(p2, p3), plane_through(p0, p1, p5))
-    q = meet(line_through(p1, p3), plane_through(p0, p2, p4))
-    r = meet(line_through(p1, p2), plane_through(p3, p4, p5))
-    c0, c1, c2, c3 = (x.coords for x in (p0, p1, p2, p3))
-    return -det4(c1, c0, c2, q.coeffs) * det4(c0, p.coeffs, c3, r.coeffs) + det4(
-        p.coeffs, c0, c2, q.coeffs
-    ) * det4(c0, c1, c3, r.coeffs)
-
-
 def find_Q_labeling(points):
     """First permutation of the six labels (lexicographic) with Q != 0.
 
@@ -117,13 +86,21 @@ def find_Q_labeling(points):
     raise NoPermutation("every label permutation has Q = 0")
 
 
+# The two brackets whose product is entry (r, c) of M: the planes of basis
+# quadric c, each joined with point 6 + r.
+M_PROVENANCE = tuple(
+    tuple((a_triple + (6 + r,), b_triple + (6 + r,)) for a_triple, b_triple in BASIS_PLANES)
+    for r in range(4)
+)
+
+
 @dataclass(frozen=True)
 class MatrixM:
     """4x4 bracket-product matrix; entry (r, c) multiplies the two brackets
     named in its provenance, e.g. [0156][2346] at (0, 0)."""
 
     entries: tuple
-    provenance: tuple
+    provenance = M_PROVENANCE
 
     def column(self, c):
         return tuple(self.entries[r][c] for r in range(4))
@@ -136,19 +113,15 @@ class MatrixM:
 def build_M(points) -> MatrixM:
     pts = list(points)
     entries = []
-    provenance = []
     for r in range(4):
         x = pts[6 + r]
         row = []
-        prow = []
         for a_triple, b_triple in BASIS_PLANES:
             ba = bracket(*(pts[i] for i in a_triple), x)
             bb = bracket(*(pts[i] for i in b_triple), x)
             row.append(ba * bb)
-            prow.append((a_triple + (6 + r,), b_triple + (6 + r,)))
         entries.append(tuple(row))
-        provenance.append(tuple(prow))
-    return MatrixM(tuple(entries), tuple(provenance))
+    return MatrixM(tuple(entries))
 
 
 def global_unit(points) -> Point:
@@ -163,12 +136,6 @@ def global_unit(points) -> Point:
     return Point(tuple(sum(v[i] for v in vs) for i in range(4)))
 
 
-def tau_transform(points) -> Transform:
-    """The isomorphism sending the standard basis and [1:1:1:1] to points
-    6, 7, 8, 9 and the global unit."""
-    return Transform.from_columns([points[i].coords for i in range(6, 10)])
-
-
 def _raw_quadric_product(form_a, form_b):
     out = []
     for i, j in MONOMIALS:
@@ -176,39 +143,64 @@ def _raw_quadric_product(form_a, form_b):
     return tuple(out)
 
 
-def basis_quadric_forms(points, c):
-    """Raw linear forms of the two planes of basis quadric c."""
-    a_triple, b_triple = BASIS_PLANES[c]
-    form_a = plane_form(plane_through(*(points[i] for i in a_triple)))
-    form_b = plane_form(plane_through(*(points[i] for i in b_triple)))
-    return form_a, form_b
+class GenericFigure:
+    """What the four columns of M share, built once per decision from the
+    (relabeled) points: M itself, the extensors of the two planes of each
+    basis quadric, and, on first read, the tetrahedron 6789 with its global
+    unit.  The tetrahedron memoizes its edge frames, and each frame its
+    line, auxiliaries and von Staudt scaffolding, so every column reads
+    them.  The figure lives as long as the decision that builds it.
+    """
+
+    def __init__(self, points):
+        self.points = list(points)
+        self.m = build_M(self.points)
+        self.basis_planes = tuple(
+            tuple(plane_through(*(self.points[i] for i in triple)) for triple in pair)
+            for pair in BASIS_PLANES
+        )
+
+    @cached_property
+    def tetrahedron(self) -> Tetrahedron:
+        return Tetrahedron(tuple(self.points[6:10]), global_unit(self.points))
+
+    def quadric_forms(self, c):
+        """Raw linear forms of the two planes of basis quadric c."""
+        plane_a, plane_b = self.basis_planes[c]
+        return plane_form(plane_a), plane_form(plane_b)
 
 
-def construct_test_point(points, col, trace=None) -> Point:
+def construct_test_point(points, col, trace=None, figure=None) -> Point:
     """Synthetic image of column col of M under the isomorphism onto the
     tetrahedron 6789.
 
     Works in the chart of the first nonzero column entry i: on each edge
     from vertex i the needed parameter M[j][col]/M[i][col] is produced by
     two meet-points with the basis planes, two inversions and one product,
-    and the point is recovered from the three edge projections.
+    and the point is recovered from the three edge projections.  `figure`
+    is the GenericFigure of the points, built when not given; its M, basis
+    planes, tetrahedron and edge frames (with their memoized lines,
+    auxiliaries and scaffolding) serve every column, and each cached value
+    is still recorded in the trace where it is used.
     """
-    m = build_M(points)
-    column = m.column(col)
+    figure = figure or GenericFigure(points)
+    column = figure.m.column(col)
     if all(v == 0 for v in column):
         raise ZeroColumn(f"column {col} of M vanishes")
     chart = next(r for r in range(4) if column[r] != 0)
-    tet = Tetrahedron(tuple(points[6:10]), global_unit(points))
+    tet = figure.tetrahedron
     a_triple, b_triple = BASIS_PLANES[col]
+    plane_a, plane_b = figure.basis_planes[col]
     a_pts = [points[i] for i in a_triple]
     b_pts = [points[i] for i in b_triple]
     projections = []
     for j in (jj for jj in range(4) if jj != chart):
         frame = tet.edge_frame(chart, j)
         d, e = tet.vertices[chart], tet.vertices[j]
-        px = local_param_point(d, e, *a_pts, trace=trace)
+        edge = frame.line()
+        px = local_param_point(d, e, *a_pts, trace=trace, line=edge, plane=plane_a)
         qx = von_staudt_inverse(frame, px, trace=trace)
-        py = local_param_point(d, e, *b_pts, trace=trace)
+        py = local_param_point(d, e, *b_pts, trace=trace, line=edge, plane=plane_b)
         qy = von_staudt_inverse(frame, py, trace=trace)
         projections.append(von_staudt_product(frame, qx, qy, trace=trace))
     return recover_from_chart(tet, chart, projections, trace=trace)
@@ -236,15 +228,15 @@ def genericity_violation(points, table=None):
 
 @dataclass(frozen=True)
 class GenericConfig:
-    """Ten validated points in generic position with witness brackets.
+    """Ten validated points in generic position.
 
-    The witnesses are the four nonzero brackets [0123], [0145], [2345],
-    [6789] certifying the skew lines and the spanning last four points; the
-    conditions also include distinctness and no four collinear.
+    The conditions are distinctness, no four collinear, skew lines 01, 23,
+    45 and spanning last four points; `witnesses` are the four nonzero
+    brackets [0123], [0145], [2345], [6789] that certify the last two,
+    computed when read.
     """
 
     points: tuple
-    witnesses: tuple
 
     @classmethod
     def validate(cls, points, table=None) -> "GenericConfig":
@@ -252,11 +244,14 @@ class GenericConfig:
         reason = genericity_violation(pts, table)
         if reason is not None:
             raise PreconditionViolated(reason)
-        witnesses = tuple(
-            bracket(*(pts[i] for i in quad))
+        return cls(tuple(pts))
+
+    @property
+    def witnesses(self) -> tuple:
+        return tuple(
+            bracket(*(self.points[i] for i in quad))
             for quad in ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5), (6, 7, 8, 9))
         )
-        return cls(tuple(pts), witnesses)
 
 
 def decide_generic(points, trace=None, table=None) -> Decision:
@@ -274,14 +269,16 @@ def decide_generic(points, trace=None, table=None) -> Decision:
     sigma = find_Q_labeling(pts[:6])
     relabeled = [pts[i] for i in sigma] + pts[6:]
     labeling = Labeling(tuple(sigma) + (6, 7, 8, 9))
-    m = build_M(relabeled)
+    figure = GenericFigure(relabeled)
+    m = figure.m
     for c in range(4):
         if all(v == 0 for v in m.column(c)):
-            form_a, form_b = basis_quadric_forms(relabeled, c)
             return Decision(
-                True, "two-planes", labeling, PlanePair((form_a, form_b)), trace
+                True, "two-planes", labeling, PlanePair(figure.quadric_forms(c)), trace
             )
-    test_points = [construct_test_point(relabeled, c, trace=trace) for c in range(4)]
+    test_points = [
+        construct_test_point(relabeled, c, trace=trace, figure=figure) for c in range(4)
+    ]
     on_quadric = bracket(*test_points) == 0
     certificate = None
     if on_quadric:
@@ -293,7 +290,7 @@ def decide_generic(points, trace=None, table=None) -> Decision:
         for c in range(4):
             if weights[c] == 0:
                 continue
-            raw = _raw_quadric_product(*basis_quadric_forms(relabeled, c))
+            raw = _raw_quadric_product(*figure.quadric_forms(c))
             total = [t + weights[c] * v for t, v in zip(total, raw)]
         certificate = QuadricCoeffs(tuple(total))
     return Decision(on_quadric, "generic", labeling, certificate, trace)

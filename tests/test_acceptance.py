@@ -7,6 +7,7 @@ rely on the capsys-disabled announcer) to see them.
 from fractions import Fraction
 
 from conftest import random_fraction, random_point, seeded
+from generic_reference import ceva_incidence_check, q_coordinate_polynomial, tau_transform
 from quadricheck import fixtures
 from quadricheck.constructions import (
     ConstructionTrace,
@@ -27,13 +28,10 @@ from quadricheck.extensors import (
 )
 from quadricheck.generic_case import (
     build_M,
-    ceva_incidence_check,
     compute_Q,
     construct_test_point,
     find_Q_labeling,
     genericity_violation,
-    q_coordinate_polynomial,
-    tau_transform,
 )
 from quadricheck.oracle import (
     oracle_decide,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_fraction, random_point, seeded
+from quadricheck import constructions
 from quadricheck.constructions import (
     ConstructionTrace,
     DegenerateMeet,
@@ -12,6 +13,7 @@ from quadricheck.constructions import (
     OnOppositeEdge,
     OutsideChart,
     Tetrahedron,
+    WitnessPlanes,
     choose_auxiliaries,
     line_meet_line,
     local_param_point,
@@ -338,6 +340,71 @@ class TestTraceReplay:
             for item in step.inputs:
                 if isinstance(item, int):
                     assert item < step.step_id
+
+
+class TestReplayFrames:
+    def test_summary_steps_on_one_frame_share_it(self, monkeypatch):
+        trace = ConstructionTrace()
+        other = LineFrame(E2, E3, Point((0, 0, 2, 3)))
+        for f in (X_AXIS_FRAME, other):
+            for x, y in ((Fraction(2, 3), Fraction(-7, 5)), (4, 5)):
+                px, py = point_at_parameter(f, x), point_at_parameter(f, y)
+                von_staudt_product(f, px, py, trace=trace)
+                von_staudt_inverse(f, px, trace=trace)
+        chosen = []
+        real = constructions.choose_auxiliaries
+
+        def counting(frame, avoid=()):
+            chosen.append(frame)
+            return real(frame, avoid)
+
+        monkeypatch.setattr(constructions, "choose_auxiliaries", counting)
+        restored = ConstructionTrace.from_json(json.loads(json.dumps(trace.to_json())))
+        assert replay_trace(restored) == [s.output for s in trace.steps]
+        assert chosen == [X_AXIS_FRAME, other]
+
+
+class TestWitnessPlanes:
+    def coplanar_pairs(self, rng, count):
+        while count:
+            p, q, r = (random_point(rng) for _ in range(3))
+            if rank_of_points((p, q, r)) != 3:
+                continue
+            a, b, c = (random_fraction(rng) for _ in range(3))
+            s = Point(tuple(a * x + b * y + c * z for x, y, z in zip(p.coords, q.coords, r.coords)))
+            if rank_of_points((r, s)) != 2 or rank_of_points((p, q, s)) == 2:
+                continue
+            count -= 1
+            yield line_through(p, q), line_through(r, s)
+
+    def test_kept_planes_give_the_same_point_and_step(self):
+        rng = seeded("witness-planes")
+        for l1, l2 in self.coplanar_pairs(rng, 25):
+            planes = WitnessPlanes(l2)
+            kept, fresh = ConstructionTrace(), ConstructionTrace()
+            got = line_meet_line(l1, l2, trace=kept, witness_planes=planes)
+            assert got == line_meet_line(l1, l2, trace=fresh)
+            assert kept.steps == fresh.steps
+            # planes that an earlier meet built serve the next one
+            assert line_meet_line(l1, l2, witness_planes=planes) == got
+
+    def test_planes_are_built_on_first_use(self):
+        planes = WitnessPlanes(line_through(E0, E1))
+        # the common plane E0E1E3 holds E0 and E1, so E2 is the first
+        # witness off it and the plane through E3 is never needed
+        assert line_meet_line(line_through(E0, E3), planes.line, witness_planes=planes) == E0
+        assert planes._planes[3] is None
+        assert [planes[k] for k in range(4)] == [
+            join_points(E0, E1, w) for w in (E0, E1, E2, E3)
+        ]
+
+    def test_planes_of_another_line_rejected(self):
+        with pytest.raises(ValueError, match="another line"):
+            line_meet_line(
+                line_through(E0, E2),
+                line_through(E0, E1),
+                witness_planes=WitnessPlanes(line_through(E0, E3)),
+            )
 
 
 class TestTetrahedron:

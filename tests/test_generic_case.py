@@ -3,23 +3,32 @@ import itertools
 import pytest
 
 from conftest import random_point, seeded
-from quadricheck.constructions import ConstructionTrace, line_meet_line, verify_replay
+from generic_reference import (
+    Degenerate,
+    ceva_incidence_check,
+    q_coordinate_polynomial,
+    tau_transform,
+)
+from quadricheck import constructions, generic_case
+from quadricheck.constructions import (
+    ConstructionTrace,
+    choose_auxiliaries,
+    line_meet_line,
+    verify_replay,
+)
 from quadricheck.decision import PreconditionViolated
 from quadricheck.extensors import contains_point, line_through, plane_through
 from quadricheck.generic_case import (
-    Degenerate,
+    GenericFigure,
     NoPermutation,
     ZeroColumn,
     build_M,
-    ceva_incidence_check,
     compute_Q,
     construct_test_point,
     decide_generic,
     find_Q_labeling,
     genericity_violation,
     global_unit,
-    q_coordinate_polynomial,
-    tau_transform,
 )
 from quadricheck.oracle import oracle_decide, oracle_det, sample_generic, segre_point
 from quadricheck.projective import (
@@ -245,6 +254,121 @@ class TestConstructTestPoint:
         construct_test_point(relabeled, 0, trace=trace)
         assert len(trace.steps) > 10
         assert verify_replay(ConstructionTrace.from_json(trace.to_json()))
+
+
+def chart_one_points():
+    """Generic points, Q != 0 as labeled, with point 6 on the plane 015 of
+    basis quadric 0: M[0][0] = 0, so column 0 is built in chart 1."""
+    pts = list(STANDARD_BASIS) + [Point((1, 2, 3, 4)), Point((1, 1, 2, 3))]
+    on_plane_015 = Point(
+        tuple(2 * a + 3 * b + 5 * c for a, b, c in zip(pts[0].coords, pts[1].coords, pts[5].coords))
+    )
+    return pts + [on_plane_015, Point((1, 5, 7, 2)), Point((3, 1, 4, 1)), Point((2, 7, 1, 8))]
+
+
+def two_planes_points():
+    """Points 6, 7 on the plane 015 and 8, 9 on the plane 234: column 0 of M
+    vanishes."""
+    base = list(STANDARD_BASIS) + [Point((1, 2, 3, 4)), Point((1, 1, 2, 3))]
+
+    def on_plane(i, j, k, w):
+        return Point(
+            tuple(
+                w[0] * a + w[1] * b + w[2] * c
+                for a, b, c in zip(base[i].coords, base[j].coords, base[k].coords)
+            )
+        )
+
+    return base + [
+        on_plane(0, 1, 5, (1, 2, 3)),
+        on_plane(0, 1, 5, (2, 5, 1)),
+        on_plane(2, 3, 4, (1, 1, 4)),
+        on_plane(2, 3, 4, (3, 1, 1)),
+    ]
+
+
+class TestGenericFigure:
+    """One GenericFigure serves all four columns exactly as a fresh figure
+    per column does: same test points, same trace steps in the same order."""
+
+    def configurations(self):
+        rng = seeded("generic-figure")
+        configs = [segre_generic_points(), chart_one_points()]
+        for _ in range(3):
+            pts = random_generic(rng)
+            sigma = find_Q_labeling(pts[:6])
+            configs.append([pts[i] for i in sigma] + pts[6:])
+        return configs
+
+    def test_chart_one_fixture(self):
+        pts = chart_one_points()
+        assert genericity_violation(pts) is None and compute_Q(pts[:6]) != 0
+        m = build_M(pts)
+        assert m.entries[0][0] == 0 and m.entries[1][0] != 0
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0)])
+    def test_shared_figure_matches_fresh_figures(self, order):
+        for pts in self.configurations():
+            figure = GenericFigure(pts)
+            for col in order:
+                shared, fresh = ConstructionTrace(), ConstructionTrace()
+                got = construct_test_point(pts, col, trace=shared, figure=figure)
+                assert got == construct_test_point(pts, col, trace=fresh)
+                assert shared.steps == fresh.steps
+                assert shared.to_json() == fresh.to_json()
+
+    def test_zero_column_with_shared_figure(self):
+        ten = two_planes_points()
+        figure = GenericFigure(ten)
+        with pytest.raises(ZeroColumn):
+            construct_test_point(ten, 0, figure=figure)
+        for col in (1, 2, 3):
+            if any(figure.m.column(col)):
+                assert construct_test_point(ten, col, figure=figure) == construct_test_point(
+                    ten, col
+                )
+
+    @pytest.mark.parametrize("make", [segre_generic_points, chart_one_points])
+    def test_decide_builds_m_once_and_each_frame_once(self, monkeypatch, make):
+        built, frames = [], []
+        real_build_M, real_choose = generic_case.build_M, constructions.choose_auxiliaries
+
+        def counting_build_M(points):
+            built.append(real_build_M(points))
+            return built[-1]
+
+        def counting_choose(frame, avoid=()):
+            frames.append(frame)
+            return real_choose(frame, avoid)
+
+        monkeypatch.setattr(generic_case, "build_M", counting_build_M)
+        monkeypatch.setattr(constructions, "choose_auxiliaries", counting_choose)
+        decision = decide(make())
+        assert decision.branch == "generic"
+        assert len(built) == 1
+        [m] = built
+        edges = set()
+        for col in range(4):
+            column = m.column(col)
+            chart = next(r for r in range(4) if column[r] != 0)
+            edges.update((chart, j) for j in range(4) if j != chart)
+        assert len(frames) == len(set(frames)) == len(edges)
+
+    def test_avoid_bypasses_memoized_auxiliaries(self):
+        frame = GenericFigure(segre_generic_points()).tetrahedron.edge_frame(0, 1)
+        scaffold = frame.scaffold()
+        assert frame.scaffold() is scaffold
+        a1, lprime1 = choose_auxiliaries(frame, avoid=(scaffold.a,))
+        assert a1 != scaffold.a
+        moved = frame.scaffold((scaffold.a,))
+        assert (moved.a, moved.lprime) == (a1, lprime1)
+        assert frame.scaffold() is scaffold
+
+    def test_edge_frames_are_memoized_per_ordered_edge(self):
+        tet = GenericFigure(segre_generic_points()).tetrahedron
+        assert tet.edge_frame(0, 2) is tet.edge_frame(0, 2)
+        assert tet.edge_frame(2, 0) is not tet.edge_frame(0, 2)
+        assert tet.edge_frame(2, 0).zero == tet.vertices[2]
 
 
 class TestGenericConfig:

@@ -82,6 +82,17 @@ class TestDecisionDigest:
         assert traced.stdout.splitlines()[1].startswith("traces ")
 
 
+    def test_pinned_digest(self):
+        # 31 configurations, 12 of them generic: every decision and every
+        # construction trace must stay byte-identical to these digests
+        result = run_script("decision_digest.py", "--seed", 5, "--count", 20, "--trace")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "decisions ee55ae3abbd4d8c2cd3a73f2505885b83e0f19b78d28dd997f80a8104c65f57c"
+            " 31 configurations",
+            "traces f4b8f7ba9e9d8634eda4ea3d81f22fe0829e4825b0e02471957505ae903a5a49",
+        ]
+
 def test_det_identity_experiment():
     result = run_script("det_identity_experiment.py", "--configs", 1, "--perms", 2)
     assert result.returncode == 0, result.stdout + result.stderr
