@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 malformed input or unknown kind, 3 disagreement
 between the synthetic pipeline and the determinant oracle, or an exception
-from the pipeline during fuzzing (must never happen in a correct build).
+from the pipeline (must never happen in a correct build).
 """
 
 from __future__ import annotations
@@ -126,7 +126,12 @@ def cmd_decide(args) -> int:
     decision = None
     if args.method in ("synthetic", "both"):
         start = time.perf_counter()
-        decision = reductions.decide(points, with_trace=args.trace is not None)
+        try:
+            decision = reductions.decide(points, with_trace=args.trace is not None)
+        except Exception as exc:  # reported with its configuration, as fuzz_check does
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            sys.stderr.write(_dump(points_to_json(points), args.pretty))
+            return 3
         report["timings"]["synthetic_seconds"] = time.perf_counter() - start
         decision_json = decision.to_json()
         if args.trace is not None:

@@ -23,17 +23,14 @@ from .extensors import (
     join_points,
     line_through,
     meet,
+    plane_form,
     plane_through,
     scalar_of,
 )
 from .projective import (
-    E0,
-    E1,
-    E2,
-    E3,
     INFINITY,
     GeometryError,
-    ONES,
+    STANDARD_BASIS,
     Point,
     coordinates_in_basis,
     cross_ratio,
@@ -155,18 +152,20 @@ def _as_extensor(value):
     return from_point(value) if isinstance(value, Point) else value
 
 
-_WITNESSES = tuple(from_point(w) for w in (E0, E1, E2, E3))
+_WITNESSES = tuple(from_point(w) for w in STANDARD_BASIS)
 
 
 class WitnessPlanes:
-    """The planes join(l, E_k), k = 0..3, that `line_meet_line` tries for
-    its second line l, each built on first use.  A figure that meets many
-    lines with one fixed line keeps one of these for it."""
+    """The planes join(l, E_k) that `line_meet_line` tries for its second
+    line l, for k in `order`, each built on first use.  A figure that meets
+    many lines with one fixed line keeps one of these for it, ordered so
+    that the basis points off the figure's plane come first."""
 
-    __slots__ = ("line", "_planes")
+    __slots__ = ("line", "order", "_planes")
 
-    def __init__(self, line: Extensor):
+    def __init__(self, line: Extensor, order=(0, 1, 2, 3)):
         self.line = line
+        self.order = order
         self._planes = [None, None, None, None]
 
     def __getitem__(self, k) -> Extensor:
@@ -183,8 +182,10 @@ def line_meet_line(l1: Extensor, l2: Extensor, trace=None, witness_planes=None) 
     the point is computed as meet(l1, join(l2, w)) for the first witness w
     off the common plane.  Distinct coplanar lines span a single plane,
     which misses one of E0..E3; only coincident lines leave every hit zero.
-    `witness_planes` are the WitnessPlanes of l2 when the caller keeps them;
-    they are built here when not given.
+    `witness_planes` are the WitnessPlanes of l2 when the caller keeps them,
+    with the order they try; they are built here, in ascending order, when
+    not given.  Every nonzero hit is the same canonical point, so the order
+    changes only how many meets are spent.
     """
     if l1.grade != 2 or l2.grade != 2:
         raise ValueError("line_meet_line needs two lines")
@@ -194,7 +195,7 @@ def line_meet_line(l1: Extensor, l2: Extensor, trace=None, witness_planes=None) 
         witness_planes = WitnessPlanes(l2)
     elif witness_planes.line != l2:
         raise ValueError("the witness planes belong to another line")
-    for k in range(4):
+    for k in witness_planes.order:
         # hit is nonzero exactly when E_k is off the common plane
         hit = meet(l1, witness_planes[k])
         if not hit.is_zero():
@@ -213,11 +214,15 @@ class LineFrame:
     """Zero, infinity and unit on a line; fixes local parameters on it.
 
     A frame memoizes, each on first read, what every construction on it
-    shares: its line, the witness planes `line_meet_line` tries against
-    that line (`line_planes`), and the scaffold of its von Staudt product
-    and inverse (`scaffold()`): the auxiliaries that `choose_auxiliaries`
-    picks for it and the parts of both figures that do not depend on the
-    input point.
+    shares: the index k of its auxiliary direction E_k (`aux_index`, the
+    first basis point off its line), its line, the witness planes
+    `line_meet_line` tries against that line (`line_planes`), and the
+    scaffold of its von Staudt product and inverse (`scaffold()`): the
+    auxiliaries that `choose_auxiliaries` picks for it and the parts of
+    both figures that do not depend on the input point.  Every line of
+    those figures lies in the plane through the line and E_k, where a
+    witness always hits zero, so their witness planes try the basis points
+    off that plane first (`line_planes.order`).
     """
 
     zero: Point
@@ -232,8 +237,18 @@ class LineFrame:
             raise ValueError("frame points must be collinear")
 
     @cached_property
+    def aux_index(self) -> int:
+        return next(
+            k for k, e in enumerate(STANDARD_BASIS)
+            if rank_of_points((self.zero, self.infinity, e)) == 3
+        )
+
+    @cached_property
     def line_planes(self) -> WitnessPlanes:
-        return WitnessPlanes(line_through(self.zero, self.infinity))
+        line = line_through(self.zero, self.infinity)
+        form = plane_form(join(line, _WITNESSES[self.aux_index]))
+        # the basis points off the plane through the line and E_k first
+        return WitnessPlanes(line, tuple(sorted(range(4), key=lambda k: form[k] == 0)))
 
     def line(self) -> Extensor:
         return self.line_planes.line
@@ -259,14 +274,15 @@ class Scaffold:
     - `inverse`: unit·a, c2 = (unit·a) ∩ L', and infinity·a;
 
     each built on first read, with the witness planes of the fixed lines L',
-    a·infinity and infinity·a that `line_meet_line` tries.
+    a·infinity and infinity·a that `line_meet_line` tries, in the order of
+    the frame's `line_planes`.
     """
 
     def __init__(self, frame: LineFrame, a: Point, lprime: Extensor):
         self.frame = frame
         self.a = a
         self.lprime = lprime
-        self.lprime_planes = WitnessPlanes(lprime)
+        self.lprime_planes = WitnessPlanes(lprime, frame.line_planes.order)
 
     @cached_property
     def product(self):
@@ -274,7 +290,7 @@ class Scaffold:
         la1 = line_through(self.a, self.frame.unit)
         p1p = line_meet_line(la1, self.lprime, witness_planes=self.lprime_planes)
         linf = line_through(self.a, self.frame.infinity)
-        return la1, p1p, linf, WitnessPlanes(linf)
+        return la1, p1p, linf, WitnessPlanes(linf, self.frame.line_planes.order)
 
     @cached_property
     def inverse(self):
@@ -282,7 +298,7 @@ class Scaffold:
         l1b = line_through(self.frame.unit, self.a)
         c2 = line_meet_line(l1b, self.lprime, witness_planes=self.lprime_planes)
         linfb = line_through(self.frame.infinity, self.a)
-        return l1b, c2, linfb, WitnessPlanes(linfb)
+        return l1b, c2, linfb, WitnessPlanes(linfb, self.frame.line_planes.order)
 
 
 def parameter_of(frame: LineFrame, p: Point):
@@ -327,10 +343,6 @@ class Tetrahedron:
             face = [v for i, v in enumerate(vertices) if i != skip]
             if join_points(*face, self.unit).is_zero():
                 raise ValueError(f"unit lies on the face missing vertex {skip}")
-
-    @classmethod
-    def standard(cls):
-        return cls((E0, E1, E2, E3), ONES)
 
     def edge_frame(self, i: int, j: int) -> LineFrame:
         """Frame on edge ij: zero at vertex i, infinity at vertex j, unit cut
@@ -412,10 +424,7 @@ def choose_auxiliaries(frame: LineFrame, avoid=()):
     """
     avoid = tuple(avoid)
     line = frame.line()
-    udir = next(
-        e for e in (E0, E1, E2, E3)
-        if rank_of_points((frame.zero, frame.infinity, e)) == 3
-    )
+    udir = STANDARD_BASIS[frame.aux_index]
     for t in range(1, len(avoid) + 3):
         q = Point(
             tuple(

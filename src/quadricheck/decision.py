@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .projective import GeometryError, Point, QuadricCoeffs, _canonical_ints
 
@@ -73,15 +72,6 @@ class PlanePair:
         vals = [sum(c * x for c, x in zip(f, p.coords)) for f in self.forms]
         return vals[0] * vals[1]
 
-    def as_quadric(self) -> QuadricCoeffs:
-        f, g = self.forms
-        from .projective import MONOMIALS
-
-        coeffs = []
-        for i, j in MONOMIALS:
-            coeffs.append(f[i] * g[j] if i == j else f[i] * g[j] + f[j] * g[i])
-        return QuadricCoeffs(tuple(coeffs))
-
 
 Certificate = QuadricCoeffs | PlanePair
 
@@ -92,14 +82,6 @@ def certificate_to_json(cert):
     if isinstance(cert, QuadricCoeffs):
         return {"type": "quadric", "coeffs": cert.to_strings()}
     return {"type": "plane-pair", "planes": [[str(c) for c in f] for f in cert.forms]}
-
-
-def certificate_from_json(data):
-    if data is None:
-        return None
-    if data["type"] == "quadric":
-        return QuadricCoeffs.from_strings(data["coeffs"])
-    return PlanePair(tuple(tuple(Fraction(c) for c in f) for f in data["planes"]))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ shuffle formula, extended bilinearly from basis extensors.  Coefficients
 are indexed by lexicographically sorted subsets of {0,1,2,3}, and the
 grade-4 extensor e0e1e2e3 is identified with the scalar 1.  The sign of
 every basis product is computed once, at import, into one table per pair
-of grades; join, meet and support_basis only read those tables.
+of grades; join, meet and support_basis only read those tables.  From the
+same tables, import also generates one straight-line function per pair of
+grades, which join and meet run when every coefficient is an int.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from .projective import GeometryError, Point
+from .projective import _INT_ONLY, GeometryError, Point, parse_rational
 
 SUBSETS = {k: tuple(combinations(range(4), k)) for k in range(5)}
 _INDEX = {k: {s: i for i, s in enumerate(SUBSETS[k])} for k in range(5)}
@@ -82,7 +84,38 @@ def _bilinear(table, ca_all, cb_all, grade):
         if cb == 0:
             continue
         out[io] += sign * ca * cb
-    return out
+    return tuple(out)
+
+
+def _kernel_source(name, table, j, k, grade):
+    """Source of a function computing the bilinear product `table`
+    describes as one sum of products per output coefficient, in table
+    order; an output no pair reaches is the literal 0."""
+    sums = [[] for _ in SUBSETS[grade]]
+    for ia, ib, io, sign in table:
+        sums[io].append(f"{'-' if sign < 0 else '+'} a{ia} * b{ib}")
+    exprs = [" ".join(terms).removeprefix("+ ") if terms else "0" for terms in sums]
+    unpack_a = "".join(f"a{i}, " for i in range(len(SUBSETS[j])))
+    unpack_b = "".join(f"b{i}, " for i in range(len(SUBSETS[k])))
+    return (
+        f"def {name}(ca, cb):\n"
+        f"    {unpack_a}= ca\n"
+        f"    {unpack_b}= cb\n"
+        f"    return ({', '.join(exprs)},)\n"
+    )
+
+
+def _kernels(kind, tables, out_grade):
+    """One generated function per pair of grades of `tables`."""
+    namespace = {}
+    for (j, k), table in tables.items():
+        source = _kernel_source(f"_{kind}_{j}_{k}", table, j, k, out_grade(j, k))
+        exec(compile(source, f"<{kind} kernel {j},{k}>", "exec"), namespace)
+    return {(j, k): namespace[f"_{kind}_{j}_{k}"] for j, k in tables}
+
+
+_JOIN_KERNELS = _kernels("join", _JOIN, lambda j, k: j + k)
+_MEET_KERNELS = _kernels("meet", _MEET, lambda j, k: j + k - 4)
 
 
 class GradeOverflow(GeometryError):
@@ -119,7 +152,7 @@ class Extensor:
         return cls(grade, (0,) * len(SUBSETS[grade]))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def scale(self, factor):
         return Extensor(self.grade, tuple(factor * c for c in self.coeffs))
@@ -167,15 +200,27 @@ class Extensor:
 
     @classmethod
     def from_json(cls, data):
-        from fractions import Fraction
+        return cls(int(data["grade"]), tuple(parse_rational(c) for c in data["coeffs"]))
 
-        return cls(int(data["grade"]), tuple(Fraction(c) for c in data["coeffs"]))
+
+_set_grade = Extensor.grade.__set__
+_set_coeffs = Extensor.coeffs.__set__
+
+
+def _trusted(grade, coeffs: tuple) -> Extensor:
+    """An Extensor built without the checks of Extensor(...), for a grade
+    and coefficient tuple that are right by construction: the product of
+    two extensors, or the coordinates of a point of P^3."""
+    e = object.__new__(Extensor)
+    _set_grade(e, grade)
+    _set_coeffs(e, coeffs)
+    return e
 
 
 def from_point(p: Point) -> Extensor:
     if p.dim != 4:
         raise ValueError("extensors live in 4-space")
-    return Extensor(1, p.coords)
+    return _trusted(1, p.coords)
 
 
 def as_point(e: Extensor) -> Point:
@@ -195,7 +240,7 @@ def join(a: Extensor, b: Extensor) -> Extensor:
     grade = a.grade + b.grade
     if grade > 4:
         raise GradeOverflow(f"grades {a.grade} + {b.grade} exceed 4")
-    return Extensor(grade, _bilinear(_JOIN[a.grade, b.grade], a.coeffs, b.coeffs, grade))
+    return _trusted(grade, _product(_JOIN_KERNELS, _JOIN, a, b, grade))
 
 
 def join_points(*points) -> Extensor:
@@ -231,7 +276,18 @@ def meet(a: Extensor, b: Extensor) -> Extensor:
     grade = a.grade + b.grade - 4
     if grade < 0:
         return Extensor.zero(0)
-    return Extensor(grade, _bilinear(_MEET[a.grade, b.grade], a.coeffs, b.coeffs, grade))
+    return _trusted(grade, _product(_MEET_KERNELS, _MEET, a, b, grade))
+
+
+def _product(kernels, tables, a, b, grade):
+    """Coefficients of a join or meet: the generated kernel when every
+    coefficient is an int, else the table loop, which keeps an int 0 where
+    no nonzero pair contributes (a straight-line sum of Fractions would
+    give Fraction(0))."""
+    ca, cb = a.coeffs, b.coeffs
+    if _INT_ONLY.issuperset(map(type, ca + cb)):
+        return kernels[a.grade, b.grade](ca, cb)
+    return _bilinear(tables[a.grade, b.grade], ca, cb, grade)
 
 
 def support_basis(e: Extensor):
@@ -262,14 +318,6 @@ def support_basis(e: Extensor):
 def contains_point(e: Extensor, p: Point) -> bool:
     """Whether p lies in the support of e (p ∧ e = 0)."""
     return join(e, from_point(p)).is_zero()
-
-
-def plucker_residual(e: Extensor):
-    """p01*p23 - p02*p13 + p03*p12; zero exactly for decomposable grade-2."""
-    if e.grade != 2:
-        raise ValueError("Plücker relation applies to grade-2 extensors")
-    c = e.coeffs
-    return c[0] * c[5] - c[1] * c[4] + c[2] * c[3]
 
 
 def lines_skew(l0: Extensor, l1: Extensor) -> bool:

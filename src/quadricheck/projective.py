@@ -12,6 +12,7 @@ planar conic charts) are read through one memoizing `IncidenceTable`.
 
 from __future__ import annotations
 
+import re
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,17 +71,34 @@ def param_mul(x, y):
     return Fraction(x) * Fraction(y)
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_rational(text):
+    """A rational from its string: an int when the text is an optionally
+    negated run of ASCII digits, else whatever Fraction(text) gives (or
+    raises)."""
+    if type(text) is str and _INTEGER.fullmatch(text):
+        return int(text)
+    return Fraction(text)
+
+
+_INT_ONLY = frozenset((int,))
+
+
 def _canonical_ints(values):
     ints = tuple(values)
-    if not all(type(v) is int for v in ints):
+    if not _INT_ONLY.issuperset(map(type, ints)):
         fracs = [Fraction(v) for v in ints]
         mult = lcm(*(f.denominator for f in fracs))
-        ints = [f.numerator * (mult // f.denominator) for f in fracs]
+        ints = tuple(f.numerator * (mult // f.denominator) for f in fracs)
     if not any(ints):
         raise ValueError("homogeneous coordinates must not all be zero")
     g = gcd(*ints)
     if next(v for v in ints if v) < 0:
         g = -g
+    if g == 1:
+        return ints
     return tuple(v // g for v in ints)
 
 
@@ -121,7 +139,7 @@ class Point:
 
     @classmethod
     def from_strings(cls, items):
-        return cls(Fraction(s) for s in items)
+        return cls(parse_rational(s) for s in items)
 
 
 E0 = Point((1, 0, 0, 0))
@@ -549,4 +567,4 @@ class QuadricCoeffs:
 
     @classmethod
     def from_strings(cls, items):
-        return cls(tuple(Fraction(s) for s in items))
+        return cls(tuple(parse_rational(s) for s in items))

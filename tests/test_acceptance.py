@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from conftest import random_fraction, random_point, seeded
 from generic_reference import ceva_incidence_check, q_coordinate_polynomial, tau_transform
+from reference_geometry import plucker_residual
 from quadricheck import fixtures
 from quadricheck.constructions import (
     ConstructionTrace,
@@ -24,7 +25,6 @@ from quadricheck.extensors import (
     grassmann_criterion,
     join_points,
     meet,
-    plucker_residual,
 )
 from quadricheck.generic_case import (
     build_M,

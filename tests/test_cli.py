@@ -84,6 +84,22 @@ class TestDecide:
         assert out["agreement"] is False
         assert len(out["configuration"]) == 10
 
+    def test_decide_exception_exits_three_with_configuration(
+        self, segre_file, capsys, monkeypatch
+    ):
+        def failing(points, with_trace=False):
+            raise InternalInconsistency("injected")
+
+        monkeypatch.setattr(reductions, "decide", failing)
+        code = cli.main(["decide", segre_file, "--method", "both"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        error, configuration = captured.err.splitlines()
+        assert error == "error: InternalInconsistency: injected"
+        assert "Traceback" not in captured.err
+        assert json.loads(configuration) == cli.points_to_json(sample_on_quadric("cli-segre", 10))
+
 
 class TestGen:
     def test_deterministic_bytes(self, tmp_path):

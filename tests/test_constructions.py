@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_fraction, random_point, seeded
+from reference_geometry import standard_tetrahedron
 from quadricheck import constructions
 from quadricheck.constructions import (
     ConstructionTrace,
@@ -99,15 +100,15 @@ class TestLineMeetLine:
 
 class TestProjection:
     def test_standard_example(self):
-        tet = Tetrahedron.standard()
+        tet = standard_tetrahedron()
         assert project_to_edge(tet, 0, 1, Point((2, 3, 5, 7))) == Point((2, 3, 0, 0))
 
     def test_unit_projects_to_edge_unit(self):
-        tet = Tetrahedron.standard()
+        tet = standard_tetrahedron()
         assert project_to_edge(tet, 0, 1, ONES) == Point((1, 1, 0, 0))
 
     def test_opposite_edge_rejected(self):
-        tet = Tetrahedron.standard()
+        tet = standard_tetrahedron()
         with pytest.raises(OnOppositeEdge):
             project_to_edge(tet, 0, 1, Point((0, 0, 1, 1)))
 
@@ -134,7 +135,7 @@ class TestProjection:
 
 class TestRecovery:
     def test_coordinates_read_off(self):
-        tet = Tetrahedron.standard()
+        tet = standard_tetrahedron()
         projs = [Point((1, 3, 0, 0)), Point((1, 0, 5, 0)), Point((1, 0, 0, 7))]
         assert recover_from_chart(tet, 0, projs) == Point((1, 3, 5, 7))
 
@@ -161,13 +162,13 @@ class TestRecovery:
             assert recover_from_chart(tet, i, projs) == p
 
     def test_infinity_vertex_rejected(self):
-        tet = Tetrahedron.standard()
+        tet = standard_tetrahedron()
         projs = [E1, Point((1, 0, 5, 0)), Point((1, 0, 0, 7))]
         with pytest.raises(OutsideChart):
             recover_from_chart(tet, 0, projs)
 
     def test_off_edge_rejected(self):
-        tet = Tetrahedron.standard()
+        tet = standard_tetrahedron()
         projs = [Point((1, 1, 1, 0)), Point((1, 0, 5, 0)), Point((1, 0, 0, 7))]
         with pytest.raises(InconsistentProjections):
             recover_from_chart(tet, 0, projs)
@@ -325,13 +326,38 @@ class TestTraceReplay:
 
     def test_projection_and_recover_trace(self):
         trace = ConstructionTrace()
-        tet = Tetrahedron.standard()
+        tet = standard_tetrahedron()
         p = Point((3, 5, 7, 11))
         projs = [project_to_edge(tet, 0, j, p, trace=trace) for j in (1, 2, 3)]
         got = recover_from_chart(tet, 0, projs, trace=trace)
         assert got == p
         restored = ConstructionTrace.from_json(trace.to_json())
         assert verify_replay(restored)
+
+    def test_fraction_string_coefficients_replay_exactly(self):
+        trace = ConstructionTrace()
+        vertices = tuple(Point(v) for v in ((2, 1, -3, 5), (1, -4, 2, 2), (3, 3, 1, -1), (-1, 2, 5, 4)))
+        frame = Tetrahedron(vertices, ONES).edge_frame(0, 2)
+        px, py = point_at_parameter(frame, Fraction(2, 3)), point_at_parameter(frame, -5)
+        von_staudt_product(frame, px, py, trace=trace)
+        von_staudt_inverse(frame, px, trace=trace)
+        payload = json.loads(json.dumps(trace.to_json()))
+        for step in payload["steps"]:
+            for value in step["inputs"] + [step["output"]]:
+                if "extensor" in value:
+                    coeffs = value["extensor"]["coeffs"]
+                    value["extensor"]["coeffs"] = [f"{2 * int(c)}/2" for c in coeffs]
+        restored = ConstructionTrace.from_json(payload)
+        parsed = [
+            c
+            for step in restored.steps
+            for value in step.inputs + [step.output]
+            if not isinstance(value, (int, Point))
+            for c in value.coeffs
+        ]
+        assert parsed and all(type(c) is Fraction for c in parsed)
+        assert verify_replay(restored)
+        assert replay_trace(restored) == [s.output for s in trace.steps]
 
     def test_every_input_id_precedes_use(self):
         trace = ConstructionTrace()
@@ -407,6 +433,74 @@ class TestWitnessPlanes:
             )
 
 
+class TestWitnessOrder:
+    """Every line of a frame's von Staudt figures lies in the plane through
+    the frame's line and its auxiliary direction, so the frame's witness
+    planes try the basis points off that plane first and each
+    line_meet_line of a figure spends exactly one meet."""
+
+    def frames(self):
+        rng = seeded("witness-order")
+        frames = [
+            X_AXIS_FRAME,  # auxiliary E2, plane E0E1E2
+            LineFrame(E2, E3, Point((0, 0, 2, 3))),  # auxiliary E0, plane E0E2E3
+            LineFrame(E1, Point((3, -2, 5, 7)), Point((3, -1, 5, 7))),  # plane holds E0, E1
+        ]
+        while len(frames) < 12:
+            try:
+                tet = Tetrahedron(tuple(random_point(rng) for _ in range(4)), random_point(rng))
+            except ValueError:
+                continue
+            i, j = rng.sample(range(4), 2)
+            frames.append(tet.edge_frame(i, j))
+        return frames
+
+    def test_aux_index_and_off_plane_witnesses_first(self):
+        basis = (E0, E1, E2, E3)
+        for frame in self.frames():
+            k = frame.aux_index
+            assert rank_of_points((frame.zero, frame.infinity, basis[k])) == 3
+            assert all(contains_point(frame.line(), basis[m]) for m in range(k))
+            assert sorted(frame.line_planes.order) == [0, 1, 2, 3]
+            plane = join_points(frame.zero, frame.infinity, basis[k])
+            off = [m for m in frame.line_planes.order if not contains_point(plane, basis[m])]
+            assert list(frame.line_planes.order[: len(off)]) == off
+
+    def test_one_meet_per_line_meet_line(self, monkeypatch):
+        spent = []  # meets of each line_meet_line call, in call order
+        real_line_meet_line, real_meet = constructions.line_meet_line, constructions.meet
+
+        def counting_line_meet_line(*args, **kwargs):
+            spent.append(0)
+            try:
+                return real_line_meet_line(*args, **kwargs)
+            finally:
+                spent.append(None)
+
+        def counting_meet(a, b):
+            if spent and spent[-1] is not None:
+                spent[-1] += 1
+            return real_meet(a, b)
+
+        monkeypatch.setattr(constructions, "line_meet_line", counting_line_meet_line)
+        monkeypatch.setattr(constructions, "meet", counting_meet)
+        rng = seeded("witness-order-meets")
+        for shared in self.frames():
+            # a fresh frame builds its scaffold, and with it p1' and c2, here
+            frame = LineFrame(shared.zero, shared.infinity, shared.unit)
+            spent.clear()
+            x, y = (Fraction(rng.choice((-1, 1)) * rng.randint(2, 9), rng.randint(1, 9)) for _ in "xy")
+            px, py = point_at_parameter(frame, x), point_at_parameter(frame, y)
+            product = von_staudt_product(frame, px, py)
+            inverse = von_staudt_inverse(frame, px)
+            assert parameter_of(frame, product) == x * y
+            assert parameter_of(frame, inverse) == 1 / x
+            meets = [n for n in spent if n is not None]
+            # product: p1', py', b, result; inverse: c1, a, c2, result
+            assert len(meets) == 8
+            assert meets == [1] * 8
+
+
 class TestTetrahedron:
     def test_unit_on_face_rejected(self):
         with pytest.raises(ValueError):
@@ -417,13 +511,13 @@ class TestTetrahedron:
             Tetrahedron((E0, E1, E2, Point((1, 1, 0, 0))), ONES)
 
     def test_edge_frame_unit(self):
-        tet = Tetrahedron.standard()
+        tet = standard_tetrahedron()
         frame = tet.edge_frame(0, 1)
         assert frame.zero == E0 and frame.infinity == E1
         assert frame.unit == Point((1, 1, 0, 0))
 
     def test_edge_frame_reversed_orientation(self):
-        tet = Tetrahedron.standard()
+        tet = standard_tetrahedron()
         frame = tet.edge_frame(2, 0)
         assert frame.zero == E2 and frame.infinity == E0
         assert frame.unit == Point((1, 0, 1, 0))

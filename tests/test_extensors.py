@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import points, random_fraction, random_point, seeded
+from reference_geometry import plucker_residual
+from quadricheck import extensors
 from quadricheck.extensors import (
     Extensor,
     GradeOverflow,
@@ -21,7 +23,6 @@ from quadricheck.extensors import (
     meet,
     plane_form,
     plane_through,
-    plucker_residual,
     scalar_of,
     support_basis,
 )
@@ -181,6 +182,71 @@ class TestAgainstDirectDefinitions:
                 if j + k <= 4:
                     assert same_coefficients(join(a, b).coeffs, reference_join(a, b))
                 assert same_coefficients(meet(a, b).coeffs, reference_meet(a, b))
+
+
+class TestGeneratedKernels:
+    """Each straight-line kernel generated at import equals the table loop
+    it was generated from, in value and type, on int factors."""
+
+    @staticmethod
+    def int_factor_pairs(rng, j, k):
+        # every pair of basis extensors isolates one table entry
+        for ia in range(len(SUBSETS[j])):
+            for ib in range(len(SUBSETS[k])):
+                yield (
+                    Extensor(j, [int(i == ia) for i in range(len(SUBSETS[j]))]),
+                    Extensor(k, [int(i == ib) for i in range(len(SUBSETS[k]))]),
+                )
+        for kind in ("int", "sparse"):
+            for _ in range(10):
+                yield random_extensor(rng, j, kind), random_extensor(rng, k, kind)
+        wide = [rng.randint(-(2**200), 2**200) for _ in range(len(SUBSETS[j]))]
+        yield Extensor(j, wide), random_extensor(rng, k, "int")
+        yield Extensor.zero(j), random_extensor(rng, k, "int")
+
+    def test_join_kernels(self):
+        rng = seeded("kernels-join")
+        assert set(extensors._JOIN_KERNELS) == set(extensors._JOIN)
+        assert len(extensors._JOIN) == 15
+        for (j, k), table in extensors._JOIN.items():
+            for a, b in self.int_factor_pairs(rng, j, k):
+                got = extensors._JOIN_KERNELS[j, k](a.coeffs, b.coeffs)
+                want = extensors._bilinear(table, a.coeffs, b.coeffs, j + k)
+                assert type(got) is tuple and same_coefficients(got, want)
+                assert same_coefficients(join(a, b).coeffs, want)
+
+    def test_meet_kernels(self):
+        """Grades summing to 4 or more have a table and a kernel; the other
+        ten pairs meet in the int scalar 0 without either."""
+        rng = seeded("kernels-meet")
+        assert set(extensors._MEET_KERNELS) == set(extensors._MEET)
+        seen = set()
+        for j in range(5):
+            for k in range(5):
+                table = extensors._MEET.get((j, k))
+                for a, b in self.int_factor_pairs(rng, j, k):
+                    if table is None:
+                        want = (0,)
+                    else:
+                        got = extensors._MEET_KERNELS[j, k](a.coeffs, b.coeffs)
+                        want = extensors._bilinear(table, a.coeffs, b.coeffs, j + k - 4)
+                        assert type(got) is tuple and same_coefficients(got, want)
+                    assert same_coefficients(meet(a, b).coeffs, want)
+                seen.add((j, k))
+        assert len(seen) == 25 and len(extensors._MEET) == 15
+
+    def test_only_int_factors_take_the_kernels(self, monkeypatch):
+        def no_loop(*args):
+            raise AssertionError("table loop used")
+
+        monkeypatch.setattr(extensors, "_bilinear", no_loop)
+        line = join_points(Point((1, 2, 0, 3)), Point((0, 1, 5, -2)))
+        plane = join_points(E0, E1, Point((1, 1, 1, 1)))
+        assert not meet(line, plane).is_zero()
+        with pytest.raises(AssertionError, match="table loop"):
+            join(line.scale(Fraction(1, 2)), from_point(E2))
+        with pytest.raises(AssertionError, match="table loop"):
+            meet(line, plane.scale(Fraction(1, 3)))
 
 
 class TestJoin:

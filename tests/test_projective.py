@@ -27,6 +27,7 @@ from quadricheck.projective import (
     kernel_basis,
     param_inv,
     param_mul,
+    parse_rational,
     rank_of_points,
     rank_of_vectors,
 )
@@ -207,6 +208,32 @@ class TestPoint:
 
     def test_fraction_strings(self):
         assert Point.from_strings(["-3/7", "1", "0", "2/5"]).coords == (15, -35, 0, -14)
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("text", ["7", "-0", "+3", " 4 ", "3/4", "1.5", "-12/8", "\u0661"])
+    def test_agrees_with_fraction_in_value(self, text):
+        assert parse_rational(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", ["7", "-0", "-123456789012345678901234567890"])
+    def test_plain_integers_parse_to_int(self, text):
+        assert type(parse_rational(text)) is int
+
+    @pytest.mark.parametrize("text", ["+3", " 4 ", "3/4", "1.5", "4/2", "\u0661"])
+    def test_other_accepted_strings_parse_to_fraction(self, text):
+        assert type(parse_rational(text)) is Fraction
+
+    @pytest.mark.parametrize("text", ["", "abc", "1/0", "-", "7 7"])
+    def test_rejects_as_fraction_does(self, text):
+        with pytest.raises(Exception) as want:
+            Fraction(text)
+        with pytest.raises(want.type):
+            parse_rational(text)
+
+    def test_readers_keep_integer_strings_int(self):
+        assert all(type(c) is int for c in Point.from_strings(["4", "-6", "0", "2"]).coords)
+        q = QuadricCoeffs.from_strings([str(k) for k in range(1, 11)])
+        assert q.coeffs == tuple(range(1, 11))
 
 
 class TestBracket:
