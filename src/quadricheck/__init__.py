@@ -14,8 +14,16 @@ from .generic_case import (
     construct_test_point,
     decide_generic,
 )
-from .oracle import oracle_decide, quadric_through, sample_generic, sample_on_quadric
-from .projective import INFINITY, Point, QuadricCoeffs, Transform, bracket, cross_ratio
+from .oracle import oracle_decide, sample_generic, sample_on_quadric
+from .projective import (
+    INFINITY,
+    Point,
+    QuadricCoeffs,
+    Transform,
+    bracket,
+    cross_ratio,
+    quadric_through,
+)
 from .reductions import decide, normalize
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
 """Algebraic ground truth: the 10x10 matrix of degree-2 monomials, its exact
-determinant, kernel-based quadric recovery, and seeded test-data samplers.
+determinant, and seeded test-data samplers.
 
 Rows follow the point labels; columns follow the quadric monomial order
 x², xy, xz, xw, y², yz, yw, z², zw, w².  Canonical points have integer
@@ -13,20 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .projective import (
-    MONOMIALS,
     Point,
     QuadricCoeffs,
     Transform,
     bareiss_det,
-    kernel_basis,
-    rank_of_vectors,
+    veronese_row,
 )
-
-
-def veronese_row(p: Point):
-    """The ten degree-2 monomials of the canonical coordinates."""
-    v = p.coords
-    return tuple(v[i] * v[j] for i, j in MONOMIALS)
 
 
 @dataclass(frozen=True)
@@ -51,20 +43,6 @@ def oracle_det(points):
 def oracle_decide(points) -> bool:
     """True iff the ten points lie on a common quadric: det(N) = 0 exactly."""
     return oracle_det(points) == 0
-
-
-def quadric_through(points):
-    """Exact basis of the quadrics vanishing at all the given points."""
-    rows = [veronese_row(p) for p in points]
-    vectors = kernel_basis(rows) if rows else [
-        tuple(1 if i == j else 0 for i in range(10)) for j in range(10)
-    ]
-    return [QuadricCoeffs(v) for v in vectors]
-
-
-def quadric_space_dimension(points) -> int:
-    rows = [veronese_row(p) for p in points]
-    return 10 - rank_of_vectors(rows) if rows else 10
 
 
 # ---------------------------------------------------------------------------

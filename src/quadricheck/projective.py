@@ -4,10 +4,12 @@ Points carry canonical integer coordinates (coprime, first nonzero entry
 positive), so point equality is tuple equality and every determinant built
 from canonical points is plain integer arithmetic.  Local parameters on a
 line live in Q together with a single tagged INFINITY value.  Rank, kernel,
-linear solves, determinants and transform inverses all read one
-fraction-free (Bareiss) echelon form, computed by `_echelon`.  The
-incidences of a configuration (collinear triples, vanishing brackets,
-planar conic charts) are read through one memoizing `IncidenceTable`.
+linear solves and determinants all read one fraction-free (Bareiss)
+echelon form, computed by `_echelon`.  The incidences of a configuration
+(collinear triples, vanishing brackets, planar conic charts and their left
+kernels) are read through one memoizing `IncidenceTable`.  The quadrics
+through a set of points are the kernel of their Veronese rows,
+`quadric_through`; the special exits take their certificates from it.
 """
 
 from __future__ import annotations
@@ -51,14 +53,6 @@ class _Infinity:
 
 
 INFINITY = _Infinity()
-
-
-def param_inv(x):
-    """1/x on Q ∪ {INFINITY}: sends 0 to INFINITY and INFINITY to 0."""
-    if x is INFINITY:
-        return Fraction(0)
-    x = Fraction(x)
-    return INFINITY if x == 0 else 1 / x
 
 
 def param_mul(x, y):
@@ -189,6 +183,8 @@ def bracket(a: Point, b: Point, c: Point, d: Point):
 
 def _det_any(*columns):
     k = len(columns[0])
+    if k == 1:
+        return columns[0][0]
     if k == 2:
         return det2(*columns)
     if k == 3:
@@ -280,12 +276,21 @@ def kernel_basis(rows):
     if not a:
         raise ValueError("kernel_basis needs the column count from its rows")
     cols = len(a[0])
+    # The last pivot d is the determinant of the pivot columns of the first
+    # rank rows of the cleared, row-swapped matrix, and those rows span its
+    # row space; by Cramer's rule d·x is an integer vector, so every
+    # division below is exact.
+    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []
     for fc in range(cols):
         if fc not in pivots:
-            # x solves A·x = column fc, so x − e_fc lies in the kernel
-            x = _back_substitute(a, pivots, fc, cols)
-            x[fc] = -1
+            # x solves A·x = column fc, so d·(x − e_fc) lies in the kernel
+            x = [0] * cols
+            for r in reversed(range(len(pivots))):
+                row = a[r]
+                rhs = d * row[fc] - sum(row[c] * x[c] for c in pivots[r + 1 :])
+                x[pivots[r]] = rhs // row[pivots[r]]
+            x[fc] = -d
             basis.append(_canonical_ints(x))
     return basis
 
@@ -329,11 +334,26 @@ def _dependent(points) -> bool:
 
 def _conic_row(basis, p: Point):
     """The CONIC_MONOMIALS of p's coordinates in the basis of three points
-    spanning a plane through p, cleared to integers."""
-    c = coordinates_in_basis(basis, p)
-    mult = lcm(*(f.denominator for f in c))
-    v = [f.numerator * (mult // f.denominator) for f in c]
-    return tuple(v[i] * v[j] for i, j in CONIC_MONOMIALS)
+    spanning a plane through p, cleared to integers by the lcm of their
+    reduced denominators.
+
+    By Cramer's rule on the first nonzero 3x3 minor D of the basis, the
+    coordinates are D_i / D, where D_i replaces column i of D by p; the lcm
+    of their reduced denominators is |D| / gcd(D, D_0, D_1, D_2), so the
+    cleared coordinates are sign(D)·D_i / gcd(D, D_0, D_1, D_2).
+    """
+    for rows in _MINOR_ROWS:
+        ca, cb, cc = ([q.coords[r] for r in rows] for q in basis)
+        d = det3(ca, cb, cc)
+        if d:
+            break
+    cp = [p.coords[r] for r in rows]
+    minors = (det3(cp, cb, cc), det3(ca, cp, cc), det3(ca, cb, cp))
+    g = gcd(d, *minors)
+    if d < 0:
+        g = -g
+    x = [m // g for m in minors]
+    return tuple(x[i] * x[j] for i, j in CONIC_MONOMIALS)
 
 
 class _Dependence(dict):
@@ -356,9 +376,12 @@ class IncidenceTable:
 
     - whether a triple is collinear (its join vanishes);
     - whether a bracket vanishes;
-    - one planar chart per plane read through `conic_det`: the
-      conic-monomial row of every point of the configuration on that plane,
-      in the basis of its first independent triple.
+    - one planar chart per plane read through `conic_det` or
+      `on_a_conic`: the conic-monomial row of every point of the
+      configuration on that plane, in the basis of its first independent
+      triple;
+    - one basis K of the left kernel {y : yA = 0} of each such chart A,
+      read through `on_a_conic`.
 
     Entries are keyed by the bitmask of the points' indices.  Everything
     else is derived from them:
@@ -372,6 +395,17 @@ class IncidenceTable:
       another basis of the plane changes the coordinates by an invertible
       3x3 matrix A and every conic row by the invertible symmetric square
       of A, and scaling a row scales the determinant by a nonzero factor.
+    - Six points S of a plane holding n >= 6 of the points, with chart A
+      (n x 6), lie on a conic iff rank A < 6 or the (n-6) x (n-6) minor of
+      K on the columns outside S vanishes.  The 6 x 6 block A_S is
+      singular iff its rows are dependent, iff some y != 0 supported on S
+      has yA = 0.  If rank A < 6, every A_S is singular.  Otherwise K has
+      n - 6 independent rows and every such y is zK for one z != 0; it
+      vanishes outside S iff z annihilates the square block of K on the
+      columns outside S, and such a z exists iff that block is singular.
+      For n = 6 the block is empty, with determinant 1.  (This is the
+      duality of the Plücker coordinates of a row space and of its
+      annihilator; Hodge and Pedoe, Methods of Algebraic Geometry I.)
 
     `relabeled(labeling)` is a view of the same entries in which index r
     names the point labeling.perm[r], so a relabeled configuration reads
@@ -384,6 +418,7 @@ class IncidenceTable:
         self._bits = [1 << n for n in range(len(self._points))]
         self._dependent = _Dependence(self._points)
         self._charts = {}  # mask of a plane -> {bit of a point on it: conic row}
+        self._kernels = {}  # mask of a plane -> {bit: column of K}, or None
 
     def relabeled(self, labeling) -> "IncidenceTable":
         view = copy(self)
@@ -428,6 +463,42 @@ class IncidenceTable:
         if any(bit not in rows for bit in bits):
             raise ValueError("point is not in the plane of the basis")
         return bareiss_det([rows[bit] for bit in bits])
+
+    def on_a_conic(self, indices) -> bool:
+        """Whether six coplanar points lie on a conic of their plane: the
+        same answer as conic_det(indices) == 0, read from one left kernel
+        of the plane's chart.  Raises ValueError when they are collinear or
+        not coplanar."""
+        bits = [self._bits[i] for i in indices]
+        if len(bits) != 6:
+            raise ValueError("a conic is tested on six points")
+        basis = self._first_independent(bits)
+        if basis is None:
+            raise ValueError("the six points are collinear")
+        mask = bits[0] | bits[1] | bits[2] | bits[3] | bits[4] | bits[5]
+        # six points that are not collinear span one plane, so a memoized
+        # plane holding all six is theirs
+        for plane, kernel in self._kernels.items():
+            if mask & plane == mask:
+                break
+        else:
+            plane = self._plane(basis[0] | basis[1] | basis[2])
+            if mask & plane != mask:
+                raise ValueError("point is not in the plane of the basis")
+            kernel = self._kernels[plane] = self._left_kernel(plane)
+        if kernel is None:
+            return True
+        outside = [column for bit, column in kernel.items() if not mask & bit]
+        return bool(outside) and _det_any(*outside) == 0
+
+    def _left_kernel(self, plane):
+        """The columns of the left kernel basis of a plane's chart, keyed by
+        point bit; None when the chart has rank below 6."""
+        rows = self._chart(plane)
+        kernel = kernel_basis(list(zip(*rows.values())))
+        if len(kernel) > len(rows) - 6:
+            return None
+        return dict(zip(rows, zip(*kernel)))
 
     def _first_independent(self, bits):
         """The first triple of the points with these bits that is not collinear."""
@@ -530,17 +601,6 @@ class Transform:
     def identity(cls):
         return cls(tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4)))
 
-    @classmethod
-    def from_columns(cls, columns):
-        return cls(tuple(tuple(col[i] for col in columns) for i in range(4)))
-
-    def inverse(self) -> "Transform":
-        a, pivots, _ = _echelon(
-            [list(row) + [int(i == j) for j in range(4)] for i, row in enumerate(self.matrix)]
-        )
-        cols = [_back_substitute(a, pivots, 4 + j, 4) for j in range(4)]
-        return Transform(tuple(tuple(col[i] for col in cols) for i in range(4)))
-
 
 MONOMIALS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
@@ -568,3 +628,19 @@ class QuadricCoeffs:
     @classmethod
     def from_strings(cls, items):
         return cls(tuple(parse_rational(s) for s in items))
+
+
+def veronese_row(p: Point):
+    """The ten degree-2 monomials of the canonical coordinates."""
+    v = p.coords
+    return tuple(v[i] * v[j] for i, j in MONOMIALS)
+
+
+def quadric_through(points):
+    """Exact basis of the quadrics vanishing at all the given points: the
+    kernel of their Veronese rows."""
+    rows = [veronese_row(p) for p in points]
+    vectors = kernel_basis(rows) if rows else [
+        tuple(1 if i == j else 0 for i in range(10)) for j in range(10)
+    ]
+    return [QuadricCoeffs(v) for v in vectors]

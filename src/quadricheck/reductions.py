@@ -43,12 +43,13 @@ from .extensors import (
     scalar_of,
     support_basis,
 )
-from .oracle import oracle_decide, quadric_through
+from .oracle import oracle_decide
 from .projective import (
     IncidenceTable,
     Point,
     bracket,
     kernel_basis,
+    quadric_through,
     rank_of_points,
 )
 
@@ -86,13 +87,6 @@ def qd_four_collinear(points, table=None):
     return None
 
 
-def planar_conic_det(six):
-    """6x6 determinant of the planar degree-2 monomials in a basis of the
-    first independent triple; zero iff the six coplanar points lie on a
-    conic.  Whether it is zero is independent of the basis choice."""
-    return IncidenceTable(six).conic_det(range(len(six)))
-
-
 def pascal_collinear(six):
     """Whether 05 ∩ 23, 01 ∩ 34 and 45 ∩ 12 are collinear; None when a line
     pair coincides (only possible with four collinear points)."""
@@ -117,7 +111,7 @@ def qd_six_on_plane_conic(points, table=None):
         if not table.on_a_plane(subset):
             continue
         on_line = table.on_a_line(subset)
-        if on_line or table.conic_det(subset) == 0:
+        if on_line or table.on_a_conic(subset):
             if not on_line:
                 check = pascal_collinear([points[i] for i in subset])
                 if check is False:

@@ -2,6 +2,7 @@
 against: Q as a coordinate polynomial, the Ceva-style incidence scalar
 [0123]^2 * Q, and the isomorphism tau onto the tetrahedron 6789."""
 
+from reference_geometry import transform_from_columns
 from quadricheck.extensors import line_through, meet, plane_through
 from quadricheck.projective import GeometryError, Transform, bracket, det4
 
@@ -40,4 +41,4 @@ def ceva_incidence_check(points):
 def tau_transform(points) -> Transform:
     """The isomorphism sending the standard basis and [1:1:1:1] to points
     6, 7, 8, 9 and the global unit."""
-    return Transform.from_columns([points[i].coords for i in range(6, 10)])
+    return transform_from_columns([points[i].coords for i in range(6, 10)])

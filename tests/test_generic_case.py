@@ -9,6 +9,7 @@ from generic_reference import (
     q_coordinate_polynomial,
     tau_transform,
 )
+from reference_geometry import transform_from_columns, transform_inverse
 from quadricheck import constructions, generic_case
 from quadricheck.constructions import (
     ConstructionTrace,
@@ -38,7 +39,6 @@ from quadricheck.projective import (
     ONES,
     Point,
     STANDARD_BASIS,
-    Transform,
     bracket,
 )
 from quadricheck.reductions import decide
@@ -81,7 +81,7 @@ class TestComputeQ:
             if bracket(*pts[:4]) == 0:
                 continue
             done += 1
-            to_basis = Transform.from_columns([p.coords for p in pts[:4]]).inverse()
+            to_basis = transform_inverse(transform_from_columns([p.coords for p in pts[:4]]))
             moved = [to_basis.apply(p) for p in pts]
             assert moved[:4] == list(STANDARD_BASIS)
             assert compute_Q(moved) == q_coordinate_polynomial(

@@ -1,23 +1,30 @@
+import ast
 import random
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import seeded
+from reference_geometry import quadric_space_dimension
+from quadricheck import constructions, generic_case, reductions
 from quadricheck.oracle import (
     SEGRE_QUADRIC,
     VeroneseMatrix,
     oracle_decide,
     oracle_det,
-    quadric_space_dimension,
-    quadric_through,
     random_transform,
     sample_generic,
     sample_on_quadric,
     segre_point,
+)
+from quadricheck.projective import (
+    Point,
+    bareiss_det,
+    quadric_through,
+    rank_of_vectors,
     veronese_row,
 )
-from quadricheck.projective import Point, bareiss_det, rank_of_vectors
 
 
 def naive_det(matrix):
@@ -145,3 +152,27 @@ class TestBareiss:
     def test_matrix_wrapper(self):
         pts = sample_generic("vm", 10, bound=10)
         assert VeroneseMatrix.of(pts).det() == oracle_det(pts)
+
+
+def names_from_oracle(module):
+    """What the module's source imports from the oracle: each name of a
+    `from ...oracle import`, and "oracle" for an import of the module."""
+    names = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("oracle", "quadricheck.oracle"):
+                names += [alias.name for alias in node.names]
+            elif node.module in (None, "quadricheck"):
+                names += [alias.name for alias in node.names if alias.name == "oracle"]
+        elif isinstance(node, ast.Import):
+            names += ["oracle" for alias in node.names if alias.name == "quadricheck.oracle"]
+    return names
+
+
+class TestIndependence:
+    def test_pipeline_takes_nothing_from_the_oracle(self):
+        # the certificates come from projective.quadric_through; reductions
+        # keeps oracle_decide only for its last-resort safety net
+        assert names_from_oracle(generic_case) == []
+        assert names_from_oracle(constructions) == []
+        assert names_from_oracle(reductions) == ["oracle_decide"]

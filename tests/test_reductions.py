@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 
 from conftest import random_point, seeded
+from reference_geometry import conic_planes, planar_conic_det
 from quadricheck import fixtures, projective
 from quadricheck.constructions import line_meet_line
 from quadricheck.decision import (
@@ -48,7 +49,6 @@ from quadricheck.reductions import (
     find_three_skew,
     normalize,
     pascal_collinear,
-    planar_conic_det,
     qd_duplicates,
     qd_four_collinear,
     qd_six_on_plane_conic,
@@ -882,6 +882,33 @@ class TestIncidenceTable:
                         assert (got == 0) == (want == 0), (name, subset)
                         assert planar_conic_det(six) == want
         assert coplanar_sixes > 3 * 210
+
+    def test_on_a_conic_matches_determinants(self, incidence_inputs):
+        _, labelings = incidence_inputs
+        configs = [(kind, fixtures.generate_branch(kind, 1), None) for kind in fixtures.GENERATED_KINDS]
+        configs += conic_planes()
+        tested = 0
+        for name, points, want_hits in configs:
+            table = IncidenceTable(points)
+            for labeling in labelings:
+                view = table.relabeled(labeling)
+                pts = labeling.apply(points)
+                hits = 0
+                for subset in combinations(range(10), 6):
+                    if not view.on_a_plane(subset) or view.on_a_line(subset):
+                        want = outcome(view.conic_det, subset)
+                        assert outcome(view.on_a_conic, subset) == want, (name, subset)
+                        continue
+                    got = view.on_a_conic(subset)
+                    assert got == (view.conic_det(subset) == 0), (name, subset)
+                    assert got == (ref_planar_conic_det([pts[i] for i in subset]) == 0), (name, subset)
+                    hits += got
+                    tested += 1
+                if want_hits is not None:
+                    assert hits == want_hits, name
+            with pytest.raises(ValueError, match="six points"):
+                table.on_a_conic(range(7))
+        assert tested > 6 * 210
 
     def test_exits_match_direct_scans(self, incidence_inputs):
         configs, labelings = incidence_inputs
