@@ -51,10 +51,6 @@ class Labeling:
         """Labeling that first applies self, then inner on the result."""
         return Labeling(tuple(self.perm[inner.perm[r]] for r in range(10)))
 
-    @classmethod
-    def identity(cls):
-        return cls(tuple(range(10)))
-
 
 @dataclass(frozen=True)
 class PlanePair:

@@ -5,17 +5,18 @@ shuffle formula, extended bilinearly from basis extensors.  Coefficients
 are indexed by lexicographically sorted subsets of {0,1,2,3}, and the
 grade-4 extensor e0e1e2e3 is identified with the scalar 1.  The sign of
 every basis product is computed once, at import, into one table per pair
-of grades; join, meet and support_basis only read those tables.  From the
-same tables, import also generates one straight-line function per pair of
-grades, which join and meet run when every coefficient is an int.
+of grades; support_basis reads them, and from the same tables import
+generates one straight-line function per pair of grades, which join and
+meet run.  Coefficients are always ints: points have canonical integer
+coordinates, the kernels only add and multiply, and Extensor(...) refuses
+any other type.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
 
-from .projective import _INT_ONLY, GeometryError, Point, parse_rational
+from .projective import GeometryError, Point, _canonical_ints
 
 SUBSETS = {k: tuple(combinations(range(4), k)) for k in range(5)}
 _INDEX = {k: {s: i for i, s in enumerate(SUBSETS[k])} for k in range(5)}
@@ -72,21 +73,6 @@ _JOIN = {(j, k): _join_table(j, k) for j in range(5) for k in range(5 - j)}
 _MEET = {(j, k): _meet_table(j, k) for j in range(5) for k in range(4 - j, 5)}
 
 
-def _bilinear(table, ca_all, cb_all, grade):
-    """Output coefficients of the bilinear product a table describes; zero
-    coefficients of either factor contribute nothing and are skipped."""
-    out = [0] * len(SUBSETS[grade])
-    for ia, ib, io, sign in table:
-        ca = ca_all[ia]
-        if ca == 0:
-            continue
-        cb = cb_all[ib]
-        if cb == 0:
-            continue
-        out[io] += sign * ca * cb
-    return tuple(out)
-
-
 def _kernel_source(name, table, j, k, grade):
     """Source of a function computing the bilinear product `table`
     describes as one sum of products per output coefficient, in table
@@ -131,7 +117,8 @@ class NotSkew(GeometryError):
 
 
 class Extensor:
-    """A grade-k element of the exterior algebra, k = 0..4."""
+    """A grade-k element of the exterior algebra, k = 0..4, with int
+    coefficients."""
 
     __slots__ = ("grade", "coeffs")
 
@@ -141,6 +128,8 @@ class Extensor:
         coeffs = tuple(coeffs)
         if len(coeffs) != len(SUBSETS[grade]):
             raise ValueError(f"grade-{grade} extensor needs {len(SUBSETS[grade])} coefficients")
+        if any(type(c) is not int for c in coeffs):
+            raise ValueError("extensor coefficients must be ints")
         object.__setattr__(self, "grade", grade)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -154,28 +143,12 @@ class Extensor:
     def is_zero(self):
         return not any(self.coeffs)
 
-    def scale(self, factor):
-        return Extensor(self.grade, tuple(factor * c for c in self.coeffs))
-
     def canonical(self):
         """Scale-normalized copy: coprime integer coefficients, first
         nonzero positive.  Zero extensors are returned unchanged."""
         if self.is_zero():
-            return Extensor.zero(self.grade)
-        ints = [int(c) for c in self.coeffs]
-        if any(c != ic for c, ic in zip(self.coeffs, ints)):
-            from fractions import Fraction
-            from math import lcm
-
-            fr = [Fraction(c) for c in self.coeffs]
-            mult = lcm(*(f.denominator for f in fr))
-            ints = [int(f * mult) for f in fr]
-        g = gcd(*ints)
-        ints = [c // g for c in ints]
-        first = next(c for c in ints if c != 0)
-        if first < 0:
-            ints = [-c for c in ints]
-        return Extensor(self.grade, tuple(ints))
+            return self
+        return _trusted(self.grade, _canonical_ints(self.coeffs))
 
     def __eq__(self, other):
         return (
@@ -200,7 +173,7 @@ class Extensor:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["grade"]), tuple(parse_rational(c) for c in data["coeffs"]))
+        return cls(int(data["grade"]), tuple(int(c) for c in data["coeffs"]))
 
 
 _set_grade = Extensor.grade.__set__
@@ -210,7 +183,8 @@ _set_coeffs = Extensor.coeffs.__set__
 def _trusted(grade, coeffs: tuple) -> Extensor:
     """An Extensor built without the checks of Extensor(...), for a grade
     and coefficient tuple that are right by construction: the product of
-    two extensors, or the coordinates of a point of P^3."""
+    two extensors, the canonical form of one, or the coordinates of a point
+    of P^3."""
     e = object.__new__(Extensor)
     _set_grade(e, grade)
     _set_coeffs(e, coeffs)
@@ -240,7 +214,7 @@ def join(a: Extensor, b: Extensor) -> Extensor:
     grade = a.grade + b.grade
     if grade > 4:
         raise GradeOverflow(f"grades {a.grade} + {b.grade} exceed 4")
-    return _trusted(grade, _product(_JOIN_KERNELS, _JOIN, a, b, grade))
+    return _trusted(grade, _JOIN_KERNELS[a.grade, b.grade](a.coeffs, b.coeffs))
 
 
 def join_points(*points) -> Extensor:
@@ -276,18 +250,7 @@ def meet(a: Extensor, b: Extensor) -> Extensor:
     grade = a.grade + b.grade - 4
     if grade < 0:
         return Extensor.zero(0)
-    return _trusted(grade, _product(_MEET_KERNELS, _MEET, a, b, grade))
-
-
-def _product(kernels, tables, a, b, grade):
-    """Coefficients of a join or meet: the generated kernel when every
-    coefficient is an int, else the table loop, which keeps an int 0 where
-    no nonzero pair contributes (a straight-line sum of Fractions would
-    give Fraction(0))."""
-    ca, cb = a.coeffs, b.coeffs
-    if _INT_ONLY.issuperset(map(type, ca + cb)):
-        return kernels[a.grade, b.grade](ca, cb)
-    return _bilinear(tables[a.grade, b.grade], ca, cb, grade)
+    return _trusted(grade, _MEET_KERNELS[a.grade, b.grade](a.coeffs, b.coeffs))
 
 
 def support_basis(e: Extensor):

@@ -14,7 +14,6 @@ through a set of points are the kernel of their Veronese rows,
 
 from __future__ import annotations
 
-import re
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,18 +62,6 @@ def param_mul(x, y):
             raise InfinityProduct("0 * INFINITY is undefined")
         return INFINITY
     return Fraction(x) * Fraction(y)
-
-
-_INTEGER = re.compile(r"-?[0-9]+")
-
-
-def parse_rational(text):
-    """A rational from its string: an int when the text is an optionally
-    negated run of ASCII digits, else whatever Fraction(text) gives (or
-    raises)."""
-    if type(text) is str and _INTEGER.fullmatch(text):
-        return int(text)
-    return Fraction(text)
 
 
 _INT_ONLY = frozenset((int,))
@@ -133,7 +120,9 @@ class Point:
 
     @classmethod
     def from_strings(cls, items):
-        return cls(parse_rational(s) for s in items)
+        """The point of to_strings' integer strings; ValueError on any
+        other text."""
+        return cls(int(s) for s in items)
 
 
 E0 = Point((1, 0, 0, 0))
@@ -376,10 +365,9 @@ class IncidenceTable:
 
     - whether a triple is collinear (its join vanishes);
     - whether a bracket vanishes;
-    - one planar chart per plane read through `conic_det` or
-      `on_a_conic`: the conic-monomial row of every point of the
-      configuration on that plane, in the basis of its first independent
-      triple;
+    - one planar chart per plane read through `on_a_conic`: the
+      conic-monomial row of every point of the configuration on that
+      plane, in the basis of its first independent triple;
     - one basis K of the left kernel {y : yA = 0} of each such chart A,
       read through `on_a_conic`.
 
@@ -451,29 +439,17 @@ class IncidenceTable:
                 return False
         return True
 
-    def conic_det(self, indices):
-        """Determinant of the conic rows of six coplanar points in the chart
-        of their plane: zero iff they lie on a conic of that plane.  Raises
-        ValueError when they are collinear or not coplanar."""
-        bits = [self._bits[i] for i in indices]
-        basis = self._first_independent(bits)
-        if basis is None:
-            raise ValueError("the six points are collinear")
-        rows = self._chart(self._plane(basis[0] | basis[1] | basis[2]))
-        if any(bit not in rows for bit in bits):
-            raise ValueError("point is not in the plane of the basis")
-        return bareiss_det([rows[bit] for bit in bits])
-
     def on_a_conic(self, indices) -> bool:
-        """Whether six coplanar points lie on a conic of their plane: the
-        same answer as conic_det(indices) == 0, read from one left kernel
-        of the plane's chart.  Raises ValueError when they are collinear or
-        not coplanar."""
-        bits = [self._bits[i] for i in indices]
+        """Whether six coplanar points lie on a conic of their plane (their
+        conic rows in the plane's chart have a zero determinant), read from
+        one left kernel of the chart.  Raises ValueError when they are
+        collinear or not coplanar."""
+        b = self._bits
+        bits = [b[i] for i in indices]
         if len(bits) != 6:
             raise ValueError("a conic is tested on six points")
-        basis = self._first_independent(bits)
-        if basis is None:
+        triple = self.first_independent(indices)
+        if triple is None:
             raise ValueError("the six points are collinear")
         mask = bits[0] | bits[1] | bits[2] | bits[3] | bits[4] | bits[5]
         # six points that are not collinear span one plane, so a memoized
@@ -482,7 +458,7 @@ class IncidenceTable:
             if mask & plane == mask:
                 break
         else:
-            plane = self._plane(basis[0] | basis[1] | basis[2])
+            plane = self._plane(b[triple[0]] | b[triple[1]] | b[triple[2]])
             if mask & plane != mask:
                 raise ValueError("point is not in the plane of the basis")
             kernel = self._kernels[plane] = self._left_kernel(plane)
@@ -500,10 +476,13 @@ class IncidenceTable:
             return None
         return dict(zip(rows, zip(*kernel)))
 
-    def _first_independent(self, bits):
-        """The first triple of the points with these bits that is not collinear."""
-        dependent = self._dependent
-        return next((t for t in combinations(bits, 3) if not dependent[t[0] | t[1] | t[2]]), None)
+    def first_independent(self, indices):
+        """The first triple of the indices, in combinations order, whose
+        points are not collinear; None when every triple is."""
+        return next((t for t in combinations(indices, 3) if not self.collinear(*t)), None)
+
+    def _point(self, i):
+        return self._points[self._bits[i].bit_length() - 1]
 
     def _plane(self, triple):
         """Mask of every point on the plane of an independent triple."""
@@ -517,10 +496,12 @@ class IncidenceTable:
     def _chart(self, plane):
         rows = self._charts.get(plane)
         if rows is None:
-            on = [n for n in range(len(self._points)) if plane >> n & 1]
-            triple = self._first_independent([1 << n for n in on])
-            basis = [self._points[bit.bit_length() - 1] for bit in triple]
-            rows = {1 << n: _conic_row(basis, self._points[n]) for n in on}
+            # the plane's points by index of this view, in the order of the
+            # points, so every view picks the same basis
+            b = self._bits
+            on = sorted((i for i in range(len(b)) if plane & b[i]), key=b.__getitem__)
+            basis = [self._point(i) for i in self.first_independent(on)]
+            rows = {b[i]: _conic_row(basis, self._point(i)) for i in on}
             self._charts[plane] = rows
         return rows
 
@@ -597,10 +578,6 @@ class Transform:
     def apply(self, p: Point) -> Point:
         return Point(self.apply_vector(p.coords))
 
-    @classmethod
-    def identity(cls):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4)))
-
 
 MONOMIALS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
@@ -624,10 +601,6 @@ class QuadricCoeffs:
 
     def to_strings(self):
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items):
-        return cls(tuple(parse_rational(s) for s in items))
 
 
 def veronese_row(p: Point):

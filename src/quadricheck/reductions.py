@@ -260,10 +260,6 @@ def qd_two_lines(points, table=None):
 # finding three skew lines
 
 
-def _first_independent_triple(indices, table):
-    return next((t for t in combinations(indices, 3) if not table.collinear(*t)), None)
-
-
 def find_three_skew(points, table=None):
     """Skew-line discovery: returns a Decision for the flat exits, or the
     six input indices to relabel onto the line roles 0..5.
@@ -286,7 +282,7 @@ def find_three_skew(points, table=None):
         if first_pair:
             break
     if first_pair is None:
-        triple = _first_independent_triple(range(10), table)
+        triple = table.first_independent(range(10))
         if triple is None:
             raise InternalInconsistency("ten distinct points cannot be collinear")
         form = plane_form(plane_through(*(points[i] for i in triple)))
@@ -530,7 +526,7 @@ def _plane_of_last_four(pts, table=None):
     # rank 3: the bracket vanishes and the four are not on a line
     if not table.bracket_vanishes(*last_four) or table.on_a_line(last_four):
         raise InternalInconsistency("expected exactly coplanar last four points")
-    a, b, c = _first_independent_triple(last_four, table)
+    a, b, c = table.first_independent(last_four)
     return plane_through(pts[a], pts[b], pts[c])
 
 
@@ -594,7 +590,7 @@ def _safety_net(points, table):
                     return candidate
     for subset in combinations(range(10), 6):
         if table.on_a_plane(subset) and not table.on_a_line(subset):
-            a, b, c = _first_independent_triple(subset, table)
+            a, b, c = table.first_independent(subset)
             plane = plane_through(points[a], points[b], points[c])
             return _plane_split_decision(points, table, plane)
     log.error("deferring to the determinant oracle for %s", points)

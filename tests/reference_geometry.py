@@ -7,18 +7,23 @@ lie on a conic."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 from quadricheck.constructions import Tetrahedron
 from quadricheck.oracle import random_transform, sample_generic
 from quadricheck.projective import (
+    CONIC_MONOMIALS,
     INFINITY,
     ONES,
     STANDARD_BASIS,
-    IncidenceTable,
     Point,
     Transform,
     _back_substitute,
     _echelon,
+    bareiss_det,
+    coordinates_in_basis,
+    rank_of_points,
     rank_of_vectors,
     veronese_row,
 )
@@ -67,9 +72,26 @@ def quadric_space_dimension(points) -> int:
 
 def planar_conic_det(six):
     """6x6 determinant of the planar degree-2 monomials in a basis of the
-    first independent triple; zero iff the six coplanar points lie on a
-    conic.  Whether it is zero is independent of the basis choice."""
-    return IncidenceTable(six).conic_det(range(len(six)))
+    first independent triple, found by ranks; zero iff the six coplanar
+    points lie on a conic.  Whether it is zero is independent of the basis
+    choice.  Raises ValueError when the points are collinear or not
+    coplanar."""
+    basis = None
+    for t in combinations(range(6), 3):
+        if rank_of_points([six[i] for i in t]) == 3:
+            basis = [six[i] for i in t]
+            break
+    if basis is None:
+        raise ValueError("the six points are collinear")
+    rows = []
+    for p in six:
+        c = coordinates_in_basis(basis, p)
+        if c is None:
+            raise ValueError("point is not in the plane of the basis")
+        mult = lcm(*(f.denominator for f in c))
+        v = [int(f * mult) for f in c]
+        rows.append(tuple(v[i] * v[j] for i, j in CONIC_MONOMIALS))
+    return bareiss_det(rows)
 
 
 def _circle(t):

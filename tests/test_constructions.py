@@ -334,30 +334,34 @@ class TestTraceReplay:
         restored = ConstructionTrace.from_json(trace.to_json())
         assert verify_replay(restored)
 
-    def test_fraction_string_coefficients_replay_exactly(self):
+    def test_fraction_string_coefficients_rejected(self):
+        """Trace values are integers: a coefficient or coordinate spelled as
+        a fraction does not parse, even when its value is an integer."""
         trace = ConstructionTrace()
         vertices = tuple(Point(v) for v in ((2, 1, -3, 5), (1, -4, 2, 2), (3, 3, 1, -1), (-1, 2, 5, 4)))
         frame = Tetrahedron(vertices, ONES).edge_frame(0, 2)
         px, py = point_at_parameter(frame, Fraction(2, 3)), point_at_parameter(frame, -5)
         von_staudt_product(frame, px, py, trace=trace)
         von_staudt_inverse(frame, px, trace=trace)
-        payload = json.loads(json.dumps(trace.to_json()))
-        for step in payload["steps"]:
-            for value in step["inputs"] + [step["output"]]:
-                if "extensor" in value:
-                    coeffs = value["extensor"]["coeffs"]
-                    value["extensor"]["coeffs"] = [f"{2 * int(c)}/2" for c in coeffs]
-        restored = ConstructionTrace.from_json(payload)
-        parsed = [
-            c
-            for step in restored.steps
-            for value in step.inputs + [step.output]
-            if not isinstance(value, (int, Point))
-            for c in value.coeffs
-        ]
-        assert parsed and all(type(c) is Fraction for c in parsed)
-        assert verify_replay(restored)
-        assert replay_trace(restored) == [s.output for s in trace.steps]
+        text = json.dumps(trace.to_json())
+        assert replay_trace(ConstructionTrace.from_json(json.loads(text))) == [s.output for s in trace.steps]
+
+        def values(payload, kind):
+            return [v for step in payload["steps"] for v in step["inputs"] + [step["output"]] if kind in v]
+
+        halves = json.loads(text)
+        for value in values(halves, "extensor"):
+            value["extensor"]["coeffs"] = [f"{2 * int(c)}/2" for c in value["extensor"]["coeffs"]]
+        with pytest.raises(ValueError):
+            ConstructionTrace.from_json(halves)
+        one_half = json.loads(text)
+        values(one_half, "extensor")[0]["extensor"]["coeffs"][0] = "1/2"
+        with pytest.raises(ValueError):
+            ConstructionTrace.from_json(one_half)
+        one_half = json.loads(text)
+        values(one_half, "point")[0]["point"][0] = "1/2"
+        with pytest.raises(ValueError):
+            ConstructionTrace.from_json(one_half)
 
     def test_every_input_id_precedes_use(self):
         trace = ConstructionTrace()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import points, random_fraction, random_point, seeded
+from conftest import points, random_point, seeded
 from reference_geometry import plucker_residual
 from quadricheck import extensors
 from quadricheck.extensors import (
@@ -106,23 +106,25 @@ def reference_support_rows(e):
 
 
 def random_extensor(rng, grade, kind):
-    """Integer or Fraction coefficients; sparse keeps about a third of them."""
+    """Integer coefficients; sparse keeps about a third of them."""
     coeffs = []
     for _ in SUBSETS[grade]:
         if kind == "sparse" and rng.random() < 0.67:
             coeffs.append(0)
-        elif kind == "fraction":
-            coeffs.append(random_fraction(rng))
         else:
             coeffs.append(rng.randint(-20, 20))
     return Extensor(grade, coeffs)
+
+
+def scaled(e, factor):
+    return Extensor(e.grade, tuple(factor * c for c in e.coeffs))
 
 
 def same_coefficients(got, want):
     return tuple(got) == tuple(want) and [type(c) for c in got] == [type(c) for c in want]
 
 
-KINDS = ("int", "fraction", "sparse", "zero")
+KINDS = ("int", "sparse", "zero")
 
 
 def extensor_pairs(name):
@@ -133,7 +135,7 @@ def extensor_pairs(name):
                 for k in range(5):
                     if kind == "zero":
                         a = Extensor.zero(j)
-                        b = random_extensor(rng, k, "fraction")
+                        b = random_extensor(rng, k, "int")
                         yield (b, a) if rng.random() < 0.5 else (a, b)
                     else:
                         yield random_extensor(rng, j, kind), random_extensor(rng, k, kind)
@@ -167,26 +169,16 @@ class TestAgainstDirectDefinitions:
                 pts = [random_point(rng, bound=6) for _ in range(grade)]
                 e = join_points(*pts)
                 if rng.random() < 0.5:
-                    e = e.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                    e = scaled(e, rng.choice((-1, 1)) * rng.randint(2, 9))
                 if e.is_zero():
                     continue
                 want = [Point(v) for v in kernel_basis(reference_support_rows(e))]
                 assert support_basis(e) == want
 
-    def test_mixed_int_and_fraction_factors(self):
-        rng = seeded("reference-mixed")
-        for j in range(5):
-            for k in range(5):
-                a = random_extensor(rng, j, "int")
-                b = random_extensor(rng, k, "fraction")
-                if j + k <= 4:
-                    assert same_coefficients(join(a, b).coeffs, reference_join(a, b))
-                assert same_coefficients(meet(a, b).coeffs, reference_meet(a, b))
-
 
 class TestGeneratedKernels:
-    """Each straight-line kernel generated at import equals the table loop
-    it was generated from, in value and type, on int factors."""
+    """Each straight-line kernel generated at import equals the direct
+    definition, in value and type."""
 
     @staticmethod
     def int_factor_pairs(rng, j, k):
@@ -208,10 +200,10 @@ class TestGeneratedKernels:
         rng = seeded("kernels-join")
         assert set(extensors._JOIN_KERNELS) == set(extensors._JOIN)
         assert len(extensors._JOIN) == 15
-        for (j, k), table in extensors._JOIN.items():
+        for j, k in extensors._JOIN:
             for a, b in self.int_factor_pairs(rng, j, k):
                 got = extensors._JOIN_KERNELS[j, k](a.coeffs, b.coeffs)
-                want = extensors._bilinear(table, a.coeffs, b.coeffs, j + k)
+                want = reference_join(a, b)
                 assert type(got) is tuple and same_coefficients(got, want)
                 assert same_coefficients(join(a, b).coeffs, want)
 
@@ -223,30 +215,14 @@ class TestGeneratedKernels:
         seen = set()
         for j in range(5):
             for k in range(5):
-                table = extensors._MEET.get((j, k))
                 for a, b in self.int_factor_pairs(rng, j, k):
-                    if table is None:
-                        want = (0,)
-                    else:
+                    want = reference_meet(a, b)
+                    if (j, k) in extensors._MEET:
                         got = extensors._MEET_KERNELS[j, k](a.coeffs, b.coeffs)
-                        want = extensors._bilinear(table, a.coeffs, b.coeffs, j + k - 4)
                         assert type(got) is tuple and same_coefficients(got, want)
                     assert same_coefficients(meet(a, b).coeffs, want)
                 seen.add((j, k))
         assert len(seen) == 25 and len(extensors._MEET) == 15
-
-    def test_only_int_factors_take_the_kernels(self, monkeypatch):
-        def no_loop(*args):
-            raise AssertionError("table loop used")
-
-        monkeypatch.setattr(extensors, "_bilinear", no_loop)
-        line = join_points(Point((1, 2, 0, 3)), Point((0, 1, 5, -2)))
-        plane = join_points(E0, E1, Point((1, 1, 1, 1)))
-        assert not meet(line, plane).is_zero()
-        with pytest.raises(AssertionError, match="table loop"):
-            join(line.scale(Fraction(1, 2)), from_point(E2))
-        with pytest.raises(AssertionError, match="table loop"):
-            meet(line, plane.scale(Fraction(1, 3)))
 
 
 class TestJoin:
@@ -281,7 +257,7 @@ class TestJoin:
                 a = join_points(*pts[:ja])
                 b = join_points(*pts[ja : ja + jb]) if jb else None
                 sign = -1 if (ja * jb) % 2 else 1
-                assert join(a, b).coeffs == join(b, a).scale(sign).coeffs
+                assert join(a, b).coeffs == scaled(join(b, a), sign).coeffs
 
     def test_associativity(self):
         rng = seeded("assoc")
@@ -324,9 +300,9 @@ class TestMeet:
             want = [
                 a - b + c
                 for a, b, c in zip(
-                    join_points(q, r).scale(bracket(p, s, t, u)).coeffs,
-                    join_points(p, r).scale(bracket(q, s, t, u)).coeffs,
-                    join_points(p, q).scale(bracket(r, s, t, u)).coeffs,
+                    scaled(join_points(q, r), bracket(p, s, t, u)).coeffs,
+                    scaled(join_points(p, r), bracket(q, s, t, u)).coeffs,
+                    scaled(join_points(p, q), bracket(r, s, t, u)).coeffs,
                 )
             ]
             assert got.coeffs == tuple(want)
@@ -482,6 +458,20 @@ class TestSerialization:
             z = Extensor.zero(grade)
             assert z.is_zero()
             assert Extensor.from_json(z.to_json()) == z
+
+
+class TestIntCoefficients:
+    @pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(2), True], ids=repr)
+    def test_non_int_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="ints"):
+            Extensor(1, (coeff, 0, 0, 0))
+
+    def test_canonical(self):
+        e = Extensor(2, (0, -4, 6, 0, 0, 2))
+        assert e.canonical().coeffs == (0, 2, -3, 0, 0, -1)
+        assert all(type(c) is int for c in e.canonical().coeffs)
+        zero = Extensor.zero(3)
+        assert zero.canonical() is zero
 
 
 class TestHelpers:

@@ -54,12 +54,15 @@ class TestReplayTrace:
         assert "Traceback" not in result.stderr
 
     def test_malformed_trace(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"steps": [{"id": 0}]}))
-        result = run_script("replay_trace.py", bad)
-        assert result.returncode == 2
-        assert result.stderr.count("\n") == 1 and str(bad) in result.stderr
-        assert "Traceback" not in result.stderr
+        half = {"grade": 1, "coeffs": ["1/2", "0", "0", "0"]}
+        step = {"id": 0, "op": "join", "inputs": [{"extensor": half}], "output": {"extensor": half}}
+        for name, payload in (("bad", {"steps": [{"id": 0}]}), ("half", {"steps": [step]})):
+            bad = tmp_path / f"{name}.json"
+            bad.write_text(json.dumps(payload))
+            result = run_script("replay_trace.py", bad)
+            assert result.returncode == 2, name
+            assert result.stderr.count("\n") == 1 and str(bad) in result.stderr
+            assert "Traceback" not in result.stderr
 
 
 class TestDecisionDigest:
