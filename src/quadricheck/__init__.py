@@ -16,12 +16,10 @@ from .generic_case import (
 )
 from .oracle import oracle_decide, sample_generic, sample_on_quadric
 from .projective import (
-    INFINITY,
     Point,
     QuadricCoeffs,
     Transform,
     bracket,
-    cross_ratio,
     quadric_through,
 )
 from .reductions import decide, normalize
@@ -32,7 +30,6 @@ __all__ = [
     "Decision",
     "Extensor",
     "GenericConfig",
-    "INFINITY",
     "Labeling",
     "PlanePair",
     "Point",
@@ -42,7 +39,6 @@ __all__ = [
     "build_M",
     "compute_Q",
     "construct_test_point",
-    "cross_ratio",
     "decide",
     "decide_generic",
     "grassmann_criterion",

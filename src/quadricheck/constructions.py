@@ -1,17 +1,19 @@
 """Synthetic toolkit: edge projections, chart recovery, von Staudt product
 and inverse on a line, and the meet-point whose local parameter is a bracket
-ratio.  Every step can be recorded into a replayable ConstructionTrace.
+ratio.  The constructions a decision runs can be recorded into a
+replayable ConstructionTrace.
 
 All constructions use only lines through two known points, planes through
 three known points, and their intersections; intersections of coplanar
 lines are realized as meet(l1, join(l2, w)) for a deterministic witness w
-off their common plane.
+off their common plane.  No step computes a local parameter as a number:
+a product with the frame's zero or infinity as a factor is decided by
+incidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .extensors import (
@@ -28,14 +30,10 @@ from .extensors import (
     scalar_of,
 )
 from .projective import (
-    INFINITY,
     GeometryError,
+    InfinityProduct,
     STANDARD_BASIS,
     Point,
-    coordinates_in_basis,
-    cross_ratio,
-    default_witnesses,
-    param_mul,
     rank_of_points,
 )
 
@@ -175,7 +173,7 @@ class WitnessPlanes:
         return plane
 
 
-def line_meet_line(l1: Extensor, l2: Extensor, trace=None, witness_planes=None) -> Point:
+def line_meet_line(l1: Extensor, l2: Extensor, witness_planes=None) -> Point:
     """Intersection point of two distinct coplanar lines in P^3.
 
     The meet of coplanar lines degenerates (their supports do not span), so
@@ -199,9 +197,7 @@ def line_meet_line(l1: Extensor, l2: Extensor, trace=None, witness_planes=None) 
         # hit is nonzero exactly when E_k is off the common plane
         hit = meet(l1, witness_planes[k])
         if not hit.is_zero():
-            point = as_point(hit)
-            _record(trace, "meet", [l1, l2], point)
-            return point
+            return as_point(hit)
     raise ValueError("the lines coincide")
 
 
@@ -301,27 +297,6 @@ class Scaffold:
         return l1b, c2, linfb, WitnessPlanes(linfb, self.frame.line_planes.order)
 
 
-def parameter_of(frame: LineFrame, p: Point):
-    """Local parameter of p: the cross ratio (infinity, zero; unit, p)."""
-    wits = default_witnesses([frame.zero, frame.infinity]) if p.dim == 4 else ()
-    if p.dim == 3:
-        wits = wits[:1]
-    return cross_ratio(frame.infinity, frame.zero, frame.unit, p, wits)
-
-
-def point_at_parameter(frame: LineFrame, x) -> Point:
-    """The point of the frame's line with local parameter x."""
-    if x is INFINITY:
-        return frame.infinity
-    alpha, beta = coordinates_in_basis([frame.zero, frame.infinity], frame.unit)
-    x = Fraction(x)
-    coords = tuple(
-        alpha * z + x * beta * i
-        for z, i in zip(frame.zero.coords, frame.infinity.coords)
-    )
-    return Point(coords)
-
-
 @dataclass(frozen=True)
 class Tetrahedron:
     """Four points in general position plus a unit off every face plane.
@@ -357,7 +332,7 @@ class Tetrahedron:
         return frame
 
 
-def project_to_edge(tet: Tetrahedron, i: int, j: int, p: Point, trace=None) -> Point:
+def project_to_edge(tet: Tetrahedron, i: int, j: int, p: Point) -> Point:
     """Project p onto edge ij from the opposite edge: edge ∩ plane(k, l, p)."""
     if i == j:
         raise ValueError("edge needs two distinct vertex indices")
@@ -366,9 +341,7 @@ def project_to_edge(tet: Tetrahedron, i: int, j: int, p: Point, trace=None) -> P
     opposite = line_through(vk, vl)
     if contains_point(opposite, p):
         raise OnOppositeEdge(f"{p} lies on the opposite edge {k}{l}")
-    result = as_point(meet(line_through(vi, vj), plane_through(vk, vl, p)))
-    _record(trace, "projection", [vi, vj, vk, vl, p], result)
-    return result
+    return as_point(meet(line_through(vi, vj), plane_through(vk, vl, p)))
 
 
 def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Point:
@@ -466,18 +439,21 @@ def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None, avoid
     L' through zero, then back from the pivot b = (p1' px) ∩ (a infinity);
     the composite fixes zero and infinity and sends the unit to px, hence
     py to the product point.  Parameters 0 and infinity degenerate the
-    figure, so those products are returned directly as the analytically
-    forced point (0 * infinity raises InfinityProduct).  On the line the
-    parameters 0 and infinity belong to zero and infinity alone, so the
-    degenerate case is an incidence test on canonical points.
+    figure.  On the line they belong to zero and infinity alone, so those
+    products follow from incidence: zero when a factor is zero, infinity
+    when a factor is infinity, and InfinityProduct when the factors are
+    zero and infinity.
     """
     _require_on_line(frame, px)
     _require_on_line(frame, py)
-    ends = (frame.zero, frame.infinity)
-    if px in ends or py in ends:
-        x = parameter_of(frame, px)
-        y = parameter_of(frame, py)
-        result = point_at_parameter(frame, param_mul(x, y))
+    factors = (px, py)
+    if frame.zero in factors or frame.infinity in factors:
+        if frame.infinity not in factors:
+            result = frame.zero
+        elif frame.zero not in factors:
+            result = frame.infinity
+        else:
+            raise InfinityProduct("0 * INFINITY is undefined")
         _record(
             trace,
             "degenerate-product",
@@ -579,6 +555,8 @@ def local_param_point(
 
 def _execute_step(op, inputs, frames):
     if op == "join":
+        if len(inputs) not in (2, 3):
+            raise ValueError(f"a join step takes 2 or 3 inputs, not {len(inputs)}")
         exts = [_as_extensor(v) for v in inputs]
         out = exts[0]
         for e in exts[1:]:
@@ -590,21 +568,15 @@ def _execute_step(op, inputs, frames):
             return line_meet_line(a, b)
         hit = meet(a, b)
         return as_point(hit) if hit.grade == 1 and not hit.is_zero() else hit
-    if op == "projection":
-        vi, vj, vk, vl, p = inputs
-        return as_point(meet(line_through(vi, vj), plane_through(vk, vl, p)))
     if op == "recover":
+        if len(inputs) != 3:
+            raise ValueError(f"a recover step takes 3 inputs, not {len(inputs)}")
         planes = [_as_extensor(v) for v in inputs]
         return as_point(meet(meet(planes[0], planes[1]), planes[2]))
-    if op == "product":
+    if op in ("product", "degenerate-product"):
+        # von_staudt_product picks the degenerate branch by incidence
         z, i, u, px, py = inputs
         return von_staudt_product(_frame(frames, z, i, u), px, py)
-    if op == "degenerate-product":
-        z, i, u, px, py = inputs
-        frame = _frame(frames, z, i, u)
-        return point_at_parameter(
-            frame, param_mul(parameter_of(frame, px), parameter_of(frame, py))
-        )
     if op == "inverse":
         z, i, u, px = inputs
         return von_staudt_inverse(_frame(frames, z, i, u), px)

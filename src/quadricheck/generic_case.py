@@ -231,9 +231,8 @@ class GenericConfig:
     """Ten validated points in generic position.
 
     The conditions are distinctness, no four collinear, skew lines 01, 23,
-    45 and spanning last four points; `witnesses` are the four nonzero
-    brackets [0123], [0145], [2345], [6789] that certify the last two,
-    computed when read.
+    45 and spanning last four points; the four nonzero brackets [0123],
+    [0145], [2345], [6789] certify the last two.
     """
 
     points: tuple
@@ -245,13 +244,6 @@ class GenericConfig:
         if reason is not None:
             raise PreconditionViolated(reason)
         return cls(tuple(pts))
-
-    @property
-    def witnesses(self) -> tuple:
-        return tuple(
-            bracket(*(self.points[i] for i in quad))
-            for quad in ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5), (6, 7, 8, 9))
-        )
 
 
 def decide_generic(points, trace=None, table=None) -> Decision:

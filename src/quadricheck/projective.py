@@ -2,12 +2,11 @@
 
 Points carry canonical integer coordinates (coprime, first nonzero entry
 positive), so point equality is tuple equality and every determinant built
-from canonical points is plain integer arithmetic.  Local parameters on a
-line live in Q together with a single tagged INFINITY value.  Rank, kernel,
-linear solves and determinants all read one fraction-free (Bareiss)
-echelon form, computed by `_echelon`.  The incidences of a configuration
-(collinear triples, vanishing brackets, planar conic charts and their left
-kernels) are read through one memoizing `IncidenceTable`.  The quadrics
+from canonical points is plain integer arithmetic.  Rank, kernel and
+determinants all read one fraction-free (Bareiss) echelon form, computed
+by `_echelon`.  The incidences of a configuration (collinear triples,
+vanishing brackets, planar conic charts and their left kernels) are read
+through one memoizing `IncidenceTable`.  The quadrics
 through a set of points are the kernel of their Veronese rows,
 `quadric_through`; the special exits take their certificates from it.
 """
@@ -25,43 +24,9 @@ class GeometryError(Exception):
     """Base class for exact-geometry failures."""
 
 
-class NotCollinear(GeometryError):
-    """Cross-ratio arguments do not lie on one line."""
-
-
-class DegenerateWitness(GeometryError):
-    """A cross-ratio witness lies on the line (or fails to span)."""
-
-
 class InfinityProduct(GeometryError):
-    """The product 0 * INFINITY has no projective meaning."""
-
-
-class _Infinity:
-    """Tagged value for the parameter 1/0; distinct from every rational."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
-
-
-def param_mul(x, y):
-    """x*y on Q ∪ {INFINITY}; 0 * INFINITY raises InfinityProduct."""
-    if x is INFINITY or y is INFINITY:
-        other = y if x is INFINITY else x
-        if other is not INFINITY and Fraction(other) == 0:
-            raise InfinityProduct("0 * INFINITY is undefined")
-        return INFINITY
-    return Fraction(x) * Fraction(y)
+    """A von Staudt product of the zero and the infinity of a line frame:
+    0 * infinity has no projective meaning."""
 
 
 _INT_ONLY = frozenset((int,))
@@ -233,17 +198,6 @@ def _echelon(rows):
     return a, pivots, factor
 
 
-def _back_substitute(rows, pivots, col, n):
-    """The n unknowns x with Σ_j rows[r][j]·x_j = rows[r][col] for every pivot
-    row r of an echelon form, each non-pivot unknown set to 0."""
-    x = [Fraction(0)] * n
-    for r in reversed(range(len(pivots))):
-        row = rows[r]
-        rhs = row[col] - sum(row[c] * x[c] for c in pivots[r + 1 :])
-        x[pivots[r]] = Fraction(rhs, row[pivots[r]])
-    return x
-
-
 def rank_of_vectors(vectors) -> int:
     """Exact rank of the span of the given rational coordinate vectors."""
     return len(_echelon(vectors)[1])
@@ -290,16 +244,6 @@ def bareiss_det(rows):
         raise ValueError("matrix must be square")
     a, _, factor = _echelon(rows)
     return factor * a[-1][-1]
-
-
-def coordinates_in_basis(basis_points, p: Point):
-    """Write p as a rational combination of the basis points, or None."""
-    n = len(basis_points)
-    aug = [[bp.coords[i] for bp in basis_points] + [p.coords[i]] for i in range(p.dim)]
-    a, pivots, _ = _echelon(aug)
-    if pivots and pivots[-1] == n:
-        return None
-    return tuple(_back_substitute(a, pivots, n, n))
 
 
 # Degree-2 monomials of planar coordinates, in the order of the conic rows.
@@ -504,51 +448,6 @@ class IncidenceTable:
             rows = {b[i]: _conic_row(basis, self._point(i)) for i in on}
             self._charts[plane] = rows
         return rows
-
-
-def cross_ratio(a: Point, b: Point, c: Point, d: Point, witnesses=()):
-    """The cross ratio (a, b; c, d) of four collinear points.
-
-    Equals the local parameter x of d when (a, b, c) play the roles of
-    infinity, zero and unit on the line.  In P^2 one witness point off the
-    line is required, in P^3 two; witnesses must span the ambient space
-    together with the line.  Returns INFINITY when the denominator bracket
-    product vanishes (d = a).
-    """
-    pts = (a, b, c, d)
-    dim = a.dim
-    if any(p.dim != dim for p in pts):
-        raise ValueError("cross-ratio arguments must share a dimension")
-    if len({a, b, c}) != 3:
-        raise ValueError("a, b, c must be pairwise distinct")
-    if rank_of_points(pts) > 2:
-        raise NotCollinear(f"{pts} are not collinear")
-    witnesses = tuple(witnesses)
-    if len(witnesses) != dim - 2:
-        raise DegenerateWitness(
-            f"need {dim - 2} witnesses for P^{dim - 1}, got {len(witnesses)}"
-        )
-    if witnesses and rank_of_points((a, b) + witnesses) != dim:
-        raise DegenerateWitness("witnesses must span the space with the line")
-    w = tuple(p.coords for p in witnesses)
-    num = _det_any(a.coords, c.coords, *w) * _det_any(b.coords, d.coords, *w)
-    den = _det_any(a.coords, d.coords, *w) * _det_any(b.coords, c.coords, *w)
-    if den == 0:
-        return INFINITY
-    return Fraction(num, den)
-
-
-def default_witnesses(line_points):
-    """Two deterministic points off the line through the given P^3 points."""
-    found = []
-    span = list(line_points)
-    for cand in (E0, E1, E2, E3):
-        if rank_of_points(span + [cand]) == len(span) + 1:
-            span.append(cand)
-            found.append(cand)
-            if len(found) == 2:
-                return tuple(found)
-    raise GeometryError("could not complete the line to a basis")
 
 
 @dataclass(frozen=True)

@@ -1,32 +1,59 @@
 """Small geometric helpers that only the tests use: the Plücker residual of
 a grade-2 extensor, the standard reference tetrahedron, transforms from
-columns and their inverses, 1/x on parameters, the dimension of the quadric
-space through points, the planar conic determinant of six points, and
-configurations with a plane of six to ten points, on which some six-subsets
-lie on a conic."""
+columns and their inverses, the analytic reference for the von Staudt
+figures (local parameters on Q ∪ {INFINITY} read off as cross ratios, the
+point at a parameter, and 1/x and x*y on parameters), rational coordinates
+in a basis, the dimension of the quadric space through points, the planar
+conic determinant of six points, and configurations with a plane of six to
+ten points, on which some six-subsets lie on a conic."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from quadricheck.constructions import Tetrahedron
+from quadricheck.constructions import LineFrame, Tetrahedron
 from quadricheck.oracle import random_transform, sample_generic
 from quadricheck.projective import (
     CONIC_MONOMIALS,
-    INFINITY,
     ONES,
     STANDARD_BASIS,
+    GeometryError,
+    InfinityProduct,
     Point,
     Transform,
-    _back_substitute,
+    _det_any,
     _echelon,
     bareiss_det,
-    coordinates_in_basis,
     rank_of_points,
     rank_of_vectors,
     veronese_row,
 )
+
+
+class NotCollinear(GeometryError):
+    """Cross-ratio arguments do not lie on one line."""
+
+
+class DegenerateWitness(GeometryError):
+    """A cross-ratio witness lies on the line (or fails to span)."""
+
+
+class _Infinity:
+    """Tagged value for the parameter 1/0; distinct from every rational."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "INFINITY"
+
+
+INFINITY = _Infinity()
 
 
 def plucker_residual(e):
@@ -63,6 +90,103 @@ def param_inv(x):
         return Fraction(0)
     x = Fraction(x)
     return INFINITY if x == 0 else 1 / x
+
+
+def param_mul(x, y):
+    """x*y on Q ∪ {INFINITY}; 0 * INFINITY raises InfinityProduct."""
+    if x is INFINITY or y is INFINITY:
+        other = y if x is INFINITY else x
+        if other is not INFINITY and Fraction(other) == 0:
+            raise InfinityProduct("0 * INFINITY is undefined")
+        return INFINITY
+    return Fraction(x) * Fraction(y)
+
+
+def _back_substitute(rows, pivots, col, n):
+    """The n unknowns x with Σ_j rows[r][j]·x_j = rows[r][col] for every pivot
+    row r of an echelon form, each non-pivot unknown set to 0."""
+    x = [Fraction(0)] * n
+    for r in reversed(range(len(pivots))):
+        row = rows[r]
+        rhs = row[col] - sum(row[c] * x[c] for c in pivots[r + 1 :])
+        x[pivots[r]] = Fraction(rhs, row[pivots[r]])
+    return x
+
+
+def coordinates_in_basis(basis_points, p: Point):
+    """Write p as a rational combination of the basis points, or None."""
+    n = len(basis_points)
+    aug = [[bp.coords[i] for bp in basis_points] + [p.coords[i]] for i in range(p.dim)]
+    a, pivots, _ = _echelon(aug)
+    if pivots and pivots[-1] == n:
+        return None
+    return tuple(_back_substitute(a, pivots, n, n))
+
+
+def cross_ratio(a: Point, b: Point, c: Point, d: Point, witnesses=()):
+    """The cross ratio (a, b; c, d) of four collinear points.
+
+    Equals the local parameter x of d when (a, b, c) play the roles of
+    infinity, zero and unit on the line.  In P^2 one witness point off the
+    line is required, in P^3 two; witnesses must span the ambient space
+    together with the line.  Returns INFINITY when the denominator bracket
+    product vanishes (d = a).
+    """
+    pts = (a, b, c, d)
+    dim = a.dim
+    if any(p.dim != dim for p in pts):
+        raise ValueError("cross-ratio arguments must share a dimension")
+    if len({a, b, c}) != 3:
+        raise ValueError("a, b, c must be pairwise distinct")
+    if rank_of_points(pts) > 2:
+        raise NotCollinear(f"{pts} are not collinear")
+    witnesses = tuple(witnesses)
+    if len(witnesses) != dim - 2:
+        raise DegenerateWitness(
+            f"need {dim - 2} witnesses for P^{dim - 1}, got {len(witnesses)}"
+        )
+    if witnesses and rank_of_points((a, b) + witnesses) != dim:
+        raise DegenerateWitness("witnesses must span the space with the line")
+    w = tuple(p.coords for p in witnesses)
+    num = _det_any(a.coords, c.coords, *w) * _det_any(b.coords, d.coords, *w)
+    den = _det_any(a.coords, d.coords, *w) * _det_any(b.coords, c.coords, *w)
+    if den == 0:
+        return INFINITY
+    return Fraction(num, den)
+
+
+def default_witnesses(line_points):
+    """Two deterministic points off the line through the given P^3 points."""
+    found = []
+    span = list(line_points)
+    for cand in STANDARD_BASIS:
+        if rank_of_points(span + [cand]) == len(span) + 1:
+            span.append(cand)
+            found.append(cand)
+            if len(found) == 2:
+                return tuple(found)
+    raise GeometryError("could not complete the line to a basis")
+
+
+def parameter_of(frame: LineFrame, p: Point):
+    """Local parameter of p: the cross ratio (infinity, zero; unit, p)."""
+    wits = default_witnesses([frame.zero, frame.infinity]) if p.dim == 4 else ()
+    if p.dim == 3:
+        wits = wits[:1]
+    return cross_ratio(frame.infinity, frame.zero, frame.unit, p, wits)
+
+
+def point_at_parameter(frame: LineFrame, x) -> Point:
+    """The point of the frame's line with local parameter x."""
+    if x is INFINITY:
+        return frame.infinity
+    alpha, beta = coordinates_in_basis([frame.zero, frame.infinity], frame.unit)
+    x = Fraction(x)
+    coords = tuple(
+        alpha * z + x * beta * i
+        for z, i in zip(frame.zero.coords, frame.infinity.coords)
+    )
+    return Point(coords)
 
 
 def quadric_space_dimension(points) -> int:

@@ -8,15 +8,20 @@ from fractions import Fraction
 
 from conftest import random_fraction, random_point, seeded
 from generic_reference import ceva_incidence_check, q_coordinate_polynomial, tau_transform
-from reference_geometry import plucker_residual, transform_from_columns, transform_inverse
+from reference_geometry import (
+    INFINITY,
+    parameter_of,
+    plucker_residual,
+    point_at_parameter,
+    transform_from_columns,
+    transform_inverse,
+)
 from quadricheck import fixtures
 from quadricheck.constructions import (
     ConstructionTrace,
     LineFrame,
     choose_auxiliaries,
     local_param_point,
-    parameter_of,
-    point_at_parameter,
     verify_replay,
     von_staudt_inverse,
     von_staudt_product,
@@ -42,7 +47,6 @@ from quadricheck.oracle import (
     segre_point,
 )
 from quadricheck.projective import (
-    INFINITY,
     Point,
     STANDARD_BASIS,
     bracket,

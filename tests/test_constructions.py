@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_fraction, random_point, seeded
-from reference_geometry import standard_tetrahedron
+from reference_geometry import INFINITY, parameter_of, point_at_parameter, standard_tetrahedron
 from quadricheck import constructions
 from quadricheck.constructions import (
     ConstructionTrace,
@@ -18,8 +18,6 @@ from quadricheck.constructions import (
     choose_auxiliaries,
     line_meet_line,
     local_param_point,
-    parameter_of,
-    point_at_parameter,
     project_to_edge,
     recover_from_chart,
     replay_trace,
@@ -33,7 +31,6 @@ from quadricheck.projective import (
     E1,
     E2,
     E3,
-    INFINITY,
     InfinityProduct,
     ONES,
     Point,
@@ -231,6 +228,25 @@ class TestVonStaudtProduct:
         )
         assert got == X_AXIS_FRAME.zero
         assert [s.op for s in trace.steps] == ["degenerate-product"]
+        # every degenerate product on a random frame, replayed from JSON
+        rng = seeded("degenerate-products")
+        for _ in range(10):
+            f = random_frame(rng)
+            finite = point_at_parameter(f, random_fraction(rng) or 1)
+            cases = (
+                (f.zero, finite, f.zero),
+                (finite, f.zero, f.zero),
+                (f.infinity, finite, f.infinity),
+                (f.zero, f.zero, f.zero),
+                (f.infinity, f.infinity, f.infinity),
+            )
+            trace = ConstructionTrace()
+            for px, py, want in cases:
+                assert von_staudt_product(f, px, py, trace=trace) == want
+            assert [s.op for s in trace.steps] == ["degenerate-product"] * len(cases)
+            restored = ConstructionTrace.from_json(json.loads(json.dumps(trace.to_json())))
+            assert replay_trace(restored) == [want for _, _, want in cases]
+            assert verify_replay(restored)
 
     def test_infinity_times_finite(self):
         got = von_staudt_product(X_AXIS_FRAME, X_AXIS_FRAME.infinity, frame_point(5))
@@ -239,6 +255,8 @@ class TestVonStaudtProduct:
     def test_zero_times_infinity_rejected(self):
         with pytest.raises(InfinityProduct):
             von_staudt_product(X_AXIS_FRAME, X_AXIS_FRAME.zero, X_AXIS_FRAME.infinity)
+        with pytest.raises(InfinityProduct):
+            von_staudt_product(X_AXIS_FRAME, X_AXIS_FRAME.infinity, X_AXIS_FRAME.zero)
 
     def test_auxiliary_independence(self):
         rng = seeded("aux-independence")
@@ -328,9 +346,10 @@ class TestTraceReplay:
         trace = ConstructionTrace()
         tet = standard_tetrahedron()
         p = Point((3, 5, 7, 11))
-        projs = [project_to_edge(tet, 0, j, p, trace=trace) for j in (1, 2, 3)]
+        projs = [project_to_edge(tet, 0, j, p) for j in (1, 2, 3)]
         got = recover_from_chart(tet, 0, projs, trace=trace)
         assert got == p
+        assert [s.op for s in trace.steps] == ["join"] * 3 + ["recover"]
         restored = ConstructionTrace.from_json(trace.to_json())
         assert verify_replay(restored)
 
@@ -407,14 +426,12 @@ class TestWitnessPlanes:
             count -= 1
             yield line_through(p, q), line_through(r, s)
 
-    def test_kept_planes_give_the_same_point_and_step(self):
+    def test_kept_planes_give_the_same_point(self):
         rng = seeded("witness-planes")
         for l1, l2 in self.coplanar_pairs(rng, 25):
             planes = WitnessPlanes(l2)
-            kept, fresh = ConstructionTrace(), ConstructionTrace()
-            got = line_meet_line(l1, l2, trace=kept, witness_planes=planes)
-            assert got == line_meet_line(l1, l2, trace=fresh)
-            assert kept.steps == fresh.steps
+            got = line_meet_line(l1, l2, witness_planes=planes)
+            assert got == line_meet_line(l1, l2)
             # planes that an earlier meet built serve the next one
             assert line_meet_line(l1, l2, witness_planes=planes) == got
 

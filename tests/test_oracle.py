@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import seeded
 from reference_geometry import quadric_space_dimension
-from quadricheck import constructions, generic_case, reductions
+from quadricheck import constructions, extensors, generic_case, reductions
 from quadricheck.oracle import (
     SEGRE_QUADRIC,
     VeroneseMatrix,
@@ -154,18 +154,20 @@ class TestBareiss:
         assert VeroneseMatrix.of(pts).det() == oracle_det(pts)
 
 
-def names_from_oracle(module):
-    """What the module's source imports from the oracle: each name of a
-    `from ...oracle import`, and "oracle" for an import of the module."""
+def names_from(module, source):
+    """What the module's source imports from the module `source` (a
+    quadricheck module or a top-level one): each name of a
+    `from ...source import`, and `source` for an import of the module."""
+    spellings = (source, f"quadricheck.{source}")
     names = []
     for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
-            if node.module in ("oracle", "quadricheck.oracle"):
+            if node.module in spellings:
                 names += [alias.name for alias in node.names]
             elif node.module in (None, "quadricheck"):
-                names += [alias.name for alias in node.names if alias.name == "oracle"]
+                names += [alias.name for alias in node.names if alias.name == source]
         elif isinstance(node, ast.Import):
-            names += ["oracle" for alias in node.names if alias.name == "quadricheck.oracle"]
+            names += [source for alias in node.names if alias.name in spellings]
     return names
 
 
@@ -173,6 +175,12 @@ class TestIndependence:
     def test_pipeline_takes_nothing_from_the_oracle(self):
         # the certificates come from projective.quadric_through; reductions
         # keeps oracle_decide only for its last-resort safety net
-        assert names_from_oracle(generic_case) == []
-        assert names_from_oracle(constructions) == []
-        assert names_from_oracle(reductions) == ["oracle_decide"]
+        assert names_from(generic_case, "oracle") == []
+        assert names_from(constructions, "oracle") == []
+        assert names_from(reductions, "oracle") == ["oracle_decide"]
+
+    def test_construction_layers_take_nothing_from_fractions(self):
+        # the synthetic pipeline runs on canonical integer points and
+        # extensors; the rational parameters of a line live in the tests
+        for module in (constructions, extensors, generic_case, reductions):
+            assert names_from(module, "fractions") == [], module.__name__

@@ -6,27 +6,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import coords, points, random_point, scalars, seeded
-from reference_geometry import param_inv, transform_inverse
+from reference_geometry import (
+    INFINITY,
+    DegenerateWitness,
+    NotCollinear,
+    coordinates_in_basis,
+    cross_ratio,
+    param_inv,
+    param_mul,
+    transform_inverse,
+)
 from quadricheck import projective
 from quadricheck.projective import (
     E0,
     E1,
     E2,
     E3,
-    INFINITY,
-    DegenerateWitness,
     InfinityProduct,
-    NotCollinear,
     Point,
     QuadricCoeffs,
     Transform,
     bareiss_det,
     bracket,
-    coordinates_in_basis,
-    cross_ratio,
     det4,
     kernel_basis,
-    param_mul,
     rank_of_points,
     rank_of_vectors,
 )

@@ -7,7 +7,9 @@ import sys
 from pathlib import Path
 
 from quadricheck import cli, fixtures, reductions
+from quadricheck.extensors import from_point, plane_through
 from quadricheck.oracle import sample_generic
+from quadricheck.projective import E0, E1, E2, E3, Point
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -54,9 +56,27 @@ class TestReplayTrace:
         assert "Traceback" not in result.stderr
 
     def test_malformed_trace(self, tmp_path):
-        half = {"grade": 1, "coeffs": ["1/2", "0", "0", "0"]}
-        step = {"id": 0, "op": "join", "inputs": [{"extensor": half}], "output": {"extensor": half}}
-        for name, payload in (("bad", {"steps": [{"id": 0}]}), ("half", {"steps": [step]})):
+        def one_step(op, inputs, output):
+            return {"steps": [{"id": 0, "op": op, "inputs": inputs, "output": output}]}
+
+        half = {"extensor": {"grade": 1, "coeffs": ["1/2", "0", "0", "0"]}}
+        e0 = {"extensor": from_point(E0).to_json()}
+        planes = [
+            {"extensor": plane_through(*(p for p in (E0, E1, E2, E3) if p != skip)).to_json()}
+            for skip in (E0, E1, E2, E3)
+        ]
+        points = [{"point": p.to_strings()} for p in (E0, E1, Point((1, 1, 0, 0)))]
+        payloads = (
+            ("bad", {"steps": [{"id": 0}]}),
+            ("half", one_step("join", [half], half)),
+            # a join takes two or three inputs, a recover three planes
+            ("join-of-one", one_step("join", [e0], e0)),
+            ("join-of-none", one_step("join", [], e0)),
+            ("recover-of-four", one_step("recover", planes, {"point": E3.to_strings()})),
+            # 0 * infinity on the frame (E0, E1, [1:1:0:0])
+            ("zero-times-infinity", one_step("degenerate-product", points + points[:2], points[0])),
+        )
+        for name, payload in payloads:
             bad = tmp_path / f"{name}.json"
             bad.write_text(json.dumps(payload))
             result = run_script("replay_trace.py", bad)
