@@ -54,6 +54,10 @@ class DegenerateMeet(GeometryError):
     """The line lies inside the plane; their meet vanishes."""
 
 
+class SkewLines(GeometryError, ValueError):
+    """Two lines that do not meet: their join is a nonzero scalar."""
+
+
 # ---------------------------------------------------------------------------
 # construction traces
 
@@ -157,7 +161,9 @@ class WitnessPlanes:
     """The planes join(l, E_k) that `line_meet_line` tries for its second
     line l, for k in `order`, each built on first use.  A figure that meets
     many lines with one fixed line keeps one of these for it, ordered so
-    that the basis points off the figure's plane come first."""
+    that the basis points off the figure's plane come first; a replay keeps
+    one per second line of its meets.  A witness that hits after another
+    missed moves to the front of `order`, so the next meet tries it first."""
 
     __slots__ = ("line", "order", "_planes")
 
@@ -183,20 +189,24 @@ def line_meet_line(l1: Extensor, l2: Extensor, witness_planes=None) -> Point:
     `witness_planes` are the WitnessPlanes of l2 when the caller keeps them,
     with the order they try; they are built here, in ascending order, when
     not given.  Every nonzero hit is the same canonical point, so the order
-    changes only how many meets are spent.
+    changes only how many meets are spent.  Raises SkewLines when the lines
+    do not meet.
     """
     if l1.grade != 2 or l2.grade != 2:
         raise ValueError("line_meet_line needs two lines")
     if scalar_of(join(l1, l2)) != 0:
-        raise ValueError("the lines are skew; they do not meet")
+        raise SkewLines("the lines are skew; they do not meet")
     if witness_planes is None:
         witness_planes = WitnessPlanes(l2)
     elif witness_planes.line != l2:
         raise ValueError("the witness planes belong to another line")
-    for k in witness_planes.order:
+    order = witness_planes.order
+    for k in order:
         # hit is nonzero exactly when E_k is off the common plane
         hit = meet(l1, witness_planes[k])
         if not hit.is_zero():
+            if k != order[0]:
+                witness_planes.order = (k, *(j for j in order if j != k))
             return as_point(hit)
     raise ValueError("the lines coincide")
 
@@ -553,7 +563,7 @@ def local_param_point(
 # trace replay
 
 
-def _execute_step(op, inputs, frames):
+def _execute_step(op, inputs, frames, lines):
     if op == "join":
         if len(inputs) not in (2, 3):
             raise ValueError(f"a join step takes 2 or 3 inputs, not {len(inputs)}")
@@ -564,8 +574,11 @@ def _execute_step(op, inputs, frames):
         return out
     if op == "meet":
         a, b = (_as_extensor(v) for v in inputs)
-        if a.grade == 2 and b.grade == 2 and scalar_of(join(a, b)) == 0:
-            return line_meet_line(a, b)
+        if a.grade == 2 and b.grade == 2:
+            try:
+                return line_meet_line(a, b, witness_planes=_witness_planes(lines, b))
+            except SkewLines:
+                pass
         hit = meet(a, b)
         return as_point(hit) if hit.grade == 1 and not hit.is_zero() else hit
     if op == "recover":
@@ -593,16 +606,27 @@ def _frame(frames, zero, infinity, unit) -> LineFrame:
     return frame
 
 
+def _witness_planes(lines, line) -> WitnessPlanes:
+    """The replay's one WitnessPlanes of a line, built the first time a
+    meet step takes the line as its second input."""
+    planes = lines.get(line)
+    if planes is None:
+        planes = lines[line] = WitnessPlanes(line)
+    return planes
+
+
 def replay_trace(trace: ConstructionTrace):
     """Re-execute every step; returns the list of recomputed outputs.  The
     summary steps on one frame share one LineFrame, and with it the frame's
-    memoized scaffold."""
+    memoized scaffold; the meet steps of coplanar lines share one
+    WitnessPlanes per second line."""
     outputs = {}
     results = []
     frames = {}
+    lines = {}
     for step in trace.steps:
         resolved = [outputs[v] if isinstance(v, int) else v for v in step.inputs]
-        value = _execute_step(step.op, resolved, frames)
+        value = _execute_step(step.op, resolved, frames, lines)
         outputs[step.step_id] = value
         results.append(value)
     return results

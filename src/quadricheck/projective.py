@@ -5,10 +5,11 @@ positive), so point equality is tuple equality and every determinant built
 from canonical points is plain integer arithmetic.  Rank, kernel and
 determinants all read one fraction-free (Bareiss) echelon form, computed
 by `_echelon`.  The incidences of a configuration (collinear triples,
-vanishing brackets, planar conic charts and their left kernels) are read
-through one memoizing `IncidenceTable`.  The quadrics
-through a set of points are the kernel of their Veronese rows,
-`quadric_through`; the special exits take their certificates from it.
+vanishing brackets, and the planes of six or more of its points with the
+left kernels of their conic charts) are read through one memoizing
+`IncidenceTable`.  The quadrics through a set of points are the kernel of
+their Veronese rows, `quadric_through`; the special exits take their
+certificates from it.
 """
 
 from __future__ import annotations
@@ -309,11 +310,11 @@ class IncidenceTable:
 
     - whether a triple is collinear (its join vanishes);
     - whether a bracket vanishes;
-    - one planar chart per plane read through `on_a_conic`: the
-      conic-monomial row of every point of the configuration on that
-      plane, in the basis of its first independent triple;
-    - one basis K of the left kernel {y : yA = 0} of each such chart A,
-      read through `on_a_conic`.
+    - every plane holding six or more of the points that `sixes_on_a_conic`
+      has met, as the mask of the points on it, with one basis K of the
+      left kernel {y : yA = 0} of its conic chart A: the conic-monomial
+      row of every point on the plane, in the basis of its first
+      independent triple.
 
     Entries are keyed by the bitmask of the points' indices.  Everything
     else is derived from them:
@@ -338,6 +339,19 @@ class IncidenceTable:
       For n = 6 the block is empty, with determinant 1.  (This is the
       duality of the Plücker coordinates of a row space and of its
       annihilator; Hodge and Pedoe, Methods of Algebraic Geometry I.)
+      The criterion holds for collinear sixes too, whose rows span at most
+      three dimensions.
+
+    Plane masks make the conic scan plane-first.  Six points that are not
+    collinear span one plane, and `_plane` finds the mask of every point
+    on it with one bracket per point off their first independent triple.
+    Once a six of `sixes_on_a_conic` has revealed a plane, every later six
+    inside its mask is decided by its complementary minor of K alone,
+    with no bracket, triple or plane search; so the scan sweeps each plane
+    once.  A plane that holds every point settles coplanarity outright
+    (`in_a_known_plane`).  Until a plane is known, a six pays only the
+    rank tests it paid before, so a configuration with no six coplanar
+    points never builds a mask.
 
     `relabeled(labeling)` is a view of the same entries in which index r
     names the point labeling.perm[r], so a relabeled configuration reads
@@ -349,8 +363,7 @@ class IncidenceTable:
         self._points = list(points)
         self._bits = [1 << n for n in range(len(self._points))]
         self._dependent = _Dependence(self._points)
-        self._charts = {}  # mask of a plane -> {bit of a point on it: conic row}
-        self._kernels = {}  # mask of a plane -> {bit: column of K}, or None
+        self._planes = {}  # mask of a plane -> {bit: column of K}, or None
 
     def relabeled(self, labeling) -> "IncidenceTable":
         view = copy(self)
@@ -383,47 +396,63 @@ class IncidenceTable:
                 return False
         return True
 
-    def on_a_conic(self, indices) -> bool:
-        """Whether six coplanar points lie on a conic of their plane (their
-        conic rows in the plane's chart have a zero determinant), read from
-        one left kernel of the chart.  Raises ValueError when they are
-        collinear or not coplanar."""
+    def in_a_known_plane(self, indices) -> bool:
+        """Whether a plane the conic scan has met holds every point at the
+        indices (False when it has met none)."""
+        mask = self._mask(indices)
+        return any(mask & plane == mask for plane in self._planes)
+
+    def sixes_on_a_conic(self):
+        """Every six of the points that lies on a conic of a plane (rank <= 2,
+        or rank 3 with a vanishing conic determinant), as index tuples in
+        combinations order, read plane by plane from the left kernels of the
+        planes' charts."""
         b = self._bits
-        bits = [b[i] for i in indices]
-        if len(bits) != 6:
-            raise ValueError("a conic is tested on six points")
-        triple = self.first_independent(indices)
-        if triple is None:
-            raise ValueError("the six points are collinear")
-        mask = bits[0] | bits[1] | bits[2] | bits[3] | bits[4] | bits[5]
-        # six points that are not collinear span one plane, so a memoized
-        # plane holding all six is theirs
-        for plane, kernel in self._kernels.items():
-            if mask & plane == mask:
-                break
-        else:
+        planes = self._planes
+        for six in combinations(range(len(b)), 6):
+            if planes:
+                mask = self._mask(six)
+                plane = next((p for p in planes if mask & p == mask), 0)
+                if plane:
+                    if _minor_vanishes(planes[plane], mask):
+                        yield six
+                    continue
+            if not self.on_a_plane(six):
+                continue
+            triple = self.first_independent(six)
+            if triple is None:
+                yield six
+                continue
             plane = self._plane(b[triple[0]] | b[triple[1]] | b[triple[2]])
-            if mask & plane != mask:
-                raise ValueError("point is not in the plane of the basis")
-            kernel = self._kernels[plane] = self._left_kernel(plane)
-        if kernel is None:
-            return True
-        outside = [column for bit, column in kernel.items() if not mask & bit]
-        return bool(outside) and _det_any(*outside) == 0
+            kernel = planes[plane] = self._left_kernel(plane)
+            if _minor_vanishes(kernel, self._mask(six)):
+                yield six
 
     def _left_kernel(self, plane):
         """The columns of the left kernel basis of a plane's chart, keyed by
         point bit; None when the chart has rank below 6."""
-        rows = self._chart(plane)
-        kernel = kernel_basis(list(zip(*rows.values())))
+        # the plane's points by index of this view, in the order of the
+        # points, so every view picks the same basis
+        b = self._bits
+        on = sorted((i for i in range(len(b)) if plane & b[i]), key=b.__getitem__)
+        basis = [self._point(i) for i in self.first_independent(on)]
+        rows = [_conic_row(basis, self._point(i)) for i in on]
+        kernel = kernel_basis(list(zip(*rows)))
         if len(kernel) > len(rows) - 6:
             return None
-        return dict(zip(rows, zip(*kernel)))
+        return dict(zip((b[i] for i in on), zip(*kernel)))
 
     def first_independent(self, indices):
         """The first triple of the indices, in combinations order, whose
         points are not collinear; None when every triple is."""
         return next((t for t in combinations(indices, 3) if not self.collinear(*t)), None)
+
+    def _mask(self, indices):
+        b = self._bits
+        mask = 0
+        for i in indices:
+            mask |= b[i]
+        return mask
 
     def _point(self, i):
         return self._points[self._bits[i].bit_length() - 1]
@@ -437,17 +466,15 @@ class IncidenceTable:
                 plane |= bit
         return plane
 
-    def _chart(self, plane):
-        rows = self._charts.get(plane)
-        if rows is None:
-            # the plane's points by index of this view, in the order of the
-            # points, so every view picks the same basis
-            b = self._bits
-            on = sorted((i for i in range(len(b)) if plane & b[i]), key=b.__getitem__)
-            basis = [self._point(i) for i in self.first_independent(on)]
-            rows = {b[i]: _conic_row(basis, self._point(i)) for i in on}
-            self._charts[plane] = rows
-        return rows
+
+def _minor_vanishes(kernel, mask) -> bool:
+    """Whether the six points of the mask, on a plane whose chart has the
+    left kernel columns `kernel` (None for a chart of rank below 6), lie on
+    a conic: the minor of the columns outside the six vanishes."""
+    if kernel is None:
+        return True
+    outside = [column for bit, column in kernel.items() if not mask & bit]
+    return bool(outside) and _det_any(*outside) == 0
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ carry a certificate quadric when one is naturally available.
 `normalize` builds one `IncidenceTable` of the points and hands it to every
 exit, to skew-line discovery and to the relabeling checks (through views of
 it under each labeling), so each collinear triple, vanishing bracket and
-planar conic chart is computed at most once per decision, and only when an
-exit reads it.  Each function also runs without a table and then builds its
-own.
+plane of six or more points (with the left kernel of its conic chart) is
+computed at most once per decision, and only when an exit reads it.  The
+six-on-conic exit sweeps each plane it meets once, and skew-line discovery
+reads the coplanar exit off a plane that holds all ten points.  Each
+function also runs without a table and then builds its own.
 """
 
 from __future__ import annotations
@@ -107,19 +109,15 @@ def qd_six_on_plane_conic(points, table=None):
     """YES when six points lie on a degree-2 plane curve; each hit is
     cross-checked against the hexagon collinearity criterion."""
     table = table or IncidenceTable(points)
-    for subset in combinations(range(len(points)), 6):
-        if not table.on_a_plane(subset):
-            continue
-        on_line = table.on_a_line(subset)
-        if on_line or table.on_a_conic(subset):
-            if not on_line:
-                check = pascal_collinear([points[i] for i in subset])
-                if check is False:
-                    raise InternalInconsistency(
-                        f"conic determinant and hexagon criterion disagree on {subset}"
-                    )
-            return Decision(True, "six-on-conic", None, _kernel_certificate(points))
-    return None
+    subset = next(table.sixes_on_a_conic(), None)
+    if subset is None:
+        return None
+    if not table.on_a_line(subset):
+        if pascal_collinear([points[i] for i in subset]) is False:
+            raise InternalInconsistency(
+                f"conic determinant and hexagon criterion disagree on {subset}"
+            )
+    return Decision(True, "six-on-conic", None, _kernel_certificate(points))
 
 
 def _three_disjoint_covers(triples):
@@ -272,15 +270,19 @@ def find_three_skew(points, table=None):
     """
     table = table or IncidenceTable(points)
     first_pair = None
-    for ij in combinations(range(10), 2):
-        for kl in combinations(range(10), 2):
-            if ij[0] in kl or ij[1] in kl:
-                continue
-            if not table.bracket_vanishes(*ij, *kl):
-                first_pair = ij + kl
-                break
-        if first_pair:
-            break
+    # a plane the six-on-conic scan met may already hold all ten points
+    if not table.in_a_known_plane(range(10)):
+        first_pair = next(
+            (
+                ij + kl
+                for ij in combinations(range(10), 2)
+                for kl in combinations(range(10), 2)
+                if ij[0] not in kl
+                and ij[1] not in kl
+                and not table.bracket_vanishes(*ij, *kl)
+            ),
+            None,
+        )
     if first_pair is None:
         triple = table.first_independent(range(10))
         if triple is None:

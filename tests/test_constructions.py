@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_fraction, random_point, seeded
 from reference_geometry import INFINITY, parameter_of, point_at_parameter, standard_tetrahedron
-from quadricheck import constructions
+from quadricheck import constructions, fixtures, reductions
 from quadricheck.constructions import (
     ConstructionTrace,
     DegenerateMeet,
@@ -342,6 +342,40 @@ class TestTraceReplay:
         outputs = replay_trace(restored)
         assert outputs == [s.output for s in trace.steps]
 
+    def test_replay_meets_coplanar_lines_about_once(self, monkeypatch):
+        """A replay keeps one WitnessPlanes per second line of its meet
+        steps, so a line's first meet may miss, and later ones do not."""
+        traces = []
+        for seed in (1, 2):
+            decision = reductions.decide(fixtures.generate_branch("generic", seed), with_trace=True)
+            traces.append(ConstructionTrace.from_json(json.loads(json.dumps(decision.trace.to_json()))))
+        spent = []  # (witness planes, meets) of each line_meet_line call
+        real_line_meet_line, real_meet = constructions.line_meet_line, constructions.meet
+
+        def counting_line_meet_line(*args, witness_planes=None):
+            spent.append([witness_planes, 0])
+            try:
+                return real_line_meet_line(*args, witness_planes=witness_planes)
+            finally:
+                spent.append(None)
+
+        def counting_meet(a, b):
+            if spent and spent[-1] is not None:
+                spent[-1][1] += 1
+            return real_meet(a, b)
+
+        monkeypatch.setattr(constructions, "line_meet_line", counting_line_meet_line)
+        monkeypatch.setattr(constructions, "meet", counting_meet)
+        assert all(verify_replay(trace) for trace in traces)
+        calls = [call for call in spent if call is not None]
+        assert len(calls) > 200
+        # a set of witness planes misses only on its first meet
+        seen = set()  # ids of planes that `spent` keeps alive
+        for planes, n in calls:
+            assert id(planes) not in seen or n == 1
+            seen.add(id(planes))
+        assert sum(n for _, n in calls) <= 1.1 * len(calls)
+
     def test_projection_and_recover_trace(self):
         trace = ConstructionTrace()
         tet = standard_tetrahedron()
@@ -444,6 +478,19 @@ class TestWitnessPlanes:
         assert [planes[k] for k in range(4)] == [
             join_points(E0, E1, w) for w in (E0, E1, E2, E3)
         ]
+
+    def test_a_hit_after_a_miss_moves_first(self, monkeypatch):
+        meets = []
+        real_meet = constructions.meet
+        monkeypatch.setattr(constructions, "meet", lambda a, b: meets.append(b) or real_meet(a, b))
+        planes = WitnessPlanes(line_through(E0, E1))
+        # the common plane E0E1E2 holds E0, E1 and E2, so only E3 hits
+        assert line_meet_line(line_through(E0, E2), planes.line, witness_planes=planes) == E0
+        assert planes.order == (3, 0, 1, 2) and len(meets) == 4
+        # the next line of that plane spends one meet, on E3
+        hit = line_meet_line(line_through(E1, Point((1, 0, 1, 0))), planes.line, witness_planes=planes)
+        assert hit == E1 and meets[4:] == [planes[3]]
+        assert planes.order == (3, 0, 1, 2)
 
     def test_planes_of_another_line_rejected(self):
         with pytest.raises(ValueError, match="another line"):

@@ -7,6 +7,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+# scopes whose own bindings hide a definition of the same name
+SCOPES = FUNCTIONS + (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
 
 def defined_names(path):
     """(name, line) of every function, method and class defined in a
@@ -19,19 +23,46 @@ def defined_names(path):
     ]
 
 
+def local_bindings(scope):
+    """The names a function or comprehension binds itself: its parameters
+    and every Name it assigns to, not those of scopes nested in it."""
+    names = set()
+    if isinstance(scope, FUNCTIONS):
+        args = scope.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        names.update(a.arg for a in params if a is not None)
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def references(node, local=frozenset()):
+    """Every Name read under the node that is not a binding of an enclosing
+    function or comprehension, every Attribute and every import alias."""
+    if isinstance(node, SCOPES):
+        local = local | local_bindings(node)
+    if isinstance(node, ast.Name):
+        if isinstance(node.ctx, ast.Load) and node.id not in local:
+            yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name.rpartition(".")[2]
+        if node.asname:
+            yield node.asname
+    for child in ast.iter_child_nodes(node):
+        yield from references(child, local)
+
+
 def referenced_names(paths):
-    """Every Name, Attribute and import alias in the given sources."""
     names = set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rpartition(".")[2])
-                if node.asname:
-                    names.add(node.asname)
+        names.update(references(ast.parse(path.read_text(encoding="utf-8"))))
     return names
 
 
@@ -48,3 +79,22 @@ class TestLayout:
             if name not in used
         ]
         assert unused == []
+
+    def test_local_bindings_are_not_callers(self, tmp_path):
+        source = tmp_path / "module.py"
+        source.write_text(
+            "def called(): pass\n"
+            "def parameter(): pass\n"
+            "def assigned(): pass\n"
+            "def closed_over(): pass\n"
+            "def comprehended(): pass\n"
+            "def caller(parameter, *, key=None):\n"
+            "    assigned = [comprehended for comprehended in range(3)]\n"
+            "    closed_over = 1\n"
+            "    def inner():\n"
+            "        return closed_over\n"
+            "    return called(), parameter, assigned, inner, key\n"
+        )
+        assert referenced_names([source]) & {
+            "called", "parameter", "assigned", "closed_over", "comprehended", "inner"
+        } == {"called", "inner"}

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_point, seeded
 from reference_geometry import conic_planes, planar_conic_det
-from quadricheck import fixtures, projective
+from quadricheck import fixtures, projective, reductions
 from quadricheck.constructions import line_meet_line
 from quadricheck.decision import (
     Decision,
@@ -609,19 +609,28 @@ def ref_four_collinear(points):
     return None
 
 
-def ref_six_on_plane_conic(points):
+def ref_sixes_on_a_conic(points):
+    """Every six-subset, in combinations order, of rank <= 2, or of rank 3
+    with a vanishing 6x6 conic determinant."""
+    hits = []
     for subset in combinations(range(len(points)), 6):
         six = [points[i] for i in subset]
         r = rank_of_points(six)
-        if r > 3:
-            continue
-        if r <= 2 or planar_conic_det(six) == 0:
-            if r == 3 and pascal_collinear(six) is False:
-                raise InternalInconsistency(
-                    f"conic determinant and hexagon criterion disagree on {subset}"
-                )
-            return Decision(True, "six-on-conic", None, _kernel_certificate(points))
-    return None
+        if r <= 2 or (r == 3 and planar_conic_det(six) == 0):
+            hits.append(subset)
+    return hits
+
+
+def ref_six_on_plane_conic(points):
+    hits = ref_sixes_on_a_conic(points)
+    if not hits:
+        return None
+    six = [points[i] for i in hits[0]]
+    if rank_of_points(six) == 3 and pascal_collinear(six) is False:
+        raise InternalInconsistency(
+            f"conic determinant and hexagon criterion disagree on {hits[0]}"
+        )
+    return Decision(True, "six-on-conic", None, _kernel_certificate(points))
 
 
 def ref_three_lines(points):
@@ -850,42 +859,43 @@ class TestIncidenceTable:
                         rank = rank_of_points([pts[i] for i in subset])
                         assert view.on_a_line(subset) == (rank <= 2), (name, subset)
                         assert view.on_a_plane(subset) == (rank <= 3), (name, subset)
-                for subset in combinations(range(10), 6):
-                    got = outcome(view.on_a_conic, subset)
-                    want = outcome(planar_conic_det, [pts[i] for i in subset])
-                    if isinstance(want, tuple):
-                        assert got == want, (name, subset)
-                    else:
-                        coplanar_sixes += 1
-                        assert got == (want == 0), (name, subset)
+                        coplanar_sixes += k == 6 and rank == 3
+                assert list(view.sixes_on_a_conic()) == ref_sixes_on_a_conic(pts), name
         assert coplanar_sixes > 3 * 210
 
-    def test_on_a_conic_matches_determinants(self, incidence_inputs):
+    def test_sixes_on_a_conic_match_determinants(self, incidence_inputs):
         _, labelings = incidence_inputs
         configs = [(kind, fixtures.generate_branch(kind, 1), None) for kind in fixtures.GENERATED_KINDS]
         configs += conic_planes()
         tested = 0
         for name, points, want_hits in configs:
-            table = IncidenceTable(points)
+            shared = IncidenceTable(points)
             for labeling in labelings:
-                view = table.relabeled(labeling)
                 pts = labeling.apply(points)
-                hits = 0
-                for subset in combinations(range(10), 6):
-                    six = [pts[i] for i in subset]
-                    if not view.on_a_plane(subset) or view.on_a_line(subset):
-                        want = outcome(planar_conic_det, six)
-                        assert outcome(view.on_a_conic, subset) == want, (name, subset)
-                        continue
-                    got = view.on_a_conic(subset)
-                    assert got == (planar_conic_det(six) == 0), (name, subset)
-                    hits += got
-                    tested += 1
+                want = ref_sixes_on_a_conic(pts)
+                # a fresh table finds its planes in this labeling's order; a
+                # shared one reads those an earlier labeling found
+                for table in (IncidenceTable(pts), shared.relabeled(labeling)):
+                    assert list(table.sixes_on_a_conic()) == want, name
                 if want_hits is not None:
-                    assert hits == want_hits, name
-            with pytest.raises(ValueError, match="six points"):
-                table.on_a_conic(range(7))
+                    assert len(want) == want_hits, name
+                tested += sum(
+                    rank_of_points([pts[i] for i in subset]) == 3
+                    for subset in combinations(range(10), 6)
+                )
         assert tested > 6 * 210
+
+    def test_known_planes(self):
+        for name, points, _ in conic_planes():
+            table = IncidenceTable(points)
+            assert not table.in_a_known_plane(range(3)), name
+            list(table.sixes_on_a_conic())
+            # the one known plane holds exactly the n points of the conic plane
+            on = [i for i in range(10) if table.in_a_known_plane([i])]
+            assert len(on) == int(name.split()[0].removeprefix("n=")), name
+            assert rank_of_points([points[i] for i in on]) == 3, name
+            assert table.in_a_known_plane(on), name
+            assert table.in_a_known_plane(range(10)) == (len(on) == 10), name
 
     def test_exits_match_direct_scans(self, incidence_inputs):
         configs, labelings = incidence_inputs
@@ -925,3 +935,66 @@ class TestIncidenceTable:
         view = table.relabeled(Labeling((3, 2, 1, 0, 4, 5, 6, 7, 8, 9)))
         assert view.on_a_line((0, 1, 2, 3)) and view.collinear(3, 1, 0)
         assert len(computed) == 4
+
+
+def _dependence_counter(monkeypatch):
+    """Counts of the collinear triples (key 3) and brackets (key 4) that
+    IncidenceTables compute from here on."""
+    computed = {3: 0, 4: 0}
+    dependent = projective._dependent
+
+    def counting(points):
+        computed[len(points)] += 1
+        return dependent(points)
+
+    monkeypatch.setattr(projective, "_dependent", counting)
+    return computed
+
+
+class TestPlaneFirstScan:
+    """The six-on-conic exit sweeps each plane it meets once, and skew-line
+    discovery reads the coplanar exit off a plane holding all ten points."""
+
+    SEEDS = range(1, 9)
+
+    def test_same_decision_and_first_six_as_brute_force(self, monkeypatch):
+        checked = []  # the sixes the exit cross-checks with Pascal's criterion
+        pascal = pascal_collinear
+        monkeypatch.setattr(reductions, "pascal_collinear", lambda six: checked.append(six) or pascal(six))
+        configs = [(name, points) for name, points, _ in conic_planes()]
+        configs += [
+            (f"{kind} seed {seed}", fixtures.generate_branch(kind, seed))
+            for kind in fixtures.GENERATED_KINDS
+            for seed in self.SEEDS
+        ]
+        firsts = 0
+        for name, points in configs:
+            want = ref_sixes_on_a_conic(points)
+            checked.clear()
+            got = outcome(qd_six_on_plane_conic, points, IncidenceTable(points))
+            assert got == outcome(ref_six_on_plane_conic, points), name
+            first = next(IncidenceTable(points).sixes_on_a_conic(), None)
+            assert first == (want[0] if want else None), name
+            if want and rank_of_points([points[i] for i in want[0]]) == 3:
+                assert checked == [[points[i] for i in want[0]]], name
+                firsts += 1
+        assert firsts >= len(self.SEEDS) + 3
+
+    def test_coplanar_fills_few_brackets(self, monkeypatch):
+        fixtures_ = [fixtures.generate_branch("coplanar", seed) for seed in self.SEEDS]
+        computed = _dependence_counter(monkeypatch)
+        for points in fixtures_:
+            computed[3] = computed[4] = 0
+            assert decide(points).branch == "coplanar"
+            # 15 brackets of the first six and 4 for the rest of the plane;
+            # a scan six by six fills all 210
+            assert computed[4] <= 30, computed
+
+    def test_generic_fills_no_more_entries(self, monkeypatch):
+        fixtures_ = [fixtures.generate_branch("generic", seed) for seed in self.SEEDS]
+        computed = _dependence_counter(monkeypatch)
+        for points in fixtures_:
+            computed[3] = computed[4] = 0
+            assert decide(points).branch == "generic"
+            # what the six-by-six scan filled on each of these fixtures
+            assert computed[4] <= 71 and computed[3] <= 120, computed

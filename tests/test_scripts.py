@@ -104,6 +104,17 @@ class TestDecisionDigest:
         assert len(traced.stdout.splitlines()[1].split()) == 2
         assert traced.stdout.splitlines()[1].startswith("traces ")
 
+    def test_fixture_seeds(self):
+        result = run_script("decision_digest.py", "--seed", 3, "--count", 0, "--fixture-seeds", 2)
+        assert result.returncode == 0, result.stderr
+        digest = hashlib.sha256()
+        for kind in fixtures.GENERATED_KINDS:
+            for seed in (3, 4):
+                decision = reductions.decide(fixtures.generate_branch(kind, seed)).to_json()
+                line = json.dumps(decision, sort_keys=True, separators=(",", ":"))
+                digest.update(line.encode() + b"\n")
+        count = 2 * len(fixtures.GENERATED_KINDS)
+        assert result.stdout.splitlines() == [f"decisions {digest.hexdigest()} {count} configurations"]
 
     def test_pinned_digest(self):
         # 31 configurations, 12 of them generic: every decision and every
@@ -114,6 +125,20 @@ class TestDecisionDigest:
             "decisions ee55ae3abbd4d8c2cd3a73f2505885b83e0f19b78d28dd997f80a8104c65f57c"
             " 31 configurations",
             "traces f4b8f7ba9e9d8634eda4ea3d81f22fe0829e4825b0e02471957505ae903a5a49",
+        ]
+
+    def test_pinned_fixture_digest(self):
+        # the fixtures of every kind for seeds 5..12, 88 configurations:
+        # every special-position branch that the plane-first scans decide
+        # must stay byte-identical to these digests
+        result = run_script(
+            "decision_digest.py", "--seed", 5, "--count", 0, "--fixture-seeds", 8, "--trace"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "decisions 37257a32c4d00ada16989d6c8beec185ae9c7217d9ddfb4c7f9b188365a55f83"
+            " 88 configurations",
+            "traces edc0a68796d07d8632286819d5e3ad5d9f50d49328783cf418f6e881f2b73b8b",
         ]
 
 def test_det_identity_experiment():
