@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import fixtures, reductions
 from .oracle import oracle_decide, sample_generic, sample_on_quadric
-from .projective import Point
+from .projective import Point, clear_denominators
 
 
 class ConfigError(ValueError):
@@ -78,7 +78,7 @@ def load_points(payload) -> InputConfig:
         if not isinstance(entry, list) or len(entry) != 4:
             raise ConfigError("each point is an array of 4 rational strings")
         try:
-            points.append(Point(_parse_coordinate(c) for c in entry))
+            points.append(Point(clear_denominators(_parse_coordinate(c) for c in entry)))
         except ConfigError:
             raise
         except (ValueError, ZeroDivisionError) as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .projective import GeometryError, Point, _canonical_ints
+from .projective import STANDARD_BASIS, GeometryError, Point, _canonical_ints
 
 SUBSETS = {k: tuple(combinations(range(4), k)) for k in range(5)}
 _INDEX = {k: {s: i for i, s in enumerate(SUBSETS[k])} for k in range(5)}
@@ -267,7 +267,7 @@ def support_basis(e: Extensor):
     if e.grade < 1:
         raise ZeroExtensor("scalars have no support basis")
     if e.grade == 4:
-        return [Point(v) for v in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+        return list(STANDARD_BASIS)
     rows = [[0] * 4 for _ in SUBSETS[e.grade + 1]]
     for ia, i, io, sign in _JOIN[e.grade, 1]:
         rows[io][i] = sign * e.coeffs[ia]

@@ -10,16 +10,16 @@ applied freely for variety.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import reductions
 from .oracle import (
+    _random_fraction,
     oracle_decide,
     random_transform,
     sample_generic,
     segre_point,
 )
-from .projective import Point
+from .projective import Point, clear_denominators
 
 GENERATED_KINDS = (
     "duplicate",
@@ -43,13 +43,8 @@ class FixtureError(ValueError):
 def _combine(coeff_points):
     coords = [0, 0, 0, 0]
     for coeff, p in coeff_points:
-        coeff = Fraction(coeff)
         coords = [a + coeff * c for a, c in zip(coords, p.coords)]
     return Point(coords)
-
-
-def _rand_frac(rng, bound=9):
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
 def _validated(kind):
@@ -133,8 +128,12 @@ def _gen_coincident_transversals(rng):
     u2 = Point((0, 0, 1, w))
     a_pt = _combine([(1, u1), (1, u2)])
     b_pt = _combine([(1, u1), (rng.randint(2, 7), u2)])
-    c_pt = Point((1, _rand_frac(rng), _rand_frac(rng) + 1, _rand_frac(rng)))
-    x_pt = Point((2, _rand_frac(rng), _rand_frac(rng) + 2, _rand_frac(rng)))
+
+    def off_lines(k):
+        x, y, z = (_random_fraction(rng, 9) for _ in range(3))
+        return Point(clear_denominators((k, x, y + k, z)))
+
+    c_pt, x_pt = off_lines(1), off_lines(2)
     tr = random_transform(rng, bound=3)
     return [tr.apply(p) for p in trio1 + trio2 + [a_pt, b_pt, c_pt, x_pt]]
 

@@ -17,6 +17,7 @@ from .projective import (
     QuadricCoeffs,
     Transform,
     bareiss_det,
+    clear_denominators,
     veronese_row,
 )
 
@@ -54,21 +55,18 @@ def _random_fraction(rng: random.Random, bound: int) -> Fraction:
 
 
 def random_transform(rng: random.Random, bound: int = 10) -> Transform:
-    """Seeded invertible 4x4 rational matrix."""
+    """Seeded invertible 4x4 rational matrix, cleared by one lcm over all 16."""
     while True:
-        rows = tuple(
-            tuple(_random_fraction(rng, bound) for _ in range(4)) for _ in range(4)
-        )
+        entries = clear_denominators(_random_fraction(rng, bound) for _ in range(16))
         try:
-            return Transform(rows)
+            return Transform(tuple(entries[i : i + 4] for i in range(0, 16, 4)))
         except ValueError:
             continue
 
 
 def segre_point(s, t) -> Point:
     """[1 : s : t : st], a point of the doubly ruled quadric xw - yz = 0."""
-    s, t = Fraction(s), Fraction(t)
-    return Point((1, s, t, s * t))
+    return Point(clear_denominators((1, s, t, s * t)))
 
 
 SEGRE_QUADRIC = QuadricCoeffs((0, 0, 0, 1, 0, -1, 0, 0, 0, 0))
@@ -99,7 +97,7 @@ def sample_generic(seed, n, bound=1000) -> list:
     points = []
     seen = set()
     while len(points) < n:
-        p = Point(tuple(_random_fraction(rng, bound) for _ in range(4)))
+        p = Point(clear_denominators(_random_fraction(rng, bound) for _ in range(4)))
         if p in seen:
             continue
         seen.add(p)

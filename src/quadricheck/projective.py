@@ -1,22 +1,21 @@
-"""Exact projective arithmetic over the rationals.
+"""Exact projective arithmetic on integer representatives.
 
-Points carry canonical integer coordinates (coprime, first nonzero entry
-positive), so point equality is tuple equality and every determinant built
-from canonical points is plain integer arithmetic.  Rank, kernel and
-determinants all read one fraction-free (Bareiss) echelon form, computed
-by `_echelon`.  The incidences of a configuration (collinear triples,
-vanishing brackets, and the planes of six or more of its points with the
-left kernels of their conic charts) are read through one memoizing
-`IncidenceTable`.  The quadrics through a set of points are the kernel of
-their Veronese rows, `quadric_through`; the special exits take their
-certificates from it.
+Rationals are cleared once, by `clear_denominators`, where they enter;
+`Point`, `QuadricCoeffs` and `Transform` take ints only.  Points carry
+canonical coordinates (coprime, first nonzero entry positive), so point
+equality is tuple equality.  Rank, kernel and determinants all read one
+fraction-free (Bareiss) echelon form, computed by `_echelon`.  The
+incidences of a configuration (collinear triples, vanishing brackets, and
+the planes of six or more of its points with the left kernels of their
+conic charts) are read through one memoizing `IncidenceTable`.  The
+quadrics through a set of points are the kernel of their Veronese rows,
+`quadric_through`; the special exits take their certificates from it.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
@@ -33,12 +32,22 @@ class InfinityProduct(GeometryError):
 _INT_ONLY = frozenset((int,))
 
 
+def clear_denominators(values) -> tuple:
+    """Ints or Fractions times the lcm of their denominators: integers with
+    the same ratios, so the same projective class."""
+    values = tuple(values)
+    mult = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (mult // v.denominator) for v in values)
+
+
+def _require_ints(values):
+    if not _INT_ONLY.issuperset(map(type, values)):
+        raise TypeError("exact coordinates must be ints; clear rationals first")
+
+
 def _canonical_ints(values):
     ints = tuple(values)
-    if not _INT_ONLY.issuperset(map(type, ints)):
-        fracs = [Fraction(v) for v in ints]
-        mult = lcm(*(f.denominator for f in fracs))
-        ints = tuple(f.numerator * (mult // f.denominator) for f in fracs)
+    _require_ints(ints)
     if not any(ints):
         raise ValueError("homogeneous coordinates must not all be zero")
     g = gcd(*ints)
@@ -52,9 +61,9 @@ def _canonical_ints(values):
 class Point:
     """A point of P^1, P^2 or P^3 in canonical homogeneous coordinates.
 
-    Coordinates may be given as ints, Fractions or rational strings such as
-    "-3/7"; they are cleared to coprime integers with the first nonzero
-    entry positive, so two Points are equal iff their coords tuples are.
+    Coordinates must be ints (TypeError otherwise); they are divided to
+    coprime integers with the first nonzero entry positive, so two Points
+    are equal iff their coords tuples are.
     """
 
     __slots__ = ("coords",)
@@ -114,8 +123,7 @@ def det3(a, b, c):
 def det4(a, b, c, d):
     """Determinant of the 4x4 matrix with columns a, b, c, d.
 
-    Laplace expansion along the first two columns; exact for ints and
-    Fractions alike.
+    Laplace expansion along the first two columns.
     """
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
@@ -148,27 +156,16 @@ def _det_any(*columns):
 
 
 def _echelon(rows):
-    """Fraction-free (Bareiss) row echelon form of a rational matrix.
+    """Fraction-free (Bareiss) row echelon form of an integer matrix.
 
-    Each row is first cleared to integers; scaling a row keeps the rank, the
-    pivot columns and the kernel.  Pivots are the first nonzero entry of their
-    column, and every update below a pivot divides exactly by the previous
-    pivot (Sylvester's identity), so entries stay integer minors of the
-    cleared matrix.  Returns (rows, pivot columns, factor): rows below the
-    rank are zero, and for a square matrix det = factor × last row's last
-    entry, where factor is the swap sign over the product of the row
-    multipliers (an int for integer input, a Fraction otherwise).
+    Pivots are the first nonzero entry of their column, and every update
+    below a pivot divides exactly by the previous pivot (Sylvester's
+    identity), so entries stay integer minors.  Returns (rows, pivot columns,
+    swap sign): rows below the rank are zero, and a square matrix has
+    det = sign × last row's last entry.
     """
-    a = []
-    factor = 1
-    for row in rows:
-        if all(type(x) is int for x in row):
-            a.append(list(row))
-        else:
-            row = [Fraction(x) for x in row]
-            mult = lcm(*(x.denominator for x in row))
-            a.append([x.numerator * (mult // x.denominator) for x in row])
-            factor = Fraction(factor, mult)
+    a = [list(row) for row in rows]
+    sign = 1
     m = len(a)
     n = len(a[0]) if a else 0
     pivots = []
@@ -182,7 +179,7 @@ def _echelon(rows):
             continue
         if i != r:
             a[r], a[i] = a[i], a[r]
-            factor = -factor
+            sign = -sign
         prow = a[r]
         pv = prow[c]
         for i in range(r + 1, m):
@@ -196,11 +193,11 @@ def _echelon(rows):
         r += 1
         if r == m:
             break
-    return a, pivots, factor
+    return a, pivots, sign
 
 
 def rank_of_vectors(vectors) -> int:
-    """Exact rank of the span of the given rational coordinate vectors."""
+    """Exact rank of the span of the given integer coordinate vectors."""
     return len(_echelon(vectors)[1])
 
 
@@ -221,9 +218,9 @@ def kernel_basis(rows):
         raise ValueError("kernel_basis needs the column count from its rows")
     cols = len(a[0])
     # The last pivot d is the determinant of the pivot columns of the first
-    # rank rows of the cleared, row-swapped matrix, and those rows span its
-    # row space; by Cramer's rule d·x is an integer vector, so every
-    # division below is exact.
+    # rank rows of the row-swapped matrix, and those rows span its row
+    # space; by Cramer's rule d·x is an integer vector, so every division
+    # below is exact.
     d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []
     for fc in range(cols):
@@ -240,11 +237,11 @@ def kernel_basis(rows):
 
 
 def bareiss_det(rows):
-    """Exact determinant of a square rational matrix, fraction-free."""
+    """Exact determinant of a square integer matrix, fraction-free."""
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
-    a, _, factor = _echelon(rows)
-    return factor * a[-1][-1]
+    a, _, sign = _echelon(rows)
+    return sign * a[-1][-1]
 
 
 # Degree-2 monomials of planar coordinates, in the order of the conic rows.
@@ -299,7 +296,11 @@ class _Dependence(dict):
         self.points = points
 
     def __missing__(self, mask):
-        pts = [p for n, p in enumerate(self.points) if mask >> n & 1]
+        pts, rest = [], mask
+        while rest:
+            low = rest & -rest
+            pts.append(self.points[low.bit_length() - 1])
+            rest ^= low
         dependent = self[mask] = _dependent(pts)
         return dependent
 
@@ -479,14 +480,16 @@ def _minor_vanishes(kernel, mask) -> bool:
 
 @dataclass(frozen=True)
 class Transform:
-    """An invertible projective transformation of P^3 (4x4, det != 0)."""
+    """An invertible projective transformation of P^3: a 4x4 int matrix,
+    det != 0.  Clear a rational one by one lcm over all 16 entries."""
 
     matrix: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
+        rows = tuple(tuple(row) for row in self.matrix)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("transform matrix must be 4x4")
+        _require_ints([x for row in rows for x in row])
         object.__setattr__(self, "matrix", rows)
         if self.det() == 0:
             raise ValueError("transform matrix must be invertible")
@@ -496,10 +499,7 @@ class Transform:
         return det4(*cols)
 
     def apply_vector(self, vec):
-        return tuple(
-            sum(self.matrix[i][j] * Fraction(vec[j]) for j in range(4))
-            for i in range(4)
-        )
+        return tuple(sum(m * v for m, v in zip(row, vec)) for row in self.matrix)
 
     def apply(self, p: Point) -> Point:
         return Point(self.apply_vector(p.coords))

@@ -47,6 +47,7 @@ from .extensors import (
 )
 from .oracle import oracle_decide
 from .projective import (
+    STANDARD_BASIS,
     IncidenceTable,
     Point,
     bracket,
@@ -187,7 +188,7 @@ def _two_lines_meeting_case(points, table, base_pair, ab_pts, r_pt, cx_idx):
         else:
             extra = next(
                 e
-                for e in (Point((1, 0, 0, 0)), Point((0, 1, 0, 0)), Point((0, 0, 1, 0)), Point((0, 0, 0, 1)))
+                for e in STANDARD_BASIS
                 if not contains_point(line_through(*base_pts), e)
             )
             residual = plane_through(base_pts[0], base_pts[1], extra)

@@ -10,7 +10,6 @@ ten points, on which some six-subsets lie on a conic."""
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from quadricheck.constructions import LineFrame, Tetrahedron
 from quadricheck.oracle import random_transform, sample_generic
@@ -25,6 +24,7 @@ from quadricheck.projective import (
     _det_any,
     _echelon,
     bareiss_det,
+    clear_denominators,
     rank_of_points,
     rank_of_vectors,
     veronese_row,
@@ -76,12 +76,14 @@ def transform_from_columns(columns):
 
 def transform_inverse(t):
     """The inverse transform, solved column by column from one echelon form
-    of [matrix | identity]."""
+    of [matrix | identity] and cleared by one lcm over its 16 entries, so it
+    is the rational inverse up to scale."""
     a, pivots, _ = _echelon(
         [list(row) + [int(i == j) for j in range(4)] for i, row in enumerate(t.matrix)]
     )
     cols = [_back_substitute(a, pivots, 4 + j, 4) for j in range(4)]
-    return Transform(tuple(tuple(col[i] for col in cols) for i in range(4)))
+    entries = clear_denominators(col[i] for i in range(4) for col in cols)
+    return Transform(tuple(entries[i : i + 4] for i in range(0, 16, 4)))
 
 
 def param_inv(x):
@@ -186,7 +188,7 @@ def point_at_parameter(frame: LineFrame, x) -> Point:
         alpha * z + x * beta * i
         for z, i in zip(frame.zero.coords, frame.infinity.coords)
     )
-    return Point(coords)
+    return Point(clear_denominators(coords))
 
 
 def quadric_space_dimension(points) -> int:
@@ -212,8 +214,7 @@ def planar_conic_det(six):
         c = coordinates_in_basis(basis, p)
         if c is None:
             raise ValueError("point is not in the plane of the basis")
-        mult = lcm(*(f.denominator for f in c))
-        v = [int(f * mult) for f in c]
+        v = clear_denominators(c)
         rows.append(tuple(v[i] * v[j] for i, j in CONIC_MONOMIALS))
     return bareiss_det(rows)
 

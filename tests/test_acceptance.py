@@ -50,6 +50,7 @@ from quadricheck.projective import (
     Point,
     STANDARD_BASIS,
     bracket,
+    clear_denominators,
     rank_of_points,
 )
 from quadricheck.reductions import decide
@@ -163,7 +164,7 @@ def _random_frame(rng):
         t = random_fraction(rng)
         if t == 0:
             continue
-        return LineFrame(z, i, Point(tuple(a + t * b for a, b in zip(z.coords, i.coords))))
+        return LineFrame(z, i, Point(clear_denominators(a + t * b for a, b in zip(z.coords, i.coords))))
 
 
 def test_criterion_5_von_staudt(announce):

@@ -308,11 +308,12 @@ class TestInputHardening:
         assert err.startswith("error: ")
 
     def test_cap_admits_wide_corpus_coordinates(self):
-        wide = str(2**256 - 1)
+        w = 2**256 - 1
+        wide = str(w)
         rows = self.rows()
         rows[0] = [wide, "1/" + wide, "-" + wide, "3"]
         cfg = cli.load_points({"points": rows})
-        assert cfg.points[0] == Point((wide, "1/" + wide, "-" + wide, "3"))
+        assert cfg.points[0] == Point((w * w, 1, -w * w, 3 * w))
         rows[0][0] = str(2**cli.MAX_COORD_BITS)
         with pytest.raises(cli.ConfigError):
             cli.load_points({"points": rows})

@@ -35,6 +35,7 @@ from quadricheck.projective import (
     ONES,
     Point,
     bracket,
+    clear_denominators,
     rank_of_points,
 )
 
@@ -53,7 +54,7 @@ def random_frame(rng):
         t = random_fraction(rng)
         if t in (0,):
             continue
-        unit = Point(tuple(a + t * b for a, b in zip(z.coords, i.coords)))
+        unit = Point(clear_denominators(a + t * b for a, b in zip(z.coords, i.coords)))
         if unit in (z, i):
             continue
         return LineFrame(z, i, unit)
@@ -454,7 +455,9 @@ class TestWitnessPlanes:
             if rank_of_points((p, q, r)) != 3:
                 continue
             a, b, c = (random_fraction(rng) for _ in range(3))
-            s = Point(tuple(a * x + b * y + c * z for x, y, z in zip(p.coords, q.coords, r.coords)))
+            s = Point(
+                clear_denominators(a * x + b * y + c * z for x, y, z in zip(p.coords, q.coords, r.coords))
+            )
             if rank_of_points((r, s)) != 2 or rank_of_points((p, q, s)) == 2:
                 continue
             count -= 1

@@ -31,7 +31,13 @@ from quadricheck.generic_case import (
     genericity_violation,
     global_unit,
 )
-from quadricheck.oracle import oracle_decide, oracle_det, sample_generic, segre_point
+from quadricheck.oracle import (
+    oracle_decide,
+    oracle_det,
+    sample_generic,
+    sample_on_quadric,
+    segre_point,
+)
 from quadricheck.projective import (
     E0,
     E1,
@@ -424,6 +430,32 @@ class TestDecideGeneric:
         full = decide(pts)
         assert full.on_quadric
         assert oracle_decide(pts)
+
+    def test_verdict_does_not_depend_on_the_global_unit(self, monkeypatch):
+        # global_unit's claim: another unit point rescales the local
+        # parameters but not the coplanarity verdict of the test points
+        configs = [sample_on_quadric(f"unit:{k}", 10, transformed=True, bound=30) for k in range(14)]
+        configs += [sample_generic(f"unit:{k}", 10, bound=30) for k in range(14)]
+        default = [decide(pts) for pts in configs]
+        calls = []
+
+        def weighted_unit(points):
+            """v6 + 2v7 + 3v8 + 5v9."""
+            calls.append(points)
+            vs = [points[i].coords for i in range(6, 10)]
+            return Point(tuple(sum(w * v[i] for w, v in zip((1, 2, 3, 5), vs)) for i in range(4)))
+
+        monkeypatch.setattr(generic_case, "global_unit", weighted_unit)
+        verdicts = []
+        for pts, want in zip(configs, default):
+            if want.branch != "generic":
+                continue
+            calls.clear()
+            got = decide(pts)
+            assert calls and got.branch == "generic"
+            assert got.on_quadric == want.on_quadric == oracle_decide(pts)
+            verdicts.append(got.on_quadric)
+        assert len(verdicts) >= 20 and set(verdicts) == {True, False}
 
     def test_two_planes_shortcut(self):
         base = list(STANDARD_BASIS) + [Point((1, 2, 3, 4)), Point((1, 1, 2, 3))]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import seeded
 from reference_geometry import quadric_space_dimension
-from quadricheck import constructions, extensors, generic_case, reductions
+from quadricheck import constructions, decision, extensors, generic_case, projective, reductions
 from quadricheck.oracle import (
     SEGRE_QUADRIC,
     VeroneseMatrix,
@@ -180,7 +180,8 @@ class TestIndependence:
         assert names_from(reductions, "oracle") == ["oracle_decide"]
 
     def test_construction_layers_take_nothing_from_fractions(self):
-        # the synthetic pipeline runs on canonical integer points and
-        # extensors; the rational parameters of a line live in the tests
-        for module in (constructions, extensors, generic_case, reductions):
+        # the exact core runs on canonical integer points and extensors;
+        # rationals are cleared where they enter (cli, oracle, fixtures), and
+        # the rational parameters of a line live in the tests
+        for module in (projective, extensors, decision, generic_case, constructions, reductions):
             assert names_from(module, "fractions") == [], module.__name__

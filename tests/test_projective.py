@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import coords, points, random_point, scalars, seeded
+from conftest import coords, points, random_fraction, random_point, scalars, seeded
 from reference_geometry import (
     INFINITY,
     DegenerateWitness,
@@ -28,6 +28,7 @@ from quadricheck.projective import (
     Transform,
     bareiss_det,
     bracket,
+    clear_denominators,
     det4,
     kernel_basis,
     rank_of_points,
@@ -125,9 +126,11 @@ def reference_inverse(matrix):
 
 
 def seeded_matrix(rng, m, n, shape, entries):
-    """An m x n matrix of the given shape ("random", "sparse", "low-rank",
-    "repeated-row", "zero-row" or "zero-column") with "int", "fraction" or
-    "mixed" entries.  Sparse matrices are mostly zeros, so that elimination
+    """An m x n integer matrix of the given shape ("random", "sparse",
+    "low-rank", "repeated-row", "zero-row" or "zero-column"), drawn with
+    "int", "fraction" or "mixed" entries and cleared by one lcm over all of
+    them, so every kind keeps the rank, kernel and shape of the rational
+    matrix drawn.  Sparse matrices are mostly zeros, so that elimination
     has to swap rows."""
 
     def entry():
@@ -141,8 +144,9 @@ def seeded_matrix(rng, m, n, shape, entries):
         k = rng.randint(1, max(1, min(m, n) - 1))
         left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
         right = [[entry() for _ in range(n)] for _ in range(k)]
-        return [[sum(x * r[j] for x, r in zip(row, right)) for j in range(n)] for row in left]
-    rows = [[entry() for _ in range(n)] for _ in range(m)]
+        rows = [[sum(x * r[j] for x, r in zip(row, right)) for j in range(n)] for row in left]
+    else:
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
     if shape == "repeated-row" and m > 1:
         src, dst = rng.sample(range(m), 2)
         factor = 1 if entries == "int" else Fraction(-2, 3)
@@ -153,7 +157,8 @@ def seeded_matrix(rng, m, n, shape, entries):
         c = rng.randrange(n)
         for row in rows:
             row[c] = 0
-    return rows
+    flat = clear_denominators(x for row in rows for x in row)
+    return [list(flat[i : i + n]) for i in range(0, m * n, n)]
 
 
 SHAPES = ("random", "sparse", "low-rank", "repeated-row", "zero-row", "zero-column")
@@ -183,12 +188,12 @@ def same_typed(got, want):
 
 class TestPoint:
     def test_canonical_form(self):
-        assert Point(("1/2", 3, 0, "-2/3")).coords == (3, 18, 0, -4)
+        assert Point(clear_denominators((Fraction(1, 2), 3, 0, Fraction(-2, 3)))).coords == (3, 18, 0, -4)
         assert Point((-2, 4, 0, -6)).coords == (1, -2, 0, 3)
 
     def test_equality_up_to_scale(self):
         assert Point((1, 2, 3, 4)) == Point((2, 4, 6, 8))
-        assert Point((0, 1, 0, 0)) == Point((0, Fraction(1, 7), 0, 0))
+        assert Point((0, 1, 0, 0)) == Point(clear_denominators((0, Fraction(1, 7), 0, 0)))
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -202,7 +207,7 @@ class TestPoint:
 
     @given(points, scalars)
     def test_scaling_invariance(self, p, lam):
-        assert Point(tuple(lam * c for c in p.coords)) == p
+        assert Point(clear_denominators(lam * c for c in p.coords)) == p
 
     @given(points)
     def test_string_round_trip(self, p):
@@ -258,10 +263,10 @@ class TestRank:
             assert rank_of_points(combos) == 3
 
     @given(st.lists(points, min_size=1, max_size=6))
-    def test_integer_and_fraction_paths_agree(self, pts):
+    def test_rank_survives_clearing_each_row(self, pts):
         ints = [p.coords for p in pts]
-        fracs = [[Fraction(c, 3) for c in p.coords] for p in pts]
-        assert rank_of_vectors(ints) == rank_of_vectors(fracs)
+        fracs = [[Fraction(c, k + 2) for c in p.coords] for k, p in enumerate(pts)]
+        assert rank_of_vectors(ints) == rank_of_vectors([clear_denominators(r) for r in fracs])
 
 
 class TestTransform:
@@ -426,12 +431,22 @@ class TestAgainstDirectDefinitions:
             if len(rows) == len(rows[0]):
                 assert same_typed(bareiss_det(rows), reference_det(rows))
 
-    def test_bareiss_det_of_rational_matrices(self):
+    def test_bareiss_det_of_cleared_rational_matrices(self):
+        """Clearing each row of a rational matrix by the lcm of its
+        denominators multiplies the determinant by those lcms."""
         half, third = Fraction(1, 2), Fraction(1, 3)
-        assert same_typed(bareiss_det([[half, 0], [0, half]]), Fraction(1, 4))
-        assert same_typed(
-            bareiss_det([[half, third], [Fraction(1, 5), Fraction(1, 7)]]), Fraction(1, 210)
-        )
+        assert same_typed(bareiss_det([clear_denominators(r) for r in ((half, 0), (0, half))]), 1)
+        rows = ((half, third), (Fraction(1, 5), Fraction(1, 7)))  # det 1/210, lcms 6 and 35
+        assert same_typed(bareiss_det([clear_denominators(r) for r in rows]), 1)
+        rng = seeded("cleared-det")
+        for n in (1, 2, 3, 5, 8):
+            rows = [[random_fraction(rng, 9) for _ in range(n)] for _ in range(n)]
+            scale = 1
+            for row in rows:
+                scale *= lcm(*(x.denominator for x in row))
+            want = reference_det(rows) * scale
+            assert same_typed(bareiss_det([clear_denominators(r) for r in rows]), int(want))
+            assert want.denominator == 1
 
     def test_coordinates_in_basis(self):
         rng = seeded("reference-solve")
@@ -464,7 +479,11 @@ class TestAgainstDirectDefinitions:
                     t = Transform(seeded_matrix(rng, 4, 4, "random", entries))
                 except ValueError:
                     continue
-                assert same_typed(transform_inverse(t).matrix, reference_inverse(t.matrix))
+                got, want = transform_inverse(t).matrix, reference_inverse(t.matrix)
+                assert same_typed(
+                    reference_canonical_ints(x for row in got for x in row),
+                    reference_canonical_ints(x for row in want for x in row),
+                )
                 checked += 1
         assert checked >= 40
 
@@ -476,7 +495,8 @@ class TestQuadricCoeffs:
         assert q.evaluate(Point((1, 1, 1, 0))) != 0
 
     def test_canonicalized(self):
-        assert QuadricCoeffs(tuple(Fraction(k, 2) for k in (2, 4, 0, 0, 0, 0, 0, 0, 0, 0))).coeffs[:2] == (1, 2)
+        halves = (Fraction(k, 2) for k in (2, 4, 0, 0, 0, 0, 0, 0, 0, 0))
+        assert QuadricCoeffs(clear_denominators(halves)).coeffs[:2] == (1, 2)
 
     def test_round_trip(self):
         q = QuadricCoeffs((0, 0, 0, 1, 0, -1, 0, 0, 0, 0))
@@ -520,18 +540,22 @@ def coordinate_inputs(name, n):
                 yield values
 
 
+def cleared(values):
+    """The input boundary: parse each value as a Fraction, then clear."""
+    return clear_denominators(Fraction(v) for v in values)
+
+
 class TestCanonicalInts:
     def test_point(self):
         for values in coordinate_inputs("canonical-point", 4):
-            assert same_typed(Point(values).coords, reference_canonical_ints(values))
+            assert same_typed(Point(cleared(values)).coords, reference_canonical_ints(values))
 
     def test_quadric_coeffs(self):
         for values in coordinate_inputs("canonical-quadric", 10):
-            assert same_typed(QuadricCoeffs(values).coeffs, reference_canonical_ints(values))
+            assert same_typed(QuadricCoeffs(cleared(values)).coeffs, reference_canonical_ints(values))
 
     def test_kernel_basis(self, monkeypatch):
         matrices = list(seeded_matrices("canonical-kernel"))
-        matrices += [[[str(x) for x in row] for row in rows] for rows in matrices[::3]]
         got = [kernel_basis(rows) for rows in matrices]
         monkeypatch.setattr(projective, "_canonical_ints", reference_canonical_ints)
         assert all(same_typed(g, kernel_basis(rows)) for g, rows in zip(got, matrices))
@@ -539,4 +563,45 @@ class TestCanonicalInts:
     @pytest.mark.parametrize("zeros", [(0, 0, 0, 0), (Fraction(0),) * 4, ("0", "0/3", "-0", "0")])
     def test_all_zero_rejected(self, zeros):
         with pytest.raises(ValueError, match="must not all be zero"):
-            Point(zeros)
+            Point(cleared(zeros))
+
+
+class TestIntOnlyCore:
+    """Rationals are cleared where they enter; the exact core refuses them,
+    with TypeError so that no caller that retries on ValueError can miss a
+    conversion."""
+
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), "3", True], ids=repr)
+    def test_point_refuses(self, entry):
+        with pytest.raises(TypeError):
+            Point((1, entry, 0, 0))
+
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), "3", True], ids=repr)
+    def test_quadric_coeffs_refuse(self, entry):
+        with pytest.raises(TypeError):
+            QuadricCoeffs((entry, 1, 0, 0, 0, 0, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), "3", True], ids=repr)
+    def test_transform_refuses(self, entry):
+        rows = [[int(i == j) for j in range(4)] for i in range(4)]
+        rows[2][3] = entry
+        with pytest.raises(TypeError):
+            Transform(rows)
+
+    def test_clear_denominators(self):
+        assert same_typed(clear_denominators((Fraction(1, 2), 3, Fraction(-2, 3))), (3, 18, -4))
+        assert same_typed(clear_denominators((4, -6)), (4, -6))
+        assert same_typed(clear_denominators(()), ())
+
+    def test_one_lcm_keeps_the_projective_map(self):
+        rng = seeded("one-lcm-transform")
+        for _ in range(10):
+            rows = [[random_fraction(rng) for _ in range(4)] for _ in range(4)]
+            flat = clear_denominators(x for row in rows for x in row)
+            try:
+                t = Transform([flat[i : i + 4] for i in range(0, 16, 4)])
+            except ValueError:
+                continue
+            p = random_point(rng)
+            image = [sum(m * c for m, c in zip(row, p.coords)) for row in rows]
+            assert t.apply(p) == Point(clear_denominators(image))

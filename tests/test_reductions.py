@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -66,7 +65,7 @@ def circle_point(num, den):
 def combo(weights_points):
     coords = [0, 0, 0, 0]
     for w, p in weights_points:
-        coords = [a + Fraction(w) * c for a, c in zip(coords, p.coords)]
+        coords = [a + w * c for a, c in zip(coords, p.coords)]
     return Point(coords)
 
 
