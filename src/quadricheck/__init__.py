@@ -1,8 +1,9 @@
 """Exact decision procedure for ten labeled points on a quadric surface.
 
 The synthetic pipeline (reductions + generic case) uses only joins, meets
-and von Staudt constructions over exact rationals; the oracle module holds
-the 10x10 determinant ground truth every verdict is checked against.
+and von Staudt constructions on integer representatives of the points; the
+oracle module holds the 10x10 determinant ground truth every verdict is
+checked against.
 """
 
 from .decision import Decision, Labeling, PlanePair

@@ -402,7 +402,7 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
 def choose_auxiliaries(frame: LineFrame, avoid=()):
     """Deterministic auxiliary point a and line L' for the two-projection
     construction: a off the frame's line and off L', L' through zero and
-    distinct from the line.  Candidates walk a fixed rational family; avoid
+    distinct from the line.  Candidates walk a fixed integer family; avoid
     points are kept off L' (zero excepted) and distinct from a.
     """
     avoid = tuple(avoid)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .projective import STANDARD_BASIS, GeometryError, Point, _canonical_ints
+from .projective import STANDARD_BASIS, GeometryError, Point, _canonical_ints, _require_ints
 
 SUBSETS = {k: tuple(combinations(range(4), k)) for k in range(5)}
 _INDEX = {k: {s: i for i, s in enumerate(SUBSETS[k])} for k in range(5)}
@@ -128,8 +128,7 @@ class Extensor:
         coeffs = tuple(coeffs)
         if len(coeffs) != len(SUBSETS[grade]):
             raise ValueError(f"grade-{grade} extensor needs {len(SUBSETS[grade])} coefficients")
-        if any(type(c) is not int for c in coeffs):
-            raise ValueError("extensor coefficients must be ints")
+        _require_ints(coeffs)
         object.__setattr__(self, "grade", grade)
         object.__setattr__(self, "coeffs", coeffs)
 

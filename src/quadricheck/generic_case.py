@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .constructions import (
     Tetrahedron,
@@ -215,9 +215,9 @@ def genericity_violation(points, table=None):
     if len(set(pts)) != 10:
         return "points are not all distinct"
     table = table or IncidenceTable(pts)
-    for quad in combinations(range(10), 4):
-        if table.on_a_line(quad):
-            return f"points {quad} are collinear"
+    quad = table.first_collinear_four()
+    if quad is not None:
+        return f"points {quad} are collinear"
     for pair in ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5)):
         if table.bracket_vanishes(*pair):
             return "lines 01, 23, 45 are not mutually skew"

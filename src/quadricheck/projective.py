@@ -389,6 +389,23 @@ class IncidenceTable:
                 return False
         return True
 
+    def collinear_triples(self):
+        """Every collinear triple of the points, in combinations order."""
+        return [t for t in combinations(range(len(self._bits)), 3) if self.collinear(*t)]
+
+    def first_collinear_four(self):
+        """The first four of the points, in combinations order, that lie on
+        a line; None when no four do.  The first three points of a collinear
+        four are a collinear triple, so only those triples are extended, and
+        a triple is read only when the scan reaches it."""
+        n = len(self._bits)
+        for a, b, c in combinations(range(n), 3):
+            if self.collinear(a, b, c):
+                for l in range(c + 1, n):
+                    if self.on_a_line((a, b, c, l)):
+                        return a, b, c, l
+        return None
+
     def on_a_plane(self, indices) -> bool:
         """Whether the points at the distinct indices have rank <= 3."""
         b, dependent = self._bits, self._dependent

@@ -12,9 +12,10 @@ exit, to skew-line discovery and to the relabeling checks (through views of
 it under each labeling), so each collinear triple, vanishing bracket and
 plane of six or more points (with the left kernel of its conic chart) is
 computed at most once per decision, and only when an exit reads it.  The
-six-on-conic exit sweeps each plane it meets once, and skew-line discovery
-reads the coplanar exit off a plane that holds all ten points.  Each
-function also runs without a table and then builds its own.
+four-collinear exit extends only collinear triples, the three-lines and
+two-lines exits read one list of them, the six-on-conic exit sweeps each
+plane it meets once, and skew-line discovery reads the coplanar exit off a
+plane that holds all ten points.
 """
 
 from __future__ import annotations
@@ -64,11 +65,6 @@ def _kernel_certificate(points):
     return basis[0] if basis else None
 
 
-def collinear_triples(points, table=None):
-    table = table or IncidenceTable(points)
-    return [t for t in combinations(range(len(points)), 3) if table.collinear(*t)]
-
-
 # ---------------------------------------------------------------------------
 # quadric-decidable exits
 
@@ -80,13 +76,11 @@ def qd_duplicates(points):
     return None
 
 
-def qd_four_collinear(points, table=None):
+def qd_four_collinear(points, table):
     """YES when some four points are collinear: three of them force any
     quadric to contain the whole line."""
-    table = table or IncidenceTable(points)
-    for quad in combinations(range(len(points)), 4):
-        if table.on_a_line(quad):
-            return Decision(True, "four-collinear", None, _kernel_certificate(points))
+    if table.first_collinear_four() is not None:
+        return Decision(True, "four-collinear", None, _kernel_certificate(points))
     return None
 
 
@@ -106,10 +100,9 @@ def pascal_collinear(six):
     return rank_of_points(hits) <= 2
 
 
-def qd_six_on_plane_conic(points, table=None):
+def qd_six_on_plane_conic(points, table):
     """YES when six points lie on a degree-2 plane curve; each hit is
     cross-checked against the hexagon collinearity criterion."""
-    table = table or IncidenceTable(points)
     subset = next(table.sixes_on_a_conic(), None)
     if subset is None:
         return None
@@ -136,13 +129,11 @@ def _three_disjoint_covers(triples):
                 yield t1, t2, t3
 
 
-def qd_three_lines(points, table=None):
+def qd_three_lines(points, table):
     """Nine points on three lines: two meeting lines give six points on a
     degenerate plane conic; three skew lines leave the verdict to the
     criterion xL0L1L2x = 0 on the tenth point."""
-    table = table or IncidenceTable(points)
-    triples = collinear_triples(points, table)
-    for t1, t2, t3 in _three_disjoint_covers(triples):
+    for t1, t2, t3 in _three_disjoint_covers(table.collinear_triples()):
         lines = [line_through(points[t[0]], points[t[1]]) for t in (t1, t2, t3)]
         # two point-lines meet iff the bracket of their spanning points vanishes
         meeting = any(
@@ -196,7 +187,7 @@ def _two_lines_meeting_case(points, table, base_pair, ab_pts, r_pt, cx_idx):
     return Decision(on, "plane-line-case", None, cert)
 
 
-def qd_two_lines(points, table=None):
+def qd_two_lines(points, table):
     """Six points on two skew lines, three on each.
 
     The transversals from the four leftover points to the two lines decide
@@ -204,9 +195,7 @@ def qd_two_lines(points, table=None):
     two incidences, and three skew transversals hand the verdict to the
     criterion on the fourth point.
     """
-    table = table or IncidenceTable(points)
-    triples = collinear_triples(points, table)
-    for t1, t2 in combinations(triples, 2):
+    for t1, t2 in combinations(table.collinear_triples(), 2):
         if set(t1) & set(t2):
             continue
         if table.bracket_vanishes(t1[0], t1[1], t2[0], t2[1]):
@@ -259,7 +248,7 @@ def qd_two_lines(points, table=None):
 # finding three skew lines
 
 
-def find_three_skew(points, table=None):
+def find_three_skew(points, table):
     """Skew-line discovery: returns a Decision for the flat exits, or the
     six input indices to relabel onto the line roles 0..5.
 
@@ -269,7 +258,6 @@ def find_three_skew(points, table=None):
     already taken.  A third mutually skew line through it exists unless all
     ten points sit on the union of two planes.
     """
-    table = table or IncidenceTable(points)
     first_pair = None
     # a plane the six-on-conic scan met may already hold all ten points
     if not table.in_a_known_plane(range(10)):
@@ -454,35 +442,13 @@ def _plane_split_decision(points, table, plane: Extensor) -> Decision:
     return Decision(on, "plane-split", None, cert)
 
 
-def _line_meets_with_plane(pts, plane):
-    meets = []
-    for a, b in _ROLE_LINE_PAIRS:
-        hit = meet(line_through(pts[a], pts[b]), plane)
-        if hit.is_zero():
-            return None
-        meets.append(as_point(hit))
-    return meets
-
-
 def _find_valid_swap(points, labeling: Labeling, plane: Extensor):
-    """First skew-swap hypothesis satisfied, in lexicographic order over
+    """First skew-swap whose hypotheses hold, in lexicographic order over
     (line playing pq, vertex pair swapped in); None when none applies."""
-    pts = labeling.apply(points)
-    meets = _line_meets_with_plane(pts, plane)
-    if meets is None:
-        return None
     for pq_idx in range(3):
         others = [o for o in range(3) if o != pq_idx]
         for kl in combinations((6, 7, 8, 9), 2):
             ij = tuple(r for r in (6, 7, 8, 9) if r not in kl)
-            line_ij = line_through(pts[ij[0]], pts[ij[1]])
-            line_kl = line_through(pts[kl[0]], pts[kl[1]])
-            if contains_point(line_ij, meets[pq_idx]):
-                continue
-            if contains_point(line_kl, meets[others[0]]) or contains_point(
-                line_kl, meets[others[1]]
-            ):
-                continue
             role_order = (
                 _ROLE_LINE_PAIRS[pq_idx]
                 + _ROLE_LINE_PAIRS[others[0]]
@@ -523,8 +489,7 @@ def _apply_split(points, labeling: Labeling, plane: Extensor, keep: int) -> Labe
     return Labeling(tuple(perm))
 
 
-def _plane_of_last_four(pts, table=None):
-    table = table or IncidenceTable(pts)
+def _plane_of_last_four(pts, table):
     last_four = range(6, 10)
     # rank 3: the bracket vanishes and the four are not on a line
     if not table.bracket_vanishes(*last_four) or table.on_a_line(last_four):
@@ -533,28 +498,23 @@ def _plane_of_last_four(pts, table=None):
     return plane_through(pts[a], pts[b], pts[c])
 
 
-def _verified(points, table, labeling: Labeling):
-    relabeled = labeling.apply(points)
-    reason = generic_case.genericity_violation(relabeled, table.relabeled(labeling))
-    if reason is not None:
-        raise InternalInconsistency(f"relabeling breaks genericity: {reason}")
-    return labeling
-
-
 def _ensure_general_position(points, table, labeling: Labeling):
+    """A labeling in general position, or a Decision.  The exits have ruled
+    out duplicates and collinear fours, and every labeling returned has
+    skew role lines and [6789] != 0; `decide_generic` validates it."""
     current = labeling
     for _ in range(4):
         pts = current.apply(points)
         view = table.relabeled(current)
         if not view.bracket_vanishes(6, 7, 8, 9):
-            return _verified(points, table, current)
+            return current
         plane = _plane_of_last_four(pts, view)
         for a, b in _ROLE_LINE_PAIRS:
             if contains_point(plane, pts[a]) and contains_point(plane, pts[b]):
                 return _plane_split_decision(points, table, plane)
         swap = _find_valid_swap(points, current, plane)
         if swap is not None:
-            return _verified(points, table, swap)
+            return swap
         committed = None
         for keep in range(3):
             try:
@@ -563,7 +523,7 @@ def _ensure_general_position(points, table, labeling: Labeling):
                 continue
             swap = _find_valid_swap(points, candidate, plane)
             if swap is not None:
-                return _verified(points, table, swap)
+                return swap
             if committed is None:
                 committed = candidate
         if committed is None:

@@ -461,9 +461,9 @@ class TestSerialization:
 
 
 class TestIntCoefficients:
-    @pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(2), True], ids=repr)
+    @pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(2), True, "3"], ids=repr)
     def test_non_int_coefficient_rejected(self, coeff):
-        with pytest.raises(ValueError, match="ints"):
+        with pytest.raises(TypeError, match="ints"):
             Extensor(1, (coeff, 0, 0, 0))
 
     def test_canonical(self):

@@ -66,6 +66,33 @@ def referenced_names(paths):
     return names
 
 
+def constructions_of(path, name):
+    """(enclosing function, line) of every call of `name` in a module;
+    the enclosing function is None at module level."""
+
+    def walk(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            called = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            if called == name:
+                yield function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function)
+
+    return list(walk(ast.parse(path.read_text(encoding="utf-8")), None))
+
+
+# The entries of a decision: each exit, skew-line discovery and relabeling
+# check reads the table these build, so none may build its own.
+TABLE_BUILDERS = {
+    ("reductions.py", "decide"),
+    ("reductions.py", "normalize"),
+    ("generic_case.py", "genericity_violation"),
+}
+
+
 class TestLayout:
     def test_every_definition_in_src_has_a_program_caller(self):
         modules = sorted((ROOT / "src" / "quadricheck").glob("*.py"))
@@ -98,3 +125,12 @@ class TestLayout:
         assert referenced_names([source]) & {
             "called", "parameter", "assigned", "closed_over", "comprehended", "inner"
         } == {"called", "inner"}
+
+    def test_incidence_tables_built_only_at_decision_entries(self):
+        built = {
+            (path.name, function, line)
+            for path in sorted((ROOT / "src" / "quadricheck").glob("*.py"))
+            for function, line in constructions_of(path, "IncidenceTable")
+        }
+        assert built
+        assert sorted(b for b in built if b[:2] not in TABLE_BUILDERS) == []

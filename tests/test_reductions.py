@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_point, seeded
 from reference_geometry import conic_planes, planar_conic_det
-from quadricheck import fixtures, projective, reductions
+from quadricheck import fixtures, generic_case, projective, reductions
 from quadricheck.constructions import line_meet_line
 from quadricheck.decision import (
     Decision,
@@ -39,7 +39,6 @@ from quadricheck.reductions import (
     transversal_through,
     _find_valid_swap,
     _plane_of_last_four,
-    collinear_triples,
     decide,
     find_three_skew,
     normalize,
@@ -92,12 +91,13 @@ class TestFourCollinear:
         u, v = pts[0], pts[1]
         pts[2] = combo([(1, u), (1, v)])
         pts[3] = combo([(1, u), (2, v)])
-        d = qd_four_collinear(pts)
+        d = qd_four_collinear(pts, IncidenceTable(pts))
         assert d is not None and d.on_quadric and d.branch == "four-collinear"
         assert oracle_decide(pts)
 
     def test_generic_absent(self):
-        assert qd_four_collinear(sample_generic("4col2", 10, bound=20)) is None
+        pts = sample_generic("4col2", 10, bound=20)
+        assert qd_four_collinear(pts, IncidenceTable(pts)) is None
 
 
 class TestSixOnConic:
@@ -106,7 +106,7 @@ class TestSixOnConic:
         rest = sample_generic("conic-rest", 4, bound=20)
         pts = conic + rest
         assert planar_conic_det(conic) == 0
-        d = qd_six_on_plane_conic(pts)
+        d = qd_six_on_plane_conic(pts, IncidenceTable(pts))
         assert d is not None and d.on_quadric and d.branch == "six-on-conic"
         assert oracle_decide(pts)
 
@@ -151,8 +151,6 @@ class TestSixOnConic:
                 ]
             if len(set(six)) != 6 or rank_of_points(six) != 3:
                 continue
-            if any(rank_of_points([six[i] for i in t]) <= 2 for t in collinear_triples(six)):
-                pass
             check = pascal_collinear(six)
             if check is None:
                 continue
@@ -169,14 +167,14 @@ class TestThreeLines:
 
     def test_three_rulings_tenth_on(self):
         pts = self._ruling_config(segre_point(4, 10))
-        d = qd_three_lines(pts)
+        d = qd_three_lines(pts, IncidenceTable(pts))
         assert d is not None and d.branch == "three-lines-grassmann"
         assert d.on_quadric and oracle_decide(pts)
         assert all(evaluate_certificate(d.certificate, p) == 0 for p in pts)
 
     def test_three_rulings_tenth_off(self):
         pts = self._ruling_config(Point((1, 4, 10, 41)))
-        d = qd_three_lines(pts)
+        d = qd_three_lines(pts, IncidenceTable(pts))
         assert d is not None and d.branch == "three-lines-grassmann"
         assert not d.on_quadric and not oracle_decide(pts)
 
@@ -187,12 +185,13 @@ class TestThreeLines:
             + [Point((1, 0, 0, k)) for k in (1, 2, 3)]
             + [Point((1, 1, 1, 1))]
         )
-        d = qd_three_lines(pts)
+        d = qd_three_lines(pts, IncidenceTable(pts))
         assert d is not None and d.on_quadric and d.branch == "six-on-conic"
         assert oracle_decide(pts)
 
     def test_generic_absent(self):
-        assert qd_three_lines(sample_generic("3lines", 10, bound=20)) is None
+        pts = sample_generic("3lines", 10, bound=20)
+        assert qd_three_lines(pts, IncidenceTable(pts)) is None
 
 
 class TestTwoLines:
@@ -208,7 +207,7 @@ class TestTwoLines:
         a_pt = combo([(1, u1), (1, u2)])
         b_pt = combo([(1, u1), (3, u2)])
         pts = trio1 + trio2 + [a_pt, b_pt, Point((1, 7, 2, 9)), Point((2, 1, 1, 7))]
-        d = qd_two_lines(pts)
+        d = qd_two_lines(pts, IncidenceTable(pts))
         assert d is not None and d.on_quadric
         assert d.branch == "two-lines-coincident-transversals"
         assert oracle_decide(pts)
@@ -216,14 +215,14 @@ class TestTwoLines:
     def test_skew_transversals_on_quadric(self):
         extras = [segre_point(2, 7), segre_point(3, 8), segre_point(4, 9), segre_point(5, 10)]
         pts = self._two_rulings(extras)
-        d = qd_two_lines(pts)
+        d = qd_two_lines(pts, IncidenceTable(pts))
         assert d is not None and d.branch == "two-lines-grassmann"
         assert d.on_quadric and oracle_decide(pts)
 
     def test_skew_transversals_generic_tenth(self):
         extras = [segre_point(2, 7), segre_point(3, 8), segre_point(4, 9), Point((1, 5, 10, 49))]
         pts = self._two_rulings(extras)
-        d = qd_two_lines(pts)
+        d = qd_two_lines(pts, IncidenceTable(pts))
         assert d is not None and d.branch == "two-lines-grassmann"
         assert not d.on_quadric and not oracle_decide(pts)
 
@@ -236,7 +235,7 @@ class TestTwoLines:
         c_pt = Point((1, 4, 1, 5))
         x_pt = Point((3, 2, 2, 10))
         pts = trio1 + trio2 + [a_pt, b_pt, c_pt, x_pt]
-        d = qd_two_lines(pts)
+        d = qd_two_lines(pts, IncidenceTable(pts))
         assert d is not None and d.branch == "plane-line-case"
         assert d.on_quadric == oracle_decide(pts) == True
         assert all(evaluate_certificate(d.certificate, p) == 0 for p in pts)
@@ -250,7 +249,7 @@ class TestTwoLines:
         c_pt = Point((1, 4, 1, 5))
         x_pt = Point((3, 2, 2, 11))
         pts = trio1 + trio2 + [a_pt, b_pt, c_pt, x_pt]
-        d = qd_two_lines(pts)
+        d = qd_two_lines(pts, IncidenceTable(pts))
         assert d is not None and d.branch == "plane-line-case"
         assert d.on_quadric == oracle_decide(pts) == False
 
@@ -267,7 +266,7 @@ class TestFindThreeSkew:
                 Point((rng.randint(-15, 15), rng.randint(-15, 15), rng.randint(-15, 15), 0))
                 for _ in range(10)
             ]
-        d = find_three_skew(pts)
+        d = find_three_skew(pts, IncidenceTable(pts))
         assert isinstance(d, Decision) and d.branch == "coplanar" and d.on_quadric
         assert all(evaluate_certificate(d.certificate, p) == 0 for p in pts)
 
@@ -286,12 +285,15 @@ class TestFindThreeSkew:
             pts = [p0, p1, p2, p3, p4, p5, p6, p7, p8, p9]
             if len(set(pts)) != 10:
                 continue
-            if qd_four_collinear(pts) is not None or qd_six_on_plane_conic(pts) is not None:
+            table = IncidenceTable(pts)
+            if qd_four_collinear(pts, table) is not None:
+                continue
+            if qd_six_on_plane_conic(pts, table) is not None:
                 continue
             if bracket(p0, p1, p2, p3) == 0:
                 continue
             break
-        d = find_three_skew(pts)
+        d = find_three_skew(pts, IncidenceTable(pts))
         assert isinstance(d, Decision) and d.branch == "two-planes" and d.on_quadric
         assert oracle_decide(pts)
         assert all(evaluate_certificate(d.certificate, p) == 0 for p in pts)
@@ -300,13 +302,13 @@ class TestFindThreeSkew:
         # every point off the first skew pair lies on one of its two lines,
         # which the four-collinear exit takes before skew-line discovery
         pts = [Point((1, t, 0, 0)) for t in range(5)] + [Point((0, 0, 1, t)) for t in range(5)]
-        assert qd_four_collinear(pts) is not None
+        assert qd_four_collinear(pts, IncidenceTable(pts)) is not None
         with pytest.raises(InternalInconsistency, match="one holds five"):
-            find_three_skew(pts)
+            find_three_skew(pts, IncidenceTable(pts))
 
     def test_segre_config_yields_labeling(self):
         pts = sample_on_quadric("fts-segre", 10)
-        result = find_three_skew(pts)
+        result = find_three_skew(pts, IncidenceTable(pts))
         if isinstance(result, list):
             i, j, k, l, m, n = result
             assert bracket(pts[i], pts[j], pts[k], pts[l]) != 0
@@ -462,7 +464,7 @@ class TestNormalize:
     def test_diagonal_blocked_instance_needs_split(self):
         pts = C4_POINTS
         lab = IDENTITY
-        plane = _plane_of_last_four(pts)
+        plane = _plane_of_last_four(pts, IncidenceTable(pts))
         assert _find_valid_swap(pts, lab, plane) is None
         outcome = normalize(pts)
         assert isinstance(outcome, Labeling)
@@ -834,7 +836,6 @@ EXITS = (
     (qd_three_lines, ref_three_lines),
     (qd_two_lines, ref_two_lines),
     (find_three_skew, ref_find_three_skew),
-    (collinear_triples, ref_collinear_triples),
 )
 
 
@@ -847,6 +848,12 @@ class TestIncidenceTable:
             for labeling in labelings:
                 view = table.relabeled(labeling)
                 pts = labeling.apply(points)
+                fours = (
+                    q for q in combinations(range(10), 4)
+                    if rank_of_points([pts[i] for i in q]) <= 2
+                )
+                assert view.first_collinear_four() == next(fours, None), name
+                assert view.collinear_triples() == ref_collinear_triples(pts), name
                 for t in combinations(range(10), 3):
                     rank = rank_of_points([pts[i] for i in t])
                     assert view.collinear(*t) == (rank <= 2), (name, t)
@@ -906,7 +913,6 @@ class TestIncidenceTable:
                 for new, ref in EXITS:
                     want = outcome(ref, pts)
                     assert outcome(new, pts, view) == want, (name, new.__name__)
-                    assert outcome(new, pts) == want, (name, new.__name__)
                 want = ref_genericity_violation(pts)
                 assert genericity_violation(pts, view) == want, name
                 assert genericity_violation(pts) == want, name
@@ -997,3 +1003,27 @@ class TestPlaneFirstScan:
             assert decide(points).branch == "generic"
             # what the six-by-six scan filled on each of these fixtures
             assert computed[4] <= 71 and computed[3] <= 120, computed
+
+    def test_generic_asks_each_question_once(self, monkeypatch):
+        """Four-collinear extends only collinear triples, of which generic
+        input has none, and one genericity check guards the decision.  The
+        test above bounds the entries these decisions fill."""
+        fixtures_ = [fixtures.generate_branch("generic", seed) for seed in self.SEEDS]
+        calls = {"on_a_line": 0, "genericity_violation": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(IncidenceTable, "on_a_line", counted("on_a_line", IncidenceTable.on_a_line))
+        monkeypatch.setattr(
+            generic_case,
+            "genericity_violation",
+            counted("genericity_violation", generic_case.genericity_violation),
+        )
+        for points in fixtures_:
+            calls["on_a_line"] = calls["genericity_violation"] = 0
+            assert decide(points).branch == "generic"
+            assert calls == {"on_a_line": 0, "genericity_violation": 1}, calls
