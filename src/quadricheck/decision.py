@@ -28,7 +28,6 @@ BRANCHES = (
     "two-planes",
     "plane-split",
     "generic",
-    "oracle-fallback",
 )
 
 

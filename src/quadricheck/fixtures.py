@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 from . import reductions
+from .decision import BRANCHES
 from .oracle import (
     _random_fraction,
     oracle_decide,
@@ -21,19 +22,8 @@ from .oracle import (
 )
 from .projective import Point, clear_denominators
 
-GENERATED_KINDS = (
-    "duplicate",
-    "four-collinear",
-    "six-on-conic",
-    "three-lines-grassmann",
-    "two-lines-coincident-transversals",
-    "plane-line-case",
-    "two-lines-grassmann",
-    "coplanar",
-    "two-planes",
-    "plane-split",
-    "generic",
-)
+# one fixture kind per branch of the pipeline, in the same order
+GENERATED_KINDS = BRANCHES
 
 
 class FixtureError(ValueError):

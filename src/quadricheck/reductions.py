@@ -2,10 +2,12 @@
 
 The pipeline first takes the special-position exits (duplicates, four
 collinear, six on a plane conic, nine points on three lines, six points on
-two lines), then finds three skew label-lines, and finally relabels via the
-skew-swap and split-skew constructions until the four leftover points are
-in general position.  Every verdict is decided synthetically; YES verdicts
-carry a certificate quadric when one is naturally available.
+two lines), then finds three skew label-lines.  When the four leftover
+points are coplanar, it relabels them into general position by one skew
+swap, or by one split-skew and then one skew swap, unless their plane holds
+six of the points and the plane-split exit decides.  Every verdict is
+decided synthetically; YES verdicts carry a certificate quadric when one is
+naturally available.
 
 `normalize` builds one `IncidenceTable` of the points and hands it to every
 exit, to skew-line discovery and to the relabeling checks (through views of
@@ -20,7 +22,6 @@ plane that holds all ten points.
 
 from __future__ import annotations
 
-import logging
 from itertools import combinations
 
 from . import generic_case
@@ -44,9 +45,7 @@ from .extensors import (
     plane_form,
     plane_through,
     scalar_of,
-    support_basis,
 )
-from .oracle import oracle_decide
 from .projective import (
     STANDARD_BASIS,
     IncidenceTable,
@@ -56,8 +55,6 @@ from .projective import (
     quadric_through,
     rank_of_points,
 )
-
-log = logging.getLogger(__name__)
 
 
 def _kernel_certificate(points):
@@ -366,27 +363,26 @@ CE_DF = "CE_DF"
 CF_DE = "CF_DE"
 
 
-def _line_and_pair(value):
-    if isinstance(value, Extensor):
-        pts = support_basis(value)
-        return value, (pts[0], pts[1])
-    p, q = value
-    return line_through(p, q), (p, q)
-
-
-def split_skew(ab, cd, ef, plane: Extensor):
+def split_skew(ab: Extensor, cd, ef, plane: Extensor):
     """Recombine two of three skew lines so their plane-meets move.
 
-    With ab, cd, ef mutually skew and the plane meeting cd at g and ef at
-    h, at least one of the recombinations (ab, ce, df) or (ab, cf, de) is
-    again mutually skew with both new plane-meets distinct and off the line
-    gh; the first valid alternative (CE_DF preferred) is returned together
-    with the new meets.  Lines may be passed as extensors or point pairs.
+    ab is a line; cd = (c, d) and ef = (e, f) are point pairs.  With the
+    lines ab, cd, ef mutually skew, the plane meeting cd at g and ef at h,
+    and none of c, d, e, f on the plane, at least one of the recombinations
+    (ab, ce, df) or (ab, cf, de) is again mutually skew with both new
+    plane-meets distinct and off the line gh; the first valid alternative
+    (CE_DF preferred) is returned together with the new meets.  Why:
+    [cedf] = -[cdef], so each new pair is skew.  Each line of one pair
+    shares one of c, d, e, f with each line of the other, and ab, which
+    passes through none of them, can meet two lines through one point only
+    inside their plane, which holds cd or ef; so ab meets a line of at most
+    one pair.  A new meet on gh would put c, g, e, h (say) in one plane,
+    and cd = cg and ef = eh with them.  When c lies on the plane, c = g is
+    a meet of both alternatives, so neither applies.
     """
-    ab_line, _ = _line_and_pair(ab)
-    cd_line, (c, d) = _line_and_pair(cd)
-    ef_line, (e, f) = _line_and_pair(ef)
-    for u, v in ((ab_line, cd_line), (ab_line, ef_line), (cd_line, ef_line)):
+    (c, d), (e, f) = cd, ef
+    cd_line, ef_line = line_through(c, d), line_through(e, f)
+    for u, v in ((ab, cd_line), (ab, ef_line), (cd_line, ef_line)):
         if scalar_of(join(u, v)) == 0:
             raise PreconditionViolated("the three lines must be mutually skew")
     g_hit = meet(cd_line, plane)
@@ -403,8 +399,8 @@ def split_skew(ab, cd, ef, plane: Extensor):
         l1 = line_through(*pair1)
         l2 = line_through(*pair2)
         if (
-            scalar_of(join(ab_line, l1)) == 0
-            or scalar_of(join(ab_line, l2)) == 0
+            scalar_of(join(ab, l1)) == 0
+            or scalar_of(join(ab, l2)) == 0
             or scalar_of(join(l1, l2)) == 0
         ):
             continue
@@ -465,27 +461,17 @@ def _find_valid_swap(points, labeling: Labeling, plane: Extensor):
 
 
 def _apply_split(points, labeling: Labeling, plane: Extensor, keep: int) -> Labeling:
+    """Recombine by `split_skew` the two role lines other than role line
+    `keep` (0, 1, 2 for 01, 23, 45)."""
     pts = labeling.apply(points)
-    others = [o for o in range(3) if o != keep]
-    keep_pair = _ROLE_LINE_PAIRS[keep]
-    cd_roles = _ROLE_LINE_PAIRS[others[0]]
-    ef_roles = _ROLE_LINE_PAIRS[others[1]]
-    ab_line = line_through(pts[keep_pair[0]], pts[keep_pair[1]])
-    alt, _, _ = split_skew(
-        ab_line,
-        (pts[cd_roles[0]], pts[cd_roles[1]]),
-        (pts[ef_roles[0]], pts[ef_roles[1]]),
-        plane,
-    )
+    a, b = _ROLE_LINE_PAIRS[keep]
+    (c, d), (e, f) = (pair for pair in _ROLE_LINE_PAIRS if pair != (a, b))
+    alt, _, _ = split_skew(line_through(pts[a], pts[b]), (pts[c], pts[d]), (pts[e], pts[f]), plane)
     perm = list(labeling.perm)
-    sc, sd = perm[cd_roles[0]], perm[cd_roles[1]]
-    se, sf = perm[ef_roles[0]], perm[ef_roles[1]]
     if alt == CE_DF:
-        perm[cd_roles[0]], perm[cd_roles[1]] = sc, se
-        perm[ef_roles[0]], perm[ef_roles[1]] = sd, sf
+        perm[d], perm[e] = perm[e], perm[d]
     else:
-        perm[cd_roles[0]], perm[cd_roles[1]] = sc, sf
-        perm[ef_roles[0]], perm[ef_roles[1]] = sd, se
+        perm[d], perm[e], perm[f] = perm[f], perm[d], perm[e]
     return Labeling(tuple(perm))
 
 
@@ -499,67 +485,65 @@ def _plane_of_last_four(pts, table):
 
 
 def _ensure_general_position(points, table, labeling: Labeling):
-    """A labeling in general position, or a Decision.  The exits have ruled
-    out duplicates and collinear fours, and every labeling returned has
-    skew role lines and [6789] != 0; `decide_generic` validates it."""
-    current = labeling
-    for _ in range(4):
-        pts = current.apply(points)
-        view = table.relabeled(current)
-        if not view.bracket_vanishes(6, 7, 8, 9):
-            return current
-        plane = _plane_of_last_four(pts, view)
-        for a, b in _ROLE_LINE_PAIRS:
-            if contains_point(plane, pts[a]) and contains_point(plane, pts[b]):
-                return _plane_split_decision(points, table, plane)
-        swap = _find_valid_swap(points, current, plane)
-        if swap is not None:
-            return swap
-        committed = None
-        for keep in range(3):
-            try:
-                candidate = _apply_split(points, current, plane, keep)
-            except (PreconditionViolated, InternalInconsistency):
-                continue
-            swap = _find_valid_swap(points, candidate, plane)
-            if swap is not None:
-                return swap
-            if committed is None:
-                committed = candidate
-        if committed is None:
-            break
-        current = committed
-    return _safety_net(points, table)
+    """A labeling in general position, or the plane-split Decision.
 
+    The exits have ruled out duplicates, four collinear points and six
+    points on a conic, and the role lines A = 01, B = 23, C = 45 are
+    mutually skew.  When [6789] = 0 the last four points span a plane π.
+    A role line lies in π, or meets it in one point, which may be one of
+    its two role points.  If a role line lies in π, or two role points lie
+    on π, then π holds six points on no conic, so every quadric through the
+    ten contains π and the plane-split exit decides.  (With two role points
+    on π that exit is taken only when no skew swap applies.)  Otherwise A,
+    B and C meet π in three points g, distinct because the lines are skew,
+    and one skew swap applies, or one split-skew followed by one skew swap:
 
-def _safety_net(points, table):
-    """Last resort: exhaustive search for a generic labeling or any flat
-    structure; defers to the determinant oracle only if all else fails."""
-    log.warning("case tree fell through; entering exhaustive search")
-    pairs = list(combinations(range(10), 2))
-    for p1 in pairs:
-        for p2 in pairs:
-            if set(p1) & set(p2) or p2 <= p1:
-                continue
-            for p3 in pairs:
-                if p3 <= p2 or set(p3) & (set(p1) | set(p2)):
-                    continue
-                roles = p1 + p2 + p3
-                rest = tuple(sorted(set(range(10)) - set(roles)))
-                candidate = Labeling(roles + rest)
-                relabeled = candidate.apply(points)
-                view = table.relabeled(candidate)
-                if generic_case.genericity_violation(relabeled, view) is None:
-                    return candidate
-    for subset in combinations(range(10), 6):
-        if table.on_a_plane(subset) and not table.on_a_line(subset):
-            a, b, c = table.first_independent(subset)
-            plane = plane_through(points[a], points[b], points[c])
-            return _plane_split_decision(points, table, plane)
-    log.error("deferring to the determinant oracle for %s", points)
-    verdict = oracle_decide(points)
-    cert = _kernel_certificate(points) if verdict else None
-    return Decision(verdict, "oracle-fallback", None, cert)
+    A skew swap with line X as pq and the last four split as ij | kl fails
+    exactly when g_X lies on L = ij, or one of the other two meets lies on
+    L' = kl.  For one split {L, L'}, the swaps with every X in both
+    orientations all fail exactly when some g is the diagonal point L ∩ L',
+    or all three g lie on L, or all three on L'.  (If no g is L ∩ L', each g
+    lies on at most one side; the orientation with kl = L' succeeds when at
+    most one g is on L', the other one when at most one g is on L, and the
+    two sides cannot each hold two of the three g.)  Over the three splits
+    of P6..P9, no side other than a line m through three of the points can
+    hold all three g: another split would then need a g at its diagonal
+    point, which lies off that side.  So all 18 swaps fail exactly when
+
+    (a) no three of P6..P9 are collinear and the g are the three diagonal
+        points of the quadrangle, or
+    (b) three of P6..P9 lie on a line m (the diagonal points are those
+        three) and all three g lie on m.
+
+    The split-skew keeps the role line with a point on π (A when none has
+    one), so the four points it recombines are off π, and by its lemma the
+    two new lines meet π at distinct points off the line through the two
+    old meets.  In (a) that line holds the two diagonal points other than
+    the kept meet, and in (b) it is m.  The last four keep their roles, so
+    π and its quadrangle stay; neither case holds afterwards, and one swap
+    succeeds.  What is left to fail is the lemma of `split_skew` or of
+    `skew_swap`, each guarded by `InternalInconsistency`; `decide_generic`
+    validates the labeling returned.
+    """
+    view = table.relabeled(labeling)
+    if not view.bracket_vanishes(6, 7, 8, 9):
+        return labeling
+    pts = labeling.apply(points)
+    plane = _plane_of_last_four(pts, view)
+    # the role line of each role point on π
+    on_plane = [r // 2 for r in range(6) if contains_point(plane, pts[r])]
+    if len(set(on_plane)) < len(on_plane):
+        return _plane_split_decision(points, table, plane)
+    swap = _find_valid_swap(points, labeling, plane)
+    if swap is not None:
+        return swap
+    if len(on_plane) > 1:
+        return _plane_split_decision(points, table, plane)
+    split = _apply_split(points, labeling, plane, on_plane[0] if on_plane else 0)
+    swap = _find_valid_swap(points, split, plane)
+    if swap is None:
+        raise InternalInconsistency("no skew swap applies after the split-skew")
+    return swap
 
 
 def normalize(points, table=None):

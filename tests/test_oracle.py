@@ -173,11 +173,11 @@ def names_from(module, source):
 
 class TestIndependence:
     def test_pipeline_takes_nothing_from_the_oracle(self):
-        # the certificates come from projective.quadric_through; reductions
-        # keeps oracle_decide only for its last-resort safety net
+        # the certificates come from projective.quadric_through, and every
+        # relabeling path ends in a skew swap or the plane-split exit
         assert names_from(generic_case, "oracle") == []
         assert names_from(constructions, "oracle") == []
-        assert names_from(reductions, "oracle") == ["oracle_decide"]
+        assert names_from(reductions, "oracle") == []
 
     def test_construction_layers_take_nothing_from_fractions(self):
         # the exact core runs on canonical integer points and extensors;

@@ -14,17 +14,25 @@ from quadricheck.decision import (
     PreconditionViolated,
 )
 from quadricheck.extensors import (
+    as_point,
     contains_point,
     grassmann_criterion,
     join,
     join_points,
     line_through,
+    meet,
     plane_form,
     plane_through,
     scalar_of,
 )
 from quadricheck.generic_case import genericity_violation
-from quadricheck.oracle import oracle_decide, sample_generic, sample_on_quadric, segre_point
+from quadricheck.oracle import (
+    oracle_decide,
+    random_transform,
+    sample_generic,
+    sample_on_quadric,
+    segre_point,
+)
 from quadricheck.projective import (
     GeometryError,
     IncidenceTable,
@@ -34,6 +42,7 @@ from quadricheck.projective import (
 )
 from quadricheck.reductions import (
     CE_DF,
+    _apply_split,
     _kernel_certificate,
     _three_disjoint_covers,
     transversal_through,
@@ -374,8 +383,6 @@ class TestSplitSkew:
             plane = join_points(g, h, i)
             if plane.is_zero():
                 continue
-            from quadricheck.extensors import meet
-
             if meet(line_through(c, d), plane).is_zero():
                 continue
             if meet(line_through(e, f), plane).is_zero():
@@ -383,8 +390,6 @@ class TestSplitSkew:
             return (a, b), (c, d), (e, f), plane
 
     def _alternative_valid(self, ab, pair1, pair2, plane, g, h):
-        from quadricheck.extensors import as_point, meet
-
         ab_line = line_through(*ab)
         l1, l2 = line_through(*pair1), line_through(*pair2)
         if (
@@ -401,14 +406,12 @@ class TestSplitSkew:
         return gp != hp and not contains_point(line_gh, gp) and not contains_point(line_gh, hp)
 
     def test_first_valid_alternative_returned(self):
-        from quadricheck.extensors import as_point, meet
-
         rng = seeded("split-skew")
         for _ in range(20):
             ab, (c, d), (e, f), plane = self._random_instance(rng)
             g = as_point(meet(line_through(c, d), plane))
             h = as_point(meet(line_through(e, f), plane))
-            name, gp, hp = split_skew(ab, (c, d), (e, f), plane)
+            name, gp, hp = split_skew(line_through(*ab), (c, d), (e, f), plane)
             ce_df_ok = self._alternative_valid(ab, (c, e), (d, f), plane, g, h)
             cf_de_ok = self._alternative_valid(ab, (c, f), (d, e), plane, g, h)
             assert ce_df_ok or cf_de_ok
@@ -419,16 +422,20 @@ class TestSplitSkew:
             assert not contains_point(line_gh, hp)
 
     def test_accepts_extensor_lines(self):
+        # ab enters as a line: any two of its points give the same answer
         rng = seeded("split-ext")
-        ab, cd, ef, plane = self._random_instance(rng)
-        name, gp, hp = split_skew(line_through(*ab), line_through(*cd), line_through(*ef), plane)
-        assert name in (CE_DF, "CF_DE")
+        for _ in range(5):
+            (a, b), cd, ef, plane = self._random_instance(rng)
+            other_ab = line_through(combo([(1, a), (2, b)]), combo([(3, a), (-1, b)]))
+            result = split_skew(line_through(a, b), cd, ef, plane)
+            assert result[0] in (CE_DF, "CF_DE")
+            assert split_skew(other_ab, cd, ef, plane) == result
 
     def test_non_skew_rejected(self):
         plane = join_points(Point((1, 0, 0, 0)), Point((0, 1, 0, 0)), Point((0, 0, 1, 0)))
         with pytest.raises(PreconditionViolated):
             split_skew(
-                (Point((1, 0, 0, 0)), Point((0, 1, 0, 0))),
+                line_through(Point((1, 0, 0, 0)), Point((0, 1, 0, 0))),
                 (Point((1, 0, 0, 0)), Point((0, 0, 1, 0))),
                 (Point((0, 0, 0, 1)), Point((1, 1, 1, 1))),
                 plane,
@@ -488,6 +495,178 @@ class TestNormalize:
             pts = sample_generic(f"outcome:{seed}", 10, bound=25)
             outcome = normalize(pts)
             assert isinstance(outcome, (Decision, Labeling))
+
+
+def lines_meeting_w0_at(rng, meets):
+    """Six points spanning three mutually skew lines off the plane w = 0
+    that meet it at the three given distinct points."""
+    while True:
+        pts = []
+        for g in meets:
+            q = Point((rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)))
+            pts += [q, combo([(1, g), (rng.choice((-3, -2, -1, 1, 2, 3)), q)])]
+        if all(bracket(*pts[a : a + 2], *pts[b : b + 2]) != 0 for a, b in ((0, 2), (0, 4), (2, 4))):
+            return pts
+
+
+def case_b_points(seed):
+    """Case (b) of the blocking lemma: the last four in the plane w = 0 with
+    three of them on the line m: z = w = 0, and the three role lines
+    meeting that plane at three further points of m."""
+    rng = seeded(f"case-b:{seed}")
+    while True:
+        on_m = {Point((rng.randint(-9, 9), rng.randint(1, 9), 0, 0)) for _ in range(6)}
+        if len(on_m) < 6:
+            continue
+        on_m = sorted(on_m, key=lambda p: p.coords)
+        fourth = Point((rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9), 0))
+        return lines_meeting_w0_at(rng, on_m[3:]) + on_m[:3] + [fourth]
+
+
+def w0_meets(pts):
+    """The points where the role lines 01, 23, 45 meet the plane w = 0."""
+    plane = plane_through(Point((1, 0, 0, 0)), Point((0, 1, 0, 0)), Point((0, 0, 1, 0)))
+    return [as_point(meet(line_through(pts[a], pts[a + 1]), plane)) for a in (0, 2, 4)]
+
+
+def blocked_by_lemma(pts):
+    """Case (a) or (b) of the blocking lemma, by brute force: the meets are
+    the diagonal points of a quadrangle 6789 with no three collinear, or
+    three of 6789 and all three meets lie on one line."""
+    last = pts[6:10]
+    meets = w0_meets(pts)
+    triples = [t for t in combinations(last, 3) if rank_of_points(t) == 2]
+    if triples:
+        (a, b, _), = triples
+        return all(rank_of_points([a, b, g]) == 2 for g in meets)
+    diagonals = {
+        line_meet_line(line_through(last[i], last[j]), line_through(last[k], last[l]))
+        for (i, j), (k, l) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+    }
+    return set(meets) == diagonals
+
+
+def transformed(pts, seed):
+    transform = random_transform(seeded(f"relabel-transform:{seed}"))
+    return [transform.apply(p) for p in pts]
+
+
+def with_role_points_on_w0(pts, roles):
+    """A copy with each given role point moved along its role line to the
+    point where that line meets the plane w = 0."""
+    meets = w0_meets(pts)
+    return [meets[r // 2] if r in roles else p for r, p in enumerate(pts)]
+
+
+# C4_POINTS with line 01 moved, through the same meet, to meet the line
+# through points 2 and 4, so the split-skew takes its second alternative
+C4_CF_DE_POINTS = [Point((5, 7, -5, -3)), Point((6, 8, -5, -3))] + C4_POINTS[2:]
+
+# blocked shapes, each with the role line the split-skew keeps: line 01,
+# or the line that has a point on the plane of the last four
+BLOCKED_SHAPES = [
+    ("a", C4_POINTS, 0),
+    ("a-cf-de", C4_CF_DE_POINTS, 0),
+    ("a-role-1-on-plane", with_role_points_on_w0(C4_POINTS, {1}), 0),
+    ("a-role-3-on-plane", with_role_points_on_w0(C4_POINTS, {3}), 1),
+    ("a-role-4-on-plane", with_role_points_on_w0(C4_POINTS, {4}), 2),
+] + [(f"b{seed}", case_b_points(seed), 0) for seed in range(3)]
+
+
+class TestRelabelingPath:
+    """Coplanar last fours: one skew swap, or one split-skew then one swap,
+    or the plane-split exit when the plane holds six points."""
+
+    def _counted(self, monkeypatch):
+        calls = {"_find_valid_swap": [], "split_skew": []}
+        for name in calls:
+            original = getattr(reductions, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name].append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(reductions, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name, pts, kept", BLOCKED_SHAPES, ids=[s[0] for s in BLOCKED_SHAPES])
+    def test_blocked_shape_takes_one_split_and_one_swap(self, monkeypatch, name, pts, kept):
+        plane = _plane_of_last_four(pts, IncidenceTable(pts))
+        assert blocked_by_lemma(pts)
+        assert _find_valid_swap(pts, IDENTITY, plane) is None
+        calls = self._counted(monkeypatch)
+        # incidences survive projective maps, so the images take the same path
+        images = [transformed(pts, f"{name}:{k}") for k in range(2)]
+        for config in [pts] + images:
+            for made in calls.values():
+                made.clear()
+            d = decide(config)
+            assert d.branch == "generic"
+            assert d.on_quadric == oracle_decide(config)
+            assert [len(calls["_find_valid_swap"]), len(calls["split_skew"])] == [2, 1]
+            (ab, *_), = calls["split_skew"]
+            assert ab == line_through(config[2 * kept], config[2 * kept + 1])
+
+    @pytest.mark.parametrize("roles", [{0, 2}, {1, 5}, {3, 4}, {0, 3, 4}])
+    def test_two_role_points_on_the_plane_take_the_plane_split(self, monkeypatch, roles):
+        # the plane holds the quadrangle and two or three of its diagonal
+        # points: six or more points on no conic
+        pts = with_role_points_on_w0(C4_POINTS, roles)
+        calls = self._counted(monkeypatch)
+        for config in [pts] + [transformed(pts, f"plane-split:{k}") for k in range(2)]:
+            for made in calls.values():
+                made.clear()
+            d = decide(config)
+            assert d.branch == "plane-split"
+            assert d.on_quadric == oracle_decide(config)
+            assert [len(calls["_find_valid_swap"]), len(calls["split_skew"])] == [1, 0]
+
+    def test_split_recombines_roles_2345(self):
+        # CE_DF puts lines 24 and 35 on roles 23 and 45, CF_DE lines 25 and 34
+        plane = _plane_of_last_four(C4_POINTS, IncidenceTable(C4_POINTS))
+        for pts, name, roles in (
+            (C4_POINTS, CE_DF, (2, 4, 3, 5)),
+            (C4_CF_DE_POINTS, "CF_DE", (2, 5, 3, 4)),
+        ):
+            assert split_skew(line_through(*pts[:2]), pts[2:4], pts[4:6], plane)[0] == name
+            split = _apply_split(pts, IDENTITY, plane, 0)
+            assert split == Labeling((0, 1) + roles + (6, 7, 8, 9))
+
+    def test_unblocked_coplanar_last_four_takes_one_swap(self, monkeypatch):
+        # the role lines of C4_POINTS about a quadrangle they do not block
+        last = [Point((1, 0, 0, 0)), Point((0, 1, 0, 0)), Point((0, 0, 1, 0)), Point((1, 2, 3, 0))]
+        pts = C4_POINTS[:6] + last
+        assert not blocked_by_lemma(pts)
+        calls = self._counted(monkeypatch)
+        d = decide(pts)
+        assert d.branch == "generic" and d.on_quadric == oracle_decide(pts)
+        assert [len(calls["_find_valid_swap"]), len(calls["split_skew"])] == [1, 0]
+
+    def test_blocking_lemma_matches_brute_force(self):
+        # role lines through vertices, diagonal points, side points and
+        # general points of the plane of two quadrangles, one with no three
+        # vertices collinear and one with three on a line; in three quarters
+        # of them one role point lies on the plane
+        e0, e1, e2 = Point((1, 0, 0, 0)), Point((0, 1, 0, 0)), Point((0, 0, 1, 0))
+        rng = seeded("blocking-lemma")
+        blocked = {True: 0, False: 0}
+        for last in ([e0, e1, e2, Point((1, 1, 1, 0))], [e0, e1, Point((1, 1, 0, 0)), e2]):
+            pool = set(last) | {
+                line_meet_line(line_through(last[i], last[j]), line_through(last[k], last[l]))
+                for (i, j), (k, l) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+            }
+            pool |= {combo([(1, p), (2, q)]) for p, q in combinations(last, 2)}
+            pool |= {Point((2, -3, 5, 0)), Point((-4, 1, 3, 0))}
+            for meets in combinations(sorted(pool, key=lambda p: p.coords), 3):
+                pts = lines_meeting_w0_at(rng, meets) + last
+                on_plane = rng.randrange(8)
+                if on_plane < 6:
+                    pts = with_role_points_on_w0(pts, {on_plane})
+                plane = _plane_of_last_four(pts, IncidenceTable(pts))
+                verdict = blocked_by_lemma(pts)
+                assert (_find_valid_swap(pts, IDENTITY, plane) is None) == verdict, meets
+                blocked[verdict] += 1
+        assert blocked == {True: 21, False: 654}
 
 
 class TestPlaneSplit:

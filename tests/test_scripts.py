@@ -140,8 +140,3 @@ class TestDecisionDigest:
             " 88 configurations",
             "traces edc0a68796d07d8632286819d5e3ad5d9f50d49328783cf418f6e881f2b73b8b",
         ]
-
-def test_det_identity_experiment():
-    result = run_script("det_identity_experiment.py", "--configs", 1, "--perms", 2)
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "holds with sign +1 on 2" in result.stdout
