@@ -8,7 +8,7 @@ each generated kind, by the `fixtures.generate_branch(kind, s)` fixtures of
 the seeds s = seed..seed+fixture_seeds-1 (one seed by default).  Each
 decision is hashed as its canonical JSON line; with --trace each
 configuration is decided with a construction trace, and the traces (an
-empty step list for the special-position exits) are hashed the same way.
+empty trace for the special-position exits) are hashed the same way.
 
 Usage: python scripts/decision_digest.py --seed 5 --count 100 [--fixture-seeds 1] [--trace]
 """
@@ -22,6 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from quadricheck import cli, fixtures, reductions
+from quadricheck.constructions import ConstructionTrace
 
 
 def canonical(payload) -> bytes:
@@ -53,7 +54,7 @@ def main():
         decision = reductions.decide(points, with_trace=args.trace)
         decisions.update(canonical(decision.to_json()))
         if args.trace:
-            traces.update(canonical(decision.trace.to_json() if decision.trace else {"steps": []}))
+            traces.update(canonical((decision.trace or ConstructionTrace()).to_json()))
         total += 1
     print(f"decisions {decisions.hexdigest()} {total} configurations")
     if args.trace:

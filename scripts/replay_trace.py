@@ -22,12 +22,12 @@ UNREPLAYABLE = (OSError, ValueError, LookupError, TypeError, ArithmeticError, Ge
 
 
 def replay_file(path):
-    """Replay one trace file; returns (step count, ids of mismatching steps)."""
+    """Replay one trace file; returns (step count, positions of mismatching steps)."""
     with open(path, "r", encoding="utf-8") as fh:
         trace = ConstructionTrace.from_json(json.load(fh))
     outputs = replay_trace(trace)
     mismatches = [
-        step.step_id for step, got in zip(trace.steps, outputs) if got != step.output
+        k for k, (step, got) in enumerate(zip(trace.steps, outputs)) if got != step.output
     ]
     return len(trace.steps), mismatches
 

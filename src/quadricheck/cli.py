@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fixtures, reductions
+from .constructions import ConstructionTrace
 from .oracle import oracle_decide, sample_generic, sample_on_quadric
 from .projective import Point, clear_denominators
 
@@ -135,9 +136,8 @@ def cmd_decide(args) -> int:
         report["timings"]["synthetic_seconds"] = time.perf_counter() - start
         decision_json = decision.to_json()
         if args.trace is not None:
-            trace_payload = decision.trace.to_json() if decision.trace else {"steps": []}
             with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write(_dump(trace_payload, args.pretty))
+                fh.write(_dump((decision.trace or ConstructionTrace()).to_json(), args.pretty))
             decision_json["trace_ref"] = args.trace
         report["decision"] = decision_json
     if args.method in ("oracle", "both"):

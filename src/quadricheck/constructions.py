@@ -64,39 +64,77 @@ class SkewLines(GeometryError, ValueError):
 
 @dataclass
 class TraceStep:
-    step_id: int
     op: str
-    inputs: list
+    inputs: list  # Points and Extensors
     output: object  # Point or Extensor
 
 
 @dataclass
 class ConstructionTrace:
-    """Ordered, serializable record of construction steps.
+    """Ordered, serializable record of construction steps: each step holds
+    its op, its input values and its output, and replaying the steps
+    reproduces every output exactly.
 
-    Inputs are either ids of earlier steps or literal points/extensors;
-    replaying the steps reproduces every output exactly.
+    In JSON the values are written once each.  `leaves` holds every input
+    that no earlier step outputs, and each step input is an int: i below
+    len(leaves) names leaf i, and len(leaves) + k the output of step k.  An
+    input equal to an earlier step's output names the first such step.
     """
 
     steps: list = field(default_factory=list)
 
-    def add(self, op, inputs, output) -> int:
-        step_id = len(self.steps)
-        self.steps.append(TraceStep(step_id, op, list(inputs), output))
-        return step_id
-
     def to_json(self):
-        return {"steps": [_step_to_json(s) for s in self.steps]}
+        leaves = {}  # value key -> (leaf index, value)
+        firsts = {}  # value key -> the first step that outputs the value
+        refs = []  # per step; a step k is held as ~k until the leaf count is known
+        for k, step in enumerate(self.steps):
+            row = []
+            for value in step.inputs:
+                key = _key(value)
+                n = firsts.get(key)
+                if n is None:
+                    row.append(leaves.setdefault(key, (len(leaves), value))[0])
+                else:
+                    row.append(~n)
+            refs.append(row)
+            firsts.setdefault(_key(step.output), k)
+        offset = len(leaves)
+        return {
+            "leaves": [_value_to_json(value) for _, value in leaves.values()],
+            "steps": [
+                {
+                    "op": step.op,
+                    "inputs": [i if i >= 0 else offset + ~i for i in row],
+                    "output": _value_to_json(step.output),
+                }
+                for step, row in zip(self.steps, refs)
+            ],
+        }
 
     @classmethod
     def from_json(cls, data):
+        if "leaves" not in data:
+            raise ValueError("a trace needs a 'leaves' table")
+        values = [_value_from_json(leaf) for leaf in data["leaves"]]
         trace = cls()
         for raw in data["steps"]:
-            step = _step_from_json(raw)
-            if step.step_id != len(trace.steps):
-                raise ValueError("trace step ids must be consecutive")
-            trace.steps.append(step)
+            inputs = []
+            for i in raw["inputs"]:
+                if type(i) is not int or not 0 <= i < len(values):
+                    raise ValueError(f"step input {i!r} names no earlier value")
+                inputs.append(values[i])
+            output = _value_from_json(raw["output"])
+            trace.steps.append(TraceStep(raw["op"], inputs, output))
+            values.append(output)
         return trace
+
+
+def _key(value):
+    """A trace value's integers, which key it as its own __eq__ does; plain
+    tuples hash and compare faster than the value itself."""
+    if isinstance(value, Point):
+        return value.coords
+    return value.grade, value.coeffs
 
 
 def _value_to_json(value):
@@ -111,39 +149,9 @@ def _value_from_json(data):
     return Extensor.from_json(data["extensor"])
 
 
-def _step_to_json(step: TraceStep):
-    inputs = []
-    for item in step.inputs:
-        if isinstance(item, int):
-            inputs.append({"ref": item})
-        else:
-            inputs.append(_value_to_json(item))
-    return {
-        "id": step.step_id,
-        "op": step.op,
-        "inputs": inputs,
-        "output": _value_to_json(step.output),
-    }
-
-
-def _step_from_json(raw):
-    inputs = []
-    for item in raw["inputs"]:
-        if "ref" in item:
-            inputs.append(int(item["ref"]))
-        else:
-            inputs.append(_value_from_json(item))
-    return TraceStep(int(raw["id"]), raw["op"], inputs, _value_from_json(raw["output"]))
-
-
 def _record(trace, op, inputs, output):
-    if trace is None:
-        return None
-    return trace.add(op, inputs, output)
-
-
-def _tok(token, value):
-    return token if token is not None else value
+    if trace is not None:
+        trace.steps.append(TraceStep(op, inputs, output))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +231,7 @@ class LineFrame:
     shares: the index k of its auxiliary direction E_k (`aux_index`, the
     first basis point off its line), its line, the witness planes
     `line_meet_line` tries against that line (`line_planes`), and the
-    scaffold of its von Staudt product and inverse (`scaffold()`): the
+    scaffold of its von Staudt product and inverse (`scaffold`): the
     auxiliaries that `choose_auxiliaries` picks for it and the parts of
     both figures that do not depend on the input point.  Every line of
     those figures lies in the plane through the line and E_k, where a
@@ -260,15 +268,8 @@ class LineFrame:
         return self.line_planes.line
 
     @cached_property
-    def _scaffold(self) -> Scaffold:
+    def scaffold(self) -> Scaffold:
         return Scaffold(self, *choose_auxiliaries(self))
-
-    def scaffold(self, avoid=()) -> Scaffold:
-        """The scaffold on the auxiliaries choose_auxiliaries(self, avoid):
-        memoized for an empty `avoid`, built afresh for any other."""
-        if avoid:
-            return Scaffold(self, *choose_auxiliaries(self, avoid))
-        return self._scaffold
 
 
 class Scaffold:
@@ -367,7 +368,6 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
     if len(projections) != 3:
         raise ValueError("need one projection per edge through the chart vertex")
     planes = []
-    tokens = []
     for j, proj in zip(others, projections):
         edge = line_through(tet.vertices[i], tet.vertices[j])
         if not contains_point(edge, proj):
@@ -376,19 +376,14 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
             raise OutsideChart(f"projection on edge {i}{j} is the infinity vertex")
         k, l = (m for m in range(4) if m not in (i, j))
         plane = plane_through(proj, tet.vertices[k], tet.vertices[l])
-        tokens.append(_record(trace, "join", [proj, tet.vertices[k], tet.vertices[l]], plane))
+        _record(trace, "join", [proj, tet.vertices[k], tet.vertices[l]], plane)
         planes.append(plane)
     cut = meet(planes[0], planes[1])
     hit = meet(cut, planes[2])
     if hit.is_zero():
         raise InconsistentProjections("recovery planes do not meet in one point")
     result = as_point(hit)
-    _record(
-        trace,
-        "recover",
-        [_tok(t, pl) for t, pl in zip(tokens, planes)],
-        result,
-    )
+    _record(trace, "recover", planes, result)
     for j, proj in zip(others, projections):
         if project_to_edge(tet, i, j, result) != proj:
             raise InconsistentProjections("recovered point does not reproject")
@@ -399,38 +394,21 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
 # auxiliary choices for the product construction
 
 
-def choose_auxiliaries(frame: LineFrame, avoid=()):
-    """Deterministic auxiliary point a and line L' for the two-projection
-    construction: a off the frame's line and off L', L' through zero and
-    distinct from the line.  Candidates walk a fixed integer family; avoid
-    points are kept off L' (zero excepted) and distinct from a.
+def choose_auxiliaries(frame: LineFrame):
+    """The auxiliary point a = zero + 2·infinity + E_k and line
+    L' = zero·(infinity + E_k) of the two-projection construction, for the
+    frame's auxiliary direction E_k: a lies off the frame's line and off L',
+    and L' passes through zero and differs from the line.  (a = zero +
+    infinity + E_k would lie on L'.)  Both follow from E_k lying off the
+    line; they are checked all the same.
     """
-    avoid = tuple(avoid)
-    line = frame.line()
-    udir = STANDARD_BASIS[frame.aux_index]
-    for t in range(1, len(avoid) + 3):
-        q = Point(
-            tuple(
-                iv + t * uv
-                for iv, uv in zip(frame.infinity.coords, udir.coords)
-            )
-        )
-        lprime = line_through(frame.zero, q)
-        if any(contains_point(lprime, av) and av != frame.zero for av in avoid):
-            continue
-        for s in range(1, len(avoid) + 4):
-            a = Point(
-                tuple(
-                    zv + s * iv + uv
-                    for zv, iv, uv in zip(
-                        frame.zero.coords, frame.infinity.coords, udir.coords
-                    )
-                )
-            )
-            if contains_point(line, a) or contains_point(lprime, a) or a in avoid:
-                continue
-            return a, lprime
-    raise GeometryError("auxiliary enumeration exhausted")  # unreachable
+    z, i = frame.zero.coords, frame.infinity.coords
+    u = STANDARD_BASIS[frame.aux_index].coords
+    lprime = line_through(frame.zero, Point(tuple(iv + uv for iv, uv in zip(i, u))))
+    a = Point(tuple(zv + 2 * iv + uv for zv, iv, uv in zip(z, i, u)))
+    if contains_point(frame.line(), a) or contains_point(lprime, a):
+        raise GeometryError("the auxiliary point lies on the frame's line or on L'")
+    return a, lprime
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +420,7 @@ def _require_on_line(frame: LineFrame, p: Point):
         raise ValueError(f"{p} is not on the frame's line")
 
 
-def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None, avoid=()) -> Point:
+def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None) -> Point:
     """Point with local parameter x*y, by the two-projection construction.
 
     The line is projected from an auxiliary point a onto an auxiliary line
@@ -471,34 +449,34 @@ def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None, avoid
             result,
         )
         return result
-    scaffold = frame.scaffold(avoid)
+    scaffold = frame.scaffold
     a, lprime = scaffold.a, scaffold.lprime
     la1, p1p, linf, linf_planes = scaffold.product
     line = frame.line()
 
-    t_la1 = _record(trace, "join", [a, frame.unit], la1)
-    t_p1p = _record(trace, "meet", [_tok(t_la1, la1), lprime], p1p)
+    _record(trace, "join", [a, frame.unit], la1)
+    _record(trace, "meet", [la1, lprime], p1p)
 
     lay = line_through(a, py)
-    t_lay = _record(trace, "join", [a, py], lay)
+    _record(trace, "join", [a, py], lay)
     pyp = line_meet_line(lay, lprime, witness_planes=scaffold.lprime_planes)
-    t_pyp = _record(trace, "meet", [_tok(t_lay, lay), lprime], pyp)
+    _record(trace, "meet", [lay, lprime], pyp)
 
     lx = line_through(p1p, px)
-    t_lx = _record(trace, "join", [_tok(t_p1p, p1p), px], lx)
-    t_linf = _record(trace, "join", [a, frame.infinity], linf)
+    _record(trace, "join", [p1p, px], lx)
+    _record(trace, "join", [a, frame.infinity], linf)
     b = line_meet_line(lx, linf, witness_planes=linf_planes)
-    t_b = _record(trace, "meet", [_tok(t_lx, lx), _tok(t_linf, linf)], b)
+    _record(trace, "meet", [lx, linf], b)
 
     lback = line_through(b, pyp)
-    t_lback = _record(trace, "join", [_tok(t_b, b), _tok(t_pyp, pyp)], lback)
+    _record(trace, "join", [b, pyp], lback)
     result = line_meet_line(lback, line, witness_planes=frame.line_planes)
-    _record(trace, "meet", [_tok(t_lback, lback), line], result)
+    _record(trace, "meet", [lback, line], result)
     _record(trace, "product", [frame.zero, frame.infinity, frame.unit, px, py], result)
     return result
 
 
-def von_staudt_inverse(frame: LineFrame, px: Point, trace=None, avoid=()) -> Point:
+def von_staudt_inverse(frame: LineFrame, px: Point, trace=None) -> Point:
     """Point with local parameter 1/x; total on the line.
 
     Reverses the product construction: with b off L and L', the line from
@@ -507,29 +485,29 @@ def von_staudt_inverse(frame: LineFrame, px: Point, trace=None, avoid=()) -> Poi
     and infinity to zero.
     """
     _require_on_line(frame, px)
-    scaffold = frame.scaffold(avoid)
+    scaffold = frame.scaffold
     b, lprime = scaffold.a, scaffold.lprime
     l1b, c2, linfb, linfb_planes = scaffold.inverse
     line = frame.line()
 
     lxb = line_through(px, b)
-    t_lxb = _record(trace, "join", [px, b], lxb)
+    _record(trace, "join", [px, b], lxb)
     c1 = line_meet_line(lxb, lprime, witness_planes=scaffold.lprime_planes)
-    t_c1 = _record(trace, "meet", [_tok(t_lxb, lxb), lprime], c1)
+    _record(trace, "meet", [lxb, lprime], c1)
 
     l_c11 = line_through(c1, frame.unit)
-    t_l_c11 = _record(trace, "join", [_tok(t_c1, c1), frame.unit], l_c11)
-    t_linfb = _record(trace, "join", [frame.infinity, b], linfb)
+    _record(trace, "join", [c1, frame.unit], l_c11)
+    _record(trace, "join", [frame.infinity, b], linfb)
     a = line_meet_line(l_c11, linfb, witness_planes=linfb_planes)
-    t_a = _record(trace, "meet", [_tok(t_l_c11, l_c11), _tok(t_linfb, linfb)], a)
+    _record(trace, "meet", [l_c11, linfb], a)
 
-    t_l1b = _record(trace, "join", [frame.unit, b], l1b)
-    t_c2 = _record(trace, "meet", [_tok(t_l1b, l1b), lprime], c2)
+    _record(trace, "join", [frame.unit, b], l1b)
+    _record(trace, "meet", [l1b, lprime], c2)
 
     lfinal = line_through(c2, a)
-    t_lfinal = _record(trace, "join", [_tok(t_c2, c2), _tok(t_a, a)], lfinal)
+    _record(trace, "join", [c2, a], lfinal)
     result = line_meet_line(lfinal, line, witness_planes=frame.line_planes)
-    _record(trace, "meet", [_tok(t_lfinal, lfinal), line], result)
+    _record(trace, "meet", [lfinal, line], result)
     _record(trace, "inverse", [frame.zero, frame.infinity, frame.unit, px], result)
     return result
 
@@ -547,15 +525,15 @@ def local_param_point(
     """
     if line is None:
         line = line_through(d, e)
-    t_line = _record(trace, "join", [d, e], line)
+    _record(trace, "join", [d, e], line)
     if plane is None:
         plane = plane_through(a, b, c)
-    t_plane = _record(trace, "join", [a, b, c], plane)
+    _record(trace, "join", [a, b, c], plane)
     hit = meet(line, plane)
     if hit.is_zero():
         raise DegenerateMeet(f"line {d}{e} lies in the plane")
     result = as_point(hit)
-    _record(trace, "meet", [_tok(t_line, line), _tok(t_plane, plane)], result)
+    _record(trace, "meet", [line, plane], result)
     return result
 
 
@@ -620,16 +598,8 @@ def replay_trace(trace: ConstructionTrace):
     summary steps on one frame share one LineFrame, and with it the frame's
     memoized scaffold; the meet steps of coplanar lines share one
     WitnessPlanes per second line."""
-    outputs = {}
-    results = []
-    frames = {}
-    lines = {}
-    for step in trace.steps:
-        resolved = [outputs[v] if isinstance(v, int) else v for v in step.inputs]
-        value = _execute_step(step.op, resolved, frames, lines)
-        outputs[step.step_id] = value
-        results.append(value)
-    return results
+    frames, lines = {}, {}
+    return [_execute_step(step.op, step.inputs, frames, lines) for step in trace.steps]
 
 
 def verify_replay(trace: ConstructionTrace) -> bool:

@@ -11,7 +11,6 @@ four constructed points for coplanarity.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -35,8 +34,6 @@ from .projective import (
     det4,
     kernel_basis,
 )
-
-log = logging.getLogger(__name__)
 
 
 class NoPermutation(GeometryError):
@@ -82,25 +79,16 @@ def find_Q_labeling(points):
     for perm in permutations(range(6)):
         if compute_Q([pts[i] for i in perm]) != 0:
             return perm
-    log.error("no Q-permutation for %s", pts)
     raise NoPermutation("every label permutation has Q = 0")
-
-
-# The two brackets whose product is entry (r, c) of M: the planes of basis
-# quadric c, each joined with point 6 + r.
-M_PROVENANCE = tuple(
-    tuple((a_triple + (6 + r,), b_triple + (6 + r,)) for a_triple, b_triple in BASIS_PLANES)
-    for r in range(4)
-)
 
 
 @dataclass(frozen=True)
 class MatrixM:
-    """4x4 bracket-product matrix; entry (r, c) multiplies the two brackets
-    named in its provenance, e.g. [0156][2346] at (0, 0)."""
+    """4x4 bracket-product matrix; entry (r, c) multiplies the brackets of
+    the two planes of basis quadric c, each joined with point 6 + r, e.g.
+    [0156][2346] at (0, 0)."""
 
     entries: tuple
-    provenance = M_PROVENANCE
 
     def column(self, c):
         return tuple(self.entries[r][c] for r in range(4))

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .projective import (
     Point,
-    QuadricCoeffs,
     Transform,
     bareiss_det,
     clear_denominators,
@@ -67,9 +66,6 @@ def random_transform(rng: random.Random, bound: int = 10) -> Transform:
 def segre_point(s, t) -> Point:
     """[1 : s : t : st], a point of the doubly ruled quadric xw - yz = 0."""
     return Point(clear_denominators((1, s, t, s * t)))
-
-
-SEGRE_QUADRIC = QuadricCoeffs((0, 0, 0, 1, 0, -1, 0, 0, 0, 0))
 
 
 def sample_on_quadric(seed, n, transformed=False, bound=1000) -> list:

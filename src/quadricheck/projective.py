@@ -104,7 +104,6 @@ E0 = Point((1, 0, 0, 0))
 E1 = Point((0, 1, 0, 0))
 E2 = Point((0, 0, 1, 0))
 E3 = Point((0, 0, 0, 1))
-ONES = Point((1, 1, 1, 1))
 STANDARD_BASIS = (E0, E1, E2, E3)
 
 

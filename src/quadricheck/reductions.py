@@ -318,16 +318,10 @@ def find_three_skew(points, table):
 _ROLE_LINE_PAIRS = ((0, 1), (2, 3), (4, 5))
 
 
-def skew_swap(points, labeling: Labeling, plane: Extensor) -> Labeling:
-    """Swap labels so the plane-bound points leave general position.
-
-    Role lines 01, 23, 45 must be skew; roles 6..9 lie on the plane; the
-    meet of line 01 with the plane must avoid line 67, and the meets of
-    lines 23 and 45 must avoid the opposite line 89.  Swapping role 0 with
-    8 and role 1 with 9 then yields skew lines 01, 23, 45 with the new
-    points 6..9 in general position.
-    """
-    pts = labeling.apply(points)
+def _role_line_meets(pts, plane: Extensor):
+    """The points where role lines 01, 23, 45 meet the plane, which must
+    hold roles 6..9.  Raises PreconditionViolated when the role lines are
+    not skew, a role of 6..9 is off the plane or a role line lies in it."""
     for pair in ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5)):
         if bracket(*(pts[i] for i in pair)) == 0:
             raise PreconditionViolated("role lines 01, 23, 45 are not skew")
@@ -340,6 +334,20 @@ def skew_swap(points, labeling: Labeling, plane: Extensor) -> Labeling:
         if hit.is_zero():
             raise PreconditionViolated(f"role line {a}{b} lies in the plane")
         meets.append(as_point(hit))
+    return meets
+
+
+def skew_swap(points, labeling: Labeling, plane: Extensor) -> Labeling:
+    """Swap labels so the plane-bound points leave general position.
+
+    Role lines 01, 23, 45 must be skew; roles 6..9 lie on the plane; the
+    meet of line 01 with the plane must avoid line 67, and the meets of
+    lines 23 and 45 must avoid the opposite line 89.  Swapping role 0 with
+    8 and role 1 with 9 then yields skew lines 01, 23, 45 with the new
+    points 6..9 in general position.
+    """
+    pts = labeling.apply(points)
+    meets = _role_line_meets(pts, plane)
     if contains_point(line_through(pts[6], pts[7]), meets[0]):
         raise PreconditionViolated("pq ∩ π lies on line ij")
     if contains_point(line_through(pts[8], pts[9]), meets[1]):
@@ -440,11 +448,29 @@ def _plane_split_decision(points, table, plane: Extensor) -> Decision:
 
 def _find_valid_swap(points, labeling: Labeling, plane: Extensor):
     """First skew-swap whose hypotheses hold, in lexicographic order over
-    (line playing pq, vertex pair swapped in); None when none applies."""
+    (line playing pq, vertex pair swapped in); None when none applies.
+
+    The role lines' meets with the plane do not depend on the role order,
+    so they are computed once; each order asks only the containments of
+    `skew_swap` (g_pq off line ij, the other two meets off line kl), and
+    `skew_swap` runs, with its guards, on the first order that passes.
+    """
+    pts = labeling.apply(points)
+    try:
+        meets = _role_line_meets(pts, plane)
+    except PreconditionViolated:
+        return None
+    lines = {
+        pair: line_through(pts[pair[0]], pts[pair[1]]) for pair in combinations((6, 7, 8, 9), 2)
+    }
     for pq_idx in range(3):
         others = [o for o in range(3) if o != pq_idx]
         for kl in combinations((6, 7, 8, 9), 2):
             ij = tuple(r for r in (6, 7, 8, 9) if r not in kl)
+            if contains_point(lines[ij], meets[pq_idx]) or any(
+                contains_point(lines[kl], meets[o]) for o in others
+            ):
+                continue
             role_order = (
                 _ROLE_LINE_PAIRS[pq_idx]
                 + _ROLE_LINE_PAIRS[others[0]]
@@ -452,11 +478,7 @@ def _find_valid_swap(points, labeling: Labeling, plane: Extensor):
                 + ij
                 + kl
             )
-            rearranged = Labeling(tuple(labeling.perm[r] for r in role_order))
-            try:
-                return skew_swap(points, rearranged, plane)
-            except PreconditionViolated:
-                continue
+            return skew_swap(points, Labeling(tuple(labeling.perm[r] for r in role_order)), plane)
     return None
 
 

@@ -5,17 +5,18 @@ figures (local parameters on Q ∪ {INFINITY} read off as cross ratios, the
 point at a parameter, and 1/x and x*y on parameters), rational coordinates
 in a basis, the dimension of the quadric space through points, the planar
 conic determinant of six points, and configurations with a plane of six to
-ten points, on which some six-subsets lie on a conic."""
+ten points, on which some six-subsets lie on a conic, and a second choice
+of the auxiliaries of a frame's von Staudt figures."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
 from quadricheck.constructions import LineFrame, Tetrahedron
+from quadricheck.extensors import contains_point, line_through
 from quadricheck.oracle import random_transform, sample_generic
 from quadricheck.projective import (
     CONIC_MONOMIALS,
-    ONES,
     STANDARD_BASIS,
     GeometryError,
     InfinityProduct,
@@ -55,6 +56,8 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
+ONES = Point((1, 1, 1, 1))
+
 
 def plucker_residual(e):
     """p01*p23 - p02*p13 + p03*p12; zero exactly for decomposable grade-2."""
@@ -67,6 +70,19 @@ def plucker_residual(e):
 def standard_tetrahedron():
     """The coordinate tetrahedron E0..E3 with unit [1:1:1:1]."""
     return Tetrahedron(STANDARD_BASIS, ONES)
+
+
+def other_auxiliaries(frame):
+    """A valid auxiliary point and line for the von Staudt figures of a
+    frame other than those `choose_auxiliaries` picks: a = zero +
+    3·infinity + E_k off the line and off L' = zero·(infinity + 2·E_k),
+    for the frame's auxiliary direction E_k."""
+    z, i = frame.zero.coords, frame.infinity.coords
+    u = STANDARD_BASIS[frame.aux_index].coords
+    lprime = line_through(frame.zero, Point(tuple(iv + 2 * uv for iv, uv in zip(i, u))))
+    a = Point(tuple(zv + 3 * iv + uv for zv, iv, uv in zip(z, i, u)))
+    assert not contains_point(frame.line(), a) and not contains_point(lprime, a)
+    return a, lprime
 
 
 def transform_from_columns(columns):

@@ -10,13 +10,14 @@ from conftest import random_fraction, random_point, seeded
 from generic_reference import ceva_incidence_check, q_coordinate_polynomial, tau_transform
 from reference_geometry import (
     INFINITY,
+    other_auxiliaries,
     parameter_of,
     plucker_residual,
     point_at_parameter,
     transform_from_columns,
     transform_inverse,
 )
-from quadricheck import fixtures
+from quadricheck import constructions, fixtures
 from quadricheck.constructions import (
     ConstructionTrace,
     LineFrame,
@@ -167,7 +168,7 @@ def _random_frame(rng):
         return LineFrame(z, i, Point(clear_denominators(a + t * b for a, b in zip(z.coords, i.coords))))
 
 
-def test_criterion_5_von_staudt(announce):
+def test_criterion_5_von_staudt(announce, monkeypatch):
     rng = seeded("acc-vs")
     frame = _random_frame(rng)
     for k in range(200):
@@ -188,14 +189,19 @@ def test_criterion_5_von_staudt(announce):
         von_staudt_product(frame, frame.infinity, point_at_parameter(frame, 5))
         == frame.infinity
     )
-    independent = 0
+    samples = []
     for _ in range(50):
         f = _random_frame(rng)
         px = point_at_parameter(f, random_fraction(rng))
         py = point_at_parameter(f, random_fraction(rng))
-        default = von_staudt_product(f, px, py)
-        blocked, _ = choose_auxiliaries(f)
-        assert von_staudt_product(f, px, py, avoid=(blocked,)) == default
+        samples.append((f, px, py, von_staudt_product(f, px, py)))
+    # the same products on fresh frames whose figures use other auxiliaries
+    monkeypatch.setattr(constructions, "choose_auxiliaries", other_auxiliaries)
+    independent = 0
+    for f, px, py, default in samples:
+        fresh = LineFrame(f.zero, f.infinity, f.unit)
+        assert fresh.scaffold.a != choose_auxiliaries(f)[0]
+        assert von_staudt_product(fresh, px, py) == default
         independent += 1
     assert independent == 50
     announce(

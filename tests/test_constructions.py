@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_fraction, random_point, seeded
-from reference_geometry import INFINITY, parameter_of, point_at_parameter, standard_tetrahedron
+from reference_geometry import (
+    INFINITY,
+    ONES,
+    other_auxiliaries,
+    parameter_of,
+    point_at_parameter,
+    standard_tetrahedron,
+)
 from quadricheck import constructions, fixtures, reductions
 from quadricheck.constructions import (
     ConstructionTrace,
@@ -26,13 +33,13 @@ from quadricheck.constructions import (
     von_staudt_product,
 )
 from quadricheck.extensors import contains_point, join_points, line_through
+from quadricheck.generic_case import GenericFigure
 from quadricheck.projective import (
     E0,
     E1,
     E2,
     E3,
     InfinityProduct,
-    ONES,
     Point,
     bracket,
     clear_denominators,
@@ -186,16 +193,6 @@ class TestChooseAuxiliaries:
         again = choose_auxiliaries(X_AXIS_FRAME)
         assert again == (a, lprime)
 
-    def test_adversarial_avoid_moves_choice(self):
-        a0, l0 = choose_auxiliaries(X_AXIS_FRAME)
-        a1, l1 = choose_auxiliaries(X_AXIS_FRAME, avoid=(a0,))
-        assert a1 != a0
-        assert not contains_point(X_AXIS_FRAME.line(), a1)
-        # blocking a point on L' forces a new auxiliary line
-        probe = Point((0, 1, 1, 0))
-        a2, l2 = choose_auxiliaries(X_AXIS_FRAME, avoid=(probe,))
-        assert not contains_point(l2, probe)
-
 
 class TestVonStaudtProduct:
     def test_unit_is_identity(self):
@@ -259,16 +256,19 @@ class TestVonStaudtProduct:
         with pytest.raises(InfinityProduct):
             von_staudt_product(X_AXIS_FRAME, X_AXIS_FRAME.infinity, X_AXIS_FRAME.zero)
 
-    def test_auxiliary_independence(self):
+    def test_auxiliary_independence(self, monkeypatch):
         rng = seeded("aux-independence")
+        cases = []
         for _ in range(10):
             f = random_frame(rng)
             px = point_at_parameter(f, random_fraction(rng))
             py = point_at_parameter(f, random_fraction(rng))
-            default = von_staudt_product(f, px, py)
-            a0, _ = choose_auxiliaries(f)
-            moved = von_staudt_product(f, px, py, avoid=(a0,))
-            assert default == moved
+            cases.append((f, px, py, von_staudt_product(f, px, py)))
+        monkeypatch.setattr(constructions, "choose_auxiliaries", other_auxiliaries)
+        for f, px, py, default in cases:
+            fresh = LineFrame(f.zero, f.infinity, f.unit)
+            assert (fresh.scaffold.a, fresh.scaffold.lprime) != choose_auxiliaries(f)
+            assert von_staudt_product(fresh, px, py) == default
 
 
 class TestVonStaudtInverse:
@@ -401,7 +401,8 @@ class TestTraceReplay:
         assert replay_trace(ConstructionTrace.from_json(json.loads(text))) == [s.output for s in trace.steps]
 
         def values(payload, kind):
-            return [v for step in payload["steps"] for v in step["inputs"] + [step["output"]] if kind in v]
+            every = payload["leaves"] + [step["output"] for step in payload["steps"]]
+            return [v for v in every if kind in v]
 
         halves = json.loads(text)
         for value in values(halves, "extensor"):
@@ -420,10 +421,9 @@ class TestTraceReplay:
     def test_every_input_id_precedes_use(self):
         trace = ConstructionTrace()
         von_staudt_product(X_AXIS_FRAME, frame_point(4), frame_point(5), trace=trace)
-        for step in trace.steps:
-            for item in step.inputs:
-                if isinstance(item, int):
-                    assert item < step.step_id
+        payload = trace.to_json()
+        for k, step in enumerate(payload["steps"]):
+            assert all(type(i) is int and 0 <= i < len(payload["leaves"]) + k for i in step["inputs"])
 
 
 class TestReplayFrames:
@@ -438,14 +438,81 @@ class TestReplayFrames:
         chosen = []
         real = constructions.choose_auxiliaries
 
-        def counting(frame, avoid=()):
+        def counting(frame):
             chosen.append(frame)
-            return real(frame, avoid)
+            return real(frame)
 
         monkeypatch.setattr(constructions, "choose_auxiliaries", counting)
         restored = ConstructionTrace.from_json(json.loads(json.dumps(trace.to_json())))
         assert replay_trace(restored) == [s.output for s in trace.steps]
         assert chosen == [X_AXIS_FRAME, other]
+
+
+def written(value):
+    """A trace value as JSON writes it."""
+    if isinstance(value, Point):
+        return {"point": value.to_strings()}
+    return {"extensor": value.to_json()}
+
+
+class TestTraceFormat:
+    """In memory a step holds its input values; in JSON each value is
+    written once, as a leaf or as a step output, and every input is an int
+    that names an earlier one."""
+
+    @pytest.fixture(scope="class")
+    def decided(self):
+        pairs = []
+        for seed in (1, 2):
+            points = fixtures.generate_branch("generic", seed)
+            decision = reductions.decide(points, with_trace=True)
+            assert decision.branch == "generic"
+            pairs.append((points, decision))
+        return pairs
+
+    def test_round_trip_restores_every_step(self, decided):
+        for _, decision in decided:
+            payload = json.loads(json.dumps(decision.trace.to_json()))
+            restored = ConstructionTrace.from_json(payload)
+            assert restored.steps == decision.trace.steps
+            assert restored.to_json() == payload
+            # a ref to a step resolves to the one object parsed for its output
+            offset = len(payload["leaves"])
+            for step, raw in zip(restored.steps, payload["steps"]):
+                for value, i in zip(step.inputs, raw["inputs"]):
+                    if i >= offset:
+                        assert value is restored.steps[i - offset].output
+
+    def test_each_input_value_written_once(self, decided):
+        for _, decision in decided:
+            payload = decision.trace.to_json()
+            leaves = payload["leaves"]
+            assert len({json.dumps(leaf, sort_keys=True) for leaf in leaves}) == len(leaves)
+            first = {}  # value -> the first step that outputs it
+            for k, (step, raw) in enumerate(zip(decision.trace.steps, payload["steps"])):
+                assert len(raw["inputs"]) == len(step.inputs)
+                for value, i in zip(step.inputs, raw["inputs"]):
+                    assert type(i) is int and 0 <= i < len(leaves) + k
+                    if value in first:
+                        assert i == len(leaves) + first[value]
+                    else:
+                        assert leaves[i] == written(value)
+                first.setdefault(step.output, k)
+
+    def test_generic_leaves_are_the_inputs_and_frame_choices(self, decided):
+        for points, decision in decided:
+            figure = GenericFigure(decision.labeling.apply(points))
+            expected = set(points)
+            for col in range(4):
+                column = figure.m.column(col)
+                chart = next(r for r in range(4) if column[r] != 0)
+                for j in range(4):
+                    if j != chart:
+                        frame = figure.tetrahedron.edge_frame(chart, j)
+                        expected |= {frame.unit, frame.scaffold.a, frame.scaffold.lprime}
+            leaves = decision.trace.to_json()["leaves"]
+            assert len(leaves) == len(expected)
+            assert all(written(value) in leaves for value in expected)
 
 
 class TestWitnessPlanes:

@@ -9,17 +9,17 @@ from generic_reference import (
     q_coordinate_polynomial,
     tau_transform,
 )
-from reference_geometry import transform_from_columns, transform_inverse
+from reference_geometry import ONES, transform_from_columns, transform_inverse
 from quadricheck import constructions, generic_case
 from quadricheck.constructions import (
     ConstructionTrace,
-    choose_auxiliaries,
     line_meet_line,
     verify_replay,
 )
 from quadricheck.decision import PreconditionViolated
 from quadricheck.extensors import contains_point, line_through, plane_through
 from quadricheck.generic_case import (
+    BASIS_PLANES,
     GenericFigure,
     NoPermutation,
     ZeroColumn,
@@ -42,7 +42,6 @@ from quadricheck.projective import (
     E0,
     E1,
     E2,
-    ONES,
     Point,
     STANDARD_BASIS,
     bracket,
@@ -54,6 +53,13 @@ from quadricheck.reductions import decide
 SEGRE_GENERIC_PAIRS = [
     (6, 0), (6, -7), (5, 5), (5, -8), (2, -3), (2, -1), (-1, 4), (4, -2), (1, 0), (-2, -7),
 ]
+
+# The two brackets whose product is entry (r, c) of M: the planes of basis
+# quadric c, each joined with point 6 + r.
+M_PROVENANCE = tuple(
+    tuple((a_triple + (6 + r,), b_triple + (6 + r,)) for a_triple, b_triple in BASIS_PLANES)
+    for r in range(4)
+)
 
 
 def segre_generic_points():
@@ -181,7 +187,11 @@ class TestBuildM:
         ten = pts + [on_plane_015, Point((1, 5, 7, 2)), Point((3, 1, 4, 1)), Point((2, 7, 1, 8))]
         m = build_M(ten)
         assert m.entries[0][0] == 0
-        assert m.provenance[0][0] == ((0, 1, 5, 6), (2, 3, 4, 6))
+        assert M_PROVENANCE[0][0] == ((0, 1, 5, 6), (2, 3, 4, 6))
+        for r in range(4):
+            for c in range(4):
+                a, b = M_PROVENANCE[r][c]
+                assert m.entries[r][c] == bracket(*(ten[i] for i in a)) * bracket(*(ten[i] for i in b))
 
     def test_det_identity_with_positive_sign(self):
         # the global sign of det(M) = s * Q * det(N) is pinned to +1 by this
@@ -343,9 +353,9 @@ class TestGenericFigure:
             built.append(real_build_M(points))
             return built[-1]
 
-        def counting_choose(frame, avoid=()):
+        def counting_choose(frame):
             frames.append(frame)
-            return real_choose(frame, avoid)
+            return real_choose(frame)
 
         monkeypatch.setattr(generic_case, "build_M", counting_build_M)
         monkeypatch.setattr(constructions, "choose_auxiliaries", counting_choose)
@@ -359,16 +369,6 @@ class TestGenericFigure:
             chart = next(r for r in range(4) if column[r] != 0)
             edges.update((chart, j) for j in range(4) if j != chart)
         assert len(frames) == len(set(frames)) == len(edges)
-
-    def test_avoid_bypasses_memoized_auxiliaries(self):
-        frame = GenericFigure(segre_generic_points()).tetrahedron.edge_frame(0, 1)
-        scaffold = frame.scaffold()
-        assert frame.scaffold() is scaffold
-        a1, lprime1 = choose_auxiliaries(frame, avoid=(scaffold.a,))
-        assert a1 != scaffold.a
-        moved = frame.scaffold((scaffold.a,))
-        assert (moved.a, moved.lprime) == (a1, lprime1)
-        assert frame.scaffold() is scaffold
 
     def test_edge_frames_are_memoized_per_ordered_edge(self):
         tet = GenericFigure(segre_generic_points()).tetrahedron

@@ -1,6 +1,6 @@
-"""The package holds only what the program uses: every function, method and
-class defined in src/quadricheck is referenced from src/, scripts/ or
-bench/, not only from the tests."""
+"""The package holds only what the program uses: every function, method,
+class, module-level constant and class attribute defined in src/quadricheck
+is referenced from src/, scripts/ or bench/, not only from the tests."""
 
 import ast
 from pathlib import Path
@@ -12,14 +12,37 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 SCOPES = FUNCTIONS + (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
+def assigned_names(body):
+    """(name, line) of every Name that the statements of a module or class
+    body assign to: its constants and class attributes."""
+    for statement in body:
+        if isinstance(statement, ast.Assign):
+            targets = statement.targets
+        elif isinstance(statement, ast.AnnAssign):
+            targets = [statement.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name):
+                    yield node.id, node.lineno
+
+
 def defined_names(path):
     """(name, line) of every function, method and class defined in a
-    module, dunders left out."""
+    module, and of every module-level constant and class attribute,
+    dunders left out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = list(assigned_names(tree.body))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            names.extend(assigned_names(node.body))
     return [
-        (node.name, node.lineno)
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        (name, line)
+        for name, line in names
+        if not (name.startswith("__") and name.endswith("__"))
     ]
 
 
@@ -125,6 +148,24 @@ class TestLayout:
         assert referenced_names([source]) & {
             "called", "parameter", "assigned", "closed_over", "comprehended", "inner"
         } == {"called", "inner"}
+
+    def test_constants_and_class_attributes_are_definitions(self, tmp_path):
+        source = tmp_path / "module.py"
+        source.write_text(
+            "__all__ = []\n"
+            "LIMIT = 3\n"
+            "FIRST, SECOND = 1, 2\n"
+            "class Holder:\n"
+            "    __slots__ = ()\n"
+            "    shared = LIMIT\n"
+            "    field: int\n"
+            "    def method(self):\n"
+            "        local = 1\n"
+            "        return local\n"
+        )
+        assert sorted(name for name, _ in defined_names(source)) == [
+            "FIRST", "Holder", "LIMIT", "SECOND", "field", "method", "shared"
+        ]
 
     def test_incidence_tables_built_only_at_decision_entries(self):
         built = {

@@ -9,7 +9,6 @@ from conftest import seeded
 from reference_geometry import quadric_space_dimension
 from quadricheck import constructions, decision, extensors, generic_case, projective, reductions
 from quadricheck.oracle import (
-    SEGRE_QUADRIC,
     VeroneseMatrix,
     oracle_decide,
     oracle_det,
@@ -20,11 +19,15 @@ from quadricheck.oracle import (
 )
 from quadricheck.projective import (
     Point,
+    QuadricCoeffs,
     bareiss_det,
     quadric_through,
     rank_of_vectors,
     veronese_row,
 )
+
+# xw - yz, the quadric of every segre_point
+SEGRE_QUADRIC = QuadricCoeffs((0, 0, 0, 1, 0, -1, 0, 0, 0, 0))
 
 
 def naive_det(matrix):

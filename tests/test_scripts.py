@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from quadricheck import cli, fixtures, reductions
-from quadricheck.extensors import from_point, plane_through
+from quadricheck.constructions import ConstructionTrace, verify_replay
+from quadricheck.extensors import from_point, line_through, plane_through
 from quadricheck.oracle import sample_generic
 from quadricheck.projective import E0, E1, E2, E3, Point
 
@@ -48,6 +51,17 @@ class TestReplayTrace:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().endswith("steps replayed bit-exactly")
 
+    def test_special_position_trace_replays_empty(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cli.points_to_json(fixtures.generate_branch("duplicate", 1))))
+        trace = tmp_path / "trace.json"
+        assert cli.main(["decide", str(config), "--method", "synthetic", "--trace", str(trace)]) == 0
+        assert json.loads(capsys.readouterr().out)["decision"]["branch"] == "duplicate"
+        assert json.loads(trace.read_text()) == ConstructionTrace().to_json()
+        result = run_script("replay_trace.py", trace)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{trace}: 0 steps replayed bit-exactly\n"
+
     def test_missing_file(self, tmp_path):
         missing = tmp_path / "missing.json"
         result = run_script("replay_trace.py", missing)
@@ -57,7 +71,11 @@ class TestReplayTrace:
 
     def test_malformed_trace(self, tmp_path):
         def one_step(op, inputs, output):
-            return {"steps": [{"id": 0, "op": op, "inputs": inputs, "output": output}]}
+            # every input a leaf, in order
+            return {
+                "leaves": inputs,
+                "steps": [{"op": op, "inputs": list(range(len(inputs))), "output": output}],
+            }
 
         half = {"extensor": {"grade": 1, "coeffs": ["1/2", "0", "0", "0"]}}
         e0 = {"extensor": from_point(E0).to_json()}
@@ -67,7 +85,7 @@ class TestReplayTrace:
         ]
         points = [{"point": p.to_strings()} for p in (E0, E1, Point((1, 1, 0, 0)))]
         payloads = (
-            ("bad", {"steps": [{"id": 0}]}),
+            ("bad", {"leaves": [], "steps": [{"op": "join"}]}),
             ("half", one_step("join", [half], half)),
             # a join takes two or three inputs, a recover three planes
             ("join-of-one", one_step("join", [e0], e0)),
@@ -77,6 +95,43 @@ class TestReplayTrace:
             ("zero-times-infinity", one_step("degenerate-product", points + points[:2], points[0])),
         )
         for name, payload in payloads:
+            bad = tmp_path / f"{name}.json"
+            bad.write_text(json.dumps(payload))
+            result = run_script("replay_trace.py", bad)
+            assert result.returncode == 2, name
+            assert result.stderr.count("\n") == 1 and str(bad) in result.stderr
+            assert "Traceback" not in result.stderr
+
+    def test_malformed_refs(self, tmp_path):
+        # leaves E0, E1, E2; step 0 joins leaves 0 and 1, step 1 joins
+        # step 0 (value 3) with leaf 2
+        leaves = [{"point": p.to_strings()} for p in (E0, E1, E2)]
+        line = {"extensor": line_through(E0, E1).to_json()}
+        plane = {"extensor": plane_through(E0, E1, E2).to_json()}
+
+        def trace(first):
+            return {
+                "leaves": leaves,
+                "steps": [
+                    {"op": "join", "inputs": [0, 1], "output": line},
+                    {"op": "join", "inputs": [first, 2], "output": plane},
+                ],
+            }
+
+        assert verify_replay(ConstructionTrace.from_json(trace(3)))
+        payloads = {
+            "inlined": trace(line),
+            "negative": trace(-1),
+            "self": trace(4),
+            "forward": trace(5),
+            "bool": trace(True),
+            "float": trace(3.0),
+            "string": trace("3"),
+            "no-leaves": {"steps": trace(3)["steps"]},
+        }
+        for name, payload in payloads.items():
+            with pytest.raises(ValueError):
+                ConstructionTrace.from_json(payload)
             bad = tmp_path / f"{name}.json"
             bad.write_text(json.dumps(payload))
             result = run_script("replay_trace.py", bad)
@@ -124,7 +179,7 @@ class TestDecisionDigest:
         assert result.stdout.splitlines() == [
             "decisions ee55ae3abbd4d8c2cd3a73f2505885b83e0f19b78d28dd997f80a8104c65f57c"
             " 31 configurations",
-            "traces f4b8f7ba9e9d8634eda4ea3d81f22fe0829e4825b0e02471957505ae903a5a49",
+            "traces 81aa2a9e03c2ca91b07e628c423606d4beef78bf5d63a96e635e29bf528dd446",
         ]
 
     def test_pinned_fixture_digest(self):
@@ -138,5 +193,5 @@ class TestDecisionDigest:
         assert result.stdout.splitlines() == [
             "decisions 37257a32c4d00ada16989d6c8beec185ae9c7217d9ddfb4c7f9b188365a55f83"
             " 88 configurations",
-            "traces edc0a68796d07d8632286819d5e3ad5d9f50d49328783cf418f6e881f2b73b8b",
+            "traces bfcd7a26cb5ca1b3f01703af0bbf6ad01ac3f9342ef2081a8a641559eb9db638",
         ]
