@@ -7,7 +7,7 @@ checked against.
 """
 
 from .decision import Decision, Labeling, PlanePair
-from .extensors import Extensor, grassmann_criterion, join, meet, support_basis
+from .extensors import Extensor, grassmann_criterion, join, meet
 from .generic_case import (
     GenericConfig,
     build_M,
@@ -50,6 +50,5 @@ __all__ = [
     "quadric_through",
     "sample_generic",
     "sample_on_quadric",
-    "support_basis",
     "__version__",
 ]

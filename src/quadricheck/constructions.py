@@ -1,14 +1,14 @@
 """Synthetic toolkit: edge projections, chart recovery, von Staudt product
 and inverse on a line, and the meet-point whose local parameter is a bracket
 ratio.  The constructions a decision runs can be recorded into a
-replayable ConstructionTrace.
+replayable ConstructionTrace of `join` and `meet` steps.
 
 All constructions use only lines through two known points, planes through
 three known points, and their intersections; intersections of coplanar
 lines are realized as meet(l1, join(l2, w)) for a deterministic witness w
 off their common plane.  No step computes a local parameter as a number:
 a product with the frame's zero or infinity as a factor is decided by
-incidence.
+incidence, and records no step, since its output is that zero or infinity.
 """
 
 from __future__ import annotations
@@ -361,7 +361,8 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
     projections are the points on the edges i-j for the three other vertex
     indices j in ascending order; each must lie on its edge and differ from
     the infinity vertex j.  The point is the meet of the three planes
-    spanned by each projection and its opposite edge.
+    spanned by each projection and its opposite edge: the first two meet
+    in a line, which meets the third.
     """
     others = [j for j in range(4) if j != i]
     projections = list(projections)
@@ -383,7 +384,8 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
     if hit.is_zero():
         raise InconsistentProjections("recovery planes do not meet in one point")
     result = as_point(hit)
-    _record(trace, "recover", planes, result)
+    _record(trace, "meet", planes[:2], cut)
+    _record(trace, "meet", [cut, planes[2]], result)
     for j, proj in zip(others, projections):
         if project_to_edge(tet, i, j, result) != proj:
             raise InconsistentProjections("recovered point does not reproject")
@@ -430,7 +432,8 @@ def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None) -> Po
     figure.  On the line they belong to zero and infinity alone, so those
     products follow from incidence: zero when a factor is zero, infinity
     when a factor is infinity, and InfinityProduct when the factors are
-    zero and infinity.
+    zero and infinity.  Such a product draws nothing, so it records no
+    trace step.
     """
     _require_on_line(frame, px)
     _require_on_line(frame, py)
@@ -442,12 +445,6 @@ def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None) -> Po
             result = frame.infinity
         else:
             raise InfinityProduct("0 * INFINITY is undefined")
-        _record(
-            trace,
-            "degenerate-product",
-            [frame.zero, frame.infinity, frame.unit, px, py],
-            result,
-        )
         return result
     scaffold = frame.scaffold
     a, lprime = scaffold.a, scaffold.lprime
@@ -472,7 +469,6 @@ def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None) -> Po
     _record(trace, "join", [b, pyp], lback)
     result = line_meet_line(lback, line, witness_planes=frame.line_planes)
     _record(trace, "meet", [lback, line], result)
-    _record(trace, "product", [frame.zero, frame.infinity, frame.unit, px, py], result)
     return result
 
 
@@ -508,7 +504,6 @@ def von_staudt_inverse(frame: LineFrame, px: Point, trace=None) -> Point:
     _record(trace, "join", [c2, a], lfinal)
     result = line_meet_line(lfinal, line, witness_planes=frame.line_planes)
     _record(trace, "meet", [lfinal, line], result)
-    _record(trace, "inverse", [frame.zero, frame.infinity, frame.unit, px], result)
     return result
 
 
@@ -541,7 +536,7 @@ def local_param_point(
 # trace replay
 
 
-def _execute_step(op, inputs, frames, lines):
+def _execute_step(op, inputs, lines):
     if op == "join":
         if len(inputs) not in (2, 3):
             raise ValueError(f"a join step takes 2 or 3 inputs, not {len(inputs)}")
@@ -551,6 +546,8 @@ def _execute_step(op, inputs, frames, lines):
             out = join(out, e)
         return out
     if op == "meet":
+        if len(inputs) != 2:
+            raise ValueError(f"a meet step takes 2 inputs, not {len(inputs)}")
         a, b = (_as_extensor(v) for v in inputs)
         if a.grade == 2 and b.grade == 2:
             try:
@@ -559,29 +556,7 @@ def _execute_step(op, inputs, frames, lines):
                 pass
         hit = meet(a, b)
         return as_point(hit) if hit.grade == 1 and not hit.is_zero() else hit
-    if op == "recover":
-        if len(inputs) != 3:
-            raise ValueError(f"a recover step takes 3 inputs, not {len(inputs)}")
-        planes = [_as_extensor(v) for v in inputs]
-        return as_point(meet(meet(planes[0], planes[1]), planes[2]))
-    if op in ("product", "degenerate-product"):
-        # von_staudt_product picks the degenerate branch by incidence
-        z, i, u, px, py = inputs
-        return von_staudt_product(_frame(frames, z, i, u), px, py)
-    if op == "inverse":
-        z, i, u, px = inputs
-        return von_staudt_inverse(_frame(frames, z, i, u), px)
     raise ValueError(f"unknown trace op {op!r}")
-
-
-def _frame(frames, zero, infinity, unit) -> LineFrame:
-    """The replay's one LineFrame on (zero, infinity, unit), built from the
-    step inputs the first time they occur."""
-    key = (zero, infinity, unit)
-    frame = frames.get(key)
-    if frame is None:
-        frame = frames[key] = LineFrame(zero, infinity, unit)
-    return frame
 
 
 def _witness_planes(lines, line) -> WitnessPlanes:
@@ -594,12 +569,11 @@ def _witness_planes(lines, line) -> WitnessPlanes:
 
 
 def replay_trace(trace: ConstructionTrace):
-    """Re-execute every step; returns the list of recomputed outputs.  The
-    summary steps on one frame share one LineFrame, and with it the frame's
-    memoized scaffold; the meet steps of coplanar lines share one
-    WitnessPlanes per second line."""
-    frames, lines = {}, {}
-    return [_execute_step(step.op, step.inputs, frames, lines) for step in trace.steps]
+    """Re-execute every step, each a `join` of 2 or 3 values or a `meet`
+    of 2; returns the list of recomputed outputs.  The meet steps of
+    coplanar lines share one WitnessPlanes per second line."""
+    lines = {}
+    return [_execute_step(step.op, step.inputs, lines) for step in trace.steps]
 
 
 def verify_replay(trace: ConstructionTrace) -> bool:

@@ -5,18 +5,17 @@ shuffle formula, extended bilinearly from basis extensors.  Coefficients
 are indexed by lexicographically sorted subsets of {0,1,2,3}, and the
 grade-4 extensor e0e1e2e3 is identified with the scalar 1.  The sign of
 every basis product is computed once, at import, into one table per pair
-of grades; support_basis reads them, and from the same tables import
-generates one straight-line function per pair of grades, which join and
-meet run.  Coefficients are always ints: points have canonical integer
-coordinates, the kernels only add and multiply, and Extensor(...) refuses
-any other type.
+of grades, and from those tables import generates one straight-line
+function per pair of grades, which join and meet run.  Coefficients are
+always ints: points have canonical integer coordinates, the kernels only
+add and multiply, and Extensor(...) refuses any other type.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .projective import STANDARD_BASIS, GeometryError, Point, _canonical_ints, _require_ints
+from .projective import GeometryError, Point, _canonical_ints, _require_ints
 
 SUBSETS = {k: tuple(combinations(range(4), k)) for k in range(5)}
 _INDEX = {k: {s: i for i, s in enumerate(SUBSETS[k])} for k in range(5)}
@@ -250,31 +249,6 @@ def meet(a: Extensor, b: Extensor) -> Extensor:
     if grade < 0:
         return Extensor.zero(0)
     return _trusted(grade, _MEET_KERNELS[a.grade, b.grade](a.coeffs, b.coeffs))
-
-
-def support_basis(e: Extensor):
-    """Independent points spanning the support of a nonzero extensor.
-
-    The support is {v : e ∧ v = 0}; its basis is read off the exact kernel
-    of the linear map v ↦ join(e, v), so the output is deterministic and
-    re-joining it recovers e up to scale.
-    """
-    from .projective import kernel_basis
-
-    if e.is_zero():
-        raise ZeroExtensor("zero extensor has no support basis")
-    if e.grade < 1:
-        raise ZeroExtensor("scalars have no support basis")
-    if e.grade == 4:
-        return list(STANDARD_BASIS)
-    rows = [[0] * 4 for _ in SUBSETS[e.grade + 1]]
-    for ia, i, io, sign in _JOIN[e.grade, 1]:
-        rows[io][i] = sign * e.coeffs[ia]
-    basis = kernel_basis(rows)
-    points = [Point(v) for v in basis]
-    if len(points) != e.grade:
-        raise ZeroExtensor("extensor is not decomposable")
-    return points
 
 
 def contains_point(e: Extensor, p: Point) -> bool:

@@ -9,7 +9,6 @@ coordinates, so the determinant is computed fraction-free over Z.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .projective import (
@@ -21,23 +20,12 @@ from .projective import (
 )
 
 
-@dataclass(frozen=True)
-class VeroneseMatrix:
-    rows: tuple
-
-    @classmethod
-    def of(cls, points):
-        points = list(points)
-        if len(points) != 10:
-            raise ValueError("the constraint matrix needs exactly 10 points")
-        return cls(tuple(veronese_row(p) for p in points))
-
-    def det(self):
-        return bareiss_det(self.rows)
-
-
 def oracle_det(points):
-    return VeroneseMatrix.of(points).det()
+    """det(N) of the 10x10 Veronese matrix N, one row per point."""
+    points = list(points)
+    if len(points) != 10:
+        raise ValueError("the constraint matrix needs exactly 10 points")
+    return bareiss_det([veronese_row(p) for p in points])
 
 
 def oracle_decide(points) -> bool:

@@ -5,15 +5,16 @@ figures (local parameters on Q ∪ {INFINITY} read off as cross ratios, the
 point at a parameter, and 1/x and x*y on parameters), rational coordinates
 in a basis, the dimension of the quadric space through points, the planar
 conic determinant of six points, and configurations with a plane of six to
-ten points, on which some six-subsets lie on a conic, and a second choice
-of the auxiliaries of a frame's von Staudt figures."""
+ten points, on which some six-subsets lie on a conic, a second choice of
+the auxiliaries of a frame's von Staudt figures, and the support basis of
+an extensor."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
 from quadricheck.constructions import LineFrame, Tetrahedron
-from quadricheck.extensors import contains_point, line_through
+from quadricheck.extensors import _JOIN, SUBSETS, ZeroExtensor, contains_point, line_through
 from quadricheck.oracle import random_transform, sample_generic
 from quadricheck.projective import (
     CONIC_MONOMIALS,
@@ -26,6 +27,7 @@ from quadricheck.projective import (
     _echelon,
     bareiss_det,
     clear_denominators,
+    kernel_basis,
     rank_of_points,
     rank_of_vectors,
     veronese_row,
@@ -279,3 +281,26 @@ def conic_planes():
         rng.shuffle(points)
         configs.append((name, points, hits))
     return configs
+
+
+def support_basis(e):
+    """Independent points spanning the support of a nonzero extensor.
+
+    The support is {v : e ∧ v = 0}; its basis is read off the exact kernel
+    of the linear map v ↦ join(e, v), so the output is deterministic and
+    re-joining it recovers e up to scale.
+    """
+    if e.is_zero():
+        raise ZeroExtensor("zero extensor has no support basis")
+    if e.grade < 1:
+        raise ZeroExtensor("scalars have no support basis")
+    if e.grade == 4:
+        return list(STANDARD_BASIS)
+    rows = [[0] * 4 for _ in SUBSETS[e.grade + 1]]
+    for ia, i, io, sign in _JOIN[e.grade, 1]:
+        rows[io][i] = sign * e.coeffs[ia]
+    basis = kernel_basis(rows)
+    points = [Point(v) for v in basis]
+    if len(points) != e.grade:
+        raise ZeroExtensor("extensor is not decomposable")
+    return points

@@ -225,8 +225,8 @@ class TestVonStaudtProduct:
             X_AXIS_FRAME, X_AXIS_FRAME.zero, frame_point(5), trace=trace
         )
         assert got == X_AXIS_FRAME.zero
-        assert [s.op for s in trace.steps] == ["degenerate-product"]
-        # every degenerate product on a random frame, replayed from JSON
+        # a product decided by incidence draws nothing, so it records no step
+        assert trace.steps == []
         rng = seeded("degenerate-products")
         for _ in range(10):
             f = random_frame(rng)
@@ -241,10 +241,7 @@ class TestVonStaudtProduct:
             trace = ConstructionTrace()
             for px, py, want in cases:
                 assert von_staudt_product(f, px, py, trace=trace) == want
-            assert [s.op for s in trace.steps] == ["degenerate-product"] * len(cases)
-            restored = ConstructionTrace.from_json(json.loads(json.dumps(trace.to_json())))
-            assert replay_trace(restored) == [want for _, _, want in cases]
-            assert verify_replay(restored)
+            assert trace.steps == []
 
     def test_infinity_times_finite(self):
         got = von_staudt_product(X_AXIS_FRAME, X_AXIS_FRAME.infinity, frame_point(5))
@@ -384,9 +381,25 @@ class TestTraceReplay:
         projs = [project_to_edge(tet, 0, j, p) for j in (1, 2, 3)]
         got = recover_from_chart(tet, 0, projs, trace=trace)
         assert got == p
-        assert [s.op for s in trace.steps] == ["join"] * 3 + ["recover"]
+        # the three planes meet as two meets: the first two in a line,
+        # which meets the third in the point
+        assert [s.op for s in trace.steps] == ["join"] * 3 + ["meet"] * 2
+        planes = [s.output for s in trace.steps[:3]]
+        cut, last = trace.steps[3:]
+        assert cut.inputs == planes[:2] and cut.output.grade == 2
+        assert last.inputs == [cut.output, planes[2]] and last.output == p
         restored = ConstructionTrace.from_json(trace.to_json())
         assert verify_replay(restored)
+
+    def test_generic_traces_hold_only_joins_and_meets(self):
+        for seed in range(1, 9):
+            decision = reductions.decide(fixtures.generate_branch("generic", seed), with_trace=True)
+            assert decision.branch == "generic"
+            restored = ConstructionTrace.from_json(json.loads(json.dumps(decision.trace.to_json())))
+            for trace in (decision.trace, restored):
+                assert trace.steps
+                assert {s.op for s in trace.steps} <= {"join", "meet"}
+                assert verify_replay(trace)
 
     def test_fraction_string_coefficients_rejected(self):
         """Trace values are integers: a coefficient or coordinate spelled as
@@ -424,28 +437,6 @@ class TestTraceReplay:
         payload = trace.to_json()
         for k, step in enumerate(payload["steps"]):
             assert all(type(i) is int and 0 <= i < len(payload["leaves"]) + k for i in step["inputs"])
-
-
-class TestReplayFrames:
-    def test_summary_steps_on_one_frame_share_it(self, monkeypatch):
-        trace = ConstructionTrace()
-        other = LineFrame(E2, E3, Point((0, 0, 2, 3)))
-        for f in (X_AXIS_FRAME, other):
-            for x, y in ((Fraction(2, 3), Fraction(-7, 5)), (4, 5)):
-                px, py = point_at_parameter(f, x), point_at_parameter(f, y)
-                von_staudt_product(f, px, py, trace=trace)
-                von_staudt_inverse(f, px, trace=trace)
-        chosen = []
-        real = constructions.choose_auxiliaries
-
-        def counting(frame):
-            chosen.append(frame)
-            return real(frame)
-
-        monkeypatch.setattr(constructions, "choose_auxiliaries", counting)
-        restored = ConstructionTrace.from_json(json.loads(json.dumps(trace.to_json())))
-        assert replay_trace(restored) == [s.output for s in trace.steps]
-        assert chosen == [X_AXIS_FRAME, other]
 
 
 def written(value):

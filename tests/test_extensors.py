@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import points, random_point, seeded
-from reference_geometry import plucker_residual
+from reference_geometry import plucker_residual, support_basis
 from quadricheck import extensors
 from quadricheck.extensors import (
     Extensor,
@@ -24,7 +24,6 @@ from quadricheck.extensors import (
     plane_form,
     plane_through,
     scalar_of,
-    support_basis,
 )
 from quadricheck.oracle import segre_point
 from quadricheck.projective import (

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -10,7 +11,7 @@ from generic_reference import (
     tau_transform,
 )
 from reference_geometry import ONES, transform_from_columns, transform_inverse
-from quadricheck import constructions, generic_case
+from quadricheck import constructions, fixtures, generic_case
 from quadricheck.constructions import (
     ConstructionTrace,
     line_meet_line,
@@ -271,6 +272,26 @@ class TestConstructTestPoint:
         assert len(trace.steps) > 10
         assert verify_replay(ConstructionTrace.from_json(trace.to_json()))
 
+    def test_zero_entry_product_records_no_step(self):
+        """M[0][0] = 0 and column 0 is built in chart 1, so on edge 1-0 one
+        factor of the product is the frame's zero: the product is decided by
+        incidence and records no step, and the recovery takes that zero,
+        vertex 1, as the projection on the edge.  The trace still replays."""
+        pts = chart_one_points()
+        figure = GenericFigure(pts)
+        traces = []
+        for col in (0, 2):  # column 2 has no zero entry
+            trace = ConstructionTrace()
+            construct_test_point(pts, col, trace=trace, figure=figure)
+            traces.append(trace)
+        zero_entry, full = traces
+        # a von Staudt product records 5 joins and 4 meets
+        assert len(full.steps) - len(zero_entry.steps) == 9
+        first_recovery_plane = zero_entry.steps[-5]
+        assert first_recovery_plane.op == "join" and first_recovery_plane.inputs[0] == pts[7]
+        for trace in traces:
+            assert verify_replay(ConstructionTrace.from_json(json.loads(json.dumps(trace.to_json()))))
+
 
 def chart_one_points():
     """Generic points, Q != 0 as labeled, with point 6 on the plane 015 of
@@ -436,6 +457,8 @@ class TestDecideGeneric:
         # parameters but not the coplanarity verdict of the test points
         configs = [sample_on_quadric(f"unit:{k}", 10, transformed=True, bound=30) for k in range(14)]
         configs += [sample_generic(f"unit:{k}", 10, bound=30) for k in range(14)]
+        configs += [fixtures.generate_branch("generic", seed) for seed in range(1, 9)]
+        configs += [sample_on_quadric(seed, 10, transformed=True, bound=30) for seed in range(12)]
         default = [decide(pts) for pts in configs]
         calls = []
 
@@ -448,14 +471,12 @@ class TestDecideGeneric:
         monkeypatch.setattr(generic_case, "global_unit", weighted_unit)
         verdicts = []
         for pts, want in zip(configs, default):
-            if want.branch != "generic":
-                continue
             calls.clear()
             got = decide(pts)
-            assert calls and got.branch == "generic"
+            assert calls and got.branch == want.branch == "generic"
             assert got.on_quadric == want.on_quadric == oracle_decide(pts)
             verdicts.append(got.on_quadric)
-        assert len(verdicts) >= 20 and set(verdicts) == {True, False}
+        assert set(verdicts) == {True, False}
 
     def test_two_planes_shortcut(self):
         base = list(STANDARD_BASIS) + [Point((1, 2, 3, 4)), Point((1, 1, 2, 3))]

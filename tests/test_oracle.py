@@ -2,6 +2,7 @@ import ast
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,7 +10,6 @@ from conftest import seeded
 from reference_geometry import quadric_space_dimension
 from quadricheck import constructions, decision, extensors, generic_case, projective, reductions
 from quadricheck.oracle import (
-    VeroneseMatrix,
     oracle_decide,
     oracle_det,
     random_transform,
@@ -56,6 +56,10 @@ class TestOracleDecide:
         pts = [segre_point(s, t) for s, t in ((0, 0), (0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (4, 4), (5, 2), (6, 7), (7, 5))]
         assert oracle_decide(pts)
         assert all(SEGRE_QUADRIC.evaluate(p) == 0 for p in pts)
+        # the constraint matrix is square: exactly ten points
+        for wrong in (pts[:9], pts + pts[:1]):
+            with pytest.raises(ValueError, match="exactly 10 points"):
+                oracle_det(wrong)
 
     def test_nine_segre_plus_generic(self):
         pts = [segre_point(s, t) for s, t in ((0, 0), (0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (4, 4), (5, 2), (6, 7))]
@@ -151,10 +155,6 @@ class TestBareiss:
         rng = random.Random(99)
         rows = [[rng.randint(-9, 9) for _ in range(10)] for _ in range(10)]
         assert bareiss_det(rows) == naive_det(rows)
-
-    def test_matrix_wrapper(self):
-        pts = sample_generic("vm", 10, bound=10)
-        assert VeroneseMatrix.of(pts).det() == oracle_det(pts)
 
 
 def names_from(module, source):

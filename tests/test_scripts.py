@@ -83,17 +83,28 @@ class TestReplayTrace:
             {"extensor": plane_through(*(p for p in (E0, E1, E2, E3) if p != skip)).to_json()}
             for skip in (E0, E1, E2, E3)
         ]
-        points = [{"point": p.to_strings()} for p in (E0, E1, Point((1, 1, 0, 0)))]
+        # the frame (E0, E1, [1:1:0:0]): zero, infinity and unit
+        frame = [{"point": p.to_strings()} for p in (E0, E1, Point((1, 1, 0, 0)))]
+        unit = frame[2]
+        e3 = {"point": E3.to_strings()}
         payloads = (
             ("bad", {"leaves": [], "steps": [{"op": "join"}]}),
             ("half", one_step("join", [half], half)),
-            # a join takes two or three inputs, a recover three planes
+            # a join takes two or three inputs, a meet two
             ("join-of-one", one_step("join", [e0], e0)),
             ("join-of-none", one_step("join", [], e0)),
-            ("recover-of-four", one_step("recover", planes, {"point": E3.to_strings()})),
-            # 0 * infinity on the frame (E0, E1, [1:1:0:0])
-            ("zero-times-infinity", one_step("degenerate-product", points + points[:2], points[0])),
+            ("meet-of-three", one_step("meet", planes[:3], e3)),
+            # join and meet are the only ops: the von Staudt figures and the
+            # chart recovery are written as their joins and meets
+            ("product", one_step("product", frame + [unit, unit], unit)),
+            ("inverse", one_step("inverse", frame + [unit], unit)),
+            ("degenerate-product", one_step("degenerate-product", frame + frame[:1] * 2, frame[0])),
+            ("recover", one_step("recover", planes[:3], e3)),
         )
+        reasons = {
+            "meet-of-three": "a meet step takes 2 inputs, not 3",
+            **{op: f"unknown trace op {op!r}" for op in ("product", "inverse", "degenerate-product", "recover")},
+        }
         for name, payload in payloads:
             bad = tmp_path / f"{name}.json"
             bad.write_text(json.dumps(payload))
@@ -101,6 +112,7 @@ class TestReplayTrace:
             assert result.returncode == 2, name
             assert result.stderr.count("\n") == 1 and str(bad) in result.stderr
             assert "Traceback" not in result.stderr
+            assert reasons.get(name, "") in result.stderr
 
     def test_malformed_refs(self, tmp_path):
         # leaves E0, E1, E2; step 0 joins leaves 0 and 1, step 1 joins
@@ -179,7 +191,7 @@ class TestDecisionDigest:
         assert result.stdout.splitlines() == [
             "decisions ee55ae3abbd4d8c2cd3a73f2505885b83e0f19b78d28dd997f80a8104c65f57c"
             " 31 configurations",
-            "traces 81aa2a9e03c2ca91b07e628c423606d4beef78bf5d63a96e635e29bf528dd446",
+            "traces e639dbe8793a052f8fd5cfe2a90ac2675f41ea716aacf5d371a8c824ae376a86",
         ]
 
     def test_pinned_fixture_digest(self):
@@ -193,5 +205,5 @@ class TestDecisionDigest:
         assert result.stdout.splitlines() == [
             "decisions 37257a32c4d00ada16989d6c8beec185ae9c7217d9ddfb4c7f9b188365a55f83"
             " 88 configurations",
-            "traces bfcd7a26cb5ca1b3f01703af0bbf6ad01ac3f9342ef2081a8a641559eb9db638",
+            "traces 5ad2cfeffe54c12e1b2ab366c5eed478078bfc95cffecacd052ee059ef8f061d",
         ]
