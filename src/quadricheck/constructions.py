@@ -20,9 +20,7 @@ from .extensors import (
     Extensor,
     as_point,
     contains_point,
-    from_point,
     join,
-    join_points,
     line_through,
     meet,
     plane_form,
@@ -34,6 +32,7 @@ from .projective import (
     InfinityProduct,
     STANDARD_BASIS,
     Point,
+    bracket,
     rank_of_points,
 )
 
@@ -65,8 +64,8 @@ class SkewLines(GeometryError, ValueError):
 @dataclass
 class TraceStep:
     op: str
-    inputs: list  # Points and Extensors
-    output: object  # Point or Extensor
+    inputs: list  # Extensors; the points among them are Points
+    output: Extensor  # a Point when the step outputs a point
 
 
 @dataclass
@@ -132,8 +131,6 @@ class ConstructionTrace:
 def _key(value):
     """A trace value's integers, which key it as its own __eq__ does; plain
     tuples hash and compare faster than the value itself."""
-    if isinstance(value, Point):
-        return value.coords
     return value.grade, value.coeffs
 
 
@@ -158,13 +155,6 @@ def _record(trace, op, inputs, output):
 # coplanar line intersection
 
 
-def _as_extensor(value):
-    return from_point(value) if isinstance(value, Point) else value
-
-
-_WITNESSES = tuple(from_point(w) for w in STANDARD_BASIS)
-
-
 class WitnessPlanes:
     """The planes join(l, E_k) that `line_meet_line` tries for its second
     line l, for k in `order`, each built on first use.  A figure that meets
@@ -183,7 +173,7 @@ class WitnessPlanes:
     def __getitem__(self, k) -> Extensor:
         plane = self._planes[k]
         if plane is None:
-            plane = self._planes[k] = join(self.line, _WITNESSES[k])
+            plane = self._planes[k] = join(self.line, STANDARD_BASIS[k])
         return plane
 
 
@@ -260,7 +250,7 @@ class LineFrame:
     @cached_property
     def line_planes(self) -> WitnessPlanes:
         line = line_through(self.zero, self.infinity)
-        form = plane_form(join(line, _WITNESSES[self.aux_index]))
+        form = plane_form(join(line, STANDARD_BASIS[self.aux_index]))
         # the basis points off the plane through the line and E_k first
         return WitnessPlanes(line, tuple(sorted(range(4), key=lambda k: form[k] == 0)))
 
@@ -327,7 +317,7 @@ class Tetrahedron:
             raise ValueError("vertices must be four points in general position")
         for skip in range(4):
             face = [v for i, v in enumerate(vertices) if i != skip]
-            if join_points(*face, self.unit).is_zero():
+            if bracket(*face, self.unit) == 0:
                 raise ValueError(f"unit lies on the face missing vertex {skip}")
 
     def edge_frame(self, i: int, j: int) -> LineFrame:
@@ -540,15 +530,14 @@ def _execute_step(op, inputs, lines):
     if op == "join":
         if len(inputs) not in (2, 3):
             raise ValueError(f"a join step takes 2 or 3 inputs, not {len(inputs)}")
-        exts = [_as_extensor(v) for v in inputs]
-        out = exts[0]
-        for e in exts[1:]:
+        out = inputs[0]
+        for e in inputs[1:]:
             out = join(out, e)
         return out
     if op == "meet":
         if len(inputs) != 2:
             raise ValueError(f"a meet step takes 2 inputs, not {len(inputs)}")
-        a, b = (_as_extensor(v) for v in inputs)
+        a, b = inputs
         if a.grade == 2 and b.grade == 2:
             try:
                 return line_meet_line(a, b, witness_planes=_witness_planes(lines, b))

@@ -1,23 +1,26 @@
-"""Extensors of a 4-dimensional space: join (wedge) and the shuffle meet.
+"""The exterior algebra of a 4-dimensional space: join (wedge) and the
+shuffle meet.
 
-Join is the wedge product; meet is the dual product given by the split
-shuffle formula, extended bilinearly from basis extensors.  Coefficients
-are indexed by lexicographically sorted subsets of {0,1,2,3}, and the
-grade-4 extensor e0e1e2e3 is identified with the scalar 1.  The sign of
-every basis product is computed once, at import, into one table per pair
-of grades, and from those tables import generates one straight-line
-function per pair of grades, which join and meet run.  Coefficients are
-always ints: points have canonical integer coordinates, the kernels only
-add and multiply, and Extensor(...) refuses any other type.
+The value type `Extensor`, with `Point` as its grade-1 subclass, lives in
+`projective` and is re-exported here; a point enters the algebra as it
+stands, so `join(p, q)` is the line through p and q.  Join is the wedge
+product; meet is the dual product given by the split shuffle formula,
+extended bilinearly from basis extensors.  Coefficients are indexed by
+lexicographically sorted subsets of {0,1,2,3}, and the grade-4 extensor
+e0e1e2e3 is identified with the scalar 1.  The sign of every basis product
+is computed once, at import, into one table per pair of grades, and from
+those tables import generates one straight-line function per pair of
+grades, which join and meet run.  Coefficients are always ints: points
+have canonical integer coordinates, the kernels only add and multiply, and
+Extensor(...) refuses any other type.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .projective import GeometryError, Point, _canonical_ints, _require_ints
+from .projective import SUBSETS, Extensor, GeometryError, Point, _trusted, _trusted_point
 
-SUBSETS = {k: tuple(combinations(range(4), k)) for k in range(5)}
 _INDEX = {k: {s: i for i, s in enumerate(SUBSETS[k])} for k in range(5)}
 
 
@@ -115,90 +118,12 @@ class NotSkew(GeometryError):
     """Lines required to be mutually skew are not."""
 
 
-class Extensor:
-    """A grade-k element of the exterior algebra, k = 0..4, with int
-    coefficients."""
-
-    __slots__ = ("grade", "coeffs")
-
-    def __init__(self, grade, coeffs):
-        if grade not in range(5):
-            raise ValueError("grade must be 0..4")
-        coeffs = tuple(coeffs)
-        if len(coeffs) != len(SUBSETS[grade]):
-            raise ValueError(f"grade-{grade} extensor needs {len(SUBSETS[grade])} coefficients")
-        _require_ints(coeffs)
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Extensor is immutable")
-
-    @classmethod
-    def zero(cls, grade):
-        return cls(grade, (0,) * len(SUBSETS[grade]))
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def canonical(self):
-        """Scale-normalized copy: coprime integer coefficients, first
-        nonzero positive.  Zero extensors are returned unchanged."""
-        if self.is_zero():
-            return self
-        return _trusted(self.grade, _canonical_ints(self.coeffs))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Extensor)
-            and self.grade == other.grade
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.grade, self.coeffs))
-
-    def __repr__(self):
-        terms = [
-            f"{c}*e{''.join(map(str, s))}" if s else str(c)
-            for s, c in zip(SUBSETS[self.grade], self.coeffs)
-            if c != 0
-        ]
-        return " + ".join(terms) if terms else f"0<{self.grade}>"
-
-    def to_json(self):
-        return {"grade": self.grade, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(int(data["grade"]), tuple(int(c) for c in data["coeffs"]))
-
-
-_set_grade = Extensor.grade.__set__
-_set_coeffs = Extensor.coeffs.__set__
-
-
-def _trusted(grade, coeffs: tuple) -> Extensor:
-    """An Extensor built without the checks of Extensor(...), for a grade
-    and coefficient tuple that are right by construction: the product of
-    two extensors, the canonical form of one, or the coordinates of a point
-    of P^3."""
-    e = object.__new__(Extensor)
-    _set_grade(e, grade)
-    _set_coeffs(e, coeffs)
-    return e
-
-
-def from_point(p: Point) -> Extensor:
-    if p.dim != 4:
-        raise ValueError("extensors live in 4-space")
-    return _trusted(1, p.coords)
-
-
 def as_point(e: Extensor) -> Point:
+    """The Point of a nonzero grade-1 extensor, such as the meet of a line
+    and a plane: its coefficients made canonical."""
     if e.grade != 1 or e.is_zero():
         raise ZeroExtensor("not a nonzero grade-1 extensor")
-    return Point(e.coeffs)
+    return _trusted_point(e.coeffs)
 
 
 def scalar_of(e: Extensor):
@@ -215,22 +140,15 @@ def join(a: Extensor, b: Extensor) -> Extensor:
     return _trusted(grade, _JOIN_KERNELS[a.grade, b.grade](a.coeffs, b.coeffs))
 
 
-def join_points(*points) -> Extensor:
-    e = from_point(points[0])
-    for p in points[1:]:
-        e = join(e, from_point(p))
-    return e
-
-
 def line_through(p: Point, q: Point) -> Extensor:
-    e = join_points(p, q)
+    e = join(p, q)
     if e.is_zero():
         raise ZeroExtensor(f"{p} and {q} coincide")
     return e
 
 
 def plane_through(p: Point, q: Point, r: Point) -> Extensor:
-    e = join_points(p, q, r)
+    e = join(join(p, q), r)
     if e.is_zero():
         raise ZeroExtensor(f"{p}, {q}, {r} are collinear")
     return e
@@ -253,7 +171,7 @@ def meet(a: Extensor, b: Extensor) -> Extensor:
 
 def contains_point(e: Extensor, p: Point) -> bool:
     """Whether p lies in the support of e (p ∧ e = 0)."""
-    return join(e, from_point(p)).is_zero()
+    return join(e, p).is_zero()
 
 
 def lines_skew(l0: Extensor, l1: Extensor) -> bool:
@@ -281,8 +199,7 @@ def grassmann_criterion(x: Point, l0: Extensor, l1: Extensor, l2: Extensor):
     for u, v in ((l0, l1), (l0, l2), (l1, l2)):
         if not lines_skew(u, v):
             raise NotSkew("the three lines must be mutually skew")
-    xe = from_point(x)
-    plane0 = join(xe, l0)
+    plane0 = join(x, l0)
     hit = meet(plane0, l1)
-    plane2 = join(xe, l2)
+    plane2 = join(x, l2)
     return scalar_of(join(hit, plane2))

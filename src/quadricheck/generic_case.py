@@ -31,7 +31,6 @@ from .projective import (
     Point,
     QuadricCoeffs,
     bracket,
-    det4,
     kernel_basis,
 )
 
@@ -92,10 +91,6 @@ class MatrixM:
 
     def column(self, c):
         return tuple(self.entries[r][c] for r in range(4))
-
-    def det(self):
-        cols = [[self.entries[i][j] for i in range(4)] for j in range(4)]
-        return det4(*cols)
 
 
 def build_M(points) -> MatrixM:

@@ -1,15 +1,17 @@
 """Exact projective arithmetic on integer representatives.
 
 Rationals are cleared once, by `clear_denominators`, where they enter;
-`Point`, `QuadricCoeffs` and `Transform` take ints only.  Points carry
-canonical coordinates (coprime, first nonzero entry positive), so point
-equality is tuple equality.  Rank, kernel and determinants all read one
-fraction-free (Bareiss) echelon form, computed by `_echelon`.  The
-incidences of a configuration (collinear triples, vanishing brackets, and
-the planes of six or more of its points with the left kernels of their
-conic charts) are read through one memoizing `IncidenceTable`.  The
-quadrics through a set of points are the kernel of their Veronese rows,
-`quadric_through`; the special exits take their certificates from it.
+`Extensor`, `Point`, `QuadricCoeffs` and `Transform` take ints only.
+`Extensor` is the value type of the exterior algebra that `extensors`
+computes in, and a `Point` of P^3 is its grade-1 subclass with canonical
+coordinates (coprime, first nonzero entry positive), so point equality is
+tuple equality.  Rank, kernel and determinants all read one fraction-free
+(Bareiss) echelon form, computed by `_echelon`.  The incidences of a
+configuration (collinear triples, vanishing brackets, and the planes of
+six or more of its points with the left kernels of their conic charts) are
+read through one memoizing `IncidenceTable`.  The quadrics through a set of
+points are the kernel of their Veronese rows, `quadric_through`; the
+special exits take their certificates from it.
 """
 
 from __future__ import annotations
@@ -58,34 +60,103 @@ def _canonical_ints(values):
     return tuple(v // g for v in ints)
 
 
-class Point:
-    """A point of P^1, P^2 or P^3 in canonical homogeneous coordinates.
+# The basis extensors of each grade, as sorted subsets of {0,1,2,3}.
+SUBSETS = {k: tuple(combinations(range(4), k)) for k in range(5)}
 
-    Coordinates must be ints (TypeError otherwise); they are divided to
-    coprime integers with the first nonzero entry positive, so two Points
-    are equal iff their coords tuples are.
+
+class Extensor:
+    """A grade-k element of the exterior algebra of a 4-dimensional space,
+    k = 0..4, with int coefficients indexed by SUBSETS[k]."""
+
+    __slots__ = ("grade", "coeffs")
+
+    def __init__(self, grade, coeffs):
+        if grade not in range(5):
+            raise ValueError("grade must be 0..4")
+        coeffs = tuple(coeffs)
+        if len(coeffs) != len(SUBSETS[grade]):
+            raise ValueError(f"grade-{grade} extensor needs {len(SUBSETS[grade])} coefficients")
+        _require_ints(coeffs)
+        _set_grade(self, grade)
+        _set_coeffs(self, coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Extensor is immutable")
+
+    @staticmethod
+    def zero(grade):
+        return Extensor(grade, (0,) * len(SUBSETS[grade]))
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def canonical(self):
+        """Scale-normalized copy: coprime integer coefficients, first
+        nonzero positive.  Zero extensors are returned unchanged."""
+        if self.is_zero():
+            return self
+        return _trusted(self.grade, _canonical_ints(self.coeffs))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Extensor)
+            and self.grade == other.grade
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.grade, self.coeffs))
+
+    def __repr__(self):
+        terms = [
+            f"{c}*e{''.join(map(str, s))}" if s else str(c)
+            for s, c in zip(SUBSETS[self.grade], self.coeffs)
+            if c != 0
+        ]
+        return " + ".join(terms) if terms else f"0<{self.grade}>"
+
+    def to_json(self):
+        return {"grade": self.grade, "coeffs": [str(c) for c in self.coeffs]}
+
+    @staticmethod
+    def from_json(data):
+        return Extensor(int(data["grade"]), tuple(int(c) for c in data["coeffs"]))
+
+
+_set_grade = Extensor.grade.__set__
+_set_coeffs = Extensor.coeffs.__set__
+
+
+def _trusted(grade, coeffs: tuple) -> Extensor:
+    """An Extensor built without the checks of Extensor(...), for a grade
+    and coefficient tuple that are right by construction: the product of
+    two extensors, or the canonical form of one."""
+    e = object.__new__(Extensor)
+    _set_grade(e, grade)
+    _set_coeffs(e, coeffs)
+    return e
+
+
+class Point(Extensor):
+    """A point of P^3: the grade-1 extensor of its canonical homogeneous
+    coordinates.
+
+    Four int coordinates (ValueError on another count, TypeError on another
+    type), divided to coprime integers with the first nonzero entry
+    positive, so two Points are equal iff their coords tuples are.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ()
+
+    # the coefficients under the name of coordinates, read from the same slot
+    coords = Extensor.coeffs
 
     def __init__(self, coords):
         coords = tuple(coords)
-        if len(coords) not in (2, 3, 4):
-            raise ValueError("points live in P^1, P^2 or P^3")
-        object.__setattr__(self, "coords", _canonical_ints(coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Point is immutable")
-
-    @property
-    def dim(self):
-        return len(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, Point) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
+        if len(coords) != 4:
+            raise ValueError("points live in P^3: they take four coordinates")
+        _set_grade(self, 1)
+        _set_coeffs(self, _canonical_ints(coords))
 
     def __repr__(self):
         return "[" + ":".join(str(c) for c in self.coords) + "]"
@@ -98,6 +169,15 @@ class Point:
         """The point of to_strings' integer strings; ValueError on any
         other text."""
         return cls(int(s) for s in items)
+
+
+def _trusted_point(coeffs: tuple) -> Point:
+    """The Point of the coefficients of a nonzero grade-1 extensor, made
+    canonical without the length check of Point(...)."""
+    p = object.__new__(Point)
+    _set_grade(p, 1)
+    _set_coeffs(p, _canonical_ints(coeffs))
+    return p
 
 
 E0 = Point((1, 0, 0, 0))

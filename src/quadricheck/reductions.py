@@ -37,7 +37,6 @@ from .extensors import (
     Extensor,
     as_point,
     contains_point,
-    from_point,
     grassmann_criterion,
     join,
     line_through,
@@ -151,10 +150,10 @@ def qd_three_lines(points, table):
 
 def transversal_through(p: Point, l1: Extensor, l2: Extensor) -> Extensor:
     """The unique line through p (off both) meeting the skew lines l1, l2."""
-    hit = meet(join(from_point(p), l1), l2)
+    hit = meet(join(p, l1), l2)
     if hit.is_zero():
         raise PreconditionViolated("transversal undefined; are the lines skew?")
-    return join(from_point(p), hit).canonical()
+    return join(p, hit).canonical()
 
 
 def _two_lines_meeting_case(points, table, base_pair, ab_pts, r_pt, cx_idx):
@@ -326,7 +325,7 @@ def _role_line_meets(pts, plane: Extensor):
         if bracket(*(pts[i] for i in pair)) == 0:
             raise PreconditionViolated("role lines 01, 23, 45 are not skew")
     for r in range(6, 10):
-        if not join(plane, from_point(pts[r])).is_zero():
+        if not join(plane, pts[r]).is_zero():
             raise PreconditionViolated(f"role {r} is off the plane")
     meets = []
     for a, b in _ROLE_LINE_PAIRS:
@@ -575,7 +574,7 @@ def normalize(points, table=None):
     Every incidence test reads one IncidenceTable of the points, built here
     unless the caller passes it."""
     points = list(points)
-    if len(points) != 10 or any(p.dim != 4 for p in points):
+    if len(points) != 10:
         raise ValueError("the pipeline expects exactly 10 points of P^3")
     table = table or IncidenceTable(points)
     decision = qd_duplicates(points)

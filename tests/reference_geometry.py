@@ -1,13 +1,13 @@
 """Small geometric helpers that only the tests use: the Plücker residual of
 a grade-2 extensor, the standard reference tetrahedron, transforms from
-columns and their inverses, the analytic reference for the von Staudt
-figures (local parameters on Q ∪ {INFINITY} read off as cross ratios, the
-point at a parameter, and 1/x and x*y on parameters), rational coordinates
-in a basis, the dimension of the quadric space through points, the planar
-conic determinant of six points, and configurations with a plane of six to
-ten points, on which some six-subsets lie on a conic, a second choice of
-the auxiliaries of a frame's von Staudt figures, and the support basis of
-an extensor."""
+columns and their inverses, a memoized cofactor determinant, the analytic
+reference for the von Staudt figures (local parameters on Q ∪ {INFINITY}
+read off as cross ratios, the point at a parameter, and 1/x and x*y on
+parameters), rational coordinates in a basis, the dimension of the quadric
+space through points, the planar conic determinant of six points, and
+configurations with a plane of six to ten points, on which some six-subsets
+lie on a conic, a second choice of the auxiliaries of a frame's von Staudt
+figures, and the support basis of an extensor."""
 
 import random
 from fractions import Fraction
@@ -87,6 +87,29 @@ def other_auxiliaries(frame):
     return a, lprime
 
 
+def cofactor_det(rows):
+    """Determinant of a square matrix by cofactor expansion along the rows
+    in order, memoized on the set of columns left: each minor of the bottom
+    rows is expanded once, so n x n costs n·2^n products, not n!.  The sum
+    is typed as its entries make it: an int for integer entries, a Fraction
+    when any entry is one."""
+    n = len(rows)
+    minors = {0: 1}  # column mask of the bottom rows -> their minor
+
+    def minor(mask):
+        if mask not in minors:
+            row = rows[n - mask.bit_count()]
+            total, sign = 0, 1
+            for j in range(n):
+                if mask >> j & 1:
+                    total += sign * row[j] * minor(mask ^ (1 << j))
+                    sign = -sign
+            minors[mask] = total
+        return minors[mask]
+
+    return minor((1 << n) - 1)
+
+
 def transform_from_columns(columns):
     """The transform whose matrix has the four given columns."""
     return Transform(tuple(tuple(col[i] for col in columns) for i in range(4)))
@@ -133,18 +156,20 @@ def _back_substitute(rows, pivots, col, n):
     return x
 
 
-def coordinates_in_basis(basis_points, p: Point):
-    """Write p as a rational combination of the basis points, or None."""
-    n = len(basis_points)
-    aug = [[bp.coords[i] for bp in basis_points] + [p.coords[i]] for i in range(p.dim)]
+def coordinates_in_basis(basis, p):
+    """Write the coordinate tuple p as a rational combination of the basis
+    tuples, or None."""
+    n = len(basis)
+    aug = [[b[i] for b in basis] + [p[i]] for i in range(len(p))]
     a, pivots, _ = _echelon(aug)
     if pivots and pivots[-1] == n:
         return None
     return tuple(_back_substitute(a, pivots, n, n))
 
 
-def cross_ratio(a: Point, b: Point, c: Point, d: Point, witnesses=()):
-    """The cross ratio (a, b; c, d) of four collinear points.
+def cross_ratio(a, b, c, d, witnesses=()):
+    """The cross ratio (a, b; c, d) of four collinear points of P^1, P^2 or
+    P^3, given by their coordinate tuples, as are the witnesses.
 
     Equals the local parameter x of d when (a, b, c) play the roles of
     infinity, zero and unit on the line.  In P^2 one witness point off the
@@ -153,23 +178,20 @@ def cross_ratio(a: Point, b: Point, c: Point, d: Point, witnesses=()):
     product vanishes (d = a).
     """
     pts = (a, b, c, d)
-    dim = a.dim
-    if any(p.dim != dim for p in pts):
+    dim = len(a)
+    if any(len(p) != dim for p in pts):
         raise ValueError("cross-ratio arguments must share a dimension")
-    if len({a, b, c}) != 3:
+    if any(rank_of_vectors(pair) != 2 for pair in combinations((a, b, c), 2)):
         raise ValueError("a, b, c must be pairwise distinct")
-    if rank_of_points(pts) > 2:
+    if rank_of_vectors(pts) > 2:
         raise NotCollinear(f"{pts} are not collinear")
-    witnesses = tuple(witnesses)
-    if len(witnesses) != dim - 2:
-        raise DegenerateWitness(
-            f"need {dim - 2} witnesses for P^{dim - 1}, got {len(witnesses)}"
-        )
-    if witnesses and rank_of_points((a, b) + witnesses) != dim:
+    w = tuple(witnesses)
+    if len(w) != dim - 2:
+        raise DegenerateWitness(f"need {dim - 2} witnesses for P^{dim - 1}, got {len(w)}")
+    if w and rank_of_vectors((a, b) + w) != dim:
         raise DegenerateWitness("witnesses must span the space with the line")
-    w = tuple(p.coords for p in witnesses)
-    num = _det_any(a.coords, c.coords, *w) * _det_any(b.coords, d.coords, *w)
-    den = _det_any(a.coords, d.coords, *w) * _det_any(b.coords, c.coords, *w)
+    num = _det_any(a, c, *w) * _det_any(b, d, *w)
+    den = _det_any(a, d, *w) * _det_any(b, c, *w)
     if den == 0:
         return INFINITY
     return Fraction(num, den)
@@ -190,17 +212,18 @@ def default_witnesses(line_points):
 
 def parameter_of(frame: LineFrame, p: Point):
     """Local parameter of p: the cross ratio (infinity, zero; unit, p)."""
-    wits = default_witnesses([frame.zero, frame.infinity]) if p.dim == 4 else ()
-    if p.dim == 3:
-        wits = wits[:1]
-    return cross_ratio(frame.infinity, frame.zero, frame.unit, p, wits)
+    wits = [w.coords for w in default_witnesses([frame.zero, frame.infinity])]
+    pts = (frame.infinity, frame.zero, frame.unit, p)
+    return cross_ratio(*(q.coords for q in pts), wits)
 
 
 def point_at_parameter(frame: LineFrame, x) -> Point:
     """The point of the frame's line with local parameter x."""
     if x is INFINITY:
         return frame.infinity
-    alpha, beta = coordinates_in_basis([frame.zero, frame.infinity], frame.unit)
+    alpha, beta = coordinates_in_basis(
+        [frame.zero.coords, frame.infinity.coords], frame.unit.coords
+    )
     x = Fraction(x)
     coords = tuple(
         alpha * z + x * beta * i
@@ -229,7 +252,7 @@ def planar_conic_det(six):
         raise ValueError("the six points are collinear")
     rows = []
     for p in six:
-        c = coordinates_in_basis(basis, p)
+        c = coordinates_in_basis([b.coords for b in basis], p.coords)
         if c is None:
             raise ValueError("point is not in the plane of the basis")
         v = clear_denominators(c)

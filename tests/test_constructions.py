@@ -32,7 +32,7 @@ from quadricheck.constructions import (
     von_staudt_inverse,
     von_staudt_product,
 )
-from quadricheck.extensors import contains_point, join_points, line_through
+from quadricheck.extensors import contains_point, join, line_through
 from quadricheck.generic_case import GenericFigure
 from quadricheck.projective import (
     E0,
@@ -307,7 +307,7 @@ class TestLocalParamPoint:
         done = 0
         while done < 25:
             d, e, a, b, c = (random_point(rng) for _ in range(5))
-            if rank_of_points((d, e)) != 2 or join_points(a, b, c).is_zero():
+            if rank_of_points((d, e)) != 2 or join(join(a, b), c).is_zero():
                 continue
             num, den = bracket(a, b, c, d), bracket(a, b, c, e)
             if num == 0 and den == 0:
@@ -537,7 +537,7 @@ class TestWitnessPlanes:
         assert line_meet_line(line_through(E0, E3), planes.line, witness_planes=planes) == E0
         assert planes._planes[3] is None
         assert [planes[k] for k in range(4)] == [
-            join_points(E0, E1, w) for w in (E0, E1, E2, E3)
+            join(join(E0, E1), w) for w in (E0, E1, E2, E3)
         ]
 
     def test_a_hit_after_a_miss_moves_first(self, monkeypatch):
@@ -591,7 +591,7 @@ class TestWitnessOrder:
             assert rank_of_points((frame.zero, frame.infinity, basis[k])) == 3
             assert all(contains_point(frame.line(), basis[m]) for m in range(k))
             assert sorted(frame.line_planes.order) == [0, 1, 2, 3]
-            plane = join_points(frame.zero, frame.infinity, basis[k])
+            plane = join(join(frame.zero, frame.infinity), basis[k])
             off = [m for m in frame.line_planes.order if not contains_point(plane, basis[m])]
             assert list(frame.line_planes.order[: len(off)]) == off
 

@@ -1,5 +1,8 @@
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+
+import json
 
 import pytest
 from hypothesis import given
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import points, random_point, seeded
 from reference_geometry import plucker_residual, support_basis
-from quadricheck import extensors
+from quadricheck import extensors, fixtures, reductions
+from quadricheck.constructions import ConstructionTrace
 from quadricheck.extensors import (
     Extensor,
     GradeOverflow,
@@ -15,10 +19,8 @@ from quadricheck.extensors import (
     ZeroExtensor,
     as_point,
     contains_point,
-    from_point,
     grassmann_criterion,
     join,
-    join_points,
     line_through,
     meet,
     plane_form,
@@ -39,7 +41,7 @@ from quadricheck.projective import (
 
 
 def segre_ruling(s):
-    return join_points(Point((1, s, 0, 0)), Point((0, 0, 1, s)))
+    return join(Point((1, s, 0, 0)), Point((0, 0, 1, s)))
 
 
 # Direct definitions of join, meet and the support-basis rows, with every
@@ -166,7 +168,7 @@ class TestAgainstDirectDefinitions:
         for grade in (1, 2, 3):
             for _ in range(20):
                 pts = [random_point(rng, bound=6) for _ in range(grade)]
-                e = join_points(*pts)
+                e = reduce(join, pts)
                 if rng.random() < 0.5:
                     e = scaled(e, rng.choice((-1, 1)) * rng.randint(2, 9))
                 if e.is_zero():
@@ -226,25 +228,25 @@ class TestGeneratedKernels:
 
 class TestJoin:
     def test_basis_line(self):
-        line = join(from_point(E0), from_point(E1))
+        line = join(E0, E1)
         assert line.grade == 2
         assert line.coeffs == (1, 0, 0, 0, 0, 0)
 
     def test_join_with_self_vanishes(self):
         p = Point((3, 1, -2, 5))
-        assert join(from_point(p), from_point(p)).is_zero()
+        assert join(p, p).is_zero()
 
     def test_full_flag_is_scalar_one(self):
-        assert scalar_of(join(join_points(E0, E1, E2), from_point(E3))) == 1
+        assert scalar_of(join(join(join(E0, E1), E2), E3)) == 1
 
     def test_grade_overflow(self):
-        plane = join_points(E0, E1, E2)
+        plane = join(join(E0, E1), E2)
         with pytest.raises(GradeOverflow):
             join(plane, plane)
 
     @given(points, points, points, points)
     def test_grade4_join_is_bracket(self, a, b, c, d):
-        assert scalar_of(join_points(a, b, c, d)) == bracket(a, b, c, d)
+        assert scalar_of(reduce(join, (a, b, c, d))) == bracket(a, b, c, d)
 
     def test_graded_anticommutativity(self):
         rng = seeded("anticommute")
@@ -253,38 +255,38 @@ class TestJoin:
             for ja, jb in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 1), (3, 1)):
                 if ja + jb > 4:
                     continue
-                a = join_points(*pts[:ja])
-                b = join_points(*pts[ja : ja + jb]) if jb else None
+                a = reduce(join, pts[:ja])
+                b = reduce(join, pts[ja : ja + jb]) if jb else None
                 sign = -1 if (ja * jb) % 2 else 1
                 assert join(a, b).coeffs == scaled(join(b, a), sign).coeffs
 
     def test_associativity(self):
         rng = seeded("assoc")
         for _ in range(30):
-            a, b, c = (from_point(random_point(rng)) for _ in range(3))
+            a, b, c = (random_point(rng) for _ in range(3))
             assert join(join(a, b), c) == join(a, join(b, c))
 
 
 class TestMeet:
     def test_line_meets_plane_at_basis_point(self):
         # meet of the line e0e1 with the plane e1e2e3 is e1 exactly
-        got = meet(join_points(E0, E1), join_points(E1, E2, E3))
+        got = meet(join(E0, E1), join(join(E1, E2), E3))
         assert got.grade == 1
         assert got.coeffs == (0, 1, 0, 0)
 
     def test_line_inside_plane_vanishes(self):
-        line = join_points(E0, E1)
-        plane = join_points(E0, E1, E2)
+        line = join(E0, E1)
+        plane = join(join(E0, E1), E2)
         assert meet(line, plane).is_zero()
 
     def test_low_grade_meet_is_zero(self):
-        assert meet(join_points(E0, E1), join_points(E2, E3)).grade == 0
+        assert meet(join(E0, E1), join(E2, E3)).grade == 0
 
     def test_line_plane_formula_coefficientwise(self):
         rng = seeded("duality")
         for _ in range(40):
             p, q, r, s, t = (random_point(rng) for _ in range(5))
-            got = meet(join_points(p, q), join_points(r, s, t))
+            got = meet(join(p, q), join(join(r, s), t))
             want = tuple(
                 bracket(p, r, s, t) * qc - bracket(q, r, s, t) * pc
                 for pc, qc in zip(p.coords, q.coords)
@@ -295,13 +297,13 @@ class TestMeet:
         rng = seeded("duality-planes")
         for _ in range(40):
             p, q, r, s, t, u = (random_point(rng) for _ in range(6))
-            got = meet(join_points(p, q, r), join_points(s, t, u))
+            got = meet(join(join(p, q), r), join(join(s, t), u))
             want = [
                 a - b + c
                 for a, b, c in zip(
-                    scaled(join_points(q, r), bracket(p, s, t, u)).coeffs,
-                    scaled(join_points(p, r), bracket(q, s, t, u)).coeffs,
-                    scaled(join_points(p, q), bracket(r, s, t, u)).coeffs,
+                    scaled(join(q, r), bracket(p, s, t, u)).coeffs,
+                    scaled(join(p, r), bracket(q, s, t, u)).coeffs,
+                    scaled(join(p, q), bracket(r, s, t, u)).coeffs,
                 )
             ]
             assert got.coeffs == tuple(want)
@@ -310,8 +312,8 @@ class TestMeet:
         rng = seeded("plane-intersection")
         hits = 0
         while hits < 20:
-            pl1 = join_points(*(random_point(rng) for _ in range(3)))
-            pl2 = join_points(*(random_point(rng) for _ in range(3)))
+            pl1 = reduce(join, (random_point(rng) for _ in range(3)))
+            pl2 = reduce(join, (random_point(rng) for _ in range(3)))
             if pl1.is_zero() or pl2.is_zero():
                 continue
             line = meet(pl1, pl2)
@@ -325,20 +327,20 @@ class TestMeet:
 class TestSupportBasis:
     def test_point_support(self):
         p = Point((2, -1, 3, 7))
-        assert support_basis(from_point(p)) == [p]
+        assert support_basis(p) == [p]
 
     def test_basis_line_support(self):
-        pts = support_basis(join_points(E0, E1))
+        pts = support_basis(join(E0, E1))
         assert len(pts) == 2
         assert rank_of_points(pts + [E0, E1]) == 2
 
     def test_rejoin_matches_up_to_scale(self):
         rng = seeded("support-rejoin")
         for _ in range(25):
-            line = join_points(random_point(rng), random_point(rng))
+            line = join(random_point(rng), random_point(rng))
             if line.is_zero():
                 continue
-            rejoined = join_points(*support_basis(line))
+            rejoined = reduce(join, support_basis(line))
             assert rejoined.canonical() == line.canonical()
 
     def test_zero_extensor_rejected(self):
@@ -350,14 +352,14 @@ class TestPlucker:
     def test_join_outputs_are_decomposable(self):
         rng = seeded("plucker")
         for _ in range(40):
-            line = join_points(random_point(rng), random_point(rng))
+            line = join(random_point(rng), random_point(rng))
             assert plucker_residual(line) == 0
 
     def test_meet_outputs_are_decomposable(self):
         rng = seeded("plucker-meet")
         for _ in range(40):
-            pl1 = join_points(*(random_point(rng) for _ in range(3)))
-            pl2 = join_points(*(random_point(rng) for _ in range(3)))
+            pl1 = reduce(join, (random_point(rng) for _ in range(3)))
+            pl2 = reduce(join, (random_point(rng) for _ in range(3)))
             if pl1.is_zero() or pl2.is_zero():
                 continue
             assert plucker_residual(meet(pl1, pl2)) == 0
@@ -408,8 +410,8 @@ class TestGrassmannCriterion:
         assert grassmann_criterion(Point((1, 1, 1, 0)), *lines) != 0
 
     def test_not_skew_rejected(self):
-        l1 = join_points(E0, E1)
-        l2 = join_points(E0, E2)
+        l1 = join(E0, E1)
+        l2 = join(E0, E2)
         l3 = segre_ruling(5)
         with pytest.raises(NotSkew):
             grassmann_criterion(Point((1, 1, 1, 1)), l1, l2, l3)
@@ -434,7 +436,7 @@ class TestPlaneForm:
         rng = seeded("plane-form")
         for _ in range(20):
             a, b, c = (random_point(rng) for _ in range(3))
-            plane = join_points(a, b, c)
+            plane = join(join(a, b), c)
             if plane.is_zero():
                 continue
             form = plane_form(plane)
@@ -449,7 +451,7 @@ class TestPlaneForm:
 class TestSerialization:
     @given(points, points)
     def test_json_round_trip(self, p, q):
-        line = join_points(p, q)
+        line = join(p, q)
         assert Extensor.from_json(line.to_json()) == line
 
     def test_zero_detectable(self):
@@ -457,6 +459,20 @@ class TestSerialization:
             z = Extensor.zero(grade)
             assert z.is_zero()
             assert Extensor.from_json(z.to_json()) == z
+
+    def test_trace_writes_points_as_points(self):
+        """Points are grade-1 extensors, and a trace still writes each one
+        as a point, before and after a JSON round trip."""
+        decision = reductions.decide(fixtures.generate_branch("generic", 1), with_trace=True)
+        data = json.loads(json.dumps(decision.trace.to_json()))
+        restored = ConstructionTrace.from_json(data)
+        assert restored.to_json() == data
+        values = [v for s in restored.steps for v in (*s.inputs, s.output)]
+        assert all(type(v) is Point for v in values if v.grade == 1)
+        written = data["leaves"] + [s["output"] for s in data["steps"]]
+        points_written = [v for v in written if "point" in v]
+        assert points_written
+        assert all(v["extensor"]["grade"] != 1 for v in written if "point" not in v)
 
 
 class TestIntCoefficients:
@@ -483,4 +499,9 @@ class TestHelpers:
             plane_through(E0, E1, Point((1, 1, 0, 0)))
 
     def test_as_point(self):
-        assert as_point(from_point(Point((2, 4, 6, 8)))) == Point((1, 2, 3, 4))
+        assert as_point(Extensor(1, (2, 4, 6, 8))) == Point((1, 2, 3, 4))
+        assert type(as_point(Extensor(1, (2, 4, 6, 8)))) is Point
+
+    def test_join_of_points_is_their_line(self):
+        p, q = Point((1, 2, 3, 4)), Point((0, 1, -1, 2))
+        assert join(p, q) == line_through(p, q)

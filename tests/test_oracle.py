@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import seeded
-from reference_geometry import quadric_space_dimension
+from reference_geometry import cofactor_det, quadric_space_dimension
 from quadricheck import constructions, decision, extensors, generic_case, projective, reductions
 from quadricheck.oracle import (
     oracle_decide,
@@ -28,16 +28,6 @@ from quadricheck.projective import (
 
 # xw - yz, the quadric of every segre_point
 SEGRE_QUADRIC = QuadricCoeffs((0, 0, 0, 1, 0, -1, 0, 0, 0, 0))
-
-
-def naive_det(matrix):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    return sum(
-        (-1) ** j * matrix[0][j] * naive_det([row[:j] + row[j + 1 :] for row in matrix[1:]])
-        for j in range(n)
-    )
 
 
 class TestVeroneseRow:
@@ -149,12 +139,12 @@ class TestBareiss:
         )
     )
     def test_matches_cofactor_expansion(self, rows):
-        assert bareiss_det(rows) == naive_det(rows)
+        assert bareiss_det(rows) == cofactor_det(rows)
 
     def test_ten_by_ten(self):
         rng = random.Random(99)
         rows = [[rng.randint(-9, 9) for _ in range(10)] for _ in range(10)]
-        assert bareiss_det(rows) == naive_det(rows)
+        assert bareiss_det(rows) == cofactor_det(rows)
 
 
 def names_from(module, source):

@@ -10,6 +10,7 @@ from reference_geometry import (
     INFINITY,
     DegenerateWitness,
     NotCollinear,
+    cofactor_det,
     coordinates_in_basis,
     cross_ratio,
     param_inv,
@@ -22,6 +23,7 @@ from quadricheck.projective import (
     E1,
     E2,
     E3,
+    Extensor,
     InfinityProduct,
     Point,
     QuadricCoeffs,
@@ -36,26 +38,14 @@ from quadricheck.projective import (
 )
 
 
-def naive_det(matrix):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    return sum(
-        (-1) ** j * matrix[0][j] * naive_det([row[:j] + row[j + 1 :] for row in matrix[1:]])
-        for j in range(n)
-    )
-
-
-def naive_det_cols(*cols):
-    return naive_det([[col[i] for col in cols] for i in range(len(cols))])
+def cofactor_det_cols(*cols):
+    return cofactor_det([[col[i] for col in cols] for i in range(len(cols))])
 
 
 def reference_rref(rows):
-    """Textbook Gauss-Jordan over Q: (reduced rows, pivot columns, scale),
-    where scale is the swap sign times the product of the pivots, so that a
-    square matrix has determinant scale when every column is a pivot."""
+    """Textbook Gauss-Jordan over Q: (reduced rows, pivot columns)."""
     rows = [[Fraction(x) for x in r] for r in rows]
-    pivots, scale = [], Fraction(1)
+    pivots = []
     for c in range(len(rows[0])):
         r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
@@ -63,21 +53,19 @@ def reference_rref(rows):
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            scale = -scale
-        scale *= rows[r][c]
         rows[r] = [x / rows[r][c] for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-    return rows, pivots, scale
+    return rows, pivots
 
 
 def reference_kernel(rows):
     """Kernel vectors with one free variable 1 and the others 0, as coprime
     integers with a positive leading entry."""
-    reduced, pivots, _ = reference_rref(rows)
+    reduced, pivots = reference_rref(rows)
     cols = len(rows[0])
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
@@ -98,7 +86,7 @@ def reference_solve(columns, target):
     """The x with Σ x_j columns[j] = target and every free unknown 0, or None."""
     n = len(columns)
     aug = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
-    reduced, pivots, _ = reference_rref(aug)
+    reduced, pivots = reference_rref(aug)
     if n in pivots:
         return None
     sol = [Fraction(0)] * n
@@ -107,21 +95,10 @@ def reference_solve(columns, target):
     return tuple(sol)
 
 
-def reference_det(rows):
-    """Cofactor expansion up to 7x7; beyond, where it has n! terms, the
-    Gauss-Jordan pivot product, typed as the expansion would be: an int for
-    integer entries, a Fraction when any entry is one."""
-    if len(rows) <= 7:
-        return naive_det(rows)
-    _, pivots, scale = reference_rref(rows)
-    det = scale if len(pivots) == len(rows) else Fraction(0)
-    return det if any(type(x) is not int for r in rows for x in r) else int(det)
-
-
 def reference_inverse(matrix):
     n = len(matrix)
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    reduced, _, _ = reference_rref([list(r) + e for r, e in zip(matrix, eye)])
+    reduced, _ = reference_rref([list(r) + e for r, e in zip(matrix, eye)])
     return tuple(tuple(r[n:]) for r in reduced)
 
 
@@ -213,6 +190,18 @@ class TestPoint:
     def test_string_round_trip(self, p):
         assert Point.from_strings(p.to_strings()) == p
 
+    @given(points)
+    def test_a_point_is_its_grade_one_extensor(self, p):
+        assert isinstance(p, Extensor) and p.grade == 1
+        assert p.coords is p.coeffs
+        e = Extensor(1, p.coords)
+        assert p == e and e == p and hash(p) == hash(e)
+
+    @pytest.mark.parametrize("coords", [(1, 2), (1, 2, 3), (1, 2, 3, 4, 5)])
+    def test_only_points_of_p3(self, coords):
+        with pytest.raises(ValueError):
+            Point(coords)
+
 
 class TestBracket:
     def test_identity_basis(self):
@@ -223,7 +212,7 @@ class TestBracket:
 
     @given(points, points, points, points)
     def test_matches_cofactor_expansion(self, a, b, c, d):
-        assert bracket(a, b, c, d) == naive_det_cols(a.coords, b.coords, c.coords, d.coords)
+        assert bracket(a, b, c, d) == cofactor_det_cols(a.coords, b.coords, c.coords, d.coords)
 
     @given(coords, coords, coords, coords, scalars)
     def test_multilinearity_on_raw_vectors(self, a, b, c, d, lam):
@@ -307,34 +296,34 @@ class TestTransform:
             Transform(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)))
 
 
-def _p1(x, y):
-    return Point((x, y))
+def coords_of(*pts):
+    return tuple(p.coords for p in pts)
 
 
 class TestCrossRatio:
     def test_local_parameter_on_p1(self):
-        assert cross_ratio(_p1(0, 1), _p1(1, 0), _p1(1, 1), _p1(1, 5)) == 5
+        assert cross_ratio((0, 1), (1, 0), (1, 1), (1, 5)) == 5
 
     def test_unit_maps_to_unit(self):
-        c = _p1(1, 1)
-        assert cross_ratio(_p1(0, 1), _p1(1, 0), c, c) == 1
+        c = (1, 1)
+        assert cross_ratio((0, 1), (1, 0), c, c) == 1
 
     def test_infinity_value(self):
-        a = _p1(0, 1)
-        assert cross_ratio(a, _p1(1, 0), _p1(1, 1), a) is INFINITY
+        a = (0, 1)
+        assert cross_ratio(a, (1, 0), (1, 1), a) is INFINITY
 
     def test_not_collinear(self):
         with pytest.raises(NotCollinear):
-            cross_ratio(E0, E1, E2, E3, (Point((1, 1, 1, 1)), Point((1, 2, 3, 4))))
+            cross_ratio(*coords_of(E0, E1, E2, E3), ((1, 1, 1, 1), (1, 2, 3, 4)))
 
     def test_degenerate_witness(self):
-        a, b = Point((1, 0, 0, 0)), Point((0, 1, 0, 0))
-        c, d = Point((1, 1, 0, 0)), Point((1, 5, 0, 0))
-        on_line = Point((1, 2, 0, 0))
+        a, b = (1, 0, 0, 0), (0, 1, 0, 0)
+        c, d = (1, 1, 0, 0), (1, 5, 0, 0)
+        on_line = (1, 2, 0, 0)
         with pytest.raises(DegenerateWitness):
-            cross_ratio(a, b, c, d, (on_line, Point((0, 0, 1, 0))))
+            cross_ratio(a, b, c, d, (on_line, (0, 0, 1, 0)))
         with pytest.raises(DegenerateWitness):
-            cross_ratio(a, b, c, d, (Point((0, 0, 1, 0)),))
+            cross_ratio(a, b, c, d, ((0, 0, 1, 0),))
 
     def test_witness_independence(self):
         rng = seeded("witnesses")
@@ -356,8 +345,8 @@ class TestCrossRatio:
                 w1, w2 = random_point(rng), random_point(rng)
                 if rank_of_points((a, b, w1, w2)) == 4:
                     wit_sets.append((w1, w2))
-            r1 = cross_ratio(a, b, c, d, wit_sets[0])
-            r2 = cross_ratio(a, b, c, d, wit_sets[1])
+            r1 = cross_ratio(*coords_of(a, b, c, d), coords_of(*wit_sets[0]))
+            r2 = cross_ratio(*coords_of(a, b, c, d), coords_of(*wit_sets[1]))
             assert r1 == r2 or (r1 is INFINITY and r2 is INFINITY)
 
     def test_projective_invariance(self):
@@ -368,7 +357,7 @@ class TestCrossRatio:
         )
         quad = (a, b, line(1, 1), line(2, 5))
         wits = (Point((1, 0, 0, 0)), Point((0, 0, 0, 1)))
-        base = cross_ratio(*quad, wits)
+        base = cross_ratio(*coords_of(*quad), coords_of(*wits))
         for _ in range(15):
             rows = tuple(tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(4))
             try:
@@ -381,12 +370,12 @@ class TestCrossRatio:
                 w = random_point(rng)
                 if rank_of_points([moved[0], moved[1]] + new_wits + [w]) == 3 + len(new_wits):
                     new_wits.append(w)
-            assert cross_ratio(*moved, tuple(new_wits)) == base
+            assert cross_ratio(*coords_of(*moved), coords_of(*new_wits)) == base
 
     def test_p2_embedding_with_one_witness(self):
-        infinity, zero = Point((0, 1, 0)), Point((1, 0, 0))
-        unit, query = Point((1, 1, 0)), Point((1, 7, 0))
-        assert cross_ratio(infinity, zero, unit, query, (Point((0, 0, 1)),)) == 7
+        infinity, zero = (0, 1, 0), (1, 0, 0)
+        unit, query = (1, 1, 0), (1, 7, 0)
+        assert cross_ratio(infinity, zero, unit, query, ((0, 0, 1),)) == 7
 
 
 class TestParamArithmetic:
@@ -419,7 +408,7 @@ class TestKernel:
 class TestAgainstDirectDefinitions:
     def test_rank(self):
         for rows in seeded_matrices("reference-rank"):
-            _, pivots, _ = reference_rref(rows)
+            _, pivots = reference_rref(rows)
             assert same_typed(rank_of_vectors(rows), len(pivots))
 
     def test_kernel_basis(self):
@@ -429,7 +418,7 @@ class TestAgainstDirectDefinitions:
     def test_bareiss_det(self):
         for rows in seeded_matrices("reference-det"):
             if len(rows) == len(rows[0]):
-                assert same_typed(bareiss_det(rows), reference_det(rows))
+                assert same_typed(bareiss_det(rows), cofactor_det(rows))
 
     def test_bareiss_det_of_cleared_rational_matrices(self):
         """Clearing each row of a rational matrix by the lcm of its
@@ -444,7 +433,7 @@ class TestAgainstDirectDefinitions:
             scale = 1
             for row in rows:
                 scale *= lcm(*(x.denominator for x in row))
-            want = reference_det(rows) * scale
+            want = cofactor_det(rows) * scale
             assert same_typed(bareiss_det([clear_denominators(r) for r in rows]), int(want))
             assert want.denominator == 1
 
@@ -464,9 +453,10 @@ class TestAgainstDirectDefinitions:
                         target = random_point(rng, bound=4).coords[:dim]
                     if not (all(any(b) for b in basis) and any(target)):
                         continue
-                    basis = [Point(b) for b in basis]
-                    want = reference_solve([b.coords for b in basis], Point(target).coords)
-                    assert same_typed(coordinates_in_basis(basis, Point(target)), want)
+                    basis = [projective._canonical_ints(b) for b in basis]
+                    target = projective._canonical_ints(target)
+                    want = reference_solve(basis, target)
+                    assert same_typed(coordinates_in_basis(basis, target), want)
                     outcomes.add(want is None)
         assert outcomes == {True, False}
 

@@ -18,7 +18,6 @@ from quadricheck.extensors import (
     contains_point,
     grassmann_criterion,
     join,
-    join_points,
     line_through,
     meet,
     plane_form,
@@ -380,7 +379,7 @@ class TestSplitSkew:
             ):
                 continue
             g, h, i = (random_point(rng) for _ in range(3))
-            plane = join_points(g, h, i)
+            plane = join(join(g, h), i)
             if plane.is_zero():
                 continue
             if meet(line_through(c, d), plane).is_zero():
@@ -432,7 +431,7 @@ class TestSplitSkew:
             assert split_skew(other_ab, cd, ef, plane) == result
 
     def test_non_skew_rejected(self):
-        plane = join_points(Point((1, 0, 0, 0)), Point((0, 1, 0, 0)), Point((0, 0, 1, 0)))
+        plane = join(join(Point((1, 0, 0, 0)), Point((0, 1, 0, 0))), Point((0, 0, 1, 0)))
         with pytest.raises(PreconditionViolated):
             split_skew(
                 line_through(Point((1, 0, 0, 0)), Point((0, 1, 0, 0))),

@@ -10,7 +10,7 @@ import pytest
 
 from quadricheck import cli, fixtures, reductions
 from quadricheck.constructions import ConstructionTrace, verify_replay
-from quadricheck.extensors import from_point, line_through, plane_through
+from quadricheck.extensors import line_through, plane_through
 from quadricheck.oracle import sample_generic
 from quadricheck.projective import E0, E1, E2, E3, Point
 
@@ -78,7 +78,7 @@ class TestReplayTrace:
             }
 
         half = {"extensor": {"grade": 1, "coeffs": ["1/2", "0", "0", "0"]}}
-        e0 = {"extensor": from_point(E0).to_json()}
+        e0 = {"extensor": E0.to_json()}
         planes = [
             {"extensor": plane_through(*(p for p in (E0, E1, E2, E3) if p != skip)).to_json()}
             for skip in (E0, E1, E2, E3)
