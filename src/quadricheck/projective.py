@@ -199,23 +199,25 @@ def det3(a, b, c):
     )
 
 
-def det4(a, b, c, d):
-    """Determinant of the 4x4 matrix with columns a, b, c, d.
-
-    Laplace expansion along the first two columns.
-    """
+def _plucker(a, b):
+    """The Plücker line of columns a, b: their 2x2 minors, in SUBSETS[2] order."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
-    c0, c1, c2, c3 = c
-    d0, d1, d2, d3 = d
     return (
-        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+        a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
+        a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2,
     )
+
+
+def _pairing(l, m):
+    """det(a, b, c, d) from the Plücker lines l of a, b and m of c, d."""
+    return l[0] * m[5] - l[1] * m[4] + l[2] * m[3] + l[3] * m[2] - l[4] * m[1] + l[5] * m[0]
+
+
+def det4(a, b, c, d):
+    """Determinant of the 4x4 matrix with columns a, b, c, d: Laplace
+    expansion along the first two columns, the pairing of their lines."""
+    return _pairing(_plucker(a, b), _plucker(c, d))
 
 
 def bracket(a: Point, b: Point, c: Point, d: Point):
@@ -330,15 +332,18 @@ CONIC_MONOMIALS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _MINOR_ROWS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
-def _dependent(points) -> bool:
-    """Whether three or four points of P^3 are dependent: the four 3x3 minors
-    of a triple (the coordinates of its join) vanish, or its bracket does."""
-    if len(points) == 4:
-        return bracket(*points) == 0
-    a, b, c = (p.coords for p in points)
-    return all(
-        det3((a[i], a[j], a[k]), (b[i], b[j], b[k]), (c[i], c[j], c[k])) == 0
-        for i, j, k in _MINOR_ROWS
+def _dependent(line, x) -> bool:
+    """Whether a pair's Plücker line and x are dependent: x a third point's
+    coordinates, when the four coefficients of line ∨ x (the triple's 3x3
+    minors) vanish, read up to the first nonzero one; or x a second pair's
+    line, when their pairing (the bracket of the four points) does."""
+    if len(x) == 6:
+        return _pairing(line, x) == 0
+    l01, l02, l03, l12, l13, l23 = line
+    x0, x1, x2, x3 = x
+    return not (
+        l12 * x0 - l02 * x1 + l01 * x2 or l13 * x0 - l03 * x1 + l01 * x3
+        or l23 * x0 - l03 * x2 + l02 * x3 or l23 * x1 - l13 * x2 + l12 * x3
     )
 
 
@@ -366,111 +371,100 @@ def _conic_row(basis, p: Point):
     return tuple(x[i] * x[j] for i, j in CONIC_MONOMIALS)
 
 
-class _Dependence(dict):
-    """Bitmask of three or four of the points -> whether they are dependent,
-    computed on the first read of each mask."""
-
-    def __init__(self, points):
-        super().__init__()
-        self.points = points
-
-    def __missing__(self, mask):
-        pts, rest = [], mask
-        while rest:
-            low = rest & -rest
-            pts.append(self.points[low.bit_length() - 1])
-            rest ^= low
-        dependent = self[mask] = _dependent(pts)
-        return dependent
-
-
 class IncidenceTable:
     """The incidences of one configuration of points of P^3, each computed
     the first time it is read and then memoized:
 
-    - whether a triple is collinear (its join vanishes);
-    - whether a bracket vanishes;
+    - whether a triple is collinear: its first pair's Plücker line joined
+      with its third point is zero;
+    - whether a bracket vanishes: the pairing of its two pairs' lines does;
     - every plane holding six or more of the points that `sixes_on_a_conic`
       has met, as the mask of the points on it, with one basis K of the
       left kernel {y : yA = 0} of its conic chart A: the conic-monomial
       row of every point on the plane, in the basis of its first
       independent triple.
 
-    Entries are keyed by the bitmask of the points' indices.  Everything
-    else is derived from them:
+    Entries are keyed by the bitmask of the points' indices and computed
+    from the indices the reader holds, through the line of each pair (at
+    most 45, each built once; equal points have the zero line).  A set has
+    rank <= 2 iff all its sub-triples are collinear, and rank <= 3 iff all
+    its sub-brackets vanish.  Whether a conic determinant is zero does not
+    depend on the chart: another basis of the plane changes every conic
+    row by the invertible symmetric square of a 3x3 matrix.
 
-    - A set has rank <= 2 iff all its sub-triples are collinear: a set of
-      rank >= 3 holds three independent points.  (So four points are
-      collinear iff all four of their sub-triples are.)
-    - A set has rank <= 3 iff all its sub-brackets vanish: a set of rank 4
-      holds a basis, whose bracket is nonzero.
-    - Whether a conic determinant is zero does not depend on the chart:
-      another basis of the plane changes the coordinates by an invertible
-      3x3 matrix A and every conic row by the invertible symmetric square
-      of A, and scaling a row scales the determinant by a nonzero factor.
-    - Six points S of a plane holding n >= 6 of the points, with chart A
-      (n x 6), lie on a conic iff rank A < 6 or the (n-6) x (n-6) minor of
-      K on the columns outside S vanishes.  The 6 x 6 block A_S is
-      singular iff its rows are dependent, iff some y != 0 supported on S
-      has yA = 0.  If rank A < 6, every A_S is singular.  Otherwise K has
-      n - 6 independent rows and every such y is zK for one z != 0; it
-      vanishes outside S iff z annihilates the square block of K on the
-      columns outside S, and such a z exists iff that block is singular.
-      For n = 6 the block is empty, with determinant 1.  (This is the
-      duality of the Plücker coordinates of a row space and of its
-      annihilator; Hodge and Pedoe, Methods of Algebraic Geometry I.)
-      The criterion holds for collinear sixes too, whose rows span at most
-      three dimensions.
+    Six points S of a plane holding n >= 6 of the points, with chart A
+    (n x 6), lie on a conic iff rank A < 6 or the (n-6) x (n-6) minor of K
+    on the columns outside S vanishes: A_S is singular iff some y != 0
+    supported on S has yA = 0, and when rank A = 6 each such y is zK, so
+    one exists iff that block of K is singular (empty, so nonzero, for
+    n = 6; Hodge and Pedoe, Methods of Algebraic Geometry I).  This holds
+    for collinear sixes too.  For n = 10 each minor is the pairing of two
+    column pairs' 2x2 minors, which the plane's `_Kernel` memoizes.
 
-    Plane masks make the conic scan plane-first.  Six points that are not
-    collinear span one plane, and `_plane` finds the mask of every point
-    on it with one bracket per point off their first independent triple.
-    Once a six of `sixes_on_a_conic` has revealed a plane, every later six
-    inside its mask is decided by its complementary minor of K alone,
-    with no bracket, triple or plane search; so the scan sweeps each plane
-    once.  A plane that holds every point settles coplanarity outright
-    (`in_a_known_plane`).  Until a plane is known, a six pays only the
-    rank tests it paid before, so a configuration with no six coplanar
-    points never builds a mask.
+    `sixes_on_a_conic` reads the sixes by their first four points.  A four
+    off every known plane with a nonzero bracket spans P^3, and the sixes
+    that extend it are contiguous in combinations order, so with no four
+    points coplanar the scan reads 70 brackets.  A six that reveals a plane
+    has `_plane` find every point on it, one bracket per point; each later
+    six inside it is decided by its minor of K alone, and a plane holding
+    every point settles coplanarity outright (`in_a_known_plane`).
 
-    `relabeled(labeling)` is a view of the same entries in which index r
-    names the point labeling.perm[r], so a relabeled configuration reads
-    what the original one computed.  The table lives as long as the
-    decision that builds it.
+    `relabeled(labeling)` is a view of the same entries, lines and planes
+    in which index r names the point labeling.perm[r].  The table lives as
+    long as the decision that builds it.
     """
 
     def __init__(self, points):
         self._points = list(points)
         self._bits = [1 << n for n in range(len(self._points))]
-        self._dependent = _Dependence(self._points)
-        self._planes = {}  # mask of a plane -> {bit: column of K}, or None
+        self._entries = {}  # mask of a triple or four -> dependent
+        self._lines = {}  # mask of a pair -> its Plücker line, up to sign
+        self._planes = {}  # mask of a plane -> its _Kernel
+        self._triples = None  # this view's collinear triples, once listed
 
     def relabeled(self, labeling) -> "IncidenceTable":
         view = copy(self)
+        view._points = [self._points[i] for i in labeling.perm]
         view._bits = [self._bits[i] for i in labeling.perm]
+        view._triples = None
         return view
+
+    def _line(self, i, j):
+        pair = self._bits[i] | self._bits[j]
+        line = self._lines.get(pair)
+        if line is None:
+            line = self._lines[pair] = _plucker(self._points[i].coords, self._points[j].coords)
+        return line
 
     def collinear(self, i, j, k) -> bool:
         """Whether points i, j, k (distinct indices) lie on a line."""
         b = self._bits
-        return self._dependent[b[i] | b[j] | b[k]]
+        mask = b[i] | b[j] | b[k]
+        dependent = self._entries.get(mask)
+        if dependent is None:
+            dependent = self._entries[mask] = _dependent(self._line(i, j), self._points[k].coords)
+        return dependent
 
     def bracket_vanishes(self, i, j, k, l) -> bool:
         """Whether [ijkl] = 0 for distinct indices i, j, k, l."""
         b = self._bits
-        return self._dependent[b[i] | b[j] | b[k] | b[l]]
+        mask = b[i] | b[j] | b[k] | b[l]
+        dependent = self._entries.get(mask)
+        if dependent is None:
+            dependent = self._entries[mask] = _dependent(self._line(i, j), self._line(k, l))
+        return dependent
 
     def on_a_line(self, indices) -> bool:
         """Whether the points at the distinct indices have rank <= 2."""
-        b, dependent = self._bits, self._dependent
-        for i, j, k in combinations(indices, 3):
-            if not dependent[b[i] | b[j] | b[k]]:
-                return False
-        return True
+        return all(self.collinear(*t) for t in combinations(indices, 3))
 
     def collinear_triples(self):
-        """Every collinear triple of the points, in combinations order."""
-        return [t for t in combinations(range(len(self._bits)), 3) if self.collinear(*t)]
+        """Every collinear triple of the points, in combinations order,
+        listed once per view."""
+        if self._triples is None:
+            triples = combinations(range(len(self._bits)), 3)
+            self._triples = tuple(t for t in triples if self.collinear(*t))
+        return self._triples
 
     def first_collinear_four(self):
         """The first four of the points, in combinations order, that lie on
@@ -487,57 +481,54 @@ class IncidenceTable:
 
     def on_a_plane(self, indices) -> bool:
         """Whether the points at the distinct indices have rank <= 3."""
-        b, dependent = self._bits, self._dependent
-        for i, j, k, l in combinations(indices, 4):
-            if not dependent[b[i] | b[j] | b[k] | b[l]]:
-                return False
-        return True
+        return all(self.bracket_vanishes(*q) for q in combinations(indices, 4))
 
     def in_a_known_plane(self, indices) -> bool:
         """Whether a plane the conic scan has met holds every point at the
         indices (False when it has met none)."""
-        mask = self._mask(indices)
-        return any(mask & plane == mask for plane in self._planes)
+        return bool(self._known_plane(self._mask(indices)))
+
+    def _known_plane(self, mask):
+        return next((plane for plane in self._planes if mask & plane == mask), 0)
 
     def sixes_on_a_conic(self):
         """Every six of the points that lies on a conic of a plane (rank <= 2,
         or rank 3 with a vanishing conic determinant), as index tuples in
         combinations order, read plane by plane from the left kernels of the
         planes' charts."""
-        b = self._bits
+        n = len(self._bits)
         planes = self._planes
-        for six in combinations(range(len(b)), 6):
-            if planes:
+        for four in combinations(range(n - 2), 4):
+            if not self.in_a_known_plane(four) and not self.bracket_vanishes(*four):
+                continue
+            for pair in combinations(range(four[3] + 1, n), 2):
+                six = four + pair
                 mask = self._mask(six)
-                plane = next((p for p in planes if mask & p == mask), 0)
-                if plane:
-                    if _minor_vanishes(planes[plane], mask):
+                plane = self._known_plane(mask)
+                if not plane:
+                    if not self.on_a_plane(six):
+                        continue
+                    triple = self.first_independent(six)
+                    if triple is None:
                         yield six
-                    continue
-            if not self.on_a_plane(six):
-                continue
-            triple = self.first_independent(six)
-            if triple is None:
-                yield six
-                continue
-            plane = self._plane(b[triple[0]] | b[triple[1]] | b[triple[2]])
-            kernel = planes[plane] = self._left_kernel(plane)
-            if _minor_vanishes(kernel, self._mask(six)):
-                yield six
+                        continue
+                    plane = self._plane(triple)
+                    planes[plane] = self._left_kernel(plane)
+                if planes[plane].on_a_conic(mask):
+                    yield six
 
     def _left_kernel(self, plane):
-        """The columns of the left kernel basis of a plane's chart, keyed by
-        point bit; None when the chart has rank below 6."""
+        """The left kernel of a plane's chart."""
         # the plane's points by index of this view, in the order of the
         # points, so every view picks the same basis
         b = self._bits
         on = sorted((i for i in range(len(b)) if plane & b[i]), key=b.__getitem__)
-        basis = [self._point(i) for i in self.first_independent(on)]
-        rows = [_conic_row(basis, self._point(i)) for i in on]
+        basis = [self._points[i] for i in self.first_independent(on)]
+        rows = [_conic_row(basis, self._points[i]) for i in on]
         kernel = kernel_basis(list(zip(*rows)))
         if len(kernel) > len(rows) - 6:
-            return None
-        return dict(zip((b[i] for i in on), zip(*kernel)))
+            return _Kernel(None)
+        return _Kernel(dict(zip((b[i] for i in on), zip(*kernel))))
 
     def first_independent(self, indices):
         """The first triple of the indices, in combinations order, whose
@@ -551,27 +542,35 @@ class IncidenceTable:
             mask |= b[i]
         return mask
 
-    def _point(self, i):
-        return self._points[self._bits[i].bit_length() - 1]
-
     def _plane(self, triple):
         """Mask of every point on the plane of an independent triple."""
-        plane = triple
-        for n in range(len(self._points)):
-            bit = 1 << n
-            if not triple & bit and self._dependent[triple | bit]:
-                plane |= bit
-        return plane
+        n = len(self._bits)
+        return self._mask(l for l in range(n) if l in triple or self.bracket_vanishes(*triple, l))
 
 
-def _minor_vanishes(kernel, mask) -> bool:
-    """Whether the six points of the mask, on a plane whose chart has the
-    left kernel columns `kernel` (None for a chart of rank below 6), lie on
-    a conic: the minor of the columns outside the six vanishes."""
-    if kernel is None:
-        return True
-    outside = [column for bit, column in kernel.items() if not mask & bit]
-    return bool(outside) and _det_any(*outside) == 0
+class _Kernel(dict):
+    """The columns of K, the left kernel basis of a plane's conic chart, by
+    point bit (None for a chart of rank below 6); a mask of two points reads
+    the 2x2 minors of their columns, computed on first read."""
+
+    def __init__(self, columns):
+        super().__init__()
+        self.columns = columns
+
+    def __missing__(self, pair):
+        low = pair & -pair
+        line = self[pair] = _plucker(self.columns[low], self.columns[pair ^ low])
+        return line
+
+    def on_a_conic(self, mask) -> bool:
+        """Whether the six points of the mask lie on a conic: the chart has
+        rank below 6, or the minor of K on the columns outside them vanishes."""
+        if self.columns is None:
+            return True
+        outside = [bit for bit in self.columns if not mask & bit]
+        if len(outside) == 4:
+            return _pairing(self[outside[0] | outside[1]], self[outside[2] | outside[3]]) == 0
+        return bool(outside) and _det_any(*(self.columns[bit] for bit in outside)) == 0
 
 
 @dataclass(frozen=True)

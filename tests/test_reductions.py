@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import random_point, seeded
 from reference_geometry import conic_planes, planar_conic_det
@@ -1031,12 +1033,12 @@ class TestIncidenceTable:
                     if rank_of_points([pts[i] for i in q]) <= 2
                 )
                 assert view.first_collinear_four() == next(fours, None), name
-                assert view.collinear_triples() == ref_collinear_triples(pts), name
+                assert list(view.collinear_triples()) == ref_collinear_triples(pts), name
                 for t in combinations(range(10), 3):
                     rank = rank_of_points([pts[i] for i in t])
                     assert view.collinear(*t) == (rank <= 2), (name, t)
                 for q in combinations(range(10), 4):
-                    vanishes = bracket(*(pts[i] for i in q)) == 0
+                    vanishes = rank_of_points([pts[i] for i in q]) <= 3
                     assert view.bracket_vanishes(*q) == vanishes, (name, q)
                 for k in (4, 5, 6):
                     for subset in combinations(range(10), k):
@@ -1104,9 +1106,9 @@ class TestIncidenceTable:
         computed = []
         dependent = projective._dependent
 
-        def counting(points):
-            computed.append(tuple(points))
-            return dependent(points)
+        def counting(line, x):
+            computed.append((line, x))
+            return dependent(line, x)
 
         monkeypatch.setattr(projective, "_dependent", counting)
         pts = sample_generic("incidence-lazy", 10, bound=20)
@@ -1119,6 +1121,57 @@ class TestIncidenceTable:
         assert view.on_a_line((0, 1, 2, 3)) and view.collinear(3, 1, 0)
         assert len(computed) == 4
 
+    def test_collinear_triples_listed_once_per_view(self, incidence_inputs):
+        configs, labelings = incidence_inputs
+        for name, points in configs:
+            table = IncidenceTable(points)
+            triples = table.collinear_triples()
+            assert table.collinear_triples() is triples, name
+            for labeling in labelings[1:]:
+                view = table.relabeled(labeling)
+                pts = labeling.apply(points)
+                assert view.collinear_triples() is view.collinear_triples(), name
+                assert list(view.collinear_triples()) == ref_collinear_triples(pts), name
+            assert table.collinear_triples() is triples, name
+
+    # coordinates in {-1..2}: duplicates, collinear triples and coplanar sixes
+    # are common, so pairs with the zero Plücker line are drawn often; a flat
+    # draw puts all ten points on the plane w = 0
+    @given(
+        st.lists(st.tuples(*(st.integers(-1, 2) for _ in range(4))), min_size=10, max_size=10),
+        st.booleans(),
+        st.permutations(range(10)),
+        st.booleans(),
+    )
+    def test_small_coordinates_match_ranks(self, coords, flat, perm, warm):
+        coords = [c[:3] + (0,) if flat else c for c in coords]
+        assume(all(any(c) for c in coords))
+        points = [Point(c) for c in coords]
+        table = IncidenceTable(points)
+        if warm:
+            # the view then reads entries, lines and planes the table found
+            # in its own labeling
+            list(table.sixes_on_a_conic())
+        labeling = Labeling(tuple(perm))
+        view = table.relabeled(labeling)
+        pts = labeling.apply(points)
+
+        def rank(indices):
+            return rank_of_points([pts[i] for i in indices])
+
+        for t in combinations(range(10), 3):
+            assert view.collinear(*t) == (rank(t) <= 2), t
+        for q in combinations(range(10), 4):
+            assert view.bracket_vanishes(*q) == (rank(q) <= 3), q
+        for k in (4, 5, 6):
+            for subset in combinations(range(10), k):
+                r = rank(subset)
+                assert view.on_a_line(subset) == (r <= 2), subset
+                assert view.on_a_plane(subset) == (r <= 3), subset
+        fours = (q for q in combinations(range(10), 4) if rank(q) <= 2)
+        assert view.first_collinear_four() == next(fours, None)
+        assert list(view.sixes_on_a_conic()) == ref_sixes_on_a_conic(pts)
+
 
 def _dependence_counter(monkeypatch):
     """Counts of the collinear triples (key 3) and brackets (key 4) that
@@ -1126,9 +1179,10 @@ def _dependence_counter(monkeypatch):
     computed = {3: 0, 4: 0}
     dependent = projective._dependent
 
-    def counting(points):
-        computed[len(points)] += 1
-        return dependent(points)
+    def counting(line, x):
+        # x is a third point (four coordinates) or a second pair's line (six)
+        computed[3 if len(x) == 4 else 4] += 1
+        return dependent(line, x)
 
     monkeypatch.setattr(projective, "_dependent", counting)
     return computed
@@ -1172,6 +1226,22 @@ class TestPlaneFirstScan:
             # 15 brackets of the first six and 4 for the rest of the plane;
             # a scan six by six fills all 210
             assert computed[4] <= 30, computed
+
+    def test_generic_scan_reads_only_prefix_brackets(self, monkeypatch):
+        """No four of a generic fixture are coplanar, so the conic scan reads
+        the bracket of each four with room for two more points after it (70)
+        and skips every six that extends it, with no rank test of a six."""
+        fixtures_ = [fixtures.generate_branch("generic", seed) for seed in self.SEEDS]
+        on_a_plane = []
+        monkeypatch.setattr(
+            IncidenceTable, "on_a_plane", lambda table, indices: on_a_plane.append(indices)
+        )
+        computed = _dependence_counter(monkeypatch)
+        for points in fixtures_:
+            computed[3] = computed[4] = 0
+            assert list(IncidenceTable(points).sixes_on_a_conic()) == []
+            assert computed == {3: 0, 4: 70}, computed
+        assert on_a_plane == []
 
     def test_generic_fills_no_more_entries(self, monkeypatch):
         fixtures_ = [fixtures.generate_branch("generic", seed) for seed in self.SEEDS]
