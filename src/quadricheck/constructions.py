@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .extensors import (
+    _JOIN_KERNELS,
+    _MEET_KERNELS,
     Extensor,
     as_point,
     contains_point,
@@ -25,13 +27,13 @@ from .extensors import (
     meet,
     plane_form,
     plane_through,
-    scalar_of,
 )
 from .projective import (
     GeometryError,
     InfinityProduct,
     STANDARD_BASIS,
     Point,
+    _trusted_point,
     bracket,
     rank_of_points,
 )
@@ -74,6 +76,13 @@ class ConstructionTrace:
     its op, its input values and its output, and replaying the steps
     reproduces every output exactly.
 
+    A trace records each construction once: a step whose op and input
+    values equal an earlier step's is not appended again (its output is
+    the same), so a figure that reuses a memoized part, such as an edge's
+    line, a basis plane or a frame's von Staudt scaffold, reads the first
+    step.  A generic decision records 289 steps.  A trace read from JSON
+    keeps its steps as written, repeats included.
+
     In JSON the values are written once each.  `leaves` holds every input
     that no earlier step outputs, and each step input is an int: i below
     len(leaves) names leaf i, and len(leaves) + k the output of step k.  An
@@ -81,6 +90,8 @@ class ConstructionTrace:
     """
 
     steps: list = field(default_factory=list)
+    # the key of every recorded step: its op and its inputs' grades and coefficients
+    _recorded: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def to_json(self):
         leaves = {}  # value key -> (leaf index, value)
@@ -147,8 +158,20 @@ def _value_from_json(data):
 
 
 def _record(trace, op, inputs, output):
+    """Append the step to the trace, if any, unless an earlier step has the
+    same op and input values.  The key is one flat tuple of the op and each
+    input's grade and coefficients, which hashes and compares in C; the
+    values themselves hash through Python-level methods.  Most steps have
+    two inputs, and their key is spelled out to spare a comprehension."""
     if trace is not None:
-        trace.steps.append(TraceStep(op, inputs, output))
+        if len(inputs) == 2:
+            a, b = inputs
+            key = (op, a.grade, a.coeffs, b.grade, b.coeffs)
+        else:
+            key = (op, *[x for v in inputs for x in (v.grade, v.coeffs)])
+        if key not in trace._recorded:
+            trace._recorded.add(key)
+            trace.steps.append(TraceStep(op, inputs, output))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +200,12 @@ class WitnessPlanes:
         return plane
 
 
+# The scalar join of two lines and the meet of a line with a plane, run on
+# coefficient tuples: line_meet_line makes no Extensor of either.
+_join_lines = _JOIN_KERNELS[2, 2]
+_meet_line_plane = _MEET_KERNELS[2, 3]
+
+
 def line_meet_line(l1: Extensor, l2: Extensor, witness_planes=None) -> Point:
     """Intersection point of two distinct coplanar lines in P^3.
 
@@ -186,26 +215,28 @@ def line_meet_line(l1: Extensor, l2: Extensor, witness_planes=None) -> Point:
     which misses one of E0..E3; only coincident lines leave every hit zero.
     `witness_planes` are the WitnessPlanes of l2 when the caller keeps them,
     with the order they try; they are built here, in ascending order, when
-    not given.  Every nonzero hit is the same canonical point, so the order
-    changes only how many meets are spent.  Raises SkewLines when the lines
-    do not meet.
+    not given.  Every nonzero hit is the same point, made canonical once,
+    so the order changes only how many meets are spent.  The skew test and
+    the hits run the join and meet kernels on the coefficients.  Raises
+    SkewLines when the lines do not meet.
     """
     if l1.grade != 2 or l2.grade != 2:
         raise ValueError("line_meet_line needs two lines")
-    if scalar_of(join(l1, l2)) != 0:
+    c1 = l1.coeffs
+    if _join_lines(c1, l2.coeffs)[0]:
         raise SkewLines("the lines are skew; they do not meet")
     if witness_planes is None:
         witness_planes = WitnessPlanes(l2)
-    elif witness_planes.line != l2:
+    elif witness_planes.line is not l2 and witness_planes.line != l2:
         raise ValueError("the witness planes belong to another line")
     order = witness_planes.order
     for k in order:
         # hit is nonzero exactly when E_k is off the common plane
-        hit = meet(l1, witness_planes[k])
-        if not hit.is_zero():
+        hit = _meet_line_plane(c1, witness_planes[k].coeffs)
+        if any(hit):
             if k != order[0]:
                 witness_planes.order = (k, *(j for j in order if j != k))
-            return as_point(hit)
+            return _trusted_point(hit)
     raise ValueError("the lines coincide")
 
 
@@ -302,12 +333,15 @@ class Scaffold:
 class Tetrahedron:
     """Four points in general position plus a unit off every face plane.
 
-    `edge_frame(i, j)` memoizes each frame it builds, so the constructions
-    on one edge share that frame's memos (see LineFrame).
+    `edge_line(i, j)` and `edge_frame(i, j)` memoize each line and frame
+    they build, so the constructions on one edge share that frame's memos
+    (see LineFrame), and the frames, the projections and the recoveries
+    share the edge lines.
     """
 
     vertices: tuple
     unit: Point
+    _lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -320,29 +354,35 @@ class Tetrahedron:
             if bracket(*face, self.unit) == 0:
                 raise ValueError(f"unit lies on the face missing vertex {skip}")
 
+    def edge_line(self, i: int, j: int) -> Extensor:
+        """The line join(vertex i, vertex j)."""
+        line = self._lines.get((i, j))
+        if line is None:
+            line = self._lines[i, j] = line_through(self.vertices[i], self.vertices[j])
+        return line
+
     def edge_frame(self, i: int, j: int) -> LineFrame:
         """Frame on edge ij: zero at vertex i, infinity at vertex j, unit cut
         out by the plane through the other two vertices and the unit."""
         frame = self._frames.get((i, j))
         if frame is None:
             k, l = (m for m in range(4) if m not in (i, j))
-            edge = line_through(self.vertices[i], self.vertices[j])
             plane = plane_through(self.vertices[k], self.vertices[l], self.unit)
-            unit_ij = as_point(meet(edge, plane))
+            unit_ij = as_point(meet(self.edge_line(i, j), plane))
             frame = self._frames[i, j] = LineFrame(self.vertices[i], self.vertices[j], unit_ij)
         return frame
 
 
 def project_to_edge(tet: Tetrahedron, i: int, j: int, p: Point) -> Point:
-    """Project p onto edge ij from the opposite edge: edge ∩ plane(k, l, p)."""
+    """Project p onto edge ij from the opposite edge kl: edge ∩ join(kl, p).
+    That plane is zero exactly when p lies on kl."""
     if i == j:
         raise ValueError("edge needs two distinct vertex indices")
     k, l = (m for m in range(4) if m not in (i, j))
-    vi, vj, vk, vl = (tet.vertices[m] for m in (i, j, k, l))
-    opposite = line_through(vk, vl)
-    if contains_point(opposite, p):
+    plane = join(tet.edge_line(k, l), p)
+    if plane.is_zero():
         raise OnOppositeEdge(f"{p} lies on the opposite edge {k}{l}")
-    return as_point(meet(line_through(vi, vj), plane_through(vk, vl, p)))
+    return as_point(meet(tet.edge_line(i, j), plane))
 
 
 def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Point:
@@ -360,8 +400,7 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
         raise ValueError("need one projection per edge through the chart vertex")
     planes = []
     for j, proj in zip(others, projections):
-        edge = line_through(tet.vertices[i], tet.vertices[j])
-        if not contains_point(edge, proj):
+        if not contains_point(tet.edge_line(i, j), proj):
             raise InconsistentProjections(f"{proj} is not on edge {i}{j}")
         if proj == tet.vertices[j]:
             raise OutsideChart(f"projection on edge {i}{j} is the infinity vertex")
@@ -526,7 +565,7 @@ def local_param_point(
 # trace replay
 
 
-def _execute_step(op, inputs, lines):
+def _execute_step(op, inputs, witnesses):
     if op == "join":
         if len(inputs) not in (2, 3):
             raise ValueError(f"a join step takes 2 or 3 inputs, not {len(inputs)}")
@@ -540,7 +579,7 @@ def _execute_step(op, inputs, lines):
         a, b = inputs
         if a.grade == 2 and b.grade == 2:
             try:
-                return line_meet_line(a, b, witness_planes=_witness_planes(lines, b))
+                return line_meet_line(a, b, witness_planes=witnesses.of(b))
             except SkewLines:
                 pass
         hit = meet(a, b)
@@ -548,21 +587,34 @@ def _execute_step(op, inputs, lines):
     raise ValueError(f"unknown trace op {op!r}")
 
 
-def _witness_planes(lines, line) -> WitnessPlanes:
-    """The replay's one WitnessPlanes of a line, built the first time a
-    meet step takes the line as its second input."""
-    planes = lines.get(line)
-    if planes is None:
-        planes = lines[line] = WitnessPlanes(line)
-    return planes
+class _ReplayWitnesses:
+    """A replay's one WitnessPlanes per second line of its meet steps, built
+    the first time a meet step takes the line as its second input.  A new
+    line's planes start in the order of the last line met: the lines of
+    one von Staudt figure lie in one plane, so a witness that hits for one
+    of them hits for the next."""
+
+    __slots__ = ("planes", "last")
+
+    def __init__(self):
+        self.planes = {}
+        self.last = None
+
+    def of(self, line) -> WitnessPlanes:
+        planes = self.planes.get(line)
+        if planes is None:
+            order = (0, 1, 2, 3) if self.last is None else self.last.order
+            planes = self.planes[line] = WitnessPlanes(line, order)
+        self.last = planes
+        return planes
 
 
 def replay_trace(trace: ConstructionTrace):
     """Re-execute every step, each a `join` of 2 or 3 values or a `meet`
     of 2; returns the list of recomputed outputs.  The meet steps of
     coplanar lines share one WitnessPlanes per second line."""
-    lines = {}
-    return [_execute_step(step.op, step.inputs, lines) for step in trace.steps]
+    witnesses = _ReplayWitnesses()
+    return [_execute_step(step.op, step.inputs, witnesses) for step in trace.steps]
 
 
 def verify_replay(trace: ConstructionTrace) -> bool:

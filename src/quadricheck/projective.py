@@ -50,14 +50,17 @@ def _require_ints(values):
 def _canonical_ints(values):
     ints = tuple(values)
     _require_ints(ints)
-    if not any(ints):
-        raise ValueError("homogeneous coordinates must not all be zero")
     g = gcd(*ints)
-    if next(v for v in ints if v) < 0:
+    if g == 0:
+        raise ValueError("homogeneous coordinates must not all be zero")
+    for v in ints:
+        if v:
+            break
+    if v < 0:
         g = -g
     if g == 1:
         return ints
-    return tuple(v // g for v in ints)
+    return tuple([v // g for v in ints])
 
 
 # The basis extensors of each grade, as sorted subsets of {0,1,2,3}.
@@ -409,6 +412,11 @@ class IncidenceTable:
     six inside it is decided by its minor of K alone, and a plane holding
     every point settles coplanarity outright (`in_a_known_plane`).
 
+    The collinear triples are read in one scan, which stops at the first
+    collinear four (`first_collinear_four`); a scan that reads all 120
+    keeps the masks of the collinear ones, and every view lists its
+    `collinear_triples()` from those masks with no triple read again.
+
     `relabeled(labeling)` is a view of the same entries, lines and planes
     in which index r names the point labeling.perm[r].  The table lives as
     long as the decision that builds it.
@@ -420,6 +428,9 @@ class IncidenceTable:
         self._entries = {}  # mask of a triple or four -> dependent
         self._lines = {}  # mask of a pair -> its Plücker line, up to sign
         self._planes = {}  # mask of a plane -> its _Kernel
+        # one cell that every view shares: the masks of the collinear
+        # triples, once a scan has read every triple
+        self._collinear = [None]
         self._triples = None  # this view's collinear triples, once listed
 
     def relabeled(self, labeling) -> "IncidenceTable":
@@ -460,23 +471,42 @@ class IncidenceTable:
 
     def collinear_triples(self):
         """Every collinear triple of the points, in combinations order,
-        listed once per view."""
+        listed once per view; a view lists them from the masks of the
+        table's one full scan."""
         if self._triples is None:
-            triples = combinations(range(len(self._bits)), 3)
-            self._triples = tuple(t for t in triples if self.collinear(*t))
+            masks = self._collinear[0]
+            if masks is None:
+                self._triples = tuple(self._scan_triples())
+            else:
+                b = self._bits
+                self._triples = tuple(
+                    sorted(tuple(r for r in range(len(b)) if mask & b[r]) for mask in masks)
+                )
         return self._triples
+
+    def _scan_triples(self):
+        """Yield the collinear triples in combinations order, reading each
+        triple only when the scan reaches it; a scan that runs to the end
+        keeps their masks for every view."""
+        found = []
+        for t in combinations(range(len(self._bits)), 3):
+            if self.collinear(*t):
+                found.append(self._mask(t))
+                yield t
+        self._collinear[0] = tuple(found)
 
     def first_collinear_four(self):
         """The first four of the points, in combinations order, that lie on
         a line; None when no four do.  The first three points of a collinear
-        four are a collinear triple, so only those triples are extended, and
-        a triple is read only when the scan reaches it."""
+        four are a collinear triple, so only those triples are extended.
+        Before any full scan a triple is read only when the scan reaches it,
+        so a hit stops the reading; after one, the listed triples serve."""
         n = len(self._bits)
-        for a, b, c in combinations(range(n), 3):
-            if self.collinear(a, b, c):
-                for l in range(c + 1, n):
-                    if self.on_a_line((a, b, c, l)):
-                        return a, b, c, l
+        scanned = self._collinear[0] is not None
+        for a, b, c in self.collinear_triples() if scanned else self._scan_triples():
+            for l in range(c + 1, n):
+                if self.on_a_line((a, b, c, l)):
+                    return a, b, c, l
         return None
 
     def on_a_plane(self, indices) -> bool:

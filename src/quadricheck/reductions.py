@@ -14,11 +14,12 @@ exit, to skew-line discovery and to the relabeling checks (through views of
 it under each labeling), so each collinear triple, vanishing bracket and
 plane of six or more points (with the left kernel of its conic chart) is
 computed at most once per decision, and only when an exit reads it, from
-the Plücker lines of the pairs of points.  The four-collinear exit extends
-only collinear triples, the three-lines and two-lines exits read one list
-of them, the six-on-conic exit skips every six whose first four points
-span space and sweeps each plane it meets once, and skew-line discovery
-reads the coplanar exit off a plane that holds all ten points.
+the Plücker lines of the pairs of points.  The four-collinear exit reads
+the triples once and extends only the collinear ones; the three-lines and
+two-lines exits, and the genericity check on the relabeled view, list them
+from that scan.  The six-on-conic exit skips every six whose first four
+points span space and sweeps each plane it meets once, and skew-line
+discovery reads the coplanar exit off a plane that holds all ten points.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -12,7 +13,7 @@ from reference_geometry import (
     point_at_parameter,
     standard_tetrahedron,
 )
-from quadricheck import constructions, fixtures, reductions
+from quadricheck import cli, constructions, fixtures, reductions
 from quadricheck.constructions import (
     ConstructionTrace,
     DegenerateMeet,
@@ -20,6 +21,7 @@ from quadricheck.constructions import (
     LineFrame,
     OnOppositeEdge,
     OutsideChart,
+    SkewLines,
     Tetrahedron,
     WitnessPlanes,
     choose_auxiliaries,
@@ -32,7 +34,15 @@ from quadricheck.constructions import (
     von_staudt_inverse,
     von_staudt_product,
 )
-from quadricheck.extensors import contains_point, join, line_through
+from quadricheck.extensors import (
+    Extensor,
+    as_point,
+    contains_point,
+    join,
+    line_through,
+    meet,
+    plane_through,
+)
 from quadricheck.generic_case import GenericFigure
 from quadricheck.projective import (
     E0,
@@ -88,6 +98,22 @@ class TestLineFrame:
         assert parameter_of(f, f.unit) == 1
 
 
+def coplanar_line_pairs(rng, count):
+    """`count` pairs of distinct coplanar lines through random points."""
+    while count:
+        p, q, r = (random_point(rng) for _ in range(3))
+        if rank_of_points((p, q, r)) != 3:
+            continue
+        a, b, c = (random_fraction(rng) for _ in range(3))
+        s = Point(
+            clear_denominators(a * x + b * y + c * z for x, y, z in zip(p.coords, q.coords, r.coords))
+        )
+        if rank_of_points((r, s)) != 2 or rank_of_points((p, q, s)) == 2:
+            continue
+        count -= 1
+        yield line_through(p, q), line_through(r, s)
+
+
 class TestLineMeetLine:
     def test_concurrent_lines(self):
         l1 = line_through(E0, E1)
@@ -95,12 +121,30 @@ class TestLineMeetLine:
         assert line_meet_line(l1, l2) == E0
 
     def test_rejects_skew(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SkewLines):
             line_meet_line(line_through(E0, E1), line_through(E2, E3))
 
     def test_rejects_equal(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="coincide"):
             line_meet_line(line_through(E0, E1), line_through(E1, E0))
+
+    def test_rejects_non_lines(self):
+        line = line_through(E0, E1)
+        for other in (E0, join(line, E2), Extensor.zero(0)):
+            for args in ((line, other), (other, line)):
+                with pytest.raises(ValueError, match="two lines"):
+                    line_meet_line(*args)
+
+    def test_matches_the_meet_with_the_first_witness_off_the_plane(self):
+        rng = seeded("line-meet-line")
+        for l1, l2 in coplanar_line_pairs(rng, 25):
+            hits = (meet(l1, join(l2, w)) for w in (E0, E1, E2, E3))
+            want = as_point(next(hit for hit in hits if not hit.is_zero()))
+            assert line_meet_line(l1, l2) == want
+            # planes kept for an equal copy of l2 serve it too
+            copy = Extensor(2, l2.coeffs)
+            assert copy is not l2
+            assert line_meet_line(l1, l2, witness_planes=WitnessPlanes(copy)) == want
 
 
 class TestProjection:
@@ -116,6 +160,28 @@ class TestProjection:
         tet = standard_tetrahedron()
         with pytest.raises(OnOppositeEdge):
             project_to_edge(tet, 0, 1, Point((0, 0, 1, 1)))
+
+    def test_matches_meet_of_edge_and_plane(self):
+        """project_to_edge is meet(join(v_i, v_j), plane_through(v_k, v_l, p)),
+        and a point on the opposite edge kl has no projection."""
+        rng = seeded("projection-meet")
+        built = 0
+        while built < 10:
+            vs = tuple(random_point(rng) for _ in range(4))
+            try:
+                tet = Tetrahedron(vs, random_point(rng))
+            except ValueError:
+                continue
+            built += 1
+            for i, j in permutations(range(4), 2):
+                k, l = (m for m in range(4) if m not in (i, j))
+                p = random_point(rng)
+                if not contains_point(line_through(vs[k], vs[l]), p):
+                    want = as_point(meet(join(vs[i], vs[j]), plane_through(vs[k], vs[l], p)))
+                    assert project_to_edge(tet, i, j, p) == want
+                on_opposite = Point(tuple(a + 2 * b for a, b in zip(vs[k].coords, vs[l].coords)))
+                with pytest.raises(OnOppositeEdge):
+                    project_to_edge(tet, i, j, on_opposite)
 
     def test_incidences_on_random_tetrahedron(self):
         rng = seeded("projection-incidence")
@@ -348,7 +414,7 @@ class TestTraceReplay:
             decision = reductions.decide(fixtures.generate_branch("generic", seed), with_trace=True)
             traces.append(ConstructionTrace.from_json(json.loads(json.dumps(decision.trace.to_json()))))
         spent = []  # (witness planes, meets) of each line_meet_line call
-        real_line_meet_line, real_meet = constructions.line_meet_line, constructions.meet
+        real_line_meet_line, real_meet = constructions.line_meet_line, constructions._meet_line_plane
 
         def counting_line_meet_line(*args, witness_planes=None):
             spent.append([witness_planes, 0])
@@ -363,7 +429,7 @@ class TestTraceReplay:
             return real_meet(a, b)
 
         monkeypatch.setattr(constructions, "line_meet_line", counting_line_meet_line)
-        monkeypatch.setattr(constructions, "meet", counting_meet)
+        monkeypatch.setattr(constructions, "_meet_line_plane", counting_meet)
         assert all(verify_replay(trace) for trace in traces)
         calls = [call for call in spent if call is not None]
         assert len(calls) > 200
@@ -506,24 +572,75 @@ class TestTraceFormat:
             assert all(written(value) in leaves for value in expected)
 
 
-class TestWitnessPlanes:
-    def coplanar_pairs(self, rng, count):
-        while count:
-            p, q, r = (random_point(rng) for _ in range(3))
-            if rank_of_points((p, q, r)) != 3:
-                continue
-            a, b, c = (random_fraction(rng) for _ in range(3))
-            s = Point(
-                clear_denominators(a * x + b * y + c * z for x, y, z in zip(p.coords, q.coords, r.coords))
-            )
-            if rank_of_points((r, s)) != 2 or rank_of_points((p, q, s)) == 2:
-                continue
-            count -= 1
-            yield line_through(p, q), line_through(r, s)
+def step_key(step):
+    """A step's op and input values."""
+    return (step.op, *((value.grade, value.coeffs) for value in step.inputs))
 
+
+class TestTraceDedup:
+    """A trace records each (op, input values) once: a figure that reuses a
+    memoized part reads the first step that built it."""
+
+    def test_no_step_repeats_an_earlier_one(self):
+        configs = [fixtures.generate_branch("generic", seed) for seed in range(1, 9)]
+        # fuzz seed 5 with small coordinates: on indices 4, 9 and 19 a
+        # meet-point equals its frame's unit, so steps repeat by value and
+        # not by identity
+        configs += [cli.fuzz_configuration(5, index) for index in range(20)]
+        traced = []
+        for index, points in enumerate(configs):
+            decision = reductions.decide(points, with_trace=True)
+            if decision.trace is None:
+                continue
+            keys = [step_key(step) for step in decision.trace.steps]
+            assert len(set(keys)) == len(keys), index
+            traced.append(index - 8)
+        assert {4, 9, 19} <= set(traced)
+
+    def test_generic_fixtures_record_289_steps(self):
+        for seed in range(1, 9):
+            decision = reductions.decide(fixtures.generate_branch("generic", seed), with_trace=True)
+            assert len(decision.trace.steps) == 289
+            assert sum(step.op == "join" for step in decision.trace.steps) == 143
+
+    def test_a_repeated_construction_records_nothing(self):
+        trace = ConstructionTrace()
+        px, py = frame_point(Fraction(2, 3)), frame_point(-5)
+        von_staudt_product(X_AXIS_FRAME, px, py, trace=trace)
+        assert len(trace.steps) == 9
+        von_staudt_product(X_AXIS_FRAME, px, py, trace=trace)
+        assert len(trace.steps) == 9
+        # equal values, not the same objects, make a repeat
+        von_staudt_product(X_AXIS_FRAME, Point(px.coords), Point(py.coords), trace=trace)
+        assert len(trace.steps) == 9
+        # a new second factor adds only the four steps that read it
+        von_staudt_product(X_AXIS_FRAME, px, frame_point(7), trace=trace)
+        assert len(trace.steps) == 9 + 4
+
+    def test_a_trace_with_a_repeated_step_loads_and_replays(self):
+        """A trace written before steps were recorded once still reads, keeps
+        its steps as written, and replays."""
+        e01, e02 = ({"extensor": join(E0, e).to_json()} for e in (E1, E2))
+        payload = {
+            "leaves": [{"point": p.to_strings()} for p in (E0, E1, E2)],
+            "steps": [
+                {"op": "join", "inputs": [0, 1], "output": e01},
+                {"op": "join", "inputs": [0, 1], "output": e01},
+                {"op": "join", "inputs": [0, 2], "output": e02},
+                {"op": "meet", "inputs": [3, 5], "output": {"point": E0.to_strings()}},
+            ],
+        }
+        trace = ConstructionTrace.from_json(json.loads(json.dumps(payload)))
+        assert len(trace.steps) == 4
+        assert trace.steps[0] == trace.steps[1]
+        assert verify_replay(trace)
+        assert trace.to_json() == payload
+
+
+class TestWitnessPlanes:
     def test_kept_planes_give_the_same_point(self):
         rng = seeded("witness-planes")
-        for l1, l2 in self.coplanar_pairs(rng, 25):
+        for l1, l2 in coplanar_line_pairs(rng, 25):
             planes = WitnessPlanes(l2)
             got = line_meet_line(l1, l2, witness_planes=planes)
             assert got == line_meet_line(l1, l2)
@@ -542,15 +659,17 @@ class TestWitnessPlanes:
 
     def test_a_hit_after_a_miss_moves_first(self, monkeypatch):
         meets = []
-        real_meet = constructions.meet
-        monkeypatch.setattr(constructions, "meet", lambda a, b: meets.append(b) or real_meet(a, b))
+        real_meet = constructions._meet_line_plane
+        monkeypatch.setattr(
+            constructions, "_meet_line_plane", lambda a, b: meets.append(b) or real_meet(a, b)
+        )
         planes = WitnessPlanes(line_through(E0, E1))
         # the common plane E0E1E2 holds E0, E1 and E2, so only E3 hits
         assert line_meet_line(line_through(E0, E2), planes.line, witness_planes=planes) == E0
         assert planes.order == (3, 0, 1, 2) and len(meets) == 4
         # the next line of that plane spends one meet, on E3
         hit = line_meet_line(line_through(E1, Point((1, 0, 1, 0))), planes.line, witness_planes=planes)
-        assert hit == E1 and meets[4:] == [planes[3]]
+        assert hit == E1 and meets[4:] == [planes[3].coeffs]
         assert planes.order == (3, 0, 1, 2)
 
     def test_planes_of_another_line_rejected(self):
@@ -597,7 +716,7 @@ class TestWitnessOrder:
 
     def test_one_meet_per_line_meet_line(self, monkeypatch):
         spent = []  # meets of each line_meet_line call, in call order
-        real_line_meet_line, real_meet = constructions.line_meet_line, constructions.meet
+        real_line_meet_line, real_meet = constructions.line_meet_line, constructions._meet_line_plane
 
         def counting_line_meet_line(*args, **kwargs):
             spent.append(0)
@@ -612,7 +731,7 @@ class TestWitnessOrder:
             return real_meet(a, b)
 
         monkeypatch.setattr(constructions, "line_meet_line", counting_line_meet_line)
-        monkeypatch.setattr(constructions, "meet", counting_meet)
+        monkeypatch.setattr(constructions, "_meet_line_plane", counting_meet)
         rng = seeded("witness-order-meets")
         for shared in self.frames():
             # a fresh frame builds its scaffold, and with it p1' and c2, here
@@ -644,6 +763,16 @@ class TestTetrahedron:
         frame = tet.edge_frame(0, 1)
         assert frame.zero == E0 and frame.infinity == E1
         assert frame.unit == Point((1, 1, 0, 0))
+
+    def test_edge_lines_built_once_and_read_by_frames(self):
+        rng = seeded("tetrahedron-edge-lines")
+        vs = tuple(random_point(rng) for _ in range(4))
+        tet = Tetrahedron(vs, ONES)
+        for i, j in permutations(range(4), 2):
+            line = tet.edge_line(i, j)
+            assert line == line_through(vs[i], vs[j])
+            assert tet.edge_line(i, j) is line
+            assert tet.edge_frame(i, j).line() == line
 
     def test_edge_frame_reversed_orientation(self):
         tet = standard_tetrahedron()

@@ -285,8 +285,15 @@ class TestConstructTestPoint:
             construct_test_point(pts, col, trace=trace, figure=figure)
             traces.append(trace)
         zero_entry, full = traces
+        # on edge 1-0 the first meet-point is the frame's infinity, vertex 0,
+        # so its inversion starts with join(infinity, b): the inversion
+        # scaffold's own join, which the trace records once
+        frame = figure.tetrahedron.edge_frame(1, 0)
+        assert zero_entry.steps[2].output == frame.infinity
+        assert zero_entry.steps[3].inputs == [frame.infinity, frame.scaffold.a]
+        assert [s.inputs for s in zero_entry.steps].count(zero_entry.steps[3].inputs) == 1
         # a von Staudt product records 5 joins and 4 meets
-        assert len(full.steps) - len(zero_entry.steps) == 9
+        assert len(full.steps) - len(zero_entry.steps) == 9 + 1
         first_recovery_plane = zero_entry.steps[-5]
         assert first_recovery_plane.op == "join" and first_recovery_plane.inputs[0] == pts[7]
         for trace in traces:

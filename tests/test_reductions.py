@@ -1275,3 +1275,52 @@ class TestPlaneFirstScan:
             calls["on_a_line"] = calls["genericity_violation"] = 0
             assert decide(points).branch == "generic"
             assert calls == {"on_a_line": 0, "genericity_violation": 1}, calls
+
+    def test_generic_reads_each_triple_once(self, monkeypatch):
+        """The four-collinear exit reads the 120 triples once; the triple
+        list of the three-lines and two-lines exits and the genericity
+        check on the relabeled view answer from that scan, so only the two
+        triples of skew-line discovery are read besides."""
+        fixtures_ = [fixtures.generate_branch("generic", seed) for seed in self.SEEDS]
+        reads = []
+        collinear = IncidenceTable.collinear
+        monkeypatch.setattr(
+            IncidenceTable,
+            "collinear",
+            lambda table, *t: reads.append(t) or collinear(table, *t),
+        )
+        for points in fixtures_:
+            reads.clear()
+            assert decide(points).branch == "generic"
+            assert len(reads) == 122
+            assert reads[:120] == list(combinations(range(10), 3))
+
+    def test_views_list_triples_from_the_shared_scan(self):
+        rng = seeded("views-share-triples")
+        listed = 0
+        for kind in ("three-lines-grassmann", "two-lines-grassmann", "plane-line-case", "generic"):
+            for seed in self.SEEDS:
+                points = fixtures.generate_branch(kind, seed)
+                perm = list(range(10))
+                rng.shuffle(perm)
+                table = IncidenceTable(points)
+                assert table.first_collinear_four() is None
+                view = table.relabeled(Labeling(tuple(perm)))
+                fresh = IncidenceTable([points[i] for i in perm])
+                assert view.collinear_triples() == fresh.collinear_triples()
+                assert view.first_collinear_four() is None
+                listed += len(view.collinear_triples())
+        assert listed >= (3 + 2 + 2) * len(self.SEEDS)
+
+    def test_four_collinear_exit_stops_at_the_first_hit(self, monkeypatch):
+        """On special input the scan stays lazy: it reads triples only up to
+        the first collinear four and lists none."""
+        fixtures_ = [fixtures.generate_branch("four-collinear", seed) for seed in self.SEEDS]
+        listed = []
+        monkeypatch.setattr(IncidenceTable, "collinear_triples", lambda table: listed.append(table))
+        computed = _dependence_counter(monkeypatch)
+        for points in fixtures_:
+            computed[3] = computed[4] = 0
+            assert decide(points).branch == "four-collinear"
+            assert computed[3] < 120, computed
+        assert listed == []

@@ -191,7 +191,7 @@ class TestDecisionDigest:
         assert result.stdout.splitlines() == [
             "decisions ee55ae3abbd4d8c2cd3a73f2505885b83e0f19b78d28dd997f80a8104c65f57c"
             " 31 configurations",
-            "traces e639dbe8793a052f8fd5cfe2a90ac2675f41ea716aacf5d371a8c824ae376a86",
+            "traces f592d8362e52db451d1045fd3403e149616be6376c952b4b77d5d1a5e92177c1",
         ]
 
     def test_pinned_fixture_digest(self):
@@ -205,5 +205,5 @@ class TestDecisionDigest:
         assert result.stdout.splitlines() == [
             "decisions 37257a32c4d00ada16989d6c8beec185ae9c7217d9ddfb4c7f9b188365a55f83"
             " 88 configurations",
-            "traces 5ad2cfeffe54c12e1b2ab366c5eed478078bfc95cffecacd052ee059ef8f061d",
+            "traces 8746dee5708e6e4ddb0331a9448b16ca3399824c0d59d76d884a7675c2154298",
         ]
