@@ -5,10 +5,12 @@ replayable ConstructionTrace of `join` and `meet` steps.
 
 All constructions use only lines through two known points, planes through
 three known points, and their intersections; intersections of coplanar
-lines are realized as meet(l1, join(l2, w)) for a deterministic witness w
-off their common plane.  No step computes a local parameter as a number:
-a product with the frame's zero or infinity as a factor is decided by
-incidence, and records no step, since its output is that zero or infinity.
+lines are realized as meet(l1, join(l2, E_k)) for the first basis point
+E_k off their common plane in the fixed order E3, E2, E1, E0, each tried
+by one generated kernel on the two lines' coefficients.  No step computes
+a local parameter as a number: a product with the frame's zero or infinity
+as a factor is decided by incidence, and records no step, since its output
+is that zero or infinity.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ from functools import cached_property
 
 from .extensors import (
     _JOIN_KERNELS,
-    _MEET_KERNELS,
+    _WITNESS_MEETS,
     Extensor,
     as_point,
     contains_point,
     join,
     line_through,
     meet,
-    plane_form,
     plane_through,
 )
 from .projective import (
@@ -178,64 +179,35 @@ def _record(trace, op, inputs, output):
 # coplanar line intersection
 
 
-class WitnessPlanes:
-    """The planes join(l, E_k) that `line_meet_line` tries for its second
-    line l, for k in `order`, each built on first use.  A figure that meets
-    many lines with one fixed line keeps one of these for it, ordered so
-    that the basis points off the figure's plane come first; a replay keeps
-    one per second line of its meets.  A witness that hits after another
-    missed moves to the front of `order`, so the next meet tries it first."""
-
-    __slots__ = ("line", "order", "_planes")
-
-    def __init__(self, line: Extensor, order=(0, 1, 2, 3)):
-        self.line = line
-        self.order = order
-        self._planes = [None, None, None, None]
-
-    def __getitem__(self, k) -> Extensor:
-        plane = self._planes[k]
-        if plane is None:
-            plane = self._planes[k] = join(self.line, STANDARD_BASIS[k])
-        return plane
-
-
-# The scalar join of two lines and the meet of a line with a plane, run on
-# coefficient tuples: line_meet_line makes no Extensor of either.
+# The scalar join of two lines, run on coefficient tuples: the skew test of
+# line_meet_line makes no Extensor.
 _join_lines = _JOIN_KERNELS[2, 2]
-_meet_line_plane = _MEET_KERNELS[2, 3]
 
 
-def line_meet_line(l1: Extensor, l2: Extensor, witness_planes=None) -> Point:
+def line_meet_line(l1: Extensor, l2: Extensor) -> Point:
     """Intersection point of two distinct coplanar lines in P^3.
 
     The meet of coplanar lines degenerates (their supports do not span), so
-    the point is computed as meet(l1, join(l2, w)) for the first witness w
-    off the common plane.  Distinct coplanar lines span a single plane,
-    which misses one of E0..E3; only coincident lines leave every hit zero.
-    `witness_planes` are the WitnessPlanes of l2 when the caller keeps them,
-    with the order they try; they are built here, in ascending order, when
-    not given.  Every nonzero hit is the same point, made canonical once,
-    so the order changes only how many meets are spent.  The skew test and
-    the hits run the join and meet kernels on the coefficients.  Raises
-    SkewLines when the lines do not meet.
+    the point is computed as meet(l1, join(l2, E_k)) for the first basis
+    point E_k off the common plane, in the order E3, E2, E1, E0.  Distinct
+    coplanar lines span a single plane, which misses one of E0..E3; only
+    coincident lines leave every hit zero.  Every nonzero hit is the same
+    point, made canonical once, so the order changes only how many kernels
+    run.  Raises SkewLines when the lines do not meet.
     """
     if l1.grade != 2 or l2.grade != 2:
         raise ValueError("line_meet_line needs two lines")
-    c1 = l1.coeffs
-    if _join_lines(c1, l2.coeffs)[0]:
+    c1, c2 = l1.coeffs, l2.coeffs
+    if _join_lines(c1, c2)[0]:
         raise SkewLines("the lines are skew; they do not meet")
-    if witness_planes is None:
-        witness_planes = WitnessPlanes(l2)
-    elif witness_planes.line is not l2 and witness_planes.line != l2:
-        raise ValueError("the witness planes belong to another line")
-    order = witness_planes.order
-    for k in order:
+    # A von Staudt figure on a frame lies in the plane through the frame's
+    # line and its auxiliary direction E_aux, which holds E_aux and every
+    # E_m with m < aux (those lie on the line), so E3 first hits at once
+    # unless that plane holds it too.
+    for k in (3, 2, 1, 0):
         # hit is nonzero exactly when E_k is off the common plane
-        hit = _meet_line_plane(c1, witness_planes[k].coeffs)
+        hit = _WITNESS_MEETS[k](c1, c2)
         if any(hit):
-            if k != order[0]:
-                witness_planes.order = (k, *(j for j in order if j != k))
             return _trusted_point(hit)
     raise ValueError("the lines coincide")
 
@@ -250,14 +222,11 @@ class LineFrame:
 
     A frame memoizes, each on first read, what every construction on it
     shares: the index k of its auxiliary direction E_k (`aux_index`, the
-    first basis point off its line), its line, the witness planes
-    `line_meet_line` tries against that line (`line_planes`), and the
-    scaffold of its von Staudt product and inverse (`scaffold`): the
-    auxiliaries that `choose_auxiliaries` picks for it and the parts of
-    both figures that do not depend on the input point.  Every line of
-    those figures lies in the plane through the line and E_k, where a
-    witness always hits zero, so their witness planes try the basis points
-    off that plane first (`line_planes.order`).
+    first basis point off its line), its line, and the scaffold of its von
+    Staudt product and inverse (`scaffold`): the auxiliaries that
+    `choose_auxiliaries` picks for it and the parts of both figures that do
+    not depend on the input point.  Every line of those figures lies in
+    the plane through the line and E_k.
     """
 
     zero: Point
@@ -279,14 +248,8 @@ class LineFrame:
         )
 
     @cached_property
-    def line_planes(self) -> WitnessPlanes:
-        line = line_through(self.zero, self.infinity)
-        form = plane_form(join(line, STANDARD_BASIS[self.aux_index]))
-        # the basis points off the plane through the line and E_k first
-        return WitnessPlanes(line, tuple(sorted(range(4), key=lambda k: form[k] == 0)))
-
     def line(self) -> Extensor:
-        return self.line_planes.line
+        return line_through(self.zero, self.infinity)
 
     @cached_property
     def scaffold(self) -> Scaffold:
@@ -301,32 +264,27 @@ class Scaffold:
     - `product`: a·unit, p1' = (a·unit) ∩ L', and a·infinity;
     - `inverse`: unit·a, c2 = (unit·a) ∩ L', and infinity·a;
 
-    each built on first read, with the witness planes of the fixed lines L',
-    a·infinity and infinity·a that `line_meet_line` tries, in the order of
-    the frame's `line_planes`.
+    each built on first read.
     """
 
     def __init__(self, frame: LineFrame, a: Point, lprime: Extensor):
         self.frame = frame
         self.a = a
         self.lprime = lprime
-        self.lprime_planes = WitnessPlanes(lprime, frame.line_planes.order)
 
     @cached_property
     def product(self):
-        """(a·unit, p1', a·infinity, witness planes of a·infinity)."""
+        """(a·unit, p1', a·infinity)."""
         la1 = line_through(self.a, self.frame.unit)
-        p1p = line_meet_line(la1, self.lprime, witness_planes=self.lprime_planes)
-        linf = line_through(self.a, self.frame.infinity)
-        return la1, p1p, linf, WitnessPlanes(linf, self.frame.line_planes.order)
+        p1p = line_meet_line(la1, self.lprime)
+        return la1, p1p, line_through(self.a, self.frame.infinity)
 
     @cached_property
     def inverse(self):
-        """(unit·a, c2, infinity·a, witness planes of infinity·a)."""
+        """(unit·a, c2, infinity·a)."""
         l1b = line_through(self.frame.unit, self.a)
-        c2 = line_meet_line(l1b, self.lprime, witness_planes=self.lprime_planes)
-        linfb = line_through(self.frame.infinity, self.a)
-        return l1b, c2, linfb, WitnessPlanes(linfb, self.frame.line_planes.order)
+        c2 = line_meet_line(l1b, self.lprime)
+        return l1b, c2, line_through(self.frame.infinity, self.a)
 
 
 @dataclass(frozen=True)
@@ -366,9 +324,7 @@ class Tetrahedron:
         out by the plane through the other two vertices and the unit."""
         frame = self._frames.get((i, j))
         if frame is None:
-            k, l = (m for m in range(4) if m not in (i, j))
-            plane = plane_through(self.vertices[k], self.vertices[l], self.unit)
-            unit_ij = as_point(meet(self.edge_line(i, j), plane))
+            unit_ij = project_to_edge(self, i, j, self.unit)
             frame = self._frames[i, j] = LineFrame(self.vertices[i], self.vertices[j], unit_ij)
         return frame
 
@@ -392,7 +348,10 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
     indices j in ascending order; each must lie on its edge and differ from
     the infinity vertex j.  The point is the meet of the three planes
     spanned by each projection and its opposite edge: the first two meet
-    in a line, which meets the third.
+    in a line, which meets the third.  The point must lie off the three
+    opposite edges (OnOppositeEdge): a point off the edge kl opposite ij
+    spans with kl the recovery plane of ij, which meets the edge ij at the
+    given projection, so the point reprojects onto all three.
     """
     others = [j for j in range(4) if j != i]
     projections = list(projections)
@@ -415,9 +374,10 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
     result = as_point(hit)
     _record(trace, "meet", planes[:2], cut)
     _record(trace, "meet", [cut, planes[2]], result)
-    for j, proj in zip(others, projections):
-        if project_to_edge(tet, i, j, result) != proj:
-            raise InconsistentProjections("recovered point does not reproject")
+    for j in others:
+        k, l = (m for m in range(4) if m not in (i, j))
+        if contains_point(tet.edge_line(k, l), result):
+            raise OnOppositeEdge(f"{result} lies on the opposite edge {k}{l}")
     return result
 
 
@@ -437,7 +397,7 @@ def choose_auxiliaries(frame: LineFrame):
     u = STANDARD_BASIS[frame.aux_index].coords
     lprime = line_through(frame.zero, Point(tuple(iv + uv for iv, uv in zip(i, u))))
     a = Point(tuple(zv + 2 * iv + uv for zv, iv, uv in zip(z, i, u)))
-    if contains_point(frame.line(), a) or contains_point(lprime, a):
+    if contains_point(frame.line, a) or contains_point(lprime, a):
         raise GeometryError("the auxiliary point lies on the frame's line or on L'")
     return a, lprime
 
@@ -447,7 +407,7 @@ def choose_auxiliaries(frame: LineFrame):
 
 
 def _require_on_line(frame: LineFrame, p: Point):
-    if not contains_point(frame.line(), p):
+    if not contains_point(frame.line, p):
         raise ValueError(f"{p} is not on the frame's line")
 
 
@@ -477,26 +437,26 @@ def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None) -> Po
         return result
     scaffold = frame.scaffold
     a, lprime = scaffold.a, scaffold.lprime
-    la1, p1p, linf, linf_planes = scaffold.product
-    line = frame.line()
+    la1, p1p, linf = scaffold.product
+    line = frame.line
 
     _record(trace, "join", [a, frame.unit], la1)
     _record(trace, "meet", [la1, lprime], p1p)
 
     lay = line_through(a, py)
     _record(trace, "join", [a, py], lay)
-    pyp = line_meet_line(lay, lprime, witness_planes=scaffold.lprime_planes)
+    pyp = line_meet_line(lay, lprime)
     _record(trace, "meet", [lay, lprime], pyp)
 
     lx = line_through(p1p, px)
     _record(trace, "join", [p1p, px], lx)
     _record(trace, "join", [a, frame.infinity], linf)
-    b = line_meet_line(lx, linf, witness_planes=linf_planes)
+    b = line_meet_line(lx, linf)
     _record(trace, "meet", [lx, linf], b)
 
     lback = line_through(b, pyp)
     _record(trace, "join", [b, pyp], lback)
-    result = line_meet_line(lback, line, witness_planes=frame.line_planes)
+    result = line_meet_line(lback, line)
     _record(trace, "meet", [lback, line], result)
     return result
 
@@ -512,18 +472,18 @@ def von_staudt_inverse(frame: LineFrame, px: Point, trace=None) -> Point:
     _require_on_line(frame, px)
     scaffold = frame.scaffold
     b, lprime = scaffold.a, scaffold.lprime
-    l1b, c2, linfb, linfb_planes = scaffold.inverse
-    line = frame.line()
+    l1b, c2, linfb = scaffold.inverse
+    line = frame.line
 
     lxb = line_through(px, b)
     _record(trace, "join", [px, b], lxb)
-    c1 = line_meet_line(lxb, lprime, witness_planes=scaffold.lprime_planes)
+    c1 = line_meet_line(lxb, lprime)
     _record(trace, "meet", [lxb, lprime], c1)
 
     l_c11 = line_through(c1, frame.unit)
     _record(trace, "join", [c1, frame.unit], l_c11)
     _record(trace, "join", [frame.infinity, b], linfb)
-    a = line_meet_line(l_c11, linfb, witness_planes=linfb_planes)
+    a = line_meet_line(l_c11, linfb)
     _record(trace, "meet", [l_c11, linfb], a)
 
     _record(trace, "join", [frame.unit, b], l1b)
@@ -531,7 +491,7 @@ def von_staudt_inverse(frame: LineFrame, px: Point, trace=None) -> Point:
 
     lfinal = line_through(c2, a)
     _record(trace, "join", [c2, a], lfinal)
-    result = line_meet_line(lfinal, line, witness_planes=frame.line_planes)
+    result = line_meet_line(lfinal, line)
     _record(trace, "meet", [lfinal, line], result)
     return result
 
@@ -565,7 +525,7 @@ def local_param_point(
 # trace replay
 
 
-def _execute_step(op, inputs, witnesses):
+def _execute_step(op, inputs):
     if op == "join":
         if len(inputs) not in (2, 3):
             raise ValueError(f"a join step takes 2 or 3 inputs, not {len(inputs)}")
@@ -579,7 +539,7 @@ def _execute_step(op, inputs, witnesses):
         a, b = inputs
         if a.grade == 2 and b.grade == 2:
             try:
-                return line_meet_line(a, b, witness_planes=witnesses.of(b))
+                return line_meet_line(a, b)
             except SkewLines:
                 pass
         hit = meet(a, b)
@@ -587,34 +547,11 @@ def _execute_step(op, inputs, witnesses):
     raise ValueError(f"unknown trace op {op!r}")
 
 
-class _ReplayWitnesses:
-    """A replay's one WitnessPlanes per second line of its meet steps, built
-    the first time a meet step takes the line as its second input.  A new
-    line's planes start in the order of the last line met: the lines of
-    one von Staudt figure lie in one plane, so a witness that hits for one
-    of them hits for the next."""
-
-    __slots__ = ("planes", "last")
-
-    def __init__(self):
-        self.planes = {}
-        self.last = None
-
-    def of(self, line) -> WitnessPlanes:
-        planes = self.planes.get(line)
-        if planes is None:
-            order = (0, 1, 2, 3) if self.last is None else self.last.order
-            planes = self.planes[line] = WitnessPlanes(line, order)
-        self.last = planes
-        return planes
-
-
 def replay_trace(trace: ConstructionTrace):
     """Re-execute every step, each a `join` of 2 or 3 values or a `meet`
-    of 2; returns the list of recomputed outputs.  The meet steps of
-    coplanar lines share one WitnessPlanes per second line."""
-    witnesses = _ReplayWitnesses()
-    return [_execute_step(step.op, step.inputs, witnesses) for step in trace.steps]
+    of 2; returns the list of recomputed outputs.  A meet of two coplanar
+    lines runs `line_meet_line`, like the construction that recorded it."""
+    return [_execute_step(step.op, step.inputs) for step in trace.steps]
 
 
 def verify_replay(trace: ConstructionTrace) -> bool:

@@ -10,7 +10,9 @@ lexicographically sorted subsets of {0,1,2,3}, and the grade-4 extensor
 e0e1e2e3 is identified with the scalar 1.  The sign of every basis product
 is computed once, at import, into one table per pair of grades, and from
 those tables import generates one straight-line function per pair of
-grades, which join and meet run.  Coefficients are always ints: points
+grades, which join and meet run, and four more, `_WITNESS_MEETS[k]`, that
+compute meet(l1, join(l2, E_k)) for two lines and a basis point E_k in one
+step, for meeting coplanar lines.  Coefficients are always ints: points
 have canonical integer coordinates, the kernels only add and multiply, and
 Extensor(...) refuses any other type.
 """
@@ -104,6 +106,27 @@ def _kernels(kind, tables, out_grade):
 
 _JOIN_KERNELS = _kernels("join", _JOIN, lambda j, k: j + k)
 _MEET_KERNELS = _kernels("meet", _MEET, lambda j, k: j + k - 4)
+
+
+def _witness_table(k):
+    """Structure constants of meet(l1, join(l2, E_k)) on the coefficients of
+    two lines: the E_k-slice of _JOIN[2, 1] makes each coefficient of the
+    plane join(l2, E_k) one signed coefficient of l2 or zero, and putting
+    those into _MEET[2, 3] leaves 9 of its 12 products."""
+    plane = {io: (il, sign) for il, ip, io, sign in _JOIN[2, 1] if ip == k}
+    return tuple(
+        (ia, plane[ib][0], io, sign * plane[ib][1])
+        for ia, ib, io, sign in _MEET[2, 3]
+        if ib in plane
+    )
+
+
+# _WITNESS_MEETS[k] computes meet(l1, join(l2, E_k)) from the coefficients
+# of the lines l1 and l2, for k = 0..3.
+_WITNESS_MEETS = tuple(
+    _kernels(f"witness{k}", {(2, 2): _witness_table(k)}, lambda j, l: 1)[2, 2]
+    for k in range(4)
+)
 
 
 class GradeOverflow(GeometryError):

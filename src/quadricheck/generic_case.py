@@ -180,7 +180,7 @@ def construct_test_point(points, col, trace=None, figure=None) -> Point:
     for j in (jj for jj in range(4) if jj != chart):
         frame = tet.edge_frame(chart, j)
         d, e = tet.vertices[chart], tet.vertices[j]
-        edge = frame.line()
+        edge = frame.line
         px = local_param_point(d, e, *a_pts, trace=trace, line=edge, plane=plane_a)
         qx = von_staudt_inverse(frame, px, trace=trace)
         py = local_param_point(d, e, *b_pts, trace=trace, line=edge, plane=plane_b)

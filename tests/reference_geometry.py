@@ -83,7 +83,7 @@ def other_auxiliaries(frame):
     u = STANDARD_BASIS[frame.aux_index].coords
     lprime = line_through(frame.zero, Point(tuple(iv + 2 * uv for iv, uv in zip(i, u))))
     a = Point(tuple(zv + 3 * iv + uv for zv, iv, uv in zip(z, i, u)))
-    assert not contains_point(frame.line(), a) and not contains_point(lprime, a)
+    assert not contains_point(frame.line, a) and not contains_point(lprime, a)
     return a, lprime
 
 

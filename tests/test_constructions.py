@@ -23,7 +23,6 @@ from quadricheck.constructions import (
     OutsideChart,
     SkewLines,
     Tetrahedron,
-    WitnessPlanes,
     choose_auxiliaries,
     line_meet_line,
     local_param_point,
@@ -114,6 +113,31 @@ def coplanar_line_pairs(rng, count):
         yield line_through(p, q), line_through(r, s)
 
 
+def count_witness_kernels(monkeypatch):
+    """The returned list gets one entry per line_meet_line call, wherever
+    made: the number of witness kernels the call runs."""
+    per_call = []
+    real_line_meet_line = constructions.line_meet_line
+
+    def counting_line_meet_line(l1, l2):
+        per_call.append(0)
+        return real_line_meet_line(l1, l2)
+
+    def counting(kernel):
+        def run(c1, c2):
+            per_call[-1] += 1
+            return kernel(c1, c2)
+
+        return run
+
+    monkeypatch.setattr(constructions, "line_meet_line", counting_line_meet_line)
+    monkeypatch.setattr(reductions, "line_meet_line", counting_line_meet_line)
+    monkeypatch.setattr(
+        constructions, "_WITNESS_MEETS", tuple(counting(k) for k in constructions._WITNESS_MEETS)
+    )
+    return per_call
+
+
 class TestLineMeetLine:
     def test_concurrent_lines(self):
         l1 = line_through(E0, E1)
@@ -141,10 +165,6 @@ class TestLineMeetLine:
             hits = (meet(l1, join(l2, w)) for w in (E0, E1, E2, E3))
             want = as_point(next(hit for hit in hits if not hit.is_zero()))
             assert line_meet_line(l1, l2) == want
-            # planes kept for an equal copy of l2 serve it too
-            copy = Extensor(2, l2.coeffs)
-            assert copy is not l2
-            assert line_meet_line(l1, l2, witness_planes=WitnessPlanes(copy)) == want
 
 
 class TestProjection:
@@ -248,7 +268,7 @@ class TestRecovery:
 class TestChooseAuxiliaries:
     def test_postconditions(self):
         a, lprime = choose_auxiliaries(X_AXIS_FRAME)
-        assert not contains_point(X_AXIS_FRAME.line(), a)
+        assert not contains_point(X_AXIS_FRAME.line, a)
         assert contains_point(lprime, X_AXIS_FRAME.zero)
         assert not contains_point(lprime, a)
 
@@ -407,38 +427,19 @@ class TestTraceReplay:
         assert outputs == [s.output for s in trace.steps]
 
     def test_replay_meets_coplanar_lines_about_once(self, monkeypatch):
-        """A replay keeps one WitnessPlanes per second line of its meet
-        steps, so a line's first meet may miss, and later ones do not."""
-        traces = []
+        """Every line_meet_line of a generic decision and of its replay runs
+        exactly one witness kernel: E3, the first one tried, is off the
+        plane of every figure."""
+        per_call = count_witness_kernels(monkeypatch)
         for seed in (1, 2):
             decision = reductions.decide(fixtures.generate_branch("generic", seed), with_trace=True)
-            traces.append(ConstructionTrace.from_json(json.loads(json.dumps(decision.trace.to_json()))))
-        spent = []  # (witness planes, meets) of each line_meet_line call
-        real_line_meet_line, real_meet = constructions.line_meet_line, constructions._meet_line_plane
-
-        def counting_line_meet_line(*args, witness_planes=None):
-            spent.append([witness_planes, 0])
-            try:
-                return real_line_meet_line(*args, witness_planes=witness_planes)
-            finally:
-                spent.append(None)
-
-        def counting_meet(a, b):
-            if spent and spent[-1] is not None:
-                spent[-1][1] += 1
-            return real_meet(a, b)
-
-        monkeypatch.setattr(constructions, "line_meet_line", counting_line_meet_line)
-        monkeypatch.setattr(constructions, "_meet_line_plane", counting_meet)
-        assert all(verify_replay(trace) for trace in traces)
-        calls = [call for call in spent if call is not None]
-        assert len(calls) > 200
-        # a set of witness planes misses only on its first meet
-        seen = set()  # ids of planes that `spent` keeps alive
-        for planes, n in calls:
-            assert id(planes) not in seen or n == 1
-            seen.add(id(planes))
-        assert sum(n for _, n in calls) <= 1.1 * len(calls)
+            assert decision.branch == "generic"
+            assert len(per_call) > 100 and per_call == [1] * len(per_call)
+            trace = ConstructionTrace.from_json(json.loads(json.dumps(decision.trace.to_json())))
+            per_call.clear()
+            assert verify_replay(trace)
+            assert len(per_call) > 100 and per_call == [1] * len(per_call)
+            per_call.clear()
 
     def test_projection_and_recover_trace(self):
         trace = ConstructionTrace()
@@ -637,55 +638,11 @@ class TestTraceDedup:
         assert trace.to_json() == payload
 
 
-class TestWitnessPlanes:
-    def test_kept_planes_give_the_same_point(self):
-        rng = seeded("witness-planes")
-        for l1, l2 in coplanar_line_pairs(rng, 25):
-            planes = WitnessPlanes(l2)
-            got = line_meet_line(l1, l2, witness_planes=planes)
-            assert got == line_meet_line(l1, l2)
-            # planes that an earlier meet built serve the next one
-            assert line_meet_line(l1, l2, witness_planes=planes) == got
-
-    def test_planes_are_built_on_first_use(self):
-        planes = WitnessPlanes(line_through(E0, E1))
-        # the common plane E0E1E3 holds E0 and E1, so E2 is the first
-        # witness off it and the plane through E3 is never needed
-        assert line_meet_line(line_through(E0, E3), planes.line, witness_planes=planes) == E0
-        assert planes._planes[3] is None
-        assert [planes[k] for k in range(4)] == [
-            join(join(E0, E1), w) for w in (E0, E1, E2, E3)
-        ]
-
-    def test_a_hit_after_a_miss_moves_first(self, monkeypatch):
-        meets = []
-        real_meet = constructions._meet_line_plane
-        monkeypatch.setattr(
-            constructions, "_meet_line_plane", lambda a, b: meets.append(b) or real_meet(a, b)
-        )
-        planes = WitnessPlanes(line_through(E0, E1))
-        # the common plane E0E1E2 holds E0, E1 and E2, so only E3 hits
-        assert line_meet_line(line_through(E0, E2), planes.line, witness_planes=planes) == E0
-        assert planes.order == (3, 0, 1, 2) and len(meets) == 4
-        # the next line of that plane spends one meet, on E3
-        hit = line_meet_line(line_through(E1, Point((1, 0, 1, 0))), planes.line, witness_planes=planes)
-        assert hit == E1 and meets[4:] == [planes[3].coeffs]
-        assert planes.order == (3, 0, 1, 2)
-
-    def test_planes_of_another_line_rejected(self):
-        with pytest.raises(ValueError, match="another line"):
-            line_meet_line(
-                line_through(E0, E2),
-                line_through(E0, E1),
-                witness_planes=WitnessPlanes(line_through(E0, E3)),
-            )
-
-
 class TestWitnessOrder:
     """Every line of a frame's von Staudt figures lies in the plane through
-    the frame's line and its auxiliary direction, so the frame's witness
-    planes try the basis points off that plane first and each
-    line_meet_line of a figure spends exactly one meet."""
+    the frame's line and its auxiliary direction E_aux, which also holds
+    every E_m with m < aux, so line_meet_line, trying E3, E2, E1, E0 in
+    turn, reaches the basis points off that plane before those in it."""
 
     def frames(self):
         rng = seeded("witness-order")
@@ -708,45 +665,38 @@ class TestWitnessOrder:
         for frame in self.frames():
             k = frame.aux_index
             assert rank_of_points((frame.zero, frame.infinity, basis[k])) == 3
-            assert all(contains_point(frame.line(), basis[m]) for m in range(k))
-            assert sorted(frame.line_planes.order) == [0, 1, 2, 3]
-            plane = join(join(frame.zero, frame.infinity), basis[k])
-            off = [m for m in frame.line_planes.order if not contains_point(plane, basis[m])]
-            assert list(frame.line_planes.order[: len(off)]) == off
+            assert all(contains_point(frame.line, basis[m]) for m in range(k))
+            plane = join(frame.line, basis[k])
+            off = [m for m in (3, 2, 1, 0) if not contains_point(plane, basis[m])]
+            assert off and all(m > k for m in off)
 
-    def test_one_meet_per_line_meet_line(self, monkeypatch):
-        spent = []  # meets of each line_meet_line call, in call order
-        real_line_meet_line, real_meet = constructions.line_meet_line, constructions._meet_line_plane
-
-        def counting_line_meet_line(*args, **kwargs):
-            spent.append(0)
-            try:
-                return real_line_meet_line(*args, **kwargs)
-            finally:
-                spent.append(None)
-
-        def counting_meet(a, b):
-            if spent and spent[-1] is not None:
-                spent[-1] += 1
-            return real_meet(a, b)
-
-        monkeypatch.setattr(constructions, "line_meet_line", counting_line_meet_line)
-        monkeypatch.setattr(constructions, "_meet_line_plane", counting_meet)
+    def test_kernel_calls_reach_the_first_witness_off_the_plane(self, monkeypatch):
+        """Each of the 8 line_meet_line calls of a fresh frame's product and
+        inverse runs one witness kernel per basis point it tries, up to the
+        first one off the frame plane in the order E3, E2, E1, E0."""
+        basis = (E0, E1, E2, E3)
+        per_call = count_witness_kernels(monkeypatch)
         rng = seeded("witness-order-meets")
+        kernels = []
         for shared in self.frames():
             # a fresh frame builds its scaffold, and with it p1' and c2, here
             frame = LineFrame(shared.zero, shared.infinity, shared.unit)
-            spent.clear()
+            plane = join(frame.line, basis[frame.aux_index])
+            tried = next(
+                n for n, m in enumerate((3, 2, 1, 0), 1) if not contains_point(plane, basis[m])
+            )
+            per_call.clear()
             x, y = (Fraction(rng.choice((-1, 1)) * rng.randint(2, 9), rng.randint(1, 9)) for _ in "xy")
             px, py = point_at_parameter(frame, x), point_at_parameter(frame, y)
             product = von_staudt_product(frame, px, py)
             inverse = von_staudt_inverse(frame, px)
             assert parameter_of(frame, product) == x * y
             assert parameter_of(frame, inverse) == 1 / x
-            meets = [n for n in spent if n is not None]
             # product: p1', py', b, result; inverse: c1, a, c2, result
-            assert len(meets) == 8
-            assert meets == [1] * 8
+            assert per_call == [tried] * 8
+            kernels.append(sum(per_call))
+        # the X-axis frame misses E3, the E2E3 frame holds E3 and E2
+        assert kernels[:3] == [8, 24, 8]
 
 
 class TestTetrahedron:
@@ -772,7 +722,7 @@ class TestTetrahedron:
             line = tet.edge_line(i, j)
             assert line == line_through(vs[i], vs[j])
             assert tet.edge_line(i, j) is line
-            assert tet.edge_frame(i, j).line() == line
+            assert tet.edge_frame(i, j).line == line
 
     def test_edge_frame_reversed_orientation(self):
         tet = standard_tetrahedron()

@@ -176,6 +176,26 @@ class TestAgainstDirectDefinitions:
                 want = [Point(v) for v in kernel_basis(reference_support_rows(e))]
                 assert support_basis(e) == want
 
+    def test_witness_meets_every_basis_point(self):
+        """_WITNESS_MEETS[k](l1, l2) is meet(l1, join(l2, E_k)), coefficient
+        by coefficient, for coplanar, skew and coincident lines."""
+        rng = seeded("reference-witness-meets")
+        pairs = []
+        for _ in range(20):
+            p, q, r, s = (random_point(rng) for _ in range(4))
+            line = join(p, q)
+            pairs.append((line, join(p, r)))  # coplanar: both through p
+            pairs.append((line, join(r, s)))  # skew unless the four are coplanar
+            pairs.append((line, scaled(join(q, p), rng.randint(2, 9))))  # coincident
+        pairs += [(join(E0, E1), join(E0, E2)), (join(E0, E1), join(E2, E3))]
+        for l1, l2 in pairs:
+            for k, e in enumerate((E0, E1, E2, E3)):
+                plane = Extensor(3, reference_join(l2, e))
+                want = reference_meet(l1, plane)
+                got = extensors._WITNESS_MEETS[k](l1.coeffs, l2.coeffs)
+                assert type(got) is tuple and same_coefficients(got, want)
+        assert len(extensors._WITNESS_MEETS) == 4
+
 
 class TestGeneratedKernels:
     """Each straight-line kernel generated at import equals the direct

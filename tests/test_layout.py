@@ -1,7 +1,8 @@
 """The package holds only what the program uses: every function, method,
 class, module-level constant and class attribute defined in src/quadricheck
-is referenced from src/, scripts/ or bench/, not only from the tests.  The
-package's __init__.py does not count: a re-export there is no caller."""
+is referenced from src/, scripts/ or bench/, not only from the tests, and
+every name a module imports is read in that module.  The package's
+__init__.py does not count: a re-export there is no caller."""
 
 import ast
 from pathlib import Path
@@ -108,6 +109,25 @@ def constructions_of(path, name):
     return list(walk(ast.parse(path.read_text(encoding="utf-8")), None))
 
 
+def unread_imports(path):
+    """(name, line) of every name a module imports and never reads; a
+    `from __future__` import binds no name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        (name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for name in (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        if name not in read
+    ]
+
+
 # The entries of a decision: each exit, skew-line discovery and relabeling
 # check reads the table these build, so none may build its own.
 TABLE_BUILDERS = {
@@ -172,6 +192,29 @@ class TestLayout:
         assert sorted(name for name, _ in defined_names(source)) == [
             "FIRST", "Holder", "LIMIT", "SECOND", "field", "method", "shared"
         ]
+
+    def test_every_import_in_src_is_read(self):
+        unread = [
+            f"{path.name}:{line} {name}"
+            for path in sorted((ROOT / "src" / "quadricheck").glob("*.py"))
+            if path.name != "__init__.py"
+            for name, line in unread_imports(path)
+        ]
+        assert unread == []
+
+    def test_unread_imports_are_found(self, tmp_path):
+        source = tmp_path / "module.py"
+        source.write_text(
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "import json as codec\n"
+            "from math import gcd, lcm\n"
+            "from itertools import chain as unused\n"
+            "def f(x: int) -> str:\n"
+            "    return os.path.join(codec.dumps(gcd(x, 2)))\n"
+            "lcm = 1\n"
+        )
+        assert unread_imports(source) == [("lcm", 4), ("unused", 5)]
 
     def test_incidence_tables_built_only_at_decision_entries(self):
         built = {
