@@ -37,7 +37,13 @@ def _combine(coeff_points):
     return Point(coords)
 
 
+# branch kind -> its validated generator, filled by `_validated`
+_GENERATORS = {}
+
+
 def _validated(kind):
+    """Register the decorated builder as the generator of `kind`."""
+
     def wrap(builder):
         def run(seed):
             for attempt in range(60):
@@ -57,6 +63,7 @@ def _validated(kind):
                 return points
             raise FixtureError(f"could not synthesize a {kind} fixture for seed {seed}")
 
+        _GENERATORS[kind] = run
         return run
 
     return wrap
@@ -196,26 +203,11 @@ def _gen_generic(rng):
     return sample_generic(f"gen:{rng.random()}", 10, bound=50)
 
 
-_BUILDERS = {
-    "duplicate": _gen_duplicate,
-    "four-collinear": _gen_four_collinear,
-    "six-on-conic": _gen_six_on_conic,
-    "three-lines-grassmann": _gen_three_lines,
-    "two-lines-coincident-transversals": _gen_coincident_transversals,
-    "plane-line-case": _gen_plane_line,
-    "two-lines-grassmann": _gen_two_lines_grassmann,
-    "coplanar": _gen_coplanar,
-    "two-planes": _gen_two_planes,
-    "plane-split": _gen_plane_split,
-    "generic": _gen_generic,
-}
-
-
 def generate_branch(kind, seed):
     """Points whose pipeline decision fires the named branch."""
-    if kind not in _BUILDERS:
+    if kind not in _GENERATORS:
         raise FixtureError(f"unknown branch kind {kind!r}")
-    return _BUILDERS[kind](seed)
+    return _GENERATORS[kind](seed)
 
 
 def mutate_duplicate(seed):

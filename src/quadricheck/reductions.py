@@ -5,9 +5,11 @@ collinear, six on a plane conic, nine points on three lines, six points on
 two lines), then finds three skew label-lines.  When the four leftover
 points are coplanar, it relabels them into general position by one skew
 swap, or by one split-skew and then one skew swap, unless their plane holds
-six of the points and the plane-split exit decides.  Every verdict is
-decided synthetically; YES verdicts carry a certificate quadric when one is
-naturally available.
+six of the points and the plane-split exit decides.  Each relabeling step is
+one function that returns the new labeling: `skew_swap` takes the first of
+its 18 role orders that applies, and `split_skew` the first of its two
+recombinations.  Every verdict is decided synthetically; YES verdicts carry
+a certificate quadric when one is naturally available.
 
 `normalize` builds one `IncidenceTable` of the points and hands it to every
 exit, to skew-line discovery and to the relabeling checks (through views of
@@ -42,10 +44,10 @@ from .extensors import (
     grassmann_criterion,
     join,
     line_through,
+    lines_skew,
     meet,
     plane_form,
     plane_through,
-    scalar_of,
 )
 from .projective import (
     STANDARD_BASIS,
@@ -216,7 +218,7 @@ def qd_two_lines(points, table):
                     _kernel_certificate(points),
                 )
         for u, v in combinations(rest, 2):
-            if scalar_of(join(trans[u], trans[v])) == 0:
+            if not lines_skew(trans[u], trans[v]):
                 r_pt = line_meet_line(trans[u], trans[v])
                 # skewness forces the meeting point onto one of the lines;
                 # the plane of a, b, r then contains the other line, and the
@@ -319,10 +321,20 @@ def find_three_skew(points, table):
 _ROLE_LINE_PAIRS = ((0, 1), (2, 3), (4, 5))
 
 
-def _role_line_meets(pts, plane: Extensor):
-    """The points where role lines 01, 23, 45 meet the plane, which must
-    hold roles 6..9.  Raises PreconditionViolated when the role lines are
-    not skew, a role of 6..9 is off the plane or a role line lies in it."""
+def skew_swap(points, labeling: Labeling, plane: Extensor) -> Labeling | None:
+    """The first skew swap that puts the plane-bound points in general
+    position, or None when none applies.
+
+    Role lines 01, 23, 45 must be skew, roles 6..9 must lie on the plane
+    and no role line may lie in it; each meets the plane at a point g.  A
+    swap takes one role line pq and splits 6..9 into ij | kl; it applies
+    when g_pq avoids line ij and the other two meets avoid line kl.  Then
+    kl becomes role line 01 and pq joins ij as the last four: the three
+    role lines stay skew and the new last four are in general position.
+    The orders are tried with pq over 01, 23, 45 and kl over the pairs of
+    6..9, both in lexicographic order.
+    """
+    pts = labeling.apply(points)
     for pair in ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5)):
         if bracket(*(pts[i] for i in pair)) == 0:
             raise PreconditionViolated("role lines 01, 23, 45 are not skew")
@@ -335,83 +347,62 @@ def _role_line_meets(pts, plane: Extensor):
         if hit.is_zero():
             raise PreconditionViolated(f"role line {a}{b} lies in the plane")
         meets.append(as_point(hit))
-    return meets
+    lines = {(i, j): line_through(pts[i], pts[j]) for i, j in combinations(range(6, 10), 2)}
+    for pq_idx in range(3):
+        others = [o for o in range(3) if o != pq_idx]
+        for kl in combinations(range(6, 10), 2):
+            ij = tuple(r for r in range(6, 10) if r not in kl)
+            if contains_point(lines[ij], meets[pq_idx]) or any(
+                contains_point(lines[kl], meets[o]) for o in others
+            ):
+                continue
+            pq = _ROLE_LINE_PAIRS[pq_idx]
+            o1, o2 = (_ROLE_LINE_PAIRS[o] for o in others)
+            swapped = Labeling(tuple(labeling.perm[r] for r in kl + o1 + o2 + ij + pq))
+            new_pts = swapped.apply(points)
+            for pair in ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5)):
+                if bracket(*(new_pts[i] for i in pair)) == 0:
+                    raise InternalInconsistency("skew swap produced non-skew lines")
+            if rank_of_points(new_pts[6:10]) != 4:
+                raise InternalInconsistency("skew swap left the four points coplanar")
+            return swapped
+    return None
 
 
-def skew_swap(points, labeling: Labeling, plane: Extensor) -> Labeling:
-    """Swap labels so the plane-bound points leave general position.
+def split_skew(points, labeling: Labeling, plane: Extensor, keep: int) -> Labeling:
+    """Recombine the two role lines other than role line `keep` (0, 1, 2
+    for 01, 23, 45) so their plane-meets move.
 
-    Role lines 01, 23, 45 must be skew; roles 6..9 lie on the plane; the
-    meet of line 01 with the plane must avoid line 67, and the meets of
-    lines 23 and 45 must avoid the opposite line 89.  Swapping role 0 with
-    8 and role 1 with 9 then yields skew lines 01, 23, 45 with the new
-    points 6..9 in general position.
+    Call the kept line ab and the other two cd and ef.  With ab, cd, ef
+    mutually skew, the plane meeting cd at g and ef at h, and none of c, d,
+    e, f on the plane, at least one of the recombinations (ab, ce, df) or
+    (ab, cf, de) is again mutually skew with both new plane-meets distinct
+    and off the line gh; the labeling of the first valid one (ce, df
+    preferred) is returned, with ce and df (or cf and de) on the roles of
+    cd and ef.  Why: [cedf] = -[cdef], so each new pair is skew.  Each
+    line of one pair shares one of c, d, e, f with each line of the other,
+    and ab, which passes through none of them, can meet two lines through
+    one point only inside their plane, which holds cd or ef; so ab meets a
+    line of at most one pair.  A new meet on gh would put c, g, e, h (say)
+    in one plane, and cd = cg and ef = eh with them.  When c lies on the
+    plane, c = g is a meet of both alternatives, so neither applies.
     """
     pts = labeling.apply(points)
-    meets = _role_line_meets(pts, plane)
-    if contains_point(line_through(pts[6], pts[7]), meets[0]):
-        raise PreconditionViolated("pq ∩ π lies on line ij")
-    if contains_point(line_through(pts[8], pts[9]), meets[1]):
-        raise PreconditionViolated("rs ∩ π lies on line kl")
-    if contains_point(line_through(pts[8], pts[9]), meets[2]):
-        raise PreconditionViolated("tu ∩ π lies on line kl")
-    perm = list(labeling.perm)
-    perm[0], perm[8] = perm[8], perm[0]
-    perm[1], perm[9] = perm[9], perm[1]
-    swapped = Labeling(tuple(perm))
-    new_pts = swapped.apply(points)
-    for pair in ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5)):
-        if bracket(*(new_pts[i] for i in pair)) == 0:
-            raise InternalInconsistency("skew swap produced non-skew lines")
-    if rank_of_points(new_pts[6:10]) != 4:
-        raise InternalInconsistency("skew swap left the four points coplanar")
-    return swapped
-
-
-CE_DF = "CE_DF"
-CF_DE = "CF_DE"
-
-
-def split_skew(ab: Extensor, cd, ef, plane: Extensor):
-    """Recombine two of three skew lines so their plane-meets move.
-
-    ab is a line; cd = (c, d) and ef = (e, f) are point pairs.  With the
-    lines ab, cd, ef mutually skew, the plane meeting cd at g and ef at h,
-    and none of c, d, e, f on the plane, at least one of the recombinations
-    (ab, ce, df) or (ab, cf, de) is again mutually skew with both new
-    plane-meets distinct and off the line gh; the first valid alternative
-    (CE_DF preferred) is returned together with the new meets.  Why:
-    [cedf] = -[cdef], so each new pair is skew.  Each line of one pair
-    shares one of c, d, e, f with each line of the other, and ab, which
-    passes through none of them, can meet two lines through one point only
-    inside their plane, which holds cd or ef; so ab meets a line of at most
-    one pair.  A new meet on gh would put c, g, e, h (say) in one plane,
-    and cd = cg and ef = eh with them.  When c lies on the plane, c = g is
-    a meet of both alternatives, so neither applies.
-    """
-    (c, d), (e, f) = cd, ef
-    cd_line, ef_line = line_through(c, d), line_through(e, f)
-    for u, v in ((ab, cd_line), (ab, ef_line), (cd_line, ef_line)):
-        if scalar_of(join(u, v)) == 0:
+    a, b = _ROLE_LINE_PAIRS[keep]
+    (c, d), (e, f) = (pair for pair in _ROLE_LINE_PAIRS if pair != (a, b))
+    ab, cd, ef = (line_through(pts[u], pts[v]) for u, v in ((a, b), (c, d), (e, f)))
+    for u, v in ((ab, cd), (ab, ef), (cd, ef)):
+        if not lines_skew(u, v):
             raise PreconditionViolated("the three lines must be mutually skew")
-    g_hit = meet(cd_line, plane)
-    h_hit = meet(ef_line, plane)
+    g_hit = meet(cd, plane)
+    h_hit = meet(ef, plane)
     if g_hit.is_zero() or h_hit.is_zero():
         raise PreconditionViolated("the plane must meet cd and ef in points")
-    g, h = as_point(g_hit), as_point(h_hit)
-    line_gh = line_through(g, h)
-    alternatives = (
-        (CE_DF, (c, e), (d, f)),
-        (CF_DE, (c, f), (d, e)),
-    )
-    for name, pair1, pair2 in alternatives:
-        l1 = line_through(*pair1)
-        l2 = line_through(*pair2)
-        if (
-            scalar_of(join(ab, l1)) == 0
-            or scalar_of(join(ab, l2)) == 0
-            or scalar_of(join(l1, l2)) == 0
-        ):
+    line_gh = line_through(as_point(g_hit), as_point(h_hit))
+    for pair1, pair2 in (((c, e), (d, f)), ((c, f), (d, e))):
+        l1 = line_through(*(pts[r] for r in pair1))
+        l2 = line_through(*(pts[r] for r in pair2))
+        if not (lines_skew(ab, l1) and lines_skew(ab, l2) and lines_skew(l1, l2)):
             continue
         gp_hit = meet(l1, plane)
         hp_hit = meet(l2, plane)
@@ -420,7 +411,9 @@ def split_skew(ab: Extensor, cd, ef, plane: Extensor):
         gp, hp = as_point(gp_hit), as_point(hp_hit)
         if gp == hp or contains_point(line_gh, gp) or contains_point(line_gh, hp):
             continue
-        return name, gp, hp
+        perm = list(labeling.perm)
+        perm[c], perm[d], perm[e], perm[f] = (labeling.perm[r] for r in pair1 + pair2)
+        return Labeling(tuple(perm))
     raise InternalInconsistency("both split-skew alternatives failed")
 
 
@@ -445,57 +438,6 @@ def _plane_split_decision(points, table, plane: Extensor) -> Decision:
             second = form
         cert = PlanePair((form, second))
     return Decision(on, "plane-split", None, cert)
-
-
-def _find_valid_swap(points, labeling: Labeling, plane: Extensor):
-    """First skew-swap whose hypotheses hold, in lexicographic order over
-    (line playing pq, vertex pair swapped in); None when none applies.
-
-    The role lines' meets with the plane do not depend on the role order,
-    so they are computed once; each order asks only the containments of
-    `skew_swap` (g_pq off line ij, the other two meets off line kl), and
-    `skew_swap` runs, with its guards, on the first order that passes.
-    """
-    pts = labeling.apply(points)
-    try:
-        meets = _role_line_meets(pts, plane)
-    except PreconditionViolated:
-        return None
-    lines = {
-        pair: line_through(pts[pair[0]], pts[pair[1]]) for pair in combinations((6, 7, 8, 9), 2)
-    }
-    for pq_idx in range(3):
-        others = [o for o in range(3) if o != pq_idx]
-        for kl in combinations((6, 7, 8, 9), 2):
-            ij = tuple(r for r in (6, 7, 8, 9) if r not in kl)
-            if contains_point(lines[ij], meets[pq_idx]) or any(
-                contains_point(lines[kl], meets[o]) for o in others
-            ):
-                continue
-            role_order = (
-                _ROLE_LINE_PAIRS[pq_idx]
-                + _ROLE_LINE_PAIRS[others[0]]
-                + _ROLE_LINE_PAIRS[others[1]]
-                + ij
-                + kl
-            )
-            return skew_swap(points, Labeling(tuple(labeling.perm[r] for r in role_order)), plane)
-    return None
-
-
-def _apply_split(points, labeling: Labeling, plane: Extensor, keep: int) -> Labeling:
-    """Recombine by `split_skew` the two role lines other than role line
-    `keep` (0, 1, 2 for 01, 23, 45)."""
-    pts = labeling.apply(points)
-    a, b = _ROLE_LINE_PAIRS[keep]
-    (c, d), (e, f) = (pair for pair in _ROLE_LINE_PAIRS if pair != (a, b))
-    alt, _, _ = split_skew(line_through(pts[a], pts[b]), (pts[c], pts[d]), (pts[e], pts[f]), plane)
-    perm = list(labeling.perm)
-    if alt == CE_DF:
-        perm[d], perm[e] = perm[e], perm[d]
-    else:
-        perm[d], perm[e], perm[f] = perm[f], perm[d], perm[e]
-    return Labeling(tuple(perm))
 
 
 def _plane_of_last_four(pts, table):
@@ -544,9 +486,13 @@ def _ensure_general_position(points, table, labeling: Labeling):
     old meets.  In (a) that line holds the two diagonal points other than
     the kept meet, and in (b) it is m.  The last four keep their roles, so
     π and its quadrangle stay; neither case holds afterwards, and one swap
-    succeeds.  What is left to fail is the lemma of `split_skew` or of
-    `skew_swap`, each guarded by `InternalInconsistency`; `decide_generic`
-    validates the labeling returned.
+    succeeds.  The `PreconditionViolated` guards of both steps hold here:
+    the role lines are skew, by discovery and then by the split-skew lemma,
+    π is the plane of the last four, and no role line lies in π, since a
+    role line with both points on π takes the plane-split exit first.  What
+    is left to fail is the lemma of `split_skew` or of `skew_swap`, each
+    guarded by `InternalInconsistency`; `decide_generic` validates the
+    labeling returned.
     """
     view = table.relabeled(labeling)
     if not view.bracket_vanishes(6, 7, 8, 9):
@@ -557,13 +503,13 @@ def _ensure_general_position(points, table, labeling: Labeling):
     on_plane = [r // 2 for r in range(6) if contains_point(plane, pts[r])]
     if len(set(on_plane)) < len(on_plane):
         return _plane_split_decision(points, table, plane)
-    swap = _find_valid_swap(points, labeling, plane)
+    swap = skew_swap(points, labeling, plane)
     if swap is not None:
         return swap
     if len(on_plane) > 1:
         return _plane_split_decision(points, table, plane)
-    split = _apply_split(points, labeling, plane, on_plane[0] if on_plane else 0)
-    swap = _find_valid_swap(points, split, plane)
+    split = split_skew(points, labeling, plane, on_plane[0] if on_plane else 0)
+    swap = skew_swap(points, split, plane)
     if swap is None:
         raise InternalInconsistency("no skew swap applies after the split-skew")
     return swap

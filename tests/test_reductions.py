@@ -42,12 +42,9 @@ from quadricheck.projective import (
     rank_of_points,
 )
 from quadricheck.reductions import (
-    CE_DF,
-    _apply_split,
     _kernel_certificate,
     _three_disjoint_covers,
     transversal_through,
-    _find_valid_swap,
     _plane_of_last_four,
     decide,
     find_three_skew,
@@ -349,14 +346,27 @@ class TestSkewSwap:
         assert rank_of_points(relabeled[6:10]) == 4
         assert genericity_violation(relabeled) is None
 
-    def test_violating_incidence_named(self):
+    def test_violating_incidence_skipped(self):
         pts = self._valid_instance()
-        # move the first line so it pierces the plane on the line 67
-        on_line_67 = Point((1, 5, 0, 0))
-        pts[0] = combo([(1, on_line_67), (1, Point((0, 0, 1, 1)))])
-        pts[1] = combo([(1, on_line_67), (-1, Point((0, 0, 1, 1)))])
         plane = plane_through(pts[6], pts[7], pts[8])
-        with pytest.raises(PreconditionViolated, match="pq"):
+        # the first order, line 01 as pq and 67 | 89 as kl | ij, applies
+        assert skew_swap(pts, IDENTITY, plane) == Labeling((6, 7, 2, 3, 4, 5, 8, 9, 0, 1))
+        # move the first line so it pierces the plane on the line 89: that
+        # order now puts 0, 1, 8, 9 in one plane, and the search takes the
+        # next one, with 68 | 79
+        on_line_89 = combo([(2, pts[8]), (1, pts[9])])
+        pts[0] = combo([(1, on_line_89), (1, Point((0, 0, 1, 1)))])
+        pts[1] = combo([(1, on_line_89), (-1, Point((0, 0, 1, 1)))])
+        swapped = skew_swap(pts, IDENTITY, plane)
+        assert swapped == Labeling((6, 8, 2, 3, 4, 5, 7, 9, 0, 1))
+        assert rank_of_points([pts[i] for i in (0, 1, 8, 9)]) == 3
+        assert genericity_violation(swapped.apply(pts)) is None
+
+    def test_role_line_in_the_plane_named(self):
+        pts = self._valid_instance()
+        plane = plane_through(pts[6], pts[7], pts[8])
+        pts[2], pts[3] = Point((1, 0, 2, 0)), Point((0, 1, 1, 0))
+        with pytest.raises(PreconditionViolated, match="role line 23"):
             skew_swap(pts, IDENTITY, plane)
 
     def test_swapped_configuration_decides_correctly(self):
@@ -372,6 +382,8 @@ class TestSkewSwap:
 
 class TestSplitSkew:
     def _random_instance(self, rng):
+        """Ten points whose role lines 01, 23, 45 are mutually skew, and a
+        plane meeting 23 and 45 in points."""
         while True:
             a, b, c, d, e, f = (random_point(rng) for _ in range(6))
             if (
@@ -388,7 +400,7 @@ class TestSplitSkew:
                 continue
             if meet(line_through(e, f), plane).is_zero():
                 continue
-            return (a, b), (c, d), (e, f), plane
+            return [a, b, c, d, e, f] + [random_point(rng) for _ in range(4)], plane
 
     def _alternative_valid(self, ab, pair1, pair2, plane, g, h):
         ab_line = line_through(*ab)
@@ -409,38 +421,36 @@ class TestSplitSkew:
     def test_first_valid_alternative_returned(self):
         rng = seeded("split-skew")
         for _ in range(20):
-            ab, (c, d), (e, f), plane = self._random_instance(rng)
+            pts, plane = self._random_instance(rng)
+            a, b, c, d, e, f = pts[:6]
             g = as_point(meet(line_through(c, d), plane))
             h = as_point(meet(line_through(e, f), plane))
-            name, gp, hp = split_skew(line_through(*ab), (c, d), (e, f), plane)
-            ce_df_ok = self._alternative_valid(ab, (c, e), (d, f), plane, g, h)
-            cf_de_ok = self._alternative_valid(ab, (c, f), (d, e), plane, g, h)
+            split = split_skew(pts, IDENTITY, plane, 0)
+            ce_df_ok = self._alternative_valid((a, b), (c, e), (d, f), plane, g, h)
+            cf_de_ok = self._alternative_valid((a, b), (c, f), (d, e), plane, g, h)
             assert ce_df_ok or cf_de_ok
-            assert name == (CE_DF if ce_df_ok else "CF_DE")
+            roles = (2, 4, 3, 5) if ce_df_ok else (2, 5, 3, 4)
+            assert split == Labeling((0, 1) + roles + (6, 7, 8, 9))
+            new = split.apply(pts)
+            gp = as_point(meet(line_through(new[2], new[3]), plane))
+            hp = as_point(meet(line_through(new[4], new[5]), plane))
             line_gh = line_through(g, h)
             assert gp != hp
             assert not contains_point(line_gh, gp)
             assert not contains_point(line_gh, hp)
 
-    def test_accepts_extensor_lines(self):
-        # ab enters as a line: any two of its points give the same answer
-        rng = seeded("split-ext")
-        for _ in range(5):
-            (a, b), cd, ef, plane = self._random_instance(rng)
-            other_ab = line_through(combo([(1, a), (2, b)]), combo([(3, a), (-1, b)]))
-            result = split_skew(line_through(a, b), cd, ef, plane)
-            assert result[0] in (CE_DF, "CF_DE")
-            assert split_skew(other_ab, cd, ef, plane) == result
-
     def test_non_skew_rejected(self):
         plane = join(join(Point((1, 0, 0, 0)), Point((0, 1, 0, 0))), Point((0, 0, 1, 0)))
+        pts = [
+            Point((1, 0, 0, 0)),
+            Point((0, 1, 0, 0)),
+            Point((1, 0, 0, 0)),
+            Point((0, 0, 1, 0)),
+            Point((0, 0, 0, 1)),
+            Point((1, 1, 1, 1)),
+        ] + [random_point(seeded(f"non-skew:{k}")) for k in range(4)]
         with pytest.raises(PreconditionViolated):
-            split_skew(
-                line_through(Point((1, 0, 0, 0)), Point((0, 1, 0, 0))),
-                (Point((1, 0, 0, 0)), Point((0, 0, 1, 0))),
-                (Point((0, 0, 0, 1)), Point((1, 1, 1, 1))),
-                plane,
-            )
+            split_skew(pts, IDENTITY, plane, 0)
 
 
 # the three skew lines pierce the plane of the last four points exactly at
@@ -473,7 +483,7 @@ class TestNormalize:
         pts = C4_POINTS
         lab = IDENTITY
         plane = _plane_of_last_four(pts, IncidenceTable(pts))
-        assert _find_valid_swap(pts, lab, plane) is None
+        assert skew_swap(pts, lab, plane) is None
         outcome = normalize(pts)
         assert isinstance(outcome, Labeling)
         relabeled = outcome.apply(pts)
@@ -574,12 +584,56 @@ BLOCKED_SHAPES = [
 ] + [(f"b{seed}", case_b_points(seed), 0) for seed in range(3)]
 
 
+def blocking_lemma_configs():
+    """(points, plane of the last four) for role lines through vertices,
+    diagonal points, side points and general points of the plane w = 0 of
+    two quadrangles, one with no three vertices collinear and one with
+    three on a line; in three quarters of them one role point lies on the
+    plane."""
+    e0, e1, e2 = Point((1, 0, 0, 0)), Point((0, 1, 0, 0)), Point((0, 0, 1, 0))
+    rng = seeded("blocking-lemma")
+    for last in ([e0, e1, e2, Point((1, 1, 1, 0))], [e0, e1, Point((1, 1, 0, 0)), e2]):
+        pool = set(last) | {
+            line_meet_line(line_through(last[i], last[j]), line_through(last[k], last[l]))
+            for (i, j), (k, l) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+        }
+        pool |= {combo([(1, p), (2, q)]) for p, q in combinations(last, 2)}
+        pool |= {Point((2, -3, 5, 0)), Point((-4, 1, 3, 0))}
+        for meets in combinations(sorted(pool, key=lambda p: p.coords), 3):
+            pts = lines_meeting_w0_at(rng, meets) + last
+            on_plane = rng.randrange(8)
+            if on_plane < 6:
+                pts = with_role_points_on_w0(pts, {on_plane})
+            yield pts, _plane_of_last_four(pts, IncidenceTable(pts))
+
+
+def role_orders(labeling):
+    """The 18 skew swaps of a labeling in search order: role line pq over
+    01, 23, 45, then kl over the pairs of 6..9; kl takes roles 01, the
+    other two role lines keep their order, and ij, pq become roles 6..9."""
+    lines = ((0, 1), (2, 3), (4, 5))
+    for pq in lines:
+        o1, o2 = (line for line in lines if line != pq)
+        for kl in combinations(range(6, 10), 2):
+            ij = tuple(r for r in range(6, 10) if r not in kl)
+            yield Labeling(tuple(labeling.perm[r] for r in kl + o1 + o2 + ij + pq))
+
+
+def in_general_position(pts):
+    """Role lines 01, 23, 45 mutually skew and the last four spanning space,
+    by ranks."""
+    skew = all(
+        rank_of_points(pts[a : a + 2] + pts[b : b + 2]) == 4 for a, b in ((0, 2), (0, 4), (2, 4))
+    )
+    return skew and rank_of_points(pts[6:10]) == 4
+
+
 class TestRelabelingPath:
     """Coplanar last fours: one skew swap, or one split-skew then one swap,
     or the plane-split exit when the plane holds six points."""
 
     def _counted(self, monkeypatch):
-        calls = {"_find_valid_swap": [], "split_skew": []}
+        calls = {"skew_swap": [], "split_skew": []}
         for name in calls:
             original = getattr(reductions, name)
 
@@ -594,7 +648,7 @@ class TestRelabelingPath:
     def test_blocked_shape_takes_one_split_and_one_swap(self, monkeypatch, name, pts, kept):
         plane = _plane_of_last_four(pts, IncidenceTable(pts))
         assert blocked_by_lemma(pts)
-        assert _find_valid_swap(pts, IDENTITY, plane) is None
+        assert skew_swap(pts, IDENTITY, plane) is None
         calls = self._counted(monkeypatch)
         # incidences survive projective maps, so the images take the same path
         images = [transformed(pts, f"{name}:{k}") for k in range(2)]
@@ -604,9 +658,9 @@ class TestRelabelingPath:
             d = decide(config)
             assert d.branch == "generic"
             assert d.on_quadric == oracle_decide(config)
-            assert [len(calls["_find_valid_swap"]), len(calls["split_skew"])] == [2, 1]
-            (ab, *_), = calls["split_skew"]
-            assert ab == line_through(config[2 * kept], config[2 * kept + 1])
+            assert [len(calls["skew_swap"]), len(calls["split_skew"])] == [2, 1]
+            (*_, keep), = calls["split_skew"]
+            assert keep == kept
 
     @pytest.mark.parametrize("roles", [{0, 2}, {1, 5}, {3, 4}, {0, 3, 4}])
     def test_two_role_points_on_the_plane_take_the_plane_split(self, monkeypatch, roles):
@@ -620,17 +674,14 @@ class TestRelabelingPath:
             d = decide(config)
             assert d.branch == "plane-split"
             assert d.on_quadric == oracle_decide(config)
-            assert [len(calls["_find_valid_swap"]), len(calls["split_skew"])] == [1, 0]
+            assert [len(calls["skew_swap"]), len(calls["split_skew"])] == [1, 0]
 
     def test_split_recombines_roles_2345(self):
-        # CE_DF puts lines 24 and 35 on roles 23 and 45, CF_DE lines 25 and 34
+        # (ce, df) puts lines 24 and 35 on roles 23 and 45, (cf, de) lines
+        # 25 and 34
         plane = _plane_of_last_four(C4_POINTS, IncidenceTable(C4_POINTS))
-        for pts, name, roles in (
-            (C4_POINTS, CE_DF, (2, 4, 3, 5)),
-            (C4_CF_DE_POINTS, "CF_DE", (2, 5, 3, 4)),
-        ):
-            assert split_skew(line_through(*pts[:2]), pts[2:4], pts[4:6], plane)[0] == name
-            split = _apply_split(pts, IDENTITY, plane, 0)
+        for pts, roles in ((C4_POINTS, (2, 4, 3, 5)), (C4_CF_DE_POINTS, (2, 5, 3, 4))):
+            split = split_skew(pts, IDENTITY, plane, 0)
             assert split == Labeling((0, 1) + roles + (6, 7, 8, 9))
 
     def test_unblocked_coplanar_last_four_takes_one_swap(self, monkeypatch):
@@ -641,33 +692,34 @@ class TestRelabelingPath:
         calls = self._counted(monkeypatch)
         d = decide(pts)
         assert d.branch == "generic" and d.on_quadric == oracle_decide(pts)
-        assert [len(calls["_find_valid_swap"]), len(calls["split_skew"])] == [1, 0]
+        assert [len(calls["skew_swap"]), len(calls["split_skew"])] == [1, 0]
 
     def test_blocking_lemma_matches_brute_force(self):
-        # role lines through vertices, diagonal points, side points and
-        # general points of the plane of two quadrangles, one with no three
-        # vertices collinear and one with three on a line; in three quarters
-        # of them one role point lies on the plane
-        e0, e1, e2 = Point((1, 0, 0, 0)), Point((0, 1, 0, 0)), Point((0, 0, 1, 0))
-        rng = seeded("blocking-lemma")
         blocked = {True: 0, False: 0}
-        for last in ([e0, e1, e2, Point((1, 1, 1, 0))], [e0, e1, Point((1, 1, 0, 0)), e2]):
-            pool = set(last) | {
-                line_meet_line(line_through(last[i], last[j]), line_through(last[k], last[l]))
-                for (i, j), (k, l) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-            }
-            pool |= {combo([(1, p), (2, q)]) for p, q in combinations(last, 2)}
-            pool |= {Point((2, -3, 5, 0)), Point((-4, 1, 3, 0))}
-            for meets in combinations(sorted(pool, key=lambda p: p.coords), 3):
-                pts = lines_meeting_w0_at(rng, meets) + last
-                on_plane = rng.randrange(8)
-                if on_plane < 6:
-                    pts = with_role_points_on_w0(pts, {on_plane})
-                plane = _plane_of_last_four(pts, IncidenceTable(pts))
-                verdict = blocked_by_lemma(pts)
-                assert (_find_valid_swap(pts, IDENTITY, plane) is None) == verdict, meets
-                blocked[verdict] += 1
+        for pts, plane in blocking_lemma_configs():
+            verdict = blocked_by_lemma(pts)
+            assert (skew_swap(pts, IDENTITY, plane) is None) == verdict, w0_meets(pts)
+            blocked[verdict] += 1
         assert blocked == {True: 21, False: 654}
+
+    def test_skew_swap_takes_the_first_valid_order(self):
+        # by brute force: the first of the 18 orders whose result is in
+        # general position, or None
+        cases = [(pts, IDENTITY, plane) for pts, plane in blocking_lemma_configs()]
+        for _, pts, kept in BLOCKED_SHAPES:
+            plane = _plane_of_last_four(pts, IncidenceTable(pts))
+            cases.append((pts, split_skew(pts, IDENTITY, plane, kept), plane))
+        firsts = []
+        for pts, labeling, plane in cases:
+            orders = list(role_orders(labeling))
+            valid = [k for k, swap in enumerate(orders) if in_general_position(swap.apply(pts))]
+            first = valid[0] if valid else None
+            assert skew_swap(pts, labeling, plane) == (None if first is None else orders[first])
+            firsts.append(first)
+        # every unblocked configuration and every blocked shape after its
+        # split has a swap, and not always the first order
+        assert firsts.count(None) == 21
+        assert len({k for k in firsts if k is not None}) > 1
 
 
 class TestPlaneSplit:
