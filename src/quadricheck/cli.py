@@ -197,13 +197,13 @@ def fuzz_check(seed, index):
     """Decide fuzz configuration `index` of `seed` by both methods.
 
     Returns (decision, failure).  failure is None when the verdicts agree.
-    Otherwise it is a JSON-ready record with the index and the
+    Otherwise it is a JSON-ready record with the seed, the index and the
     configuration: of the disagreement (with the branch), or of the
     exception `decide` raised (with its text and traceback; decision is
     then None), so that one bad configuration does not end a fuzz run.
     """
     points = fuzz_configuration(seed, index)
-    record = {"index": index, "points": points_to_json(points)["points"]}
+    record = {"seed": seed, "index": index, "points": points_to_json(points)["points"]}
     try:
         decision = reductions.decide(points)
     except Exception as exc:  # recorded with its configuration; the run goes on
@@ -217,25 +217,42 @@ def fuzz_check(seed, index):
 
 
 def cmd_fuzz(args) -> int:
+    """Decide configurations 0..count-1 of each seed from seed to
+    seed+seeds-1 by both methods; the census counts each decision's branch
+    over all seeds."""
     disagreements = []
     errors = []
     census = Counter()
-    for index in range(args.count):
-        decision, failure = fuzz_check(args.seed, index)
-        if decision is not None:
-            census[decision.branch] += 1
-        if failure is not None:
-            (errors if decision is None else disagreements).append(failure)
+    on_quadric = 0
+    start = time.perf_counter()
+    for seed in range(args.seed, args.seed + args.seeds):
+        for index in range(args.count):
+            decision, failure = fuzz_check(seed, index)
+            if decision is not None:
+                census[decision.branch] += 1
+                on_quadric += decision.on_quadric
+            if failure is not None:
+                (errors if decision is None else disagreements).append(failure)
     summary = {
         "seed": args.seed,
+        "seeds": args.seeds,
         "count": args.count,
-        "agreements": args.count - len(disagreements) - len(errors),
+        "agreements": args.seeds * args.count - len(disagreements) - len(errors),
+        "on_quadric": on_quadric,
         "census": dict(sorted(census.items())),
         "disagreements": disagreements,
         "errors": errors,
+        "seconds": time.perf_counter() - start,
     }
     sys.stdout.write(_dump(summary, args.pretty))
     return 3 if disagreements or errors else 0
+
+
+def _nonnegative(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,8 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_fuzz = sub.add_parser("fuzz", help="compare pipeline and oracle on mixed configs")
-    p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--count", type=int, default=100)
+    p_fuzz.add_argument("--seed", type=int, default=0, help="first seed")
+    p_fuzz.add_argument("--seeds", type=_nonnegative, default=1, help="number of seeds")
+    p_fuzz.add_argument(
+        "--count", type=_nonnegative, default=100, help="configurations per seed"
+    )
     p_fuzz.add_argument("--pretty", action="store_true")
     p_fuzz.set_defaults(func=cmd_fuzz)
     return parser

@@ -1,7 +1,10 @@
 """Synthetic toolkit: edge projections, chart recovery, von Staudt product
 and inverse on a line, and the meet-point whose local parameter is a bracket
 ratio.  The constructions a decision runs can be recorded into a
-replayable ConstructionTrace of `join` and `meet` steps.
+replayable ConstructionTrace of `join` and `meet` steps: `_join` and
+`_meet_lines` build a line, a plane or the meet point of coplanar lines
+and record it in one call, and the steps a frame's scaffold shares are
+recorded where each figure reads them.
 
 All constructions use only lines through two known points, planes through
 three known points, and their intersections; intersections of coplanar
@@ -173,6 +176,21 @@ def _record(trace, op, inputs, output):
         if key not in trace._recorded:
             trace._recorded.add(key)
             trace.steps.append(TraceStep(op, inputs, output))
+
+
+def _join(trace, *points) -> Extensor:
+    """The line through two points or the plane through three, recorded
+    as one `join` step."""
+    out = line_through(*points) if len(points) == 2 else plane_through(*points)
+    _record(trace, "join", list(points), out)
+    return out
+
+
+def _meet_lines(trace, l1: Extensor, l2: Extensor) -> Point:
+    """The meet point of two coplanar lines, recorded as one `meet` step."""
+    out = line_meet_line(l1, l2)
+    _record(trace, "meet", [l1, l2], out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +382,7 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
         if proj == tet.vertices[j]:
             raise OutsideChart(f"projection on edge {i}{j} is the infinity vertex")
         k, l = (m for m in range(4) if m not in (i, j))
-        plane = plane_through(proj, tet.vertices[k], tet.vertices[l])
-        _record(trace, "join", [proj, tet.vertices[k], tet.vertices[l]], plane)
-        planes.append(plane)
+        planes.append(_join(trace, proj, tet.vertices[k], tet.vertices[l]))
     cut = meet(planes[0], planes[1])
     hit = meet(cut, planes[2])
     if hit.is_zero():
@@ -438,27 +454,17 @@ def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None) -> Po
     scaffold = frame.scaffold
     a, lprime = scaffold.a, scaffold.lprime
     la1, p1p, linf = scaffold.product
-    line = frame.line
 
     _record(trace, "join", [a, frame.unit], la1)
     _record(trace, "meet", [la1, lprime], p1p)
 
-    lay = line_through(a, py)
-    _record(trace, "join", [a, py], lay)
-    pyp = line_meet_line(lay, lprime)
-    _record(trace, "meet", [lay, lprime], pyp)
+    pyp = _meet_lines(trace, _join(trace, a, py), lprime)
 
-    lx = line_through(p1p, px)
-    _record(trace, "join", [p1p, px], lx)
+    lx = _join(trace, p1p, px)
     _record(trace, "join", [a, frame.infinity], linf)
-    b = line_meet_line(lx, linf)
-    _record(trace, "meet", [lx, linf], b)
+    b = _meet_lines(trace, lx, linf)
 
-    lback = line_through(b, pyp)
-    _record(trace, "join", [b, pyp], lback)
-    result = line_meet_line(lback, line)
-    _record(trace, "meet", [lback, line], result)
-    return result
+    return _meet_lines(trace, _join(trace, b, pyp), frame.line)
 
 
 def von_staudt_inverse(frame: LineFrame, px: Point, trace=None) -> Point:
@@ -473,27 +479,17 @@ def von_staudt_inverse(frame: LineFrame, px: Point, trace=None) -> Point:
     scaffold = frame.scaffold
     b, lprime = scaffold.a, scaffold.lprime
     l1b, c2, linfb = scaffold.inverse
-    line = frame.line
 
-    lxb = line_through(px, b)
-    _record(trace, "join", [px, b], lxb)
-    c1 = line_meet_line(lxb, lprime)
-    _record(trace, "meet", [lxb, lprime], c1)
+    c1 = _meet_lines(trace, _join(trace, px, b), lprime)
 
-    l_c11 = line_through(c1, frame.unit)
-    _record(trace, "join", [c1, frame.unit], l_c11)
+    l_c11 = _join(trace, c1, frame.unit)
     _record(trace, "join", [frame.infinity, b], linfb)
-    a = line_meet_line(l_c11, linfb)
-    _record(trace, "meet", [l_c11, linfb], a)
+    a = _meet_lines(trace, l_c11, linfb)
 
     _record(trace, "join", [frame.unit, b], l1b)
     _record(trace, "meet", [l1b, lprime], c2)
 
-    lfinal = line_through(c2, a)
-    _record(trace, "join", [c2, a], lfinal)
-    result = line_meet_line(lfinal, line)
-    _record(trace, "meet", [lfinal, line], result)
-    return result
+    return _meet_lines(trace, _join(trace, c2, a), frame.line)
 
 
 def local_param_point(

@@ -151,6 +151,49 @@ class TestFuzz:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["agreements"] == 0
 
+    def test_zero_seeds(self, capsys):
+        code = cli.main(["fuzz", "--seeds", "0"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["agreements"] == 0 and out["census"] == {}
+
+    def test_one_seed_agrees(self, capsys):
+        code = cli.main(["fuzz", "--seeds", "1", "--count", "3"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["agreements"] == 3 and out["disagreements"] == [] and out["errors"] == []
+        assert sum(out["census"].values()) == 3
+
+    @pytest.mark.parametrize("option", ["--count", "--seeds"])
+    def test_negative_count_rejected(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fuzz", "--seed", "1", option, "-3"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert option in captured.err and "negative" in captured.err
+
+    def test_seeds_sum_single_seed_runs(self, capsys, monkeypatch):
+        true_decide = reductions.decide
+        failing = [cli.fuzz_configuration(1, 2), cli.fuzz_configuration(2, 3)]
+
+        def failing_on_two(points, with_trace=False):
+            if points in failing:
+                raise InternalInconsistency("injected")
+            return true_decide(points, with_trace=with_trace)
+
+        monkeypatch.setattr(reductions, "decide", failing_on_two)
+        runs = []
+        for argv in (["--seed", "1"], ["--seed", "2"], ["--seed", "1", "--seeds", "2"]):
+            assert cli.main(["fuzz", *argv, "--count", "5"]) == 3
+            runs.append(json.loads(capsys.readouterr().out))
+        one, two, both = runs
+        assert both["seeds"] == 2 and both["count"] == 5
+        assert both["census"] == dict(Counter(one["census"]) + Counter(two["census"]))
+        assert both["agreements"] == one["agreements"] + two["agreements"] == 8
+        assert both["on_quadric"] == one["on_quadric"] + two["on_quadric"]
+        assert both["errors"] == one["errors"] + two["errors"]
+        assert [(e["seed"], e["index"]) for e in both["errors"]] == [(1, 2), (2, 3)]
+
     def test_decide_exception_recorded_and_run_continues(self, capsys, monkeypatch):
         true_decide = reductions.decide
 

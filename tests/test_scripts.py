@@ -26,19 +26,6 @@ def run_script(name, *args):
     )
 
 
-class TestFuzzSweep:
-    def test_zero_seeds(self):
-        result = run_script("fuzz_sweep.py", "--seeds", 0)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.startswith("0 configurations")
-
-    def test_small_sweep_agrees(self):
-        result = run_script("fuzz_sweep.py", "--seeds", 1, "--count", 3)
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert result.stdout.startswith("3 configurations")
-        assert "all verdicts agree" in result.stdout
-
-
 class TestReplayTrace:
     def test_decide_trace_replays(self, tmp_path, capsys):
         config = tmp_path / "config.json"
