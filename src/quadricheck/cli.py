@@ -1,8 +1,8 @@
 """Command-line surface: decide a configuration, generate fixtures, fuzz.
 
 Exit codes: 0 success, 2 malformed input or unknown kind, 3 disagreement
-between the synthetic pipeline and the determinant oracle, or an exception
-from the pipeline (must never happen in a correct build).
+between the synthetic pipeline and the determinant oracle, a failed
+det(M) = Q·det(N), or a pipeline exception (never, in a correct build).
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from fractions import Fraction
 
 from . import fixtures, reductions
 from .constructions import ConstructionTrace
-from .oracle import oracle_decide, sample_generic, sample_on_quadric
-from .projective import Point, clear_denominators
+from .generic_case import build_M, compute_Q
+from .oracle import oracle_decide, oracle_det, sample_generic, sample_on_quadric
+from .projective import Point, bareiss_det, clear_denominators
 
 
 class ConfigError(ValueError):
@@ -194,13 +195,15 @@ def fuzz_configuration(seed, index):
 
 
 def fuzz_check(seed, index):
-    """Decide fuzz configuration `index` of `seed` by both methods.
+    """Decide fuzz configuration `index` of `seed` by both methods, and
+    check det(M) = Q·det(N) on the points as a generic decision labels them.
 
-    Returns (decision, failure).  failure is None when the verdicts agree.
-    Otherwise it is a JSON-ready record with the seed, the index and the
-    configuration: of the disagreement (with the branch), or of the
-    exception `decide` raised (with its text and traceback; decision is
-    then None), so that one bad configuration does not end a fuzz run.
+    Returns (decision, failure).  failure is None when the verdicts agree
+    and the identity holds.  Otherwise it is a JSON-ready record with the
+    seed, the index and the configuration: of the disagreement or the
+    failed identity (with the branch), or of the exception `decide` raised
+    (with its text and traceback; decision is then None), so that one bad
+    configuration does not end a fuzz run.
     """
     points = fuzz_configuration(seed, index)
     record = {"seed": seed, "index": index, "points": points_to_json(points)["points"]}
@@ -213,6 +216,11 @@ def fuzz_check(seed, index):
     if decision.on_quadric != oracle_decide(points):
         record["branch"] = decision.branch
         return decision, record
+    if decision.branch == "generic":
+        labeled = decision.labeling.apply(points)
+        if bareiss_det(build_M(labeled).entries) != compute_Q(labeled) * oracle_det(labeled):
+            record.update(branch="generic", identity="det(M) != Q * det(N)")
+            return decision, record
     return decision, None
 
 

@@ -1,7 +1,9 @@
 """Synthetic toolkit: edge projections, chart recovery, von Staudt product
 and inverse on a line, and the meet-point whose local parameter is a bracket
-ratio.  The constructions a decision runs can be recorded into a
-replayable ConstructionTrace of `join` and `meet` steps: `_join` and
+ratio.  Points go in and out of each construction, and inside it the
+figure runs on coefficient tuples through the kernels of `extensors`.  It
+can be recorded into a replayable ConstructionTrace of `join` and `meet`
+steps, whose values are made Extensors only then: `_join` and
 `_meet_lines` build a line, a plane or the meet point of coplanar lines
 and record it in one call, and the steps a frame's scaffold shares are
 recorded where each figure reads them.
@@ -20,23 +22,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .extensors import (
     _JOIN_KERNELS,
+    _MEET_KERNELS,
     _WITNESS_MEETS,
     Extensor,
+    ZeroExtensor,
     as_point,
     contains_point,
     join,
     line_through,
     meet,
-    plane_through,
 )
 from .projective import (
     GeometryError,
     InfinityProduct,
     STANDARD_BASIS,
     Point,
+    _canonical_ints,
+    _trusted,
     _trusted_point,
     bracket,
     rank_of_points,
@@ -84,7 +90,7 @@ class ConstructionTrace:
     values equal an earlier step's is not appended again (its output is
     the same), so a figure that reuses a memoized part, such as an edge's
     line, a basis plane or a frame's von Staudt scaffold, reads the first
-    step.  A generic decision records 289 steps.  A trace read from JSON
+    step.  A generic decision records 217 steps.  A trace read from JSON
     keeps its steps as written, repeats included.
 
     In JSON the values are written once each.  `leaves` holds every input
@@ -161,35 +167,44 @@ def _value_from_json(data):
     return Extensor.from_json(data["extensor"])
 
 
-def _record(trace, op, inputs, output):
-    """Append the step to the trace, if any, unless an earlier step has the
-    same op and input values.  The key is one flat tuple of the op and each
-    input's grade and coefficients, which hashes and compares in C; the
-    values themselves hash through Python-level methods.  Most steps have
-    two inputs, and their key is spelled out to spare a comprehension."""
+def _record(trace, op, grades, inputs, output):
+    """Append the step op(inputs) = output to the trace, if any, unless an
+    earlier step has the same op and input values.  The inputs and the
+    output are coefficient tuples, and `grades` holds the inputs' grades
+    and then the output's, so the key (op, grades, *inputs) hashes and
+    compares in C; the values are made Extensors only for a new step."""
     if trace is not None:
-        if len(inputs) == 2:
-            a, b = inputs
-            key = (op, a.grade, a.coeffs, b.grade, b.coeffs)
-        else:
-            key = (op, *[x for v in inputs for x in (v.grade, v.coeffs)])
-        if key not in trace._recorded:
-            trace._recorded.add(key)
-            trace.steps.append(TraceStep(op, inputs, output))
+        recorded = trace._recorded
+        size = len(recorded)
+        recorded.add((op, grades, *inputs))
+        if len(recorded) > size:
+            values = [
+                _trusted_point(c) if g == 1 else _trusted(g, c)
+                for g, c in zip(grades, (*inputs, output))
+            ]
+            trace.steps.append(TraceStep(op, values[:-1], values[-1]))
 
 
-def _join(trace, *points) -> Extensor:
-    """The line through two points or the plane through three, recorded
-    as one `join` step."""
-    out = line_through(*points) if len(points) == 2 else plane_through(*points)
-    _record(trace, "join", list(points), out)
+def _join(trace, *points):
+    """The line through two points or the plane through three, each given
+    by its canonical coordinates, as a coefficient tuple recorded as one
+    `join` step."""
+    out = _join_points(points[0], points[1])
+    if len(points) == 3:
+        out = _join_line_point(out, points[2])
+    if not any(out):
+        raise ZeroExtensor(f"the points {points} are dependent")
+    if trace is not None:
+        _record(trace, "join", (1, 1, 2) if len(points) == 2 else (1, 1, 1, 3), points, out)
     return out
 
 
-def _meet_lines(trace, l1: Extensor, l2: Extensor) -> Point:
-    """The meet point of two coplanar lines, recorded as one `meet` step."""
+def _meet_lines(trace, l1, l2):
+    """The canonical coordinates of the meet point of two coplanar lines,
+    given by their coefficients, recorded as one `meet` step."""
     out = line_meet_line(l1, l2)
-    _record(trace, "meet", [l1, l2], out)
+    if trace is not None:
+        _record(trace, "meet", (2, 2, 1), (l1, l2), out)
     return out
 
 
@@ -197,13 +212,19 @@ def _meet_lines(trace, l1: Extensor, l2: Extensor) -> Point:
 # coplanar line intersection
 
 
-# The scalar join of two lines, run on coefficient tuples: the skew test of
-# line_meet_line makes no Extensor.
+# The kernels the figures run on coefficient tuples; the plane of a line
+# and a point is zero exactly when the point is on the line.
+_join_points = _JOIN_KERNELS[1, 1]
+_join_line_point = _JOIN_KERNELS[2, 1]
 _join_lines = _JOIN_KERNELS[2, 2]
+_meet_line_plane = _MEET_KERNELS[2, 3]
+_meet_planes = _MEET_KERNELS[3, 3]
 
 
-def line_meet_line(l1: Extensor, l2: Extensor) -> Point:
-    """Intersection point of two distinct coplanar lines in P^3.
+def line_meet_line(l1, l2):
+    """Intersection point of two distinct coplanar lines in P^3: a Point for
+    two line Extensors, and its canonical coordinates for the coefficient
+    tuples of two lines, as the von Staudt figures pass them.
 
     The meet of coplanar lines degenerates (their supports do not span), so
     the point is computed as meet(l1, join(l2, E_k)) for the first basis
@@ -213,9 +234,10 @@ def line_meet_line(l1: Extensor, l2: Extensor) -> Point:
     point, made canonical once, so the order changes only how many kernels
     run.  Raises SkewLines when the lines do not meet.
     """
-    if l1.grade != 2 or l2.grade != 2:
+    extensors = type(l1) is not tuple
+    if extensors and (l1.grade != 2 or l2.grade != 2):
         raise ValueError("line_meet_line needs two lines")
-    c1, c2 = l1.coeffs, l2.coeffs
+    c1, c2 = (l1.coeffs, l2.coeffs) if extensors else (l1, l2)
     if _join_lines(c1, c2)[0]:
         raise SkewLines("the lines are skew; they do not meet")
     # A von Staudt figure on a frame lies in the plane through the frame's
@@ -226,7 +248,8 @@ def line_meet_line(l1: Extensor, l2: Extensor) -> Point:
         # hit is nonzero exactly when E_k is off the common plane
         hit = _WITNESS_MEETS[k](c1, c2)
         if any(hit):
-            return _trusted_point(hit)
+            coords = _canonical_ints(hit)
+            return _trusted_point(coords) if extensors else coords
     raise ValueError("the lines coincide")
 
 
@@ -271,38 +294,26 @@ class LineFrame:
 
     @cached_property
     def scaffold(self) -> Scaffold:
-        return Scaffold(self, *choose_auxiliaries(self))
+        a, lprime = choose_auxiliaries(self)
+        ac, unit, infinity = a.coords, self.unit.coords, self.infinity.coords
+        la1, l1b = _join(None, ac, unit), _join(None, unit, ac)
+        product = (la1, line_meet_line(la1, lprime.coeffs), _join(None, ac, infinity))
+        inverse = (l1b, line_meet_line(l1b, lprime.coeffs), _join(None, infinity, ac))
+        return Scaffold(a, lprime, product, inverse)
 
 
-class Scaffold:
+class Scaffold(NamedTuple):
     """The part of a frame's von Staudt figures that does not depend on the
-    input point, for one auxiliary point a (the inverse names it b) and
-    line L' through zero:
-
+    input point: the auxiliary point a (the inverse names it b), the line
+    L' through zero, and, as the coefficient tuples the figures run on,
     - `product`: a·unit, p1' = (a·unit) ∩ L', and a·infinity;
-    - `inverse`: unit·a, c2 = (unit·a) ∩ L', and infinity·a;
-
-    each built on first read.
+    - `inverse`: unit·a, c2 = (unit·a) ∩ L', and infinity·a.
     """
 
-    def __init__(self, frame: LineFrame, a: Point, lprime: Extensor):
-        self.frame = frame
-        self.a = a
-        self.lprime = lprime
-
-    @cached_property
-    def product(self):
-        """(a·unit, p1', a·infinity)."""
-        la1 = line_through(self.a, self.frame.unit)
-        p1p = line_meet_line(la1, self.lprime)
-        return la1, p1p, line_through(self.a, self.frame.infinity)
-
-    @cached_property
-    def inverse(self):
-        """(unit·a, c2, infinity·a)."""
-        l1b = line_through(self.frame.unit, self.a)
-        c2 = line_meet_line(l1b, self.lprime)
-        return l1b, c2, line_through(self.frame.infinity, self.a)
+    a: Point
+    lprime: Extensor
+    product: tuple
+    inverse: tuple
 
 
 @dataclass(frozen=True)
@@ -375,26 +386,27 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
     projections = list(projections)
     if len(projections) != 3:
         raise ValueError("need one projection per edge through the chart vertex")
+    vertices = [v.coords for v in tet.vertices]
     planes = []
     for j, proj in zip(others, projections):
-        if not contains_point(tet.edge_line(i, j), proj):
+        if any(_join_line_point(tet.edge_line(i, j).coeffs, proj.coords)):
             raise InconsistentProjections(f"{proj} is not on edge {i}{j}")
-        if proj == tet.vertices[j]:
+        if proj.coords == vertices[j]:
             raise OutsideChart(f"projection on edge {i}{j} is the infinity vertex")
         k, l = (m for m in range(4) if m not in (i, j))
-        planes.append(_join(trace, proj, tet.vertices[k], tet.vertices[l]))
-    cut = meet(planes[0], planes[1])
-    hit = meet(cut, planes[2])
-    if hit.is_zero():
+        planes.append(_join(trace, proj.coords, vertices[k], vertices[l]))
+    cut = _meet_planes(planes[0], planes[1])
+    hit = _meet_line_plane(cut, planes[2])
+    if not any(hit):
         raise InconsistentProjections("recovery planes do not meet in one point")
-    result = as_point(hit)
-    _record(trace, "meet", planes[:2], cut)
-    _record(trace, "meet", [cut, planes[2]], result)
+    result = _canonical_ints(hit)
+    _record(trace, "meet", (3, 3, 2), (planes[0], planes[1]), cut)
+    _record(trace, "meet", (2, 3, 1), (cut, planes[2]), result)
     for j in others:
         k, l = (m for m in range(4) if m not in (i, j))
-        if contains_point(tet.edge_line(k, l), result):
-            raise OnOppositeEdge(f"{result} lies on the opposite edge {k}{l}")
-    return result
+        if not any(_join_line_point(tet.edge_line(k, l).coeffs, result)):
+            raise OnOppositeEdge(f"{_trusted_point(result)} lies on the opposite edge {k}{l}")
+    return _trusted_point(result)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +435,7 @@ def choose_auxiliaries(frame: LineFrame):
 
 
 def _require_on_line(frame: LineFrame, p: Point):
-    if not contains_point(frame.line, p):
+    if any(_join_line_point(frame.line.coeffs, p.coords)):
         raise ValueError(f"{p} is not on the frame's line")
 
 
@@ -442,29 +454,28 @@ def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None) -> Po
     """
     _require_on_line(frame, px)
     _require_on_line(frame, py)
-    factors = (px, py)
-    if frame.zero in factors or frame.infinity in factors:
-        if frame.infinity not in factors:
-            result = frame.zero
-        elif frame.zero not in factors:
-            result = frame.infinity
-        else:
-            raise InfinityProduct("0 * INFINITY is undefined")
-        return result
+    factors = (px.coords, py.coords)
+    zero, infinity = frame.zero.coords, frame.infinity.coords
+    if zero in factors or infinity in factors:
+        if infinity not in factors:
+            return frame.zero
+        if zero not in factors:
+            return frame.infinity
+        raise InfinityProduct("0 * INFINITY is undefined")
     scaffold = frame.scaffold
-    a, lprime = scaffold.a, scaffold.lprime
+    a, lprime = scaffold.a.coords, scaffold.lprime.coeffs
     la1, p1p, linf = scaffold.product
 
-    _record(trace, "join", [a, frame.unit], la1)
-    _record(trace, "meet", [la1, lprime], p1p)
+    _record(trace, "join", (1, 1, 2), (a, frame.unit.coords), la1)
+    _record(trace, "meet", (2, 2, 1), (la1, lprime), p1p)
 
-    pyp = _meet_lines(trace, _join(trace, a, py), lprime)
+    pyp = _meet_lines(trace, _join(trace, a, py.coords), lprime)
 
-    lx = _join(trace, p1p, px)
-    _record(trace, "join", [a, frame.infinity], linf)
+    lx = _join(trace, p1p, px.coords)
+    _record(trace, "join", (1, 1, 2), (a, infinity), linf)
     b = _meet_lines(trace, lx, linf)
 
-    return _meet_lines(trace, _join(trace, b, pyp), frame.line)
+    return _trusted_point(_meet_lines(trace, _join(trace, b, pyp), frame.line.coeffs))
 
 
 def von_staudt_inverse(frame: LineFrame, px: Point, trace=None) -> Point:
@@ -477,19 +488,20 @@ def von_staudt_inverse(frame: LineFrame, px: Point, trace=None) -> Point:
     """
     _require_on_line(frame, px)
     scaffold = frame.scaffold
-    b, lprime = scaffold.a, scaffold.lprime
+    b, lprime = scaffold.a.coords, scaffold.lprime.coeffs
     l1b, c2, linfb = scaffold.inverse
+    unit = frame.unit.coords
 
-    c1 = _meet_lines(trace, _join(trace, px, b), lprime)
+    c1 = _meet_lines(trace, _join(trace, px.coords, b), lprime)
 
-    l_c11 = _join(trace, c1, frame.unit)
-    _record(trace, "join", [frame.infinity, b], linfb)
+    l_c11 = _join(trace, c1, unit)
+    _record(trace, "join", (1, 1, 2), (frame.infinity.coords, b), linfb)
     a = _meet_lines(trace, l_c11, linfb)
 
-    _record(trace, "join", [frame.unit, b], l1b)
-    _record(trace, "meet", [l1b, lprime], c2)
+    _record(trace, "join", (1, 1, 2), (unit, b), l1b)
+    _record(trace, "meet", (2, 2, 1), (l1b, lprime), c2)
 
-    return _meet_lines(trace, _join(trace, c2, a), frame.line)
+    return _trusted_point(_meet_lines(trace, _join(trace, c2, a), frame.line.coeffs))
 
 
 def local_param_point(
@@ -503,18 +515,16 @@ def local_param_point(
     of de and abc when the caller holds them; they are built here when not
     given.
     """
-    if line is None:
-        line = line_through(d, e)
-    _record(trace, "join", [d, e], line)
-    if plane is None:
-        plane = plane_through(a, b, c)
-    _record(trace, "join", [a, b, c], plane)
-    hit = meet(line, plane)
-    if hit.is_zero():
+    line = _join(None, d.coords, e.coords) if line is None else line.coeffs
+    _record(trace, "join", (1, 1, 2), (d.coords, e.coords), line)
+    plane = _join(None, a.coords, b.coords, c.coords) if plane is None else plane.coeffs
+    _record(trace, "join", (1, 1, 1, 3), (a.coords, b.coords, c.coords), plane)
+    hit = _meet_line_plane(line, plane)
+    if not any(hit):
         raise DegenerateMeet(f"line {d}{e} lies in the plane")
-    result = as_point(hit)
-    _record(trace, "meet", [line, plane], result)
-    return result
+    result = _canonical_ints(hit)
+    _record(trace, "meet", (2, 3, 1), (line, plane), result)
+    return _trusted_point(result)
 
 
 # ---------------------------------------------------------------------------

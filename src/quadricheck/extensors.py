@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .projective import SUBSETS, Extensor, GeometryError, Point, _trusted, _trusted_point
+from .projective import SUBSETS, Extensor, GeometryError, Point, _trusted
 
 _INDEX = {k: {s: i for i, s in enumerate(SUBSETS[k])} for k in range(5)}
 
@@ -146,7 +146,7 @@ def as_point(e: Extensor) -> Point:
     and a plane: its coefficients made canonical."""
     if e.grade != 1 or e.is_zero():
         raise ZeroExtensor("not a nonzero grade-1 extensor")
-    return _trusted_point(e.coeffs)
+    return Point(e.coeffs)
 
 
 def scalar_of(e: Extensor):

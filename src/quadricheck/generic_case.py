@@ -159,12 +159,13 @@ def construct_test_point(points, col, trace=None, figure=None) -> Point:
 
     Works in the chart of the first nonzero column entry i: on each edge
     from vertex i the needed parameter M[j][col]/M[i][col] is produced by
-    two meet-points with the basis planes, two inversions and one product,
-    and the point is recovered from the three edge projections.  `figure`
-    is the GenericFigure of the points, built when not given; its M, basis
-    planes, tetrahedron and edge frames (with their memoized lines,
-    auxiliaries and scaffolding) serve every column, and each cached value
-    is still recorded in the trace where it is used.
+    the meet-points x, y with the basis planes, their product, and its
+    inverse 1/(xy), which von Staudt's field laws make (1/x)(1/y), in that
+    order, and the point is recovered from the three edge projections.
+    `figure` is the GenericFigure of the points, built when not given; its
+    M, basis planes, tetrahedron and edge frames (with their memoized
+    lines, auxiliaries and scaffolding) serve every column, and each cached
+    value is still recorded in the trace where it is used.
     """
     figure = figure or GenericFigure(points)
     column = figure.m.column(col)
@@ -182,10 +183,9 @@ def construct_test_point(points, col, trace=None, figure=None) -> Point:
         d, e = tet.vertices[chart], tet.vertices[j]
         edge = frame.line
         px = local_param_point(d, e, *a_pts, trace=trace, line=edge, plane=plane_a)
-        qx = von_staudt_inverse(frame, px, trace=trace)
         py = local_param_point(d, e, *b_pts, trace=trace, line=edge, plane=plane_b)
-        qy = von_staudt_inverse(frame, py, trace=trace)
-        projections.append(von_staudt_product(frame, qx, qy, trace=trace))
+        product = von_staudt_product(frame, px, py, trace=trace)
+        projections.append(von_staudt_inverse(frame, product, trace=trace))
     return recover_from_chart(tet, chart, projections, trace=trace)
 
 

@@ -174,12 +174,12 @@ class Point(Extensor):
         return cls(int(s) for s in items)
 
 
-def _trusted_point(coeffs: tuple) -> Point:
-    """The Point of the coefficients of a nonzero grade-1 extensor, made
-    canonical without the length check of Point(...)."""
+def _trusted_point(coords: tuple) -> Point:
+    """A Point built without the checks of Point(...), for four coordinates
+    that are canonical by construction, such as `_canonical_ints` returns."""
     p = object.__new__(Point)
     _set_grade(p, 1)
-    _set_coeffs(p, _canonical_ints(coeffs))
+    _set_coeffs(p, coords)
     return p
 
 

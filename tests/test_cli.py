@@ -6,6 +6,7 @@ import pytest
 from quadricheck import cli, reductions
 from quadricheck.constructions import ConstructionTrace, verify_replay
 from quadricheck.decision import Decision, InternalInconsistency
+from quadricheck.generic_case import MatrixM, build_M
 from quadricheck.oracle import sample_on_quadric
 from quadricheck.projective import Point
 
@@ -232,6 +233,31 @@ class TestFuzz:
         assert cli.main(["fuzz", "--seed", "1", "--count", "3"]) == 3
         out = json.loads(capsys.readouterr().out)
         assert sum(out["census"].values()) == 2 and len(out["errors"]) == 1
+
+    def test_wrong_m_fails_the_det_identity(self, capsys, monkeypatch):
+        """fuzz checks det(M) = Q·det(N) on every generic decision: an M
+        with one entry off by one fails it on each of them, while the
+        verdicts still agree and the census is unchanged."""
+        assert cli.main(["fuzz", "--seed", "1", "--count", "10"]) == 0
+        honest = json.loads(capsys.readouterr().out)
+
+        def wrong_m(points):
+            (first, *rest), *rows = build_M(points).entries
+            return MatrixM(((first + 1, *rest), *rows))
+
+        monkeypatch.setattr(cli, "build_M", wrong_m)
+        assert cli.main(["fuzz", "--seed", "1", "--count", "10"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["census"] == honest["census"] and out["census"]["generic"] > 0
+        assert out["errors"] == []
+        failures = out["disagreements"]
+        assert len(failures) == out["census"]["generic"]
+        assert out["agreements"] == 10 - len(failures)
+        for failure in failures:
+            assert failure["seed"] == 1 and failure["branch"] == "generic"
+            assert failure["identity"] == "det(M) != Q * det(N)"
+            config = cli.fuzz_configuration(1, failure["index"])
+            assert failure["points"] == cli.points_to_json(config)["points"]
 
     def test_injected_bug_detected(self, capsys, monkeypatch):
         true_decide = reductions.decide

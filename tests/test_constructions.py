@@ -13,7 +13,7 @@ from reference_geometry import (
     point_at_parameter,
     standard_tetrahedron,
 )
-from quadricheck import cli, constructions, fixtures, reductions
+from quadricheck import cli, constructions, extensors, fixtures, projective, reductions
 from quadricheck.constructions import (
     ConstructionTrace,
     DegenerateMeet,
@@ -42,7 +42,7 @@ from quadricheck.extensors import (
     meet,
     plane_through,
 )
-from quadricheck.generic_case import GenericFigure
+from quadricheck.generic_case import GenericFigure, construct_test_point
 from quadricheck.projective import (
     E0,
     E1,
@@ -158,6 +158,17 @@ class TestLineMeetLine:
             for args in ((line, other), (other, line)):
                 with pytest.raises(ValueError, match="two lines"):
                     line_meet_line(*args)
+
+    def test_coefficient_tuples_give_canonical_coordinates(self):
+        """The figures pass the lines' coefficients and get the point's
+        coordinates, with the same checks."""
+        rng = seeded("line-meet-line-tuples")
+        for l1, l2 in coplanar_line_pairs(rng, 10):
+            assert line_meet_line(l1.coeffs, l2.coeffs) == line_meet_line(l1, l2).coords
+        with pytest.raises(SkewLines):
+            line_meet_line(line_through(E0, E1).coeffs, line_through(E2, E3).coeffs)
+        with pytest.raises(ValueError, match="coincide"):
+            line_meet_line(line_through(E0, E1).coeffs, line_through(E1, E0).coeffs)
 
     def test_matches_the_meet_with_the_first_witness_off_the_plane(self):
         rng = seeded("line-meet-line")
@@ -429,17 +440,21 @@ class TestTraceReplay:
     def test_replay_meets_coplanar_lines_about_once(self, monkeypatch):
         """Every line_meet_line of a generic decision and of its replay runs
         exactly one witness kernel: E3, the first one tried, is off the
-        plane of every figure."""
+        plane of every figure.  A decision meets coplanar lines 78 times:
+        6 per edge for its product and inverse, on 12 edges, and p1' and c2
+        once for each of its 3 frames.  Its replay meets the same 78 pairs
+        of lines, each once."""
         per_call = count_witness_kernels(monkeypatch)
         for seed in (1, 2):
-            decision = reductions.decide(fixtures.generate_branch("generic", seed), with_trace=True)
+            points = fixtures.generate_branch("generic", seed)
+            per_call.clear()
+            decision = reductions.decide(points, with_trace=True)
             assert decision.branch == "generic"
-            assert len(per_call) > 100 and per_call == [1] * len(per_call)
+            assert per_call == [1] * 78
             trace = ConstructionTrace.from_json(json.loads(json.dumps(decision.trace.to_json())))
             per_call.clear()
             assert verify_replay(trace)
-            assert len(per_call) > 100 and per_call == [1] * len(per_call)
-            per_call.clear()
+            assert per_call == [1] * 78
 
     def test_projection_and_recover_trace(self):
         trace = ConstructionTrace()
@@ -598,11 +613,11 @@ class TestTraceDedup:
             traced.append(index - 8)
         assert {4, 9, 19} <= set(traced)
 
-    def test_generic_fixtures_record_289_steps(self):
+    def test_generic_fixtures_record_217_steps(self):
         for seed in range(1, 9):
             decision = reductions.decide(fixtures.generate_branch("generic", seed), with_trace=True)
-            assert len(decision.trace.steps) == 289
-            assert sum(step.op == "join" for step in decision.trace.steps) == 143
+            assert len(decision.trace.steps) == 217
+            assert sum(step.op == "join" for step in decision.trace.steps) == 107
 
     def test_a_repeated_construction_records_nothing(self):
         trace = ConstructionTrace()
@@ -697,6 +712,70 @@ class TestWitnessOrder:
             kernels.append(sum(per_call))
         # the X-axis frame misses E3, the E2E3 frame holds E3 and E2
         assert kernels[:3] == [8, 24, 8]
+
+
+def count_extensors(monkeypatch):
+    """The returned list gets the name of the constructor of every
+    Extensor built: Extensor(...), Point(...), or `_trusted` or
+    `_trusted_point` wherever the package binds them."""
+    built = []
+
+    def counting(name, real):
+        def run(*args):
+            built.append(name)
+            return real(*args)
+
+        return run
+
+    for module in (projective, extensors, constructions):
+        for name in ("_trusted", "_trusted_point"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for cls in (Extensor, Point):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    return built
+
+
+class TestTuplePath:
+    """The figures run on coefficient tuples: untraced, a public
+    construction builds no Extensor but the Point it returns."""
+
+    def test_untraced_product_and_inverse_build_only_their_result(self, monkeypatch):
+        rng = seeded("tuple-path")
+        cases = []
+        for frame in [X_AXIS_FRAME] + [random_frame(rng) for _ in range(8)]:
+            frame.scaffold  # the frame's memos are built once, on first read
+            px, py = (point_at_parameter(frame, random_fraction(rng) or 1) for _ in "xy")
+            cases.append((frame, px, py))
+        built = count_extensors(monkeypatch)
+        for frame, px, py in cases:
+            for figure in (
+                lambda: von_staudt_product(frame, px, py),
+                lambda: von_staudt_inverse(frame, px),
+                lambda: von_staudt_inverse(frame, frame.zero),
+            ):
+                built.clear()
+                figure()
+                assert built == ["_trusted_point"]
+            built.clear()
+            # a product decided by incidence returns the frame's own point
+            assert von_staudt_product(frame, frame.zero, py) is frame.zero
+            assert built == []
+
+    def test_untraced_test_point_builds_only_the_returned_points(self, monkeypatch):
+        """On a figure whose frames are built, a column's test point builds
+        13 Points: per edge the two meet-points, the product and its
+        inverse, and the recovered point."""
+        points = fixtures.generate_branch("generic", 1)
+        points = reductions.decide(points).labeling.apply(points)
+        figure = GenericFigure(points)
+        for col in range(4):
+            construct_test_point(points, col, figure=figure)
+        built = count_extensors(monkeypatch)
+        for col in range(4):
+            built.clear()
+            construct_test_point(points, col, figure=figure)
+            assert built == ["_trusted_point"] * 13
 
 
 class TestTetrahedron:

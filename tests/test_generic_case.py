@@ -3,19 +3,30 @@ import json
 
 import pytest
 
-from conftest import random_point, seeded
+from conftest import random_fraction, random_point, seeded
 from generic_reference import (
     Degenerate,
     ceva_incidence_check,
     q_coordinate_polynomial,
     tau_transform,
 )
-from reference_geometry import ONES, cofactor_det, transform_from_columns, transform_inverse
+from reference_geometry import (
+    ONES,
+    cofactor_det,
+    point_at_parameter,
+    transform_from_columns,
+    transform_inverse,
+)
 from quadricheck import constructions, fixtures, generic_case
 from quadricheck.constructions import (
     ConstructionTrace,
+    Tetrahedron,
     line_meet_line,
+    local_param_point,
+    recover_from_chart,
     verify_replay,
+    von_staudt_inverse,
+    von_staudt_product,
 )
 from quadricheck.decision import PreconditionViolated
 from quadricheck.extensors import contains_point, line_through, plane_through
@@ -43,6 +54,7 @@ from quadricheck.projective import (
     E0,
     E1,
     E2,
+    InfinityProduct,
     Point,
     STANDARD_BASIS,
     bracket,
@@ -274,9 +286,10 @@ class TestConstructTestPoint:
 
     def test_zero_entry_product_records_no_step(self):
         """M[0][0] = 0 and column 0 is built in chart 1, so on edge 1-0 one
-        factor of the product is the frame's zero: the product is decided by
-        incidence and records no step, and the recovery takes that zero,
-        vertex 1, as the projection on the edge.  The trace still replays."""
+        factor of the product is the frame's infinity: the product is that
+        infinity, decided by incidence with no step recorded, and its
+        inverse is the frame's zero, vertex 1, which the recovery takes as
+        the projection on the edge.  The trace still replays."""
         pts = chart_one_points()
         figure = GenericFigure(pts)
         traces = []
@@ -285,13 +298,17 @@ class TestConstructTestPoint:
             construct_test_point(pts, col, trace=trace, figure=figure)
             traces.append(trace)
         zero_entry, full = traces
-        # on edge 1-0 the first meet-point is the frame's infinity, vertex 0,
-        # so its inversion starts with join(infinity, b): the inversion
-        # scaffold's own join, which the trace records once
         frame = figure.tetrahedron.edge_frame(1, 0)
+        # steps 0-2 build the first meet-point, the frame's infinity (vertex
+        # 0), and steps 3-4 the second; the product adds no step, so step 5
+        # starts the inversion with join(infinity, b): the inversion
+        # scaffold's own join, which the trace records once
         assert zero_entry.steps[2].output == frame.infinity
-        assert zero_entry.steps[3].inputs == [frame.infinity, frame.scaffold.a]
-        assert [s.inputs for s in zero_entry.steps].count(zero_entry.steps[3].inputs) == 1
+        assert zero_entry.steps[5].inputs == [frame.infinity, frame.scaffold.a]
+        assert [s.inputs for s in zero_entry.steps].count(zero_entry.steps[5].inputs) == 1
+        # the inversion's 8 steps end at the frame's zero
+        assert zero_entry.steps[12].op == "meet" and zero_entry.steps[12].output == frame.zero
+        assert frame.zero == pts[7]
         # a von Staudt product records 5 joins and 4 meets
         assert len(full.steps) - len(zero_entry.steps) == 9 + 1
         first_recovery_plane = zero_entry.steps[-5]
@@ -329,6 +346,89 @@ def two_planes_points():
         on_plane(2, 3, 4, (1, 1, 4)),
         on_plane(2, 3, 4, (3, 1, 1)),
     ]
+
+
+def generic_fixtures():
+    """The relabeled points of generate_branch("generic", 1..8), as their
+    decisions label them, and the chart-one points."""
+    configs = []
+    for seed in range(1, 9):
+        points = fixtures.generate_branch("generic", seed)
+        configs.append(decide(points).labeling.apply(points))
+    return configs + [chart_one_points()]
+
+
+def old_order_test_point(points, col, figure):
+    """Column col's test point built as construct_test_point built it with
+    two inversions and one product per edge: the product of the inverses
+    of the two meet-points."""
+    column = figure.m.column(col)
+    chart = next(r for r in range(4) if column[r] != 0)
+    tet = figure.tetrahedron
+    a_pts, b_pts = ([points[i] for i in triple] for triple in BASIS_PLANES[col])
+    projections = []
+    for j in (jj for jj in range(4) if jj != chart):
+        frame = tet.edge_frame(chart, j)
+        d, e = tet.vertices[chart], tet.vertices[j]
+        qx = von_staudt_inverse(frame, local_param_point(d, e, *a_pts))
+        qy = von_staudt_inverse(frame, local_param_point(d, e, *b_pts))
+        projections.append(von_staudt_product(frame, qx, qy))
+    return recover_from_chart(tet, chart, projections)
+
+
+class TestFieldLawOrder:
+    """Each edge draws the inverse of a product, 1/(xy), where it drew the
+    product of two inverses, (1/x)(1/y): by von Staudt's field laws both
+    give one point, so the test points do not change."""
+
+    def frames(self):
+        frames = []
+        for points in generic_fixtures():
+            tet = GenericFigure(points).tetrahedron
+            frames += [tet.edge_frame(i, j) for i, j in itertools.permutations(range(4), 2)]
+        rng = seeded("field-law-frames")
+        random_frames = []
+        while len(random_frames) < 12:
+            try:
+                tet = Tetrahedron(tuple(random_point(rng) for _ in range(4)), random_point(rng))
+            except ValueError:
+                continue
+            random_frames.append(tet.edge_frame(*rng.sample(range(4), 2)))
+        return frames + random_frames
+
+    def test_inverse_of_product_is_product_of_inverses(self):
+        rng = seeded("field-law-parameters")
+        for frame in self.frames():
+            finite = [point_at_parameter(frame, random_fraction(rng) or 1) for _ in range(2)]
+            pairs = [
+                tuple(finite),
+                (frame.unit, finite[0]),
+                (frame.infinity, finite[1]),
+                (finite[0], frame.zero),
+                (frame.infinity, frame.infinity),
+            ]
+            for px, py in pairs:
+                new = von_staudt_inverse(frame, von_staudt_product(frame, px, py))
+                inverses = (von_staudt_inverse(frame, px), von_staudt_inverse(frame, py))
+                assert new == von_staudt_product(frame, *inverses)
+            # a factor at infinity gives infinity, whose inverse is the zero
+            product = von_staudt_product(frame, frame.infinity, finite[0])
+            assert product == frame.infinity
+            assert von_staudt_inverse(frame, product) == frame.zero
+            for px, py in ((frame.zero, frame.infinity), (frame.infinity, frame.zero)):
+                with pytest.raises(InfinityProduct):
+                    von_staudt_inverse(frame, von_staudt_product(frame, px, py))
+                with pytest.raises(InfinityProduct):
+                    von_staudt_product(
+                        frame, von_staudt_inverse(frame, px), von_staudt_inverse(frame, py)
+                    )
+
+    def test_test_points_match_the_two_inverse_order(self):
+        for points in generic_fixtures():
+            figure = GenericFigure(points)
+            for col in range(4):
+                want = old_order_test_point(points, col, figure)
+                assert construct_test_point(points, col, figure=figure) == want
 
 
 class TestGenericFigure:

@@ -178,7 +178,7 @@ class TestDecisionDigest:
         assert result.stdout.splitlines() == [
             "decisions ee55ae3abbd4d8c2cd3a73f2505885b83e0f19b78d28dd997f80a8104c65f57c"
             " 31 configurations",
-            "traces f592d8362e52db451d1045fd3403e149616be6376c952b4b77d5d1a5e92177c1",
+            "traces 61aae68e2513eb89ed20c2eac952df0da9c6d66a1de5ab11b133aee7d8dd909e",
         ]
 
     def test_pinned_fixture_digest(self):
@@ -192,5 +192,5 @@ class TestDecisionDigest:
         assert result.stdout.splitlines() == [
             "decisions 37257a32c4d00ada16989d6c8beec185ae9c7217d9ddfb4c7f9b188365a55f83"
             " 88 configurations",
-            "traces 8746dee5708e6e4ddb0331a9448b16ca3399824c0d59d76d884a7675c2154298",
+            "traces 1c379a9cc2cb0dc13e490f2260e3488a8190ed3247c14ae6e003e64c022259cc",
         ]
