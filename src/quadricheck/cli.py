@@ -118,6 +118,17 @@ def _dump(payload, pretty):
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _write(path, text) -> bool:
+    """Write text to the file at path; on failure print why and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_decide(args) -> int:
     try:
         points = load_config(args.file).labeled_points()
@@ -137,8 +148,9 @@ def cmd_decide(args) -> int:
         report["timings"]["synthetic_seconds"] = time.perf_counter() - start
         decision_json = decision.to_json()
         if args.trace is not None:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write(_dump((decision.trace or ConstructionTrace()).to_json(), args.pretty))
+            trace = (decision.trace or ConstructionTrace()).to_json()
+            if not _write(args.trace, _dump(trace, args.pretty)):
+                return 2
             decision_json["trace_ref"] = args.trace
         report["decision"] = decision_json
     if args.method in ("oracle", "both"):
@@ -171,8 +183,8 @@ def cmd_gen(args) -> int:
         return 2
     payload = _dump(points_to_json(points), args.pretty)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        if not _write(args.out, payload):
+            return 2
     else:
         sys.stdout.write(payload)
     return 0

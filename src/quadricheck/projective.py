@@ -404,12 +404,19 @@ class IncidenceTable:
     for collinear sixes too.  For n = 10 each minor is the pairing of two
     column pairs' 2x2 minors, which the plane's `_Kernel` memoizes.
 
-    `sixes_on_a_conic` reads the sixes by their first four points.  A four
-    off every known plane with a nonzero bracket spans P^3, and the sixes
-    that extend it are contiguous in combinations order, so with no four
-    points coplanar the scan reads 70 brackets.  A six that reveals a plane
-    has `_plane` find every point on it, one bracket per point; each later
-    six inside it is decided by its minor of K alone, and a plane holding
+    `sixes_on_a_conic` finds the planes first and then sweeps each once.
+    It reads the sixes by their first four points.  A four off every plane
+    met with a nonzero bracket spans P^3, and so does every six that
+    extends it, so with no four points coplanar the scan reads 70 brackets
+    and nothing else.  A four of rank 3 inside a plane met is skipped, as
+    its sixes lie in that plane; one with a vanishing bracket names its
+    plane, and `_plane` finds every point on it, one bracket per point.  A
+    collinear four lies in many planes, so it is never skipped this way: it
+    names the planes through its line, one per point off the line, and a
+    line of six or more points gives its collinear sixes.  Each plane of
+    n >= 6 points then lists its conic sixes in one pass over K: the
+    complements of the (n-6)-subsets of its columns whose minor vanishes,
+    210 pairings of 45 memoized 2x2 minors for n = 10.  A plane holding
     every point settles coplanarity outright (`in_a_known_plane`).
 
     The collinear triples are read in one scan, which stops at the first
@@ -514,38 +521,65 @@ class IncidenceTable:
         return all(self.bracket_vanishes(*q) for q in combinations(indices, 4))
 
     def in_a_known_plane(self, indices) -> bool:
-        """Whether a plane the conic scan has met holds every point at the
-        indices (False when it has met none)."""
-        return bool(self._known_plane(self._mask(indices)))
-
-    def _known_plane(self, mask):
-        return next((plane for plane in self._planes if mask & plane == mask), 0)
+        """Whether a plane of six or more points that the conic scan has met
+        holds every point at the indices (False when it has met none)."""
+        mask = self._mask(indices)
+        return any(mask & plane == mask for plane in self._planes)
 
     def sixes_on_a_conic(self):
         """Every six of the points that lies on a conic of a plane (rank <= 2,
         or rank 3 with a vanishing conic determinant), as index tuples in
-        combinations order, read plane by plane from the left kernels of the
-        planes' charts."""
-        n = len(self._bits)
-        planes = self._planes
+        combinations order.
+
+        The scan finds the planes first, from the first four points of each
+        six, and then sweeps each plane of six or more points once with the
+        left kernel of its chart."""
+        b = self._bits
+        n = len(b)
+        met = list(self._planes)  # every plane met, small ones too
+        hits = set()
         for four in combinations(range(n - 2), 4):
-            if not self.in_a_known_plane(four) and not self.bracket_vanishes(*four):
-                continue
-            for pair in combinations(range(four[3] + 1, n), 2):
-                six = four + pair
-                mask = self._mask(six)
-                plane = self._known_plane(mask)
-                if not plane:
-                    if not self.on_a_plane(six):
-                        continue
-                    triple = self.first_independent(six)
-                    if triple is None:
-                        yield six
-                        continue
-                    plane = self._plane(triple)
-                    planes[plane] = self._left_kernel(plane)
-                if planes[plane].on_a_conic(mask):
-                    yield six
+            mask = b[four[0]] | b[four[1]] | b[four[2]] | b[four[3]]
+            inside = any(mask & plane == mask for plane in met)
+            if inside:
+                if not self.collinear(*four[:3]):
+                    continue  # rank 3: its plane is met
+            elif not self.bracket_vanishes(*four):
+                continue  # every six that extends it spans P^3
+            triple = self.first_independent(four)
+            if triple is None:
+                self._through_a_line(four, met, hits)
+            elif not inside:
+                met.append(self._plane(triple))
+        for plane in met:
+            if plane not in self._planes and plane.bit_count() >= 6:
+                self._planes[plane] = self._left_kernel(plane)
+        for plane, kernel in self._planes.items():
+            hits.update(kernel.conic_sixes([i for i in range(n) if plane & b[i]], b))
+        yield from sorted(hits)
+
+    def _through_a_line(self, four, met, hits):
+        """Read a four of rank <= 2 into the scan.  Each six that extends it
+        has rank <= 2, so lies on its line, or rank 3, so lies in the plane
+        of the line and a point off it; a line of six or more points gives
+        its collinear sixes as hits, and the planes join those met.  A four
+        of one point repeated has no line: every six that extends it is a
+        hit, of rank <= 3 with four equal conic rows."""
+        b = self._bits
+        n = len(b)
+        pair = next((p for p in combinations(four, 2) if any(self._line(*p))), None)
+        if pair is None:
+            hits.update(four + rest for rest in combinations(range(four[3] + 1, n), 2))
+            return
+        line = self._mask(l for l in range(n) if l in pair or self.collinear(*pair, l))
+        hits.update(combinations([i for i in range(n) if line & b[i]], 6))
+        covered = line
+        for p in range(n):
+            if not covered & b[p]:
+                plane = self._plane(pair + (p,))
+                covered |= plane
+                if plane not in met:
+                    met.append(plane)
 
     def _left_kernel(self, plane):
         """The left kernel of a plane's chart."""
@@ -592,15 +626,39 @@ class _Kernel(dict):
         line = self[pair] = _plucker(self.columns[low], self.columns[pair ^ low])
         return line
 
-    def on_a_conic(self, mask) -> bool:
-        """Whether the six points of the mask lie on a conic: the chart has
-        rank below 6, or the minor of K on the columns outside them vanishes."""
+    def conic_sixes(self, on, bits):
+        """The sixes of the plane's points, by their indices `on` in
+        ascending order with `bits` the bit of each index, that lie on a
+        conic: all of them when the chart has rank below 6, else the
+        complement of each (n-6)-subset of K's columns whose minor vanishes
+        (none for n = 6, whose minor is empty)."""
         if self.columns is None:
-            return True
-        outside = [bit for bit in self.columns if not mask & bit]
-        if len(outside) == 4:
-            return _pairing(self[outside[0] | outside[1]], self[outside[2] | outside[3]]) == 0
-        return bool(outside) and _det_any(*(self.columns[bit] for bit in outside)) == 0
+            return combinations(on, 6)
+        k = len(on) - 6
+        if k == 4:
+            lines = [self[bits[on[r]] | bits[on[s]]] for r, s in _PAIRS_OF_TEN]
+            zero = [
+                out for out, (ab, cd) in zip(combinations(range(10), 4), _SPLITS_OF_TEN)
+                if not _pairing(lines[ab], lines[cd])
+            ]
+        elif k:
+            columns = [self.columns[bits[i]] for i in on]
+            zero = [
+                out for out in combinations(range(len(on)), k)
+                if not _det_any(*(columns[r] for r in out))
+            ]
+        else:
+            return ()
+        return [tuple(i for r, i in enumerate(on) if r not in out) for out in zero]
+
+
+# The pairs of ten kernel columns by their positions in combinations order,
+# and each four of the columns, in that order, as the positions of its
+# pairs ab and cd.
+_PAIRS_OF_TEN = {pair: r for r, pair in enumerate(combinations(range(10), 2))}
+_SPLITS_OF_TEN = tuple(
+    (_PAIRS_OF_TEN[four[:2]], _PAIRS_OF_TEN[four[2:]]) for four in combinations(range(10), 4)
+)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,12 @@ computed at most once per decision, and only when an exit reads it, from
 the Plücker lines of the pairs of points.  The four-collinear exit reads
 the triples once and extends only the collinear ones; the three-lines and
 two-lines exits, and the genericity check on the relabeled view, list them
-from that scan.  The six-on-conic exit skips every six whose first four
-points span space and sweeps each plane it meets once, and skew-line
-discovery reads the coplanar exit off a plane that holds all ten points.
+from that scan.  The six-on-conic exit finds the planes first, from the
+first four points of each six (70 brackets when no four are coplanar),
+then sweeps each plane of six or more points once with the left kernel of
+its conic chart, and takes the first six of the union in combinations
+order; skew-line discovery reads the coplanar exit off a plane that holds
+all ten points.
 """
 
 from __future__ import annotations

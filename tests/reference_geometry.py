@@ -306,6 +306,69 @@ def conic_planes():
     return configs
 
 
+def _circle_y0(t):
+    """The image of `_circle(t)` under y <-> z: the conic x^2 + z^2 = w^2 of
+    the plane y = 0, which meets the circle of z = 0 at (1:0:0:1) and
+    (-1:0:0:1) on their common line."""
+    x, y, z, w = _circle(t)
+    return (x, z, y, w)
+
+
+def plane_discovery():
+    """(name, ten points, six-subsets on a conic) for planes that the conic
+    scan finds across planes or through a line, pushed through a seeded
+    transform:
+
+    - two planes z = 0 and y = 0, each holding six points on a circle, two
+      of them the shared points (+-1:0:0:1) of their common line, so one
+      conic six comes from each plane's sweep; shuffled;
+    - a plane z = 0 of seven points whose first four lie on the line
+      y = 0, and three generic points off it: the four is collinear, so the
+      plane is found through the line, and its conic sixes are the three
+      that hold all four collinear points (a line pair); not shuffled, so
+      points 0..3 stay the collinear four;
+    - as above with six points on the line, two more on the plane and two
+      off it: the line's collinear six is a hit as well, and so is every
+      coplanar six with four or more points on the line (five on it and
+      any other point, or four and the plane's two others);
+    - point 0 on the plane z = 0, points 1..4 on the line y = z = 0 and
+      points 8, 9 on the plane y = 0, not shuffled: the scan first meets
+      the plane z = 0 of points 0..4 (too small to sweep), then the four
+      1..4 inside it, which is collinear, so it still finds the plane y = 0
+      through its line, and the one conic six (1, 2, 3, 4, 8, 9) there;
+    - ten points on one line, which no plane holds alone: every six is a
+      hit, found as a collinear six of the line."""
+    rng = random.Random("plane-discovery")
+    shared = [_circle((0, 1)), _circle((1, 0))]
+    two_planes = (
+        shared
+        + [_circle(t) for t in ((1, 2), (1, 3), (2, 3), (3, 1))]
+        + [_circle_y0(t) for t in ((1, 1), (2, 5), (5, 4), (-1, 2))]
+    )
+    # generic points off both planes y = 0 and z = 0
+    generic = sample_generic("plane-discovery", 10, bound=20)
+    off_planes = [p.coords for p in generic if p.coords[1] and p.coords[2]]
+    line = [(k, 0, 0, 1) for k in range(1, 11)]
+    in_plane = [(0, 1, 0, 1), (1, 2, 0, 1), (2, -1, 0, 3)]
+    line_of_four = line[:4] + in_plane + off_planes[:3]
+    line_of_six = line[:6] + in_plane[:2] + off_planes[:2]
+    line_in_a_plane = in_plane[:1] + line[:4] + off_planes[:3] + [(0, 0, 1, 1), (1, 0, 2, 3)]
+    configs = []
+    for name, coords, shuffle, hits in (
+        ("two planes sharing a line", two_planes, True, 2),
+        ("plane through a line of four", line_of_four, False, 3),
+        ("plane through a line of six", line_of_six, False, 40),
+        ("line of four inside a plane met first", line_in_a_plane, False, 1),
+        ("ten on a line", line, False, 210),
+    ):
+        t = random_transform(rng, bound=5)
+        points = [t.apply(Point(c)) for c in coords]
+        if shuffle:
+            rng.shuffle(points)
+        configs.append((name, points, hits))
+    return configs
+
+
 def support_basis(e):
     """Independent points spanning the support of a nonzero extensor.
 

@@ -71,6 +71,15 @@ class TestDecide:
             assert len(trace.steps) > 0
         assert verify_replay(trace)
 
+    def test_unwritable_trace_exits_two(self, segre_file, tmp_path, capsys):
+        trace_path = tmp_path / "missing" / "trace.json"
+        code = cli.main(["decide", segre_file, "--trace", str(trace_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {trace_path}: ")
+        assert "Traceback" not in captured.err
+
     def test_disagreement_exits_three(self, segre_file, capsys, monkeypatch):
         true_decide = reductions.decide
 
@@ -133,6 +142,15 @@ class TestGen:
         report = json.loads(capsys.readouterr().out)
         assert report["decision"]["branch"] == branch
         assert report["agreement"] is True
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        out_file = tmp_path / "missing" / "points.json"
+        code = cli.main(["gen", "--kind", "on-quadric", "--seed", "4", "--out", str(out_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out_file}: ")
+        assert "Traceback" not in captured.err
 
     def test_stdout_when_no_out(self, capsys):
         assert cli.main(["gen", "--kind", "on-quadric", "--seed", "7"]) == 0

@@ -5,7 +5,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import random_point, seeded
-from reference_geometry import conic_planes, planar_conic_det
+from reference_geometry import conic_planes, planar_conic_det, plane_discovery
 from quadricheck import fixtures, generic_case, projective, reductions
 from quadricheck.constructions import line_meet_line
 from quadricheck.decision import (
@@ -1135,6 +1135,31 @@ class TestIncidenceTable:
             assert table.in_a_known_plane(on), name
             assert table.in_a_known_plane(range(10)) == (len(on) == 10), name
 
+    def test_planes_found_across_planes_and_through_lines(self, incidence_inputs):
+        _, labelings = incidence_inputs
+        for name, points, want_hits in plane_discovery():
+            warm = IncidenceTable(points)
+            hits = list(warm.sixes_on_a_conic())
+            if name.startswith("two planes"):
+                # one conic six from each plane, the two sharing two points
+                first, second = (set(six) for six in hits)
+                assert len(first & second) == 2, name
+                assert rank_of_points([points[i] for i in first | second]) == 4, name
+            elif name.startswith("line of four"):
+                assert rank_of_points(points[:5]) == 3 and rank_of_points(points[1:5]) == 2, name
+                assert hits == [(1, 2, 3, 4, 8, 9)], name
+            else:
+                # the scan meets the plane through a collinear first four
+                assert rank_of_points(points[:4]) == 2, name
+            for labeling in labelings:
+                pts = labeling.apply(points)
+                want = ref_sixes_on_a_conic(pts)
+                assert len(want) == want_hits, name
+                # a fresh table finds the planes in this labeling's order; the
+                # warm view starts from those the identity scan met
+                for table in (IncidenceTable(pts), warm.relabeled(labeling)):
+                    assert list(table.sixes_on_a_conic()) == want, name
+
     def test_exits_match_direct_scans(self, incidence_inputs):
         configs, labelings = incidence_inputs
         for name, points in configs:
@@ -1275,9 +1300,37 @@ class TestPlaneFirstScan:
         for points in fixtures_:
             computed[3] = computed[4] = 0
             assert decide(points).branch == "coplanar"
-            # 15 brackets of the first six and 4 for the rest of the plane;
-            # a scan six by six fills all 210
-            assert computed[4] <= 30, computed
+            # the bracket of the first four, then one per other point to find
+            # its plane; every later four lies in that plane, where a scan six
+            # by six would fill all 210
+            assert computed[4] == 7, computed
+
+    def test_coplanar_builds_one_kernel_and_reads_each_minor_once(self, monkeypatch):
+        fixtures_ = [fixtures.generate_branch("coplanar", seed) for seed in self.SEEDS]
+        kernels = []
+        left_kernel = IncidenceTable._left_kernel
+        monkeypatch.setattr(
+            IncidenceTable,
+            "_left_kernel",
+            lambda table, plane: kernels.append(plane) or left_kernel(table, plane),
+        )
+        pairings = []
+        pairing = projective._pairing
+        monkeypatch.setattr(
+            projective, "_pairing", lambda l, m: pairings.append((l, m)) or pairing(l, m)
+        )
+        computed = _dependence_counter(monkeypatch)
+        for points in fixtures_:
+            kernels.clear()
+            pairings.clear()
+            computed[3] = computed[4] = 0
+            assert decide(points).branch == "coplanar"
+            assert kernels == [(1 << 10) - 1]
+            # each pairing that decides no bracket is one 4x4 minor of K, the
+            # pairing of two column pairs' 2x2 minors: one per four of the
+            # ten columns, each read once
+            minors = len(pairings) - computed[4]
+            assert minors == 210 and len(set(pairings)) == len(pairings), computed
 
     def test_generic_scan_reads_only_prefix_brackets(self, monkeypatch):
         """No four of a generic fixture are coplanar, so the conic scan reads
