@@ -141,15 +141,16 @@ def cmd_decide(args) -> int:
         start = time.perf_counter()
         try:
             decision = reductions.decide(points, with_trace=args.trace is not None)
+            report["timings"]["synthetic_seconds"] = time.perf_counter() - start
+            decision_json = decision.to_json()
+            if args.trace is not None:
+                trace = _dump((decision.trace or ConstructionTrace()).to_json(), args.pretty)
         except Exception as exc:  # reported with its configuration, as fuzz_check does
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             sys.stderr.write(_dump(points_to_json(points), args.pretty))
             return 3
-        report["timings"]["synthetic_seconds"] = time.perf_counter() - start
-        decision_json = decision.to_json()
         if args.trace is not None:
-            trace = (decision.trace or ConstructionTrace()).to_json()
-            if not _write(args.trace, _dump(trace, args.pretty)):
+            if not _write(args.trace, trace):
                 return 2
             decision_json["trace_ref"] = args.trace
         report["decision"] = decision_json

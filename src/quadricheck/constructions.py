@@ -3,10 +3,11 @@ and inverse on a line, and the meet-point whose local parameter is a bracket
 ratio.  Points go in and out of each construction, and inside it the
 figure runs on coefficient tuples through the kernels of `extensors`.  It
 can be recorded into a replayable ConstructionTrace of `join` and `meet`
-steps, whose values are made Extensors only then: `_join` and
-`_meet_lines` build a line, a plane or the meet point of coplanar lines
-and record it in one call, and the steps a frame's scaffold shares are
-recorded where each figure reads them.
+steps, which keeps each step as those coefficient tuples, so recording
+makes no value object: `_join` and `_meet_lines` build a line, a plane or
+the meet point of coplanar lines and record it in one call, and the steps
+a frame's scaffold shares are recorded where each figure reads them.  The
+trace is written, read and replayed on the same tuples.
 
 All constructions use only lines through two known points, planes through
 three known points, and their intersections; intersections of coplanar
@@ -29,6 +30,7 @@ from .extensors import (
     _MEET_KERNELS,
     _WITNESS_MEETS,
     Extensor,
+    GradeOverflow,
     ZeroExtensor,
     as_point,
     contains_point,
@@ -40,8 +42,11 @@ from .projective import (
     GeometryError,
     InfinityProduct,
     STANDARD_BASIS,
+    SUBSETS,
     Point,
     _canonical_ints,
+    _decimal_strings,
+    _ints_of_strings,
     _trusted,
     _trusted_point,
     bracket,
@@ -86,6 +91,14 @@ class ConstructionTrace:
     its op, its input values and its output, and replaying the steps
     reproduces every output exactly.
 
+    A step is held as the coefficient tuples the figures compute on:
+    (op, grades, inputs, output), where `grades` lists the inputs' grades
+    and then the output's, and `inputs` holds the inputs' coefficient
+    tuples.  Recording, `to_json`, `from_json` and `verify_replay` make no
+    value object.  `steps` is the view of the steps as TraceSteps, whose
+    values are Extensors and Points: it is built on first read, with one
+    object per distinct value, and built again once steps have been added.
+
     A trace records each construction once: a step whose op and input
     values equal an earlier step's is not appended again (its output is
     the same), so a figure that reuses a memoized part, such as an edge's
@@ -96,38 +109,55 @@ class ConstructionTrace:
     In JSON the values are written once each.  `leaves` holds every input
     that no earlier step outputs, and each step input is an int: i below
     len(leaves) names leaf i, and len(leaves) + k the output of step k.  An
-    input equal to an earlier step's output names the first such step.
+    input equal to an earlier step's output names the first such step.  A
+    grade-1 value is a point, written with its canonical coordinates.
     """
 
-    steps: list = field(default_factory=list)
+    _steps: list = field(default_factory=list, init=False, repr=False)
     # the key of every recorded step: its op and its inputs' grades and coefficients
     _recorded: set = field(default_factory=set, init=False, repr=False, compare=False)
+    _view: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    @property
+    def steps(self) -> list:
+        if len(self._view) != len(self._steps):
+            made = {}  # (grade, coeffs) -> the one value object of the view
+
+            def value(grade, coeffs):
+                v = made.get((grade, coeffs))
+                if v is None:
+                    v = made[grade, coeffs] = _value(grade, coeffs)
+                return v
+
+            self._view = [
+                TraceStep(
+                    op, [value(g, c) for g, c in zip(grades, inputs)], value(grades[-1], output)
+                )
+                for op, grades, inputs, output in self._steps
+            ]
+        return self._view
 
     def to_json(self):
-        leaves = {}  # value key -> (leaf index, value)
-        firsts = {}  # value key -> the first step that outputs the value
+        leaves = {}  # (grade, coeffs) -> leaf index
+        firsts = {}  # (grade, coeffs) -> the first step that outputs the value
         refs = []  # per step; a step k is held as ~k until the leaf count is known
-        for k, step in enumerate(self.steps):
+        for k, (_, grades, inputs, output) in enumerate(self._steps):
             row = []
-            for value in step.inputs:
-                key = _key(value)
-                n = firsts.get(key)
-                if n is None:
-                    row.append(leaves.setdefault(key, (len(leaves), value))[0])
-                else:
-                    row.append(~n)
+            for value in zip(grades, inputs):
+                n = firsts.get(value)
+                row.append(leaves.setdefault(value, len(leaves)) if n is None else ~n)
             refs.append(row)
-            firsts.setdefault(_key(step.output), k)
+            firsts.setdefault((grades[-1], output), k)
         offset = len(leaves)
         return {
-            "leaves": [_value_to_json(value) for _, value in leaves.values()],
+            "leaves": [_value_to_json(g, c) for g, c in leaves],
             "steps": [
                 {
-                    "op": step.op,
+                    "op": op,
                     "inputs": [i if i >= 0 else offset + ~i for i in row],
-                    "output": _value_to_json(step.output),
+                    "output": _value_to_json(grades[-1], output),
                 }
-                for step, row in zip(self.steps, refs)
+                for (op, grades, _, output), row in zip(self._steps, refs)
             ],
         }
 
@@ -138,33 +168,50 @@ class ConstructionTrace:
         values = [_value_from_json(leaf) for leaf in data["leaves"]]
         trace = cls()
         for raw in data["steps"]:
-            inputs = []
+            grades, inputs = [], []
             for i in raw["inputs"]:
                 if type(i) is not int or not 0 <= i < len(values):
                     raise ValueError(f"step input {i!r} names no earlier value")
-                inputs.append(values[i])
-            output = _value_from_json(raw["output"])
-            trace.steps.append(TraceStep(raw["op"], inputs, output))
-            values.append(output)
+                grade, coeffs = values[i]
+                grades.append(grade)
+                inputs.append(coeffs)
+            grade, coeffs = _value_from_json(raw["output"])
+            trace._steps.append((raw["op"], (*grades, grade), tuple(inputs), coeffs))
+            values.append((grade, coeffs))
         return trace
 
 
-def _key(value):
-    """A trace value's integers, which key it as its own __eq__ does; plain
-    tuples hash and compare faster than the value itself."""
-    return value.grade, value.coeffs
+def _value(grade, coeffs):
+    """The value object of a grade and coefficient tuple: a Point for grade 1."""
+    return _trusted_point(coeffs) if grade == 1 else _trusted(grade, coeffs)
 
 
-def _value_to_json(value):
-    if isinstance(value, Point):
-        return {"point": value.to_strings()}
-    return {"extensor": value.to_json()}
+def _value_to_json(grade, coeffs):
+    if grade == 1:
+        return {"point": _decimal_strings(coeffs)}
+    return {"extensor": {"grade": grade, "coeffs": _decimal_strings(coeffs)}}
 
 
 def _value_from_json(data):
+    """(grade, coefficient tuple) of a written value.  A point's coordinates
+    are made canonical; an extensor must have a grade 0..4 and that grade's
+    number of coefficients, and one of grade 1 canonical coefficients, since
+    a grade-1 value is a point."""
     if "point" in data:
-        return Point.from_strings(data["point"])
-    return Extensor.from_json(data["extensor"])
+        coords = _ints_of_strings(data["point"])
+        if len(coords) != 4:
+            raise ValueError("points live in P^3: they take four coordinates")
+        return 1, _canonical_ints(coords)
+    raw = data["extensor"]
+    grade = int(raw["grade"])
+    if grade not in range(5):
+        raise ValueError("grade must be 0..4")
+    coeffs = _ints_of_strings(raw["coeffs"])
+    if len(coeffs) != len(SUBSETS[grade]):
+        raise ValueError(f"grade-{grade} extensor needs {len(SUBSETS[grade])} coefficients")
+    if grade == 1 and _canonical_ints(coeffs) != coeffs:
+        raise ValueError("a grade-1 value is a point: its coefficients must be canonical")
+    return grade, coeffs
 
 
 def _record(trace, op, grades, inputs, output):
@@ -172,17 +219,13 @@ def _record(trace, op, grades, inputs, output):
     earlier step has the same op and input values.  The inputs and the
     output are coefficient tuples, and `grades` holds the inputs' grades
     and then the output's, so the key (op, grades, *inputs) hashes and
-    compares in C; the values are made Extensors only for a new step."""
+    compares in C, and the step is kept as it is given."""
     if trace is not None:
         recorded = trace._recorded
         size = len(recorded)
         recorded.add((op, grades, *inputs))
         if len(recorded) > size:
-            values = [
-                _trusted_point(c) if g == 1 else _trusted(g, c)
-                for g, c in zip(grades, (*inputs, output))
-            ]
-            trace.steps.append(TraceStep(op, values[:-1], values[-1]))
+            trace._steps.append((op, grades, inputs, output))
 
 
 def _join(trace, *points):
@@ -531,37 +574,52 @@ def local_param_point(
 # trace replay
 
 
-def _execute_step(op, inputs):
+def _execute(op, grades, inputs):
+    """(grade, coefficients) of the output of one step, recomputed by the
+    kernels from its inputs' grades and coefficient tuples: a `join` of 2
+    or 3 values or a `meet` of 2.  A meet of two coplanar lines runs
+    `line_meet_line`, like the construction that recorded it, and a meet
+    point is made canonical."""
     if op == "join":
         if len(inputs) not in (2, 3):
             raise ValueError(f"a join step takes 2 or 3 inputs, not {len(inputs)}")
-        out = inputs[0]
-        for e in inputs[1:]:
-            out = join(out, e)
-        return out
+        grade, out = grades[0], inputs[0]
+        for g, coeffs in zip(grades[1:], inputs[1:]):
+            if grade + g > 4:
+                raise GradeOverflow(f"grades {grade} + {g} exceed 4")
+            grade, out = grade + g, _JOIN_KERNELS[grade, g](out, coeffs)
+        return grade, out
     if op == "meet":
         if len(inputs) != 2:
             raise ValueError(f"a meet step takes 2 inputs, not {len(inputs)}")
-        a, b = inputs
-        if a.grade == 2 and b.grade == 2:
+        if grades[0] == grades[1] == 2:
             try:
-                return line_meet_line(a, b)
+                return 1, line_meet_line(*inputs)
             except SkewLines:
                 pass
-        hit = meet(a, b)
-        return as_point(hit) if hit.grade == 1 and not hit.is_zero() else hit
+        grade = grades[0] + grades[1] - 4
+        if grade < 0:
+            return 0, (0,)
+        out = _MEET_KERNELS[grades[0], grades[1]](*inputs)
+        return grade, _canonical_ints(out) if grade == 1 and any(out) else out
     raise ValueError(f"unknown trace op {op!r}")
 
 
 def replay_trace(trace: ConstructionTrace):
-    """Re-execute every step, each a `join` of 2 or 3 values or a `meet`
-    of 2; returns the list of recomputed outputs.  A meet of two coplanar
-    lines runs `line_meet_line`, like the construction that recorded it."""
-    return [_execute_step(step.op, step.inputs) for step in trace.steps]
+    """Re-execute every step as `trace.steps` lists it, each a `join` of 2
+    or 3 values or a `meet` of 2; returns the list of recomputed outputs,
+    as values, to compare with the steps' outputs."""
+    return [
+        _value(*_execute(step.op, [v.grade for v in step.inputs], [v.coeffs for v in step.inputs]))
+        for step in trace.steps
+    ]
 
 
 def verify_replay(trace: ConstructionTrace) -> bool:
-    """True when replaying reproduces every recorded output exactly."""
+    """True when replaying reproduces every recorded output exactly; runs
+    on the steps' coefficient tuples and makes no value object."""
+    outputs = [_execute(op, grades[:-1], inputs) for op, grades, inputs, _ in trace._steps]
     return all(
-        got == step.output for got, step in zip(replay_trace(trace), trace.steps)
+        got == (grades[-1], output)
+        for got, (_, grades, _, output) in zip(outputs, trace._steps)
     )

@@ -16,8 +16,10 @@ special exits take their certificates from it.
 
 from __future__ import annotations
 
+import re
 from copy import copy
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import combinations
 from math import gcd, lcm
 
@@ -61,6 +63,39 @@ def _canonical_ints(values):
     if g == 1:
         return ints
     return tuple([v // g for v in ints])
+
+
+def _decimal_strings(ints) -> list:
+    """The decimal strings of ints, also of more digits than `str` writes
+    under the interpreter's limit on int-to-text conversion: `Decimal`
+    converts both ways without that limit."""
+    try:
+        return [str(c) for c in ints]
+    except ValueError:
+        return [str(Decimal(c)) for c in ints]
+
+
+_INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def _int_of_string(text) -> int:
+    """`int(text)`, and for integer text of more digits than `int` converts
+    under the interpreter's limit, the int that `Decimal` reads."""
+    try:
+        return int(text)
+    except ValueError:
+        if isinstance(text, str) and _INTEGER_TEXT.fullmatch(text):
+            return int(Decimal(text))
+        raise
+
+
+def _ints_of_strings(items) -> tuple:
+    """The ints of integer strings, such as `_decimal_strings` writes;
+    ValueError on any other text."""
+    try:
+        return tuple([int(s) for s in items])
+    except ValueError:
+        return tuple(map(_int_of_string, items))
 
 
 # The basis extensors of each grade, as sorted subsets of {0,1,2,3}.
@@ -166,12 +201,6 @@ class Point(Extensor):
 
     def to_strings(self):
         return [str(c) for c in self.coords]
-
-    @classmethod
-    def from_strings(cls, items):
-        """The point of to_strings' integer strings; ValueError on any
-        other text."""
-        return cls(int(s) for s in items)
 
 
 def _trusted_point(coords: tuple) -> Point:
@@ -709,7 +738,7 @@ class QuadricCoeffs:
         return sum(c * v[i] * v[j] for c, (i, j) in zip(self.coeffs, MONOMIALS))
 
     def to_strings(self):
-        return [str(c) for c in self.coeffs]
+        return _decimal_strings(self.coeffs)
 
 
 def veronese_row(p: Point):

@@ -1,5 +1,7 @@
 import json
+import random
 from collections import Counter
+from decimal import Decimal
 
 import pytest
 
@@ -8,7 +10,7 @@ from quadricheck.constructions import ConstructionTrace, verify_replay
 from quadricheck.decision import Decision, InternalInconsistency
 from quadricheck.generic_case import MatrixM, build_M
 from quadricheck.oracle import sample_on_quadric
-from quadricheck.projective import Point
+from quadricheck.projective import Point, QuadricCoeffs
 
 
 def write_config(path, points):
@@ -79,6 +81,38 @@ class TestDecide:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {trace_path}: ")
         assert "Traceback" not in captured.err
+
+    def test_trace_write_failure_prints_one_error_line(self, segre_file, tmp_path, capsys, monkeypatch):
+        def failing(self):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(ConstructionTrace, "to_json", failing)
+        trace_path = tmp_path / "trace.json"
+        code = cli.main(["decide", segre_file, "--trace", str(trace_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and not trace_path.exists()
+        error, configuration = captured.err.splitlines()
+        assert error == "error: ValueError: injected"
+        assert json.loads(configuration) == cli.points_to_json(sample_on_quadric("cli-segre", 10))
+
+    def test_certificate_past_the_int_text_digit_limit(self, tmp_path, capsys):
+        """Nine points of 1,000-bit coordinates and a repeat: the quadric
+        through the nine has coefficients of more digits than `str` writes
+        under the interpreter's default limit of 4,300."""
+        rng = random.Random("cli-wide-certificate")
+        bound = 2**1000
+        pts = [Point(tuple(rng.randint(-bound, bound) for _ in range(4))) for _ in range(9)]
+        cfg = write_config(tmp_path / "cfg.json", pts + pts[:1])
+        code = cli.main(["decide", cfg, "--method", "both"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        out = json.loads(captured.out)
+        assert out["decision"]["branch"] == "duplicate"
+        texts = out["decision"]["certificate"]["coeffs"]
+        assert max(len(t) for t in texts) > 4300
+        quadric = QuadricCoeffs(tuple(int(Decimal(t)) for t in texts))
+        assert all(quadric.evaluate(p) == 0 for p in pts)
 
     def test_disagreement_exits_three(self, segre_file, capsys, monkeypatch):
         true_decide = reductions.decide

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 
@@ -529,7 +530,7 @@ def written(value):
 
 
 class TestTraceFormat:
-    """In memory a step holds its input values; in JSON each value is
+    """`steps` lists each step with its input values; in JSON each value is
     written once, as a leaf or as a step output, and every input is an int
     that names an earlier one."""
 
@@ -776,6 +777,84 @@ class TestTuplePath:
             built.clear()
             construct_test_point(points, col, figure=figure)
             assert built == ["_trusted_point"] * 13
+
+
+class TestTraceValues:
+    """A trace holds each step as coefficient tuples: recording, writing,
+    reading and replaying make no value object, and `steps` makes one per
+    distinct value when it is read."""
+
+    def test_tracing_defers_value_objects(self, monkeypatch):
+        built = count_extensors(monkeypatch)
+        for seed in (1, 2):
+            points = fixtures.generate_branch("generic", seed)
+            built.clear()
+            reductions.decide(points)
+            untraced = list(built)
+            built.clear()
+            viewed = reductions.decide(points, with_trace=True)
+            plain = reductions.decide(points, with_trace=True)
+            assert viewed.branch == "generic"
+            assert built == untraced * 2
+            payload = plain.trace.to_json()
+            built.clear()
+            restored = ConstructionTrace.from_json(json.loads(json.dumps(payload)))
+            assert verify_replay(restored)
+            assert built == []
+            steps = viewed.trace.steps
+            values = [v for step in steps for v in (*step.inputs, step.output)]
+            distinct = {(v.grade, v.coeffs) for v in values}
+            assert len({id(v) for v in values}) == len(distinct)
+            assert len(built) == len(distinct)
+            assert viewed.trace.to_json() == payload
+
+    def test_a_grade_one_value_is_a_point(self):
+        """A grade-1 value written as an extensor is read as the point of
+        its coefficients, which must be canonical."""
+        line = {"extensor": join(E0, E1).to_json()}
+
+        def trace(first):
+            return {
+                "leaves": [first, {"point": E1.to_strings()}],
+                "steps": [{"op": "join", "inputs": [0, 1], "output": line}],
+            }
+
+        restored = ConstructionTrace.from_json(trace({"extensor": E0.to_json()}))
+        assert verify_replay(restored)
+        assert type(restored.steps[0].inputs[0]) is Point
+        assert restored.to_json() == trace({"point": E0.to_strings()})
+        for coeffs in (["2", "0", "0", "0"], ["-1", "0", "0", "0"], ["0", "0", "0", "0"]):
+            with pytest.raises(ValueError):
+                ConstructionTrace.from_json(trace({"extensor": {"grade": 1, "coeffs": coeffs}}))
+
+    def test_integers_past_the_int_text_digit_limit(self):
+        """A coordinate of more digits than `int` and `str` convert under
+        the interpreter's default limit of 4,300 is read and written; long
+        text that is not an integer is still refused."""
+        big = 7**6000
+        text = str(Decimal(big))
+        assert len(text) > 4300
+        p = Point((big, 1, 0, 0))
+        payload = {
+            "leaves": [{"point": [text, "1", "0", "0"]}, {"point": E1.to_strings()}],
+            "steps": [
+                {
+                    "op": "join",
+                    "inputs": [0, 1],
+                    "output": {"extensor": {"grade": 2, "coeffs": [text, "0", "0", "0", "0", "0"]}},
+                }
+            ],
+        }
+        restored = ConstructionTrace.from_json(payload)
+        assert restored.steps[0].inputs == [p, E1]
+        assert restored.steps[0].output.coeffs == (big, 0, 0, 0, 0, 0)
+        assert verify_replay(restored)
+        assert restored.to_json() == payload
+        for bad in (text + "/2", text + ".0", "1e" + text, text[:-1] + "x"):
+            tampered = json.loads(json.dumps(payload))
+            tampered["leaves"][0]["point"][0] = bad
+            with pytest.raises(ValueError):
+                ConstructionTrace.from_json(tampered)
 
 
 class TestTetrahedron:

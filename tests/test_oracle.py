@@ -123,7 +123,7 @@ class TestSamplers:
     def test_round_trip_serialization(self):
         for pts in (sample_on_quadric(3, 10, transformed=True), sample_generic(3, 10)):
             for p in pts:
-                assert Point.from_strings(p.to_strings()) == p
+                assert Point(int(s) for s in p.to_strings()) == p
 
     def test_distinct(self):
         assert len(set(sample_generic(17, 10))) == 10

@@ -188,7 +188,7 @@ class TestPoint:
 
     @given(points)
     def test_string_round_trip(self, p):
-        assert Point.from_strings(p.to_strings()) == p
+        assert Point(int(s) for s in p.to_strings()) == p
 
     @given(points)
     def test_a_point_is_its_grade_one_extensor(self, p):

@@ -49,6 +49,68 @@ class TestReplayTrace:
         assert result.returncode == 0, result.stderr
         assert result.stdout == f"{trace}: 0 steps replayed bit-exactly\n"
 
+    def test_trace_past_the_int_text_digit_limit(self, tmp_path, capsys):
+        """Coordinates of up to 1,022 bits give trace coefficients of more
+        digits than `str` and `int` convert under the interpreter's
+        default limit of 4,300; the trace is still written and replayed."""
+        points = sample_generic(3, 10, bound=2**256)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cli.points_to_json(points)))
+        trace = tmp_path / "trace.json"
+        assert cli.main(["decide", str(config), "--method", "synthetic", "--trace", str(trace)]) == 0
+        assert json.loads(capsys.readouterr().out)["decision"]["branch"] == "generic"
+        payload = json.loads(trace.read_text())
+        texts = [
+            text
+            for value in payload["leaves"] + [step["output"] for step in payload["steps"]]
+            for text in value.get("point") or value["extensor"]["coeffs"]
+        ]
+        assert max(map(len, texts)) > 4300
+        restored = ConstructionTrace.from_json(payload)
+        assert restored.to_json() == payload
+        assert verify_replay(restored)
+        result = run_script("replay_trace.py", trace)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{trace}: 217 steps replayed bit-exactly\n"
+
+    def test_tampered_trace_fails_replay(self, tmp_path):
+        """One output coefficient changed, or one step input pointed at
+        another value, is a mismatch at that step alone: later steps read
+        the recorded outputs."""
+        decision = reductions.decide(fixtures.generate_branch("generic", 1), with_trace=True)
+        payload = decision.trace.to_json()
+        offset = len(payload["leaves"])
+        read = {i for step in payload["steps"] for i in step["inputs"]}
+        # the first step whose output no later step reads: a test point
+        output_k = next(k for k in range(len(payload["steps"])) if offset + k not in read)
+        # the first join of two leaf points
+        input_k = next(
+            k
+            for k, step in enumerate(payload["steps"])
+            if step["op"] == "join"
+            and len(step["inputs"]) == 2
+            and all(i < offset for i in step["inputs"])
+        )
+        points = [i for i, leaf in enumerate(payload["leaves"]) if "point" in leaf]
+        other = next(i for i in points if i not in payload["steps"][input_k]["inputs"])
+
+        def changed_output(data):
+            coords = data["steps"][output_k]["output"]["point"]
+            coords[0] = str(int(coords[0]) + 1)
+
+        def changed_input(data):
+            data["steps"][input_k]["inputs"][1] = other
+
+        for k, change in ((output_k, changed_output), (input_k, changed_input)):
+            tampered = json.loads(json.dumps(payload))
+            change(tampered)
+            assert not verify_replay(ConstructionTrace.from_json(tampered))
+            path = tmp_path / f"tampered-{k}.json"
+            path.write_text(json.dumps(tampered))
+            result = run_script("replay_trace.py", path)
+            assert result.returncode == 1, result.stderr
+            assert result.stdout == f"{path}: 217 steps, MISMATCH at [{k}]\n"
+
     def test_missing_file(self, tmp_path):
         missing = tmp_path / "missing.json"
         result = run_script("replay_trace.py", missing)
