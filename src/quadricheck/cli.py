@@ -21,7 +21,7 @@ from . import fixtures, reductions
 from .constructions import ConstructionTrace
 from .generic_case import build_M, compute_Q
 from .oracle import oracle_decide, oracle_det, sample_generic, sample_on_quadric
-from .projective import Point, bareiss_det, clear_denominators
+from .projective import _INTEGER_TEXT, Point, bareiss_det, clear_denominators
 
 
 class ConfigError(ValueError):
@@ -53,17 +53,22 @@ class InputConfig:
         return [self.points[i] for i in self.labels]
 
 
-def _parse_coordinate(value) -> Fraction:
-    """One coordinate as a Fraction, refused before parsing when its text
-    could denote more than MAX_COORD_BITS bits, and after when it does."""
+def _parse_coordinate(value) -> int | Fraction:
+    """One coordinate: the int of text made of an optional sign and ASCII
+    digits, else the Fraction of the text (a ratio, a decimal, an exponent,
+    surrounding whitespace, underscores or non-ASCII digits).  Refused
+    before parsing when its text could denote more than MAX_COORD_BITS
+    bits, and after when it does."""
     text = str(value)
-    digits = len(text)
-    if digits <= _MAX_COORD_DIGITS:
-        exponent = _EXPONENT.search(text)
-        if exponent:
-            digits += abs(int(exponent.group(1)))
-    if digits <= _MAX_COORD_DIGITS:
-        coord = Fraction(text)
+    coord = None
+    if len(text) <= _MAX_COORD_DIGITS:
+        if _INTEGER_TEXT.fullmatch(text):
+            coord = int(text)
+        else:
+            exponent = _EXPONENT.search(text)
+            if not exponent or len(text) + abs(int(exponent.group(1))) <= _MAX_COORD_DIGITS:
+                coord = Fraction(text)
+    if coord is not None:
         if max(coord.numerator.bit_length(), coord.denominator.bit_length()) <= MAX_COORD_BITS:
             return coord
     raise ConfigError(f"coordinate {text[:40]!r} exceeds {MAX_COORD_BITS} bits")
@@ -130,6 +135,9 @@ def _write(path, text) -> bool:
 
 
 def cmd_decide(args) -> int:
+    if args.trace is not None and args.method == "oracle":
+        print("error: --trace needs --method synthetic or both", file=sys.stderr)
+        return 2
     try:
         points = load_config(args.file).labeled_points()
     except ConfigError as exc:

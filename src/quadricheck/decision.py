@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .projective import GeometryError, Point, QuadricCoeffs, _canonical_ints
+from .projective import GeometryError, Point, QuadricCoeffs, _canonical_ints, _decimal_strings
 
 
 class PreconditionViolated(GeometryError):
@@ -76,7 +76,7 @@ def certificate_to_json(cert):
         return None
     if isinstance(cert, QuadricCoeffs):
         return {"type": "quadric", "coeffs": cert.to_strings()}
-    return {"type": "plane-pair", "planes": [[str(c) for c in f] for f in cert.forms]}
+    return {"type": "plane-pair", "planes": [_decimal_strings(f) for f in cert.forms]}
 
 
 @dataclass(frozen=True)

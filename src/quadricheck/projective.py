@@ -38,8 +38,11 @@ _INT_ONLY = frozenset((int,))
 
 def clear_denominators(values) -> tuple:
     """Ints or Fractions times the lcm of their denominators: integers with
-    the same ratios, so the same projective class."""
+    the same ratios, so the same projective class.  A tuple of plain ints
+    is returned as it is."""
     values = tuple(values)
+    if _INT_ONLY.issuperset(map(type, values)):
+        return values
     mult = lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (mult // v.denominator) for v in values)
 
@@ -153,13 +156,6 @@ class Extensor:
         ]
         return " + ".join(terms) if terms else f"0<{self.grade}>"
 
-    def to_json(self):
-        return {"grade": self.grade, "coeffs": [str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(data):
-        return Extensor(int(data["grade"]), tuple(int(c) for c in data["coeffs"]))
-
 
 _set_grade = Extensor.grade.__set__
 _set_coeffs = Extensor.coeffs.__set__
@@ -200,7 +196,7 @@ class Point(Extensor):
         return "[" + ":".join(str(c) for c in self.coords) + "]"
 
     def to_strings(self):
-        return [str(c) for c in self.coords]
+        return _decimal_strings(self.coords)
 
 
 def _trusted_point(coords: tuple) -> Point:

@@ -2,10 +2,11 @@ import json
 import random
 from collections import Counter
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from quadricheck import cli, reductions
+from quadricheck import cli, fixtures, reductions
 from quadricheck.constructions import ConstructionTrace, verify_replay
 from quadricheck.decision import Decision, InternalInconsistency
 from quadricheck.generic_case import MatrixM, build_M
@@ -81,6 +82,18 @@ class TestDecide:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {trace_path}: ")
         assert "Traceback" not in captured.err
+
+    def test_trace_with_oracle_method_refused(self, tmp_path, capsys):
+        """The oracle records no construction trace, so asking for one with
+        --method oracle is a usage error, not a silent success."""
+        cfg = write_config(tmp_path / "cfg.json", fixtures.generate_branch("generic", 1))
+        trace_path = tmp_path / "trace.json"
+        code = cli.main(["decide", cfg, "--method", "oracle", "--trace", str(trace_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not trace_path.exists()
+        [error] = captured.err.splitlines()
+        assert error.startswith("error: ") and "--trace" in error and "--method" in error
 
     def test_trace_write_failure_prints_one_error_line(self, segre_file, tmp_path, capsys, monkeypatch):
         def failing(self):
@@ -438,3 +451,62 @@ class TestInputHardening:
         rows[0][0] = str(2**cli.MAX_COORD_BITS)
         with pytest.raises(cli.ConfigError):
             cli.load_points({"points": rows})
+
+
+
+def fraction_only(value):
+    """A coordinate read by `Fraction(text)` alone, under the digit and bit
+    caps of `cli._parse_coordinate`: the reference its int path must match."""
+    text = str(value)
+    digits = len(text)
+    if digits <= cli._MAX_COORD_DIGITS:
+        exponent = cli._EXPONENT.search(text)
+        if exponent:
+            digits += abs(int(exponent.group(1)))
+    if digits <= cli._MAX_COORD_DIGITS:
+        coord = Fraction(text)
+        if max(coord.numerator.bit_length(), coord.denominator.bit_length()) <= cli.MAX_COORD_BITS:
+            return coord
+    raise cli.ConfigError(f"coordinate {text[:40]!r} exceeds {cli.MAX_COORD_BITS} bits")
+
+
+class TestIntegerCoordinates:
+    """Integer text is read as an int and all other text as a Fraction; the
+    accepted text, the points and the messages are those of reading every
+    coordinate as `Fraction(text)`."""
+
+    ROWS = [["1", str(k), str(k * k), str(k**3)] for k in range(1, 10)]
+    TEXTS = [
+        "7", "+7", "-0", "007", " 7 ", "1_000", "1e3", "1E+2", "1/2", " 3 / 4 ", "0.5",
+        "-.5", "\u0663", "True", "", "+", "--1", "0x10", "9" * 600, "9" * 2100, 5, 0.5,
+    ]
+
+    @staticmethod
+    def outcome(payload):
+        try:
+            return cli.load_points(payload).points[0]
+        except cli.ConfigError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("text", TEXTS, ids=lambda t: repr(t)[:12])
+    def test_parity_with_fraction(self, text, monkeypatch):
+        payload = json.loads(json.dumps({"points": [[text, "1", "2", "3"]] + self.ROWS}))
+        got = self.outcome(payload)
+        monkeypatch.setattr(cli, "_parse_coordinate", fraction_only)
+        assert got == self.outcome(payload)
+
+    def test_integer_payload_makes_no_fraction(self, monkeypatch):
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(cli, "Fraction", counting)
+        rows = [p.to_strings() for p in sample_on_quadric("int-read", 10)]
+        cli.load_points({"points": rows})
+        assert made == []
+        assert type(cli._parse_coordinate("-12")) is int
+        rows[0][0] = "1/2"
+        cli.load_points({"points": rows})
+        assert made == [("1/2",)]

@@ -24,6 +24,7 @@ from quadricheck.constructions import (
     OutsideChart,
     SkewLines,
     Tetrahedron,
+    _value_to_json,
     choose_auxiliaries,
     line_meet_line,
     local_param_point,
@@ -524,9 +525,7 @@ class TestTraceReplay:
 
 def written(value):
     """A trace value as JSON writes it."""
-    if isinstance(value, Point):
-        return {"point": value.to_strings()}
-    return {"extensor": value.to_json()}
+    return _value_to_json(value.grade, value.coeffs)
 
 
 class TestTraceFormat:
@@ -637,7 +636,7 @@ class TestTraceDedup:
     def test_a_trace_with_a_repeated_step_loads_and_replays(self):
         """A trace written before steps were recorded once still reads, keeps
         its steps as written, and replays."""
-        e01, e02 = ({"extensor": join(E0, e).to_json()} for e in (E1, E2))
+        e01, e02 = (_value_to_json(2, join(E0, e).coeffs) for e in (E1, E2))
         payload = {
             "leaves": [{"point": p.to_strings()} for p in (E0, E1, E2)],
             "steps": [
@@ -811,7 +810,7 @@ class TestTraceValues:
     def test_a_grade_one_value_is_a_point(self):
         """A grade-1 value written as an extensor is read as the point of
         its coefficients, which must be canonical."""
-        line = {"extensor": join(E0, E1).to_json()}
+        line = _value_to_json(2, join(E0, E1).coeffs)
 
         def trace(first):
             return {
@@ -819,7 +818,7 @@ class TestTraceValues:
                 "steps": [{"op": "join", "inputs": [0, 1], "output": line}],
             }
 
-        restored = ConstructionTrace.from_json(trace({"extensor": E0.to_json()}))
+        restored = ConstructionTrace.from_json(trace({"extensor": {"grade": 1, "coeffs": E0.to_strings()}}))
         assert verify_replay(restored)
         assert type(restored.steps[0].inputs[0]) is Point
         assert restored.to_json() == trace({"point": E0.to_strings()})

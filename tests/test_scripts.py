@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from quadricheck import cli, fixtures, reductions
-from quadricheck.constructions import ConstructionTrace, verify_replay
+from quadricheck.constructions import ConstructionTrace, _value_to_json, verify_replay
 from quadricheck.extensors import line_through, plane_through
 from quadricheck.oracle import sample_generic
 from quadricheck.projective import E0, E1, E2, E3, Point
@@ -127,9 +127,9 @@ class TestReplayTrace:
             }
 
         half = {"extensor": {"grade": 1, "coeffs": ["1/2", "0", "0", "0"]}}
-        e0 = {"extensor": E0.to_json()}
+        e0 = {"extensor": {"grade": 1, "coeffs": E0.to_strings()}}
         planes = [
-            {"extensor": plane_through(*(p for p in (E0, E1, E2, E3) if p != skip)).to_json()}
+            _value_to_json(3, plane_through(*(p for p in (E0, E1, E2, E3) if p != skip)).coeffs)
             for skip in (E0, E1, E2, E3)
         ]
         # the frame (E0, E1, [1:1:0:0]): zero, infinity and unit
@@ -167,8 +167,8 @@ class TestReplayTrace:
         # leaves E0, E1, E2; step 0 joins leaves 0 and 1, step 1 joins
         # step 0 (value 3) with leaf 2
         leaves = [{"point": p.to_strings()} for p in (E0, E1, E2)]
-        line = {"extensor": line_through(E0, E1).to_json()}
-        plane = {"extensor": plane_through(E0, E1, E2).to_json()}
+        line = _value_to_json(2, line_through(E0, E1).coeffs)
+        plane = _value_to_json(3, plane_through(E0, E1, E2).coeffs)
 
         def trace(first):
             return {
@@ -232,16 +232,27 @@ class TestDecisionDigest:
         count = 2 * len(fixtures.GENERATED_KINDS)
         assert result.stdout.splitlines() == [f"decisions {digest.hexdigest()} {count} configurations"]
 
+    PINNED = [
+        "decisions ee55ae3abbd4d8c2cd3a73f2505885b83e0f19b78d28dd997f80a8104c65f57c"
+        " 31 configurations",
+        "traces 61aae68e2513eb89ed20c2eac952df0da9c6d66a1de5ab11b133aee7d8dd909e",
+    ]
+
     def test_pinned_digest(self):
         # 31 configurations, 12 of them generic: every decision and every
         # construction trace must stay byte-identical to these digests
         result = run_script("decision_digest.py", "--seed", 5, "--count", 20, "--trace")
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == [
-            "decisions ee55ae3abbd4d8c2cd3a73f2505885b83e0f19b78d28dd997f80a8104c65f57c"
-            " 31 configurations",
-            "traces 61aae68e2513eb89ed20c2eac952df0da9c6d66a1de5ab11b133aee7d8dd909e",
-        ]
+        assert result.stdout.splitlines() == self.PINNED
+
+    def test_pinned_digest_via_json(self):
+        # the same configurations written as JSON text and read back by
+        # `cli.load_points`: the input path decides byte-identically
+        result = run_script(
+            "decision_digest.py", "--seed", 5, "--count", 20, "--trace", "--via-json"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == self.PINNED
 
     def test_pinned_fixture_digest(self):
         # the fixtures of every kind for seeds 5..12, 88 configurations:
