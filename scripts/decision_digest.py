@@ -8,12 +8,12 @@ each generated kind, by the `fixtures.generate_branch(kind, s)` fixtures of
 the seeds s = seed..seed+fixture_seeds-1 (one seed by default).  Each
 decision is hashed as its canonical JSON line; with --trace each
 configuration is decided with a construction trace, and the traces (an
-empty trace for the special-position exits) are hashed the same way.  With
---via-json each configuration is written by `cli.points_to_json`, put
-through JSON text, and decided as `cli.load_points` reads it back, so the
-digests also cover the command line's input path.
+empty trace for the special-position exits) are hashed the same way.  Each
+configuration is written by `cli.points_to_json`, put through JSON text,
+and decided as `cli.load_points` reads it back, so the digests also cover
+the command line's input path.
 
-Usage: python scripts/decision_digest.py --seed 5 --count 100 [--fixture-seeds 1] [--trace] [--via-json]
+Usage: python scripts/decision_digest.py --seed 5 --count 100 [--fixture-seeds 1] [--trace]
 """
 
 import argparse
@@ -48,18 +48,14 @@ def main():
         "--fixture-seeds", type=int, default=1, help="fixture seeds per generated kind"
     )
     parser.add_argument("--trace", action="store_true", help="also digest the traces")
-    parser.add_argument(
-        "--via-json", action="store_true", help="decide each configuration as read back from JSON"
-    )
     args = parser.parse_args()
 
     decisions = hashlib.sha256()
     traces = hashlib.sha256()
     total = 0
     for points in corpus(args.seed, args.count, args.fixture_seeds):
-        if args.via_json:
-            text = json.dumps(cli.points_to_json(points))
-            points = cli.load_points(json.loads(text)).labeled_points()
+        text = json.dumps(cli.points_to_json(points))
+        points = cli.load_points(json.loads(text)).labeled_points()
         decision = reductions.decide(points, with_trace=args.trace)
         decisions.update(canonical(decision.to_json()))
         if args.trace:

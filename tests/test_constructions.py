@@ -525,7 +525,9 @@ class TestTraceReplay:
 
 def written(value):
     """A trace value as JSON writes it."""
-    return _value_to_json(value.grade, value.coeffs)
+    if isinstance(value, Point):
+        return {"point": value.to_strings()}
+    return {"extensor": {"grade": value.grade, "coeffs": [str(c) for c in value.coeffs]}}
 
 
 class TestTraceFormat:

@@ -232,27 +232,16 @@ class TestDecisionDigest:
         count = 2 * len(fixtures.GENERATED_KINDS)
         assert result.stdout.splitlines() == [f"decisions {digest.hexdigest()} {count} configurations"]
 
-    PINNED = [
-        "decisions ee55ae3abbd4d8c2cd3a73f2505885b83e0f19b78d28dd997f80a8104c65f57c"
-        " 31 configurations",
-        "traces 61aae68e2513eb89ed20c2eac952df0da9c6d66a1de5ab11b133aee7d8dd909e",
-    ]
-
     def test_pinned_digest(self):
         # 31 configurations, 12 of them generic: every decision and every
         # construction trace must stay byte-identical to these digests
         result = run_script("decision_digest.py", "--seed", 5, "--count", 20, "--trace")
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == self.PINNED
-
-    def test_pinned_digest_via_json(self):
-        # the same configurations written as JSON text and read back by
-        # `cli.load_points`: the input path decides byte-identically
-        result = run_script(
-            "decision_digest.py", "--seed", 5, "--count", 20, "--trace", "--via-json"
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == self.PINNED
+        assert result.stdout.splitlines() == [
+            "decisions ee55ae3abbd4d8c2cd3a73f2505885b83e0f19b78d28dd997f80a8104c65f57c"
+            " 31 configurations",
+            "traces 61aae68e2513eb89ed20c2eac952df0da9c6d66a1de5ab11b133aee7d8dd909e",
+        ]
 
     def test_pinned_fixture_digest(self):
         # the fixtures of every kind for seeds 5..12, 88 configurations:
