@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from quadricheck.constructions import ConstructionTrace, replay_trace
+from quadricheck.constructions import ConstructionTrace, replay_mismatches
 from quadricheck.projective import GeometryError
 
 # What an unreadable file, or a trace whose steps do not parse or do not
@@ -25,11 +25,7 @@ def replay_file(path):
     """Replay one trace file; returns (step count, positions of mismatching steps)."""
     with open(path, "r", encoding="utf-8") as fh:
         trace = ConstructionTrace.from_json(json.load(fh))
-    outputs = replay_trace(trace)
-    mismatches = [
-        k for k, (step, got) in enumerate(zip(trace.steps, outputs)) if got != step.output
-    ]
-    return len(trace.steps), mismatches
+    return len(trace.steps), replay_mismatches(trace)
 
 
 def main(paths):

@@ -3,11 +3,12 @@ and inverse on a line, and the meet-point whose local parameter is a bracket
 ratio.  Points go in and out of each construction, and inside it the
 figure runs on coefficient tuples through the kernels of `extensors`.  It
 can be recorded into a replayable ConstructionTrace of `join` and `meet`
-steps, which keeps each step as those coefficient tuples, so recording
-makes no value object: `_join` and `_meet_lines` build a line, a plane or
-the meet point of coplanar lines and record it in one call, and the steps
-a frame's scaffold shares are recorded where each figure reads them.  The
-trace is written, read and replayed on the same tuples.
+steps, each a TraceStep(op, grades, inputs, output) of those coefficient
+tuples, so recording makes no value object: `_join` and `_meet_lines`
+build a line, a plane or the meet point of coplanar lines and record it in
+one call, and the steps a frame's scaffold shares are recorded where each
+figure reads them.  The trace is written, read and replayed on the same
+steps.
 
 All constructions use only lines through two known points, planes through
 three known points, and their intersections; intersections of coplanar
@@ -47,7 +48,6 @@ from .projective import (
     _canonical_ints,
     _decimal_strings,
     _ints_of_strings,
-    _trusted,
     _trusted_point,
     bracket,
     rank_of_points,
@@ -78,26 +78,26 @@ class SkewLines(GeometryError, ValueError):
 # construction traces
 
 
-@dataclass
-class TraceStep:
+class TraceStep(NamedTuple):
+    """One step op(inputs) = output, held as the coefficient tuples the
+    figures compute on: `grades` lists the inputs' grades and then the
+    output's, `inputs` holds the inputs' coefficient tuples, and `output`
+    the output's.  A grade-1 value is a point, held as its canonical
+    coordinates.  The trace makes each step with tuple.__new__, which runs
+    no Python-level constructor."""
+
     op: str
-    inputs: list  # Extensors; the points among them are Points
-    output: Extensor  # a Point when the step outputs a point
+    grades: tuple
+    inputs: tuple
+    output: tuple
 
 
 @dataclass
 class ConstructionTrace:
-    """Ordered, serializable record of construction steps: each step holds
-    its op, its input values and its output, and replaying the steps
-    reproduces every output exactly.
-
-    A step is held as the coefficient tuples the figures compute on:
-    (op, grades, inputs, output), where `grades` lists the inputs' grades
-    and then the output's, and `inputs` holds the inputs' coefficient
-    tuples.  Recording, `to_json`, `from_json` and `verify_replay` make no
-    value object.  `steps` is the view of the steps as TraceSteps, whose
-    values are Extensors and Points: it is built on first read, with one
-    object per distinct value, and built again once steps have been added.
+    """Ordered, serializable record of construction steps: `steps` lists
+    each step as a TraceStep, and replaying the steps reproduces every
+    output exactly.  Recording, `to_json`, `from_json` and `verify_replay`
+    work on the steps' coefficient tuples and make no value object.
 
     A trace records each construction once: a step whose op and input
     values equal an earlier step's is not appended again (its output is
@@ -113,35 +113,15 @@ class ConstructionTrace:
     grade-1 value is a point, written with its canonical coordinates.
     """
 
-    _steps: list = field(default_factory=list, init=False, repr=False)
+    steps: list = field(default_factory=list, init=False)
     # the key of every recorded step: its op and its inputs' grades and coefficients
     _recorded: set = field(default_factory=set, init=False, repr=False, compare=False)
-    _view: list = field(default_factory=list, init=False, repr=False, compare=False)
-
-    @property
-    def steps(self) -> list:
-        if len(self._view) != len(self._steps):
-            made = {}  # (grade, coeffs) -> the one value object of the view
-
-            def value(grade, coeffs):
-                v = made.get((grade, coeffs))
-                if v is None:
-                    v = made[grade, coeffs] = _value(grade, coeffs)
-                return v
-
-            self._view = [
-                TraceStep(
-                    op, [value(g, c) for g, c in zip(grades, inputs)], value(grades[-1], output)
-                )
-                for op, grades, inputs, output in self._steps
-            ]
-        return self._view
 
     def to_json(self):
         leaves = {}  # (grade, coeffs) -> leaf index
         firsts = {}  # (grade, coeffs) -> the first step that outputs the value
         refs = []  # per step; a step k is held as ~k until the leaf count is known
-        for k, (_, grades, inputs, output) in enumerate(self._steps):
+        for k, (_, grades, inputs, output) in enumerate(self.steps):
             row = []
             for value in zip(grades, inputs):
                 n = firsts.get(value)
@@ -157,7 +137,7 @@ class ConstructionTrace:
                     "inputs": [i if i >= 0 else offset + ~i for i in row],
                     "output": _value_to_json(grades[-1], output),
                 }
-                for (op, grades, _, output), row in zip(self._steps, refs)
+                for (op, grades, _, output), row in zip(self.steps, refs)
             ],
         }
 
@@ -176,14 +156,10 @@ class ConstructionTrace:
                 grades.append(grade)
                 inputs.append(coeffs)
             grade, coeffs = _value_from_json(raw["output"])
-            trace._steps.append((raw["op"], (*grades, grade), tuple(inputs), coeffs))
+            step = (raw["op"], (*grades, grade), tuple(inputs), coeffs)
+            trace.steps.append(tuple.__new__(TraceStep, step))
             values.append((grade, coeffs))
         return trace
-
-
-def _value(grade, coeffs):
-    """The value object of a grade and coefficient tuple: a Point for grade 1."""
-    return _trusted_point(coeffs) if grade == 1 else _trusted(grade, coeffs)
 
 
 def _value_to_json(grade, coeffs):
@@ -203,8 +179,8 @@ def _value_from_json(data):
             raise ValueError("points live in P^3: they take four coordinates")
         return 1, _canonical_ints(coords)
     raw = data["extensor"]
-    grade = int(raw["grade"])
-    if grade not in range(5):
+    grade = raw["grade"]
+    if type(grade) is not int or grade not in range(5):
         raise ValueError("grade must be 0..4")
     coeffs = _ints_of_strings(raw["coeffs"])
     if len(coeffs) != len(SUBSETS[grade]):
@@ -225,7 +201,7 @@ def _record(trace, op, grades, inputs, output):
         size = len(recorded)
         recorded.add((op, grades, *inputs))
         if len(recorded) > size:
-            trace._steps.append((op, grades, inputs, output))
+            trace.steps.append(tuple.__new__(TraceStep, (op, grades, inputs, output)))
 
 
 def _join(trace, *points):
@@ -605,21 +581,18 @@ def _execute(op, grades, inputs):
     raise ValueError(f"unknown trace op {op!r}")
 
 
-def replay_trace(trace: ConstructionTrace):
-    """Re-execute every step as `trace.steps` lists it, each a `join` of 2
-    or 3 values or a `meet` of 2; returns the list of recomputed outputs,
-    as values, to compare with the steps' outputs."""
+def replay_mismatches(trace: ConstructionTrace) -> list:
+    """Positions of the steps whose output, recomputed from their inputs,
+    differs in grade or coefficients from the recorded one; empty when the
+    trace replays bit for bit.  Runs on the steps' coefficient tuples and
+    makes no value object."""
     return [
-        _value(*_execute(step.op, [v.grade for v in step.inputs], [v.coeffs for v in step.inputs]))
-        for step in trace.steps
+        k
+        for k, step in enumerate(trace.steps)
+        if _execute(step.op, step.grades[:-1], step.inputs) != (step.grades[-1], step.output)
     ]
 
 
 def verify_replay(trace: ConstructionTrace) -> bool:
-    """True when replaying reproduces every recorded output exactly; runs
-    on the steps' coefficient tuples and makes no value object."""
-    outputs = [_execute(op, grades[:-1], inputs) for op, grades, inputs, _ in trace._steps]
-    return all(
-        got == (grades[-1], output)
-        for got, (_, grades, _, output) in zip(outputs, trace._steps)
-    )
+    """True when replaying reproduces every recorded output exactly."""
+    return not replay_mismatches(trace)

@@ -26,6 +26,22 @@ scalars = st.fractions(
 ).filter(lambda f: f != 0)
 
 
+def value_pair(value):
+    """An Extensor or Point as the (grade, coefficients) pair a trace step
+    holds."""
+    return value.grade, value.coeffs
+
+
+def step_inputs(step):
+    """A trace step's inputs as (grade, coefficients) pairs."""
+    return list(zip(step.grades, step.inputs))
+
+
+def step_output(step):
+    """A trace step's output as a (grade, coefficients) pair."""
+    return step.grades[-1], step.output
+
+
 def seeded(name):
     return random.Random(f"tests:{name}")
 

@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +210,21 @@ class TestGen:
 
 
 class TestFuzz:
+    def test_runs_as_a_module(self, tmp_path):
+        """`python -m quadricheck` runs the command line without the
+        installed console script."""
+        src = Path(cli.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "quadricheck", "fuzz", "--count", "2"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["agreements"] == 2
+
     def test_small_run_agrees(self, capsys):
         code = cli.main(["fuzz", "--seed", "1", "--count", "10"])
         out = json.loads(capsys.readouterr().out)

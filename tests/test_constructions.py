@@ -5,7 +5,14 @@ from itertools import permutations
 
 import pytest
 
-from conftest import random_fraction, random_point, seeded
+from conftest import (
+    random_fraction,
+    random_point,
+    seeded,
+    step_inputs,
+    step_output,
+    value_pair,
+)
 from reference_geometry import (
     INFINITY,
     ONES,
@@ -24,13 +31,14 @@ from quadricheck.constructions import (
     OutsideChart,
     SkewLines,
     Tetrahedron,
+    TraceStep,
     _value_to_json,
     choose_auxiliaries,
     line_meet_line,
     local_param_point,
     project_to_edge,
     recover_from_chart,
-    replay_trace,
+    replay_mismatches,
     verify_replay,
     von_staudt_inverse,
     von_staudt_product,
@@ -45,6 +53,7 @@ from quadricheck.extensors import (
     plane_through,
 )
 from quadricheck.generic_case import GenericFigure, construct_test_point
+from quadricheck.oracle import sample_generic
 from quadricheck.projective import (
     E0,
     E1,
@@ -436,8 +445,8 @@ class TestTraceReplay:
         payload = json.dumps(trace.to_json())
         restored = ConstructionTrace.from_json(json.loads(payload))
         assert verify_replay(restored)
-        outputs = replay_trace(restored)
-        assert outputs == [s.output for s in trace.steps]
+        assert replay_mismatches(restored) == []
+        assert restored == trace
 
     def test_replay_meets_coplanar_lines_about_once(self, monkeypatch):
         """Every line_meet_line of a generic decision and of its replay runs
@@ -468,10 +477,11 @@ class TestTraceReplay:
         # the three planes meet as two meets: the first two in a line,
         # which meets the third in the point
         assert [s.op for s in trace.steps] == ["join"] * 3 + ["meet"] * 2
-        planes = [s.output for s in trace.steps[:3]]
+        planes = [step_output(s) for s in trace.steps[:3]]
         cut, last = trace.steps[3:]
-        assert cut.inputs == planes[:2] and cut.output.grade == 2
-        assert last.inputs == [cut.output, planes[2]] and last.output == p
+        assert step_inputs(cut) == planes[:2] and step_output(cut)[0] == 2
+        assert step_inputs(last) == [step_output(cut), planes[2]]
+        assert step_output(last) == value_pair(p)
         restored = ConstructionTrace.from_json(trace.to_json())
         assert verify_replay(restored)
 
@@ -495,7 +505,8 @@ class TestTraceReplay:
         von_staudt_product(frame, px, py, trace=trace)
         von_staudt_inverse(frame, px, trace=trace)
         text = json.dumps(trace.to_json())
-        assert replay_trace(ConstructionTrace.from_json(json.loads(text))) == [s.output for s in trace.steps]
+        restored = ConstructionTrace.from_json(json.loads(text))
+        assert replay_mismatches(restored) == [] and restored == trace
 
         def values(payload, kind):
             every = payload["leaves"] + [step["output"] for step in payload["steps"]]
@@ -523,11 +534,11 @@ class TestTraceReplay:
             assert all(type(i) is int and 0 <= i < len(payload["leaves"]) + k for i in step["inputs"])
 
 
-def written(value):
-    """A trace value as JSON writes it."""
-    if isinstance(value, Point):
-        return {"point": value.to_strings()}
-    return {"extensor": {"grade": value.grade, "coeffs": [str(c) for c in value.coeffs]}}
+def written(grade, coeffs):
+    """A trace value as JSON writes it: a grade-1 value as a point."""
+    if grade == 1:
+        return {"point": [str(c) for c in coeffs]}
+    return {"extensor": {"grade": grade, "coeffs": [str(c) for c in coeffs]}}
 
 
 class TestTraceFormat:
@@ -546,17 +557,21 @@ class TestTraceFormat:
         return pairs
 
     def test_round_trip_restores_every_step(self, decided):
-        for _, decision in decided:
+        """Every step's op, grades, inputs and output survive the round
+        trip: on the two fixtures, on coordinates up to 2^64, and on fuzz
+        seed 5, indices 4, 9 and 19, whose steps repeat by value and whose
+        traces are not the 217-step shape of the others."""
+        decisions = [decision for _, decision in decided]
+        configs = [sample_generic("round-trip", 10, bound=2**64)]
+        configs += [cli.fuzz_configuration(5, index) for index in (4, 9, 19)]
+        decisions += [reductions.decide(points, with_trace=True) for points in configs]
+        assert all(decision.branch == "generic" for decision in decisions)
+        assert all(len(decision.trace.steps) != 217 for decision in decisions[3:])
+        for decision in decisions:
             payload = json.loads(json.dumps(decision.trace.to_json()))
             restored = ConstructionTrace.from_json(payload)
-            assert restored.steps == decision.trace.steps
+            assert restored == decision.trace
             assert restored.to_json() == payload
-            # a ref to a step resolves to the one object parsed for its output
-            offset = len(payload["leaves"])
-            for step, raw in zip(restored.steps, payload["steps"]):
-                for value, i in zip(step.inputs, raw["inputs"]):
-                    if i >= offset:
-                        assert value is restored.steps[i - offset].output
 
     def test_each_input_value_written_once(self, decided):
         for _, decision in decided:
@@ -566,13 +581,13 @@ class TestTraceFormat:
             first = {}  # value -> the first step that outputs it
             for k, (step, raw) in enumerate(zip(decision.trace.steps, payload["steps"])):
                 assert len(raw["inputs"]) == len(step.inputs)
-                for value, i in zip(step.inputs, raw["inputs"]):
+                for value, i in zip(step_inputs(step), raw["inputs"]):
                     assert type(i) is int and 0 <= i < len(leaves) + k
                     if value in first:
                         assert i == len(leaves) + first[value]
                     else:
-                        assert leaves[i] == written(value)
-                first.setdefault(step.output, k)
+                        assert leaves[i] == written(*value)
+                first.setdefault(step_output(step), k)
 
     def test_generic_leaves_are_the_inputs_and_frame_choices(self, decided):
         for points, decision in decided:
@@ -587,12 +602,12 @@ class TestTraceFormat:
                         expected |= {frame.unit, frame.scaffold.a, frame.scaffold.lprime}
             leaves = decision.trace.to_json()["leaves"]
             assert len(leaves) == len(expected)
-            assert all(written(value) in leaves for value in expected)
+            assert all(written(*value_pair(value)) in leaves for value in expected)
 
 
 def step_key(step):
     """A step's op and input values."""
-    return (step.op, *((value.grade, value.coeffs) for value in step.inputs))
+    return (step.op, *step_inputs(step))
 
 
 class TestTraceDedup:
@@ -782,8 +797,7 @@ class TestTuplePath:
 
 class TestTraceValues:
     """A trace holds each step as coefficient tuples: recording, writing,
-    reading and replaying make no value object, and `steps` makes one per
-    distinct value when it is read."""
+    reading, replaying and reading `steps` make no value object."""
 
     def test_tracing_defers_value_objects(self, monkeypatch):
         built = count_extensors(monkeypatch)
@@ -803,10 +817,8 @@ class TestTraceValues:
             assert verify_replay(restored)
             assert built == []
             steps = viewed.trace.steps
-            values = [v for step in steps for v in (*step.inputs, step.output)]
-            distinct = {(v.grade, v.coeffs) for v in values}
-            assert len({id(v) for v in values}) == len(distinct)
-            assert len(built) == len(distinct)
+            assert all(type(step) is TraceStep for step in steps)
+            assert built == []
             assert viewed.trace.to_json() == payload
 
     def test_a_grade_one_value_is_a_point(self):
@@ -822,11 +834,30 @@ class TestTraceValues:
 
         restored = ConstructionTrace.from_json(trace({"extensor": {"grade": 1, "coeffs": E0.to_strings()}}))
         assert verify_replay(restored)
-        assert type(restored.steps[0].inputs[0]) is Point
+        assert step_inputs(restored.steps[0])[0] == value_pair(E0)
         assert restored.to_json() == trace({"point": E0.to_strings()})
         for coeffs in (["2", "0", "0", "0"], ["-1", "0", "0", "0"], ["0", "0", "0", "0"]):
             with pytest.raises(ValueError):
                 ConstructionTrace.from_json(trace({"extensor": {"grade": 1, "coeffs": coeffs}}))
+
+    def test_a_grade_is_an_int(self):
+        """A value's grade is a JSON integer, checked like a step input: a
+        float, a string or a bool is refused rather than read as the int
+        it converts to, which would not write back as it was read."""
+        line = _value_to_json(2, join(E0, E1).coeffs)
+
+        def trace(grade):
+            return {
+                "leaves": [{"point": p.to_strings()} for p in (E0, E1)],
+                "steps": [
+                    {"op": "join", "inputs": [0, 1], "output": {"extensor": {**line["extensor"], "grade": grade}}}
+                ],
+            }
+
+        assert ConstructionTrace.from_json(trace(2)).to_json() == trace(2)
+        for grade in (2.9, 2.0, "2", " 2 ", True):
+            with pytest.raises(ValueError, match="grade must be 0..4"):
+                ConstructionTrace.from_json(json.loads(json.dumps(trace(grade))))
 
     def test_integers_past_the_int_text_digit_limit(self):
         """A coordinate of more digits than `int` and `str` convert under
@@ -847,8 +878,8 @@ class TestTraceValues:
             ],
         }
         restored = ConstructionTrace.from_json(payload)
-        assert restored.steps[0].inputs == [p, E1]
-        assert restored.steps[0].output.coeffs == (big, 0, 0, 0, 0, 0)
+        assert step_inputs(restored.steps[0]) == [value_pair(p), value_pair(E1)]
+        assert step_output(restored.steps[0]) == (2, (big, 0, 0, 0, 0, 0))
         assert verify_replay(restored)
         assert restored.to_json() == payload
         for bad in (text + "/2", text + ".0", "1e" + text, text[:-1] + "x"):

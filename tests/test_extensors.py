@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import points, random_point, seeded
+from conftest import points, random_point, seeded, step_inputs, step_output
 from reference_geometry import plucker_residual, support_basis
 from quadricheck import extensors, fixtures, reductions
 from quadricheck.constructions import ConstructionTrace, _value_from_json, _value_to_json
@@ -506,8 +506,9 @@ class TestSerialization:
         data = json.loads(json.dumps(decision.trace.to_json()))
         restored = ConstructionTrace.from_json(data)
         assert restored.to_json() == data
-        values = [v for s in restored.steps for v in (*s.inputs, s.output)]
-        assert all(type(v) is Point for v in values if v.grade == 1)
+        values = [v for s in restored.steps for v in (*step_inputs(s), step_output(s))]
+        # a grade-1 value is held as a point's canonical coordinates
+        assert all(Point(c).coords == c for g, c in values if g == 1)
         written = data["leaves"] + [s["output"] for s in data["steps"]]
         points_written = [v for v in written if "point" in v]
         assert points_written

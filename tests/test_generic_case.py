@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import random_fraction, random_point, seeded
+from conftest import random_fraction, random_point, seeded, step_inputs, step_output, value_pair
 from generic_reference import (
     Degenerate,
     ceva_incidence_check,
@@ -303,16 +303,19 @@ class TestConstructTestPoint:
         # 0), and steps 3-4 the second; the product adds no step, so step 5
         # starts the inversion with join(infinity, b): the inversion
         # scaffold's own join, which the trace records once
-        assert zero_entry.steps[2].output == frame.infinity
-        assert zero_entry.steps[5].inputs == [frame.infinity, frame.scaffold.a]
-        assert [s.inputs for s in zero_entry.steps].count(zero_entry.steps[5].inputs) == 1
+        assert step_output(zero_entry.steps[2]) == value_pair(frame.infinity)
+        inversion_join = step_inputs(zero_entry.steps[5])
+        assert inversion_join == [value_pair(frame.infinity), value_pair(frame.scaffold.a)]
+        assert [step_inputs(s) for s in zero_entry.steps].count(inversion_join) == 1
         # the inversion's 8 steps end at the frame's zero
-        assert zero_entry.steps[12].op == "meet" and zero_entry.steps[12].output == frame.zero
+        assert zero_entry.steps[12].op == "meet"
+        assert step_output(zero_entry.steps[12]) == value_pair(frame.zero)
         assert frame.zero == pts[7]
         # a von Staudt product records 5 joins and 4 meets
         assert len(full.steps) - len(zero_entry.steps) == 9 + 1
         first_recovery_plane = zero_entry.steps[-5]
-        assert first_recovery_plane.op == "join" and first_recovery_plane.inputs[0] == pts[7]
+        assert first_recovery_plane.op == "join"
+        assert step_inputs(first_recovery_plane)[0] == value_pair(pts[7])
         for trace in traces:
             assert verify_replay(ConstructionTrace.from_json(json.loads(json.dumps(trace.to_json()))))
 

@@ -136,6 +136,12 @@ class TestReplayTrace:
         frame = [{"point": p.to_strings()} for p in (E0, E1, Point((1, 1, 0, 0)))]
         unit = frame[2]
         e3 = {"point": E3.to_strings()}
+        # the line E0E1 with its grade 2 misspelled
+        line = _value_to_json(2, line_through(E0, E1).coeffs)
+        misgraded = {
+            f"grade-{name}": one_step("join", frame[:2], {"extensor": {**line["extensor"], "grade": grade}})
+            for name, grade in (("float", 2.9), ("string", "2"), ("padded", " 2 "), ("bool", True))
+        }
         payloads = (
             ("bad", {"leaves": [], "steps": [{"op": "join"}]}),
             ("half", one_step("join", [half], half)),
@@ -149,10 +155,12 @@ class TestReplayTrace:
             ("inverse", one_step("inverse", frame + [unit], unit)),
             ("degenerate-product", one_step("degenerate-product", frame + frame[:1] * 2, frame[0])),
             ("recover", one_step("recover", planes[:3], e3)),
+            *misgraded.items(),
         )
         reasons = {
             "meet-of-three": "a meet step takes 2 inputs, not 3",
             **{op: f"unknown trace op {op!r}" for op in ("product", "inverse", "degenerate-product", "recover")},
+            **{name: "grade must be 0..4" for name in misgraded},
         }
         for name, payload in payloads:
             bad = tmp_path / f"{name}.json"
