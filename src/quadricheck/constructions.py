@@ -18,6 +18,19 @@ by one generated kernel on the two lines' coefficients.  No step computes
 a local parameter as a number: a product with the frame's zero or infinity
 as a factor is decided by incidence, and records no step, since its output
 is that zero or infinity.
+
+A figure drawn once with a Tape in place of its trace leaves every step it
+records, repeats included, and every check it makes that `_held` notes
+(a point on or off a line, a point apart from others), in order.
+`StraightLine` compiles such a tape into one generated function of the
+figure's leaves, the values it reads and does not compute: each step is a
+line of kernel code, or reads the leaf or earlier output that holds the
+value, and each check, with each check of a computed step (a nonzero join
+or meet point, coplanar lines meeting in `line_meet_line`), is an inline
+guard.  The program thus holds in the shape of the drawing, and returns
+None wherever the figure would take another shape or raise; run traced,
+it hands its steps to `_record` only once it completes, in the figure's
+order.
 """
 
 from __future__ import annotations
@@ -46,11 +59,11 @@ from .projective import (
     SUBSETS,
     Point,
     _canonical_ints,
+    _canonical_nonzero,
     _decimal_strings,
     _ints_of_strings,
     _trusted_point,
     bracket,
-    rank_of_points,
 )
 
 
@@ -177,7 +190,9 @@ def _value_from_json(data):
         coords = _ints_of_strings(data["point"])
         if len(coords) != 4:
             raise ValueError("points live in P^3: they take four coordinates")
-        return 1, _canonical_ints(coords)
+        # the coordinates are ints, so of _canonical_ints' checks only the
+        # zero test can fail
+        return 1, _canonical_nonzero(coords) if any(coords) else _canonical_ints(coords)
     raw = data["extensor"]
     grade = raw["grade"]
     if type(grade) is not int or grade not in range(5):
@@ -202,6 +217,16 @@ def _record(trace, op, grades, inputs, output):
         recorded.add((op, grades, *inputs))
         if len(recorded) > size:
             trace.steps.append(tuple.__new__(TraceStep, (op, grades, inputs, output)))
+
+
+def _held(trace, *check):
+    """Note on a Tape that a check of the figure held, as one of
+    - ("on", line, point): the point lies on the line;
+    - ("off", line, point): the point lies off the line;
+    - ("apart", point, *others): the point differs from each other point;
+    each value a coefficient tuple.  A ConstructionTrace keeps no check."""
+    if type(trace) is Tape:
+        trace.steps.append(check)
 
 
 def _join(trace, *points):
@@ -267,7 +292,7 @@ def line_meet_line(l1, l2):
         # hit is nonzero exactly when E_k is off the common plane
         hit = _WITNESS_MEETS[k](c1, c2)
         if any(hit):
-            coords = _canonical_ints(hit)
+            coords = _canonical_nonzero(hit)
             return _trusted_point(coords) if extensors else coords
     raise ValueError("the lines coincide")
 
@@ -294,17 +319,18 @@ class LineFrame:
     unit: Point
 
     def __post_init__(self):
-        pts = (self.zero, self.infinity, self.unit)
-        if len(set(pts)) != 3:
+        if len({self.zero, self.infinity, self.unit}) != 3:
             raise ValueError("frame points must be pairwise distinct")
-        if rank_of_points(pts) > 2:
+        # zero and infinity differ, so the unit is on their line exactly
+        # when its join with the line is zero
+        if any(_join_line_point(self.line.coeffs, self.unit.coords)):
             raise ValueError("frame points must be collinear")
 
     @cached_property
     def aux_index(self) -> int:
+        line = self.line.coeffs
         return next(
-            k for k, e in enumerate(STANDARD_BASIS)
-            if rank_of_points((self.zero, self.infinity, e)) == 3
+            k for k, e in enumerate(STANDARD_BASIS) if any(_join_line_point(line, e.coords))
         )
 
     @cached_property
@@ -353,7 +379,7 @@ class Tetrahedron:
     def __post_init__(self):
         vertices = tuple(self.vertices)
         object.__setattr__(self, "vertices", vertices)
-        if len(vertices) != 4 or rank_of_points(vertices) != 4:
+        if len(vertices) != 4 or bracket(*vertices) == 0:
             raise ValueError("vertices must be four points in general position")
         for skip in range(4):
             face = [v for i, v in enumerate(vertices) if i != skip]
@@ -408,23 +434,28 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
     vertices = [v.coords for v in tet.vertices]
     planes = []
     for j, proj in zip(others, projections):
-        if any(_join_line_point(tet.edge_line(i, j).coeffs, proj.coords)):
+        edge = tet.edge_line(i, j).coeffs
+        if any(_join_line_point(edge, proj.coords)):
             raise InconsistentProjections(f"{proj} is not on edge {i}{j}")
+        _held(trace, "on", edge, proj.coords)
         if proj.coords == vertices[j]:
             raise OutsideChart(f"projection on edge {i}{j} is the infinity vertex")
+        _held(trace, "apart", proj.coords, vertices[j])
         k, l = (m for m in range(4) if m not in (i, j))
         planes.append(_join(trace, proj.coords, vertices[k], vertices[l]))
     cut = _meet_planes(planes[0], planes[1])
     hit = _meet_line_plane(cut, planes[2])
     if not any(hit):
         raise InconsistentProjections("recovery planes do not meet in one point")
-    result = _canonical_ints(hit)
+    result = _canonical_nonzero(hit)
     _record(trace, "meet", (3, 3, 2), (planes[0], planes[1]), cut)
     _record(trace, "meet", (2, 3, 1), (cut, planes[2]), result)
     for j in others:
         k, l = (m for m in range(4) if m not in (i, j))
-        if not any(_join_line_point(tet.edge_line(k, l).coeffs, result)):
+        opposite = tet.edge_line(k, l).coeffs
+        if not any(_join_line_point(opposite, result)):
             raise OnOppositeEdge(f"{_trusted_point(result)} lies on the opposite edge {k}{l}")
+        _held(trace, "off", opposite, result)
     return _trusted_point(result)
 
 
@@ -453,9 +484,11 @@ def choose_auxiliaries(frame: LineFrame):
 # von Staudt arithmetic on a line
 
 
-def _require_on_line(frame: LineFrame, p: Point):
-    if any(_join_line_point(frame.line.coeffs, p.coords)):
+def _require_on_line(frame: LineFrame, p: Point, trace):
+    line = frame.line.coeffs
+    if any(_join_line_point(line, p.coords)):
         raise ValueError(f"{p} is not on the frame's line")
+    _held(trace, "on", line, p.coords)
 
 
 def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None) -> Point:
@@ -471,8 +504,8 @@ def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None) -> Po
     zero and infinity.  Such a product draws nothing, so it records no
     trace step.
     """
-    _require_on_line(frame, px)
-    _require_on_line(frame, py)
+    _require_on_line(frame, px, trace)
+    _require_on_line(frame, py, trace)
     factors = (px.coords, py.coords)
     zero, infinity = frame.zero.coords, frame.infinity.coords
     if zero in factors or infinity in factors:
@@ -481,6 +514,8 @@ def von_staudt_product(frame: LineFrame, px: Point, py: Point, trace=None) -> Po
         if zero not in factors:
             return frame.infinity
         raise InfinityProduct("0 * INFINITY is undefined")
+    _held(trace, "apart", px.coords, zero, infinity)
+    _held(trace, "apart", py.coords, zero, infinity)
     scaffold = frame.scaffold
     a, lprime = scaffold.a.coords, scaffold.lprime.coeffs
     la1, p1p, linf = scaffold.product
@@ -505,7 +540,7 @@ def von_staudt_inverse(frame: LineFrame, px: Point, trace=None) -> Point:
     joined to a cuts the line at the inverse point.  Sends zero to infinity
     and infinity to zero.
     """
-    _require_on_line(frame, px)
+    _require_on_line(frame, px, trace)
     scaffold = frame.scaffold
     b, lprime = scaffold.a.coords, scaffold.lprime.coeffs
     l1b, c2, linfb = scaffold.inverse
@@ -541,9 +576,151 @@ def local_param_point(
     hit = _meet_line_plane(line, plane)
     if not any(hit):
         raise DegenerateMeet(f"line {d}{e} lies in the plane")
-    result = _canonical_ints(hit)
+    result = _canonical_nonzero(hit)
     _record(trace, "meet", (2, 3, 1), (line, plane), result)
     return _trusted_point(result)
+
+
+# ---------------------------------------------------------------------------
+# straight-line programs
+
+
+class _EveryKey(list):
+    """The keys of a Tape: `add` always grows them, so `_record` keeps every
+    step it is given, repeats included."""
+
+    add = list.append
+
+
+class Tape:
+    """Every step that `_record` is given, repeats included, and every check
+    that `_held` notes, in the order a figure makes them: a TraceStep per
+    step and a (kind, ...) tuple per check.  A figure drawn once with a
+    tape in place of its trace is what `StraightLine` compiles."""
+
+    def __init__(self):
+        self.steps = []
+        self._recorded = _EveryKey()
+
+
+# The lines of program that compute the output {out} of a step of each
+# (op, grades) that no leaf and no earlier step holds, with the guards the
+# figure's step makes: a join must be nonzero (`_join` raises ZeroExtensor),
+# and so must a meet point, which is made canonical.  Coplanar lines meet
+# in `line_meet_line`, as in the figure; the program returns None where it
+# raises (SkewLines or coincident lines).
+_STEP_CODE = {
+    ("join", (1, 1, 2)): ("{out} = jp({0}, {1})", "if not any({out}): return"),
+    ("join", (1, 1, 1, 3)): ("{out} = jlp(jp({0}, {1}), {2})", "if not any({out}): return"),
+    ("meet", (2, 2, 1)): (
+        "try: {out} = line_meet_line({0}, {1})",
+        "except ValueError: return",
+    ),
+    ("meet", (2, 3, 1)): (
+        "{out} = mlp({0}, {1})",
+        "if not any({out}): return",
+        "{out} = canon({out})",
+    ),
+    ("meet", (3, 3, 2)): ("{out} = mpp({0}, {1})",),
+}
+
+# The guard of each check that `_held` notes; the program returns None
+# where the figure would take another shape or raise.
+_CHECK_CODE = {
+    "on": "if any(jlp({0}, {1})): return",
+    "off": "if not any(jlp({0}, {1})): return",
+    "apart": "if {0} in ({rest},): return",
+}
+
+# What a program binds as locals; it reads `line_meet_line` from this
+# module when it runs.
+_PROGRAM_NAMES = {
+    "any": any,
+    "jp": _join_points,
+    "jlp": _join_line_point,
+    "mlp": _meet_line_plane,
+    "mpp": _meet_planes,
+    "canon": _canonical_nonzero,
+}
+
+
+class StraightLine:
+    """One figure, drawn once on a Tape, as straight-line code on the
+    coefficient tuples of its leaves: the values the figure reads and no
+    step of it outputs, such as a frame's points and scaffold.
+
+    Each step of the tape, repeats included, is one line of the program:
+    its output is computed by the generated kernels as `_STEP_CODE` says,
+    or read from the leaf or earlier step that holds it, as the figure
+    reads a memoized value.  Each check of the tape, and each check that a
+    computed step makes, is an inline guard, so the program holds in the
+    figure's shape on the tape and returns None everywhere else: there the
+    figure takes another shape or raises.  `leaves` lists the tape's
+    leaves, each matched to the tape's values by identity, and `result` is
+    the figure's output; `run` takes the leaves of another figure in the
+    same order.
+    """
+
+    def __init__(self, tape, leaves, result):
+        namespace = dict(_PROGRAM_NAMES)
+        for traced in (False, True):
+            source = _program_source(tape, leaves, result, traced)
+            exec(compile(source, "<straight-line program>", "exec"), globals(), namespace)
+        self._untraced, self._traced = namespace["untraced"], namespace["traced"]
+
+    def run(self, leaves, trace=None):
+        """The figure's output for the leaves, as a coefficient tuple, or
+        None where a guard fails.  A trace is handed the program's steps, in
+        the figure's order, only when the program completes, so a figure
+        drawn after a None records what it records alone."""
+        if trace is None:
+            return self._untraced(leaves)
+        done = self._traced(leaves)
+        if done is None:
+            return None
+        output, steps = done
+        for op, grades, inputs, out in steps:
+            _record(trace, op, grades, inputs, out)
+        return output
+
+
+def _program_source(tape, leaves, result, traced):
+    """Source of the function `traced` or `untraced` that StraightLine runs:
+    it unpacks the leaves it reads, runs the tape's steps and checks in
+    order, and returns the result, and when traced also every step as an
+    (op, grades, inputs, output) tuple."""
+    names = {}
+    for i, value in enumerate(leaves):
+        names.setdefault(id(value), f"a{i}")
+    read = set()
+
+    def name(value):
+        held = names.get(id(value))
+        if held is None:
+            raise ValueError("the figure reads a value that is no leaf and no earlier output")
+        read.add(held)
+        return held
+
+    body, steps = [], []
+    for entry in tape.steps:
+        if type(entry) is not TraceStep:
+            kind, *values = entry
+            args = [name(v) for v in values]
+            body.append(_CHECK_CODE[kind].format(*args, rest=", ".join(args[1:])))
+            continue
+        args = [name(v) for v in entry.inputs]
+        out = names.get(id(entry.output))
+        if out is None:
+            out = names[id(entry.output)] = f"v{len(steps)}"
+            body += (line.format(*args, out=out) for line in _STEP_CODE[entry.op, entry.grades])
+        read.add(out)
+        steps.append(f"({entry.op!r}, {entry.grades!r}, ({', '.join(args)},), {out})")
+    output = name(result)
+    unpack = ", ".join(f"a{i}" if f"a{i}" in read else "_" for i in range(len(leaves)))
+    bound = ", ".join(f"{n}={n}" for n in _PROGRAM_NAMES)
+    body.append(f"return {output}, ({', '.join(steps)},)" if traced else f"return {output}")
+    lines = [f"def {'traced' if traced else 'untraced'}(leaves, {bound}):", f"({unpack},) = leaves"]
+    return "\n    ".join(lines + body) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +754,7 @@ def _execute(op, grades, inputs):
         if grade < 0:
             return 0, (0,)
         out = _MEET_KERNELS[grades[0], grades[1]](*inputs)
-        return grade, _canonical_ints(out) if grade == 1 and any(out) else out
+        return grade, _canonical_nonzero(out) if grade == 1 and any(out) else out
     raise ValueError(f"unknown trace op {op!r}")
 
 

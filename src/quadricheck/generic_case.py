@@ -7,15 +7,29 @@ Q = 0), the remaining four points impose dependent conditions exactly when
 a 4x4 matrix M of bracket products is singular, and singularity is decided
 synthetically by constructing the images of M's columns and testing the
 four constructed points for coplanarity.
+
+`construct_test_point` draws a column through the figures of
+`constructions`.  A decision runs each column through `column_test_point`
+instead, which, when the column's entry in row 0 is nonzero, runs the
+column program: column 0 of a fixed reference configuration, drawn once on
+a Tape and compiled to straight-line code (`column_program`).  It is built
+on the first generic decision, never at import, and once per process.  It
+holds in the main shape (chart 0, every von Staudt factor finite and
+nonzero), where it gives the drawn column's test point and trace steps;
+its guards hold every check of the drawing, so a column in another shape,
+or one the figure would raise on, is drawn, and records only what the
+drawing records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import permutations
 
 from .constructions import (
+    StraightLine,
+    Tape,
     Tetrahedron,
     local_param_point,
     recover_from_chart,
@@ -23,13 +37,14 @@ from .constructions import (
     von_staudt_product,
 )
 from .decision import Decision, Labeling, PlanePair, PreconditionViolated
-from .extensors import plane_form, plane_through
+from .extensors import _JOIN_KERNELS, join, plane_form
 from .projective import (
     GeometryError,
     MONOMIALS,
     IncidenceTable,
     Point,
     QuadricCoeffs,
+    _trusted_point,
     bracket,
     kernel_basis,
 )
@@ -85,26 +100,37 @@ def find_Q_labeling(points):
 class MatrixM:
     """4x4 bracket-product matrix; entry (r, c) multiplies the brackets of
     the two planes of basis quadric c, each joined with point 6 + r, e.g.
-    [0156][2346] at (0, 0)."""
+    [0156][2346] at (0, 0).  `basis_planes` holds the extensors of those
+    planes, pair by pair, when `build_M` made the matrix."""
 
     entries: tuple
+    basis_planes: tuple = field(default=(), compare=False, repr=False)
 
     def column(self, c):
         return tuple(self.entries[r][c] for r in range(4))
 
 
+_plane_with_point = _JOIN_KERNELS[3, 1]
+
+
 def build_M(points) -> MatrixM:
+    """M from the eight basis planes: the bracket [abcx] is the scalar
+    join(plane abc, x), so entry (r, c) is join(plane_a, x)·join(plane_b, x)
+    for the two planes of basis quadric c and x = point 6 + r."""
     pts = list(points)
+    planes = tuple(
+        tuple(join(join(pts[i], pts[j]), pts[k]) for i, j, k in pair) for pair in BASIS_PLANES
+    )
     entries = []
     for r in range(4):
-        x = pts[6 + r]
-        row = []
-        for a_triple, b_triple in BASIS_PLANES:
-            ba = bracket(*(pts[i] for i in a_triple), x)
-            bb = bracket(*(pts[i] for i in b_triple), x)
-            row.append(ba * bb)
-        entries.append(tuple(row))
-    return MatrixM(tuple(entries))
+        x = pts[6 + r].coords
+        entries.append(
+            tuple(
+                _plane_with_point(a.coeffs, x)[0] * _plane_with_point(b.coeffs, x)[0]
+                for a, b in planes
+            )
+        )
+    return MatrixM(tuple(entries), planes)
 
 
 def global_unit(points) -> Point:
@@ -129,28 +155,95 @@ def _raw_quadric_product(form_a, form_b):
 class GenericFigure:
     """What the four columns of M share, built once per decision from the
     (relabeled) points: M itself, the extensors of the two planes of each
-    basis quadric, and, on first read, the tetrahedron 6789 with its global
-    unit.  The tetrahedron memoizes its edge frames, and each frame its
-    line, auxiliaries and von Staudt scaffolding, so every column reads
-    them.  The figure lives as long as the decision that builds it.
+    basis quadric, which `build_M` reads M from, and, on first read, the
+    tetrahedron 6789 with its global unit.  The tetrahedron memoizes its
+    edge frames, and each frame its line, auxiliaries and von Staudt
+    scaffolding, so every column reads them.  The figure lives as long as
+    the decision that builds it.
     """
 
     def __init__(self, points):
         self.points = list(points)
         self.m = build_M(self.points)
-        self.basis_planes = tuple(
-            tuple(plane_through(*(self.points[i] for i in triple)) for triple in pair)
-            for pair in BASIS_PLANES
-        )
+        self.basis_planes = self.m.basis_planes
 
     @cached_property
     def tetrahedron(self) -> Tetrahedron:
         return Tetrahedron(tuple(self.points[6:10]), global_unit(self.points))
 
+    @cached_property
+    def chart_zero_leaves(self) -> tuple:
+        """What a column drawn in chart 0 reads from the tetrahedron: its
+        vertices and, for each edge 0j, the edge's frame (its unit, line and
+        von Staudt scaffold), the edge's line and the line of the edge
+        opposite it, each as a coefficient tuple."""
+        tet = self.tetrahedron
+        leaves = [v.coords for v in tet.vertices]
+        for j in (1, 2, 3):
+            k, l = (m for m in (1, 2, 3) if m != j)
+            frame = tet.edge_frame(0, j)
+            scaffold = frame.scaffold
+            leaves += [frame.unit.coords, frame.line.coeffs, scaffold.a.coords]
+            leaves += [scaffold.lprime.coeffs, *scaffold.product, *scaffold.inverse]
+            leaves += [tet.edge_line(0, j).coeffs, tet.edge_line(k, l).coeffs]
+        return tuple(leaves)
+
+    def column_leaves(self, col) -> tuple:
+        """The leaves of column col drawn in chart 0: those of the
+        tetrahedron, then the points of the column's two basis planes and
+        the planes themselves, as coefficient tuples."""
+        a_triple, b_triple = BASIS_PLANES[col]
+        plane_a, plane_b = self.basis_planes[col]
+        return (
+            *self.chart_zero_leaves,
+            *(self.points[i].coords for i in a_triple + b_triple),
+            plane_a.coeffs,
+            plane_b.coeffs,
+        )
+
     def quadric_forms(self, c):
         """Raw linear forms of the two planes of basis quadric c."""
         plane_a, plane_b = self.basis_planes[c]
         return plane_form(plane_a), plane_form(plane_b)
+
+
+def column_test_point(figure, col, trace=None) -> Point:
+    """The test point of column col of the figure's M, with the trace steps
+    of `construct_test_point`, which draws it.
+
+    A column whose entry in row 0 is nonzero runs the column program, the
+    straight-line form of the drawn column in its main shape: chart 0 and
+    every von Staudt factor finite and nonzero.  Its guards hold every
+    check of the figure, so where the column takes another shape, or the
+    figure would raise, the program returns None and the column is drawn.
+    """
+    if figure.m.entries[0][col]:
+        coords = column_program().run(figure.column_leaves(col), trace)
+        if coords is not None:
+            return _trusted_point(coords)
+    return construct_test_point(figure.points, col, trace, figure)
+
+
+# A configuration whose column 0 takes the main shape, on which
+# `column_program` draws the column it compiles.
+REFERENCE_POINTS = (
+    (3, 0, -2, 2), (0, 2, -3, 1), (2, -3, 0, 0), (1, -2, -1, -2), (2, -2, 3, 0),
+    (1, 3, 0, -3), (1, 2, -3, -2), (2, 2, 3, -1), (3, -2, 1, -2), (2, 1, 0, 1),
+)
+
+
+@cache
+def column_program() -> StraightLine:
+    """The column program: column 0 of the reference configuration drawn
+    once on a Tape and compiled.  Every column in the main shape has the
+    steps and checks of that drawing, with its leaves in the same roles, so
+    one program serves them all.  Built on first use, once per process.
+    """
+    points = [Point(coords) for coords in REFERENCE_POINTS]
+    figure = GenericFigure(points)
+    tape = Tape()
+    result = construct_test_point(points, 0, tape, figure)
+    return StraightLine(tape, figure.column_leaves(0), result.coords)
 
 
 def construct_test_point(points, col, trace=None, figure=None) -> Point:
@@ -251,9 +344,7 @@ def decide_generic(points, trace=None, table=None) -> Decision:
             return Decision(
                 True, "two-planes", labeling, PlanePair(figure.quadric_forms(c)), trace
             )
-    test_points = [
-        construct_test_point(relabeled, c, trace=trace, figure=figure) for c in range(4)
-    ]
+    test_points = [column_test_point(figure, c, trace) for c in range(4)]
     on_quadric = bracket(*test_points) == 0
     certificate = None
     if on_quadric:

@@ -55,9 +55,16 @@ def _require_ints(values):
 def _canonical_ints(values):
     ints = tuple(values)
     _require_ints(ints)
-    g = gcd(*ints)
-    if g == 0:
+    if not any(ints):
         raise ValueError("homogeneous coordinates must not all be zero")
+    return _canonical_nonzero(ints)
+
+
+def _canonical_nonzero(ints: tuple) -> tuple:
+    """The canonical form of a nonzero tuple of ints, such as a kernel
+    returns: divided by the gcd, first nonzero entry positive; the tuple
+    itself when it is canonical already."""
+    g = gcd(*ints)
     for v in ints:
         if v:
             break
@@ -79,6 +86,8 @@ def _decimal_strings(ints) -> list:
 
 
 _INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
+# the bytes that integer texts joined by commas are made of
+_INTEGER_BYTES = b"+-0123456789,"
 
 
 def _int_of_string(text) -> int:
@@ -93,10 +102,20 @@ def _int_of_string(text) -> int:
 
 
 def _ints_of_strings(items) -> tuple:
-    """The ints of integer strings, such as `_decimal_strings` writes;
-    ValueError on any other text."""
+    """The ints of a JSON list of integer strings, such as `_decimal_strings`
+    writes, each of which `_INTEGER_TEXT` fully matches; ValueError on
+    anything else.  One pass over the list's joined text finds any item
+    that is not a string, or any character but a sign or an ASCII digit,
+    and `int` then rejects every other text, such as a misplaced sign."""
     try:
-        return tuple([int(s) for s in items])
+        text = ",".join(items) if type(items) is list else "_"
+        stray = text.encode("ascii").translate(None, _INTEGER_BYTES)
+    except (TypeError, UnicodeEncodeError):
+        stray = b"_"
+    if stray:
+        raise ValueError("a value must be written as a list of integer strings")
+    try:
+        return tuple(map(int, items))
     except ValueError:
         return tuple(map(_int_of_string, items))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from quadricheck import generic_case
 from quadricheck.projective import Point
 
 settings.register_profile(
@@ -66,3 +67,12 @@ def announce(capsys):
             print(line)
 
     return _announce
+
+
+@pytest.fixture(autouse=True, scope="session")
+def built_column_program():
+    """The column program is built once per process, by the first generic
+    decision, which then also draws the reference column.  Building it
+    first lets a test that counts what one decision builds or calls count
+    that decision alone, in whatever order the tests run."""
+    generic_case.column_program()

@@ -96,6 +96,27 @@ class TestLineFrame:
         with pytest.raises(ValueError):
             LineFrame(E0, E0, E1)
 
+    def test_checks_agree_with_ranks(self):
+        """The unit is collinear with distinct zero and infinity exactly when
+        the three points have rank 2, and the auxiliary direction is the
+        first basis point that raises the rank of zero and infinity to 3."""
+        rng = seeded("frame-ranks")
+        for _ in range(200):
+            zero, infinity = random_point(rng, 2), random_point(rng, 2)
+            if zero == infinity:
+                continue
+            on_line = Point(tuple(a + rng.randint(1, 3) * b for a, b in zip(zero.coords, infinity.coords)))
+            for unit in (random_point(rng, 2), on_line):
+                if unit in (zero, infinity):
+                    continue
+                if rank_of_points((zero, infinity, unit)) > 2:
+                    with pytest.raises(ValueError, match="frame points must be collinear"):
+                        LineFrame(zero, infinity, unit)
+                    continue
+                frame = LineFrame(zero, infinity, unit)
+                ranks = [rank_of_points((zero, infinity, e)) for e in (E0, E1, E2, E3)]
+                assert frame.aux_index == ranks.index(3)
+
     def test_parameter_round_trip(self):
         rng = seeded("frame-roundtrip")
         for _ in range(20):
@@ -897,6 +918,19 @@ class TestTetrahedron:
     def test_coplanar_vertices_rejected(self):
         with pytest.raises(ValueError):
             Tetrahedron((E0, E1, E2, Point((1, 1, 0, 0))), ONES)
+
+    def test_vertex_check_agrees_with_rank(self):
+        rng = seeded("tetrahedron-ranks")
+        rejected = 0
+        for _ in range(200):
+            vertices = tuple(random_point(rng, 1) for _ in range(4))
+            if rank_of_points(vertices) == 4:
+                Tetrahedron(vertices, Point(tuple(map(sum, zip(*(v.coords for v in vertices))))))
+                continue
+            rejected += 1
+            with pytest.raises(ValueError, match="four points in general position"):
+                Tetrahedron(vertices, ONES)
+        assert rejected > 20
 
     def test_edge_frame_unit(self):
         tet = standard_tetrahedron()

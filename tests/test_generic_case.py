@@ -1,5 +1,9 @@
 import itertools
 import json
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,10 +21,12 @@ from reference_geometry import (
     transform_from_columns,
     transform_inverse,
 )
-from quadricheck import constructions, fixtures, generic_case
+from quadricheck import cli, constructions, fixtures, generic_case
 from quadricheck.constructions import (
     ConstructionTrace,
+    Tape,
     Tetrahedron,
+    TraceStep,
     line_meet_line,
     local_param_point,
     recover_from_chart,
@@ -29,13 +35,15 @@ from quadricheck.constructions import (
     von_staudt_product,
 )
 from quadricheck.decision import PreconditionViolated
-from quadricheck.extensors import contains_point, line_through, plane_through
+from quadricheck.extensors import contains_point, join, line_through, plane_through
 from quadricheck.generic_case import (
     BASIS_PLANES,
     GenericFigure,
     NoPermutation,
     ZeroColumn,
     build_M,
+    column_program,
+    column_test_point,
     compute_Q,
     construct_test_point,
     decide_generic,
@@ -54,6 +62,8 @@ from quadricheck.projective import (
     E0,
     E1,
     E2,
+    E3,
+    GeometryError,
     InfinityProduct,
     Point,
     STANDARD_BASIS,
@@ -205,6 +215,26 @@ class TestBuildM:
             for c in range(4):
                 a, b = M_PROVENANCE[r][c]
                 assert m.entries[r][c] == bracket(*(ten[i] for i in a)) * bracket(*(ten[i] for i in b))
+
+    def test_entries_are_the_bracket_products(self):
+        """M read from the basis planes equals its bracket-product definition
+        on every generic fixture and at coordinates up to 2^64."""
+        configs = [fixtures.generate_branch("generic", seed) for seed in range(1, 9)]
+        configs.append(sample_generic("build-M", 10, bound=2**64))
+        for pts in configs:
+            want = tuple(
+                tuple(
+                    bracket(*(pts[i] for i in a)) * bracket(*(pts[i] for i in b))
+                    for a, b in row
+                )
+                for row in M_PROVENANCE
+            )
+            m = build_M(pts)
+            assert m.entries == want
+            assert m.basis_planes == GenericFigure(pts).basis_planes
+            for (plane_a, plane_b), (a_triple, b_triple) in zip(m.basis_planes, BASIS_PLANES):
+                assert plane_a == plane_through(*(pts[i] for i in a_triple))
+                assert plane_b == plane_through(*(pts[i] for i in b_triple))
 
     def test_det_identity_with_positive_sign(self):
         # the global sign of det(M) = s * Q * det(N) is pinned to +1 by this
@@ -611,3 +641,251 @@ class TestDecideGeneric:
         assert d.on_quadric and d.branch == "two-planes"
         assert all(d.certificate.evaluate(p) == 0 for p in ten)
         assert oracle_decide(ten)
+
+
+def outcome(run):
+    """What run(trace) gives on a fresh trace: the test point, or the type
+    and message of what it raises, with the trace's JSON either way."""
+    trace = ConstructionTrace()
+    try:
+        point = run(trace)
+    except (GeometryError, ValueError) as exc:
+        point = (type(exc), str(exc))
+    return point, trace.to_json()
+
+
+def drawn_column(figure, col, trace=None):
+    """Column col's test point drawn by the interpreted figure alone."""
+    return construct_test_point(figure.points, col, trace, figure)
+
+
+def assert_as_drawn(figure, col):
+    """The column gives the test point, or raises what the figure raises,
+    with the trace the figure records alone, traced or not."""
+    want = outcome(lambda trace: drawn_column(figure, col, trace))
+    assert outcome(lambda trace: column_test_point(figure, col, trace)) == want
+    untraced = outcome(lambda trace: column_test_point(figure, col))
+    assert untraced == (want[0], ConstructionTrace().to_json())
+
+
+def program_runs(figure, col):
+    """Whether the column program completes on the column's leaves."""
+    return column_program().run(figure.column_leaves(col)) is not None
+
+
+def on_plane(points, triple, weights):
+    return Point(
+        tuple(sum(w * points[i].coords[r] for w, i in zip(weights, triple)) for r in range(4))
+    )
+
+
+def infinity_factor_points():
+    """Generic points, Q != 0 as labeled, with point 7 on the plane 015 of
+    basis quadric 0: M[1][0] = 0 and M[0][0] != 0, so column 0 is built in
+    chart 0, and on edge 0-1 the factor x is the frame's infinity."""
+    pts = chart_one_points()
+    pts[6], pts[7] = Point((1, 5, 7, 2)), on_plane(pts, (0, 1, 5), (2, 3, 5))
+    return pts
+
+
+def decisions(configs):
+    """Each configuration's decision and trace, as JSON."""
+    out = []
+    for points in configs:
+        decision = decide(points, with_trace=True)
+        out.append((decision.to_json(), decision.trace.to_json()))
+    return out
+
+
+class TestColumnProgram:
+    """A column in the main shape runs the column program, every other one
+    is drawn; either way the test points, the traces and what is raised are
+    those of the figure drawn alone."""
+
+    def reference_tape(self):
+        points = [Point(coords) for coords in generic_case.REFERENCE_POINTS]
+        figure = GenericFigure(points)
+        tape = Tape()
+        result = construct_test_point(points, 0, tape, figure)
+        return tape, figure.column_leaves(0), result
+
+    def test_every_check_of_the_drawn_column_is_a_guard(self):
+        """Per edge the figure checks that both factors and their product
+        lie on the frame's line and that neither factor is the frame's zero
+        or infinity; per projection, that it lies on its edge and is not the
+        infinity vertex; and that the recovered point is off each opposite
+        edge.  The program guards each of those checks, and each computed
+        step as the figure's step does."""
+        tape, leaves, result = self.reference_tape()
+        checks = Counter(entry[0] for entry in tape.steps if type(entry) is not TraceStep)
+        assert checks == {"on": 12, "apart": 9, "off": 3}
+        held = {id(value) for value in leaves}
+        computed = Counter()
+        for step in tape.steps:
+            if type(step) is TraceStep and id(step.output) not in held:
+                held.add(id(step.output))
+                computed[step.op, step.grades] += 1
+        assert computed[("meet", (2, 2, 1))] == 18 and sum(computed.values()) == 47
+        source = constructions._program_source(tape, leaves, result.coords, traced=False)
+        lines = [line.strip() for line in source.splitlines()]
+        assert sum(line.startswith("if any(jlp(") for line in lines) == checks["on"]
+        assert sum(line.startswith("if not any(jlp(") for line in lines) == checks["off"]
+        assert sum(" in (" in line for line in lines) == checks["apart"]
+        nonzero = sum(line.startswith("if not any(v") for line in lines)
+        joins = computed[("join", (1, 1, 2))] + computed[("join", (1, 1, 1, 3))]
+        assert nonzero == joins + computed[("meet", (2, 3, 1))]
+        assert sum(line == "except ValueError: return" for line in lines) == 18
+
+    def test_reference_and_fixture_columns_run_the_program(self):
+        tape, leaves, result = self.reference_tape()
+        assert column_program().run(leaves) == result.coords
+        for points in generic_fixtures()[:-1]:
+            figure = GenericFigure(points)
+            for col in range(4):
+                assert program_runs(figure, col)
+                assert_as_drawn(figure, col)
+
+    def test_infinity_factor(self):
+        pts = infinity_factor_points()
+        assert genericity_violation(pts) is None and compute_Q(pts[:6]) != 0
+        figure = GenericFigure(pts)
+        assert figure.m.entries[0][0] and not figure.m.entries[1][0]
+        assert not program_runs(figure, 0)
+        for col in range(4):
+            assert_as_drawn(figure, col)
+
+    def test_zero_factor_raises_what_the_figure_raises(self):
+        """With the first plane of column 0 moved through vertex 0, the
+        factor x is the frame's zero on every edge: the product is the
+        zero, its inverse the infinity vertex, and the recovery raises."""
+        pts = segre_generic_points()
+        figure = GenericFigure(pts)
+        through_zero = plane_through(pts[6], pts[0], pts[1])
+        figure.basis_planes = ((through_zero, figure.basis_planes[0][1]), *figure.basis_planes[1:])
+        assert not program_runs(figure, 0)
+        point, _ = outcome(lambda t: drawn_column(figure, 0, t))
+        assert point[0] is constructions.OutsideChart
+        assert_as_drawn(figure, 0)
+
+    def test_degenerate_meet_raises_what_the_figure_raises(self):
+        pts = segre_generic_points()
+        figure = GenericFigure(pts)
+        holds_edge = plane_through(pts[6], pts[7], pts[0])
+        figure.basis_planes = ((holds_edge, figure.basis_planes[0][1]), *figure.basis_planes[1:])
+        assert not program_runs(figure, 0)
+        assert outcome(lambda t: drawn_column(figure, 0, t))[0][0] is constructions.DegenerateMeet
+        assert_as_drawn(figure, 0)
+
+    def test_skew_lines_and_zero_joins_raise_what_the_figure_raises(self):
+        """A frame whose L' is skew to the figure's lines, and one whose
+        auxiliary point is the factor y, so that the join of the two is
+        zero."""
+        pts = segre_generic_points()
+        for doctor, raised in (
+            (lambda s, py: s._replace(lprime=line_through(pts[0], pts[1])), constructions.SkewLines),
+            (lambda s, py: s._replace(a=py), constructions.ZeroExtensor),
+        ):
+            figure = GenericFigure(pts)
+            frame = figure.tetrahedron.edge_frame(0, 2)
+            d, e = figure.tetrahedron.vertices[0], figure.tetrahedron.vertices[2]
+            py = local_param_point(d, e, pts[2], pts[3], pts[4])
+            frame.__dict__["scaffold"] = doctor(frame.scaffold, py)
+            assert not program_runs(figure, 0)
+            point, trace = outcome(lambda t: drawn_column(figure, 0, t))
+            assert point[0] is raised and trace["steps"]
+            assert_as_drawn(figure, 0)
+
+    def test_coplanar_meet_past_e3(self):
+        """With vertex 0 at E3, every figure on an edge from it lies in a
+        plane through E3, so its coplanar lines meet at the witness E2."""
+        pts = segre_generic_points()
+        pts[6] = E3
+        assert genericity_violation(pts) is None and compute_Q(pts[:6]) != 0
+        figure = GenericFigure(pts)
+        frame = figure.tetrahedron.edge_frame(0, 1)
+        assert contains_point(join(frame.line, STANDARD_BASIS[frame.aux_index]), E3)
+        # column 3 has zero entries, so an infinity factor
+        assert [program_runs(figure, col) for col in range(4)] == [True, True, True, False]
+        for col in range(4):
+            assert_as_drawn(figure, col)
+
+    def test_a_column_in_another_chart_is_drawn(self, monkeypatch):
+        pts = chart_one_points()
+        figure = GenericFigure(pts)
+        ran = []
+        program = column_program()
+        monkeypatch.setattr(generic_case, "column_program", lambda: ran.append(1) or program)
+        assert_as_drawn(figure, 0)
+        assert ran == []
+        for col in (1, 2, 3):
+            assert_as_drawn(figure, col)
+        assert len(ran) == 2 * 3
+
+    def test_decisions_as_drawn(self, monkeypatch):
+        """Inputs that `_ensure_general_position` relabeled, fuzz seed 5
+        indices 4, 9 and 19, whose steps repeat by value, and every generic
+        decision of fuzz seeds 0-3 whose trace is not of 217 steps decide
+        and trace as the drawn figure decides and traces them."""
+        relabeled = [cli.fuzz_configuration(0, index) for index in (64, 109)]
+        assert all(decide(points).labeling.perm[6:] != (6, 7, 8, 9) for points in relabeled)
+        configs = relabeled + [cli.fuzz_configuration(5, index) for index in (4, 9, 19)]
+        for seed in range(4):
+            for index in range(300):
+                points = cli.fuzz_configuration(seed, index)
+                decision = decide(points, with_trace=True)
+                if decision.branch == "generic" and len(decision.trace.steps) != 217:
+                    configs.append(points)
+        assert len(configs) > 80
+        programmed = decisions(configs)
+        monkeypatch.setattr(generic_case, "column_test_point", drawn_column)
+        assert decisions(configs) == programmed
+
+    def test_built_lazily_once_from_the_reference(self):
+        """Importing the package builds no program; the first generic
+        decision builds it, once, by drawing column 0 of the reference
+        configuration, whatever was decided first."""
+        firsts = {
+            "main shape": fixtures.generate_branch("generic", 1),
+            "another chart": chart_one_points(),
+            "special position": fixtures.generate_branch("duplicate", 1),
+        }
+        for name, first in firsts.items():
+            configs = [cli.points_to_json(points)["points"] for points in (first, chart_one_points())]
+            result = subprocess.run(
+                [sys.executable, "-c", LAZY_BUILD, str(SRC), json.dumps(configs)],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            report = json.loads(result.stdout)
+            assert report["built_at_import"] == 0, name
+            assert report["builds"] == 1, name
+            assert report["drawn_on_a_tape"] == [[list(c) for c in generic_case.REFERENCE_POINTS]]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Imports the package from the source directory given, then decides the
+# configurations given as JSON and reports how often the column program was
+# built and on what points.
+LAZY_BUILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from quadricheck import cli, generic_case, reductions
+built_at_import = generic_case.column_program.cache_info().currsize
+drawn = []
+real = generic_case.construct_test_point
+def spy(points, col, trace=None, figure=None):
+    if type(trace) is generic_case.Tape:
+        drawn.append([list(p.coords) for p in points])
+    return real(points, col, trace, figure)
+generic_case.construct_test_point = spy
+for raw in json.loads(sys.argv[2]):
+    reductions.decide(cli.load_points({"points": raw}).points)
+print(json.dumps({
+    "built_at_import": built_at_import,
+    "builds": generic_case.column_program.cache_info().misses,
+    "drawn_on_a_tape": drawn,
+}))
+"""

@@ -26,6 +26,37 @@ def run_script(name, *args):
     )
 
 
+# Written values that are not lists of integer strings, each of which an
+# int() per item once read as four coordinates.
+MALFORMED_VALUES = {
+    "float": [1.9, 0, 0, 0],
+    "numbers": [1, 0, 0, 0],
+    "bool": [True, False, False, False],
+    "bare-string": "1000",
+    "underscore": ["1_0", "0", "0", "0"],
+    "padded": [" 7", "0", "0", "0"],
+    "arabic-indic": ["\u0663", "0", "0", "0"],
+}
+
+
+def malformed_traces(value, line):
+    """One-step traces joining E0 and E1 into `line`, with `value` in place
+    of the first point's coordinates or, padded to six, of the line's."""
+    e0, e1 = ({"point": p.to_strings()} for p in (E0, E1))
+    coeffs = value + value[:2] if isinstance(value, list) else value
+    misspelled = {"extensor": {"grade": 2, "coeffs": coeffs}}
+    return {
+        "point": {
+            "leaves": [{"point": value}, e1],
+            "steps": [{"op": "join", "inputs": [0, 1], "output": line}],
+        },
+        "extensor": {
+            "leaves": [e0, e1],
+            "steps": [{"op": "join", "inputs": [0, 1], "output": misspelled}],
+        },
+    }
+
+
 class TestReplayTrace:
     def test_decide_trace_replays(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -170,6 +201,22 @@ class TestReplayTrace:
             assert result.stderr.count("\n") == 1 and str(bad) in result.stderr
             assert "Traceback" not in result.stderr
             assert reasons.get(name, "") in result.stderr
+
+    def test_values_that_are_not_integer_text(self, tmp_path):
+        """A point or an extensor's coefficients must be a list of strings of
+        an optional sign and ASCII digits: numbers, booleans, a bare string,
+        underscores, padding and other digits do not load."""
+        line = _value_to_json(2, line_through(E0, E1).coeffs)
+        for name, value in MALFORMED_VALUES.items():
+            for where, payload in malformed_traces(value, line).items():
+                with pytest.raises(ValueError):
+                    ConstructionTrace.from_json(payload)
+                bad = tmp_path / f"{name}-{where}.json"
+                bad.write_text(json.dumps(payload))
+                result = run_script("replay_trace.py", bad)
+                assert result.returncode == 2, (name, where)
+                assert result.stderr.count("\n") == 1 and str(bad) in result.stderr
+                assert "a value must be written as a list of integer strings" in result.stderr
 
     def test_malformed_refs(self, tmp_path):
         # leaves E0, E1, E2; step 0 joins leaves 0 and 1, step 1 joins
