@@ -433,7 +433,7 @@ class IncidenceTable:
 
     Entries are keyed by the bitmask of the points' indices and computed
     from the indices the reader holds, through the line of each pair (at
-    most 45, each built once; equal points have the zero line).  A set has
+    most 45, kept once built; equal points have the zero line).  A set has
     rank <= 2 iff all its sub-triples are collinear, and rank <= 3 iff all
     its sub-brackets vanish.  Whether a conic determinant is zero does not
     depend on the chart: another basis of the plane changes every conic
@@ -463,10 +463,13 @@ class IncidenceTable:
     210 pairings of 45 memoized 2x2 minors for n = 10.  A plane holding
     every point settles coplanarity outright (`in_a_known_plane`).
 
-    The collinear triples are read in one scan, which stops at the first
-    collinear four (`first_collinear_four`); a scan that reads all 120
-    keeps the masks of the collinear ones, and every view lists its
-    `collinear_triples()` from those masks with no triple read again.
+    The collinear triples are read in one inline pass over the pairs and
+    triples of a view's points: it builds the 45 lines and tests each
+    triple's four 3x3 minors as it reaches it, and stops at the first
+    collinear four (`first_collinear_four`).  A pass that reaches the end
+    keeps the masks of the collinear triples in one cell that every view
+    shares; from then on every view lists its `collinear_triples()` from
+    those masks, and each `collinear` read is one mask lookup.
 
     `relabeled(labeling)` is a view of the same entries, lines and planes
     in which index r names the point labeling.perm[r].  The table lives as
@@ -480,7 +483,7 @@ class IncidenceTable:
         self._lines = {}  # mask of a pair -> its Plücker line, up to sign
         self._planes = {}  # mask of a plane -> its _Kernel
         # one cell that every view shares: the masks of the collinear
-        # triples, once a scan has read every triple
+        # triples, once a pass has read every triple
         self._collinear = [None]
         self._triples = None  # this view's collinear triples, once listed
 
@@ -499,9 +502,13 @@ class IncidenceTable:
         return line
 
     def collinear(self, i, j, k) -> bool:
-        """Whether points i, j, k (distinct indices) lie on a line."""
+        """Whether points i, j, k (distinct indices) lie on a line: after a
+        full pass, whether the triple's mask is among those it kept."""
         b = self._bits
         mask = b[i] | b[j] | b[k]
+        masks = self._collinear[0]
+        if masks is not None:
+            return mask in masks
         dependent = self._entries.get(mask)
         if dependent is None:
             dependent = self._entries[mask] = _dependent(self._line(i, j), self._points[k].coords)
@@ -523,7 +530,7 @@ class IncidenceTable:
     def collinear_triples(self):
         """Every collinear triple of the points, in combinations order,
         listed once per view; a view lists them from the masks of the
-        table's one full scan."""
+        table's one full pass."""
         if self._triples is None:
             masks = self._collinear[0]
             if masks is None:
@@ -536,21 +543,45 @@ class IncidenceTable:
         return self._triples
 
     def _scan_triples(self):
-        """Yield the collinear triples in combinations order, reading each
-        triple only when the scan reaches it; a scan that runs to the end
-        keeps their masks for every view."""
+        """Yield the collinear triples in combinations order, in one pass
+        that builds the line of each pair (kept for every view) and tests
+        each triple's four 3x3 minors, those `_dependent` reads, inline as
+        it reaches it; a pass that
+        runs to the end keeps the masks of the collinear triples for every
+        view."""
+        coords = [p.coords for p in self._points]
+        b = self._bits
+        n = len(b)
+        lines = self._lines
         found = []
-        for t in combinations(range(len(self._bits)), 3):
-            if self.collinear(*t):
-                found.append(self._mask(t))
-                yield t
-        self._collinear[0] = tuple(found)
+        for i in range(n):
+            a0, a1, a2, a3 = coords[i]
+            bi = b[i]
+            for j in range(i + 1, n):
+                c0, c1, c2, c3 = coords[j]
+                pair = bi | b[j]
+                l01 = a0 * c1 - a1 * c0
+                l02 = a0 * c2 - a2 * c0
+                l03 = a0 * c3 - a3 * c0
+                l12 = a1 * c2 - a2 * c1
+                l13 = a1 * c3 - a3 * c1
+                l23 = a2 * c3 - a3 * c2
+                lines[pair] = (l01, l02, l03, l12, l13, l23)
+                for k in range(j + 1, n):
+                    x0, x1, x2, x3 = coords[k]
+                    if not (
+                        l12 * x0 - l02 * x1 + l01 * x2 or l13 * x0 - l03 * x1 + l01 * x3
+                        or l23 * x0 - l03 * x2 + l02 * x3 or l23 * x1 - l13 * x2 + l12 * x3
+                    ):
+                        found.append(pair | b[k])
+                        yield i, j, k
+        self._collinear[0] = frozenset(found)
 
     def first_collinear_four(self):
         """The first four of the points, in combinations order, that lie on
         a line; None when no four do.  The first three points of a collinear
         four are a collinear triple, so only those triples are extended.
-        Before any full scan a triple is read only when the scan reaches it,
+        Before any full pass a triple is read only when the pass reaches it,
         so a hit stops the reading; after one, the listed triples serve."""
         n = len(self._bits)
         scanned = self._collinear[0] is not None
@@ -582,14 +613,25 @@ class IncidenceTable:
         n = len(b)
         met = list(self._planes)  # every plane met, small ones too
         hits = set()
+        entries = self._entries
         for four in combinations(range(n - 2), 4):
-            mask = b[four[0]] | b[four[1]] | b[four[2]] | b[four[3]]
-            inside = any(mask & plane == mask for plane in met)
+            i, j, k, l = four
+            mask = b[i] | b[j] | b[k] | b[l]
+            for plane in met:
+                if mask & plane == mask:
+                    inside = True
+                    break
+            else:
+                inside = False
             if inside:
-                if not self.collinear(*four[:3]):
+                if not self.collinear(i, j, k):
                     continue  # rank 3: its plane is met
-            elif not self.bracket_vanishes(*four):
-                continue  # every six that extends it spans P^3
+            else:
+                dependent = entries.get(mask)
+                if dependent is None:
+                    dependent = entries[mask] = _dependent(self._line(i, j), self._line(k, l))
+                if not dependent:
+                    continue  # every six that extends it spans P^3
             triple = self.first_independent(four)
             if triple is None:
                 self._through_a_line(four, met, hits)

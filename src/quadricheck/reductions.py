@@ -13,18 +13,21 @@ a certificate quadric when one is naturally available.
 
 `normalize` builds one `IncidenceTable` of the points and hands it to every
 exit, to skew-line discovery and to the relabeling checks (through views of
-it under each labeling), so each collinear triple, vanishing bracket and
-plane of six or more points (with the left kernel of its conic chart) is
-computed at most once per decision, and only when an exit reads it, from
-the Plücker lines of the pairs of points.  The four-collinear exit reads
-the triples once and extends only the collinear ones; the three-lines and
-two-lines exits, and the genericity check on the relabeled view, list them
-from that scan.  The six-on-conic exit finds the planes first, from the
-first four points of each six (70 brackets when no four are coplanar),
-then sweeps each plane of six or more points once with the left kernel of
-its conic chart, and takes the first six of the union in combinations
-order; skew-line discovery reads the coplanar exit off a plane that holds
-all ten points.
+it under each labeling), so each vanishing bracket and plane of six or
+more points (with the left kernel of its conic chart) is computed at most
+once per decision, and only when an exit reads it, from the Plücker lines
+of the pairs of points.  The four-collinear exit reads the triples in one
+inline pass, which builds the 45 lines and the masks of the collinear
+triples, and extends only the collinear ones, stopping at the first
+collinear four (a triple read while the pass waits at a hit is computed on
+its own and kept); the three-lines and two-lines exits, skew-line
+discovery and the genericity check on the relabeled view read the masks of
+that pass, which every view shares.  The six-on-conic exit finds the
+planes first, from the first four points of each six (70 brackets when no
+four are coplanar), then sweeps each plane of six or more points once with
+the left kernel of its conic chart, and takes the first six of the union in
+combinations order; skew-line discovery reads the coplanar exit off a plane
+that holds all ten points.
 """
 
 from __future__ import annotations

@@ -1249,6 +1249,71 @@ class TestIncidenceTable:
         assert view.first_collinear_four() == next(fours, None)
         assert list(view.sixes_on_a_conic()) == ref_sixes_on_a_conic(pts)
 
+    @given(
+        st.lists(st.tuples(*(st.integers(-1, 2) for _ in range(4))), min_size=10, max_size=10),
+        st.booleans(),
+        st.permutations(range(10)),
+        st.sampled_from(("triples", "four", "sixes")),
+    )
+    def test_first_read_is_the_pass(self, coords, flat, perm, first):
+        """A cold view whose first read is the pass over the triples, either
+        run to the end or stopped at the first collinear four, and a fresh
+        table whose first read is the conic scan (which builds its lines
+        one by one) then answer every read as the ranks do, the view and
+        its table alike, since both read one shared cell."""
+        coords = [c[:3] + (0,) if flat else c for c in coords]
+        assume(all(any(c) for c in coords))
+        points = [Point(c) for c in coords]
+        labeling = Labeling(tuple(perm))
+        pts = labeling.apply(points)
+        ranks = {}
+
+        def rank(to_base, indices):
+            key = frozenset(to_base[i] for i in indices)
+            if key not in ranks:
+                ranks[key] = rank_of_points([points[i] for i in key])
+            return ranks[key]
+
+        if first == "sixes":
+            table = IncidenceTable(pts)
+            assert list(table.sixes_on_a_conic()) == ref_sixes_on_a_conic(pts)
+            readers = ((table, perm),)
+        else:
+            table = IncidenceTable(points)
+            view = table.relabeled(labeling)
+            if first == "triples":
+                assert list(view.collinear_triples()) == ref_collinear_triples(pts)
+            else:
+                fours = (q for q in combinations(range(10), 4) if rank(perm, q) <= 2)
+                assert view.first_collinear_four() == next(fours, None)
+            readers = ((view, perm), (table, range(10)))
+        for reader, to_base in readers:
+            for t in combinations(range(10), 3):
+                assert reader.collinear(*t) == (rank(to_base, t) <= 2), (reader, t)
+            for q in combinations(range(10), 4):
+                assert reader.bracket_vanishes(*q) == (rank(to_base, q) <= 3), (reader, q)
+            for k in (4, 5, 6):
+                for subset in combinations(range(10), k):
+                    assert reader.on_a_line(subset) == (rank(to_base, subset) <= 2), (reader, subset)
+            ps = [points[i] for i in to_base]
+            assert list(reader.collinear_triples()) == ref_collinear_triples(ps), reader
+
+
+def _pass_counter(monkeypatch):
+    """The passes over the triples that IncidenceTables start from here on,
+    each as [table, whether the pass ran to the end]."""
+    passes = []
+    scan = IncidenceTable._scan_triples
+
+    def counting(table):
+        record = [table, False]
+        passes.append(record)
+        yield from scan(table)
+        record[1] = True
+
+    monkeypatch.setattr(IncidenceTable, "_scan_triples", counting)
+    return passes
+
 
 def _dependence_counter(monkeypatch):
     """Counts of the collinear triples (key 3) and brackets (key 4) that
@@ -1350,12 +1415,16 @@ class TestPlaneFirstScan:
 
     def test_generic_fills_no_more_entries(self, monkeypatch):
         fixtures_ = [fixtures.generate_branch("generic", seed) for seed in self.SEEDS]
+        passes = _pass_counter(monkeypatch)
         computed = _dependence_counter(monkeypatch)
         for points in fixtures_:
+            passes.clear()
             computed[3] = computed[4] = 0
             assert decide(points).branch == "generic"
-            # what the six-by-six scan filled on each of these fixtures
-            assert computed[4] <= 71 and computed[3] <= 120, computed
+            # what the six-by-six scan filled on each of these fixtures; the
+            # one pass, run to the end, answers every triple read after it
+            assert computed[4] <= 71 and computed[3] == 0, computed
+            assert [done for _, done in passes] == [True]
 
     def test_generic_asks_each_question_once(self, monkeypatch):
         """Four-collinear extends only collinear triples, of which generic
@@ -1382,23 +1451,52 @@ class TestPlaneFirstScan:
             assert calls == {"on_a_line": 0, "genericity_violation": 1}, calls
 
     def test_generic_reads_each_triple_once(self, monkeypatch):
-        """The four-collinear exit reads the 120 triples once; the triple
-        list of the three-lines and two-lines exits and the genericity
-        check on the relabeled view answer from that scan, so only the two
-        triples of skew-line discovery are read besides."""
+        """The four-collinear exit reads the 120 triples in one pass, which
+        runs to the end; the triple list of the three-lines and two-lines
+        exits and the genericity check on the relabeled view answer from
+        the masks it keeps, which every view shares, so the only triples
+        read besides are the two of skew-line discovery, each from those
+        masks."""
         fixtures_ = [fixtures.generate_branch("generic", seed) for seed in self.SEEDS]
+        passes = _pass_counter(monkeypatch)
+        views = []
+        relabeled = IncidenceTable.relabeled
+
+        def recording(table, labeling):
+            views.append(relabeled(table, labeling))
+            return views[-1]
+
+        monkeypatch.setattr(IncidenceTable, "relabeled", recording)
         reads = []
+        in_discovery = []
         collinear = IncidenceTable.collinear
         monkeypatch.setattr(
             IncidenceTable,
             "collinear",
-            lambda table, *t: reads.append(t) or collinear(table, *t),
+            lambda table, *t: reads.append((bool(in_discovery), t)) or collinear(table, *t),
         )
+        discover = reductions.find_three_skew
+
+        def discovery(points, table):
+            in_discovery.append(True)
+            try:
+                return discover(points, table)
+            finally:
+                in_discovery.clear()
+
+        monkeypatch.setattr(reductions, "find_three_skew", discovery)
+        computed = _dependence_counter(monkeypatch)
         for points in fixtures_:
+            passes.clear()
+            views.clear()
             reads.clear()
+            computed[3] = 0
             assert decide(points).branch == "generic"
-            assert len(reads) == 122
-            assert reads[:120] == list(combinations(range(10), 3))
+            [(table, done)] = passes
+            assert done and table._collinear[0] == frozenset(), passes
+            assert views and all(view._collinear is table._collinear for view in views)
+            assert len(reads) == 2 and all(during for during, _ in reads), reads
+            assert computed[3] == 0, computed
 
     def test_views_list_triples_from_the_shared_scan(self):
         rng = seeded("views-share-triples")
@@ -1423,9 +1521,14 @@ class TestPlaneFirstScan:
         fixtures_ = [fixtures.generate_branch("four-collinear", seed) for seed in self.SEEDS]
         listed = []
         monkeypatch.setattr(IncidenceTable, "collinear_triples", lambda table: listed.append(table))
+        passes = _pass_counter(monkeypatch)
         computed = _dependence_counter(monkeypatch)
         for points in fixtures_:
+            passes.clear()
             computed[3] = computed[4] = 0
             assert decide(points).branch == "four-collinear"
             assert computed[3] < 120, computed
+            # one pass, stopped at the hit, so no masks are kept
+            [(table, done)] = passes
+            assert not done and table._collinear[0] is None, passes
         assert listed == []
