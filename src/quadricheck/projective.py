@@ -234,18 +234,6 @@ E3 = Point((0, 0, 0, 1))
 STANDARD_BASIS = (E0, E1, E2, E3)
 
 
-def det2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def det3(a, b, c):
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - b[0] * (a[1] * c[2] - a[2] * c[1])
-        + c[0] * (a[1] * b[2] - a[2] * b[1])
-    )
-
-
 def _plucker(a, b):
     """The Plücker line of columns a, b: their 2x2 minors, in SUBSETS[2] order."""
     a0, a1, a2, a3 = a
@@ -270,17 +258,6 @@ def det4(a, b, c, d):
 def bracket(a: Point, b: Point, c: Point, d: Point):
     """[abcd]: determinant of canonical coordinates, columns a, b, c, d."""
     return det4(a.coords, b.coords, c.coords, d.coords)
-
-
-def _det_any(*columns):
-    k = len(columns[0])
-    if k == 1:
-        return columns[0][0]
-    if k == 2:
-        return det2(*columns)
-    if k == 3:
-        return det3(*columns)
-    return det4(*columns)
 
 
 def _echelon(rows):
@@ -394,30 +371,6 @@ def _dependent(line, x) -> bool:
     )
 
 
-def _conic_row(basis, p: Point):
-    """The CONIC_MONOMIALS of p's coordinates in the basis of three points
-    spanning a plane through p, cleared to integers by the lcm of their
-    reduced denominators.
-
-    By Cramer's rule on the first nonzero 3x3 minor D of the basis, the
-    coordinates are D_i / D, where D_i replaces column i of D by p; the lcm
-    of their reduced denominators is |D| / gcd(D, D_0, D_1, D_2), so the
-    cleared coordinates are sign(D)·D_i / gcd(D, D_0, D_1, D_2).
-    """
-    for rows in _MINOR_ROWS:
-        ca, cb, cc = ([q.coords[r] for r in rows] for q in basis)
-        d = det3(ca, cb, cc)
-        if d:
-            break
-    cp = [p.coords[r] for r in rows]
-    minors = (det3(cp, cb, cc), det3(ca, cp, cc), det3(ca, cb, cp))
-    g = gcd(d, *minors)
-    if d < 0:
-        g = -g
-    x = [m // g for m in minors]
-    return tuple(x[i] * x[j] for i, j in CONIC_MONOMIALS)
-
-
 class IncidenceTable:
     """The incidences of one configuration of points of P^3, each computed
     the first time it is read and then memoized:
@@ -429,7 +382,7 @@ class IncidenceTable:
       has met, as the mask of the points on it, with one basis K of the
       left kernel {y : yA = 0} of its conic chart A: the conic-monomial
       row of every point on the plane, in the basis of its first
-      independent triple.
+      independent triple, all from one Cramer set-up (`_left_kernel`).
 
     Entries are keyed by the bitmask of the points' indices and computed
     from the indices the reader holds, through the line of each pair (at
@@ -446,30 +399,36 @@ class IncidenceTable:
     one exists iff that block of K is singular (empty, so nonzero, for
     n = 6; Hodge and Pedoe, Methods of Algebraic Geometry I).  This holds
     for collinear sixes too.  For n = 10 each minor is the pairing of two
-    column pairs' 2x2 minors, which the plane's `_Kernel` memoizes.
+    column pairs' 2x2 minors, which the plane's `_Kernel` builds once per
+    sweep, 45 of them in one loop.
 
     `sixes_on_a_conic` finds the planes first and then sweeps each once.
     It reads the sixes by their first four points.  A four off every plane
     met with a nonzero bracket spans P^3, and so does every six that
     extends it, so with no four points coplanar the scan reads 70 brackets
-    and nothing else.  A four of rank 3 inside a plane met is skipped, as
-    its sixes lie in that plane; one with a vanishing bracket names its
-    plane, and `_plane` finds every point on it, one bracket per point.  A
-    collinear four lies in many planes, so it is never skipped this way: it
-    names the planes through its line, one per point off the line, and a
-    line of six or more points gives its collinear sixes.  Each plane of
-    n >= 6 points then lists its conic sixes in one pass over K: the
-    complements of the (n-6)-subsets of its columns whose minor vanishes,
-    210 pairings of 45 memoized 2x2 minors for n = 10.  A plane holding
-    every point settles coplanarity outright (`in_a_known_plane`).
+    and nothing else, each the pairing of two pairs' lines taken inline and
+    kept in the entries.  A four of rank 3 inside a plane met is skipped,
+    as its sixes lie in that plane (its first triple is read from the
+    masks of a completed pass, if there is one); one with a vanishing
+    bracket names its plane, and `_plane` finds every point on it, one
+    bracket per point.  A collinear four lies in many planes, so it is
+    never skipped this way: it names the planes through its line, one per
+    point off the line, and a line of six or more points gives its
+    collinear sixes.  Each plane of n >= 6 points then lists its conic
+    sixes in one pass over K: the complements of the (n-6)-subsets of its
+    columns whose minor vanishes, each minor tested inline (210 pairings
+    of 45 2x2 minors for n = 10, 84 3x3 minors from 28 cross products for
+    n = 9).  A plane holding every point settles coplanarity outright
+    (`in_a_known_plane`).
 
     The collinear triples are read in one inline pass over the pairs and
     triples of a view's points: it builds the 45 lines and tests each
-    triple's four 3x3 minors as it reaches it, and stops at the first
-    collinear four (`first_collinear_four`).  A pass that reaches the end
-    keeps the masks of the collinear triples in one cell that every view
-    shares; from then on every view lists its `collinear_triples()` from
-    those masks, and each `collinear` read is one mask lookup.
+    triple's four 3x3 minors as it reaches it, keeps each collinear triple
+    in the entries, and stops at the first collinear four
+    (`first_collinear_four`).  A pass that reaches the end keeps the masks
+    of the collinear triples in one cell that every view shares; from then
+    on every view lists its `collinear_triples()` from those masks, and
+    each `collinear` read is one mask lookup.
 
     `relabeled(labeling)` is a view of the same entries, lines and planes
     in which index r names the point labeling.perm[r].  The table lives as
@@ -546,13 +505,15 @@ class IncidenceTable:
         """Yield the collinear triples in combinations order, in one pass
         that builds the line of each pair (kept for every view) and tests
         each triple's four 3x3 minors, those `_dependent` reads, inline as
-        it reaches it; a pass that
-        runs to the end keeps the masks of the collinear triples for every
-        view."""
+        it reaches it.  Each collinear triple is kept in the entries as it
+        is yielded, so a reader paused at it does not test it again; a pass
+        that runs to the end keeps the masks of the collinear triples for
+        every view."""
         coords = [p.coords for p in self._points]
         b = self._bits
         n = len(b)
         lines = self._lines
+        entries = self._entries
         found = []
         for i in range(n):
             a0, a1, a2, a3 = coords[i]
@@ -573,7 +534,9 @@ class IncidenceTable:
                         l12 * x0 - l02 * x1 + l01 * x2 or l13 * x0 - l03 * x1 + l01 * x3
                         or l23 * x0 - l03 * x2 + l02 * x3 or l23 * x1 - l13 * x2 + l12 * x3
                     ):
-                        found.append(pair | b[k])
+                        mask = pair | b[k]
+                        found.append(mask)
+                        entries[mask] = True
                         yield i, j, k
         self._collinear[0] = frozenset(found)
 
@@ -614,9 +577,13 @@ class IncidenceTable:
         met = list(self._planes)  # every plane met, small ones too
         hits = set()
         entries = self._entries
+        lines = self._lines
+        masks = self._collinear[0]
         for four in combinations(range(n - 2), 4):
             i, j, k, l = four
-            mask = b[i] | b[j] | b[k] | b[l]
+            ij = b[i] | b[j]
+            kl = b[k] | b[l]
+            mask = ij | kl
             for plane in met:
                 if mask & plane == mask:
                     inside = True
@@ -624,12 +591,21 @@ class IncidenceTable:
             else:
                 inside = False
             if inside:
-                if not self.collinear(i, j, k):
+                if masks is None:
+                    collinear = self.collinear(i, j, k)
+                else:
+                    collinear = (ij | b[k]) in masks
+                if not collinear:
                     continue  # rank 3: its plane is met
             else:
                 dependent = entries.get(mask)
                 if dependent is None:
-                    dependent = entries[mask] = _dependent(self._line(i, j), self._line(k, l))
+                    # the bracket [ijkl], the pairing of the lines ij and kl
+                    l01, l02, l03, l12, l13, l23 = lines.get(ij) or self._line(i, j)
+                    m01, m02, m03, m12, m13, m23 = lines.get(kl) or self._line(k, l)
+                    dependent = entries[mask] = not (
+                        l01 * m23 - l02 * m13 + l03 * m12 + l12 * m03 - l13 * m02 + l23 * m01
+                    )
                 if not dependent:
                     continue  # every six that extends it spans P^3
             triple = self.first_independent(four)
@@ -668,17 +644,46 @@ class IncidenceTable:
                     met.append(plane)
 
     def _left_kernel(self, plane):
-        """The left kernel of a plane's chart."""
+        """The left kernel of a plane's chart, from one Cramer set-up.
+
+        A point p of the plane has coordinates D_i / D in the basis a, b, c
+        of the plane's first independent triple, where D is the first
+        nonzero 3x3 minor of the basis and D_i replaces its column i by p:
+        the dot products of p with b x c, c x a and a x b on the rows of D,
+        built once per plane.  The lcm of their reduced denominators is
+        |D| / gcd(D, D_0, D_1, D_2), so each point's conic row is the
+        CONIC_MONOMIALS of the integers sign(D)·D_i / gcd(D, D_0, D_1, D_2).
+        """
         # the plane's points by index of this view, in the order of the
         # points, so every view picks the same basis
-        b = self._bits
-        on = sorted((i for i in range(len(b)) if plane & b[i]), key=b.__getitem__)
-        basis = [self._points[i] for i in self.first_independent(on)]
-        rows = [_conic_row(basis, self._points[i]) for i in on]
-        kernel = kernel_basis(list(zip(*rows)))
-        if len(kernel) > len(rows) - 6:
+        bits = self._bits
+        points = self._points
+        on = sorted((i for i in range(len(bits)) if plane & bits[i]), key=bits.__getitem__)
+        basis = [points[i].coords for i in self.first_independent(on)]
+        for r0, r1, r2 in _MINOR_ROWS:
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = ((q[r0], q[r1], q[r2]) for q in basis)
+            u0, u1, u2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+            d = a0 * u0 + a1 * u1 + a2 * u2
+            if d:
+                break
+        v0, v1, v2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
+        w0, w1, w2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        xs = []
+        for i in on:
+            p = points[i].coords
+            p0, p1, p2 = p[r0], p[r1], p[r2]
+            d0 = p0 * u0 + p1 * u1 + p2 * u2
+            d1 = p0 * v0 + p1 * v1 + p2 * v2
+            d2 = p0 * w0 + p1 * w1 + p2 * w2
+            g = gcd(d, d0, d1, d2)
+            if d < 0:
+                g = -g
+            xs.append((d0 // g, d1 // g, d2 // g))
+        # the chart transposed: one row per monomial, one column per point
+        kernel = kernel_basis([[x[s] * x[t] for x in xs] for s, t in CONIC_MONOMIALS])
+        if len(kernel) > len(on) - 6:
             return _Kernel(None)
-        return _Kernel(dict(zip((b[i] for i in on), zip(*kernel))))
+        return _Kernel(dict(zip((bits[i] for i in on), zip(*kernel))))
 
     def first_independent(self, indices):
         """The first triple of the indices, in combinations order, whose
@@ -698,52 +703,69 @@ class IncidenceTable:
         return self._mask(l for l in range(n) if l in triple or self.bracket_vanishes(*triple, l))
 
 
-class _Kernel(dict):
+class _Kernel:
     """The columns of K, the left kernel basis of a plane's conic chart, by
-    point bit (None for a chart of rank below 6); a mask of two points reads
-    the 2x2 minors of their columns, computed on first read."""
+    point bit (None for a chart of rank below 6)."""
+
+    __slots__ = ("columns",)
 
     def __init__(self, columns):
-        super().__init__()
         self.columns = columns
-
-    def __missing__(self, pair):
-        low = pair & -pair
-        line = self[pair] = _plucker(self.columns[low], self.columns[pair ^ low])
-        return line
 
     def conic_sixes(self, on, bits):
         """The sixes of the plane's points, by their indices `on` in
         ascending order with `bits` the bit of each index, that lie on a
         conic: all of them when the chart has rank below 6, else the
         complement of each (n-6)-subset of K's columns whose minor vanishes
-        (none for n = 6, whose minor is empty)."""
+        (none for n = 6, whose minor is empty).  Each minor is tested
+        inline: for n = 10 as the pairing of two column pairs' 2x2 minors,
+        for n = 9 as the dot product of a column with the cross product of
+        two earlier ones."""
         if self.columns is None:
             return combinations(on, 6)
         k = len(on) - 6
-        if k == 4:
-            lines = [self[bits[on[r]] | bits[on[s]]] for r, s in _PAIRS_OF_TEN]
-            zero = [
-                out for out, (ab, cd) in zip(combinations(range(10), 4), _SPLITS_OF_TEN)
-                if not _pairing(lines[ab], lines[cd])
-            ]
-        elif k:
-            columns = [self.columns[bits[i]] for i in on]
-            zero = [
-                out for out in combinations(range(len(on)), k)
-                if not _det_any(*(columns[r] for r in out))
-            ]
-        else:
+        if not k:
             return ()
+        columns = [self.columns[bits[i]] for i in on]
+        zero = []
+        if k == 4:
+            lines = []  # the 2x2 minors of each column pair, in combinations order
+            for r, (a0, a1, a2, a3) in enumerate(columns):
+                for c0, c1, c2, c3 in columns[r + 1 :]:
+                    lines.append((
+                        a0 * c1 - a1 * c0, a0 * c2 - a2 * c0, a0 * c3 - a3 * c0,
+                        a1 * c2 - a2 * c1, a1 * c3 - a3 * c1, a2 * c3 - a3 * c2,
+                    ))
+            for out, ab, cd in _SPLITS_OF_TEN:
+                l01, l02, l03, l12, l13, l23 = lines[ab]
+                m01, m02, m03, m12, m13, m23 = lines[cd]
+                if not (l01 * m23 - l02 * m13 + l03 * m12 + l12 * m03 - l13 * m02 + l23 * m01):
+                    zero.append(out)
+        elif k == 3:
+            for r, (a0, a1, a2) in enumerate(columns):
+                for s in range(r + 1, 8):
+                    c0, c1, c2 = columns[s]
+                    x0, x1, x2 = a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0
+                    for t in range(s + 1, 9):
+                        e0, e1, e2 = columns[t]
+                        if not (x0 * e0 + x1 * e1 + x2 * e2):
+                            zero.append((r, s, t))
+        elif k == 2:
+            for r, (a0, a1) in enumerate(columns):
+                for s in range(r + 1, 8):
+                    c0, c1 = columns[s]
+                    if a0 * c1 == a1 * c0:
+                        zero.append((r, s))
+        elif k == 1:
+            zero = [(r,) for r, (a0,) in enumerate(columns) if not a0]
         return [tuple(i for r, i in enumerate(on) if r not in out) for out in zero]
 
 
-# The pairs of ten kernel columns by their positions in combinations order,
-# and each four of the columns, in that order, as the positions of its
-# pairs ab and cd.
+# Each four of ten kernel columns, in combinations order, with the positions
+# of its pairs ab and cd among the column pairs in combinations order.
 _PAIRS_OF_TEN = {pair: r for r, pair in enumerate(combinations(range(10), 2))}
 _SPLITS_OF_TEN = tuple(
-    (_PAIRS_OF_TEN[four[:2]], _PAIRS_OF_TEN[four[2:]]) for four in combinations(range(10), 4)
+    (four, _PAIRS_OF_TEN[four[:2]], _PAIRS_OF_TEN[four[2:]]) for four in combinations(range(10), 4)
 )
 
 

@@ -19,15 +19,16 @@ once per decision, and only when an exit reads it, from the Plücker lines
 of the pairs of points.  The four-collinear exit reads the triples in one
 inline pass, which builds the 45 lines and the masks of the collinear
 triples, and extends only the collinear ones, stopping at the first
-collinear four (a triple read while the pass waits at a hit is computed on
-its own and kept); the three-lines and two-lines exits, skew-line
-discovery and the genericity check on the relabeled view read the masks of
-that pass, which every view shares.  The six-on-conic exit finds the
-planes first, from the first four points of each six (70 brackets when no
-four are coplanar), then sweeps each plane of six or more points once with
-the left kernel of its conic chart, and takes the first six of the union in
-combinations order; skew-line discovery reads the coplanar exit off a plane
-that holds all ten points.
+collinear four (the pass keeps the triple it stops at, and any other
+triple read while it waits there is computed on its own and kept); the
+three-lines and two-lines exits, skew-line discovery and the genericity
+check on the relabeled view read the masks of that pass, which every view
+shares.  The six-on-conic exit finds the planes first, from the first four
+points of each six (70 brackets when no four are coplanar), then sweeps
+each plane of six or more points once with the left kernel of its conic
+chart, and takes the first six of the union in combinations order;
+skew-line discovery reads the coplanar exit off a plane that holds all ten
+points.
 """
 
 from __future__ import annotations

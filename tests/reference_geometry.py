@@ -23,7 +23,6 @@ from quadricheck.projective import (
     InfinityProduct,
     Point,
     Transform,
-    _det_any,
     _echelon,
     bareiss_det,
     clear_denominators,
@@ -190,8 +189,8 @@ def cross_ratio(a, b, c, d, witnesses=()):
         raise DegenerateWitness(f"need {dim - 2} witnesses for P^{dim - 1}, got {len(w)}")
     if w and rank_of_vectors((a, b) + w) != dim:
         raise DegenerateWitness("witnesses must span the space with the line")
-    num = _det_any(a, c, *w) * _det_any(b, d, *w)
-    den = _det_any(a, d, *w) * _det_any(b, c, *w)
+    num = bareiss_det((a, c, *w)) * bareiss_det((b, d, *w))
+    den = bareiss_det((a, d, *w)) * bareiss_det((b, c, *w))
     if den == 0:
         return INFINITY
     return Fraction(num, den)
@@ -267,8 +266,8 @@ def _circle(t):
     return (q * q - p * p, 2 * p * q, 0, q * q + p * p)
 
 
-# Two points of the plane z = 0 off the circle.
-_OFF_CIRCLE = ((1, 2, 0, 5), (3, -1, 0, 7))
+# Four points of the plane z = 0 off the circle.
+_OFF_CIRCLE = ((1, 2, 0, 5), (3, -1, 0, 7), (2, 1, 0, 9), (5, -3, 0, 4))
 _CIRCLE_PARAMS = ((0, 1), (1, 2), (1, 3), (2, 3), (1, 1), (3, 1), (2, 5), (5, 4), (-1, 2), (-3, 4))
 
 
@@ -283,7 +282,10 @@ def conic_planes():
     - n = 8: six points on a circle and two off it, so exactly one
       six-subset is on a conic and the 2x2 minor decides;
     - n = 9: seven on a circle and two off it;
-    - n = 10: ten on one circle, so the chart has rank 5.
+    - n = 10: ten on one circle, so the chart has rank 5;
+    - n = 10: six on a circle and four off it, so the chart has rank 6 and
+      exactly one 4x4 minor of its kernel vanishes;
+    - n = 10: seven on a circle and three off it, so seven minors vanish.
 
     The remaining points are generic, off the plane."""
     rng = random.Random("conic-planes")
@@ -293,9 +295,11 @@ def conic_planes():
     planes = (
         ("n=6 no conic", circles[:5] + [_OFF_CIRCLE[0]], 0),
         ("n=7 line pair", line_pair + [(1, 3, 0, 1)], 1),
-        ("n=8 six of eight", circles[:6] + list(_OFF_CIRCLE), 1),
-        ("n=9 seven of nine", circles[:7] + list(_OFF_CIRCLE), 7),
+        ("n=8 six of eight", circles[:6] + list(_OFF_CIRCLE[:2]), 1),
+        ("n=9 seven of nine", circles[:7] + list(_OFF_CIRCLE[:2]), 7),
         ("n=10 one conic", circles, 210),
+        ("n=10 six of ten", circles[:6] + list(_OFF_CIRCLE), 1),
+        ("n=10 seven of ten", circles[:7] + list(_OFF_CIRCLE[:3]), 7),
     )
     configs = []
     for name, plane, hits in planes:

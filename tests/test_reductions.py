@@ -38,6 +38,7 @@ from quadricheck.projective import (
     GeometryError,
     IncidenceTable,
     Point,
+    bareiss_det,
     bracket,
     rank_of_points,
 )
@@ -1193,10 +1194,12 @@ class TestIncidenceTable:
         pts[:4] = [Point(tuple(a + t * b for a, b in zip(u.coords, v.coords))) for t in range(4)]
         table = IncidenceTable(pts)
         assert qd_four_collinear(pts, table) is not None
-        assert len(computed) == 4  # the four sub-triples of (0, 1, 2, 3)
+        # the three sub-triples of (0, 1, 2, 3) that hold 3: the pass keeps
+        # the triple (0, 1, 2) it stopped at
+        assert len(computed) == 3
         view = table.relabeled(Labeling((3, 2, 1, 0, 4, 5, 6, 7, 8, 9)))
         assert view.on_a_line((0, 1, 2, 3)) and view.collinear(3, 1, 0)
-        assert len(computed) == 4
+        assert len(computed) == 3
 
     def test_collinear_triples_listed_once_per_view(self, incidence_inputs):
         configs, labelings = incidence_inputs
@@ -1315,6 +1318,27 @@ def _pass_counter(monkeypatch):
     return passes
 
 
+def _table_recorder(monkeypatch):
+    """The IncidenceTables built from here on."""
+    tables = []
+    init = IncidenceTable.__init__
+
+    def recording(table, points):
+        tables.append(table)
+        init(table, points)
+
+    monkeypatch.setattr(IncidenceTable, "__init__", recording)
+    return tables
+
+
+def _entry_sizes(table):
+    """How many triples (key 3) and fours (key 4) a table has filled."""
+    sizes = {3: 0, 4: 0}
+    for mask in table._entries:
+        sizes[mask.bit_count()] += 1
+    return sizes
+
+
 def _dependence_counter(monkeypatch):
     """Counts of the collinear triples (key 3) and brackets (key 4) that
     IncidenceTables compute from here on."""
@@ -1361,14 +1385,15 @@ class TestPlaneFirstScan:
 
     def test_coplanar_fills_few_brackets(self, monkeypatch):
         fixtures_ = [fixtures.generate_branch("coplanar", seed) for seed in self.SEEDS]
-        computed = _dependence_counter(monkeypatch)
+        tables = _table_recorder(monkeypatch)
         for points in fixtures_:
-            computed[3] = computed[4] = 0
+            tables.clear()
             assert decide(points).branch == "coplanar"
             # the bracket of the first four, then one per other point to find
             # its plane; every later four lies in that plane, where a scan six
             # by six would fill all 210
-            assert computed[4] == 7, computed
+            [table] = tables
+            assert _entry_sizes(table)[4] == 7, _entry_sizes(table)
 
     def test_coplanar_builds_one_kernel_and_reads_each_minor_once(self, monkeypatch):
         fixtures_ = [fixtures.generate_branch("coplanar", seed) for seed in self.SEEDS]
@@ -1379,23 +1404,31 @@ class TestPlaneFirstScan:
             "_left_kernel",
             lambda table, plane: kernels.append(plane) or left_kernel(table, plane),
         )
-        pairings = []
-        pairing = projective._pairing
-        monkeypatch.setattr(
-            projective, "_pairing", lambda l, m: pairings.append((l, m)) or pairing(l, m)
-        )
-        computed = _dependence_counter(monkeypatch)
+        sweeps = []
+        conic_sixes = projective._Kernel.conic_sixes
+
+        def sweeping(kernel, on, bits):
+            sweeps.append((kernel, on, bits, conic_sixes(kernel, on, bits)))
+            return sweeps[-1][-1]
+
+        monkeypatch.setattr(projective._Kernel, "conic_sixes", sweeping)
         for points in fixtures_:
             kernels.clear()
-            pairings.clear()
-            computed[3] = computed[4] = 0
+            sweeps.clear()
             assert decide(points).branch == "coplanar"
             assert kernels == [(1 << 10) - 1]
-            # each pairing that decides no bracket is one 4x4 minor of K, the
-            # pairing of two column pairs' 2x2 minors: one per four of the
-            # ten columns, each read once
-            minors = len(pairings) - computed[4]
-            assert minors == 210 and len(set(pairings)) == len(pairings), computed
+            # one sweep of the plane's kernel, whose sixes are the complements
+            # of the fours of K's ten columns with a singular 4x4 block
+            [(kernel, on, bits, sixes)] = sweeps
+            assert on == list(range(10))
+            columns = [kernel.columns[bits[i]] for i in on]
+            assert all(len(column) == 4 for column in columns)
+            want = [
+                tuple(r for r in range(10) if r not in out)
+                for out in combinations(range(10), 4)
+                if bareiss_det([columns[r] for r in out]) == 0
+            ]
+            assert sorted(sixes) == sorted(want)
 
     def test_generic_scan_reads_only_prefix_brackets(self, monkeypatch):
         """No four of a generic fixture are coplanar, so the conic scan reads
@@ -1409,21 +1442,27 @@ class TestPlaneFirstScan:
         computed = _dependence_counter(monkeypatch)
         for points in fixtures_:
             computed[3] = computed[4] = 0
-            assert list(IncidenceTable(points).sixes_on_a_conic()) == []
-            assert computed == {3: 0, 4: 70}, computed
+            table = IncidenceTable(points)
+            assert list(table.sixes_on_a_conic()) == []
+            assert _entry_sizes(table) == {3: 0, 4: 70}, _entry_sizes(table)
+            # every bracket is paired inline, none through `_dependent`
+            assert computed == {3: 0, 4: 0}, computed
         assert on_a_plane == []
 
     def test_generic_fills_no_more_entries(self, monkeypatch):
         fixtures_ = [fixtures.generate_branch("generic", seed) for seed in self.SEEDS]
         passes = _pass_counter(monkeypatch)
+        tables = _table_recorder(monkeypatch)
         computed = _dependence_counter(monkeypatch)
         for points in fixtures_:
             passes.clear()
+            tables.clear()
             computed[3] = computed[4] = 0
             assert decide(points).branch == "generic"
             # what the six-by-six scan filled on each of these fixtures; the
             # one pass, run to the end, answers every triple read after it
-            assert computed[4] <= 71 and computed[3] == 0, computed
+            [table] = tables
+            assert _entry_sizes(table)[4] <= 71 and computed[3] == 0, computed
             assert [done for _, done in passes] == [True]
 
     def test_generic_asks_each_question_once(self, monkeypatch):
