@@ -22,26 +22,29 @@ is that zero or infinity.
 A figure drawn once with a Tape in place of its trace leaves every step it
 records, repeats included, and every check it makes that `_held` notes
 (a point on or off a line, a point apart from others), in order.
-`StraightLine` compiles such a tape into one generated function of the
+`StraightLine` compiles such a tape into a generated function of the
 figure's leaves, the values it reads and does not compute: each step is a
 line of kernel code, or reads the leaf or earlier output that holds the
 value, and each check, with each check of a computed step (a nonzero join
-or meet point, coplanar lines meeting in `line_meet_line`), is an inline
-guard.  The program thus holds in the shape of the drawing, and returns
-None wherever the figure would take another shape or raise; run traced,
-it hands its steps to `_record` only once it completes, in the figure's
-order.
+or meet point, coplanar lines that meet), is an inline guard.  The
+program thus holds in the shape of the drawing, and returns None wherever
+the figure would take another shape or raise; run traced, it hands its
+steps to `_record` only once it completes, in the figure's order.  Run
+untraced, it meets a line pq with a coplanar line l at [πp]q - [πq]p for
+the plane π = join(l, E3), and holds that point up to scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd
 from typing import NamedTuple
 
 from .extensors import (
     _JOIN_KERNELS,
     _MEET_KERNELS,
+    _WITNESS_BRACKETS,
     _WITNESS_MEETS,
     Extensor,
     GradeOverflow,
@@ -608,7 +611,8 @@ class Tape:
 # figure's step makes: a join must be nonzero (`_join` raises ZeroExtensor),
 # and so must a meet point, which is made canonical.  Coplanar lines meet
 # in `line_meet_line`, as in the figure; the program returns None where it
-# raises (SkewLines or coincident lines).
+# raises (SkewLines or coincident lines).  The traced program runs these
+# lines for every step, so each output it records is the figure's.
 _STEP_CODE = {
     ("join", (1, 1, 2)): ("{out} = jp({0}, {1})", "if not any({out}): return"),
     ("join", (1, 1, 1, 3)): ("{out} = jlp(jp({0}, {1}), {2})", "if not any({out}): return"),
@@ -624,8 +628,34 @@ _STEP_CODE = {
     ("meet", (3, 3, 2)): ("{out} = mpp({0}, {1})",),
 }
 
+# The untraced program meets a line {0} that it joined from the points {p}
+# and {q} with a coplanar line {1} as [πp]q - [πq]p, for the plane
+# π = join({1}, E3), with the two brackets divided by their gcd: the point
+# is held up to scale, not made canonical, so the meet pays a gcd of two
+# brackets in place of the four-coordinate gcd of a canonical point.  It is
+# nonzero, since the join guard keeps p and q apart.  The skew guard is the
+# figure's; where both brackets vanish, E3 lies on the common plane (or the
+# lines coincide), and the meet falls back to `line_meet_line`.
+_MEET_OF_JOIN_CODE = (
+    "if jll({0}, {1})[0]: return",
+    "al = wb({1}, {p})[0]",
+    "be = wb({1}, {q})[0]",
+    "if al or be:",
+    "    g = gcd(al, be)",
+    "    al //= g",
+    "    be //= g",
+    "    (p0, p1, p2, p3), (q0, q1, q2, q3) = {p}, {q}",
+    "    {out} = (al * q0 - be * p0, al * q1 - be * p1, al * q2 - be * p2, al * q3 - be * p3)",
+    "else:",
+    "    try: {out} = line_meet_line({0}, {1})",
+    "    except ValueError: return",
+)
+
 # The guard of each check that `_held` notes; the program returns None
-# where the figure would take another shape or raise.
+# where the figure would take another shape or raise.  A point apart from
+# others compares canonical coordinates, and, where the untraced program
+# holds one of the points up to scale, tests that its join with each other
+# point is nonzero.
 _CHECK_CODE = {
     "on": "if any(jlp({0}, {1})): return",
     "off": "if not any(jlp({0}, {1})): return",
@@ -636,10 +666,13 @@ _CHECK_CODE = {
 # module when it runs.
 _PROGRAM_NAMES = {
     "any": any,
+    "gcd": gcd,
     "jp": _join_points,
     "jlp": _join_line_point,
+    "jll": _join_lines,
     "mlp": _meet_line_plane,
     "mpp": _meet_planes,
+    "wb": _WITNESS_BRACKETS[3],
     "canon": _canonical_nonzero,
 }
 
@@ -659,14 +692,32 @@ class StraightLine:
     leaves, each matched to the tape's values by identity, and `result` is
     the figure's output; `run` takes the leaves of another figure in the
     same order.
+
+    The program is compiled twice, each function on its first run.  The
+    traced function computes every step as the figure does, so each output
+    it hands the trace is canonical.  The untraced function meets a line it
+    joined with a coplanar line as `_MEET_OF_JOIN_CODE` says, holding that
+    point, and so the lines and planes drawn through it, up to scale; its
+    checks on such points are projective, and a result held up to scale is
+    made canonical, so it returns what the traced function returns.
     """
 
     def __init__(self, tape, leaves, result):
+        self._figure = (tape, leaves, result)
+
+    @cached_property
+    def _untraced(self):
+        return self._compiled(False)
+
+    @cached_property
+    def _traced(self):
+        return self._compiled(True)
+
+    def _compiled(self, traced):
         namespace = dict(_PROGRAM_NAMES)
-        for traced in (False, True):
-            source = _program_source(tape, leaves, result, traced)
-            exec(compile(source, "<straight-line program>", "exec"), globals(), namespace)
-        self._untraced, self._traced = namespace["untraced"], namespace["traced"]
+        source = _program_source(*self._figure, traced)
+        exec(compile(source, "<straight-line program>", "exec"), globals(), namespace)
+        return namespace["traced" if traced else "untraced"]
 
     def run(self, leaves, trace=None):
         """The figure's output for the leaves, as a coefficient tuple, or
@@ -693,6 +744,8 @@ def _program_source(tape, leaves, result, traced):
     for i, value in enumerate(leaves):
         names.setdefault(id(value), f"a{i}")
     read = set()
+    joined = {}  # the name of each line the program joins -> its two points' names
+    scaled = set()  # the names of the points the program holds up to scale
 
     def name(value):
         held = names.get(id(value))
@@ -706,19 +759,32 @@ def _program_source(tape, leaves, result, traced):
         if type(entry) is not TraceStep:
             kind, *values = entry
             args = [name(v) for v in values]
-            body.append(_CHECK_CODE[kind].format(*args, rest=", ".join(args[1:])))
+            if kind == "apart" and scaled.intersection(args):
+                guard = " or ".join(f"not any(jp({args[0]}, {other}))" for other in args[1:])
+                body.append(f"if {guard}: return")
+            else:
+                body.append(_CHECK_CODE[kind].format(*args, rest=", ".join(args[1:])))
             continue
         args = [name(v) for v in entry.inputs]
         out = names.get(id(entry.output))
         if out is None:
             out = names[id(entry.output)] = f"v{len(steps)}"
-            body += (line.format(*args, out=out) for line in _STEP_CODE[entry.op, entry.grades])
+            code, p, q = _STEP_CODE[entry.op, entry.grades], None, None
+            if not traced and entry.grades == (2, 2, 1) and args[0] in joined:
+                code, (p, q) = _MEET_OF_JOIN_CODE, joined[args[0]]
+                scaled.add(out)
+            body += (line.format(*args, out=out, p=p, q=q) for line in code)
+        if entry.grades == (1, 1, 2):
+            joined[out] = tuple(args)
         read.add(out)
         steps.append(f"({entry.op!r}, {entry.grades!r}, ({', '.join(args)},), {out})")
     output = name(result)
     unpack = ", ".join(f"a{i}" if f"a{i}" in read else "_" for i in range(len(leaves)))
     bound = ", ".join(f"{n}={n}" for n in _PROGRAM_NAMES)
-    body.append(f"return {output}, ({', '.join(steps)},)" if traced else f"return {output}")
+    if traced:
+        body.append(f"return {output}, ({', '.join(steps)},)")
+    else:
+        body.append(f"return canon({output})" if output in scaled else f"return {output}")
     lines = [f"def {'traced' if traced else 'untraced'}(leaves, {bound}):", f"({unpack},) = leaves"]
     return "\n    ".join(lines + body) + "\n"
 

@@ -12,9 +12,12 @@ is computed once, at import, into one table per pair of grades, and from
 those tables import generates one straight-line function per pair of
 grades, which join and meet run, and four more, `_WITNESS_MEETS[k]`, that
 compute meet(l1, join(l2, E_k)) for two lines and a basis point E_k in one
-step, for meeting coplanar lines.  Coefficients are always ints: points
-have canonical integer coordinates, the kernels only add and multiply, and
-Extensor(...) refuses any other type.
+step, for meeting coplanar lines.  Four more, `_WITNESS_BRACKETS[k]`,
+compute the bracket [join(l, E_k), p] of a line l and a point p in three
+products: the line pq meets the plane π = join(l, E_k) at [πp]q - [πq]p,
+which is how the column program meets coplanar lines.  Coefficients are
+always ints: points have canonical integer coordinates, the kernels only
+add and multiply, and Extensor(...) refuses any other type.
 """
 
 from __future__ import annotations
@@ -125,6 +128,27 @@ def _witness_table(k):
 # of the lines l1 and l2, for k = 0..3.
 _WITNESS_MEETS = tuple(
     _kernels(f"witness{k}", {(2, 2): _witness_table(k)}, lambda j, l: 1)[2, 2]
+    for k in range(4)
+)
+
+
+def _witness_bracket_table(k):
+    """Structure constants of the bracket [join(l, E_k), p] on the
+    coefficients of a line and a point: the E_k-slice of _JOIN[2, 1] makes
+    the plane join(l, E_k) three signed coefficients of l, and putting
+    those into _JOIN[3, 1] leaves 3 of its 4 products."""
+    plane = {io: (il, sign) for il, ip, io, sign in _JOIN[2, 1] if ip == k}
+    return tuple(
+        (plane[ia][0], ib, io, sign * plane[ia][1])
+        for ia, ib, io, sign in _JOIN[3, 1]
+        if ia in plane
+    )
+
+
+# _WITNESS_BRACKETS[k] computes the scalar join(join(l, E_k), p), as a
+# 1-tuple, from the coefficients of a line l and a point p, for k = 0..3.
+_WITNESS_BRACKETS = tuple(
+    _kernels(f"bracket{k}", {(2, 1): _witness_bracket_table(k)}, lambda j, l: 0)[2, 1]
     for k in range(4)
 )
 

@@ -13,12 +13,14 @@ four constructed points for coplanarity.
 instead, which, when the column's entry in row 0 is nonzero, runs the
 column program: column 0 of a fixed reference configuration, drawn once on
 a Tape and compiled to straight-line code (`column_program`).  It is built
-on the first generic decision, never at import, and once per process.  It
-holds in the main shape (chart 0, every von Staudt factor finite and
-nonzero), where it gives the drawn column's test point and trace steps;
-its guards hold every check of the drawing, so a column in another shape,
-or one the figure would raise on, is drawn, and records only what the
-drawing records.
+on the first generic decision, never at import, and once per process, and
+its traced and untraced functions are each compiled on their first run;
+the untraced one holds the meet points of coplanar lines up to scale
+(see `StraightLine`).  It holds in the main shape (chart 0, every von
+Staudt factor finite and nonzero), where it gives the drawn column's test
+point and trace steps; its guards hold every check of the drawing, so a
+column in another shape, or one the figure would raise on, is drawn, and
+records only what the drawing records.
 """
 
 from __future__ import annotations

@@ -334,7 +334,9 @@ def kernel_basis(rows):
             x = [0] * cols
             for r in reversed(range(len(pivots))):
                 row = a[r]
-                rhs = d * row[fc] - sum(row[c] * x[c] for c in pivots[r + 1 :])
+                rhs = d * row[fc]
+                for c in pivots[r + 1 :]:
+                    rhs -= row[c] * x[c]
                 x[pivots[r]] = rhs // row[pivots[r]]
             x[fc] = -d
             basis.append(_canonical_ints(x))

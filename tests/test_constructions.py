@@ -30,6 +30,8 @@ from quadricheck.constructions import (
     OnOppositeEdge,
     OutsideChart,
     SkewLines,
+    StraightLine,
+    Tape,
     Tetrahedron,
     TraceStep,
     _value_to_json,
@@ -908,6 +910,51 @@ class TestTraceValues:
             tampered["leaves"][0]["point"][0] = bad
             with pytest.raises(ValueError):
                 ConstructionTrace.from_json(tampered)
+
+
+def product_figure(frame, px, py):
+    """A von Staudt product drawn on a Tape: the tape, the values it reads
+    and no step of it outputs, in the order the figure first reads them,
+    and the product's coordinates."""
+    tape = Tape()
+    result = von_staudt_product(frame, px, py, tape)
+    made, leaves = set(), {}
+    for entry in tape.steps:
+        step = type(entry) is TraceStep
+        for value in entry.inputs if step else entry[1:]:
+            if id(value) not in made:
+                leaves.setdefault(id(value), value)
+        if step:
+            made.add(id(entry.output))
+    return tape, tuple(leaves.values()), result.coords
+
+
+class TestStraightLine:
+    def test_a_product_ending_in_a_coplanar_meet(self):
+        """The program of one von Staudt product, whose result is a meet of
+        coplanar lines: untraced, it holds that point up to scale and
+        returns it canonical, and on the leaves of other frames and factors
+        it gives the product the figure draws there, traced or not."""
+        rng = seeded("straight-line-product")
+
+        def factor(frame):
+            x = Fraction(rng.choice((-1, 1)) * rng.randint(2, 9), rng.randint(1, 9))
+            return point_at_parameter(frame, x)
+
+        frame = random_frame(rng)
+        tape, leaves, result = product_figure(frame, factor(frame), factor(frame))
+        source = constructions._program_source(tape, leaves, result, traced=False)
+        assert source.splitlines()[-1].strip().startswith("return canon(")
+        program = StraightLine(tape, leaves, result)
+        for _ in range(10):
+            other = random_frame(rng)
+            px, py = factor(other), factor(other)
+            _, other_leaves, want = product_figure(other, px, py)
+            assert program.run(other_leaves) == want
+            trace, drawn = ConstructionTrace(), ConstructionTrace()
+            assert program.run(other_leaves, trace) == want
+            von_staudt_product(other, px, py, drawn)
+            assert trace.steps == drawn.steps
 
 
 class TestTetrahedron:

@@ -196,6 +196,25 @@ class TestAgainstDirectDefinitions:
                 assert type(got) is tuple and same_coefficients(got, want)
         assert len(extensors._WITNESS_MEETS) == 4
 
+    def test_witness_brackets_every_basis_point(self):
+        """_WITNESS_BRACKETS[k](l, p) is the scalar join(join(l, E_k), p),
+        in three products, for points on and off the line, for basis
+        points on and off it, and for scaled lines."""
+        rng = seeded("witness-brackets")
+        cases = []
+        for _ in range(20):
+            p, q, r = (random_point(rng) for _ in range(3))
+            line = join(p, q)
+            cases += [(line, r), (line, p), (scaled(line, rng.randint(2, 9)), r)]
+        cases += [(join(E0, E1), E2), (join(E0, E1), E3), (join(E2, E3), E0)]
+        for l, p in cases:
+            for k, e in enumerate((E0, E1, E2, E3)):
+                got = extensors._WITNESS_BRACKETS[k](l.coeffs, p.coords)
+                assert type(got) is tuple and got == join(join(l, e), p).coeffs
+        for k in range(4):
+            assert len(extensors._witness_bracket_table(k)) == 3
+        assert len(extensors._WITNESS_BRACKETS) == 4
+
 
 class TestGeneratedKernels:
     """Each straight-line kernel generated at import equals the direct

@@ -715,7 +715,12 @@ class TestColumnProgram:
         or infinity; per projection, that it lies on its edge and is not the
         infinity vertex; and that the recovered point is off each opposite
         edge.  The program guards each of those checks, and each computed
-        step as the figure's step does."""
+        step as the figure's step does.  The untraced program holds the 18
+        meets of coplanar lines up to scale: each keeps the figure's skew
+        guard and its `line_meet_line` fallback, and the 3 projections, the
+        last of those meets on each edge, are kept apart from their
+        infinity vertex projectively.  The traced program computes every
+        step as the figure does."""
         tape, leaves, result = self.reference_tape()
         checks = Counter(entry[0] for entry in tape.steps if type(entry) is not TraceStep)
         assert checks == {"on": 12, "apart": 9, "off": 3}
@@ -725,16 +730,35 @@ class TestColumnProgram:
             if type(step) is TraceStep and id(step.output) not in held:
                 held.add(id(step.output))
                 computed[step.op, step.grades] += 1
-        assert computed[("meet", (2, 2, 1))] == 18 and sum(computed.values()) == 47
-        source = constructions._program_source(tape, leaves, result.coords, traced=False)
-        lines = [line.strip() for line in source.splitlines()]
-        assert sum(line.startswith("if any(jlp(") for line in lines) == checks["on"]
-        assert sum(line.startswith("if not any(jlp(") for line in lines) == checks["off"]
-        assert sum(" in (" in line for line in lines) == checks["apart"]
-        nonzero = sum(line.startswith("if not any(v") for line in lines)
+        meets = computed[("meet", (2, 2, 1))]
+        assert meets == 18 and sum(computed.values()) == 47
         joins = computed[("join", (1, 1, 2))] + computed[("join", (1, 1, 1, 3))]
-        assert nonzero == joins + computed[("meet", (2, 3, 1))]
-        assert sum(line == "except ValueError: return" for line in lines) == 18
+        for traced in (False, True):
+            source = constructions._program_source(tape, leaves, result.coords, traced)
+            lines = [line.strip() for line in source.splitlines()]
+            assert sum(line.startswith("if any(jlp(") for line in lines) == checks["on"]
+            assert sum(line.startswith("if not any(jlp(") for line in lines) == checks["off"]
+            apart = sum(" in (" in line for line in lines)
+            projective = [line for line in lines if line.startswith("if not any(jp(")]
+            assert apart + len(projective) == checks["apart"]
+            nonzero = sum(line.startswith("if not any(v") for line in lines)
+            assert nonzero == joins + computed[("meet", (2, 3, 1))]
+            assert sum(line == "except ValueError: return" for line in lines) == meets
+            calls = [line for line in lines if "= line_meet_line(" in line]
+            assert len(calls) == meets
+            if traced:
+                assert not projective and not any("jll(" in line or "wb(" in line for line in lines)
+                continue
+            assert len(projective) == 3
+            skew = [line for line in lines if line.startswith("if jll(")]
+            assert len(skew) == meets and all(line.endswith(")[0]: return") for line in skew)
+            assert sum(line == "if al or be:" for line in lines) == meets
+            assert sum(line == "g = gcd(al, be)" for line in lines) == meets
+            # each projective check is on the point of a meet held up to scale
+            combined = [line for line in lines if line.startswith("v") and "al * q0" in line]
+            scaled = {line.split(" = ")[0] for line in combined}
+            assert len(scaled) == meets
+            assert {line.split("(")[2].split(",")[0] for line in projective} <= scaled
 
     def test_reference_and_fixture_columns_run_the_program(self):
         tape, leaves, result = self.reference_tape()
@@ -795,19 +819,70 @@ class TestColumnProgram:
             assert point[0] is raised and trace["steps"]
             assert_as_drawn(figure, 0)
 
-    def test_coplanar_meet_past_e3(self):
+    def test_coplanar_meet_past_e3(self, monkeypatch):
         """With vertex 0 at E3, every figure on an edge from it lies in a
-        plane through E3, so its coplanar lines meet at the witness E2."""
+        plane through E3, so its coplanar lines meet at the witness E2.
+        The untraced program finds both brackets with the plane through
+        E3 zero on each of its 18 meets, and meets the lines in
+        `line_meet_line`; on a column in general position it never does."""
         pts = segre_generic_points()
         pts[6] = E3
         assert genericity_violation(pts) is None and compute_Q(pts[:6]) != 0
         figure = GenericFigure(pts)
         frame = figure.tetrahedron.edge_frame(0, 1)
         assert contains_point(join(frame.line, STANDARD_BASIS[frame.aux_index]), E3)
+        general = GenericFigure(generic_fixtures()[0])
+        columns = [figure.column_leaves(col) for col in range(4)]
+        general_columns = [general.column_leaves(col) for col in range(4)]
+        fallbacks = []
+        real = constructions.line_meet_line
+
+        def counting(l1, l2):
+            fallbacks.append((l1, l2))
+            return real(l1, l2)
+
+        monkeypatch.setattr(constructions, "line_meet_line", counting)
+        program = column_program()
+        for leaves in general_columns:
+            assert program.run(leaves) is not None
+        assert fallbacks == []
+        ran = []
+        for leaves in columns[:3]:
+            ran.append(program.run(leaves) is not None)
+            assert len(fallbacks) == 18
+            fallbacks.clear()
         # column 3 has zero entries, so an infinity factor
-        assert [program_runs(figure, col) for col in range(4)] == [True, True, True, False]
+        assert ran + [program_runs(figure, 3)] == [True, True, True, False]
         for col in range(4):
             assert_as_drawn(figure, col)
+
+    def test_sampled_columns_as_drawn(self, monkeypatch):
+        """Generic and on-quadric samples with coordinates up to 2^64 and
+        2^256: on every column of the decided figure the untraced program
+        gives the traced program's test point, the drawn column's, and
+        declines where it declines, and the decisions are those of the
+        drawn figure."""
+        configs = []
+        for bound in (2**64, 2**256):
+            for seed in (1, 2):
+                configs.append(sample_generic(seed, 10, bound=bound))
+                configs.append(sample_on_quadric(seed, 10, transformed=True, bound=bound))
+        programmed = []
+        for points in configs:
+            decision = decide(points)
+            assert decision.branch == "generic"
+            programmed.append(decision.to_json())
+            figure = GenericFigure(decision.labeling.apply(points))
+            for col in range(4):
+                leaves = figure.column_leaves(col)
+                untraced = column_program().run(leaves)
+                assert untraced == column_program().run(leaves, ConstructionTrace())
+                if untraced is not None:
+                    assert untraced == drawn_column(figure, col).coords
+                assert_as_drawn(figure, col)
+        assert sum(decision["on_quadric"] for decision in programmed) == 4
+        monkeypatch.setattr(generic_case, "column_test_point", drawn_column)
+        assert [decide(points).to_json() for points in configs] == programmed
 
     def test_a_column_in_another_chart_is_drawn(self, monkeypatch):
         pts = chart_one_points()
@@ -843,7 +918,8 @@ class TestColumnProgram:
     def test_built_lazily_once_from_the_reference(self):
         """Importing the package builds no program; the first generic
         decision builds it, once, by drawing column 0 of the reference
-        configuration, whatever was decided first."""
+        configuration, whatever was decided first.  Untraced decisions
+        compile the untraced function alone."""
         firsts = {
             "main shape": fixtures.generate_branch("generic", 1),
             "another chart": chart_one_points(),
@@ -861,6 +937,7 @@ class TestColumnProgram:
             report = json.loads(result.stdout)
             assert report["built_at_import"] == 0, name
             assert report["builds"] == 1, name
+            assert report["compiled"] == ["_untraced"], name
             assert report["drawn_on_a_tape"] == [[list(c) for c in generic_case.REFERENCE_POINTS]]
 
 
@@ -886,6 +963,7 @@ for raw in json.loads(sys.argv[2]):
 print(json.dumps({
     "built_at_import": built_at_import,
     "builds": generic_case.column_program.cache_info().misses,
+    "compiled": sorted(set(vars(generic_case.column_program())) & {"_untraced", "_traced"}),
     "drawn_on_a_tape": drawn,
 }))
 """
