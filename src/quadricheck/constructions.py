@@ -32,13 +32,19 @@ the figure would take another shape or raise; run traced, it hands its
 steps to `_record` only once it completes, in the figure's order.  Run
 untraced, it meets a line pq with a coplanar line l at [πp]q - [πq]p for
 the plane π = join(l, E3), and holds that point up to scale.
+
+A chart recovery meets its three planes in a point.  Traced, and so in the
+traced program, it meets the first two in a line and that line with the
+third, and records both meets.  Untraced, and so in the untraced program,
+it expands the point in the tetrahedron's vertex frame (`_chart_hit`),
+which gives the same point without the factor the two meets carry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .extensors import (
@@ -264,6 +270,7 @@ def _meet_lines(trace, l1, l2):
 _join_points = _JOIN_KERNELS[1, 1]
 _join_line_point = _JOIN_KERNELS[2, 1]
 _join_lines = _JOIN_KERNELS[2, 2]
+_plane_with_point = _JOIN_KERNELS[3, 1]
 _meet_line_plane = _MEET_KERNELS[2, 3]
 _meet_planes = _MEET_KERNELS[3, 3]
 
@@ -424,11 +431,13 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
     projections are the points on the edges i-j for the three other vertex
     indices j in ascending order; each must lie on its edge and differ from
     the infinity vertex j.  The point is the meet of the three planes
-    spanned by each projection and its opposite edge: the first two meet
-    in a line, which meets the third.  The point must lie off the three
-    opposite edges (OnOppositeEdge): a point off the edge kl opposite ij
-    spans with kl the recovery plane of ij, which meets the edge ij at the
-    given projection, so the point reprojects onto all three.
+    spanned by each projection and its opposite edge.  Untraced, it is
+    expanded in the tetrahedron's vertex frame (`_chart_hit`); traced, the
+    first two planes meet in a line, which meets the third, and both meets
+    are recorded.  The point must lie off the three opposite edges
+    (OnOppositeEdge): a point off the edge kl opposite ij spans with kl the
+    recovery plane of ij, which meets the edge ij at the given projection,
+    so the point reprojects onto all three.
     """
     others = [j for j in range(4) if j != i]
     projections = list(projections)
@@ -446,20 +455,66 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
         _held(trace, "apart", proj.coords, vertices[j])
         k, l = (m for m in range(4) if m not in (i, j))
         planes.append(_join(trace, proj.coords, vertices[k], vertices[l]))
-    cut = _meet_planes(planes[0], planes[1])
-    hit = _meet_line_plane(cut, planes[2])
+    frame = (vertices[i], *(vertices[j] for j in others))
+    if trace is None:
+        hit = _chart_hit(frame, planes)
+    else:
+        cut = _meet_planes(planes[0], planes[1])
+        hit = _meet_line_plane(cut, planes[2])
+    # This check cannot fire once the projections lie on their edges apart
+    # from the infinity vertices.  Each p_j is then a v_i + b v_j with a != 0,
+    # so a_j = [P_j v_j] = a [v_i v_k v_l v_j] of `_chart_hit` is nonzero, and
+    # x_i = lcm(a_j) too; the point is then nonzero, since the vertices are
+    # independent, whether the planes meet in it or it is expanded.  Kept as
+    # a check all the same.
     if not any(hit):
         raise InconsistentProjections("recovery planes do not meet in one point")
     result = _canonical_nonzero(hit)
-    _record(trace, "meet", (3, 3, 2), (planes[0], planes[1]), cut)
-    _record(trace, "meet", (2, 3, 1), (cut, planes[2]), result)
+    if trace is not None:
+        _record(trace, "meet", (3, 3, 2), (planes[0], planes[1]), cut)
+        _record(trace, "meet", (2, 3, 1), (cut, planes[2]), result)
+        if type(trace) is Tape:
+            trace.frames[id(cut)] = frame
     for j in others:
         k, l = (m for m in range(4) if m not in (i, j))
         opposite = tet.edge_line(k, l).coeffs
+        # Nor can this one, for the same reason: the points of the edge kl
+        # have x_i = 0, and the recovered point has x_i != 0.
         if not any(_join_line_point(opposite, result)):
             raise OnOppositeEdge(f"{_trusted_point(result)} lies on the opposite edge {k}{l}")
         _held(trace, "off", opposite, result)
     return _trusted_point(result)
+
+
+def _chart_hit(frame, planes):
+    """The point where the three recovery planes of a chart meet, up to
+    scale, expanded in the tetrahedron's vertex frame.  `frame` holds the
+    chart vertex v_i and then the other vertices v_j, and `planes` the
+    planes P_j = p_j v_k v_l of their projections, in the same order.  A
+    point X = sum x_m v_m lies on P_j, which holds v_k and v_l, exactly
+    when x_i [P_j v_i] + x_j [P_j v_j] = 0.  So with a_j = [P_j v_j] and
+    b_j = -[P_j v_i], the planes meet at x_i = lcm(a_j), x_j = b_j x_i / a_j.
+    The lcm keeps x_i free of the factors the a_j share, which the meets
+    of the planes multiply together, so the hit carries a much smaller
+    common factor than theirs.  Dividing each pair (a_j, b_j) by its gcd
+    first would remove the rest, but costs more than it saves the gcd
+    that makes the point canonical.  The hit is zero where some a_j is,
+    which is where a projection is its infinity vertex."""
+    vi, v1, v2, v3 = frame
+    p1, p2, p3 = planes
+    a1 = _plane_with_point(p1, v1)[0]
+    a2 = _plane_with_point(p2, v2)[0]
+    a3 = _plane_with_point(p3, v3)[0]
+    if not (a1 and a2 and a3):
+        return (0, 0, 0, 0)
+    b1 = -_plane_with_point(p1, vi)[0]
+    b2 = -_plane_with_point(p2, vi)[0]
+    b3 = -_plane_with_point(p3, vi)[0]
+    xi = lcm(a1, a2, a3)
+    x1, x2, x3 = b1 * (xi // a1), b2 * (xi // a2), b3 * (xi // a3)
+    return tuple(
+        [xi * ci + x1 * c1 + x2 * c2 + x3 * c3 for ci, c1, c2, c3 in zip(vi, v1, v2, v3)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +654,14 @@ class Tape:
     """Every step that `_record` is given, repeats included, and every check
     that `_held` notes, in the order a figure makes them: a TraceStep per
     step and a (kind, ...) tuple per check.  A figure drawn once with a
-    tape in place of its trace is what `StraightLine` compiles."""
+    tape in place of its trace is what `StraightLine` compiles.  `frames`
+    holds the vertex frame of each chart recovery drawn on the tape, under
+    the id of the line its first two planes meet in."""
 
     def __init__(self):
         self.steps = []
         self._recorded = _EveryKey()
+        self.frames = {}
 
 
 # The lines of program that compute the output {out} of a step of each
@@ -651,6 +709,17 @@ _MEET_OF_JOIN_CODE = (
     "    except ValueError: return",
 )
 
+# The untraced program recovers a chart's point from the names {0}, {1},
+# {2} of its three planes as `_chart_hit` does, in the vertex frame {frame}
+# that the recovery notes on its tape, in place of the meet of the first
+# two planes and that line's meet with the third.  The guard and the
+# canonical form are those of the meet.
+_CHART_HIT_CODE = (
+    "{out} = chart_hit(({frame}), ({0}, {1}, {2}))",
+    "if not any({out}): return",
+    "{out} = canon({out})",
+)
+
 # The guard of each check that `_held` notes; the program returns None
 # where the figure would take another shape or raise.  A point apart from
 # others compares canonical coordinates, and, where the untraced program
@@ -673,6 +742,7 @@ _PROGRAM_NAMES = {
     "mlp": _meet_line_plane,
     "mpp": _meet_planes,
     "wb": _WITNESS_BRACKETS[3],
+    "chart_hit": _chart_hit,
     "canon": _canonical_nonzero,
 }
 
@@ -699,7 +769,11 @@ class StraightLine:
     joined with a coplanar line as `_MEET_OF_JOIN_CODE` says, holding that
     point, and so the lines and planes drawn through it, up to scale; its
     checks on such points are projective, and a result held up to scale is
-    made canonical, so it returns what the traced function returns.
+    made canonical, so it returns what the traced function returns.  Where
+    a chart recovery drawn on the tape noted its vertex frame, the untraced
+    function expands the recovered point in that frame as `_CHART_HIT_CODE`
+    says, in place of the recovery's two meets, which the traced function
+    computes and records.
     """
 
     def __init__(self, tape, leaves, result):
@@ -755,6 +829,7 @@ def _program_source(tape, leaves, result, traced):
         return held
 
     body, steps = [], []
+    cut = None  # the step that meets a recovery's first two planes, while its hit is to come
     for entry in tape.steps:
         if type(entry) is not TraceStep:
             kind, *values = entry
@@ -765,15 +840,25 @@ def _program_source(tape, leaves, result, traced):
             else:
                 body.append(_CHECK_CODE[kind].format(*args, rest=", ".join(args[1:])))
             continue
-        args = [name(v) for v in entry.inputs]
+        if not traced and id(entry.output) in tape.frames:
+            # the line of a recovery's first two planes, which only the
+            # recovery's hit reads: the untraced program never computes it
+            cut = entry
+            continue
+        inputs, code = entry.inputs, _STEP_CODE[entry.op, entry.grades]
+        frame = p = q = None
+        if cut is not None and inputs[0] is cut.output:
+            inputs, code = (*cut.inputs, inputs[1]), _CHART_HIT_CODE
+            frame = ", ".join(map(name, tape.frames[id(cut.output)]))
+            cut = None
+        args = [name(v) for v in inputs]
         out = names.get(id(entry.output))
         if out is None:
             out = names[id(entry.output)] = f"v{len(steps)}"
-            code, p, q = _STEP_CODE[entry.op, entry.grades], None, None
             if not traced and entry.grades == (2, 2, 1) and args[0] in joined:
                 code, (p, q) = _MEET_OF_JOIN_CODE, joined[args[0]]
                 scaled.add(out)
-            body += (line.format(*args, out=out, p=p, q=q) for line in code)
+            body += (line.format(*args, out=out, frame=frame, p=p, q=q) for line in code)
         if entry.grades == (1, 1, 2):
             joined[out] = tuple(args)
         read.add(out)

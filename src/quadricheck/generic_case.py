@@ -16,7 +16,9 @@ a Tape and compiled to straight-line code (`column_program`).  It is built
 on the first generic decision, never at import, and once per process, and
 its traced and untraced functions are each compiled on their first run;
 the untraced one holds the meet points of coplanar lines up to scale
-(see `StraightLine`).  It holds in the main shape (chart 0, every von
+and recovers the test point in the vertex frame of the tetrahedron 6789,
+where the traced one records the recovery's two meets (see
+`StraightLine`).  It holds in the main shape (chart 0, every von
 Staudt factor finite and nonzero), where it gives the drawn column's test
 point and trace steps; its guards hold every check of the drawing, so a
 column in another shape, or one the figure would raise on, is drawn, and

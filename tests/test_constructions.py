@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
@@ -61,6 +62,7 @@ from quadricheck.projective import (
     E1,
     E2,
     E3,
+    GeometryError,
     InfinityProduct,
     Point,
     bracket,
@@ -296,6 +298,56 @@ class TestRecovery:
                 continue
             built += 1
             assert recover_from_chart(tet, i, projs) == p
+
+    def test_untraced_recovery_is_the_traced_one(self, monkeypatch):
+        """On every chart of random tetrahedra, untraced recovery, which
+        expands the point in the vertex frame and meets no planes, gives
+        the point that the traced one meets the planes at, or raises what
+        it raises.  The projections are at random parameters, at the chart
+        vertex (parameter 0) on one edge or on all three, or at an
+        infinity vertex."""
+        rng = seeded("recover-untraced")
+
+        def outcome(tet, i, projs, trace):
+            try:
+                return recover_from_chart(tet, i, projs, trace)
+            except GeometryError as exc:
+                return type(exc), str(exc)
+
+        met = []
+        meet_planes = constructions._meet_planes
+        monkeypatch.setattr(constructions, "_meet_planes", lambda *p: met.append(p) or meet_planes(*p))
+        compared = Counter()
+        while sum(compared.values()) < 6 * 4 * 6:
+            try:
+                tet = Tetrahedron(tuple(random_point(rng) for _ in range(4)), random_point(rng))
+            except ValueError:
+                continue
+            for i in range(4):
+                frames = [tet.edge_frame(i, j) for j in range(4) if j != i]
+                for case in ("random", 0, 1, 2, "all at the vertex", "infinity"):
+                    params = [random_fraction(rng) or Fraction(1) for _ in frames]
+                    if case == "all at the vertex":
+                        params = [0, 0, 0]
+                    elif case == "infinity":
+                        params[rng.randrange(3)] = INFINITY
+                    elif case != "random":
+                        params[case] = 0
+                    projs = [point_at_parameter(f, x) for f, x in zip(frames, params)]
+                    untraced = outcome(tet, i, projs, None)
+                    assert not met
+                    assert untraced == outcome(tet, i, projs, ConstructionTrace())
+                    assert untraced == outcome(tet, i, projs, Tape())
+                    assert bool(met) == (case != "infinity")
+                    if case == "infinity":
+                        assert untraced[0] is OutsideChart
+                    else:
+                        assert type(untraced) is Point
+                    if case == "all at the vertex":
+                        assert untraced == tet.vertices[i]
+                    met.clear()
+                    compared[case] += 1
+        assert len(compared) == 6
 
     def test_infinity_vertex_rejected(self):
         tet = standard_tetrahedron()

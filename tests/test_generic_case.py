@@ -719,8 +719,10 @@ class TestColumnProgram:
         meets of coplanar lines up to scale: each keeps the figure's skew
         guard and its `line_meet_line` fallback, and the 3 projections, the
         last of those meets on each edge, are kept apart from their
-        infinity vertex projectively.  The traced program computes every
-        step as the figure does."""
+        infinity vertex projectively, and the recovery's point is expanded
+        in the vertex frame by one call, with no meet of planes.  The traced
+        program computes every step as the figure does: the recovery meets
+        its first two planes in a line and that line with the third."""
         tape, leaves, result = self.reference_tape()
         checks = Counter(entry[0] for entry in tape.steps if type(entry) is not TraceStep)
         assert checks == {"on": 12, "apart": 9, "off": 3}
@@ -748,7 +750,13 @@ class TestColumnProgram:
             assert len(calls) == meets
             if traced:
                 assert not projective and not any("jll(" in line or "wb(" in line for line in lines)
+                cuts = [line.split(" = ")[0] for line in lines if " = mpp(" in line]
+                assert len(cuts) == computed[("meet", (3, 3, 2))] == 1
+                assert sum(f" = mlp({cuts[0]}, " in line for line in lines) == 1
+                assert not any("chart_hit(" in line for line in lines)
                 continue
+            assert not any("mpp(" in line for line in lines)
+            assert sum(" = chart_hit(" in line for line in lines) == 1
             assert len(projective) == 3
             skew = [line for line in lines if line.startswith("if jll(")]
             assert len(skew) == meets and all(line.endswith(")[0]: return") for line in skew)
@@ -883,6 +891,42 @@ class TestColumnProgram:
         assert sum(decision["on_quadric"] for decision in programmed) == 4
         monkeypatch.setattr(generic_case, "column_test_point", drawn_column)
         assert [decide(points).to_json() for points in configs] == programmed
+
+    def test_untraced_test_points_are_the_algebraic_images(self):
+        """As in acceptance criterion 10, on configurations with coordinates
+        up to 20 and on three seeded samples each up to 2^64 and 2^256:
+        the untraced test point of every column is the drawn one and the
+        image tau(column of M).  The columns in the main shape run the
+        program, whose recovery expands the point in the vertex frame; the
+        drawn columns, which `drawn_column` draws for every column and the
+        fixtures in chart 1 and with an infinity factor add, recover it
+        untraced in the same way."""
+        configs = []
+        k = 0
+        while len(configs) < 20:
+            points = sample_generic(f"untraced-test-points:{k}", 10, bound=20)
+            k += 1
+            if genericity_violation(points) is None:
+                configs.append(points)
+        for bound in (2**64, 2**256):
+            configs += [sample_generic(seed, 10, bound=bound) for seed in (1, 2, 3)]
+        configs += [chart_one_points(), infinity_factor_points()]
+        ran = compared = 0
+        for points in configs:
+            assert genericity_violation(points) is None
+            sigma = find_Q_labeling(points[:6])
+            relabeled = [points[i] for i in sigma] + points[6:]
+            figure = GenericFigure(relabeled)
+            tau = tau_transform(relabeled)
+            for col in range(4):
+                column = figure.m.column(col)
+                if not any(column):
+                    continue
+                point = column_test_point(figure, col)
+                assert point == drawn_column(figure, col) == tau.apply(Point(column))
+                ran += program_runs(figure, col)
+                compared += 1
+        assert compared >= 100 and compared - 4 <= ran < compared
 
     def test_a_column_in_another_chart_is_drawn(self, monkeypatch):
         pts = chart_one_points()
