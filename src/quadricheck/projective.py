@@ -358,27 +358,12 @@ CONIC_MONOMIALS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _MINOR_ROWS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
-def _dependent(line, x) -> bool:
-    """Whether a pair's Plücker line and x are dependent: x a third point's
-    coordinates, when the four coefficients of line ∨ x (the triple's 3x3
-    minors) vanish, read up to the first nonzero one; or x a second pair's
-    line, when their pairing (the bracket of the four points) does."""
-    if len(x) == 6:
-        return _pairing(line, x) == 0
-    l01, l02, l03, l12, l13, l23 = line
-    x0, x1, x2, x3 = x
-    return not (
-        l12 * x0 - l02 * x1 + l01 * x2 or l13 * x0 - l03 * x1 + l01 * x3
-        or l23 * x0 - l03 * x2 + l02 * x3 or l23 * x1 - l13 * x2 + l12 * x3
-    )
-
-
 class IncidenceTable:
     """The incidences of one configuration of points of P^3, each computed
     the first time it is read and then memoized:
 
     - whether a triple is collinear: its first pair's Plücker line joined
-      with its third point is zero;
+      with its third point is zero, read for every triple in one pass;
     - whether a bracket vanishes: the pairing of its two pairs' lines does;
     - every plane holding six or more of the points that `sixes_on_a_conic`
       has met, as the mask of the points on it, with one basis K of the
@@ -386,13 +371,20 @@ class IncidenceTable:
       row of every point on the plane, in the basis of its first
       independent triple, all from one Cramer set-up (`_left_kernel`).
 
-    Entries are keyed by the bitmask of the points' indices and computed
-    from the indices the reader holds, through the line of each pair (at
-    most 45, kept once built; equal points have the zero line).  A set has
-    rank <= 2 iff all its sub-triples are collinear, and rank <= 3 iff all
-    its sub-brackets vanish.  Whether a conic determinant is zero does not
-    depend on the chart: another basis of the plane changes every conic
-    row by the invertible symmetric square of a 3x3 matrix.
+    The lines and the triples come from one pass over the pairs and
+    triples of the points, run to the end at the first read that needs a
+    line or a triple, on whichever view makes it: it builds the 45 lines
+    (equal points have the zero line) and tests each triple's four 3x3
+    minors inline.  Its lines and the masks of its collinear triples are
+    kept where every view reads them, so each `collinear` read is one mask
+    lookup, `collinear_triples()` lists the masks, and
+    `first_collinear_four()` extends the listed triples.  Brackets are
+    keyed by the bitmask of the points' indices and paired from the lines
+    of the pairs the reader holds.  A set has rank <= 2 iff all its
+    sub-triples are collinear, and rank <= 3 iff all its sub-brackets
+    vanish.  Whether a conic determinant is zero does not depend on the
+    chart: another basis of the plane changes every conic row by the
+    invertible symmetric square of a 3x3 matrix.
 
     Six points S of a plane holding n >= 6 of the points, with chart A
     (n x 6), lie on a conic iff rank A < 6 or the (n-6) x (n-6) minor of K
@@ -411,26 +403,16 @@ class IncidenceTable:
     and nothing else, each the pairing of two pairs' lines taken inline and
     kept in the entries.  A four of rank 3 inside a plane met is skipped,
     as its sixes lie in that plane (its first triple is read from the
-    masks of a completed pass, if there is one); one with a vanishing
-    bracket names its plane, and `_plane` finds every point on it, one
-    bracket per point.  A collinear four lies in many planes, so it is
-    never skipped this way: it names the planes through its line, one per
-    point off the line, and a line of six or more points gives its
-    collinear sixes.  Each plane of n >= 6 points then lists its conic
-    sixes in one pass over K: the complements of the (n-6)-subsets of its
-    columns whose minor vanishes, each minor tested inline (210 pairings
-    of 45 2x2 minors for n = 10, 84 3x3 minors from 28 cross products for
-    n = 9).  A plane holding every point settles coplanarity outright
-    (`in_a_known_plane`).
-
-    The collinear triples are read in one inline pass over the pairs and
-    triples of a view's points: it builds the 45 lines and tests each
-    triple's four 3x3 minors as it reaches it, keeps each collinear triple
-    in the entries, and stops at the first collinear four
-    (`first_collinear_four`).  A pass that reaches the end keeps the masks
-    of the collinear triples in one cell that every view shares; from then
-    on every view lists its `collinear_triples()` from those masks, and
-    each `collinear` read is one mask lookup.
+    pass's masks); one with a vanishing bracket names its plane, and
+    `_plane` finds every point on it, one bracket per point.  A collinear
+    four lies in many planes, so it is never skipped this way: it names the
+    planes through its line, one per point off the line, and a line of six
+    or more points gives its collinear sixes.  Each plane of n >= 6 points
+    then lists its conic sixes in one sweep of K: the complements of the
+    (n-6)-subsets of its columns whose minor vanishes, each minor tested
+    inline (210 pairings of 45 2x2 minors for n = 10, 84 3x3 minors from
+    28 cross products for n = 9).  A plane holding every point settles
+    coplanarity outright (`in_a_known_plane`).
 
     `relabeled(labeling)` is a view of the same entries, lines and planes
     in which index r names the point labeling.perm[r].  The table lives as
@@ -440,11 +422,11 @@ class IncidenceTable:
     def __init__(self, points):
         self._points = list(points)
         self._bits = [1 << n for n in range(len(self._points))]
-        self._entries = {}  # mask of a triple or four -> dependent
-        self._lines = {}  # mask of a pair -> its Plücker line, up to sign
+        self._entries = {}  # mask of a four -> whether its bracket vanishes
+        self._lines = {}  # mask of a pair -> its Plücker line, up to sign, from the pass
         self._planes = {}  # mask of a plane -> its _Kernel
         # one cell that every view shares: the masks of the collinear
-        # triples, once a pass has read every triple
+        # triples, once the pass has run
         self._collinear = [None]
         self._triples = None  # this view's collinear triples, once listed
 
@@ -455,25 +437,18 @@ class IncidenceTable:
         view._triples = None
         return view
 
-    def _line(self, i, j):
-        pair = self._bits[i] | self._bits[j]
-        line = self._lines.get(pair)
-        if line is None:
-            line = self._lines[pair] = _plucker(self._points[i].coords, self._points[j].coords)
-        return line
+    def _masks(self):
+        """The masks of the collinear triples; the first read on any view
+        runs the pass (`_scan_triples`), which also builds the lines."""
+        cell = self._collinear
+        if cell[0] is None:
+            cell[0] = self._scan_triples()
+        return cell[0]
 
     def collinear(self, i, j, k) -> bool:
-        """Whether points i, j, k (distinct indices) lie on a line: after a
-        full pass, whether the triple's mask is among those it kept."""
+        """Whether points i, j, k (distinct indices) lie on a line."""
         b = self._bits
-        mask = b[i] | b[j] | b[k]
-        masks = self._collinear[0]
-        if masks is not None:
-            return mask in masks
-        dependent = self._entries.get(mask)
-        if dependent is None:
-            dependent = self._entries[mask] = _dependent(self._line(i, j), self._points[k].coords)
-        return dependent
+        return (b[i] | b[j] | b[k]) in self._masks()
 
     def bracket_vanishes(self, i, j, k, l) -> bool:
         """Whether [ijkl] = 0 for distinct indices i, j, k, l."""
@@ -481,7 +456,9 @@ class IncidenceTable:
         mask = b[i] | b[j] | b[k] | b[l]
         dependent = self._entries.get(mask)
         if dependent is None:
-            dependent = self._entries[mask] = _dependent(self._line(i, j), self._line(k, l))
+            self._masks()  # the pass builds the lines
+            lines = self._lines
+            dependent = self._entries[mask] = not _pairing(lines[b[i] | b[j]], lines[b[k] | b[l]])
         return dependent
 
     def on_a_line(self, indices) -> bool:
@@ -490,32 +467,23 @@ class IncidenceTable:
 
     def collinear_triples(self):
         """Every collinear triple of the points, in combinations order,
-        listed once per view; a view lists them from the masks of the
-        table's one full pass."""
+        listed once per view from the masks of the table's pass."""
         if self._triples is None:
-            masks = self._collinear[0]
-            if masks is None:
-                self._triples = tuple(self._scan_triples())
-            else:
-                b = self._bits
-                self._triples = tuple(
-                    sorted(tuple(r for r in range(len(b)) if mask & b[r]) for mask in masks)
-                )
+            b = self._bits
+            self._triples = tuple(
+                sorted(tuple(r for r in range(len(b)) if mask & b[r]) for mask in self._masks())
+            )
         return self._triples
 
     def _scan_triples(self):
-        """Yield the collinear triples in combinations order, in one pass
-        that builds the line of each pair (kept for every view) and tests
-        each triple's four 3x3 minors, those `_dependent` reads, inline as
-        it reaches it.  Each collinear triple is kept in the entries as it
-        is yielded, so a reader paused at it does not test it again; a pass
-        that runs to the end keeps the masks of the collinear triples for
-        every view."""
+        """The masks of the collinear triples, from one pass that builds
+        the line of each pair (kept for every view) and tests each triple's
+        four 3x3 minors, the coefficients of its first pair's line joined
+        with its third point, inline as it reaches it."""
         coords = [p.coords for p in self._points]
         b = self._bits
         n = len(b)
         lines = self._lines
-        entries = self._entries
         found = []
         for i in range(n):
             a0, a1, a2, a3 = coords[i]
@@ -536,21 +504,16 @@ class IncidenceTable:
                         l12 * x0 - l02 * x1 + l01 * x2 or l13 * x0 - l03 * x1 + l01 * x3
                         or l23 * x0 - l03 * x2 + l02 * x3 or l23 * x1 - l13 * x2 + l12 * x3
                     ):
-                        mask = pair | b[k]
-                        found.append(mask)
-                        entries[mask] = True
-                        yield i, j, k
-        self._collinear[0] = frozenset(found)
+                        found.append(pair | b[k])
+        return frozenset(found)
 
     def first_collinear_four(self):
         """The first four of the points, in combinations order, that lie on
         a line; None when no four do.  The first three points of a collinear
-        four are a collinear triple, so only those triples are extended.
-        Before any full pass a triple is read only when the pass reaches it,
-        so a hit stops the reading; after one, the listed triples serve."""
+        four are a collinear triple, so only the listed triples are
+        extended."""
         n = len(self._bits)
-        scanned = self._collinear[0] is not None
-        for a, b, c in self.collinear_triples() if scanned else self._scan_triples():
+        for a, b, c in self.collinear_triples():
             for l in range(c + 1, n):
                 if self.on_a_line((a, b, c, l)):
                     return a, b, c, l
@@ -579,8 +542,8 @@ class IncidenceTable:
         met = list(self._planes)  # every plane met, small ones too
         hits = set()
         entries = self._entries
+        masks = self._masks()
         lines = self._lines
-        masks = self._collinear[0]
         for four in combinations(range(n - 2), 4):
             i, j, k, l = four
             ij = b[i] | b[j]
@@ -593,18 +556,14 @@ class IncidenceTable:
             else:
                 inside = False
             if inside:
-                if masks is None:
-                    collinear = self.collinear(i, j, k)
-                else:
-                    collinear = (ij | b[k]) in masks
-                if not collinear:
+                if (ij | b[k]) not in masks:
                     continue  # rank 3: its plane is met
             else:
                 dependent = entries.get(mask)
                 if dependent is None:
                     # the bracket [ijkl], the pairing of the lines ij and kl
-                    l01, l02, l03, l12, l13, l23 = lines.get(ij) or self._line(i, j)
-                    m01, m02, m03, m12, m13, m23 = lines.get(kl) or self._line(k, l)
+                    l01, l02, l03, l12, l13, l23 = lines[ij]
+                    m01, m02, m03, m12, m13, m23 = lines[kl]
                     dependent = entries[mask] = not (
                         l01 * m23 - l02 * m13 + l03 * m12 + l12 * m03 - l13 * m02 + l23 * m01
                     )
@@ -631,7 +590,7 @@ class IncidenceTable:
         hit, of rank <= 3 with four equal conic rows."""
         b = self._bits
         n = len(b)
-        pair = next((p for p in combinations(four, 2) if any(self._line(*p))), None)
+        pair = next((p for p in combinations(four, 2) if any(self._lines[self._mask(p)])), None)
         if pair is None:
             hits.update(four + rest for rest in combinations(range(four[3] + 1, n), 2))
             return

@@ -16,19 +16,17 @@ exit, to skew-line discovery and to the relabeling checks (through views of
 it under each labeling), so each vanishing bracket and plane of six or
 more points (with the left kernel of its conic chart) is computed at most
 once per decision, and only when an exit reads it, from the Plücker lines
-of the pairs of points.  The four-collinear exit reads the triples in one
-inline pass, which builds the 45 lines and the masks of the collinear
-triples, and extends only the collinear ones, stopping at the first
-collinear four (the pass keeps the triple it stops at, and any other
-triple read while it waits there is computed on its own and kept); the
-three-lines and two-lines exits, skew-line discovery and the genericity
-check on the relabeled view read the masks of that pass, which every view
-shares.  The six-on-conic exit finds the planes first, from the first four
-points of each six (70 brackets when no four are coplanar), then sweeps
-each plane of six or more points once with the left kernel of its conic
-chart, and takes the first six of the union in combinations order;
-skew-line discovery reads the coplanar exit off a plane that holds all ten
-points.
+of the pairs of points.  The four-collinear exit's first read runs the
+table's one pass to the end, which builds the 45 lines and the masks of
+the collinear triples, and extends only the collinear triples; the other
+exits, skew-line discovery and the genericity check on the relabeled view
+read the lines and masks of that pass, which every view shares.  The
+duplicates exit compares the canonical points and reads no table.  The
+six-on-conic exit finds the planes first, from the first four points of
+each six (70 brackets when no four are coplanar), then sweeps each plane
+of six or more points once with the left kernel of its conic chart, and
+takes the first six of the union in combinations order; skew-line
+discovery reads the coplanar exit off a plane that holds all ten points.
 """
 
 from __future__ import annotations
@@ -76,8 +74,9 @@ def _kernel_certificate(points):
 # quadric-decidable exits
 
 
-def qd_duplicates(points):
-    """YES when two canonical points coincide (two equal constraint rows)."""
+def qd_duplicates(points, table):
+    """YES when two canonical points coincide (two equal constraint rows).
+    It compares the points, not the table, so it runs no pass."""
     if len(set(points)) < len(points):
         return Decision(True, "duplicate", None, _kernel_certificate(points))
     return None
@@ -532,10 +531,8 @@ def normalize(points, table=None):
     if len(points) != 10:
         raise ValueError("the pipeline expects exactly 10 points of P^3")
     table = table or IncidenceTable(points)
-    decision = qd_duplicates(points)
-    if decision is not None:
-        return decision
     for check in (
+        qd_duplicates,
         qd_four_collinear,
         qd_six_on_plane_conic,
         qd_three_lines,

@@ -84,13 +84,14 @@ class TestDuplicates:
     def test_duplicate_detected(self):
         pts = sample_generic("dup", 10, bound=20)
         pts[1] = pts[0]
-        d = qd_duplicates(pts)
+        d = qd_duplicates(pts, IncidenceTable(pts))
         assert d is not None and d.on_quadric and d.branch == "duplicate"
         assert oracle_decide(pts)
         assert all(evaluate_certificate(d.certificate, p) == 0 for p in pts)
 
     def test_distinct_absent(self):
-        assert qd_duplicates(sample_generic("dup2", 10, bound=20)) is None
+        pts = sample_generic("dup2", 10, bound=20)
+        assert qd_duplicates(pts, IncidenceTable(pts)) is None
 
 
 class TestFourCollinear:
@@ -1181,25 +1182,26 @@ class TestIncidenceTable:
         assert branches >= set(fixtures.GENERATED_KINDS)
 
     def test_entries_computed_once_and_only_when_read(self, monkeypatch):
-        computed = []
-        dependent = projective._dependent
-
-        def counting(line, x):
-            computed.append((line, x))
-            return dependent(line, x)
-
-        monkeypatch.setattr(projective, "_dependent", counting)
+        passes = _pass_counter(monkeypatch)
+        paired = _dependence_counter(monkeypatch)
         pts = sample_generic("incidence-lazy", 10, bound=20)
         u, v = pts[4], pts[5]
         pts[:4] = [Point(tuple(a + t * b for a, b in zip(u.coords, v.coords))) for t in range(4)]
         table = IncidenceTable(pts)
+        assert passes == [] and table._collinear == [None]
         assert qd_four_collinear(pts, table) is not None
-        # the three sub-triples of (0, 1, 2, 3) that hold 3: the pass keeps
-        # the triple (0, 1, 2) it stopped at
-        assert len(computed) == 3
+        # the four-collinear exit runs the one pass to the end: it keeps the
+        # masks of every collinear triple (points 0-5 lie on the line uv),
+        # and no bracket
+        assert [done for _, done in passes] == [True]
+        assert table._collinear[0] == {sum(1 << i for i in t) for t in ref_collinear_triples(pts)}
+        assert _entry_sizes(table) == {3: 0, 4: 0} and paired[4] == 0
         view = table.relabeled(Labeling((3, 2, 1, 0, 4, 5, 6, 7, 8, 9)))
         assert view.on_a_line((0, 1, 2, 3)) and view.collinear(3, 1, 0)
-        assert len(computed) == 3
+        assert view.bracket_vanishes(3, 2, 1, 7) and table.bracket_vanishes(0, 1, 2, 7)
+        # the view reads the table's masks and lines, and the bracket is
+        # paired once for both
+        assert len(passes) == 1 and paired[4] == 1
 
     def test_collinear_triples_listed_once_per_view(self, incidence_inputs):
         configs, labelings = incidence_inputs
@@ -1303,16 +1305,17 @@ class TestIncidenceTable:
 
 
 def _pass_counter(monkeypatch):
-    """The passes over the triples that IncidenceTables start from here on,
-    each as [table, whether the pass ran to the end]."""
+    """The passes over the pairs and triples that IncidenceTables start
+    from here on, each as [table, whether the pass returned]."""
     passes = []
     scan = IncidenceTable._scan_triples
 
     def counting(table):
         record = [table, False]
         passes.append(record)
-        yield from scan(table)
+        masks = scan(table)
         record[1] = True
+        return masks
 
     monkeypatch.setattr(IncidenceTable, "_scan_triples", counting)
     return passes
@@ -1340,17 +1343,17 @@ def _entry_sizes(table):
 
 
 def _dependence_counter(monkeypatch):
-    """Counts of the collinear triples (key 3) and brackets (key 4) that
-    IncidenceTables compute from here on."""
-    computed = {3: 0, 4: 0}
-    dependent = projective._dependent
+    """The count (key 4) of the brackets paired through `_pairing` from
+    here on: an IncidenceTable's `bracket_vanishes`, or `det4`.  The pass
+    tests every triple inline, so no triple is counted."""
+    computed = {4: 0}
+    pairing = projective._pairing
 
-    def counting(line, x):
-        # x is a third point (four coordinates) or a second pair's line (six)
-        computed[3 if len(x) == 4 else 4] += 1
-        return dependent(line, x)
+    def counting(l, m):
+        computed[4] += 1
+        return pairing(l, m)
 
-    monkeypatch.setattr(projective, "_dependent", counting)
+    monkeypatch.setattr(projective, "_pairing", counting)
     return computed
 
 
@@ -1441,28 +1444,27 @@ class TestPlaneFirstScan:
         )
         computed = _dependence_counter(monkeypatch)
         for points in fixtures_:
-            computed[3] = computed[4] = 0
+            computed[4] = 0
             table = IncidenceTable(points)
             assert list(table.sixes_on_a_conic()) == []
             assert _entry_sizes(table) == {3: 0, 4: 70}, _entry_sizes(table)
-            # every bracket is paired inline, none through `_dependent`
-            assert computed == {3: 0, 4: 0}, computed
+            # every bracket is paired inline, none through `_pairing`
+            assert computed == {4: 0}, computed
         assert on_a_plane == []
 
     def test_generic_fills_no_more_entries(self, monkeypatch):
         fixtures_ = [fixtures.generate_branch("generic", seed) for seed in self.SEEDS]
         passes = _pass_counter(monkeypatch)
         tables = _table_recorder(monkeypatch)
-        computed = _dependence_counter(monkeypatch)
         for points in fixtures_:
             passes.clear()
             tables.clear()
-            computed[3] = computed[4] = 0
             assert decide(points).branch == "generic"
             # what the six-by-six scan filled on each of these fixtures; the
             # one pass, run to the end, answers every triple read after it
             [table] = tables
-            assert _entry_sizes(table)[4] <= 71 and computed[3] == 0, computed
+            sizes = _entry_sizes(table)
+            assert sizes[3] == 0 and sizes[4] <= 71, sizes
             assert [done for _, done in passes] == [True]
 
     def test_generic_asks_each_question_once(self, monkeypatch):
@@ -1524,18 +1526,15 @@ class TestPlaneFirstScan:
                 in_discovery.clear()
 
         monkeypatch.setattr(reductions, "find_three_skew", discovery)
-        computed = _dependence_counter(monkeypatch)
         for points in fixtures_:
             passes.clear()
             views.clear()
             reads.clear()
-            computed[3] = 0
             assert decide(points).branch == "generic"
             [(table, done)] = passes
             assert done and table._collinear[0] == frozenset(), passes
             assert views and all(view._collinear is table._collinear for view in views)
             assert len(reads) == 2 and all(during for during, _ in reads), reads
-            assert computed[3] == 0, computed
 
     def test_views_list_triples_from_the_shared_scan(self):
         rng = seeded("views-share-triples")
@@ -1554,20 +1553,58 @@ class TestPlaneFirstScan:
                 listed += len(view.collinear_triples())
         assert listed >= (3 + 2 + 2) * len(self.SEEDS)
 
-    def test_four_collinear_exit_stops_at_the_first_hit(self, monkeypatch):
-        """On special input the scan stays lazy: it reads triples only up to
-        the first collinear four and lists none."""
-        fixtures_ = [fixtures.generate_branch("four-collinear", seed) for seed in self.SEEDS]
-        listed = []
-        monkeypatch.setattr(IncidenceTable, "collinear_triples", lambda table: listed.append(table))
+    def test_a_cold_view_runs_the_pass_for_its_table_and_views(self, monkeypatch):
+        """A view built before any read makes the first read; the table and
+        a second view then read that one pass, and each lists the triples
+        and finds the first collinear four of a fresh table of its points."""
+        rng = seeded("cold-view-pass")
+        inputs = [
+            fixtures.generate_branch(kind, seed)
+            for kind in ("four-collinear", "duplicate")
+            for seed in self.SEEDS
+        ]
+        inputs += [fixtures.mutate_collinear(seed) for seed in self.SEEDS]
         passes = _pass_counter(monkeypatch)
+        fours = 0
+        for points in inputs:
+            perms = [list(range(10)), list(range(10))]
+            for perm in perms:
+                rng.shuffle(perm)
+            table = IncidenceTable(points)
+            first = table.relabeled(Labeling(tuple(perms[0])))
+            second = table.relabeled(Labeling(tuple(perms[1])))
+            readers = ((first, perms[0]), (table, range(10)), (second, perms[1]))
+            want = []
+            for _, perm in readers:
+                fresh = IncidenceTable([points[i] for i in perm])
+                want.append((fresh.collinear_triples(), fresh.first_collinear_four()))
+            passes.clear()
+            got = [(r.collinear_triples(), r.first_collinear_four()) for r, _ in readers]
+            assert got == want
+            assert [(scanned is first, done) for scanned, done in passes] == [(True, True)]
+            assert all(reader._collinear is table._collinear for reader, _ in readers)
+            assert all(triples for triples, _ in got)
+            fours += sum(four is not None for _, four in got)
+        assert fours >= 3 * 2 * len(self.SEEDS)
+
+    def test_four_collinear_exit_runs_one_whole_pass(self, monkeypatch):
+        """The four-collinear exit runs the table's one pass to the end and
+        extends the triples listed from its masks; the decision then reads
+        nothing more, so no bracket is paired."""
+        fixtures_ = [fixtures.generate_branch("four-collinear", seed) for seed in self.SEEDS]
+        passes = _pass_counter(monkeypatch)
+        tables = _table_recorder(monkeypatch)
         computed = _dependence_counter(monkeypatch)
         for points in fixtures_:
             passes.clear()
-            computed[3] = computed[4] = 0
+            tables.clear()
+            computed[4] = 0
             assert decide(points).branch == "four-collinear"
-            assert computed[3] < 120, computed
-            # one pass, stopped at the hit, so no masks are kept
-            [(table, done)] = passes
-            assert not done and table._collinear[0] is None, passes
-        assert listed == []
+            [table] = tables
+            [(scanned, done)] = passes
+            assert scanned is table and done, passes
+            assert table._collinear[0] == {
+                sum(1 << i for i in t) for t in ref_collinear_triples(points)
+            }
+            assert table._triples == tuple(ref_collinear_triples(points))
+            assert table._entries == {} and computed == {4: 0}, computed
