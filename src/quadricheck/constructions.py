@@ -31,7 +31,12 @@ program thus holds in the shape of the drawing, and returns None wherever
 the figure would take another shape or raise; run traced, it hands its
 steps to `_record` only once it completes, in the figure's order.  Run
 untraced, it meets a line pq with a coplanar line l at [πp]q - [πq]p for
-the plane π = join(l, E3), and holds that point up to scale.
+the plane π = join(l, E3), and holds that point up to scale.  Run mod the
+prime P (`run_mod_p`), it does the untraced run's steps and checks on the
+leaves reduced mod P, with every point up to scale, and declines wherever
+a value it needs is 0 mod P; its output is then the untraced output
+reduced mod P, up to a scale nonzero mod P, which is enough to show a
+bracket of outputs nonzero and no more.
 
 A chart recovery meets its three planes in a point.  Traced, and so in the
 traced program, it meets the first two in a line and that line with the
@@ -43,7 +48,7 @@ which gives the same point without the factor the two meets carry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -52,6 +57,7 @@ from .extensors import (
     _MEET_KERNELS,
     _WITNESS_BRACKETS,
     _WITNESS_MEETS,
+    P,
     Extensor,
     GradeOverflow,
     ZeroExtensor,
@@ -60,6 +66,7 @@ from .extensors import (
     join,
     line_through,
     meet,
+    modp_kernels,
 )
 from .projective import (
     GeometryError,
@@ -292,6 +299,8 @@ def line_meet_line(l1, l2):
     if extensors and (l1.grade != 2 or l2.grade != 2):
         raise ValueError("line_meet_line needs two lines")
     c1, c2 = (l1.coeffs, l2.coeffs) if extensors else (l1, l2)
+    # The figures' lines never fail this: each lies in the plane through its
+    # frame's line and E_aux (the argument above `_CHECK_CODE`).
     if _join_lines(c1, c2)[0]:
         raise SkewLines("the lines are skew; they do not meet")
     # A von Staudt figure on a frame lies in the plane through the frame's
@@ -447,6 +456,8 @@ def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Poi
     planes = []
     for j, proj in zip(others, projections):
         edge = tet.edge_line(i, j).coeffs
+        # A projection drawn by `construct_test_point` never fails this: it
+        # is a meet with the edge's line (the argument above `_CHECK_CODE`).
         if any(_join_line_point(edge, proj.coords)):
             raise InconsistentProjections(f"{proj} is not on edge {i}{j}")
         _held(trace, "on", edge, proj.coords)
@@ -517,6 +528,28 @@ def _chart_hit(frame, planes):
     )
 
 
+def _chart_hit_mod_p(frame, planes):
+    """`_chart_hit` mod P, on coefficients reduced mod P, with
+    x_i = a1·a2·a3 and x_j = b_j times the other two a's in place of the
+    lcm.  That is (a1·a2·a3 / lcm(a_j)) times the exact hit, an integer
+    multiple of it, and so the same point mod P wherever it is nonzero.
+    Zero where some a_j is 0 mod P, as the exact hit is where it is 0."""
+    vi, v1, v2, v3 = frame
+    p1, p2, p3 = planes
+    a1 = _plane_with_point(p1, v1)[0] % P
+    a2 = _plane_with_point(p2, v2)[0] % P
+    a3 = _plane_with_point(p3, v3)[0] % P
+    if not (a1 and a2 and a3):
+        return (0, 0, 0, 0)
+    b1 = -_plane_with_point(p1, vi)[0] % P
+    b2 = -_plane_with_point(p2, vi)[0] % P
+    b3 = -_plane_with_point(p3, vi)[0] % P
+    xi, x1, x2, x3 = a1 * a2 % P * a3, b1 * a2 % P * a3, a1 * b2 % P * a3, a1 * a2 % P * b3
+    return tuple(
+        [(xi * ci + x1 * c1 + x2 * c2 + x3 * c3) % P for ci, c1, c2, c3 in zip(vi, v1, v2, v3)]
+    )
+
+
 # ---------------------------------------------------------------------------
 # auxiliary choices for the product construction
 
@@ -543,6 +576,8 @@ def choose_auxiliaries(frame: LineFrame):
 
 
 def _require_on_line(frame: LineFrame, p: Point, trace):
+    # A factor or product drawn by `construct_test_point` never fails this:
+    # it is a meet with the frame's line (the argument above `_CHECK_CODE`).
     line = frame.line.coeffs
     if any(_join_line_point(line, p.coords)):
         raise ValueError(f"{p} is not on the frame's line")
@@ -692,8 +727,9 @@ _STEP_CODE = {
 # is held up to scale, not made canonical, so the meet pays a gcd of two
 # brackets in place of the four-coordinate gcd of a canonical point.  It is
 # nonzero, since the join guard keeps p and q apart.  The skew guard is the
-# figure's; where both brackets vanish, E3 lies on the common plane (or the
-# lines coincide), and the meet falls back to `line_meet_line`.
+# figure's, and never declines on a figure built from points (the argument
+# above `_CHECK_CODE`); where both brackets vanish, E3 lies on the common
+# plane (or the lines coincide), and the meet falls back to `line_meet_line`.
 _MEET_OF_JOIN_CODE = (
     "if jll({0}, {1})[0]: return",
     "al = wb({1}, {p})[0]",
@@ -720,11 +756,50 @@ _CHART_HIT_CODE = (
     "{out} = canon({out})",
 )
 
+# The mod-p program runs the untraced program's lines on values reduced mod
+# P, through kernels that reduce mod P (`modp_kernels`), and holds every
+# point up to scale: it makes no point canonical and takes no gcd, so a
+# chart's hit is `_chart_hit_mod_p`.  A meet of two lines that it did not
+# join would need `line_meet_line`, and declines.  It meets a joined line
+# as `_MEET_OF_JOIN_CODE` does, and declines where both brackets are 0 mod
+# P: where they are 0 over Z the exact program takes the fallback, and
+# where they are 0 mod P only, the point is not known mod P.
+_MOD_P_STEP_CODE = {
+    **_STEP_CODE,
+    ("meet", (2, 2, 1)): ("return",),
+    ("meet", (2, 3, 1)): _STEP_CODE["meet", (2, 3, 1)][:2],
+}
+_MOD_P_MEET_OF_JOIN_CODE = (
+    *_MEET_OF_JOIN_CODE[:3],
+    "if not (al or be): return",
+    "(p0, p1, p2, p3), (q0, q1, q2, q3) = {p}, {q}",
+    "{out} = ("
+    + ", ".join(f"(al * q{i} - be * p{i}) % {P}" for i in range(4))
+    + ")",
+)
+_MOD_P_CHART_HIT_CODE = _CHART_HIT_CODE[:2]
+
 # The guard of each check that `_held` notes; the program returns None
 # where the figure would take another shape or raise.  A point apart from
 # others compares canonical coordinates, and, where the untraced program
-# holds one of the points up to scale, tests that its join with each other
-# point is nonzero.
+# holds one of the points up to scale, or in the mod-p program, tests that
+# its join with each other point is nonzero.
+#
+# The "on" guards, and the skew guards of the meets, must find zero, and on
+# a figure built from points they always do.  Each point checked to be on a
+# line is a meet with that line itself: a von Staudt factor is a meet of
+# the frame's line with a plane, a product or an inverse the meet of a line
+# with the frame's line, and a chart's projection the inverse on the
+# frame of its edge, whose line is the edge.  Every line a von Staudt
+# figure meets lies in the plane through the frame's line and its
+# auxiliary direction E_k, which holds the factors, the auxiliary point
+# a = zero + 2·infinity + E_k and L' = zero·(infinity + E_k), so any two of
+# them are coplanar.  So these guards never decline on such a figure, and
+# mod P, where a guard that must find zero can only pass spuriously, the
+# mod-p program declines only where the exact one does or where a value is
+# 0 mod P.  The "off", "apart" and nonzero guards must find a nonzero value;
+# a value nonzero mod P is nonzero over Z, so where the mod-p program
+# passes one, the exact program passes it too.
 _CHECK_CODE = {
     "on": "if any(jlp({0}, {1})): return",
     "off": "if not any(jlp({0}, {1})): return",
@@ -745,6 +820,24 @@ _PROGRAM_NAMES = {
     "chart_hit": _chart_hit,
     "canon": _canonical_nonzero,
 }
+
+
+@cache
+def _mod_p_program_names():
+    """What the mod-p program binds as locals: the names it shares with the
+    untraced program, each kernel reducing mod P.  Built on first use, with
+    the kernels, never at import."""
+    join_mod, meet_mod, bracket_mod = modp_kernels()
+    return {
+        "any": any,
+        "jp": join_mod[1, 1],
+        "jlp": join_mod[2, 1],
+        "jll": join_mod[2, 2],
+        "mlp": meet_mod[2, 3],
+        "mpp": meet_mod[3, 3],
+        "wb": bracket_mod,
+        "chart_hit": _chart_hit_mod_p,
+    }
 
 
 class StraightLine:
@@ -774,6 +867,16 @@ class StraightLine:
     function expands the recovered point in that frame as `_CHART_HIT_CODE`
     says, in place of the recovery's two meets, which the traced function
     computes and records.
+
+    A third function, `run_mod_p`, compiled on its first run with kernels
+    built then, runs the untraced function's steps and guards on leaves
+    reduced mod the prime P (`reduced_mod_p`), holding every point up to
+    scale: each apart guard is projective, and no point is made canonical
+    (see `_MOD_P_STEP_CODE`).  Where it completes, its output is an integer
+    multiple of the untraced function's, reduced mod P, and nonzero mod P.
+    Where a value is 0 mod P but not over Z it may decline where the exact
+    function completes, never the other way round, so it serves only to
+    show a polynomial in the outputs nonzero.
     """
 
     def __init__(self, tape, leaves, result):
@@ -787,11 +890,20 @@ class StraightLine:
     def _traced(self):
         return self._compiled(True)
 
-    def _compiled(self, traced):
-        namespace = dict(_PROGRAM_NAMES)
-        source = _program_source(*self._figure, traced)
+    @cached_property
+    def _mod_p(self):
+        return self._compiled(False, mod_p=True)
+
+    def _compiled(self, traced, mod_p=False):
+        namespace = dict(_mod_p_program_names() if mod_p else _PROGRAM_NAMES)
+        source = _program_source(*self._figure, traced, mod_p)
         exec(compile(source, "<straight-line program>", "exec"), globals(), namespace)
-        return namespace["traced" if traced else "untraced"]
+        return namespace["mod_p" if mod_p else "traced" if traced else "untraced"]
+
+    def run_mod_p(self, leaves):
+        """The figure's output reduced mod P, up to a scale nonzero mod P,
+        for the leaves reduced mod P, or None where a guard fails."""
+        return self._mod_p(leaves)
 
     def run(self, leaves, trace=None):
         """The figure's output for the leaves, as a coefficient tuple, or
@@ -809,11 +921,22 @@ class StraightLine:
         return output
 
 
-def _program_source(tape, leaves, result, traced):
-    """Source of the function `traced` or `untraced` that StraightLine runs:
-    it unpacks the leaves it reads, runs the tape's steps and checks in
-    order, and returns the result, and when traced also every step as an
-    (op, grades, inputs, output) tuple."""
+def reduced_mod_p(values) -> tuple:
+    """The coefficient tuples with each coefficient reduced mod P."""
+    return tuple([tuple([c % P for c in value]) for value in values])
+
+
+def _program_source(tape, leaves, result, traced, mod_p=False):
+    """Source of the function `traced`, `untraced` or `mod_p` that
+    StraightLine runs: it unpacks the leaves it reads, runs the tape's
+    steps and checks in order, and returns the result, and when traced also
+    every step as an (op, grades, inputs, output) tuple.  The mod-p
+    function is the untraced one with the rewrites of `_MOD_P_STEP_CODE`."""
+    step_code, meet_of_join, chart_hit = (
+        (_MOD_P_STEP_CODE, _MOD_P_MEET_OF_JOIN_CODE, _MOD_P_CHART_HIT_CODE)
+        if mod_p
+        else (_STEP_CODE, _MEET_OF_JOIN_CODE, _CHART_HIT_CODE)
+    )
     names = {}
     for i, value in enumerate(leaves):
         names.setdefault(id(value), f"a{i}")
@@ -834,7 +957,7 @@ def _program_source(tape, leaves, result, traced):
         if type(entry) is not TraceStep:
             kind, *values = entry
             args = [name(v) for v in values]
-            if kind == "apart" and scaled.intersection(args):
+            if kind == "apart" and (mod_p or scaled.intersection(args)):
                 guard = " or ".join(f"not any(jp({args[0]}, {other}))" for other in args[1:])
                 body.append(f"if {guard}: return")
             else:
@@ -845,10 +968,10 @@ def _program_source(tape, leaves, result, traced):
             # recovery's hit reads: the untraced program never computes it
             cut = entry
             continue
-        inputs, code = entry.inputs, _STEP_CODE[entry.op, entry.grades]
+        inputs, code = entry.inputs, step_code[entry.op, entry.grades]
         frame = p = q = None
         if cut is not None and inputs[0] is cut.output:
-            inputs, code = (*cut.inputs, inputs[1]), _CHART_HIT_CODE
+            inputs, code = (*cut.inputs, inputs[1]), chart_hit
             frame = ", ".join(map(name, tape.frames[id(cut.output)]))
             cut = None
         args = [name(v) for v in inputs]
@@ -856,7 +979,7 @@ def _program_source(tape, leaves, result, traced):
         if out is None:
             out = names[id(entry.output)] = f"v{len(steps)}"
             if not traced and entry.grades == (2, 2, 1) and args[0] in joined:
-                code, (p, q) = _MEET_OF_JOIN_CODE, joined[args[0]]
+                code, (p, q) = meet_of_join, joined[args[0]]
                 scaled.add(out)
             body += (line.format(*args, out=out, frame=frame, p=p, q=q) for line in code)
         if entry.grades == (1, 1, 2):
@@ -865,12 +988,14 @@ def _program_source(tape, leaves, result, traced):
         steps.append(f"({entry.op!r}, {entry.grades!r}, ({', '.join(args)},), {out})")
     output = name(result)
     unpack = ", ".join(f"a{i}" if f"a{i}" in read else "_" for i in range(len(leaves)))
-    bound = ", ".join(f"{n}={n}" for n in _PROGRAM_NAMES)
+    bound = ", ".join(f"{n}={n}" for n in (_mod_p_program_names() if mod_p else _PROGRAM_NAMES))
     if traced:
         body.append(f"return {output}, ({', '.join(steps)},)")
     else:
-        body.append(f"return canon({output})" if output in scaled else f"return {output}")
-    lines = [f"def {'traced' if traced else 'untraced'}(leaves, {bound}):", f"({unpack},) = leaves"]
+        canonical = output in scaled and not mod_p
+        body.append(f"return canon({output})" if canonical else f"return {output}")
+    function = "mod_p" if mod_p else "traced" if traced else "untraced"
+    lines = [f"def {function}(leaves, {bound}):", f"({unpack},) = leaves"]
     return "\n    ".join(lines + body) + "\n"
 
 

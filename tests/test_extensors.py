@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from conftest import points, random_point, seeded, step_inputs, step_output
 from reference_geometry import plucker_residual, support_basis
 from quadricheck import extensors, fixtures, reductions
-from quadricheck.constructions import ConstructionTrace, _value_from_json, _value_to_json
+from quadricheck.constructions import (
+    ConstructionTrace,
+    _chart_hit,
+    _chart_hit_mod_p,
+    _value_from_json,
+    _value_to_json,
+)
 from quadricheck.extensors import (
     Extensor,
     GradeOverflow,
@@ -263,6 +269,55 @@ class TestGeneratedKernels:
                     assert same_coefficients(meet(a, b).coeffs, want)
                 seen.add((j, k))
         assert len(seen) == 25 and len(extensors._MEET) == 15
+
+
+# Coefficients as wide as the column program's values at 2^256, and small.
+wide_ints = st.one_of(st.integers(-50, 50), st.integers(-(2**256), 2**256))
+
+
+def wide_tuple(n):
+    return st.tuples(*(wide_ints for _ in range(n)))
+
+
+def mod_p(values):
+    return tuple(c % extensors.P for c in values)
+
+
+class TestModPKernels:
+    """Each kernel of `modp_kernels()`, on inputs reduced mod P, is the
+    exact kernel reduced mod P, and the mod-p chart hit is a multiple mod P
+    of `_chart_hit`'s."""
+
+    def test_prime(self):
+        assert extensors.P == 2**30 - 35 == 1073741789
+        assert all(extensors.P % d for d in range(2, 32768))
+
+    @given(st.data())
+    def test_join_and_meet_kernels(self, data):
+        join_mod, meet_mod, _ = extensors.modp_kernels()
+        kinds = ((join_mod, extensors._JOIN_KERNELS), (meet_mod, extensors._MEET_KERNELS))
+        for mod, exact in kinds:
+            assert set(mod) == set(exact)
+            for j, k in exact:
+                a = data.draw(wide_tuple(len(SUBSETS[j])))
+                b = data.draw(wide_tuple(len(SUBSETS[k])))
+                got = mod[j, k](mod_p(a), mod_p(b))
+                assert type(got) is tuple and got == mod_p(exact[j, k](a, b))
+
+    @given(wide_tuple(6), wide_tuple(4))
+    def test_witness_bracket(self, line, point):
+        got = extensors.modp_kernels()[2](mod_p(line), mod_p(point))
+        assert got == mod_p(extensors._WITNESS_BRACKETS[3](line, point))
+
+    @given(st.tuples(*[wide_tuple(4)] * 4), st.tuples(*[wide_tuple(4)] * 3))
+    def test_chart_hit(self, frame, planes):
+        got = _chart_hit_mod_p(tuple(map(mod_p, frame)), tuple(map(mod_p, planes)))
+        want = mod_p(_chart_hit(frame, planes))
+        assert all(0 <= c < extensors.P for c in got)
+        # got = λ·want mod P: every 2x2 minor vanishes, and λ = 0 where want is 0
+        minors = (got[i] * want[j] - got[j] * want[i] for i, j in combinations(range(4), 2))
+        assert all(minor % extensors.P == 0 for minor in minors)
+        assert any(want) or not any(got)
 
 
 class TestJoin:

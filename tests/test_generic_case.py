@@ -1,11 +1,15 @@
 import itertools
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_fraction, random_point, seeded, step_inputs, step_output, value_pair
 from generic_reference import (
@@ -35,7 +39,7 @@ from quadricheck.constructions import (
     von_staudt_product,
 )
 from quadricheck.decision import PreconditionViolated
-from quadricheck.extensors import contains_point, join, line_through, plane_through
+from quadricheck.extensors import P, contains_point, join, line_through, plane_through
 from quadricheck.generic_case import (
     BASIS_PLANES,
     GenericFigure,
@@ -54,6 +58,7 @@ from quadricheck.generic_case import (
 from quadricheck.oracle import (
     oracle_decide,
     oracle_det,
+    random_transform,
     sample_generic,
     sample_on_quadric,
     segre_point,
@@ -985,6 +990,162 @@ class TestColumnProgram:
             assert report["drawn_on_a_tape"] == [[list(c) for c in generic_case.REFERENCE_POINTS]]
 
 
+def projectively_equal_mod_p(u, v):
+    """Whether u and v are nonzero mod P and proportional mod P."""
+    u, v = [c % P for c in u], [c % P for c in v]
+    minors = (u[i] * v[j] - u[j] * v[i] for i, j in itertools.combinations(range(4), 2))
+    return any(u) and any(v) and all(minor % P == 0 for minor in minors)
+
+
+def gated_figure(points):
+    """The figure a decision of the generic points builds, and whether the
+    mod-p filter runs on it."""
+    relabeled = decide(points).labeling.apply(points)
+    figure = GenericFigure(relabeled)
+    bits = max(abs(c) for point in relabeled for c in point.coords).bit_length()
+    return figure, all(figure.m.entries[0]) and bits >= generic_case.MODP_MIN_BITS
+
+
+class TestModPFilter:
+    """An untraced decision of large points first runs the column program
+    mod P; it answers NO where the four test points are not coplanar mod
+    P, and the exact columns decide everything else."""
+
+    def sampled_configs(self):
+        """The configurations of `test_sampled_columns_as_drawn`."""
+        configs = []
+        for bound in (2**64, 2**256):
+            for seed in (1, 2):
+                configs.append(sample_generic(seed, 10, bound=bound))
+                configs.append(sample_on_quadric(seed, 10, transformed=True, bound=bound))
+        return configs
+
+    def test_mod_p_columns_are_the_exact_ones_mod_p(self):
+        """On every column of the sampled configurations, where both the
+        mod-p and the exact program complete, their points are equal mod P
+        up to scale; the filter answers NO on the random samples and never
+        on the on-quadric ones."""
+        program = column_program()
+        compared = 0
+        for points in self.sampled_configs():
+            figure, gated = gated_figure(points)
+            # sample_on_quadric caps its parameters at 40, below the gate
+            assert gated is not oracle_decide(points)
+            for col in range(4):
+                mod = program.run_mod_p(figure.column_leaves_mod_p(col))
+                exact = program.run(figure.column_leaves(col))
+                if mod is not None and exact is not None:
+                    assert projectively_equal_mod_p(mod, exact)
+                    compared += 1
+            assert generic_case._no_mod_p(figure) is not oracle_decide(points)
+        assert compared == 32
+
+    @given(st.integers(0, 2**32), st.sampled_from((2**64, 2**256)), st.booleans())
+    @settings(max_examples=12)
+    def test_never_no_on_a_quadric(self, seed, bound, wide):
+        """The filter never answers NO on an on-quadric sample: as
+        `sample_on_quadric` draws them, and with Segre parameters up to the
+        bound, whose points pass the gate."""
+        if wide:
+            rng = random.Random(f"mod-p-filter:{seed}")
+            transform = random_transform(rng, bound=8)
+            params = {(random_fraction(rng, bound), random_fraction(rng, bound)) for _ in range(10)}
+            points = [transform.apply(segre_point(s, t)) for s, t in params]
+        else:
+            points = sample_on_quadric(f"mod-p-filter:{seed}", 10, transformed=True, bound=bound)
+        assume(len(set(points)) == 10 and genericity_violation(points) is None)
+        sigma = find_Q_labeling(points[:6])
+        figure = GenericFigure([points[i] for i in sigma] + points[6:])
+        assert not generic_case._no_mod_p(figure)
+
+    def test_zero_bracket_mod_p_falls_through(self, monkeypatch):
+        """With point 9 on a line through point 0, det M is αt + βt^2 in
+        the line's parameter t, since the quadric through points 0..8 holds
+        point 0.  Taking t ≡ -α/β (mod P) makes det M and the
+        bracket of the mod-p test points 0 mod P, and the true bracket is
+        not 0: the four mod-p columns complete, the filter does not answer,
+        and the exact columns decide NO with the oracle."""
+        points = sample_generic("mod-p-fall-through", 10, bound=2**64)
+        points = decide(points).labeling.apply(points)
+        figure = GenericFigure(points)
+        rows = figure.m.entries[:3]
+        plane_with_point = generic_case._plane_with_point
+
+        def det_m(x):
+            row = [
+                plane_with_point(a.coeffs, x)[0] * plane_with_point(b.coeffs, x)[0]
+                for a, b in figure.basis_planes
+            ]
+            return cofactor_det([*rows, row])
+
+        def on_line(t):
+            return tuple(a + t * b for a, b in zip(points[0].coords, (1, 2, 3, 5)))
+
+        assert det_m(on_line(0)) == 0
+        plus, minus = det_m(on_line(1)), det_m(on_line(-1))
+        alpha, beta = (plus - minus) // 2, (plus + minus) // 2
+        assert det_m(on_line(3)) == 3 * alpha + 9 * beta and alpha % P and beta % P
+        x = on_line(-alpha * pow(beta, -1, P) % P + P * 2**80)
+        assert det_m(x) % P == 0 and det_m(x) != 0 and gcd(*x) % P
+        points[9] = Point(x)
+        figure, gated = gated_figure(points)
+        assert gated and decide(points).labeling.perm == tuple(range(10))
+        program = column_program()
+        assert all(program.run_mod_p(figure.column_leaves_mod_p(col)) for col in range(4))
+        assert not generic_case._no_mod_p(figure)
+        ran = []
+
+        def counting(figure, col, trace=None):
+            ran.append(col)
+            return column_test_point(figure, col, trace)
+
+        monkeypatch.setattr(generic_case, "column_test_point", counting)
+        decision = decide(points)
+        assert ran == [0, 1, 2, 3]
+        assert decision.on_quadric is oracle_decide(points) is False
+        monkeypatch.setattr(generic_case, "MODP_MIN_BITS", 10**9)
+        assert decide(points).to_json() == decision.to_json()
+
+    def test_decisions_with_and_without_the_filter(self, monkeypatch):
+        """The filter changes no decision: on the sampled configurations and
+        the fixtures, decision JSON with the filter and with the gate out of
+        reach are the same."""
+        configs = self.sampled_configs() + generic_fixtures()
+        filtered = [decide(points).to_json() for points in configs]
+        monkeypatch.setattr(generic_case, "MODP_MIN_BITS", 10**9)
+        assert [decide(points).to_json() for points in configs] == filtered
+
+    def test_built_lazily_once_on_the_first_gated_decision(self):
+        """Importing the package builds no mod-p kernel; a decision below
+        the gate, a traced one and one with a zero in row 0 of M compile no
+        mod-p program, and the first gated untraced decision builds the
+        kernels and compiles the program, once."""
+        large = sample_generic(1, 10, bound=2**64)
+        transform = random_transform(random.Random("mod-p-lazy"), bound=2**40)
+        zero_in_row_0 = [transform.apply(point) for point in chart_one_points()]
+        figure, gated = gated_figure(zero_in_row_0)
+        assert not figure.m.entries[0][0] and not gated
+        assert min(abs(c) for point in zero_in_row_0 for c in point.coords).bit_length() > 96
+        configs = [
+            (fixtures.generate_branch("generic", 1), False),
+            (large, True),
+            (zero_in_row_0, False),
+            (large, False),
+            (sample_generic(2, 10, bound=2**64), False),
+        ]
+        payload = [(cli.points_to_json(points)["points"], traced) for points, traced in configs]
+        result = subprocess.run(
+            [sys.executable, "-c", MOD_P_BUILD, str(SRC), json.dumps(payload)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["built_at_import"] == 0
+        assert report["after_each"] == [[0, 0], [0, 0], [0, 0], [1, 1], [1, 1]]
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Imports the package from the source directory given, then decides the
@@ -1010,4 +1171,25 @@ print(json.dumps({
     "compiled": sorted(set(vars(generic_case.column_program())) & {"_untraced", "_traced"}),
     "drawn_on_a_tape": drawn,
 }))
+"""
+
+# Imports the package from the source directory given, then decides the
+# configurations given as JSON, each traced or not, and reports after each
+# how often the mod-p kernels were built and the mod-p program compiled.
+MOD_P_BUILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from quadricheck import cli, constructions, extensors, reductions
+built_at_import = extensors.modp_kernels.cache_info().currsize
+compiled = []
+real = constructions._program_source
+def spy(*args):
+    compiled.append(args[4:] == (True,))
+    return real(*args)
+constructions._program_source = spy
+after_each = []
+for raw, traced in json.loads(sys.argv[2]):
+    reductions.decide(cli.load_points({"points": raw}).points, with_trace=traced)
+    after_each.append([extensors.modp_kernels.cache_info().misses, sum(compiled)])
+print(json.dumps({"built_at_import": built_at_import, "after_each": after_each}))
 """
