@@ -30,13 +30,13 @@ or meet point, coplanar lines that meet), is an inline guard.  The
 program thus holds in the shape of the drawing, and returns None wherever
 the figure would take another shape or raise; run traced, it hands its
 steps to `_record` only once it completes, in the figure's order.  Run
-untraced, it meets a line pq with a coplanar line l at [πp]q - [πq]p for
-the plane π = join(l, E3), and holds that point up to scale.  Run mod the
-prime P (`run_mod_p`), it does the untraced run's steps and checks on the
-leaves reduced mod P, with every point up to scale, and declines wherever
-a value it needs is 0 mod P; its output is then the untraced output
-reduced mod P, up to a scale nonzero mod P, which is enough to show a
-bracket of outputs nonzero and no more.
+untraced, it holds every point up to scale, makes only its result
+canonical, and meets a line pq with a coplanar line l at [πp]q - [πq]p
+for the plane π = join(l, E3).  Run mod the prime P (`run_mod_p`), it is
+the same body on other names: kernels that reduce mod P, on the leaves
+reduced mod P.  It declines wherever a value it needs is 0 mod P; its
+output is then the untraced output reduced mod P, up to a scale nonzero
+mod P, which is enough to show a bracket of outputs nonzero and no more.
 
 A chart recovery meets its three planes in a point.  Traced, and so in the
 traced program, it meets the first two in a line and that line with the
@@ -702,10 +702,12 @@ class Tape:
 # The lines of program that compute the output {out} of a step of each
 # (op, grades) that no leaf and no earlier step holds, with the guards the
 # figure's step makes: a join must be nonzero (`_join` raises ZeroExtensor),
-# and so must a meet point, which is made canonical.  Coplanar lines meet
-# in `line_meet_line`, as in the figure; the program returns None where it
-# raises (SkewLines or coincident lines).  The traced program runs these
-# lines for every step, so each output it records is the figure's.
+# and so must a meet point.  Coplanar lines meet in `line_meet_line`, as in
+# the figure; the program returns None where it raises (SkewLines or
+# coincident lines).  A meet of a line and a plane is held up to scale:
+# the traced program makes it canonical after these lines, as the figure
+# does, so each output it records is the figure's, and the untraced
+# program makes no point canonical but its result.
 _STEP_CODE = {
     ("join", (1, 1, 2)): ("{out} = jp({0}, {1})", "if not any({out}): return"),
     ("join", (1, 1, 1, 3)): ("{out} = jlp(jp({0}, {1}), {2})", "if not any({out}): return"),
@@ -713,23 +715,19 @@ _STEP_CODE = {
         "try: {out} = line_meet_line({0}, {1})",
         "except ValueError: return",
     ),
-    ("meet", (2, 3, 1)): (
-        "{out} = mlp({0}, {1})",
-        "if not any({out}): return",
-        "{out} = canon({out})",
-    ),
+    ("meet", (2, 3, 1)): ("{out} = mlp({0}, {1})", "if not any({out}): return"),
     ("meet", (3, 3, 2)): ("{out} = mpp({0}, {1})",),
 }
 
 # The untraced program meets a line {0} that it joined from the points {p}
 # and {q} with a coplanar line {1} as [πp]q - [πq]p, for the plane
-# π = join({1}, E3), with the two brackets divided by their gcd: the point
-# is held up to scale, not made canonical, so the meet pays a gcd of two
-# brackets in place of the four-coordinate gcd of a canonical point.  It is
-# nonzero, since the join guard keeps p and q apart.  The skew guard is the
-# figure's, and never declines on a figure built from points (the argument
-# above `_CHECK_CODE`); where both brackets vanish, E3 lies on the common
-# plane (or the lines coincide), and the meet falls back to `line_meet_line`.
+# π = join({1}, E3), with the two brackets divided by their gcd, which
+# keeps the point small at the cost of a gcd of two brackets in place of
+# the four-coordinate gcd of a canonical point.  It is nonzero, since the
+# join guard keeps p and q apart.  The skew guard is the figure's, and
+# never declines on a figure built from points (the argument above
+# `_CHECK_CODE`); where both brackets vanish, E3 lies on the common plane
+# (or the lines coincide), and the meet falls back to `line_meet_line`.
 _MEET_OF_JOIN_CODE = (
     "if jll({0}, {1})[0]: return",
     "al = wb({1}, {p})[0]",
@@ -745,30 +743,10 @@ _MEET_OF_JOIN_CODE = (
     "    except ValueError: return",
 )
 
-# The untraced program recovers a chart's point from the names {0}, {1},
-# {2} of its three planes as `_chart_hit` does, in the vertex frame {frame}
-# that the recovery notes on its tape, in place of the meet of the first
-# two planes and that line's meet with the third.  The guard and the
-# canonical form are those of the meet.
-_CHART_HIT_CODE = (
-    "{out} = chart_hit(({frame}), ({0}, {1}, {2}))",
-    "if not any({out}): return",
-    "{out} = canon({out})",
-)
-
-# The mod-p program runs the untraced program's lines on values reduced mod
-# P, through kernels that reduce mod P (`modp_kernels`), and holds every
-# point up to scale: it makes no point canonical and takes no gcd, so a
-# chart's hit is `_chart_hit_mod_p`.  A meet of two lines that it did not
-# join would need `line_meet_line`, and declines.  It meets a joined line
-# as `_MEET_OF_JOIN_CODE` does, and declines where both brackets are 0 mod
-# P: where they are 0 over Z the exact program takes the fallback, and
+# The mod-p program meets a joined line in the same way, with no gcd and
+# each coordinate reduced mod P, and declines where both brackets are 0
+# mod P: where they are 0 over Z the exact program takes the fallback, and
 # where they are 0 mod P only, the point is not known mod P.
-_MOD_P_STEP_CODE = {
-    **_STEP_CODE,
-    ("meet", (2, 2, 1)): ("return",),
-    ("meet", (2, 3, 1)): _STEP_CODE["meet", (2, 3, 1)][:2],
-}
 _MOD_P_MEET_OF_JOIN_CODE = (
     *_MEET_OF_JOIN_CODE[:3],
     "if not (al or be): return",
@@ -777,13 +755,29 @@ _MOD_P_MEET_OF_JOIN_CODE = (
     + ", ".join(f"(al * q{i} - be * p{i}) % {P}" for i in range(4))
     + ")",
 )
-_MOD_P_CHART_HIT_CODE = _CHART_HIT_CODE[:2]
+
+# The untraced program recovers a chart's point from the names {0}, {1},
+# {2} of its three planes as `_chart_hit` does, in the vertex frame {frame}
+# that the recovery notes on its tape, in place of the meet of the first
+# two planes and that line's meet with the third, with the meet's guard.
+_CHART_HIT_CODE = (
+    "{out} = chart_hit(({frame}), ({0}, {1}, {2}))",
+    "if not any({out}): return",
+)
 
 # The guard of each check that `_held` notes; the program returns None
-# where the figure would take another shape or raise.  A point apart from
-# others compares canonical coordinates, and, where the untraced program
-# holds one of the points up to scale, or in the mod-p program, tests that
-# its join with each other point is nonzero.
+# where the figure would take another shape or raise.  In the traced
+# program, whose points are canonical, a point apart from others compares
+# coordinates; the untraced program holds every point up to scale, and
+# tests that its join with each other point is nonzero.
+#
+# The mod-p program is the untraced program's body on other names
+# (`_mod_p_program_names`): kernels that reduce mod P, run on leaves
+# reduced mod P, a `chart_hit` of `_chart_hit_mod_p`, and a
+# `line_meet_line` that declines.  Only its meets of joined lines and its
+# return differ.  Each of its values is then the untraced program's
+# reduced mod P, up to a scale nonzero mod P, wherever the values it needs
+# are nonzero mod P.
 #
 # The "on" guards, and the skew guards of the meets, must find zero, and on
 # a figure built from points they always do.  Each point checked to be on a
@@ -806,38 +800,42 @@ _CHECK_CODE = {
     "apart": "if {0} in ({rest},): return",
 }
 
-# What a program binds as locals; it reads `line_meet_line` from this
-# module when it runs.
-_PROGRAM_NAMES = {
-    "any": any,
-    "gcd": gcd,
-    "jp": _join_points,
-    "jlp": _join_line_point,
-    "jll": _join_lines,
-    "mlp": _meet_line_plane,
-    "mpp": _meet_planes,
-    "wb": _WITNESS_BRACKETS[3],
-    "chart_hit": _chart_hit,
-    "canon": _canonical_nonzero,
-}
+
+def _program_names(join_kernels, meet_kernels, witness_bracket, chart_hit, **names):
+    """What a program binds as locals: the kernels it runs, keyed as in
+    `_JOIN_KERNELS` and `_MEET_KERNELS`, the bracket [join(l, E3), p], the
+    chart hit, and the names given."""
+    return {
+        "any": any,
+        "jp": join_kernels[1, 1],
+        "jlp": join_kernels[2, 1],
+        "jll": join_kernels[2, 2],
+        "mlp": meet_kernels[2, 3],
+        "mpp": meet_kernels[3, 3],
+        "wb": witness_bracket,
+        "chart_hit": chart_hit,
+        **names,
+    }
+
+
+# What the exact programs bind; they read `line_meet_line` from this module
+# when they run.
+_PROGRAM_NAMES = _program_names(
+    _JOIN_KERNELS, _MEET_KERNELS, _WITNESS_BRACKETS[3], _chart_hit,
+    gcd=gcd, canon=_canonical_nonzero,
+)
+
+
+def _no_meet_mod_p(l1, l2):
+    raise ValueError("the mod-p program meets only the lines it joined")
 
 
 @cache
 def _mod_p_program_names():
-    """What the mod-p program binds as locals: the names it shares with the
-    untraced program, each kernel reducing mod P.  Built on first use, with
-    the kernels, never at import."""
-    join_mod, meet_mod, bracket_mod = modp_kernels()
-    return {
-        "any": any,
-        "jp": join_mod[1, 1],
-        "jlp": join_mod[2, 1],
-        "jll": join_mod[2, 2],
-        "mlp": meet_mod[2, 3],
-        "mpp": meet_mod[3, 3],
-        "wb": bracket_mod,
-        "chart_hit": _chart_hit_mod_p,
-    }
+    """What the mod-p program binds: kernels that reduce mod P, and a
+    `line_meet_line` that declines.  Built on first use, with the kernels,
+    never at import."""
+    return _program_names(*modp_kernels(), _chart_hit_mod_p, line_meet_line=_no_meet_mod_p)
 
 
 class StraightLine:
@@ -856,27 +854,25 @@ class StraightLine:
     the figure's output; `run` takes the leaves of another figure in the
     same order.
 
-    The program is compiled twice, each function on its first run.  The
-    traced function computes every step as the figure does, so each output
-    it hands the trace is canonical.  The untraced function meets a line it
-    joined with a coplanar line as `_MEET_OF_JOIN_CODE` says, holding that
-    point, and so the lines and planes drawn through it, up to scale; its
-    checks on such points are projective, and a result held up to scale is
-    made canonical, so it returns what the traced function returns.  Where
-    a chart recovery drawn on the tape noted its vertex frame, the untraced
-    function expands the recovered point in that frame as `_CHART_HIT_CODE`
-    says, in place of the recovery's two meets, which the traced function
-    computes and records.
+    The program is compiled three times, each function on its first run.
+    The traced function computes every step as the figure does, so each
+    output it hands the trace is canonical.  The untraced function holds
+    every point up to scale: its apart guards are projective, it meets a
+    line it joined with a coplanar line as `_MEET_OF_JOIN_CODE` says, and
+    it makes only its result canonical, so it returns what the traced
+    function returns.  Where a chart recovery drawn on the tape noted its
+    vertex frame, it expands the recovered point in that frame as
+    `_CHART_HIT_CODE` says, in place of the recovery's two meets, which the
+    traced function computes and records.
 
-    A third function, `run_mod_p`, compiled on its first run with kernels
-    built then, runs the untraced function's steps and guards on leaves
-    reduced mod the prime P (`reduced_mod_p`), holding every point up to
-    scale: each apart guard is projective, and no point is made canonical
-    (see `_MOD_P_STEP_CODE`).  Where it completes, its output is an integer
-    multiple of the untraced function's, reduced mod P, and nonzero mod P.
-    Where a value is 0 mod P but not over Z it may decline where the exact
-    function completes, never the other way round, so it serves only to
-    show a polynomial in the outputs nonzero.
+    The mod-p function, which `run_mod_p` runs, is the untraced body
+    compiled on other names, with kernels built on its first run (see
+    `_CHECK_CODE`).  On leaves reduced mod the prime P (`reduced_mod_p`),
+    where it completes, its output is an integer multiple of the untraced
+    function's, reduced mod P, and nonzero mod P.  Where a value is 0 mod P
+    but not over Z it may decline where the exact function completes,
+    never the other way round, so it serves only to show a polynomial in
+    the outputs nonzero.
     """
 
     def __init__(self, tape, leaves, result):
@@ -930,19 +926,15 @@ def _program_source(tape, leaves, result, traced, mod_p=False):
     """Source of the function `traced`, `untraced` or `mod_p` that
     StraightLine runs: it unpacks the leaves it reads, runs the tape's
     steps and checks in order, and returns the result, and when traced also
-    every step as an (op, grades, inputs, output) tuple.  The mod-p
-    function is the untraced one with the rewrites of `_MOD_P_STEP_CODE`."""
-    step_code, meet_of_join, chart_hit = (
-        (_MOD_P_STEP_CODE, _MOD_P_MEET_OF_JOIN_CODE, _MOD_P_CHART_HIT_CODE)
-        if mod_p
-        else (_STEP_CODE, _MEET_OF_JOIN_CODE, _CHART_HIT_CODE)
-    )
+    every step as an (op, grades, inputs, output) tuple.  The untraced and
+    mod-p functions share one body, and differ only in their meets of
+    joined lines, their return and the names they bind."""
+    meet_of_join = _MOD_P_MEET_OF_JOIN_CODE if mod_p else _MEET_OF_JOIN_CODE
     names = {}
     for i, value in enumerate(leaves):
         names.setdefault(id(value), f"a{i}")
     read = set()
     joined = {}  # the name of each line the program joins -> its two points' names
-    scaled = set()  # the names of the points the program holds up to scale
 
     def name(value):
         held = names.get(id(value))
@@ -957,7 +949,7 @@ def _program_source(tape, leaves, result, traced, mod_p=False):
         if type(entry) is not TraceStep:
             kind, *values = entry
             args = [name(v) for v in values]
-            if kind == "apart" and (mod_p or scaled.intersection(args)):
+            if kind == "apart" and not traced:
                 guard = " or ".join(f"not any(jp({args[0]}, {other}))" for other in args[1:])
                 body.append(f"if {guard}: return")
             else:
@@ -968,19 +960,20 @@ def _program_source(tape, leaves, result, traced, mod_p=False):
             # recovery's hit reads: the untraced program never computes it
             cut = entry
             continue
-        inputs, code = entry.inputs, step_code[entry.op, entry.grades]
+        inputs, code = entry.inputs, _STEP_CODE[entry.op, entry.grades]
         frame = p = q = None
         if cut is not None and inputs[0] is cut.output:
-            inputs, code = (*cut.inputs, inputs[1]), chart_hit
+            inputs, code = (*cut.inputs, inputs[1]), _CHART_HIT_CODE
             frame = ", ".join(map(name, tape.frames[id(cut.output)]))
             cut = None
+        elif traced and entry.grades == (2, 3, 1):
+            code = (*code, "{out} = canon({out})")
         args = [name(v) for v in inputs]
         out = names.get(id(entry.output))
         if out is None:
             out = names[id(entry.output)] = f"v{len(steps)}"
             if not traced and entry.grades == (2, 2, 1) and args[0] in joined:
                 code, (p, q) = meet_of_join, joined[args[0]]
-                scaled.add(out)
             body += (line.format(*args, out=out, frame=frame, p=p, q=q) for line in code)
         if entry.grades == (1, 1, 2):
             joined[out] = tuple(args)
@@ -992,8 +985,7 @@ def _program_source(tape, leaves, result, traced, mod_p=False):
     if traced:
         body.append(f"return {output}, ({', '.join(steps)},)")
     else:
-        canonical = output in scaled and not mod_p
-        body.append(f"return canon({output})" if canonical else f"return {output}")
+        body.append(f"return {output}" if mod_p else f"return canon({output})")
     function = "mod_p" if mod_p else "traced" if traced else "untraced"
     lines = [f"def {function}(leaves, {bound}):", f"({unpack},) = leaves"]
     return "\n    ".join(lines + body) + "\n"

@@ -14,15 +14,16 @@ instead, which, when the column's entry in row 0 is nonzero, runs the
 column program: column 0 of a fixed reference configuration, drawn once on
 a Tape and compiled to straight-line code (`column_program`).  It is built
 on the first generic decision, never at import, and once per process, and
-its traced and untraced functions are each compiled on their first run;
-the untraced one holds the meet points of coplanar lines up to scale
-and recovers the test point in the vertex frame of the tetrahedron 6789,
-where the traced one records the recovery's two meets (see
-`StraightLine`).  It holds in the main shape (chart 0, every von
-Staudt factor finite and nonzero), where it gives the drawn column's test
-point and trace steps; its guards hold every check of the drawing, so a
-column in another shape, or one the figure would raise on, is drawn, and
-records only what the drawing records.
+its traced and untraced functions are each compiled on their first run.
+The untraced one holds every point up to scale, makes only the test
+point canonical, and recovers it in the vertex frame of the tetrahedron
+6789, where the traced one records the recovery's two meets; the mod-p
+one is the untraced body on other names (see `StraightLine`).  It holds
+in the main shape (chart 0, every von Staudt factor finite and nonzero),
+where it gives the drawn column's test point and trace steps; its guards
+hold every check of the drawing, so a column in another shape, or one the
+figure would raise on, is drawn, and records only what the drawing
+records.
 
 Before the exact columns, an untraced decision with every entry of M's row
 0 nonzero and some coordinate of at least `MODP_MIN_BITS` bits runs the

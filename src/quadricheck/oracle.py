@@ -56,15 +56,16 @@ def segre_point(s, t) -> Point:
     return Point(clear_denominators((1, s, t, s * t)))
 
 
-def sample_on_quadric(seed, n, transformed=False, bound=1000) -> list:
-    """n distinct points on the Segre quadric, optionally pushed through a
+def sample_on_quadric(seed, n, transformed=False, bound=40) -> list:
+    """n distinct points [1 : s : t : st] on the Segre quadric, s and t
+    fractions with terms bounded by `bound`, optionally pushed through a
     seeded random transform; deterministic per seed."""
     rng = random.Random(f"on-quadric:{seed}")
     seen = set()
     points = []
     while len(points) < n:
-        s = _random_fraction(rng, min(bound, 40))
-        t = _random_fraction(rng, min(bound, 40))
+        s = _random_fraction(rng, bound)
+        t = _random_fraction(rng, bound)
         if (s, t) in seen:
             continue
         seen.add((s, t))

@@ -1008,6 +1008,24 @@ class TestStraightLine:
             von_staudt_product(other, px, py, drawn)
             assert trace.steps == drawn.steps
 
+    def test_a_meet_of_lines_it_did_not_join(self):
+        """A program of one meet of two line leaves, which it did not join:
+        the untraced function meets them in `line_meet_line` and returns
+        its canonical point, and the mod-p function, whose `line_meet_line`
+        declines, returns None.  The lines through p = (1, a, 0, 0) have
+        coefficients in 0..P-1, so they are their own reductions mod P,
+        on which `line_meet_line` itself would find p."""
+        for a, b, c in ((1, 2, 3), (2, 5, 1), (4, 1, 3)):
+            p = (1, a, 0, 0)
+            l1 = constructions._join(None, p, (0, 0, 1, b))
+            l2 = constructions._join(None, p, (0, 0, c, 1))
+            assert min(l1 + l2) >= 0 and constructions.reduced_mod_p((l1, l2)) == (l1, l2)
+            tape = Tape()
+            result = constructions._meet_lines(tape, l1, l2)
+            program = StraightLine(tape, (l1, l2), result)
+            scaled = tuple(tuple(3 * k for k in line) for line in (l1, l2))
+            assert program.run((l1, l2)) == program.run(scaled) == line_meet_line(l1, l2) == p
+            assert program.run_mod_p((l1, l2)) is None
 
 class TestTetrahedron:
     def test_unit_on_face_rejected(self):

@@ -678,6 +678,12 @@ def program_runs(figure, col):
     return column_program().run(figure.column_leaves(col)) is not None
 
 
+def mod_p_runs(figure, col):
+    """Whether the column program completes mod P on the column's leaves
+    reduced mod P."""
+    return column_program().run_mod_p(figure.column_leaves_mod_p(col)) is not None
+
+
 def on_plane(points, triple, weights):
     return Point(
         tuple(sum(w * points[i].coords[r] for w, i in zip(weights, triple)) for r in range(4))
@@ -720,14 +726,16 @@ class TestColumnProgram:
         or infinity; per projection, that it lies on its edge and is not the
         infinity vertex; and that the recovered point is off each opposite
         edge.  The program guards each of those checks, and each computed
-        step as the figure's step does.  The untraced program holds the 18
-        meets of coplanar lines up to scale: each keeps the figure's skew
-        guard and its `line_meet_line` fallback, and the 3 projections, the
-        last of those meets on each edge, are kept apart from their
-        infinity vertex projectively, and the recovery's point is expanded
-        in the vertex frame by one call, with no meet of planes.  The traced
-        program computes every step as the figure does: the recovery meets
-        its first two planes in a line and that line with the third."""
+        step as the figure's step does.  The untraced program holds every
+        point up to scale: each of its 9 apart guards is projective, only
+        its return makes a point canonical, and each of the 18 meets of
+        coplanar lines keeps the figure's skew guard and its
+        `line_meet_line` fallback; the recovery's point is expanded in the
+        vertex frame by one call, with no meet of planes.  The mod-p
+        program is the same body: outside those 18 meets and the return,
+        its lines are the untraced program's.  The traced program computes
+        every step as the figure does: the recovery meets its first two
+        planes in a line and that line with the third."""
         tape, leaves, result = self.reference_tape()
         checks = Counter(entry[0] for entry in tape.steps if type(entry) is not TraceStep)
         assert checks == {"on": 12, "apart": 9, "off": 3}
@@ -762,16 +770,38 @@ class TestColumnProgram:
                 continue
             assert not any("mpp(" in line for line in lines)
             assert sum(" = chart_hit(" in line for line in lines) == 1
-            assert len(projective) == 3
+            assert apart == 0
+            assert [line for line in lines if "canon(" in line] == [lines[-1]]
+            assert lines[-1].startswith("return canon(")
             skew = [line for line in lines if line.startswith("if jll(")]
             assert len(skew) == meets and all(line.endswith(")[0]: return") for line in skew)
             assert sum(line == "if al or be:" for line in lines) == meets
             assert sum(line == "g = gcd(al, be)" for line in lines) == meets
-            # each projective check is on the point of a meet held up to scale
             combined = [line for line in lines if line.startswith("v") and "al * q0" in line]
-            scaled = {line.split(" = ")[0] for line in combined}
-            assert len(scaled) == meets
-            assert {line.split("(")[2].split(",")[0] for line in projective} <= scaled
+            assert len({line.split(" = ")[0] for line in combined}) == meets
+        untraced = constructions._program_source(tape, leaves, result.coords, False)
+        mod_p = constructions._program_source(tape, leaves, result.coords, False, True)
+
+        def outside_meets_of_joins(source, block):
+            """The lines of the body but its return, less each meet of a
+            joined line, which runs `block` lines from its skew guard, and
+            the number of those meets."""
+            kept, skip, count = [], 0, 0
+            for line in source.splitlines()[1:-1]:
+                if line.strip().startswith("if jll("):
+                    skip, count = block, count + 1
+                if skip:
+                    skip -= 1
+                else:
+                    kept.append(line)
+            return kept, count
+
+        shared = outside_meets_of_joins(untraced, len(constructions._MEET_OF_JOIN_CODE))
+        assert shared == outside_meets_of_joins(mod_p, len(constructions._MOD_P_MEET_OF_JOIN_CODE))
+        assert shared[1] == meets
+        output = untraced.splitlines()[-1].strip().removeprefix("return canon(")[:-1]
+        assert mod_p.splitlines()[-1].strip() == f"return {output}"
+        assert "canon(" not in mod_p and "line_meet_line(" not in mod_p
 
     def test_reference_and_fixture_columns_run_the_program(self):
         tape, leaves, result = self.reference_tape()
@@ -787,7 +817,7 @@ class TestColumnProgram:
         assert genericity_violation(pts) is None and compute_Q(pts[:6]) != 0
         figure = GenericFigure(pts)
         assert figure.m.entries[0][0] and not figure.m.entries[1][0]
-        assert not program_runs(figure, 0)
+        assert not program_runs(figure, 0) and not mod_p_runs(figure, 0)
         for col in range(4):
             assert_as_drawn(figure, col)
 
@@ -799,7 +829,7 @@ class TestColumnProgram:
         figure = GenericFigure(pts)
         through_zero = plane_through(pts[6], pts[0], pts[1])
         figure.basis_planes = ((through_zero, figure.basis_planes[0][1]), *figure.basis_planes[1:])
-        assert not program_runs(figure, 0)
+        assert not program_runs(figure, 0) and not mod_p_runs(figure, 0)
         point, _ = outcome(lambda t: drawn_column(figure, 0, t))
         assert point[0] is constructions.OutsideChart
         assert_as_drawn(figure, 0)
@@ -809,7 +839,7 @@ class TestColumnProgram:
         figure = GenericFigure(pts)
         holds_edge = plane_through(pts[6], pts[7], pts[0])
         figure.basis_planes = ((holds_edge, figure.basis_planes[0][1]), *figure.basis_planes[1:])
-        assert not program_runs(figure, 0)
+        assert not program_runs(figure, 0) and not mod_p_runs(figure, 0)
         assert outcome(lambda t: drawn_column(figure, 0, t))[0][0] is constructions.DegenerateMeet
         assert_as_drawn(figure, 0)
 
@@ -827,7 +857,9 @@ class TestColumnProgram:
             d, e = figure.tetrahedron.vertices[0], figure.tetrahedron.vertices[2]
             py = local_param_point(d, e, pts[2], pts[3], pts[4])
             frame.__dict__["scaffold"] = doctor(frame.scaffold, py)
-            assert not program_runs(figure, 0)
+            figure.__dict__.pop("chart_zero_leaves", None)
+            figure.__dict__.pop("_chart_zero_leaves_mod_p", None)
+            assert not program_runs(figure, 0) and not mod_p_runs(figure, 0)
             point, trace = outcome(lambda t: drawn_column(figure, 0, t))
             assert point[0] is raised and trace["steps"]
             assert_as_drawn(figure, 0)
@@ -1029,8 +1061,7 @@ class TestModPFilter:
         compared = 0
         for points in self.sampled_configs():
             figure, gated = gated_figure(points)
-            # sample_on_quadric caps its parameters at 40, below the gate
-            assert gated is not oracle_decide(points)
+            assert gated
             for col in range(4):
                 mod = program.run_mod_p(figure.column_leaves_mod_p(col))
                 exact = program.run(figure.column_leaves(col))
@@ -1043,9 +1074,9 @@ class TestModPFilter:
     @given(st.integers(0, 2**32), st.sampled_from((2**64, 2**256)), st.booleans())
     @settings(max_examples=12)
     def test_never_no_on_a_quadric(self, seed, bound, wide):
-        """The filter never answers NO on an on-quadric sample: as
-        `sample_on_quadric` draws them, and with Segre parameters up to the
-        bound, whose points pass the gate."""
+        """The filter never answers NO on an on-quadric sample with Segre
+        parameters up to the bound, whose points pass the gate: as
+        `sample_on_quadric` draws them, and as drawn here."""
         if wide:
             rng = random.Random(f"mod-p-filter:{seed}")
             transform = random_transform(rng, bound=8)
