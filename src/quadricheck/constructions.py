@@ -20,20 +20,24 @@ as a factor is decided by incidence, and records no step, since its output
 is that zero or infinity.
 
 A figure drawn once with a Tape in place of its trace leaves every step it
-records, repeats included, and every check it makes that `_held` notes
-(a point on or off a line, a point apart from others), in order.
-`StraightLine` compiles such a tape into a generated function of the
-figure's leaves, the values it reads and does not compute: each step is a
-line of kernel code, or reads the leaf or earlier output that holds the
-value, and each check, with each check of a computed step (a nonzero join
-or meet point, coplanar lines that meet), is an inline guard.  The
-program thus holds in the shape of the drawing, and returns None wherever
-the figure would take another shape or raise; run traced, it hands its
-steps to `_record` only once it completes, in the figure's order.  Run
-untraced, it holds every point up to scale, makes only its result
-canonical, and meets a line pq with a coplanar line l at [πp]q - [πq]p
-for the plane π = join(l, E3).  Run mod the prime P (`run_mod_p`), it is
-the same body on other names: kernels that reduce mod P, on the leaves
+records, repeats included, every vector sum it makes (`_sum`) and every
+check it makes that `_held` notes (a point on or off a line, a point
+apart from others, four points that span space), in order.  A
+tetrahedron built with a Tape draws there its checks and its edge lines
+and frames, their memos included.  `StraightLine` compiles such a tape
+into a generated function of the figure's leaves, the values it reads and
+does not compute: each step or sum is a line of code, or reads the leaf
+or earlier output that holds the value, and each check, with each check
+of a computed step (a nonzero join or meet point, coplanar lines that
+meet), is an inline guard.  The program thus holds in the shape of the
+drawing, and returns None wherever the figure would take another shape or
+raise; run traced, it hands its steps to `_record` only once it
+completes, in the figure's order.  Run untraced, it meets a line pq with
+a coplanar line l at [πp]q - [πq]p for the plane π = join(l, E3), and
+holds every point up to scale and makes only its result canonical, or,
+compiled as a canonical program, makes every point canonical and returns
+the figure's values bit for bit.  Run mod the prime P (`run_mod_p`), it
+is the same body on other names: kernels that reduce mod P, on the leaves
 reduced mod P.  It declines wherever a value it needs is 0 mod P; its
 output is then the untraced output reduced mod P, up to a scale nonzero
 mod P, which is enough to show a bracket of outputs nonzero and no more.
@@ -61,11 +65,6 @@ from .extensors import (
     Extensor,
     GradeOverflow,
     ZeroExtensor,
-    as_point,
-    contains_point,
-    join,
-    line_through,
-    meet,
     modp_kernels,
 )
 from .projective import (
@@ -78,8 +77,10 @@ from .projective import (
     _canonical_nonzero,
     _decimal_strings,
     _ints_of_strings,
+    _trusted,
     _trusted_point,
     bracket,
+    det4,
 )
 
 
@@ -240,6 +241,7 @@ def _held(trace, *check):
     - ("on", line, point): the point lies on the line;
     - ("off", line, point): the point lies off the line;
     - ("apart", point, *others): the point differs from each other point;
+    - ("span", *four points): the four points span space;
     each value a coefficient tuple.  A ConstructionTrace keeps no check."""
     if type(trace) is Tape:
         trace.steps.append(check)
@@ -265,6 +267,25 @@ def _meet_lines(trace, l1, l2):
     out = line_meet_line(l1, l2)
     if trace is not None:
         _record(trace, "meet", (2, 2, 1), (l1, l2), out)
+    return out
+
+
+class VectorSum(NamedTuple):
+    """A point made as a vector sum, as a Tape notes it: the canonical form
+    of the sum of weight·coordinates over the weights and inputs."""
+
+    weights: tuple
+    inputs: tuple
+    output: tuple
+
+
+def _sum(trace, *terms):
+    """The canonical coordinates of the sum of w·v over the terms (w, v),
+    each v a point's canonical coordinates, noted on a Tape as a VectorSum.
+    A sum is no join or meet, so a ConstructionTrace keeps none."""
+    out = _canonical_ints([sum([w * v[m] for w, v in terms]) for m in range(4)])
+    if type(trace) is Tape:
+        trace.steps.append(VectorSum(*zip(*terms), out))
     return out
 
 
@@ -330,39 +351,51 @@ class LineFrame:
     Staudt product and inverse (`scaffold`): the auxiliaries that
     `choose_auxiliaries` picks for it and the parts of both figures that do
     not depend on the input point.  Every line of those figures lies in
-    the plane through the line and E_k.
+    the plane through the line and E_k.  A frame drawn on a Tape (`tape`)
+    leaves there every step and check it makes in building them.
     """
 
     zero: Point
     infinity: Point
     unit: Point
+    tape: Tape | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len({self.zero, self.infinity, self.unit}) != 3:
             raise ValueError("frame points must be pairwise distinct")
+        zero, infinity, unit = self.zero.coords, self.infinity.coords, self.unit.coords
+        _held(self.tape, "apart", zero, infinity)
+        _held(self.tape, "apart", unit, zero, infinity)
         # zero and infinity differ, so the unit is on their line exactly
-        # when its join with the line is zero
-        if any(_join_line_point(self.line.coeffs, self.unit.coords)):
+        # when its join with the line is zero.  An edge frame never fails
+        # this: its unit is a meet with the edge's line (`project_to_edge`).
+        line = self.line.coeffs
+        if any(_join_line_point(line, unit)):
             raise ValueError("frame points must be collinear")
+        _held(self.tape, "on", line, unit)
 
     @cached_property
     def aux_index(self) -> int:
         line = self.line.coeffs
-        return next(
-            k for k, e in enumerate(STANDARD_BASIS) if any(_join_line_point(line, e.coords))
-        )
+        for k, e in enumerate(STANDARD_BASIS):
+            if any(_join_line_point(line, e.coords)):
+                _held(self.tape, "off", line, e.coords)
+                return k
+            # this one can fire: it holds the shape, and the reference
+            # frames never note it (the argument above `_CHECK_CODE`)
+            _held(self.tape, "on", line, e.coords)
 
     @cached_property
     def line(self) -> Extensor:
-        return line_through(self.zero, self.infinity)
+        return _trusted(2, _join(self.tape, self.zero.coords, self.infinity.coords))
 
     @cached_property
     def scaffold(self) -> Scaffold:
         a, lprime = choose_auxiliaries(self)
-        ac, unit, infinity = a.coords, self.unit.coords, self.infinity.coords
-        la1, l1b = _join(None, ac, unit), _join(None, unit, ac)
-        product = (la1, line_meet_line(la1, lprime.coeffs), _join(None, ac, infinity))
-        inverse = (l1b, line_meet_line(l1b, lprime.coeffs), _join(None, infinity, ac))
+        ac, unit, infinity, tape = a.coords, self.unit.coords, self.infinity.coords, self.tape
+        la1, l1b = _join(tape, ac, unit), _join(tape, unit, ac)
+        product = (la1, _meet_lines(tape, la1, lprime.coeffs), _join(tape, ac, infinity))
+        inverse = (l1b, _meet_lines(tape, l1b, lprime.coeffs), _join(tape, infinity, ac))
         return Scaffold(a, lprime, product, inverse)
 
 
@@ -387,11 +420,14 @@ class Tetrahedron:
     `edge_line(i, j)` and `edge_frame(i, j)` memoize each line and frame
     they build, so the constructions on one edge share that frame's memos
     (see LineFrame), and the frames, the projections and the recoveries
-    share the edge lines.
+    share the edge lines.  A tetrahedron drawn on a Tape (`tape`) leaves
+    there its checks, and every step and check of the lines and frames it
+    builds, its frames' memos included.
     """
 
     vertices: tuple
     unit: Point
+    tape: Tape | None = field(default=None, compare=False, repr=False)
     _lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -400,16 +436,19 @@ class Tetrahedron:
         object.__setattr__(self, "vertices", vertices)
         if len(vertices) != 4 or bracket(*vertices) == 0:
             raise ValueError("vertices must be four points in general position")
+        _held(self.tape, "span", *(v.coords for v in vertices))
         for skip in range(4):
             face = [v for i, v in enumerate(vertices) if i != skip]
             if bracket(*face, self.unit) == 0:
                 raise ValueError(f"unit lies on the face missing vertex {skip}")
+            _held(self.tape, "span", *(v.coords for v in face), self.unit.coords)
 
     def edge_line(self, i: int, j: int) -> Extensor:
         """The line join(vertex i, vertex j)."""
         line = self._lines.get((i, j))
         if line is None:
-            line = self._lines[i, j] = line_through(self.vertices[i], self.vertices[j])
+            ends = self.vertices[i].coords, self.vertices[j].coords
+            line = self._lines[i, j] = _trusted(2, _join(self.tape, *ends))
         return line
 
     def edge_frame(self, i: int, j: int) -> LineFrame:
@@ -418,20 +457,32 @@ class Tetrahedron:
         frame = self._frames.get((i, j))
         if frame is None:
             unit_ij = project_to_edge(self, i, j, self.unit)
-            frame = self._frames[i, j] = LineFrame(self.vertices[i], self.vertices[j], unit_ij)
+            frame = LineFrame(self.vertices[i], self.vertices[j], unit_ij, self.tape)
+            self._frames[i, j] = frame
         return frame
 
 
 def project_to_edge(tet: Tetrahedron, i: int, j: int, p: Point) -> Point:
     """Project p onto edge ij from the opposite edge kl: edge ∩ join(kl, p).
-    That plane is zero exactly when p lies on kl."""
+    That plane is zero exactly when p lies on kl; on a tetrahedron drawn on
+    a Tape, the plane and the meet are steps there."""
     if i == j:
         raise ValueError("edge needs two distinct vertex indices")
     k, l = (m for m in range(4) if m not in (i, j))
-    plane = join(tet.edge_line(k, l), p)
-    if plane.is_zero():
+    opposite = tet.edge_line(k, l).coeffs
+    plane = _join_line_point(opposite, p.coords)
+    if not any(plane):
         raise OnOppositeEdge(f"{p} lies on the opposite edge {k}{l}")
-    return as_point(meet(tet.edge_line(i, j), plane))
+    _record(tet.tape, "join", (2, 1, 3), (opposite, p.coords), plane)
+    edge = tet.edge_line(i, j).coeffs
+    # The edge lies in the plane only if the plane holds all four vertices,
+    # which span space: this never fires on a tetrahedron.
+    hit = _meet_line_plane(edge, plane)
+    if not any(hit):
+        raise ZeroExtensor("not a nonzero grade-1 extensor")
+    coords = _canonical_nonzero(hit)
+    _record(tet.tape, "meet", (2, 3, 1), (edge, plane), coords)
+    return _trusted_point(coords)
 
 
 def recover_from_chart(tet: Tetrahedron, i: int, projections, trace=None) -> Point:
@@ -562,13 +613,16 @@ def choose_auxiliaries(frame: LineFrame):
     infinity + E_k would lie on L'.)  Both follow from E_k lying off the
     line; they are checked all the same.
     """
-    z, i = frame.zero.coords, frame.infinity.coords
+    z, i, tape = frame.zero.coords, frame.infinity.coords, frame.tape
     u = STANDARD_BASIS[frame.aux_index].coords
-    lprime = line_through(frame.zero, Point(tuple(iv + uv for iv, uv in zip(i, u))))
-    a = Point(tuple(zv + 2 * iv + uv for zv, iv, uv in zip(z, i, u)))
-    if contains_point(frame.line, a) or contains_point(lprime, a):
+    lprime = _join(tape, z, _sum(tape, (1, i), (1, u)))
+    a = _sum(tape, (1, z), (2, i), (1, u))
+    line = frame.line.coeffs
+    if not (any(_join_line_point(line, a)) and any(_join_line_point(lprime, a))):
         raise GeometryError("the auxiliary point lies on the frame's line or on L'")
-    return a, lprime
+    _held(tape, "off", line, a)
+    _held(tape, "off", lprime, a)
+    return _trusted_point(a), _trusted(2, lprime)
 
 
 # ---------------------------------------------------------------------------
@@ -686,12 +740,13 @@ class _EveryKey(list):
 
 
 class Tape:
-    """Every step that `_record` is given, repeats included, and every check
-    that `_held` notes, in the order a figure makes them: a TraceStep per
-    step and a (kind, ...) tuple per check.  A figure drawn once with a
-    tape in place of its trace is what `StraightLine` compiles.  `frames`
-    holds the vertex frame of each chart recovery drawn on the tape, under
-    the id of the line its first two planes meet in."""
+    """Every step that `_record` is given, repeats included, every vector
+    sum that `_sum` makes and every check that `_held` notes, in the order
+    a figure makes them: a TraceStep per step, a VectorSum per sum and a
+    (kind, ...) tuple per check.  A figure drawn once with a tape in place
+    of its trace, or a tetrahedron drawn on one, is what `StraightLine`
+    compiles.  `frames` holds the vertex frame of each chart recovery drawn
+    on the tape, under the id of the line its first two planes meet in."""
 
     def __init__(self):
         self.steps = []
@@ -701,16 +756,17 @@ class Tape:
 
 # The lines of program that compute the output {out} of a step of each
 # (op, grades) that no leaf and no earlier step holds, with the guards the
-# figure's step makes: a join must be nonzero (`_join` raises ZeroExtensor),
-# and so must a meet point.  Coplanar lines meet in `line_meet_line`, as in
-# the figure; the program returns None where it raises (SkewLines or
-# coincident lines).  A meet of a line and a plane is held up to scale:
-# the traced program makes it canonical after these lines, as the figure
-# does, so each output it records is the figure's, and the untraced
-# program makes no point canonical but its result.
+# figure's step makes: a join must be nonzero (`_join` raises ZeroExtensor,
+# and `project_to_edge` OnOppositeEdge), and so must a meet point.
+# Coplanar lines meet in `line_meet_line`, as in the figure; the program
+# returns None where it raises (SkewLines or coincident lines).  A meet of
+# a line and a plane is held up to scale: a program that makes its points
+# canonical makes it canonical after these lines, as the figure does, and
+# the untraced column program makes no point canonical but its result.
 _STEP_CODE = {
     ("join", (1, 1, 2)): ("{out} = jp({0}, {1})", "if not any({out}): return"),
     ("join", (1, 1, 1, 3)): ("{out} = jlp(jp({0}, {1}), {2})", "if not any({out}): return"),
+    ("join", (2, 1, 3)): ("{out} = jlp({0}, {1})", "if not any({out}): return"),
     ("meet", (2, 2, 1)): (
         "try: {out} = line_meet_line({0}, {1})",
         "except ValueError: return",
@@ -719,15 +775,16 @@ _STEP_CODE = {
     ("meet", (3, 3, 2)): ("{out} = mpp({0}, {1})",),
 }
 
-# The untraced program meets a line {0} that it joined from the points {p}
-# and {q} with a coplanar line {1} as [πp]q - [πq]p, for the plane
-# π = join({1}, E3), with the two brackets divided by their gcd, which
-# keeps the point small at the cost of a gcd of two brackets in place of
-# the four-coordinate gcd of a canonical point.  It is nonzero, since the
-# join guard keeps p and q apart.  The skew guard is the figure's, and
-# never declines on a figure built from points (the argument above
-# `_CHECK_CODE`); where both brackets vanish, E3 lies on the common plane
-# (or the lines coincide), and the meet falls back to `line_meet_line`.
+# A program that is not traced meets a line {0} that it joined from the
+# points {p} and {q} with a coplanar line {1} as [πp]q - [πq]p, for the
+# plane π = join({1}, E3), with the two brackets divided by their gcd,
+# which keeps the point small at the cost of a gcd of two brackets in
+# place of the four-coordinate gcd of a canonical point.  It is nonzero,
+# since the join guard keeps p and q apart.  The skew guard is the
+# figure's, and never declines on a figure built from points (the argument
+# above `_CHECK_CODE`); where both brackets vanish, E3 lies on the common
+# plane (or the lines coincide), and the meet falls back to
+# `line_meet_line`.
 _MEET_OF_JOIN_CODE = (
     "if jll({0}, {1})[0]: return",
     "al = wb({1}, {p})[0]",
@@ -768,36 +825,44 @@ _CHART_HIT_CODE = (
 # The guard of each check that `_held` notes; the program returns None
 # where the figure would take another shape or raise.  In the traced
 # program, whose points are canonical, a point apart from others compares
-# coordinates; the untraced program holds every point up to scale, and
-# tests that its join with each other point is nonzero.
+# coordinates; every other program tests that its join with each other
+# point is nonzero, which holds its points up to scale.  Four points span
+# space where their bracket is nonzero.
 #
-# The mod-p program is the untraced program's body on other names
+# The mod-p program is the exact program's body on other names
 # (`_mod_p_program_names`): kernels that reduce mod P, run on leaves
-# reduced mod P, a `chart_hit` of `_chart_hit_mod_p`, and a
-# `line_meet_line` that declines.  Only its meets of joined lines and its
-# return differ.  Each of its values is then the untraced program's
-# reduced mod P, up to a scale nonzero mod P, wherever the values it needs
-# are nonzero mod P.
+# reduced mod P, a `chart_hit` of `_chart_hit_mod_p`, a `det4` reduced mod
+# P, a `canon` that only reduces a point's coordinates (mod P a point is
+# known only up to scale), and a `line_meet_line` that declines.  Only its
+# meets of joined lines differ.  Each of its values is then the exact
+# program's reduced mod P, up to a scale nonzero mod P, wherever the values
+# it needs are nonzero mod P.
 #
 # The "on" guards, and the skew guards of the meets, must find zero, and on
 # a figure built from points they always do.  Each point checked to be on a
-# line is a meet with that line itself: a von Staudt factor is a meet of
-# the frame's line with a plane, a product or an inverse the meet of a line
-# with the frame's line, and a chart's projection the inverse on the
-# frame of its edge, whose line is the edge.  Every line a von Staudt
-# figure meets lies in the plane through the frame's line and its
-# auxiliary direction E_k, which holds the factors, the auxiliary point
-# a = zero + 2·infinity + E_k and L' = zero·(infinity + E_k), so any two of
-# them are coplanar.  So these guards never decline on such a figure, and
-# mod P, where a guard that must find zero can only pass spuriously, the
-# mod-p program declines only where the exact one does or where a value is
-# 0 mod P.  The "off", "apart" and nonzero guards must find a nonzero value;
-# a value nonzero mod P is nonzero over Z, so where the mod-p program
-# passes one, the exact program passes it too.
+# line is a meet with that line itself: an edge frame's unit is the meet of
+# its edge's line with a plane, a von Staudt factor a meet of the frame's
+# line with a plane, a product or an inverse the meet of a line with the
+# frame's line, and a chart's projection the inverse on the frame of its
+# edge, whose line is the edge.  Every line a von Staudt figure meets, and
+# every line of a frame's scaffold, lies in the plane through the frame's
+# line and its auxiliary direction E_k, which holds the factors, the unit,
+# the auxiliary point a = zero + 2·infinity + E_k and L' = zero·(infinity +
+# E_k), so any two of them are coplanar.  So these guards never decline on
+# such a figure, and mod P, where a guard that must find zero can only pass
+# spuriously, the mod-p program declines only where the exact one does or
+# where a value is 0 mod P.  The one "on" guard of another kind, a basis
+# point before a frame's auxiliary direction lying on its line
+# (`LineFrame.aux_index`), is drawn on no program: the reference
+# configuration's chart-0 edges miss E0, so its frames pick E0 and note
+# only that it is off.  The "off", "apart", "span" and nonzero guards must
+# find a nonzero value; a value nonzero mod P is nonzero over Z, so where
+# the mod-p program passes one, the exact program passes it too.
 _CHECK_CODE = {
     "on": "if any(jlp({0}, {1})): return",
     "off": "if not any(jlp({0}, {1})): return",
     "apart": "if {0} in ({rest},): return",
+    "span": "if not det4({0}, {1}, {2}, {3}): return",
 }
 
 
@@ -822,7 +887,7 @@ def _program_names(join_kernels, meet_kernels, witness_bracket, chart_hit, **nam
 # when they run.
 _PROGRAM_NAMES = _program_names(
     _JOIN_KERNELS, _MEET_KERNELS, _WITNESS_BRACKETS[3], _chart_hit,
-    gcd=gcd, canon=_canonical_nonzero,
+    gcd=gcd, canon=_canonical_nonzero, det4=det4,
 )
 
 
@@ -830,12 +895,23 @@ def _no_meet_mod_p(l1, l2):
     raise ValueError("the mod-p program meets only the lines it joined")
 
 
+def _det4_mod_p(a, b, c, d):
+    return det4(a, b, c, d) % P
+
+
+def _reduced(value):
+    return tuple([c % P for c in value])
+
+
 @cache
 def _mod_p_program_names():
-    """What the mod-p program binds: kernels that reduce mod P, and a
-    `line_meet_line` that declines.  Built on first use, with the kernels,
-    never at import."""
-    return _program_names(*modp_kernels(), _chart_hit_mod_p, line_meet_line=_no_meet_mod_p)
+    """What the mod-p program binds: kernels that reduce mod P, a `canon`
+    that reduces, and a `line_meet_line` that declines.  Built on first use,
+    with the kernels, never at import."""
+    return _program_names(
+        *modp_kernels(), _chart_hit_mod_p,
+        canon=_reduced, det4=_det4_mod_p, line_meet_line=_no_meet_mod_p,
+    )
 
 
 class StraightLine:
@@ -846,37 +922,44 @@ class StraightLine:
     Each step of the tape, repeats included, is one line of the program:
     its output is computed by the generated kernels as `_STEP_CODE` says,
     or read from the leaf or earlier step that holds it, as the figure
-    reads a memoized value.  Each check of the tape, and each check that a
-    computed step makes, is an inline guard, so the program holds in the
-    figure's shape on the tape and returns None everywhere else: there the
-    figure takes another shape or raises.  `leaves` lists the tape's
-    leaves, each matched to the tape's values by identity, and `result` is
-    the figure's output; `run` takes the leaves of another figure in the
-    same order.
+    reads a memoized value.  Each vector sum is one line, and reads only
+    leaves and the basis points, which the program writes as literals.
+    Each check of the tape, and each check that a computed step makes, is
+    an inline guard, so the program holds in the figure's shape on the
+    tape and returns None everywhere else: there the figure takes another
+    shape or raises.  `leaves` lists the tape's leaves, each matched to the
+    tape's values by identity, and `result` is the figure's output, one
+    value or a tuple of them; `run` takes the leaves of another figure in
+    the same order.
 
     The program is compiled three times, each function on its first run.
     The traced function computes every step as the figure does, so each
     output it hands the trace is canonical.  The untraced function holds
-    every point up to scale: its apart guards are projective, it meets a
-    line it joined with a coplanar line as `_MEET_OF_JOIN_CODE` says, and
-    it makes only its result canonical, so it returns what the traced
-    function returns.  Where a chart recovery drawn on the tape noted its
-    vertex frame, it expands the recovered point in that frame as
-    `_CHART_HIT_CODE` says, in place of the recovery's two meets, which the
-    traced function computes and records.
+    its points as `canonical` says.  A canonical program makes every point
+    canonical, as the figure does, so it returns the figure's values bit
+    for bit; the frames program, whose values the column program reads,
+    is one.  Otherwise it holds every point up to scale and makes only its
+    result canonical, so it returns what the traced function returns.
+    Either way its apart guards are projective, and it meets a line it
+    joined with a coplanar line as `_MEET_OF_JOIN_CODE` says.  Where a
+    chart recovery drawn on the tape noted its vertex frame, it expands
+    the recovered point in that frame as `_CHART_HIT_CODE` says, in place
+    of the recovery's two meets, which the traced function computes and
+    records.
 
     The mod-p function, which `run_mod_p` runs, is the untraced body
     compiled on other names, with kernels built on its first run (see
     `_CHECK_CODE`).  On leaves reduced mod the prime P (`reduced_mod_p`),
-    where it completes, its output is an integer multiple of the untraced
-    function's, reduced mod P, and nonzero mod P.  Where a value is 0 mod P
-    but not over Z it may decline where the exact function completes,
-    never the other way round, so it serves only to show a polynomial in
-    the outputs nonzero.
+    where it completes, each value it returns is an integer multiple of
+    the untraced function's, reduced mod P, and nonzero mod P.  Where a
+    value is 0 mod P but not over Z it may decline where the exact
+    function completes, never the other way round, so it serves only to
+    show a polynomial in the outputs nonzero.
     """
 
-    def __init__(self, tape, leaves, result):
+    def __init__(self, tape, leaves, result, canonical=False):
         self._figure = (tape, leaves, result)
+        self._canonical = canonical
 
     @cached_property
     def _untraced(self):
@@ -892,17 +975,18 @@ class StraightLine:
 
     def _compiled(self, traced, mod_p=False):
         namespace = dict(_mod_p_program_names() if mod_p else _PROGRAM_NAMES)
-        source = _program_source(*self._figure, traced, mod_p)
+        source = _program_source(*self._figure, traced, mod_p, self._canonical)
         exec(compile(source, "<straight-line program>", "exec"), globals(), namespace)
         return namespace["mod_p" if mod_p else "traced" if traced else "untraced"]
 
     def run_mod_p(self, leaves):
-        """The figure's output reduced mod P, up to a scale nonzero mod P,
-        for the leaves reduced mod P, or None where a guard fails."""
+        """The figure's output reduced mod P, each point up to a scale
+        nonzero mod P, for the leaves reduced mod P, or None where a guard
+        fails."""
         return self._mod_p(leaves)
 
     def run(self, leaves, trace=None):
-        """The figure's output for the leaves, as a coefficient tuple, or
+        """The figure's output for the leaves, as coefficient tuples, or
         None where a guard fails.  A trace is handed the program's steps, in
         the figure's order, only when the program completes, so a figure
         drawn after a None records what it records alone."""
@@ -919,20 +1003,25 @@ class StraightLine:
 
 def reduced_mod_p(values) -> tuple:
     """The coefficient tuples with each coefficient reduced mod P."""
-    return tuple([tuple([c % P for c in value]) for value in values])
+    return tuple([_reduced(value) for value in values])
 
 
-def _program_source(tape, leaves, result, traced, mod_p=False):
+def _program_source(tape, leaves, result, traced, mod_p=False, canonical=False):
     """Source of the function `traced`, `untraced` or `mod_p` that
     StraightLine runs: it unpacks the leaves it reads, runs the tape's
-    steps and checks in order, and returns the result, and when traced also
-    every step as an (op, grades, inputs, output) tuple.  The untraced and
-    mod-p functions share one body, and differ only in their meets of
-    joined lines, their return and the names they bind."""
+    steps, sums and checks in order, and returns the result, and when
+    traced also every step as an (op, grades, inputs, output) tuple.  The
+    untraced and mod-p functions share one body, and differ only in their
+    meets of joined lines and the names they bind.  A canonical program,
+    and the traced one, make each point canonical where the figure does."""
     meet_of_join = _MOD_P_MEET_OF_JOIN_CODE if mod_p else _MEET_OF_JOIN_CODE
+    canonical = canonical or traced
     names = {}
     for i, value in enumerate(leaves):
         names.setdefault(id(value), f"a{i}")
+    for e in STANDARD_BASIS:
+        names.setdefault(id(e.coords), repr(e.coords))
+    computed = set()  # the names of the values the program computes
     read = set()
     joined = {}  # the name of each line the program joins -> its two points' names
 
@@ -943,9 +1032,27 @@ def _program_source(tape, leaves, result, traced, mod_p=False):
         read.add(held)
         return held
 
+    def new_name(value):
+        out = names[id(value)] = f"v{len(computed)}"
+        computed.add(out)
+        return out
+
     body, steps = [], []
     cut = None  # the step that meets a recovery's first two planes, while its hit is to come
     for entry in tape.steps:
+        if type(entry) is VectorSum:
+            args = [name(v) for v in entry.inputs]
+            if computed.intersection(args):
+                # mod P a computed point is known only up to scale
+                raise ValueError("a vector sum reads only leaves and basis points")
+            out = new_name(entry.output)
+            terms = " + ".join(
+                f"{arg}[{{m}}]" if w == 1 else f"{w} * {arg}[{{m}}]"
+                for w, arg in zip(entry.weights, args)
+            )
+            coords = ", ".join(terms.format(m=m) for m in range(4))
+            body += (f"{out} = ({coords})", f"if not any({out}): return", f"{out} = canon({out})")
+            continue
         if type(entry) is not TraceStep:
             kind, *values = entry
             args = [name(v) for v in values]
@@ -966,26 +1073,29 @@ def _program_source(tape, leaves, result, traced, mod_p=False):
             inputs, code = (*cut.inputs, inputs[1]), _CHART_HIT_CODE
             frame = ", ".join(map(name, tape.frames[id(cut.output)]))
             cut = None
-        elif traced and entry.grades == (2, 3, 1):
-            code = (*code, "{out} = canon({out})")
         args = [name(v) for v in inputs]
         out = names.get(id(entry.output))
         if out is None:
-            out = names[id(entry.output)] = f"v{len(steps)}"
+            out = new_name(entry.output)
             if not traced and entry.grades == (2, 2, 1) and args[0] in joined:
                 code, (p, q) = meet_of_join, joined[args[0]]
+            if canonical and entry.grades[-1] == 1 and code is not _STEP_CODE["meet", (2, 2, 1)]:
+                code = (*code, "{out} = canon({out})")
             body += (line.format(*args, out=out, frame=frame, p=p, q=q) for line in code)
         if entry.grades == (1, 1, 2):
             joined[out] = tuple(args)
         read.add(out)
         steps.append(f"({entry.op!r}, {entry.grades!r}, ({', '.join(args)},), {out})")
-    output = name(result)
+    if id(result) in names:
+        output = name(result)
+    else:  # a tuple of values, which no step outputs
+        output = f"({', '.join(map(name, result))},)"
     unpack = ", ".join(f"a{i}" if f"a{i}" in read else "_" for i in range(len(leaves)))
     bound = ", ".join(f"{n}={n}" for n in (_mod_p_program_names() if mod_p else _PROGRAM_NAMES))
     if traced:
         body.append(f"return {output}, ({', '.join(steps)},)")
     else:
-        body.append(f"return {output}" if mod_p else f"return canon({output})")
+        body.append(f"return {output}" if canonical else f"return canon({output})")
     function = "mod_p" if mod_p else "traced" if traced else "untraced"
     lines = [f"def {function}(leaves, {bound}):", f"({unpack},) = leaves"]
     return "\n    ".join(lines + body) + "\n"

@@ -12,29 +12,37 @@ four constructed points for coplanarity.
 `constructions`.  A decision runs each column through `column_test_point`
 instead, which, when the column's entry in row 0 is nonzero, runs the
 column program: column 0 of a fixed reference configuration, drawn once on
-a Tape and compiled to straight-line code (`column_program`).  It is built
-on the first generic decision, never at import, and once per process, and
-its traced and untraced functions are each compiled on their first run.
-The untraced one holds every point up to scale, makes only the test
-point canonical, and recovers it in the vertex frame of the tetrahedron
-6789, where the traced one records the recovery's two meets; the mod-p
-one is the untraced body on other names (see `StraightLine`).  It holds
-in the main shape (chart 0, every von Staudt factor finite and nonzero),
-where it gives the drawn column's test point and trace steps; its guards
-hold every check of the drawing, so a column in another shape, or one the
-figure would raise on, is drawn, and records only what the drawing
-records.
+a Tape and compiled to straight-line code (`column_program`).  What the
+column reads of the tetrahedron 6789 (its vertices, its three chart-0 edge
+frames with their scaffolds, and their edge lines) comes from the frames
+program: the reference tetrahedron and those frames drawn once on a Tape
+through the same `Tetrahedron`, `LineFrame` and `choose_auxiliaries` code
+(`frames_program`), compiled to return their values bit for bit.  So a
+decision builds no frame object where the programs run.  Both are built on
+the first generic decision, never at import, and once per process, and
+each of their functions is compiled on its first run.  The untraced
+column program holds every point up to scale, makes only the test point
+canonical, and recovers it in the vertex frame of the tetrahedron, where
+the traced one records the recovery's two meets; the mod-p programs are
+the untraced bodies on other names (see `StraightLine`).  The column
+program holds in the main shape (chart 0, every von Staudt factor finite
+and nonzero), and the frames program where each chart-0 frame picks E0 as
+its auxiliary direction; there they give the drawn column's test point
+and trace steps.  Their guards hold every check of the drawing, so a
+column in another shape, or one the figure would raise on, is drawn, and
+records only what the drawing records.
 
 Before the exact columns, an untraced decision with every entry of M's row
 0 nonzero and some coordinate of at least `MODP_MIN_BITS` bits runs the
-column program mod the prime P on the four columns
-(`StraightLine.run_mod_p`).  The figure is made of joins and meets, which
-are polynomial in the coordinates, so each mod-p test point is a multiple
-of the exact one reduced mod P; if all four complete and their bracket is
-nonzero mod P, the exact bracket is nonzero and the verdict is NO.  A zero
-bracket mod P says nothing (it may be a multiple of P), so the filter
-answers only NO: on a decline or a zero bracket, and on every YES, the
-exact columns decide, and give the certificate.
+frames program and then the column program mod the prime P on the four
+columns (`StraightLine.run_mod_p`).  The figure is made of joins, meets
+and vector sums of the input points, which are polynomial in the
+coordinates, so each mod-p test point is a multiple of the exact one
+reduced mod P; if all four complete and their bracket is nonzero mod P,
+the exact bracket is nonzero and the verdict is NO.  A zero bracket mod P
+says nothing (it may be a multiple of P), so the filter answers only NO:
+on a decline or a zero bracket, and on every YES, the exact programs
+decide, and give the certificate.
 """
 
 from __future__ import annotations
@@ -172,11 +180,13 @@ def _raw_quadric_product(form_a, form_b):
 class GenericFigure:
     """What the four columns of M share, built once per decision from the
     (relabeled) points: M itself, the extensors of the two planes of each
-    basis quadric, which `build_M` reads M from, and, on first read, the
-    tetrahedron 6789 with its global unit.  The tetrahedron memoizes its
-    edge frames, and each frame its line, auxiliaries and von Staudt
-    scaffolding, so every column reads them.  The figure lives as long as
-    the decision that builds it.
+    basis quadric, which `build_M` reads M from, and, each on first read,
+    the values a column drawn in chart 0 reads of the tetrahedron 6789, as
+    the frames program computes them (`frame_leaves`), and the tetrahedron
+    itself with its global unit, for the columns that are drawn.  The
+    tetrahedron memoizes its edge frames, and each frame its line,
+    auxiliaries and von Staudt scaffolding, so every drawn column reads
+    them.  The figure lives as long as the decision that builds it.
     """
 
     def __init__(self, points):
@@ -188,50 +198,58 @@ class GenericFigure:
     def tetrahedron(self) -> Tetrahedron:
         return Tetrahedron(tuple(self.points[6:10]), global_unit(self.points))
 
-    @cached_property
-    def chart_zero_leaves(self) -> tuple:
-        """What a column drawn in chart 0 reads from the tetrahedron: its
-        vertices and, for each edge 0j, the edge's frame (its unit, line and
-        von Staudt scaffold), the edge's line and the line of the edge
-        opposite it, each as a coefficient tuple."""
-        tet = self.tetrahedron
-        leaves = [v.coords for v in tet.vertices]
-        for j in (1, 2, 3):
-            k, l = (m for m in (1, 2, 3) if m != j)
-            frame = tet.edge_frame(0, j)
-            scaffold = frame.scaffold
-            leaves += [frame.unit.coords, frame.line.coeffs, scaffold.a.coords]
-            leaves += [scaffold.lprime.coeffs, *scaffold.product, *scaffold.inverse]
-            leaves += [tet.edge_line(0, j).coeffs, tet.edge_line(k, l).coeffs]
-        return tuple(leaves)
+    def frame_inputs(self) -> tuple:
+        """The leaves of the frames program: the coordinates of points 6..9
+        and of their global unit."""
+        return (*(p.coords for p in self.points[6:10]), global_unit(self.points).coords)
 
-    def column_leaves(self, col) -> tuple:
-        """The leaves of column col drawn in chart 0: those of the
-        tetrahedron, then the points of the column's two basis planes and
-        the planes themselves, as coefficient tuples."""
+    @cached_property
+    def frame_leaves(self):
+        """What a column drawn in chart 0 reads from the tetrahedron, as
+        `chart_zero_values` lists it, computed by the frames program; None
+        where the program declines, and the columns are drawn."""
+        return frames_program().run(self.frame_inputs())
+
+    def basis_leaves(self, col) -> tuple:
+        """The points of column col's two basis planes and the planes
+        themselves, as coefficient tuples."""
         a_triple, b_triple = BASIS_PLANES[col]
         plane_a, plane_b = self.basis_planes[col]
         return (
-            *self.chart_zero_leaves,
             *(self.points[i].coords for i in a_triple + b_triple),
             plane_a.coeffs,
             plane_b.coeffs,
         )
 
-    @cached_property
-    def _chart_zero_leaves_mod_p(self) -> tuple:
-        return reduced_mod_p(self.chart_zero_leaves)
-
-    def column_leaves_mod_p(self, col) -> tuple:
-        """The leaves of column col reduced mod P; those of the tetrahedron
-        are reduced once per figure."""
-        shared = self._chart_zero_leaves_mod_p
-        return shared + reduced_mod_p(self.column_leaves(col)[len(shared) :])
+    def column_leaves(self, col):
+        """The leaves of column col drawn in chart 0: those of the
+        tetrahedron, then the column's basis leaves; None where the frames
+        program declines."""
+        if self.frame_leaves is None:
+            return None
+        return self.frame_leaves + self.basis_leaves(col)
 
     def quadric_forms(self, c):
         """Raw linear forms of the two planes of basis quadric c."""
         plane_a, plane_b = self.basis_planes[c]
         return plane_form(plane_a), plane_form(plane_b)
+
+
+def chart_zero_values(tet) -> tuple:
+    """What a column drawn in chart 0 reads from the tetrahedron: its
+    vertices and, for each edge 0j, the edge's frame (its unit, line and
+    von Staudt scaffold), the edge's line and the line of the edge opposite
+    it, each as a coefficient tuple.  Each frame is built as it is read,
+    so on a tetrahedron built with a Tape this draws the frames there."""
+    values = [v.coords for v in tet.vertices]
+    for j in (1, 2, 3):
+        k, l = (m for m in (1, 2, 3) if m != j)
+        frame = tet.edge_frame(0, j)
+        scaffold = frame.scaffold
+        values += [frame.unit.coords, frame.line.coeffs, scaffold.a.coords]
+        values += [scaffold.lprime.coeffs, *scaffold.product, *scaffold.inverse]
+        values += [tet.edge_line(0, j).coeffs, tet.edge_line(k, l).coeffs]
+    return tuple(values)
 
 
 def column_test_point(figure, col, trace=None) -> Point:
@@ -240,23 +258,48 @@ def column_test_point(figure, col, trace=None) -> Point:
 
     A column whose entry in row 0 is nonzero runs the column program, the
     straight-line form of the drawn column in its main shape: chart 0 and
-    every von Staudt factor finite and nonzero.  Its guards hold every
-    check of the figure, so where the column takes another shape, or the
-    figure would raise, the program returns None and the column is drawn.
+    every von Staudt factor finite and nonzero.  Its guards, and those of
+    the frames program, hold every check of the figure, so where the
+    column takes another shape, or the figure would raise, a program
+    returns None and the column is drawn.
     """
     if figure.m.entries[0][col]:
-        coords = column_program().run(figure.column_leaves(col), trace)
-        if coords is not None:
-            return _trusted_point(coords)
+        leaves = figure.column_leaves(col)
+        if leaves is not None:
+            coords = column_program().run(leaves, trace)
+            if coords is not None:
+                return _trusted_point(coords)
     return construct_test_point(figure.points, col, trace, figure)
 
 
 # A configuration whose column 0 takes the main shape, on which
-# `column_program` draws the column it compiles.
+# `column_program` draws the column it compiles, and `frames_program` the
+# chart-0 frames of its tetrahedron, each of which picks E0 as its
+# auxiliary direction.
 REFERENCE_POINTS = (
     (3, 0, -2, 2), (0, 2, -3, 1), (2, -3, 0, 0), (1, -2, -1, -2), (2, -2, 3, 0),
     (1, 3, 0, -3), (1, 2, -3, -2), (2, 2, 3, -1), (3, -2, 1, -2), (2, 1, 0, 1),
 )
+
+
+@cache
+def frames_program() -> StraightLine:
+    """The frames program: the tetrahedron of the reference configuration
+    drawn once on a Tape, with its chart-0 edge frames as
+    `chart_zero_values` reads them, and compiled as a canonical program
+    (see `StraightLine`).  Its leaves are the four vertices and the global
+    unit, and it returns the values of `chart_zero_values` bit for bit:
+    every checked step of `Tetrahedron`, `project_to_edge`, `LineFrame`,
+    `choose_auxiliaries` and the scaffold is a line or a guard of it, and
+    the vector sums of the auxiliaries read only the vertices, so mod P it
+    gives them up to scale.  Built on first use, once per process.
+    """
+    points = [Point(coords) for coords in REFERENCE_POINTS]
+    vertices, unit = tuple(points[6:10]), global_unit(points)
+    tape = Tape()
+    values = chart_zero_values(Tetrahedron(vertices, unit, tape))
+    leaves = (*(v.coords for v in vertices), unit.coords)
+    return StraightLine(tape, leaves, values, canonical=True)
 
 
 @cache
@@ -268,6 +311,8 @@ def column_program() -> StraightLine:
     """
     points = [Point(coords) for coords in REFERENCE_POINTS]
     figure = GenericFigure(points)
+    # the drawing reads the tetrahedron's own values, so they are its leaves
+    figure.frame_leaves = chart_zero_values(figure.tetrahedron)
     tape = Tape()
     result = construct_test_point(points, 0, tape, figure)
     return StraightLine(tape, figure.column_leaves(0), result.coords)
@@ -322,12 +367,16 @@ MODP_MIN_BITS = 96
 
 def _no_mod_p(figure) -> bool:
     """Whether the four test points of the figure are shown not coplanar:
-    the column program, run mod P on each column's leaves, completes on all
-    four, and their bracket is nonzero mod P."""
+    the frames program, run mod P on the vertices and the global unit, and
+    then the column program, run mod P on each column's leaves, complete,
+    and the bracket of the four points is nonzero mod P."""
+    shared = frames_program().run_mod_p(reduced_mod_p(figure.frame_inputs()))
+    if shared is None:
+        return False
     program = column_program()
     points = []
     for col in range(4):
-        point = program.run_mod_p(figure.column_leaves_mod_p(col))
+        point = program.run_mod_p(shared + reduced_mod_p(figure.basis_leaves(col)))
         if point is None:
             return False
         points.append(point)

@@ -526,17 +526,19 @@ class TestTraceReplay:
     def test_replay_meets_coplanar_lines_about_once(self, monkeypatch):
         """Every line_meet_line of a generic decision and of its replay runs
         exactly one witness kernel: E3, the first one tried, is off the
-        plane of every figure.  A decision meets coplanar lines 78 times:
-        6 per edge for its product and inverse, on 12 edges, and p1' and c2
-        once for each of its 3 frames.  Its replay meets the same 78 pairs
-        of lines, each once."""
+        plane of every figure.  A decision meets coplanar lines 72 times:
+        6 per edge for its product and inverse, on 12 edges.  The frames
+        program meets each of its 3 frames' p1' and c2 as the meet of a line
+        it joined, with no call.  The replay meets those 6 pairs of lines
+        too, where the trace records them, so it meets 78 pairs, each
+        once."""
         per_call = count_witness_kernels(monkeypatch)
         for seed in (1, 2):
             points = fixtures.generate_branch("generic", seed)
             per_call.clear()
             decision = reductions.decide(points, with_trace=True)
             assert decision.branch == "generic"
-            assert per_call == [1] * 78
+            assert per_call == [1] * 72
             trace = ConstructionTrace.from_json(json.loads(json.dumps(decision.trace.to_json())))
             per_call.clear()
             assert verify_replay(trace)

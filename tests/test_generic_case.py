@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -28,12 +29,15 @@ from reference_geometry import (
 from quadricheck import cli, constructions, fixtures, generic_case
 from quadricheck.constructions import (
     ConstructionTrace,
+    LineFrame,
     Tape,
     Tetrahedron,
     TraceStep,
+    VectorSum,
     line_meet_line,
     local_param_point,
     recover_from_chart,
+    reduced_mod_p,
     verify_replay,
     von_staudt_inverse,
     von_staudt_product,
@@ -46,12 +50,14 @@ from quadricheck.generic_case import (
     NoPermutation,
     ZeroColumn,
     build_M,
+    chart_zero_values,
     column_program,
     column_test_point,
     compute_Q,
     construct_test_point,
     decide_generic,
     find_Q_labeling,
+    frames_program,
     genericity_violation,
     global_unit,
 )
@@ -512,6 +518,11 @@ class TestGenericFigure:
 
     @pytest.mark.parametrize("make", [segre_generic_points, chart_one_points])
     def test_decide_builds_m_once_and_each_frame_once(self, monkeypatch, make):
+        """A decision builds M once, and each frame it draws once: the
+        columns that run the programs build no frame, and a column in
+        another chart, or one the column program declines, draws the frames
+        of its chart's edges."""
+        decide(make())  # builds the programs, which draw the reference frames
         built, frames = [], []
         real_build_M, real_choose = generic_case.build_M, constructions.choose_auxiliaries
 
@@ -529,12 +540,17 @@ class TestGenericFigure:
         assert decision.branch == "generic"
         assert len(built) == 1
         [m] = built
+        points = decision.labeling.apply(make())
+        figure = GenericFigure(points)
         edges = set()
         for col in range(4):
             column = m.column(col)
             chart = next(r for r in range(4) if column[r] != 0)
-            edges.update((chart, j) for j in range(4) if j != chart)
-        assert len(frames) == len(set(frames)) == len(edges)
+            if chart or not program_runs(figure, col):
+                edges.update((chart, j) for j in range(4) if j != chart)
+        assert edges and len(frames) == len(set(frames)) == len(edges)
+        drawn = {(points[6 + i], points[6 + j]) for i, j in edges}
+        assert {(frame.zero, frame.infinity) for frame in frames} == drawn
 
     def test_edge_frames_are_memoized_per_ordered_edge(self):
         tet = GenericFigure(segre_generic_points()).tetrahedron
@@ -681,7 +697,30 @@ def program_runs(figure, col):
 def mod_p_runs(figure, col):
     """Whether the column program completes mod P on the column's leaves
     reduced mod P."""
-    return column_program().run_mod_p(figure.column_leaves_mod_p(col)) is not None
+    return column_program().run_mod_p(reduced_mod_p(figure.column_leaves(col))) is not None
+
+
+def mod_p_leaves(figure, col):
+    """The leaves the mod-p filter runs column col on: the frames program's
+    mod-p values, then the column's basis leaves reduced mod P; None where
+    the frames program declines mod P."""
+    shared = frames_program().run_mod_p(reduced_mod_p(figure.frame_inputs()))
+    return None if shared is None else shared + reduced_mod_p(figure.basis_leaves(col))
+
+
+def outside_meets_of_joins(source, block):
+    """The lines of a program's body, less each meet of a joined line,
+    which runs `block` lines from its skew guard, and the number of those
+    meets."""
+    kept, skip, count = [], 0, 0
+    for line in source.splitlines()[1:]:
+        if line.strip().startswith("if jll("):
+            skip, count = block, count + 1
+        if skip:
+            skip -= 1
+        else:
+            kept.append(line)
+    return kept, count
 
 
 def on_plane(points, triple, weights):
@@ -716,9 +755,19 @@ class TestColumnProgram:
     def reference_tape(self):
         points = [Point(coords) for coords in generic_case.REFERENCE_POINTS]
         figure = GenericFigure(points)
+        figure.frame_leaves = chart_zero_values(figure.tetrahedron)
         tape = Tape()
         result = construct_test_point(points, 0, tape, figure)
         return tape, figure.column_leaves(0), result
+
+    def frames_tape(self):
+        """The reference tetrahedron drawn on a Tape with its chart-0 frames,
+        as `frames_program` draws it: the tape, the leaves and the values."""
+        points = [Point(coords) for coords in generic_case.REFERENCE_POINTS]
+        vertices, unit = tuple(points[6:10]), global_unit(points)
+        tape = Tape()
+        values = chart_zero_values(Tetrahedron(vertices, unit, tape))
+        return tape, (*(v.coords for v in vertices), unit.coords), values
 
     def test_every_check_of_the_drawn_column_is_a_guard(self):
         """Per edge the figure checks that both factors and their product
@@ -735,7 +784,9 @@ class TestColumnProgram:
         program is the same body: outside those 18 meets and the return,
         its lines are the untraced program's.  The traced program computes
         every step as the figure does: the recovery meets its first two
-        planes in a line and that line with the third."""
+        planes in a line and that line with the third.  The frames program
+        guards every check of the chart-0 frames: see
+        `test_every_check_of_the_drawn_frames_is_a_guard`."""
         tape, leaves, result = self.reference_tape()
         checks = Counter(entry[0] for entry in tape.steps if type(entry) is not TraceStep)
         assert checks == {"on": 12, "apart": 9, "off": 3}
@@ -782,26 +833,64 @@ class TestColumnProgram:
         untraced = constructions._program_source(tape, leaves, result.coords, False)
         mod_p = constructions._program_source(tape, leaves, result.coords, False, True)
 
-        def outside_meets_of_joins(source, block):
-            """The lines of the body but its return, less each meet of a
-            joined line, which runs `block` lines from its skew guard, and
-            the number of those meets."""
-            kept, skip, count = [], 0, 0
-            for line in source.splitlines()[1:-1]:
-                if line.strip().startswith("if jll("):
-                    skip, count = block, count + 1
-                if skip:
-                    skip -= 1
-                else:
-                    kept.append(line)
-            return kept, count
-
         shared = outside_meets_of_joins(untraced, len(constructions._MEET_OF_JOIN_CODE))
         assert shared == outside_meets_of_joins(mod_p, len(constructions._MOD_P_MEET_OF_JOIN_CODE))
         assert shared[1] == meets
-        output = untraced.splitlines()[-1].strip().removeprefix("return canon(")[:-1]
-        assert mod_p.splitlines()[-1].strip() == f"return {output}"
-        assert "canon(" not in mod_p and "line_meet_line(" not in mod_p
+        assert "line_meet_line(" not in mod_p
+
+    def test_every_check_of_the_drawn_frames_is_a_guard(self):
+        """The reference tetrahedron checks that its vertices span space and
+        that its unit is off each face; each chart-0 frame that its zero
+        and infinity are apart and its unit apart from both and on its line,
+        that E0, its auxiliary direction, is off its line, and that the
+        auxiliary point a is off its line and off L'; and each join and
+        meet is nonzero, and each pair of scaffold lines that meets is
+        coplanar.  The frames program guards each of those checks.  It
+        makes every point canonical, as the figure does, with no call to
+        `line_meet_line` but where both brackets of a meet vanish, and
+        returns the values the frames read bit for bit; its two vector sums
+        per frame, infinity + E0 and a = zero + 2·infinity + E0, read only
+        the vertices and E0.  The mod-p program is the same body: outside
+        its 6 meets of joined lines, its lines are the exact program's."""
+        tape, leaves, values = self.frames_tape()
+        checks = Counter(entry[0] for entry in tape.steps if type(entry) is tuple)
+        assert checks == {"span": 5, "apart": 6, "on": 3, "off": 9}
+        sums = [entry for entry in tape.steps if type(entry) is VectorSum]
+        assert [entry.weights for entry in sums] == [(1, 1), (1, 2, 1)] * 3
+        e0 = STANDARD_BASIS[0].coords
+        assert all(entry.inputs[-1] is e0 for entry in sums)
+        assert all(value in leaves for entry in sums for value in entry.inputs[:-1])
+        computed = Counter(step.grades for step in tape.steps if type(step) is TraceStep)
+        assert computed == {(1, 1, 2): 24, (2, 1, 3): 3, (2, 3, 1): 3, (2, 2, 1): 6}
+        source = constructions._program_source(tape, leaves, values, False, False, True)
+        mod_p = constructions._program_source(tape, leaves, values, False, True, True)
+        lines = [line.strip() for line in source.splitlines()]
+        assert sum(line.startswith("if not det4(") for line in lines) == checks["span"]
+        # the only on-line check is each unit's, which is a meet with its line
+        on = [line for line in lines if line.startswith("if any(jlp(")]
+        assert len(on) == checks["on"] == 3
+        off = [line for line in lines if line.startswith("if not any(jlp(")]
+        assert len(off) == checks["off"]
+        assert sum(f", {e0!r})" in line for line in off) == 3
+        apart = [line for line in lines if line.startswith("if not any(jp(")]
+        assert sum(line.count("not any(jp(") for line in apart) == 9 and len(apart) == 6
+        nonzero = sum(line.startswith("if not any(v") for line in lines)
+        assert nonzero == sum(computed.values()) - computed[2, 2, 1] + len(sums)
+        canon = [line for line in lines if " = canon(" in line]
+        assert len(canon) == computed[2, 3, 1] + computed[2, 2, 1] + len(sums)
+        assert lines[-1].startswith("return (") and "canon(" not in lines[-1]
+        skew = [line for line in lines if line.startswith("if jll(")]
+        assert len(skew) == computed[2, 2, 1] == 6
+        assert sum(line == "except ValueError: return" for line in lines) == 6
+        assert not any(" in (" in line or "mpp(" in line or "chart_hit(" in line for line in lines)
+        shared = outside_meets_of_joins(source, len(constructions._MEET_OF_JOIN_CODE))
+        assert shared == outside_meets_of_joins(mod_p, len(constructions._MOD_P_MEET_OF_JOIN_CODE))
+        assert shared[1] == 6 and "line_meet_line(" not in mod_p
+        program = frames_program()
+        assert program.run(leaves) == values
+        mod = program.run_mod_p(reduced_mod_p(leaves))
+        assert len(mod) == len(values) == 40
+        assert all(projectively_equal_mod_p(u, v) for u, v in zip(mod, values))
 
     def test_reference_and_fixture_columns_run_the_program(self):
         tape, leaves, result = self.reference_tape()
@@ -857,8 +946,8 @@ class TestColumnProgram:
             d, e = figure.tetrahedron.vertices[0], figure.tetrahedron.vertices[2]
             py = local_param_point(d, e, pts[2], pts[3], pts[4])
             frame.__dict__["scaffold"] = doctor(frame.scaffold, py)
-            figure.__dict__.pop("chart_zero_leaves", None)
-            figure.__dict__.pop("_chart_zero_leaves_mod_p", None)
+            # the program reads the doctored frame in place of its own
+            figure.frame_leaves = chart_zero_values(figure.tetrahedron)
             assert not program_runs(figure, 0) and not mod_p_runs(figure, 0)
             point, trace = outcome(lambda t: drawn_column(figure, 0, t))
             assert point[0] is raised and trace["steps"]
@@ -900,6 +989,57 @@ class TestColumnProgram:
         assert ran + [program_runs(figure, 3)] == [True, True, True, False]
         for col in range(4):
             assert_as_drawn(figure, col)
+
+    def test_frames_program_returns_the_drawn_values(self):
+        """On samples with coordinates up to 2^6, 2^64 and 2^256, on the
+        fixtures and on a figure whose vertex 0 is E3, the frames program
+        returns the values the chart-0 frames of the drawn tetrahedron hold,
+        bit for bit."""
+        configs = [generic_fixtures()[0], chart_one_points(), infinity_factor_points()]
+        for bound in (2**6, 2**64, 2**256):
+            for seed in (1, 2, 3):
+                configs.append(sample_generic(seed, 10, bound=bound))
+                configs.append(sample_on_quadric(seed, 10, transformed=True, bound=bound))
+        at_e3 = segre_generic_points()
+        at_e3[6] = E3
+        compared = 0
+        for points in configs + [at_e3]:
+            if genericity_violation(points) is not None:
+                continue
+            figure = GenericFigure(decide(points).labeling.apply(points))
+            assert figure.frame_leaves == chart_zero_values(figure.tetrahedron)
+            compared += 1
+        assert compared >= 18
+
+    def test_a_frame_off_the_main_shape_is_drawn(self, monkeypatch):
+        """With point 7 on the line through point 6 and E0, the frame on the
+        chart-0 edge 67 picks another auxiliary direction, so the frames
+        program declines, exactly and, above the gate, mod P.  Every column
+        is then drawn: decisions and traces, untraced and traced, are those
+        of the drawn figure, and above the gate the exact columns decide."""
+        configs = []
+        for bound, t in ((25, 3), (2**64, 2**70 + 1)):
+            points = sample_generic("e0-on-edge-67", 10, bound=bound)
+            points[7] = Point(tuple(c + t * e for c, e in zip(points[6].coords, E0.coords)))
+            assert genericity_violation(points) is None
+            figure = GenericFigure(decide(points).labeling.apply(points))
+            assert figure.points[6:] == points[6:]
+            assert contains_point(figure.tetrahedron.edge_line(0, 1), E0)
+            assert figure.tetrahedron.edge_frame(0, 1).aux_index == 1
+            assert figure.frame_leaves is None and figure.column_leaves(0) is None
+            assert all(figure.m.entries[0])
+            configs.append(points)
+        figure, gated = gated_figure(configs[1])
+        assert gated and not gated_figure(configs[0])[1]
+        assert frames_program().run_mod_p(reduced_mod_p(figure.frame_inputs())) is None
+        assert not generic_case._no_mod_p(figure)
+        programmed = decisions(configs)
+        untraced = [decide(points).to_json() for points in configs]
+        assert [decision for decision, _ in programmed] == untraced
+        monkeypatch.setattr(generic_case, "column_test_point", drawn_column)
+        assert decisions(configs) == programmed
+        monkeypatch.setattr(generic_case, "MODP_MIN_BITS", 10**9)
+        assert [decide(points).to_json() for points in configs] == untraced
 
     def test_sampled_columns_as_drawn(self, monkeypatch):
         """Generic and on-quadric samples with coordinates up to 2^64 and
@@ -998,9 +1138,10 @@ class TestColumnProgram:
 
     def test_built_lazily_once_from_the_reference(self):
         """Importing the package builds no program; the first generic
-        decision builds it, once, by drawing column 0 of the reference
-        configuration, whatever was decided first.  Untraced decisions
-        compile the untraced function alone."""
+        decision builds the column program and the frames program, each
+        once, by drawing column 0 of the reference configuration and its
+        tetrahedron, whatever was decided first.  Untraced decisions compile
+        the untraced function of each alone."""
         firsts = {
             "main shape": fixtures.generate_branch("generic", 1),
             "another chart": chart_one_points(),
@@ -1016,16 +1157,19 @@ class TestColumnProgram:
             )
             assert result.returncode == 0, result.stderr
             report = json.loads(result.stdout)
-            assert report["built_at_import"] == 0, name
-            assert report["builds"] == 1, name
-            assert report["compiled"] == ["_untraced"], name
+            assert report["built_at_import"] == [0, 0], name
+            assert report["builds"] == [1, 1], name
+            assert report["compiled"] == [["_untraced"], ["_untraced"]], name
             assert report["drawn_on_a_tape"] == [[list(c) for c in generic_case.REFERENCE_POINTS]]
+            vertices = [list(c) for c in generic_case.REFERENCE_POINTS[6:]]
+            assert report["tetrahedra_on_a_tape"] == [vertices]
 
 
 def projectively_equal_mod_p(u, v):
-    """Whether u and v are nonzero mod P and proportional mod P."""
+    """Whether the coefficient tuples u and v are nonzero mod P and
+    proportional mod P."""
     u, v = [c % P for c in u], [c % P for c in v]
-    minors = (u[i] * v[j] - u[j] * v[i] for i, j in itertools.combinations(range(4), 2))
+    minors = (u[i] * v[j] - u[j] * v[i] for i, j in itertools.combinations(range(len(u)), 2))
     return any(u) and any(v) and all(minor % P == 0 for minor in minors)
 
 
@@ -1053,17 +1197,24 @@ class TestModPFilter:
         return configs
 
     def test_mod_p_columns_are_the_exact_ones_mod_p(self):
-        """On every column of the sampled configurations, where both the
-        mod-p and the exact program complete, their points are equal mod P
-        up to scale; the filter answers NO on the random samples and never
-        on the on-quadric ones."""
+        """On the sampled configurations the frames program completes mod P
+        and exactly, and each of its 40 mod-p values equals the exact one
+        mod P up to a nonzero scale, the vertices and the lines of the
+        frames included.  On every column, where both the mod-p and the
+        exact column program complete, their points are equal mod P up to
+        scale; the filter answers NO on the random samples and never on the
+        on-quadric ones."""
         program = column_program()
         compared = 0
         for points in self.sampled_configs():
             figure, gated = gated_figure(points)
             assert gated
+            shared = frames_program().run_mod_p(reduced_mod_p(figure.frame_inputs()))
+            assert len(shared) == len(figure.frame_leaves) == 40
+            for mod, exact in zip(shared, figure.frame_leaves):
+                assert projectively_equal_mod_p(mod, exact)
             for col in range(4):
-                mod = program.run_mod_p(figure.column_leaves_mod_p(col))
+                mod = program.run_mod_p(mod_p_leaves(figure, col))
                 exact = program.run(figure.column_leaves(col))
                 if mod is not None and exact is not None:
                     assert projectively_equal_mod_p(mod, exact)
@@ -1071,23 +1222,45 @@ class TestModPFilter:
             assert generic_case._no_mod_p(figure) is not oracle_decide(points)
         assert compared == 32
 
-    @given(st.integers(0, 2**32), st.sampled_from((2**64, 2**256)), st.booleans())
+    @given(st.integers(0, 2**32), st.sampled_from((2**64, 2**256)))
     @settings(max_examples=12)
-    def test_never_no_on_a_quadric(self, seed, bound, wide):
+    def test_never_no_on_a_quadric(self, seed, bound):
         """The filter never answers NO on an on-quadric sample with Segre
-        parameters up to the bound, whose points pass the gate: as
-        `sample_on_quadric` draws them, and as drawn here."""
-        if wide:
-            rng = random.Random(f"mod-p-filter:{seed}")
-            transform = random_transform(rng, bound=8)
-            params = {(random_fraction(rng, bound), random_fraction(rng, bound)) for _ in range(10)}
-            points = [transform.apply(segre_point(s, t)) for s, t in params]
-        else:
-            points = sample_on_quadric(f"mod-p-filter:{seed}", 10, transformed=True, bound=bound)
-        assume(len(set(points)) == 10 and genericity_violation(points) is None)
+        parameters up to the bound, as `sample_on_quadric` draws them,
+        whose points pass the gate."""
+        points = sample_on_quadric(f"mod-p-filter:{seed}", 10, transformed=True, bound=bound)
+        assume(genericity_violation(points) is None)
         sigma = find_Q_labeling(points[:6])
-        figure = GenericFigure([points[i] for i in sigma] + points[6:])
+        relabeled = [points[i] for i in sigma] + points[6:]
+        figure = GenericFigure(relabeled)
+        bits = max(abs(c) for point in relabeled for c in point.coords).bit_length()
+        assert bits >= generic_case.MODP_MIN_BITS
         assert not generic_case._no_mod_p(figure)
+
+    def test_a_gated_decision_builds_no_frame(self, monkeypatch):
+        """No frame object is built on the programs' path: a gated NO
+        decision, which the filter answers, a gated YES decision, which the
+        exact programs answer, and one below the gate build no Tetrahedron
+        and no LineFrame once the programs are built."""
+        configs = [
+            sample_generic(1, 10, bound=2**64),
+            sample_on_quadric(1, 10, transformed=True, bound=2**64),
+            fixtures.generate_branch("generic", 1),
+        ]
+        for points in configs:
+            decide(points)  # builds and compiles every program these decisions run
+        built = []
+
+        def counting(real):
+            return lambda self: built.append(self) or real(self)
+
+        for cls in (Tetrahedron, LineFrame):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
+        assert [decide(points).on_quadric for points in configs] == [False, True, False]
+        assert gated_figure(configs[0])[1] and gated_figure(configs[1])[1]
+        assert built == []
+        drawn = GenericFigure(configs[2]).tetrahedron.edge_frame(0, 1)
+        assert [type(x) for x in built] == [Tetrahedron, LineFrame] and built[1] is drawn
 
     def test_zero_bracket_mod_p_falls_through(self, monkeypatch):
         """With point 9 on a line through point 0, det M is αt + βt^2 in
@@ -1122,7 +1295,7 @@ class TestModPFilter:
         figure, gated = gated_figure(points)
         assert gated and decide(points).labeling.perm == tuple(range(10))
         program = column_program()
-        assert all(program.run_mod_p(figure.column_leaves_mod_p(col)) for col in range(4))
+        assert all(program.run_mod_p(mod_p_leaves(figure, col)) for col in range(4))
         assert not generic_case._no_mod_p(figure)
         ran = []
 
@@ -1137,6 +1310,31 @@ class TestModPFilter:
         monkeypatch.setattr(generic_case, "MODP_MIN_BITS", 10**9)
         assert decide(points).to_json() == decision.to_json()
 
+    def test_pinned_untraced_digest(self):
+        """The pinned digests of `tests/test_scripts.py` decide traced inputs
+        of at most 23 bits, so neither reaches the untraced program or the
+        filter.  Random and on-quadric samples for seeds 1-3 at 2^64 and
+        2^256, decided untraced, pass the gate: the random ones are
+        answered NO by the filter, the on-quadric ones YES by the untraced
+        program.  Every decision must stay byte-identical to this digest."""
+        digest = hashlib.sha256()
+        verdicts = []
+        for bound in (2**64, 2**256):
+            for seed in (1, 2, 3):
+                for points in (
+                    sample_generic(seed, 10, bound=bound),
+                    sample_on_quadric(seed, 10, transformed=True, bound=bound),
+                ):
+                    assert gated_figure(points)[1]
+                    decision = decide(points)
+                    verdicts.append(decision.on_quadric)
+                    line = json.dumps(decision.to_json(), sort_keys=True, separators=(",", ":"))
+                    digest.update(line.encode() + b"\n")
+        assert verdicts == [False, True] * 6
+        assert digest.hexdigest() == (
+            "03fc315eb43d590bb1359170883d646dfbb6c31699113f2b4008091a9f4294ff"
+        )
+
     def test_decisions_with_and_without_the_filter(self, monkeypatch):
         """The filter changes no decision: on the sampled configurations and
         the fixtures, decision JSON with the filter and with the gate out of
@@ -1149,8 +1347,9 @@ class TestModPFilter:
     def test_built_lazily_once_on_the_first_gated_decision(self):
         """Importing the package builds no mod-p kernel; a decision below
         the gate, a traced one and one with a zero in row 0 of M compile no
-        mod-p program, and the first gated untraced decision builds the
-        kernels and compiles the program, once."""
+        mod-p program, neither the frames program nor the column program,
+        and the first gated untraced decision builds the kernels and
+        compiles both programs, each once."""
         large = sample_generic(1, 10, bound=2**64)
         transform = random_transform(random.Random("mod-p-lazy"), bound=2**40)
         zero_in_row_0 = [transform.apply(point) for point in chart_one_points()]
@@ -1174,7 +1373,8 @@ class TestModPFilter:
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout)
         assert report["built_at_import"] == 0
-        assert report["after_each"] == [[0, 0], [0, 0], [0, 0], [1, 1], [1, 1]]
+        both = ["column", "frames"]
+        assert report["after_each"] == [[0, []], [0, []], [0, []], [1, both], [1, both]]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -1186,27 +1386,35 @@ LAZY_BUILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from quadricheck import cli, generic_case, reductions
-built_at_import = generic_case.column_program.cache_info().currsize
-drawn = []
-real = generic_case.construct_test_point
+programs = (generic_case.column_program, generic_case.frames_program)
+built_at_import = [program.cache_info().currsize for program in programs]
+drawn, tetrahedra = [], []
+real, real_tetrahedron = generic_case.construct_test_point, generic_case.Tetrahedron
 def spy(points, col, trace=None, figure=None):
     if type(trace) is generic_case.Tape:
         drawn.append([list(p.coords) for p in points])
     return real(points, col, trace, figure)
+def tetrahedron_spy(vertices, unit, tape=None):
+    if tape is not None:
+        tetrahedra.append([list(v.coords) for v in vertices])
+    return real_tetrahedron(vertices, unit, tape)
 generic_case.construct_test_point = spy
+generic_case.Tetrahedron = tetrahedron_spy
 for raw in json.loads(sys.argv[2]):
     reductions.decide(cli.load_points({"points": raw}).points)
 print(json.dumps({
     "built_at_import": built_at_import,
-    "builds": generic_case.column_program.cache_info().misses,
-    "compiled": sorted(set(vars(generic_case.column_program())) & {"_untraced", "_traced"}),
+    "builds": [program.cache_info().misses for program in programs],
+    "compiled": [sorted(set(vars(program())) & {"_untraced", "_traced"}) for program in programs],
     "drawn_on_a_tape": drawn,
+    "tetrahedra_on_a_tape": tetrahedra,
 }))
 """
 
 # Imports the package from the source directory given, then decides the
 # configurations given as JSON, each traced or not, and reports after each
-# how often the mod-p kernels were built and the mod-p program compiled.
+# how often the mod-p kernels were built and which mod-p programs were
+# compiled: the column program, the frames program (the canonical one).
 MOD_P_BUILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -1214,13 +1422,14 @@ from quadricheck import cli, constructions, extensors, reductions
 built_at_import = extensors.modp_kernels.cache_info().currsize
 compiled = []
 real = constructions._program_source
-def spy(*args):
-    compiled.append(args[4:] == (True,))
-    return real(*args)
+def spy(tape, leaves, result, traced, mod_p=False, canonical=False):
+    if mod_p:
+        compiled.append("frames" if canonical else "column")
+    return real(tape, leaves, result, traced, mod_p, canonical)
 constructions._program_source = spy
 after_each = []
 for raw, traced in json.loads(sys.argv[2]):
     reductions.decide(cli.load_points({"points": raw}).points, with_trace=traced)
-    after_each.append([extensors.modp_kernels.cache_info().misses, sum(compiled)])
+    after_each.append([extensors.modp_kernels.cache_info().misses, sorted(compiled)])
 print(json.dumps({"built_at_import": built_at_import, "after_each": after_each}))
 """
