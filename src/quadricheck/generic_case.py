@@ -33,16 +33,19 @@ column in another shape, or one the figure would raise on, is drawn, and
 records only what the drawing records.
 
 Before the exact columns, an untraced decision with every entry of M's row
-0 nonzero and some coordinate of at least `MODP_MIN_BITS` bits runs the
-frames program and then the column program mod the prime P on the four
-columns (`StraightLine.run_mod_p`).  The figure is made of joins, meets
-and vector sums of the input points, which are polynomial in the
-coordinates, so each mod-p test point is a multiple of the exact one
-reduced mod P; if all four complete and their bracket is nonzero mod P,
-the exact bracket is nonzero and the verdict is NO.  A zero bracket mod P
-says nothing (it may be a multiple of P), so the filter answers only NO:
-on a decline or a zero bracket, and on every YES, the exact programs
-decide, and give the certificate.
+0 nonzero and det M nonzero mod the prime P runs the frames program and
+then the column program mod P on the four columns
+(`StraightLine.run_mod_p`).  The figure is made of joins, meets and vector
+sums of the input points, which are polynomial in the coordinates, so each
+mod-p test point is a multiple of the exact one reduced mod P; if all four
+complete and their bracket is nonzero mod P, the exact bracket is nonzero
+and the verdict is NO.  A zero bracket mod P says nothing (it may be a
+multiple of P), so the filter answers only NO: on a decline or a zero
+bracket the exact programs decide, and give the certificate.  The test
+points are M's columns in the vertex frame, so their bracket is a nonzero
+multiple of det M, and where det M is 0 mod P the filter cannot answer NO.
+There, and so on every YES, the decision goes straight to the exact
+columns: det M mod P only picks which path runs first, never the verdict.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .constructions import (
     von_staudt_product,
 )
 from .decision import Decision, Labeling, PlanePair, PreconditionViolated
-from .extensors import _JOIN_KERNELS, join, modp_kernels, plane_form
+from .extensors import _JOIN_KERNELS, P, join, modp_kernels, plane_form
 from .projective import (
     GeometryError,
     MONOMIALS,
@@ -71,6 +74,7 @@ from .projective import (
     QuadricCoeffs,
     _trusted_point,
     bracket,
+    det4,
     kernel_basis,
 )
 
@@ -354,17 +358,6 @@ def construct_test_point(points, col, trace=None, figure=None) -> Point:
     return recover_from_chart(tet, chart, projections, trace=trace)
 
 
-# The size gate of the mod-p filter, in bits of the largest coordinate of
-# the relabeled points.  Run on every generic decision of the bench's
-# generic corpora (seeds 7 and 1, one 2 GHz Xeon core), the filter cost a
-# YES decision 0.37-0.55 ms at every size, and saved a NO decision 0.11 ms
-# at about 20 bits, 0.47 ms at about 60, 1.28 ms at about 125 and 4.3 ms at
-# about 250.  Below about 100 bits the saving on NO is no more than about
-# the cost on YES; the gate sits between the largest class of the corpus
-# below that (77 bits) and the next (121 bits).
-MODP_MIN_BITS = 96
-
-
 def _no_mod_p(figure) -> bool:
     """Whether the four test points of the figure are shown not coplanar:
     the frames program, run mod P on the vertices and the global unit, and
@@ -432,10 +425,10 @@ def decide_generic(points, trace=None, table=None) -> Decision:
     Decision), takes the two-planes exit on a zero column of M, otherwise
     constructs the four test points and answers by their coplanarity; on a
     YES verdict the quadric is recovered from the kernel of M through the
-    reducible-quadric basis.  An untraced decision of large points whose
-    row 0 of M has no zero may answer NO first, from the mod-p filter (see
-    the module docstring).  `table` is the IncidenceTable of the points,
-    built when not given.
+    reducible-quadric basis.  An untraced decision whose row 0 of M has no
+    zero and whose det M is nonzero mod P may answer NO first, from the
+    mod-p filter (see the module docstring).  `table` is the IncidenceTable
+    of the points, built when not given.
     """
     config = GenericConfig.validate(points, table)
     pts = list(config.points)
@@ -452,7 +445,7 @@ def decide_generic(points, trace=None, table=None) -> Decision:
     if (
         trace is None
         and all(m.entries[0])
-        and max(abs(c) for p in relabeled for c in p.coords).bit_length() >= MODP_MIN_BITS
+        and det4(*reduced_mod_p(m.entries)) % P  # det M, from its rows
         and _no_mod_p(figure)
     ):
         return Decision(False, "generic", labeling, None, None)

@@ -79,6 +79,7 @@ from quadricheck.projective import (
     Point,
     STANDARD_BASIS,
     bracket,
+    det4,
 )
 from quadricheck.reductions import decide
 
@@ -1014,9 +1015,10 @@ class TestColumnProgram:
     def test_a_frame_off_the_main_shape_is_drawn(self, monkeypatch):
         """With point 7 on the line through point 6 and E0, the frame on the
         chart-0 edge 67 picks another auxiliary direction, so the frames
-        program declines, exactly and, above the gate, mod P.  Every column
-        is then drawn: decisions and traces, untraced and traced, are those
-        of the drawn figure, and above the gate the exact columns decide."""
+        program declines, exactly and, where the filter runs, mod P.  Every
+        column is then drawn: decisions and traces, untraced and traced, are
+        those of the drawn figure, and where the filter runs the exact
+        columns decide."""
         configs = []
         for bound, t in ((25, 3), (2**64, 2**70 + 1)):
             points = sample_generic("e0-on-edge-67", 10, bound=bound)
@@ -1029,16 +1031,17 @@ class TestColumnProgram:
             assert figure.frame_leaves is None and figure.column_leaves(0) is None
             assert all(figure.m.entries[0])
             configs.append(points)
-        figure, gated = gated_figure(configs[1])
-        assert gated and not gated_figure(configs[0])[1]
-        assert frames_program().run_mod_p(reduced_mod_p(figure.frame_inputs())) is None
-        assert not generic_case._no_mod_p(figure)
+        for points in configs:
+            figure, gated = gated_figure(points)
+            assert gated
+            assert frames_program().run_mod_p(reduced_mod_p(figure.frame_inputs())) is None
+            assert not generic_case._no_mod_p(figure)
         programmed = decisions(configs)
         untraced = [decide(points).to_json() for points in configs]
         assert [decision for decision, _ in programmed] == untraced
         monkeypatch.setattr(generic_case, "column_test_point", drawn_column)
         assert decisions(configs) == programmed
-        monkeypatch.setattr(generic_case, "MODP_MIN_BITS", 10**9)
+        monkeypatch.setattr(generic_case, "_no_mod_p", filter_off)
         assert [decide(points).to_json() for points in configs] == untraced
 
     def test_sampled_columns_as_drawn(self, monkeypatch):
@@ -1174,18 +1177,38 @@ def projectively_equal_mod_p(u, v):
 
 
 def gated_figure(points):
-    """The figure a decision of the generic points builds, and whether the
-    mod-p filter runs on it."""
+    """The figure a decision of the generic points builds, and whether an
+    untraced decision runs the mod-p filter on it: row 0 of M has no zero
+    and det M is nonzero mod P."""
     relabeled = decide(points).labeling.apply(points)
     figure = GenericFigure(relabeled)
-    bits = max(abs(c) for point in relabeled for c in point.coords).bit_length()
-    return figure, all(figure.m.entries[0]) and bits >= generic_case.MODP_MIN_BITS
+    return figure, all(figure.m.entries[0]) and cofactor_det(figure.m.entries) % P != 0
+
+
+def filter_off(figure):
+    """The mod-p filter switched off: it never answers."""
+    return False
+
+
+def spy_on_filter(monkeypatch):
+    """The runs of the mod-p filter from here on, each as the points of its
+    figure and its answer."""
+    runs = []
+    real_filter = generic_case._no_mod_p
+
+    def spy(figure):
+        runs.append((figure.points, real_filter(figure)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(generic_case, "_no_mod_p", spy)
+    return runs
 
 
 class TestModPFilter:
-    """An untraced decision of large points first runs the column program
-    mod P; it answers NO where the four test points are not coplanar mod
-    P, and the exact columns decide everything else."""
+    """An untraced decision with no zero in row 0 of M and det M nonzero
+    mod P first runs the column program mod P; it answers NO where the four
+    test points are not coplanar mod P, and the exact columns decide
+    everything else, every YES among it."""
 
     def sampled_configs(self):
         """The configurations of `test_sampled_columns_as_drawn`."""
@@ -1203,12 +1226,12 @@ class TestModPFilter:
         frames included.  On every column, where both the mod-p and the
         exact column program complete, their points are equal mod P up to
         scale; the filter answers NO on the random samples and never on the
-        on-quadric ones."""
+        on-quadric ones, which a decision does not run it on."""
         program = column_program()
         compared = 0
         for points in self.sampled_configs():
             figure, gated = gated_figure(points)
-            assert gated
+            assert gated is not oracle_decide(points)
             shared = frames_program().run_mod_p(reduced_mod_p(figure.frame_inputs()))
             assert len(shared) == len(figure.frame_leaves) == 40
             for mod, exact in zip(shared, figure.frame_leaves):
@@ -1222,26 +1245,26 @@ class TestModPFilter:
             assert generic_case._no_mod_p(figure) is not oracle_decide(points)
         assert compared == 32
 
-    @given(st.integers(0, 2**32), st.sampled_from((2**64, 2**256)))
+    @given(st.integers(0, 2**32), st.sampled_from((2**6, 2**16, 2**32, 2**64, 2**256)))
     @settings(max_examples=12)
     def test_never_no_on_a_quadric(self, seed, bound):
-        """The filter never answers NO on an on-quadric sample with Segre
-        parameters up to the bound, as `sample_on_quadric` draws them,
-        whose points pass the gate."""
+        """On an on-quadric sample with Segre parameters up to the bound, as
+        `sample_on_quadric` draws them, det M is 0 mod P, so a decision
+        goes straight to the exact columns, and the filter, run anyway,
+        never answers NO."""
         points = sample_on_quadric(f"mod-p-filter:{seed}", 10, transformed=True, bound=bound)
         assume(genericity_violation(points) is None)
         sigma = find_Q_labeling(points[:6])
         relabeled = [points[i] for i in sigma] + points[6:]
         figure = GenericFigure(relabeled)
-        bits = max(abs(c) for point in relabeled for c in point.coords).bit_length()
-        assert bits >= generic_case.MODP_MIN_BITS
+        assert cofactor_det(figure.m.entries) % P == 0
         assert not generic_case._no_mod_p(figure)
 
     def test_a_gated_decision_builds_no_frame(self, monkeypatch):
-        """No frame object is built on the programs' path: a gated NO
-        decision, which the filter answers, a gated YES decision, which the
-        exact programs answer, and one below the gate build no Tetrahedron
-        and no LineFrame once the programs are built."""
+        """No frame object is built on the programs' path: NO decisions at
+        2^64 and of a small fixture, which the filter answers, and a YES
+        decision, which goes straight to the exact programs, build no
+        Tetrahedron and no LineFrame once the programs are built."""
         configs = [
             sample_generic(1, 10, bound=2**64),
             sample_on_quadric(1, 10, transformed=True, bound=2**64),
@@ -1257,7 +1280,7 @@ class TestModPFilter:
         for cls in (Tetrahedron, LineFrame):
             monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
         assert [decide(points).on_quadric for points in configs] == [False, True, False]
-        assert gated_figure(configs[0])[1] and gated_figure(configs[1])[1]
+        assert [gated_figure(points)[1] for points in configs] == [True, False, True]
         assert built == []
         drawn = GenericFigure(configs[2]).tetrahedron.edge_frame(0, 1)
         assert [type(x) for x in built] == [Tetrahedron, LineFrame] and built[1] is drawn
@@ -1267,8 +1290,9 @@ class TestModPFilter:
         the line's parameter t, since the quadric through points 0..8 holds
         point 0.  Taking t ≡ -α/β (mod P) makes det M and the
         bracket of the mod-p test points 0 mod P, and the true bracket is
-        not 0: the four mod-p columns complete, the filter does not answer,
-        and the exact columns decide NO with the oracle."""
+        not 0: the four mod-p columns complete and the filter would not
+        answer, so a decision does not run it, and the exact columns decide
+        NO with the oracle."""
         points = sample_generic("mod-p-fall-through", 10, bound=2**64)
         points = decide(points).labeling.apply(points)
         figure = GenericFigure(points)
@@ -1293,7 +1317,8 @@ class TestModPFilter:
         assert det_m(x) % P == 0 and det_m(x) != 0 and gcd(*x) % P
         points[9] = Point(x)
         figure, gated = gated_figure(points)
-        assert gated and decide(points).labeling.perm == tuple(range(10))
+        assert all(figure.m.entries[0]) and not gated
+        assert decide(points).labeling.perm == tuple(range(10))
         program = column_program()
         assert all(program.run_mod_p(mod_p_leaves(figure, col)) for col in range(4))
         assert not generic_case._no_mod_p(figure)
@@ -1304,19 +1329,17 @@ class TestModPFilter:
             return column_test_point(figure, col, trace)
 
         monkeypatch.setattr(generic_case, "column_test_point", counting)
+        filtered = spy_on_filter(monkeypatch)
         decision = decide(points)
-        assert ran == [0, 1, 2, 3]
+        assert ran == [0, 1, 2, 3] and filtered == []
         assert decision.on_quadric is oracle_decide(points) is False
-        monkeypatch.setattr(generic_case, "MODP_MIN_BITS", 10**9)
-        assert decide(points).to_json() == decision.to_json()
 
     def test_pinned_untraced_digest(self):
-        """The pinned digests of `tests/test_scripts.py` decide traced inputs
-        of at most 23 bits, so neither reaches the untraced program or the
-        filter.  Random and on-quadric samples for seeds 1-3 at 2^64 and
-        2^256, decided untraced, pass the gate: the random ones are
-        answered NO by the filter, the on-quadric ones YES by the untraced
-        program.  Every decision must stay byte-identical to this digest."""
+        """Random and on-quadric samples for seeds 1-3 at 2^64 and 2^256,
+        decided untraced: the random ones reach the filter, which answers
+        them NO, and the on-quadric ones have det M = 0 mod P and go
+        straight to the untraced program, which answers them YES.  Every
+        decision must stay byte-identical to this digest."""
         digest = hashlib.sha256()
         verdicts = []
         for bound in (2**64, 2**256):
@@ -1325,8 +1348,8 @@ class TestModPFilter:
                     sample_generic(seed, 10, bound=bound),
                     sample_on_quadric(seed, 10, transformed=True, bound=bound),
                 ):
-                    assert gated_figure(points)[1]
                     decision = decide(points)
+                    assert gated_figure(points)[1] is not decision.on_quadric
                     verdicts.append(decision.on_quadric)
                     line = json.dumps(decision.to_json(), sort_keys=True, separators=(",", ":"))
                     digest.update(line.encode() + b"\n")
@@ -1337,29 +1360,76 @@ class TestModPFilter:
 
     def test_decisions_with_and_without_the_filter(self, monkeypatch):
         """The filter changes no decision: on the sampled configurations and
-        the fixtures, decision JSON with the filter and with the gate out of
-        reach are the same."""
+        the fixtures, decision JSON with the filter and with it switched off
+        are the same."""
         configs = self.sampled_configs() + generic_fixtures()
         filtered = [decide(points).to_json() for points in configs]
-        monkeypatch.setattr(generic_case, "MODP_MIN_BITS", 10**9)
+        monkeypatch.setattr(generic_case, "_no_mod_p", filter_off)
         assert [decide(points).to_json() for points in configs] == filtered
 
+    def test_routed_by_det_m_mod_p(self, monkeypatch):
+        """On the fixtures and on random and on-quadric samples from 2^6 to
+        2^256, the filter runs on exactly the untraced decisions whose row
+        0 of M has no zero and whose det M is nonzero mod P, on the figure
+        the decision builds, and never on a YES or a traced decision.  The
+        det M mod P of the routing, the `det4` of M's rows reduced mod P, is
+        the cofactor determinant of M mod P."""
+        configs = generic_fixtures()
+        for bound in (2**6, 2**16, 2**32, 2**64, 2**256):
+            for seed in (1, 2):
+                configs.append(sample_generic(seed, 10, bound=bound))
+                configs.append(sample_on_quadric(seed, 10, transformed=True, bound=bound))
+        routes = []
+        for points in configs:
+            figure, gated = gated_figure(points)
+            rows = figure.m.entries
+            assert det4(*reduced_mod_p(rows)) % P == cofactor_det(rows) % P
+            routes.append((gated, figure.points))
+        ran = spy_on_filter(monkeypatch)
+        verdicts = Counter()
+        for points, (gated, relabeled) in zip(configs, routes):
+            decision = decide(points)
+            assert decision.branch == "generic"
+            assert [figure_points for figure_points, _ in ran] == ([relabeled] if gated else [])
+            assert not (gated and decision.on_quadric)
+            verdicts[gated, decision.on_quadric] += 1
+            ran.clear()
+            assert decide(points, with_trace=True).to_json() == decision.to_json()
+            assert ran == []
+        assert verdicts == {(True, False): 18, (False, True): 10, (False, False): 1}
+
+    def test_fuzz_reaches_the_filter(self, monkeypatch, capsys):
+        """The fuzz driver's coordinates have at most 24 bits, and its
+        generic NO configurations reach the filter, which answers some of
+        them NO; every verdict agrees with the oracle."""
+        runs = spy_on_filter(monkeypatch)
+        assert cli.main(["fuzz", "--seed", "1", "--seeds", "2", "--count", "20"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["agreements"] == 40
+        assert summary["disagreements"] == summary["errors"] == []
+        assert any(answer for _, answer in runs)
+
     def test_built_lazily_once_on_the_first_gated_decision(self):
-        """Importing the package builds no mod-p kernel; a decision below
-        the gate, a traced one and one with a zero in row 0 of M compile no
-        mod-p program, neither the frames program nor the column program,
-        and the first gated untraced decision builds the kernels and
-        compiles both programs, each once."""
+        """Importing the package builds no mod-p kernel; a YES decision,
+        whose det M is 0 mod P, a traced one and one with a zero in row 0 of
+        M compile no mod-p program, neither the frames program nor the
+        column program, and the first untraced decision the filter runs on,
+        a NO of small coordinates, builds the kernels and compiles both
+        programs, each once."""
         large = sample_generic(1, 10, bound=2**64)
+        on_quadric = sample_on_quadric(1, 10, transformed=True, bound=2**64)
+        small = fixtures.generate_branch("generic", 1)
         transform = random_transform(random.Random("mod-p-lazy"), bound=2**40)
         zero_in_row_0 = [transform.apply(point) for point in chart_one_points()]
         figure, gated = gated_figure(zero_in_row_0)
         assert not figure.m.entries[0][0] and not gated
-        assert min(abs(c) for point in zero_in_row_0 for c in point.coords).bit_length() > 96
+        assert cofactor_det(figure.m.entries) % P
+        assert [gated_figure(points)[1] for points in (on_quadric, small)] == [False, True]
         configs = [
-            (fixtures.generate_branch("generic", 1), False),
+            (on_quadric, False),
             (large, True),
             (zero_in_row_0, False),
+            (small, False),
             (large, False),
             (sample_generic(2, 10, bound=2**64), False),
         ]
@@ -1374,7 +1444,7 @@ class TestModPFilter:
         report = json.loads(result.stdout)
         assert report["built_at_import"] == 0
         both = ["column", "frames"]
-        assert report["after_each"] == [[0, []], [0, []], [0, []], [1, both], [1, both]]
+        assert report["after_each"] == [[0, []]] * 3 + [[1, both]] * 3
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

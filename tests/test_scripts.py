@@ -298,6 +298,18 @@ class TestDecisionDigest:
             "traces 61aae68e2513eb89ed20c2eac952df0da9c6d66a1de5ab11b133aee7d8dd909e",
         ]
 
+    def test_pinned_untraced_digest(self):
+        # fuzz configurations 0..149 of seed 5 and the fixtures of seeds
+        # 5..8, 194 configurations, decided untraced: every decision, the
+        # small-coordinate NO verdicts of the mod-p filter among them, must
+        # stay byte-identical to this digest
+        result = run_script("decision_digest.py", "--seed", 5, "--count", 150, "--fixture-seeds", 4)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "decisions 7bb4bf022be084611f73a39ed32c328a6fc0eac0d503df6abcecb1b94d74f855"
+            " 194 configurations",
+        ]
+
     def test_pinned_fixture_digest(self):
         # the fixtures of every kind for seeds 5..12, 88 configurations:
         # every special-position branch that the plane-first scans decide
