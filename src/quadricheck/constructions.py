@@ -26,21 +26,24 @@ apart from others, four points that span space), in order.  A
 tetrahedron built with a Tape draws there its checks and its edge lines
 and frames, their memos included.  `StraightLine` compiles such a tape
 into a generated function of the figure's leaves, the values it reads and
-does not compute: each step or sum is a line of code, or reads the leaf
-or earlier output that holds the value, and each check, with each check
-of a computed step (a nonzero join or meet point, coplanar lines that
-meet), is an inline guard.  The program thus holds in the shape of the
-drawing, and returns None wherever the figure would take another shape or
-raise; run traced, it hands its steps to `_record` only once it
-completes, in the figure's order.  Run untraced, it meets a line pq with
-a coplanar line l at [πp]q - [πq]p for the plane π = join(l, E3), and
-holds every point up to scale and makes only its result canonical, or,
-compiled as a canonical program, makes every point canonical and returns
-the figure's values bit for bit.  Run mod the prime P (`run_mod_p`), it
-is the same body on other names: kernels that reduce mod P, on the leaves
-reduced mod P.  It declines wherever a value it needs is 0 mod P; its
-output is then the untraced output reduced mod P, up to a scale nonzero
-mod P, which is enough to show a bracket of outputs nonzero and no more.
+does not compute: each step or sum is a line of code, or reads the leaf,
+earlier output or earlier step of the same op and inputs that holds the
+value, and each check, with each check of a computed step (a nonzero join
+or meet point, coplanar lines that meet), is an inline guard.  The
+program thus holds in the shape of the drawing, and returns None wherever
+the figure would take another shape or raise; run traced, it hands its
+steps to `_record` only once it completes, in the figure's order.  A
+figure may read a shared part drawn on a tape of its own, such as a
+tetrahedron with its frames: the program then runs the shared part once,
+the figure once per column of leaves, and returns the bracket of the
+columns' results.  Run untraced, it meets a line pq with a coplanar line l
+at [πp]q - [πq]p for the plane π = join(l, E3), makes every point of the
+shared part canonical, and holds every point of the figure up to scale
+but its result.  Run mod the prime P (`run_mod_p`), it is the same body
+on other names: kernels that reduce mod P, on the leaves reduced mod P.
+It declines wherever a value it needs is 0 mod P; its output is then the
+untraced output reduced mod P, up to a scale nonzero mod P, which is
+enough to show a bracket of outputs nonzero and no more.
 
 A chart recovery meets its three planes in a point.  Traced, and so in the
 traced program, it meets the first two in a line and that line with the
@@ -760,9 +763,9 @@ class Tape:
 # and `project_to_edge` OnOppositeEdge), and so must a meet point.
 # Coplanar lines meet in `line_meet_line`, as in the figure; the program
 # returns None where it raises (SkewLines or coincident lines).  A meet of
-# a line and a plane is held up to scale: a program that makes its points
-# canonical makes it canonical after these lines, as the figure does, and
-# the untraced column program makes no point canonical but its result.
+# a line and a plane is held up to scale: a part of a program that makes
+# its points canonical makes it canonical after these lines, as the figure
+# does, and an untraced figure makes no point canonical but its result.
 _STEP_CODE = {
     ("join", (1, 1, 2)): ("{out} = jp({0}, {1})", "if not any({out}): return"),
     ("join", (1, 1, 1, 3)): ("{out} = jlp(jp({0}, {1}), {2})", "if not any({out}): return"),
@@ -775,43 +778,41 @@ _STEP_CODE = {
     ("meet", (3, 3, 2)): ("{out} = mpp({0}, {1})",),
 }
 
-# A program that is not traced meets a line {0} that it joined from the
-# points {p} and {q} with a coplanar line {1} as [πp]q - [πq]p, for the
-# plane π = join({1}, E3), with the two brackets divided by their gcd,
-# which keeps the point small at the cost of a gcd of two brackets in
-# place of the four-coordinate gcd of a canonical point.  It is nonzero,
-# since the join guard keeps p and q apart.  The skew guard is the
-# figure's, and never declines on a figure built from points (the argument
-# above `_CHECK_CODE`); where both brackets vanish, E3 lies on the common
-# plane (or the lines coincide), and the meet falls back to
-# `line_meet_line`.
-_MEET_OF_JOIN_CODE = (
-    "if jll({0}, {1})[0]: return",
-    "al = wb({1}, {p})[0]",
-    "be = wb({1}, {q})[0]",
-    "if al or be:",
-    "    g = gcd(al, be)",
-    "    al //= g",
-    "    be //= g",
-    "    (p0, p1, p2, p3), (q0, q1, q2, q3) = {p}, {q}",
-    "    {out} = (al * q0 - be * p0, al * q1 - be * p1, al * q2 - be * p2, al * q3 - be * p3)",
-    "else:",
-    "    try: {out} = line_meet_line({0}, {1})",
-    "    except ValueError: return",
-)
+def _meet_of_join(al, be, p, q, l1, l2):
+    """The point [πp]q - [πq]p where the line l1, joined from the points p
+    and q, meets the coplanar line l2, from al = [πp] and be = [πq] for the
+    plane π = join(l2, E3).  The two brackets are divided by their gcd,
+    which keeps the point small at the cost of a gcd of two brackets in
+    place of the four-coordinate gcd of a canonical point.  The point is
+    nonzero, since the join guard keeps p and q apart.  Where both brackets
+    vanish, E3 lies on the common plane (or the lines coincide), and the
+    lines meet in `line_meet_line`; None where it raises."""
+    if al or be:
+        g = gcd(al, be)
+        al, be = al // g, be // g
+        (p0, p1, p2, p3), (q0, q1, q2, q3) = p, q
+        return (al * q0 - be * p0, al * q1 - be * p1, al * q2 - be * p2, al * q3 - be * p3)
+    try:
+        return line_meet_line(l1, l2)
+    except ValueError:
+        return None
 
-# The mod-p program meets a joined line in the same way, with no gcd and
-# each coordinate reduced mod P, and declines where both brackets are 0
-# mod P: where they are 0 over Z the exact program takes the fallback, and
-# where they are 0 mod P only, the point is not known mod P.
-_MOD_P_MEET_OF_JOIN_CODE = (
-    *_MEET_OF_JOIN_CODE[:3],
-    "if not (al or be): return",
-    "(p0, p1, p2, p3), (q0, q1, q2, q3) = {p}, {q}",
-    "{out} = ("
-    + ", ".join(f"(al * q{i} - be * p{i}) % {P}" for i in range(4))
-    + ")",
-)
+
+def _meet_of_join_mod_p(al, be, p, q, l1, l2):
+    """`_meet_of_join` mod P, on values reduced mod P, with no gcd and each
+    coordinate reduced; None where both brackets are 0 mod P: where they
+    are 0 over Z the exact program meets the lines in `line_meet_line`, and
+    where they are 0 mod P only, the point is not known mod P."""
+    if not (al or be):
+        return None
+    (p0, p1, p2, p3), (q0, q1, q2, q3) = p, q
+    return (
+        (al * q0 - be * p0) % P,
+        (al * q1 - be * p1) % P,
+        (al * q2 - be * p2) % P,
+        (al * q3 - be * p3) % P,
+    )
+
 
 # The untraced program recovers a chart's point from the names {0}, {1},
 # {2} of its three planes as `_chart_hit` does, in the vertex frame {frame}
@@ -823,18 +824,19 @@ _CHART_HIT_CODE = (
 )
 
 # The guard of each check that `_held` notes; the program returns None
-# where the figure would take another shape or raise.  In the traced
-# program, whose points are canonical, a point apart from others compares
-# coordinates; every other program tests that its join with each other
-# point is nonzero, which holds its points up to scale.  Four points span
-# space where their bracket is nonzero.
+# where the figure would take another shape or raise.  In a traced
+# figure, whose points are canonical, a point apart from others compares
+# coordinates; every other part of a program tests that its join with each
+# other point is nonzero, which holds its points up to scale, and tests
+# nothing of two points it has joined already: the join's own guard is
+# that test.  Four points span space where their bracket is nonzero.
 #
 # The mod-p program is the exact program's body on other names
 # (`_mod_p_program_names`): kernels that reduce mod P, run on leaves
 # reduced mod P, a `chart_hit` of `_chart_hit_mod_p`, a `det4` reduced mod
 # P, a `canon` that only reduces a point's coordinates (mod P a point is
-# known only up to scale), and a `line_meet_line` that declines.  Only its
-# meets of joined lines differ.  Each of its values is then the exact
+# known only up to scale), a `meet_of_join` of `_meet_of_join_mod_p`, and
+# a `line_meet_line` that declines.  Each of its values is then the exact
 # program's reduced mod P, up to a scale nonzero mod P, wherever the values
 # it needs are nonzero mod P.
 #
@@ -866,10 +868,10 @@ _CHECK_CODE = {
 }
 
 
-def _program_names(join_kernels, meet_kernels, witness_bracket, chart_hit, **names):
+def _program_names(join_kernels, meet_kernels, witness_bracket, chart_hit, meet_of_join, **names):
     """What a program binds as locals: the kernels it runs, keyed as in
     `_JOIN_KERNELS` and `_MEET_KERNELS`, the bracket [join(l, E3), p], the
-    chart hit, and the names given."""
+    chart hit, the meet of a joined line, and the names given."""
     return {
         "any": any,
         "jp": join_kernels[1, 1],
@@ -879,15 +881,16 @@ def _program_names(join_kernels, meet_kernels, witness_bracket, chart_hit, **nam
         "mpp": meet_kernels[3, 3],
         "wb": witness_bracket,
         "chart_hit": chart_hit,
+        "meet_of_join": meet_of_join,
         **names,
     }
 
 
-# What the exact programs bind; they read `line_meet_line` from this module
-# when they run.
+# What the exact programs bind; they, and `_meet_of_join`, read
+# `line_meet_line` from this module when they run.
 _PROGRAM_NAMES = _program_names(
-    _JOIN_KERNELS, _MEET_KERNELS, _WITNESS_BRACKETS[3], _chart_hit,
-    gcd=gcd, canon=_canonical_nonzero, det4=det4,
+    _JOIN_KERNELS, _MEET_KERNELS, _WITNESS_BRACKETS[3], _chart_hit, _meet_of_join,
+    canon=_canonical_nonzero, det4=det4,
 )
 
 
@@ -909,7 +912,7 @@ def _mod_p_program_names():
     that reduces, and a `line_meet_line` that declines.  Built on first use,
     with the kernels, never at import."""
     return _program_names(
-        *modp_kernels(), _chart_hit_mod_p,
+        *modp_kernels(), _chart_hit_mod_p, _meet_of_join_mod_p,
         canon=_reduced, det4=_det4_mod_p, line_meet_line=_no_meet_mod_p,
     )
 
@@ -922,30 +925,37 @@ class StraightLine:
     Each step of the tape, repeats included, is one line of the program:
     its output is computed by the generated kernels as `_STEP_CODE` says,
     or read from the leaf or earlier step that holds it, as the figure
-    reads a memoized value.  Each vector sum is one line, and reads only
-    leaves and the basis points, which the program writes as literals.
-    Each check of the tape, and each check that a computed step makes, is
-    an inline guard, so the program holds in the figure's shape on the
-    tape and returns None everywhere else: there the figure takes another
-    shape or raises.  `leaves` lists the tape's leaves, each matched to the
-    tape's values by identity, and `result` is the figure's output, one
-    value or a tuple of them; `run` takes the leaves of another figure in
-    the same order.
+    reads a memoized value, or from an earlier step of the same op on the
+    same names.  Each vector sum is one line, and reads only leaves and
+    the basis points, which the program writes as literals.  Each check of
+    the tape, and each check that a computed step makes, is an inline
+    guard, so the program holds in the figure's shape on the tape and
+    returns None everywhere else: there the figure takes another shape or
+    raises.  `leaves` lists the tape's leaves, each matched to the tape's
+    values by identity, and `result` is the figure's output; `run` takes
+    the leaves of another figure in the same order and, with no shared
+    part, returns that output: the form in which the tests compile a
+    single figure, such as one von Staudt product.
+
+    `shared`, when given, is the (tape, leaves) of a part the figure reads
+    and draws nothing of, such as a tetrahedron with its frames: its
+    values are matched to the figure's inputs by identity, as leaves are.
+    The program then runs the shared part once on its leaves and the
+    figure once per column in a loop, on leaves (shared leaves, columns),
+    and returns the bracket of the four columns' results.  The shared part
+    makes every point canonical in every function, as the figure does.
 
     The program is compiled three times, each function on its first run.
-    The traced function computes every step as the figure does, so each
-    output it hands the trace is canonical.  The untraced function holds
-    its points as `canonical` says.  A canonical program makes every point
-    canonical, as the figure does, so it returns the figure's values bit
-    for bit; the frames program, whose values the column program reads,
-    is one.  Otherwise it holds every point up to scale and makes only its
-    result canonical, so it returns what the traced function returns.
-    Either way its apart guards are projective, and it meets a line it
-    joined with a coplanar line as `_MEET_OF_JOIN_CODE` says.  Where a
-    chart recovery drawn on the tape noted its vertex frame, it expands
-    the recovered point in that frame as `_CHART_HIT_CODE` says, in place
-    of the recovery's two meets, which the traced function computes and
-    records.
+    The traced function computes every step of the figure as the figure
+    does, so each output it hands the trace is canonical.  The untraced
+    function holds every point of the figure up to scale and makes only its
+    result canonical, so it gives what the traced function gives.  Outside
+    the traced figure, apart guards are projective, and a line the program
+    joined meets a coplanar line by `_meet_of_join`.  Where a chart
+    recovery drawn on the tape noted its vertex frame, the untraced function
+    expands the recovered point in that frame as `_CHART_HIT_CODE` says, in
+    place of the recovery's two meets, which the traced function computes
+    and records.
 
     The mod-p function, which `run_mod_p` runs, is the untraced body
     compiled on other names, with kernels built on its first run (see
@@ -957,9 +967,8 @@ class StraightLine:
     show a polynomial in the outputs nonzero.
     """
 
-    def __init__(self, tape, leaves, result, canonical=False):
-        self._figure = (tape, leaves, result)
-        self._canonical = canonical
+    def __init__(self, tape, leaves, result, shared=None):
+        self._figure = (tape, leaves, result, shared)
 
     @cached_property
     def _untraced(self):
@@ -975,7 +984,8 @@ class StraightLine:
 
     def _compiled(self, traced, mod_p=False):
         namespace = dict(_mod_p_program_names() if mod_p else _PROGRAM_NAMES)
-        source = _program_source(*self._figure, traced, mod_p, self._canonical)
+        tape, leaves, result, shared = self._figure
+        source = _program_source(tape, leaves, result, traced, mod_p, shared)
         exec(compile(source, "<straight-line program>", "exec"), globals(), namespace)
         return namespace["mod_p" if mod_p else "traced" if traced else "untraced"]
 
@@ -1006,24 +1016,29 @@ def reduced_mod_p(values) -> tuple:
     return tuple([_reduced(value) for value in values])
 
 
-def _program_source(tape, leaves, result, traced, mod_p=False, canonical=False):
+def _program_source(tape, leaves, result, traced, mod_p=False, shared=None):
     """Source of the function `traced`, `untraced` or `mod_p` that
     StraightLine runs: it unpacks the leaves it reads, runs the tape's
     steps, sums and checks in order, and returns the result, and when
-    traced also every step as an (op, grades, inputs, output) tuple.  The
-    untraced and mod-p functions share one body, and differ only in their
-    meets of joined lines and the names they bind.  A canonical program,
-    and the traced one, make each point canonical where the figure does."""
-    meet_of_join = _MOD_P_MEET_OF_JOIN_CODE if mod_p else _MEET_OF_JOIN_CODE
-    canonical = canonical or traced
+    traced also every step as an (op, grades, inputs, output) tuple.  With
+    a shared part, it runs the shared tape first, then the tape in a loop
+    over the columns, and returns the bracket of their results, and when
+    traced also the steps of every column.  The untraced and mod-p
+    functions share one body, and differ only in the names they bind.  The
+    shared part, and a traced figure, make each point canonical where the
+    figure does."""
     names = {}
-    for i, value in enumerate(leaves):
-        names.setdefault(id(value), f"a{i}")
+    for prefix, values in (("a", shared[1]), ("b", leaves)) if shared else (("a", leaves),):
+        for i, value in enumerate(values):
+            names.setdefault(id(value), f"{prefix}{i}")
     for e in STANDARD_BASIS:
         names.setdefault(id(e.coords), repr(e.coords))
     computed = set()  # the names of the values the program computes
     read = set()
+    made = {}  # (op, grades, *input names) of each step -> its output's name
     joined = {}  # the name of each line the program joins -> its two points' names
+    apart = set()  # the pairs of point names the program has joined, so knows apart
+    brackets = {}  # (line, point) names -> the name of their witness bracket
 
     def name(value):
         held = names.get(id(value))
@@ -1037,68 +1052,112 @@ def _program_source(tape, leaves, result, traced, mod_p=False, canonical=False):
         computed.add(out)
         return out
 
-    body, steps = [], []
-    cut = None  # the step that meets a recovery's first two planes, while its hit is to come
-    for entry in tape.steps:
-        if type(entry) is VectorSum:
-            args = [name(v) for v in entry.inputs]
-            if computed.intersection(args):
-                # mod P a computed point is known only up to scale
-                raise ValueError("a vector sum reads only leaves and basis points")
-            out = new_name(entry.output)
-            terms = " + ".join(
-                f"{arg}[{{m}}]" if w == 1 else f"{w} * {arg}[{{m}}]"
-                for w, arg in zip(entry.weights, args)
-            )
-            coords = ", ".join(terms.format(m=m) for m in range(4))
-            body += (f"{out} = ({coords})", f"if not any({out}): return", f"{out} = canon({out})")
-            continue
-        if type(entry) is not TraceStep:
-            kind, *values = entry
-            args = [name(v) for v in values]
-            if kind == "apart" and not traced:
-                guard = " or ".join(f"not any(jp({args[0]}, {other}))" for other in args[1:])
-                body.append(f"if {guard}: return")
-            else:
-                body.append(_CHECK_CODE[kind].format(*args, rest=", ".join(args[1:])))
-            continue
-        if not traced and id(entry.output) in tape.frames:
-            # the line of a recovery's first two planes, which only the
-            # recovery's hit reads: the untraced program never computes it
-            cut = entry
-            continue
-        inputs, code = entry.inputs, _STEP_CODE[entry.op, entry.grades]
-        frame = p = q = None
-        if cut is not None and inputs[0] is cut.output:
-            inputs, code = (*cut.inputs, inputs[1]), _CHART_HIT_CODE
-            frame = ", ".join(map(name, tape.frames[id(cut.output)]))
-            cut = None
-        args = [name(v) for v in inputs]
-        out = names.get(id(entry.output))
-        if out is None:
-            out = new_name(entry.output)
-            if not traced and entry.grades == (2, 2, 1) and args[0] in joined:
-                code, (p, q) = meet_of_join, joined[args[0]]
-            if canonical and entry.grades[-1] == 1 and code is not _STEP_CODE["meet", (2, 2, 1)]:
-                code = (*code, "{out} = canon({out})")
-            body += (line.format(*args, out=out, frame=frame, p=p, q=q) for line in code)
-        if entry.grades == (1, 1, 2):
-            joined[out] = tuple(args)
-        read.add(out)
-        steps.append(f"({entry.op!r}, {entry.grades!r}, ({', '.join(args)},), {out})")
-    if id(result) in names:
-        output = name(result)
-    else:  # a tuple of values, which no step outputs
-        output = f"({', '.join(map(name, result))},)"
-    unpack = ", ".join(f"a{i}" if f"a{i}" in read else "_" for i in range(len(leaves)))
-    bound = ", ".join(f"{n}={n}" for n in (_mod_p_program_names() if mod_p else _PROGRAM_NAMES))
-    if traced:
-        body.append(f"return {output}, ({', '.join(steps)},)")
+    def meet_of_join(line, other, out):
+        """The code that meets the line joined from p and q with a coplanar
+        line by `meet_of_join`, from the brackets [πp] and [πq] for the
+        plane π = join(other, E3).  The skew guard comes first; it is the
+        figure's, and never declines on a figure built from points (the
+        argument above `_CHECK_CODE`).  Each bracket is a witness bracket
+        bound to a name of its own the first time a meet reads it."""
+        p, q = joined[line]
+        code = [f"if jll({line}, {other})[0]: return"]
+        for point in (p, q):
+            if (other, point) not in brackets:
+                brackets[other, point] = f"w{len(brackets)}"
+                code.append(f"{brackets[other, point]} = wb({other}, {point})[0]")
+        al, be = brackets[other, p], brackets[other, q]
+        code.append(f"{out} = meet_of_join({al}, {be}, {p}, {q}, {line}, {other})")
+        return code + [f"if {out} is None: return"]
+
+    def section(tape, traced, canonical):
+        """The lines of the tape's steps, sums and checks, and the tuples
+        of its steps that a traced function returns."""
+        body, steps = [], []
+        cut = None  # the step that meets a recovery's first two planes, while its hit is to come
+        for entry in tape.steps:
+            if type(entry) is VectorSum:
+                args = [name(v) for v in entry.inputs]
+                if computed.intersection(args):
+                    # mod P a computed point is known only up to scale
+                    raise ValueError("a vector sum reads only leaves and basis points")
+                out = new_name(entry.output)
+                terms = " + ".join(
+                    f"{arg}[{{m}}]" if w == 1 else f"{w} * {arg}[{{m}}]"
+                    for w, arg in zip(entry.weights, args)
+                )
+                coords = ", ".join(terms.format(m=m) for m in range(4))
+                body += (f"{out} = ({coords})", f"if not any({out}): return", f"{out} = canon({out})")
+                continue
+            if type(entry) is not TraceStep:
+                kind, *values = entry
+                args = [name(v) for v in values]
+                if kind == "apart" and not traced:
+                    point, *others = args
+                    others = [other for other in others if frozenset((point, other)) not in apart]
+                    if others:
+                        tests = (f"not any(jp({point}, {other}))" for other in others)
+                        body.append(f"if {' or '.join(tests)}: return")
+                else:
+                    body.append(_CHECK_CODE[kind].format(*args, rest=", ".join(args[1:])))
+                continue
+            if not traced and id(entry.output) in tape.frames:
+                # the line of a recovery's first two planes, which only the
+                # recovery's hit reads: the untraced program never computes it
+                cut = entry
+                continue
+            inputs, code = entry.inputs, _STEP_CODE[entry.op, entry.grades]
+            frame = None
+            if cut is not None and inputs[0] is cut.output:
+                inputs, code = (*cut.inputs, inputs[1]), _CHART_HIT_CODE
+                frame = ", ".join(map(name, tape.frames[id(cut.output)]))
+                cut = None
+            args = [name(v) for v in inputs]
+            key = (entry.op, entry.grades, *args)
+            out = names.get(id(entry.output)) or made.get(key)
+            if out is None:
+                out = new_name(entry.output)
+                joins = not traced and entry.grades == (2, 2, 1) and args[0] in joined
+                if joins:
+                    body += meet_of_join(*args, out)
+                else:
+                    body += (line.format(*args, out=out, frame=frame) for line in code)
+                # `line_meet_line` makes its point canonical itself
+                if canonical and entry.grades[-1] == 1 and (joins or entry.grades != (2, 2, 1)):
+                    body.append(f"{out} = canon({out})")
+            names[id(entry.output)] = out
+            made.setdefault(key, out)
+            if entry.grades == (1, 1, 2):
+                joined[out] = tuple(args)
+                apart.add(frozenset(args))
+            read.add(out)
+            steps.append(f"({entry.op!r}, {entry.grades!r}, ({', '.join(args)},), {out})")
+        return body, steps
+
+    def unpack(prefix, values):
+        leaf_names = (f"{prefix}{i}" for i in range(len(values)))
+        return ", ".join(leaf if leaf in read else "_" for leaf in leaf_names)
+
+    first = section(shared[0], False, True)[0] if shared else []
+    body, steps = section(tape, traced, traced)
+    output = name(result)
+    if shared is None:
+        ends = [f"return {output}, ({', '.join(steps)},)" if traced else f"return canon({output})"]
+        lines = [f"({unpack('a', leaves)},) = leaves", *body, *ends]
     else:
-        body.append(f"return {output}" if canonical else f"return canon({output})")
+        body.append(f"points.append({output})" if traced else f"points.append(canon({output}))")
+        if traced:
+            body.append(f"steps += ({', '.join(steps)},)")
+        lines = [
+            f"({unpack('a', shared[1])},), columns = leaves",
+            *first,
+            "points, steps = [], []" if traced else "points = []",
+            f"for ({unpack('b', leaves)},) in columns:",
+            *("    " + line for line in body),
+            "return det4(*points), steps" if traced else "return det4(*points)",
+        ]
+    bound = ", ".join(f"{n}={n}" for n in (_mod_p_program_names() if mod_p else _PROGRAM_NAMES))
     function = "mod_p" if mod_p else "traced" if traced else "untraced"
-    lines = [f"def {function}(leaves, {bound}):", f"({unpack},) = leaves"]
-    return "\n    ".join(lines + body) + "\n"
+    return "\n    ".join([f"def {function}(leaves, {bound}):", *lines]) + "\n"
 
 
 # ---------------------------------------------------------------------------

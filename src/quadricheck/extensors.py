@@ -15,14 +15,14 @@ compute meet(l1, join(l2, E_k)) for two lines and a basis point E_k in one
 step, for meeting coplanar lines.  Four more, `_WITNESS_BRACKETS[k]`,
 compute the bracket [join(l, E_k), p] of a line l and a point p in three
 products: the line pq meets the plane π = join(l, E_k) at [πp]q - [πq]p,
-which is how the column program meets coplanar lines.  Coefficients are
+which is how the generic program meets coplanar lines.  Coefficients are
 always ints: points have canonical integer coordinates, the kernels only
 add and multiply, and Extensor(...) refuses any other type.
 
 `modp_kernels()` generates, on its first call and never at import, the
 join and meet kernels and the witness bracket [join(l, E3), p] from the
 same tables with every output coefficient reduced mod the prime P, for the
-column program's mod-p filter: each equals the exact kernel reduced mod P.
+generic program's mod-p filter: each equals the exact kernel reduced mod P.
 """
 
 from __future__ import annotations

@@ -9,43 +9,40 @@ synthetically by constructing the images of M's columns and testing the
 four constructed points for coplanarity.
 
 `construct_test_point` draws a column through the figures of
-`constructions`.  A decision runs each column through `column_test_point`
-instead, which, when the column's entry in row 0 is nonzero, runs the
-column program: column 0 of a fixed reference configuration, drawn once on
-a Tape and compiled to straight-line code (`column_program`).  What the
-column reads of the tetrahedron 6789 (its vertices, its three chart-0 edge
-frames with their scaffolds, and their edge lines) comes from the frames
-program: the reference tetrahedron and those frames drawn once on a Tape
-through the same `Tetrahedron`, `LineFrame` and `choose_auxiliaries` code
-(`frames_program`), compiled to return their values bit for bit.  So a
-decision builds no frame object where the programs run.  Both are built on
-the first generic decision, never at import, and once per process, and
-each of their functions is compiled on its first run.  The untraced
-column program holds every point up to scale, makes only the test point
+`constructions`.  Where row 0 of M has no zero, so that every column is
+built in chart 0, a decision runs the generic program in its place
+(`generic_program`): the tetrahedron of a fixed reference configuration,
+drawn on one Tape, and column 0 of that configuration, drawn on a second
+Tape that reads the tetrahedron, compiled to one straight-line program.
+The program runs the tetrahedron's part once, making every point
+canonical as the drawing does, then the column's body in a loop over the
+four columns, and ends with the bracket of the four test points.  It is
+built on the first generic decision, never at import, and once per
+process, and each of its functions is compiled on its first run.  Its
+untraced body holds every point up to scale, makes only the test point
 canonical, and recovers it in the vertex frame of the tetrahedron, where
-the traced one records the recovery's two meets; the mod-p programs are
-the untraced bodies on other names (see `StraightLine`).  The column
-program holds in the main shape (chart 0, every von Staudt factor finite
-and nonzero), and the frames program where each chart-0 frame picks E0 as
-its auxiliary direction; there they give the drawn column's test point
-and trace steps.  Their guards hold every check of the drawing, so a
-column in another shape, or one the figure would raise on, is drawn, and
-records only what the drawing records.
+the traced one records the recovery's two meets; the mod-p function is
+the untraced one on other names (see `StraightLine`).  The program holds
+in the main shape (each chart-0 frame picks E0 as its auxiliary
+direction, and every von Staudt factor is finite and nonzero), and there
+it gives the drawn bracket and trace steps.  Its guards hold every check
+of the drawing, so where a frame or a column takes another shape, or the
+figure would raise, it declines, and all four columns are drawn and
+record only what the drawing records.
 
-Before the exact columns, an untraced decision with every entry of M's row
-0 nonzero and det M nonzero mod the prime P runs the frames program and
-then the column program mod P on the four columns
+Before the exact program, an untraced decision with every entry of M's
+row 0 nonzero and det M nonzero mod the prime P runs the program mod P
 (`StraightLine.run_mod_p`).  The figure is made of joins, meets and vector
 sums of the input points, which are polynomial in the coordinates, so each
-mod-p test point is a multiple of the exact one reduced mod P; if all four
-complete and their bracket is nonzero mod P, the exact bracket is nonzero
-and the verdict is NO.  A zero bracket mod P says nothing (it may be a
-multiple of P), so the filter answers only NO: on a decline or a zero
-bracket the exact programs decide, and give the certificate.  The test
+mod-p test point is a multiple of the exact one reduced mod P; if the
+program completes and the bracket is nonzero mod P, the exact bracket is
+nonzero and the verdict is NO.  A zero bracket mod P says nothing (it may
+be a multiple of P), so the filter answers only NO: on a decline or a zero
+bracket the exact program decides, and gives the certificate.  The test
 points are M's columns in the vertex frame, so their bracket is a nonzero
 multiple of det M, and where det M is 0 mod P the filter cannot answer NO.
 There, and so on every YES, the decision goes straight to the exact
-columns: det M mod P only picks which path runs first, never the verdict.
+program: det M mod P only picks which path runs first, never the verdict.
 """
 
 from __future__ import annotations
@@ -65,14 +62,13 @@ from .constructions import (
     von_staudt_product,
 )
 from .decision import Decision, Labeling, PlanePair, PreconditionViolated
-from .extensors import _JOIN_KERNELS, P, join, modp_kernels, plane_form
+from .extensors import _JOIN_KERNELS, P, join, plane_form
 from .projective import (
     GeometryError,
     MONOMIALS,
     IncidenceTable,
     Point,
     QuadricCoeffs,
-    _trusted_point,
     bracket,
     det4,
     kernel_basis,
@@ -183,103 +179,54 @@ def _raw_quadric_product(form_a, form_b):
 
 class GenericFigure:
     """What the four columns of M share, built once per decision from the
-    (relabeled) points: M itself, the extensors of the two planes of each
-    basis quadric, which `build_M` reads M from, and, each on first read,
-    the values a column drawn in chart 0 reads of the tetrahedron 6789, as
-    the frames program computes them (`frame_leaves`), and the tetrahedron
-    itself with its global unit, for the columns that are drawn.  The
-    tetrahedron memoizes its edge frames, and each frame its line,
-    auxiliaries and von Staudt scaffolding, so every drawn column reads
-    them.  The figure lives as long as the decision that builds it.
+    (relabeled) points: M itself, with the extensors of the two planes of
+    each basis quadric, which `build_M` reads M from, and, each on first
+    read, the global unit and the tetrahedron 6789 with that unit, for the
+    columns that are drawn.  The tetrahedron memoizes its edge frames, and
+    each frame its line, auxiliaries and von Staudt scaffolding, so every
+    drawn column reads them.  The figure lives as long as the decision
+    that builds it.
     """
 
     def __init__(self, points):
         self.points = list(points)
         self.m = build_M(self.points)
-        self.basis_planes = self.m.basis_planes
+
+    @cached_property
+    def unit(self) -> Point:
+        return global_unit(self.points)
 
     @cached_property
     def tetrahedron(self) -> Tetrahedron:
-        return Tetrahedron(tuple(self.points[6:10]), global_unit(self.points))
-
-    def frame_inputs(self) -> tuple:
-        """The leaves of the frames program: the coordinates of points 6..9
-        and of their global unit."""
-        return (*(p.coords for p in self.points[6:10]), global_unit(self.points).coords)
-
-    @cached_property
-    def frame_leaves(self):
-        """What a column drawn in chart 0 reads from the tetrahedron, as
-        `chart_zero_values` lists it, computed by the frames program; None
-        where the program declines, and the columns are drawn."""
-        return frames_program().run(self.frame_inputs())
+        return Tetrahedron(tuple(self.points[6:10]), self.unit)
 
     def basis_leaves(self, col) -> tuple:
         """The points of column col's two basis planes and the planes
         themselves, as coefficient tuples."""
         a_triple, b_triple = BASIS_PLANES[col]
-        plane_a, plane_b = self.basis_planes[col]
+        plane_a, plane_b = self.m.basis_planes[col]
         return (
             *(self.points[i].coords for i in a_triple + b_triple),
             plane_a.coeffs,
             plane_b.coeffs,
         )
 
-    def column_leaves(self, col):
-        """The leaves of column col drawn in chart 0: those of the
-        tetrahedron, then the column's basis leaves; None where the frames
-        program declines."""
-        if self.frame_leaves is None:
-            return None
-        return self.frame_leaves + self.basis_leaves(col)
+    def program_leaves(self) -> tuple:
+        """The leaves of the generic program: the coordinates of the
+        vertices 6..9 and of their global unit, and the basis leaves of each
+        column."""
+        shared = (*(p.coords for p in self.points[6:10]), self.unit.coords)
+        return shared, tuple(self.basis_leaves(col) for col in range(4))
 
     def quadric_forms(self, c):
         """Raw linear forms of the two planes of basis quadric c."""
-        plane_a, plane_b = self.basis_planes[c]
+        plane_a, plane_b = self.m.basis_planes[c]
         return plane_form(plane_a), plane_form(plane_b)
 
 
-def chart_zero_values(tet) -> tuple:
-    """What a column drawn in chart 0 reads from the tetrahedron: its
-    vertices and, for each edge 0j, the edge's frame (its unit, line and
-    von Staudt scaffold), the edge's line and the line of the edge opposite
-    it, each as a coefficient tuple.  Each frame is built as it is read,
-    so on a tetrahedron built with a Tape this draws the frames there."""
-    values = [v.coords for v in tet.vertices]
-    for j in (1, 2, 3):
-        k, l = (m for m in (1, 2, 3) if m != j)
-        frame = tet.edge_frame(0, j)
-        scaffold = frame.scaffold
-        values += [frame.unit.coords, frame.line.coeffs, scaffold.a.coords]
-        values += [scaffold.lprime.coeffs, *scaffold.product, *scaffold.inverse]
-        values += [tet.edge_line(0, j).coeffs, tet.edge_line(k, l).coeffs]
-    return tuple(values)
-
-
-def column_test_point(figure, col, trace=None) -> Point:
-    """The test point of column col of the figure's M, with the trace steps
-    of `construct_test_point`, which draws it.
-
-    A column whose entry in row 0 is nonzero runs the column program, the
-    straight-line form of the drawn column in its main shape: chart 0 and
-    every von Staudt factor finite and nonzero.  Its guards, and those of
-    the frames program, hold every check of the figure, so where the
-    column takes another shape, or the figure would raise, a program
-    returns None and the column is drawn.
-    """
-    if figure.m.entries[0][col]:
-        leaves = figure.column_leaves(col)
-        if leaves is not None:
-            coords = column_program().run(leaves, trace)
-            if coords is not None:
-                return _trusted_point(coords)
-    return construct_test_point(figure.points, col, trace, figure)
-
-
 # A configuration whose column 0 takes the main shape, on which
-# `column_program` draws the column it compiles, and `frames_program` the
-# chart-0 frames of its tetrahedron, each of which picks E0 as its
-# auxiliary direction.
+# `generic_program` draws the tetrahedron and the column it compiles; each
+# chart-0 frame of its tetrahedron picks E0 as its auxiliary direction.
 REFERENCE_POINTS = (
     (3, 0, -2, 2), (0, 2, -3, 1), (2, -3, 0, 0), (1, -2, -1, -2), (2, -2, 3, 0),
     (1, 3, 0, -3), (1, 2, -3, -2), (2, 2, 3, -1), (3, -2, 1, -2), (2, 1, 0, 1),
@@ -287,39 +234,22 @@ REFERENCE_POINTS = (
 
 
 @cache
-def frames_program() -> StraightLine:
-    """The frames program: the tetrahedron of the reference configuration
-    drawn once on a Tape, with its chart-0 edge frames as
-    `chart_zero_values` reads them, and compiled as a canonical program
-    (see `StraightLine`).  Its leaves are the four vertices and the global
-    unit, and it returns the values of `chart_zero_values` bit for bit:
-    every checked step of `Tetrahedron`, `project_to_edge`, `LineFrame`,
-    `choose_auxiliaries` and the scaffold is a line or a guard of it, and
-    the vector sums of the auxiliaries read only the vertices, so mod P it
-    gives them up to scale.  Built on first use, once per process.
-    """
-    points = [Point(coords) for coords in REFERENCE_POINTS]
-    vertices, unit = tuple(points[6:10]), global_unit(points)
-    tape = Tape()
-    values = chart_zero_values(Tetrahedron(vertices, unit, tape))
-    leaves = (*(v.coords for v in vertices), unit.coords)
-    return StraightLine(tape, leaves, values, canonical=True)
-
-
-@cache
-def column_program() -> StraightLine:
-    """The column program: column 0 of the reference configuration drawn
-    once on a Tape and compiled.  Every column in the main shape has the
-    steps and checks of that drawing, with its leaves in the same roles, so
-    one program serves them all.  Built on first use, once per process.
+def generic_program() -> StraightLine:
+    """The generic program: the tetrahedron of the reference configuration
+    drawn on one Tape, its shared part, and column 0 drawn on another,
+    which reads the tetrahedron's values and so its frames and edge lines,
+    compiled as one program of `GenericFigure.program_leaves`.  Every
+    column in the main shape has the steps and checks of that drawing,
+    with its leaves in the same roles, so the column's body serves all
+    four.  Built on first use, once per process.
     """
     points = [Point(coords) for coords in REFERENCE_POINTS]
     figure = GenericFigure(points)
-    # the drawing reads the tetrahedron's own values, so they are its leaves
-    figure.frame_leaves = chart_zero_values(figure.tetrahedron)
-    tape = Tape()
-    result = construct_test_point(points, 0, tape, figure)
-    return StraightLine(tape, figure.column_leaves(0), result.coords)
+    shared, body = Tape(), Tape()
+    figure.tetrahedron = Tetrahedron(tuple(points[6:10]), figure.unit, shared)
+    result = construct_test_point(points, 0, body, figure)
+    leaves, columns = figure.program_leaves()
+    return StraightLine(body, columns[0], result.coords, (shared, leaves))
 
 
 def construct_test_point(points, col, trace=None, figure=None) -> Point:
@@ -343,7 +273,7 @@ def construct_test_point(points, col, trace=None, figure=None) -> Point:
     chart = next(r for r in range(4) if column[r] != 0)
     tet = figure.tetrahedron
     a_triple, b_triple = BASIS_PLANES[col]
-    plane_a, plane_b = figure.basis_planes[col]
+    plane_a, plane_b = figure.m.basis_planes[col]
     a_pts = [points[i] for i in a_triple]
     b_pts = [points[i] for i in b_triple]
     projections = []
@@ -358,24 +288,26 @@ def construct_test_point(points, col, trace=None, figure=None) -> Point:
     return recover_from_chart(tet, chart, projections, trace=trace)
 
 
+def bracket_of_test_points(figure, trace=None) -> int:
+    """The bracket of the four test points of the figure, with the trace
+    steps of `construct_test_point`, which draws them.  Where row 0 of M
+    has no zero, the generic program gives it; its guards hold every check
+    of the figure, so where a frame or a column takes another shape, or the
+    figure would raise, it returns None, and all four columns are drawn."""
+    if all(figure.m.entries[0]):
+        det = generic_program().run(figure.program_leaves(), trace)
+        if det is not None:
+            return det
+    return bracket(*(construct_test_point(figure.points, c, trace, figure) for c in range(4)))
+
+
 def _no_mod_p(figure) -> bool:
     """Whether the four test points of the figure are shown not coplanar:
-    the frames program, run mod P on the vertices and the global unit, and
-    then the column program, run mod P on each column's leaves, complete,
-    and the bracket of the four points is nonzero mod P."""
-    shared = frames_program().run_mod_p(reduced_mod_p(figure.frame_inputs()))
-    if shared is None:
-        return False
-    program = column_program()
-    points = []
-    for col in range(4):
-        point = program.run_mod_p(shared + reduced_mod_p(figure.basis_leaves(col)))
-        if point is None:
-            return False
-        points.append(point)
-    join_mod = modp_kernels()[0]
-    line = join_mod[1, 1](points[0], points[1])
-    return join_mod[3, 1](join_mod[2, 1](line, points[2]), points[3])[0] != 0
+    the generic program, run mod P on the figure's leaves reduced mod P,
+    completes with a bracket nonzero mod P."""
+    shared, columns = figure.program_leaves()
+    leaves = reduced_mod_p(shared), tuple(map(reduced_mod_p, columns))
+    return bool(generic_program().run_mod_p(leaves))
 
 
 def genericity_violation(points, table=None):
@@ -449,8 +381,7 @@ def decide_generic(points, trace=None, table=None) -> Decision:
         and _no_mod_p(figure)
     ):
         return Decision(False, "generic", labeling, None, None)
-    test_points = [column_test_point(figure, c, trace) for c in range(4)]
-    on_quadric = bracket(*test_points) == 0
+    on_quadric = bracket_of_test_points(figure, trace) == 0
     certificate = None
     if on_quadric:
         kernel = kernel_basis([list(row) for row in m.entries])

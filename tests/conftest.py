@@ -70,9 +70,9 @@ def announce(capsys):
 
 
 @pytest.fixture(autouse=True, scope="session")
-def built_column_program():
-    """The column program is built once per process, by the first generic
-    decision, which then also draws the reference column.  Building it
-    first lets a test that counts what one decision builds or calls count
-    that decision alone, in whatever order the tests run."""
-    generic_case.column_program()
+def built_generic_program():
+    """The generic program is built once per process, by the first generic
+    decision, which then also draws the reference tetrahedron and column.
+    Building it first lets a test that counts what one decision builds or
+    calls count that decision alone, in whatever order the tests run."""
+    generic_case.generic_program()

@@ -271,7 +271,7 @@ class TestGeneratedKernels:
         assert len(seen) == 25 and len(extensors._MEET) == 15
 
 
-# Coefficients as wide as the column program's values at 2^256, and small.
+# Coefficients as wide as the generic program's values at 2^256, and small.
 wide_ints = st.one_of(st.integers(-50, 50), st.integers(-(2**256), 2**256))
 
 

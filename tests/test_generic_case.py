@@ -2,9 +2,12 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
+from functools import cache
 from math import gcd
 from pathlib import Path
 
@@ -30,6 +33,7 @@ from quadricheck import cli, constructions, fixtures, generic_case
 from quadricheck.constructions import (
     ConstructionTrace,
     LineFrame,
+    StraightLine,
     Tape,
     Tetrahedron,
     TraceStep,
@@ -49,15 +53,13 @@ from quadricheck.generic_case import (
     GenericFigure,
     NoPermutation,
     ZeroColumn,
+    bracket_of_test_points,
     build_M,
-    chart_zero_values,
-    column_program,
-    column_test_point,
     compute_Q,
     construct_test_point,
     decide_generic,
     find_Q_labeling,
-    frames_program,
+    generic_program,
     genericity_violation,
     global_unit,
 )
@@ -243,7 +245,7 @@ class TestBuildM:
             )
             m = build_M(pts)
             assert m.entries == want
-            assert m.basis_planes == GenericFigure(pts).basis_planes
+            assert m.basis_planes == GenericFigure(pts).m.basis_planes
             for (plane_a, plane_b), (a_triple, b_triple) in zip(m.basis_planes, BASIS_PLANES):
                 assert plane_a == plane_through(*(pts[i] for i in a_triple))
                 assert plane_b == plane_through(*(pts[i] for i in b_triple))
@@ -519,10 +521,10 @@ class TestGenericFigure:
 
     @pytest.mark.parametrize("make", [segre_generic_points, chart_one_points])
     def test_decide_builds_m_once_and_each_frame_once(self, monkeypatch, make):
-        """A decision builds M once, and each frame it draws once: the
-        columns that run the programs build no frame, and a column in
-        another chart, or one the column program declines, draws the frames
-        of its chart's edges."""
+        """A decision builds M once, and each frame it draws once: where
+        the generic program runs it builds no frame, and where row 0 of M
+        has a zero, or the program declines, each column draws the frames of
+        its chart's edges."""
         decide(make())  # builds the programs, which draw the reference frames
         built, frames = [], []
         real_build_M, real_choose = generic_case.build_M, constructions.choose_auxiliaries
@@ -544,10 +546,9 @@ class TestGenericFigure:
         points = decision.labeling.apply(make())
         figure = GenericFigure(points)
         edges = set()
-        for col in range(4):
-            column = m.column(col)
-            chart = next(r for r in range(4) if column[r] != 0)
-            if chart or not program_runs(figure, col):
+        if not (all(m.entries[0]) and program_runs(figure)):
+            for col in range(4):
+                chart = next(r for r, entry in enumerate(m.column(col)) if entry)
                 edges.update((chart, j) for j in range(4) if j != chart)
         assert edges and len(frames) == len(set(frames)) == len(edges)
         drawn = {(points[6 + i], points[6 + j]) for i, j in edges}
@@ -666,14 +667,14 @@ class TestDecideGeneric:
 
 
 def outcome(run):
-    """What run(trace) gives on a fresh trace: the test point, or the type
-    and message of what it raises, with the trace's JSON either way."""
+    """What run(trace) gives on a fresh trace: its value, or the type and
+    message of what it raises, with the trace's JSON either way."""
     trace = ConstructionTrace()
     try:
-        point = run(trace)
+        value = run(trace)
     except (GeometryError, ValueError) as exc:
-        point = (type(exc), str(exc))
-    return point, trace.to_json()
+        value = (type(exc), str(exc))
+    return value, trace.to_json()
 
 
 def drawn_column(figure, col, trace=None):
@@ -681,47 +682,105 @@ def drawn_column(figure, col, trace=None):
     return construct_test_point(figure.points, col, trace, figure)
 
 
-def assert_as_drawn(figure, col):
-    """The column gives the test point, or raises what the figure raises,
-    with the trace the figure records alone, traced or not."""
-    want = outcome(lambda trace: drawn_column(figure, col, trace))
-    assert outcome(lambda trace: column_test_point(figure, col, trace)) == want
-    untraced = outcome(lambda trace: column_test_point(figure, col))
+def drawn_points(figure, trace=None):
+    """The coordinates of the figure's four test points, each drawn."""
+    return tuple(drawn_column(figure, col, trace).coords for col in range(4))
+
+
+def assert_as_drawn(figure):
+    """The bracket of the figure's test points, as a decision takes it, is
+    that of the four drawn columns, or raises what they raise, with the
+    trace they record alone, traced or not."""
+    want = outcome(lambda trace: bracket(*map(Point, drawn_points(figure, trace))))
+    assert outcome(lambda trace: bracket_of_test_points(figure, trace)) == want
+    untraced = outcome(lambda trace: bracket_of_test_points(figure))
     assert untraced == (want[0], ConstructionTrace().to_json())
 
 
-def program_runs(figure, col):
-    """Whether the column program completes on the column's leaves."""
-    return column_program().run(figure.column_leaves(col)) is not None
+def program_runs(figure):
+    """Whether the generic program completes on the figure's leaves."""
+    return generic_program().run(figure.program_leaves()) is not None
 
 
-def mod_p_runs(figure, col):
-    """Whether the column program completes mod P on the column's leaves
+def mod_p_leaves(figure):
+    """The figure's leaves reduced mod P, as the mod-p filter runs them."""
+    shared, columns = figure.program_leaves()
+    return reduced_mod_p(shared), tuple(map(reduced_mod_p, columns))
+
+
+def mod_p_runs(figure):
+    """Whether the generic program completes mod P on the figure's leaves
     reduced mod P."""
-    return column_program().run_mod_p(reduced_mod_p(figure.column_leaves(col))) is not None
+    return generic_program().run_mod_p(mod_p_leaves(figure)) is not None
 
 
-def mod_p_leaves(figure, col):
-    """The leaves the mod-p filter runs column col on: the frames program's
-    mod-p values, then the column's basis leaves reduced mod P; None where
-    the frames program declines mod P."""
-    shared = frames_program().run_mod_p(reduced_mod_p(figure.frame_inputs()))
-    return None if shared is None else shared + reduced_mod_p(figure.basis_leaves(col))
+@cache
+def points_function(traced=False, mod_p=False):
+    """A function of the generic program compiled afresh with a `det4` that
+    returns its arguments: it returns the four test points in place of
+    their bracket (with the steps, when traced), and its span guards, which
+    read the same `det4`, always pass."""
+    tape, leaves, result, shared = generic_program()._figure
+    names = dict(constructions._mod_p_program_names() if mod_p else constructions._PROGRAM_NAMES)
+    names["det4"] = lambda *points: points
+    source = constructions._program_source(tape, leaves, result, traced, mod_p, shared)
+    exec(compile(source, "<test program>", "exec"), vars(constructions), names)
+    return names["mod_p" if mod_p else "traced" if traced else "untraced"]
 
 
-def outside_meets_of_joins(source, block):
-    """The lines of a program's body, less each meet of a joined line,
-    which runs `block` lines from its skew guard, and the number of those
-    meets."""
-    kept, skip, count = [], 0, 0
-    for line in source.splitlines()[1:]:
-        if line.strip().startswith("if jll("):
-            skip, count = block, count + 1
-        if skip:
-            skip -= 1
-        else:
-            kept.append(line)
-    return kept, count
+def program_parts(traced=False, mod_p=False):
+    """The stripped lines of a function of the generic program: those of its
+    shared part, and those of its loop over the columns with its return."""
+    tape, leaves, result, shared = generic_program()._figure
+    source = constructions._program_source(tape, leaves, result, traced, mod_p, shared)
+    lines = [line.strip() for line in source.splitlines()]
+    start = next(i for i, line in enumerate(lines) if line.startswith("points"))
+    assert lines[start + 1].startswith("for (") and lines[start + 1].endswith(") in columns:")
+    return lines[2:start], lines[start + 2 :]
+
+
+class Declines:
+    """A generic program that declines every figure, exactly and mod P."""
+
+    def run(self, leaves, trace=None):
+        return None
+
+    def run_mod_p(self, leaves):
+        return None
+
+
+def all_drawn(monkeypatch):
+    """From here on every decision draws its four columns."""
+    monkeypatch.setattr(generic_case, "generic_program", Declines)
+
+
+KERNEL_CALL = re.compile(r"\b(jp|jlp|jll|mlp|mpp|wb|chart_hit|meet_of_join|det4)\(([^()]*)\)")
+
+
+def kernel_calls(source):
+    """Each call of a kernel in the source, as (kernel, its arguments'
+    names), with a nested call's argument named by the call it is."""
+    calls = []
+    while True:
+        match = KERNEL_CALL.search(source)
+        if match is None:
+            return calls
+        calls.append(match.groups())
+        source = source[: match.start()] + f"call{len(calls)}" + source[match.end() :]
+
+
+def read_leaves(tape):
+    """The values a tape reads and no step of it outputs, in the order it
+    first reads them."""
+    made, leaves = set(), {}
+    for entry in tape.steps:
+        step = type(entry) is TraceStep
+        for value in entry.inputs if step else entry[1:]:
+            if id(value) not in made:
+                leaves.setdefault(id(value), value)
+        if step:
+            made.add(id(entry.output))
+    return tuple(leaves.values())
 
 
 def on_plane(points, triple, weights):
@@ -739,6 +798,14 @@ def infinity_factor_points():
     return pts
 
 
+def e0_on_edge_points(bound, t):
+    """Generic points with point 7 on the line through point 6 and E0, so
+    the frame on the chart-0 edge 67 picks another auxiliary direction."""
+    points = sample_generic("e0-on-edge-67", 10, bound=bound)
+    points[7] = Point(tuple(c + t * e for c, e in zip(points[6].coords, E0.coords)))
+    return points
+
+
 def decisions(configs):
     """Each configuration's decision and trace, as JSON."""
     out = []
@@ -749,49 +816,47 @@ def decisions(configs):
 
 
 class TestColumnProgram:
-    """A column in the main shape runs the column program, every other one
-    is drawn; either way the test points, the traces and what is raised are
-    those of the figure drawn alone."""
+    """Where row 0 of M has no zero, the generic program gives the bracket
+    of the four test points; where it declines, or row 0 has a zero, every
+    column is drawn.  Either way the test points, the traces and what is
+    raised are those of the figure drawn alone."""
 
-    def reference_tape(self):
+    def reference_tapes(self):
+        """The reference configuration drawn as `generic_program` draws it:
+        the shared tape with its leaves, and column 0's tape with its leaves
+        and its test point."""
         points = [Point(coords) for coords in generic_case.REFERENCE_POINTS]
         figure = GenericFigure(points)
-        figure.frame_leaves = chart_zero_values(figure.tetrahedron)
-        tape = Tape()
-        result = construct_test_point(points, 0, tape, figure)
-        return tape, figure.column_leaves(0), result
-
-    def frames_tape(self):
-        """The reference tetrahedron drawn on a Tape with its chart-0 frames,
-        as `frames_program` draws it: the tape, the leaves and the values."""
-        points = [Point(coords) for coords in generic_case.REFERENCE_POINTS]
-        vertices, unit = tuple(points[6:10]), global_unit(points)
-        tape = Tape()
-        values = chart_zero_values(Tetrahedron(vertices, unit, tape))
-        return tape, (*(v.coords for v in vertices), unit.coords), values
+        shared, body = Tape(), Tape()
+        figure.tetrahedron = Tetrahedron(tuple(points[6:10]), figure.unit, shared)
+        result = construct_test_point(points, 0, body, figure)
+        leaves, columns = figure.program_leaves()
+        return (shared, leaves), (body, columns[0], result)
 
     def test_every_check_of_the_drawn_column_is_a_guard(self):
         """Per edge the figure checks that both factors and their product
         lie on the frame's line and that neither factor is the frame's zero
         or infinity; per projection, that it lies on its edge and is not the
         infinity vertex; and that the recovered point is off each opposite
-        edge.  The program guards each of those checks, and each computed
-        step as the figure's step does.  The untraced program holds every
+        edge.  The program's loop guards each of those checks, and each
+        computed step as the figure's step does, and reads every value of
+        the tetrahedron from the shared part.  The untraced loop holds every
         point up to scale: each of its 9 apart guards is projective, only
-        its return makes a point canonical, and each of the 18 meets of
-        coplanar lines keeps the figure's skew guard and its
-        `line_meet_line` fallback; the recovery's point is expanded in the
-        vertex frame by one call, with no meet of planes.  The mod-p
-        program is the same body: outside those 18 meets and the return,
-        its lines are the untraced program's.  The traced program computes
-        every step as the figure does: the recovery meets its first two
-        planes in a line and that line with the third.  The frames program
-        guards every check of the chart-0 frames: see
-        `test_every_check_of_the_drawn_frames_is_a_guard`."""
-        tape, leaves, result = self.reference_tape()
+        the point it appends is made canonical, and each of the 18 meets of
+        coplanar lines keeps the figure's skew guard and runs
+        `meet_of_join`, whose fallback is `line_meet_line`; the 6 meets with
+        L' through the auxiliary point read its bracket from the shared part;
+        the recovery's point is expanded in the vertex frame by one call,
+        with no meet of planes.  The mod-p function is the same source on
+        other names.  The traced loop computes every step as the figure
+        does: the recovery meets its first two planes in a line and that
+        line with the third.  The shared part guards every check of the
+        chart-0 frames: see `test_every_check_of_the_drawn_frames_is_a_guard`."""
+        (shared, shared_leaves), (tape, leaves, result) = self.reference_tapes()
         checks = Counter(entry[0] for entry in tape.steps if type(entry) is not TraceStep)
         assert checks == {"on": 12, "apart": 9, "off": 3}
-        held = {id(value) for value in leaves}
+        held = {id(value) for value in leaves + shared_leaves}
+        held |= {id(entry[-1]) for entry in shared.steps if type(entry) in (TraceStep, VectorSum)}
         computed = Counter()
         for step in tape.steps:
             if type(step) is TraceStep and id(step.output) not in held:
@@ -801,8 +866,7 @@ class TestColumnProgram:
         assert meets == 18 and sum(computed.values()) == 47
         joins = computed[("join", (1, 1, 2))] + computed[("join", (1, 1, 1, 3))]
         for traced in (False, True):
-            source = constructions._program_source(tape, leaves, result.coords, traced)
-            lines = [line.strip() for line in source.splitlines()]
+            _, lines = program_parts(traced)
             assert sum(line.startswith("if any(jlp(") for line in lines) == checks["on"]
             assert sum(line.startswith("if not any(jlp(") for line in lines) == checks["off"]
             apart = sum(" in (" in line for line in lines)
@@ -810,34 +874,33 @@ class TestColumnProgram:
             assert apart + len(projective) == checks["apart"]
             nonzero = sum(line.startswith("if not any(v") for line in lines)
             assert nonzero == joins + computed[("meet", (2, 3, 1))]
-            assert sum(line == "except ValueError: return" for line in lines) == meets
-            calls = [line for line in lines if "= line_meet_line(" in line]
-            assert len(calls) == meets
             if traced:
+                assert sum(line == "except ValueError: return" for line in lines) == meets
+                assert sum("= line_meet_line(" in line for line in lines) == meets
                 assert not projective and not any("jll(" in line or "wb(" in line for line in lines)
                 cuts = [line.split(" = ")[0] for line in lines if " = mpp(" in line]
                 assert len(cuts) == computed[("meet", (3, 3, 2))] == 1
                 assert sum(f" = mlp({cuts[0]}, " in line for line in lines) == 1
                 assert not any("chart_hit(" in line for line in lines)
+                # each meet of a line and a plane is made canonical, as drawn
+                canon = [line for line in lines if " = canon(" in line]
+                assert len(canon) == computed[("meet", (2, 3, 1))] == 7
+                assert lines[-3].startswith("points.append(v") and lines[-2].startswith("steps += (")
+                assert lines[-1] == "return det4(*points), steps"
                 continue
             assert not any("mpp(" in line for line in lines)
             assert sum(" = chart_hit(" in line for line in lines) == 1
             assert apart == 0
-            assert [line for line in lines if "canon(" in line] == [lines[-1]]
-            assert lines[-1].startswith("return canon(")
+            assert [line for line in lines if "canon(" in line] == [lines[-2]]
+            assert lines[-2].startswith("points.append(canon(")
+            assert lines[-1] == "return det4(*points)"
             skew = [line for line in lines if line.startswith("if jll(")]
             assert len(skew) == meets and all(line.endswith(")[0]: return") for line in skew)
-            assert sum(line == "if al or be:" for line in lines) == meets
-            assert sum(line == "g = gcd(al, be)" for line in lines) == meets
-            combined = [line for line in lines if line.startswith("v") and "al * q0" in line]
-            assert len({line.split(" = ")[0] for line in combined}) == meets
-        untraced = constructions._program_source(tape, leaves, result.coords, False)
-        mod_p = constructions._program_source(tape, leaves, result.coords, False, True)
-
-        shared = outside_meets_of_joins(untraced, len(constructions._MEET_OF_JOIN_CODE))
-        assert shared == outside_meets_of_joins(mod_p, len(constructions._MOD_P_MEET_OF_JOIN_CODE))
-        assert shared[1] == meets
-        assert "line_meet_line(" not in mod_p
+            assert not any("line_meet_line(" in line or "except" in line for line in lines)
+            combined = [line for line in lines if " = meet_of_join(w" in line]
+            assert len({line.split(" = ")[0] for line in combined}) == len(combined) == meets
+            assert sum(" = wb(" in line for line in lines) == 2 * meets - 6
+        assert program_parts() == program_parts(mod_p=True)
 
     def test_every_check_of_the_drawn_frames_is_a_guard(self):
         """The reference tetrahedron checks that its vertices span space and
@@ -846,14 +909,18 @@ class TestColumnProgram:
         that E0, its auxiliary direction, is off its line, and that the
         auxiliary point a is off its line and off L'; and each join and
         meet is nonzero, and each pair of scaffold lines that meets is
-        coplanar.  The frames program guards each of those checks.  It
-        makes every point canonical, as the figure does, with no call to
-        `line_meet_line` but where both brackets of a meet vanish, and
-        returns the values the frames read bit for bit; its two vector sums
-        per frame, infinity + E0 and a = zero + 2·infinity + E0, read only
-        the vertices and E0.  The mod-p program is the same body: outside
-        its 6 meets of joined lines, its lines are the exact program's."""
-        tape, leaves, values = self.frames_tape()
+        coplanar.  The shared part guards each of those checks.  It makes
+        every point canonical, as the figure does, and meets each scaffold
+        line it joined by `meet_of_join`; its two vector sums per frame,
+        infinity + E0 and a = zero + 2·infinity + E0, read only the vertices
+        and E0.  Each frame's line is the join of its edge's ends, which the
+        edge's projection joined before: the program reads that join, and
+        tests nothing more of zero and infinity being apart, which that
+        join's own guard tests, so it makes 27 point joins in place of 33.
+        The two scaffold meets of a frame read the brackets [πa] and
+        [π·unit] once.  The shared part is the same in the untraced, the
+        traced and the mod-p function."""
+        (tape, leaves), _ = self.reference_tapes()
         checks = Counter(entry[0] for entry in tape.steps if type(entry) is tuple)
         assert checks == {"span": 5, "apart": 6, "on": 3, "off": 9}
         sums = [entry for entry in tape.steps if type(entry) is VectorSum]
@@ -863,9 +930,8 @@ class TestColumnProgram:
         assert all(value in leaves for entry in sums for value in entry.inputs[:-1])
         computed = Counter(step.grades for step in tape.steps if type(step) is TraceStep)
         assert computed == {(1, 1, 2): 24, (2, 1, 3): 3, (2, 3, 1): 3, (2, 2, 1): 6}
-        source = constructions._program_source(tape, leaves, values, False, False, True)
-        mod_p = constructions._program_source(tape, leaves, values, False, True, True)
-        lines = [line.strip() for line in source.splitlines()]
+        lines, _ = program_parts()
+        assert lines == program_parts(traced=True)[0]
         assert sum(line.startswith("if not det4(") for line in lines) == checks["span"]
         # the only on-line check is each unit's, which is a meet with its line
         on = [line for line in lines if line.startswith("if any(jlp(")]
@@ -874,69 +940,84 @@ class TestColumnProgram:
         assert len(off) == checks["off"]
         assert sum(f", {e0!r})" in line for line in off) == 3
         apart = [line for line in lines if line.startswith("if not any(jp(")]
-        assert sum(line.count("not any(jp(") for line in apart) == 9 and len(apart) == 6
-        nonzero = sum(line.startswith("if not any(v") for line in lines)
-        assert nonzero == sum(computed.values()) - computed[2, 2, 1] + len(sums)
+        assert sum(line.count("not any(jp(") for line in apart) == 6 and len(apart) == 3
+        joined = [line for line in lines if re.fullmatch(r"if not any\(v\d+\): return", line)]
+        joins = computed[1, 1, 2] - 3  # each frame's line is its edge's
+        assert len(joined) == joins + computed[2, 1, 3] + computed[2, 3, 1] + len(sums)
+        assert sum(line.count("jp(") for line in lines) == 27 == joins + 6
         canon = [line for line in lines if " = canon(" in line]
         assert len(canon) == computed[2, 3, 1] + computed[2, 2, 1] + len(sums)
-        assert lines[-1].startswith("return (") and "canon(" not in lines[-1]
         skew = [line for line in lines if line.startswith("if jll(")]
         assert len(skew) == computed[2, 2, 1] == 6
-        assert sum(line == "except ValueError: return" for line in lines) == 6
+        assert sum(" = wb(" in line for line in lines) == 6
+        assert sum(" = meet_of_join(" in line for line in lines) == 6
         assert not any(" in (" in line or "mpp(" in line or "chart_hit(" in line for line in lines)
-        shared = outside_meets_of_joins(source, len(constructions._MEET_OF_JOIN_CODE))
-        assert shared == outside_meets_of_joins(mod_p, len(constructions._MOD_P_MEET_OF_JOIN_CODE))
-        assert shared[1] == 6 and "line_meet_line(" not in mod_p
-        program = frames_program()
-        assert program.run(leaves) == values
-        mod = program.run_mod_p(reduced_mod_p(leaves))
-        assert len(mod) == len(values) == 40
-        assert all(projectively_equal_mod_p(u, v) for u, v in zip(mod, values))
+        assert lines == program_parts(mod_p=True)[0]
+
+    def test_every_kernel_call_is_made_once(self):
+        """No two kernel calls of the untraced or the mod-p function share a
+        kernel and argument names, so no join, meet, bracket or guard is
+        computed twice on the same values; the shared part makes 27 point
+        joins."""
+        for mod_p in (False, True):
+            tape, leaves, result, shared = generic_program()._figure
+            source = constructions._program_source(tape, leaves, result, False, mod_p, shared)
+            calls = Counter(kernel_calls(source))
+            assert calls and calls.most_common(1)[0][1] == 1
+            first, _ = program_parts(mod_p=mod_p)
+            assert sum(line.count("jp(") for line in first) == 27
 
     def test_reference_and_fixture_columns_run_the_program(self):
-        tape, leaves, result = self.reference_tape()
-        assert column_program().run(leaves) == result.coords
+        points = [Point(coords) for coords in generic_case.REFERENCE_POINTS]
+        figure = GenericFigure(points)
+        assert points_function()(figure.program_leaves()) == drawn_points(figure)
+        assert generic_program().run(figure.program_leaves()) == bracket(*map(Point, drawn_points(figure)))
         for points in generic_fixtures()[:-1]:
             figure = GenericFigure(points)
-            for col in range(4):
-                assert program_runs(figure, col)
-                assert_as_drawn(figure, col)
+            assert all(figure.m.entries[0]) and program_runs(figure)
+            assert_as_drawn(figure)
 
     def test_infinity_factor(self):
         pts = infinity_factor_points()
         assert genericity_violation(pts) is None and compute_Q(pts[:6]) != 0
         figure = GenericFigure(pts)
-        assert figure.m.entries[0][0] and not figure.m.entries[1][0]
-        assert not program_runs(figure, 0) and not mod_p_runs(figure, 0)
-        for col in range(4):
-            assert_as_drawn(figure, col)
+        assert all(figure.m.entries[0]) and not figure.m.entries[1][0]
+        assert not program_runs(figure) and not mod_p_runs(figure)
+        assert_as_drawn(figure)
+
+    def doctored(self, figure, plane):
+        """The figure with the first plane of column 0 replaced."""
+        planes = figure.m.basis_planes
+        figure.m = replace(figure.m, basis_planes=((plane, planes[0][1]), *planes[1:]))
+        return figure
 
     def test_zero_factor_raises_what_the_figure_raises(self):
         """With the first plane of column 0 moved through vertex 0, the
         factor x is the frame's zero on every edge: the product is the
         zero, its inverse the infinity vertex, and the recovery raises."""
         pts = segre_generic_points()
-        figure = GenericFigure(pts)
-        through_zero = plane_through(pts[6], pts[0], pts[1])
-        figure.basis_planes = ((through_zero, figure.basis_planes[0][1]), *figure.basis_planes[1:])
-        assert not program_runs(figure, 0) and not mod_p_runs(figure, 0)
+        figure = self.doctored(GenericFigure(pts), plane_through(pts[6], pts[0], pts[1]))
+        assert not program_runs(figure) and not mod_p_runs(figure)
         point, _ = outcome(lambda t: drawn_column(figure, 0, t))
         assert point[0] is constructions.OutsideChart
-        assert_as_drawn(figure, 0)
+        assert_as_drawn(figure)
 
     def test_degenerate_meet_raises_what_the_figure_raises(self):
         pts = segre_generic_points()
-        figure = GenericFigure(pts)
-        holds_edge = plane_through(pts[6], pts[7], pts[0])
-        figure.basis_planes = ((holds_edge, figure.basis_planes[0][1]), *figure.basis_planes[1:])
-        assert not program_runs(figure, 0) and not mod_p_runs(figure, 0)
+        figure = self.doctored(GenericFigure(pts), plane_through(pts[6], pts[7], pts[0]))
+        assert not program_runs(figure) and not mod_p_runs(figure)
         assert outcome(lambda t: drawn_column(figure, 0, t))[0][0] is constructions.DegenerateMeet
-        assert_as_drawn(figure, 0)
+        assert_as_drawn(figure)
 
     def test_skew_lines_and_zero_joins_raise_what_the_figure_raises(self):
         """A frame whose L' is skew to the figure's lines, and one whose
         auxiliary point is the factor y, so that the join of the two is
-        zero."""
+        zero: the drawn column raises.  The generic program builds its
+        frames from the vertices and the unit, so no input reaches these
+        guards of its loop; the program of the frame's von Staudt product,
+        which reads the frame's scaffold as leaves, gives the drawn product
+        on the frame as built, and declines, exactly and mod P, on the
+        doctored scaffold."""
         pts = segre_generic_points()
         for doctor, raised in (
             (lambda s, py: s._replace(lprime=line_through(pts[0], pts[1])), constructions.SkewLines),
@@ -945,30 +1026,47 @@ class TestColumnProgram:
             figure = GenericFigure(pts)
             frame = figure.tetrahedron.edge_frame(0, 2)
             d, e = figure.tetrahedron.vertices[0], figure.tetrahedron.vertices[2]
+            px = local_param_point(d, e, pts[0], pts[1], pts[5])
             py = local_param_point(d, e, pts[2], pts[3], pts[4])
-            frame.__dict__["scaffold"] = doctor(frame.scaffold, py)
-            # the program reads the doctored frame in place of its own
-            figure.frame_leaves = chart_zero_values(figure.tetrahedron)
-            assert not program_runs(figure, 0) and not mod_p_runs(figure, 0)
+            tape = Tape()
+            want = von_staudt_product(frame, px, py, tape)
+            leaves = read_leaves(tape)
+            program = StraightLine(tape, leaves, want.coords)
+            assert program.run(leaves) == want.coords
+            scaffold = frame.scaffold
+            frame.__dict__["scaffold"] = doctor(scaffold, py)
+            swapped = {
+                id(scaffold.lprime.coeffs): frame.scaffold.lprime.coeffs,
+                id(scaffold.a.coords): frame.scaffold.a.coords,
+            }
+            other = tuple(swapped.get(id(value), value) for value in leaves)
+            assert other != leaves
+            assert program.run(other) is None and program.run_mod_p(reduced_mod_p(other)) is None
             point, trace = outcome(lambda t: drawn_column(figure, 0, t))
             assert point[0] is raised and trace["steps"]
-            assert_as_drawn(figure, 0)
 
     def test_coplanar_meet_past_e3(self, monkeypatch):
         """With vertex 0 at E3, every figure on an edge from it lies in a
         plane through E3, so its coplanar lines meet at the witness E2.
         The untraced program finds both brackets with the plane through
-        E3 zero on each of its 18 meets, and meets the lines in
-        `line_meet_line`; on a column in general position it never does."""
+        E3 zero on each of the 6 meets of its shared part and the 18 of each
+        column, and meets the lines in `line_meet_line`; on a figure in
+        general position it never does.  Column 3 has zero entries in rows 2
+        and 3, so an infinity factor on the edges 02 and 03, and the program
+        declines there, after the 6 meets of its edge 01.  On columns 0, 1,
+        2 and 0 again the untraced and the traced functions give the drawn
+        test points, and the traced steps the drawn trace."""
         pts = segre_generic_points()
         pts[6] = E3
         assert genericity_violation(pts) is None and compute_Q(pts[:6]) != 0
         figure = GenericFigure(pts)
         frame = figure.tetrahedron.edge_frame(0, 1)
         assert contains_point(join(frame.line, STANDARD_BASIS[frame.aux_index]), E3)
-        general = GenericFigure(generic_fixtures()[0])
-        columns = [figure.column_leaves(col) for col in range(4)]
-        general_columns = [general.column_leaves(col) for col in range(4)]
+        shared, columns = figure.program_leaves()
+        repeated = (shared, tuple(columns[col] for col in (0, 1, 2, 0)))
+        drawn = ConstructionTrace()
+        want = tuple(drawn_column(figure, col, drawn).coords for col in (0, 1, 2, 0))
+        general = GenericFigure(generic_fixtures()[0]).program_leaves()
         fallbacks = []
         real = constructions.line_meet_line
 
@@ -977,25 +1075,33 @@ class TestColumnProgram:
             return real(l1, l2)
 
         monkeypatch.setattr(constructions, "line_meet_line", counting)
-        program = column_program()
-        for leaves in general_columns:
-            assert program.run(leaves) is not None
+        program = generic_program()
+        assert program.run(general) is not None
         assert fallbacks == []
-        ran = []
-        for leaves in columns[:3]:
-            ran.append(program.run(leaves) is not None)
-            assert len(fallbacks) == 18
-            fallbacks.clear()
-        # column 3 has zero entries, so an infinity factor
-        assert ran + [program_runs(figure, 3)] == [True, True, True, False]
-        for col in range(4):
-            assert_as_drawn(figure, col)
+        assert points_function()(repeated) == want
+        assert len(fallbacks) == 6 + 4 * 18
+        assert points_function(traced=True)(repeated)[0] == want
+        trace = ConstructionTrace()
+        # the bracket of a repeated point
+        assert program.run(repeated, trace) == 0
+        assert trace.to_json() == drawn.to_json()
+        fallbacks.clear()
+        assert program.run((shared, columns)) is None
+        assert len(fallbacks) == 6 + 3 * 18 + 6
+        assert_as_drawn(figure)
 
     def test_frames_program_returns_the_drawn_values(self):
         """On samples with coordinates up to 2^6, 2^64 and 2^256, on the
-        fixtures and on a figure whose vertex 0 is E3, the frames program
-        returns the values the chart-0 frames of the drawn tetrahedron hold,
-        bit for bit."""
+        fixtures and on a figure whose vertex 0 is E3, the shared part of
+        the generic program completes, and on each column whose entry in row
+        0 is nonzero and on which the program completes, its untraced and
+        traced functions give the drawn test point and the drawn trace.  The
+        traced steps read the shared part's values, so those are the drawn
+        tetrahedron's and its frames', bit for bit.  Where every column
+        completes, the program gives the drawn bracket and trace.  The
+        columns it declines are those with a zero entry in M, so an
+        infinity factor: two of the infinity-factor fixture, one of the
+        chart-1 fixture and column 3 of the figure at E3."""
         configs = [generic_fixtures()[0], chart_one_points(), infinity_factor_points()]
         for bound in (2**6, 2**64, 2**256):
             for seed in (1, 2, 3):
@@ -1003,53 +1109,71 @@ class TestColumnProgram:
                 configs.append(sample_on_quadric(seed, 10, transformed=True, bound=bound))
         at_e3 = segre_generic_points()
         at_e3[6] = E3
-        compared = 0
+        compared = declined = 0
         for points in configs + [at_e3]:
             if genericity_violation(points) is not None:
                 continue
             figure = GenericFigure(decide(points).labeling.apply(points))
-            assert figure.frame_leaves == chart_zero_values(figure.tetrahedron)
+            shared, columns = figure.program_leaves()
+            # no column: the shared part alone, and the bracket of no points
+            assert points_function()((shared, ())) == ()
+            for col in range(4):
+                if not figure.m.entries[0][col]:
+                    continue
+                leaves = (shared, columns[col : col + 1])
+                untraced = points_function()(leaves)
+                assert (untraced is None) is (0 in figure.m.column(col))
+                if untraced is None:
+                    declined += 1
+                    continue
+                drawn = ConstructionTrace()
+                want = (drawn_column(figure, col, drawn).coords,)
+                traced, steps = points_function(traced=True)(leaves)
+                trace = ConstructionTrace()
+                for step in steps:
+                    constructions._record(trace, *step)
+                assert untraced == traced == want and trace.to_json() == drawn.to_json()
+            if program_runs(figure):
+                drawn, trace = ConstructionTrace(), ConstructionTrace()
+                want = map(Point, drawn_points(figure, drawn))
+                assert generic_program().run(figure.program_leaves(), trace) == bracket(*want)
+                assert trace.to_json() == drawn.to_json()
             compared += 1
-        assert compared >= 18
+        assert compared >= 18 and declined == 4
 
     def test_a_frame_off_the_main_shape_is_drawn(self, monkeypatch):
         """With point 7 on the line through point 6 and E0, the frame on the
-        chart-0 edge 67 picks another auxiliary direction, so the frames
-        program declines, exactly and, where the filter runs, mod P.  Every
-        column is then drawn: decisions and traces, untraced and traced, are
-        those of the drawn figure, and where the filter runs the exact
-        columns decide."""
+        chart-0 edge 67 picks another auxiliary direction, so the shared
+        part declines, exactly and mod P.  Every column is then drawn:
+        decisions and traces, untraced and traced, are those of the drawn
+        figure, and where the filter runs the exact columns decide."""
         configs = []
         for bound, t in ((25, 3), (2**64, 2**70 + 1)):
-            points = sample_generic("e0-on-edge-67", 10, bound=bound)
-            points[7] = Point(tuple(c + t * e for c, e in zip(points[6].coords, E0.coords)))
+            points = e0_on_edge_points(bound, t)
             assert genericity_violation(points) is None
             figure = GenericFigure(decide(points).labeling.apply(points))
             assert figure.points[6:] == points[6:]
             assert contains_point(figure.tetrahedron.edge_line(0, 1), E0)
             assert figure.tetrahedron.edge_frame(0, 1).aux_index == 1
-            assert figure.frame_leaves is None and figure.column_leaves(0) is None
             assert all(figure.m.entries[0])
+            assert not program_runs(figure) and not mod_p_runs(figure)
             configs.append(points)
         for points in configs:
             figure, gated = gated_figure(points)
             assert gated
-            assert frames_program().run_mod_p(reduced_mod_p(figure.frame_inputs())) is None
             assert not generic_case._no_mod_p(figure)
         programmed = decisions(configs)
         untraced = [decide(points).to_json() for points in configs]
         assert [decision for decision, _ in programmed] == untraced
-        monkeypatch.setattr(generic_case, "column_test_point", drawn_column)
+        all_drawn(monkeypatch)
         assert decisions(configs) == programmed
-        monkeypatch.setattr(generic_case, "_no_mod_p", filter_off)
         assert [decide(points).to_json() for points in configs] == untraced
 
     def test_sampled_columns_as_drawn(self, monkeypatch):
         """Generic and on-quadric samples with coordinates up to 2^64 and
-        2^256: on every column of the decided figure the untraced program
-        gives the traced program's test point, the drawn column's, and
-        declines where it declines, and the decisions are those of the
-        drawn figure."""
+        2^256: on the decided figure the untraced program gives the traced
+        program's test points and the drawn columns', and declines where it
+        declines, and the decisions are those of the drawn figure."""
         configs = []
         for bound in (2**64, 2**256):
             for seed in (1, 2):
@@ -1061,25 +1185,25 @@ class TestColumnProgram:
             assert decision.branch == "generic"
             programmed.append(decision.to_json())
             figure = GenericFigure(decision.labeling.apply(points))
-            for col in range(4):
-                leaves = figure.column_leaves(col)
-                untraced = column_program().run(leaves)
-                assert untraced == column_program().run(leaves, ConstructionTrace())
-                if untraced is not None:
-                    assert untraced == drawn_column(figure, col).coords
-                assert_as_drawn(figure, col)
+            leaves = figure.program_leaves()
+            untraced = points_function()(leaves)
+            traced = points_function(traced=True)(leaves)
+            assert untraced == (traced and traced[0])
+            if untraced is not None:
+                assert untraced == drawn_points(figure)
+            assert_as_drawn(figure)
         assert sum(decision["on_quadric"] for decision in programmed) == 4
-        monkeypatch.setattr(generic_case, "column_test_point", drawn_column)
+        all_drawn(monkeypatch)
         assert [decide(points).to_json() for points in configs] == programmed
 
     def test_untraced_test_points_are_the_algebraic_images(self):
         """As in acceptance criterion 10, on configurations with coordinates
         up to 20 and on three seeded samples each up to 2^64 and 2^256:
         the untraced test point of every column is the drawn one and the
-        image tau(column of M).  The columns in the main shape run the
-        program, whose recovery expands the point in the vertex frame; the
-        drawn columns, which `drawn_column` draws for every column and the
-        fixtures in chart 1 and with an infinity factor add, recover it
+        image tau(column of M).  The figures with no zero in row 0 of M run
+        the program, whose recovery expands each point in the vertex frame;
+        the drawn columns, which `drawn_column` draws for every column and
+        the fixtures in chart 1 and with an infinity factor add, recover it
         untraced in the same way."""
         configs = []
         k = 0
@@ -1098,27 +1222,73 @@ class TestColumnProgram:
             relabeled = [points[i] for i in sigma] + points[6:]
             figure = GenericFigure(relabeled)
             tau = tau_transform(relabeled)
+            images = []
             for col in range(4):
                 column = figure.m.column(col)
                 if not any(column):
                     continue
-                point = column_test_point(figure, col)
-                assert point == drawn_column(figure, col) == tau.apply(Point(column))
-                ran += program_runs(figure, col)
+                images.append(tau.apply(Point(column)))
+                assert drawn_column(figure, col) == images[-1]
                 compared += 1
-        assert compared >= 100 and compared - 4 <= ran < compared
+            if len(images) == 4:
+                assert bracket_of_test_points(figure) == bracket(*images)
+            if all(figure.m.entries[0]):
+                point_coords = points_function()(figure.program_leaves())
+                if point_coords is not None:
+                    assert point_coords == tuple(image.coords for image in images)
+                    ran += 1
+        assert compared >= 100 and len(configs) - 4 <= ran < len(configs)
 
     def test_a_column_in_another_chart_is_drawn(self, monkeypatch):
+        """With a zero in row 0 of M, column 0 is built in chart 1, and the
+        decision draws every column without running the program."""
         pts = chart_one_points()
         figure = GenericFigure(pts)
+        assert not all(figure.m.entries[0])
         ran = []
-        program = column_program()
-        monkeypatch.setattr(generic_case, "column_program", lambda: ran.append(1) or program)
-        assert_as_drawn(figure, 0)
+        program = generic_program()
+        monkeypatch.setattr(generic_case, "generic_program", lambda: ran.append(1) or program)
+        assert_as_drawn(figure)
         assert ran == []
-        for col in (1, 2, 3):
-            assert_as_drawn(figure, col)
-        assert len(ran) == 2 * 3
+
+    def test_a_declined_decision_is_drawn_whole(self, monkeypatch):
+        """One case of each way a decision falls back: a zero in row 0 of M,
+        which runs no program; a frame off the main shape, where the shared
+        part declines; and an infinity factor, where a column declines.  The
+        decision JSON and the trace JSON, traced and untraced, are those of
+        the decision that draws every column, each decision draws all four
+        columns, and no result of the program is used."""
+        cases = [chart_one_points(), e0_on_edge_points(25, 3), infinity_factor_points()]
+        real_program, real_draw = generic_program(), generic_case.construct_test_point
+        results, drawn = [], []
+
+        class Spy:
+            def run(self, leaves, trace=None):
+                results.append(real_program.run(leaves, trace))
+                return results[-1]
+
+            def run_mod_p(self, leaves):
+                results.append(real_program.run_mod_p(leaves))
+                return results[-1]
+
+        def drawing(points, col, trace=None, figure=None):
+            drawn.append(col)
+            return real_draw(points, col, trace, figure)
+
+        for points, runs in zip(cases, (False, True, True)):
+            figure = GenericFigure(decide(points).labeling.apply(points))
+            assert all(figure.m.entries[0]) is runs
+            with monkeypatch.context() as patch:
+                patch.setattr(generic_case, "generic_program", Spy)
+                patch.setattr(generic_case, "construct_test_point", drawing)
+                got = [decide(points).to_json(), decisions([points])]
+            assert drawn == [0, 1, 2, 3] * 2
+            assert results if runs else results == []
+            assert all(result is None for result in results)
+            results.clear(), drawn.clear()
+            with monkeypatch.context() as patch:
+                all_drawn(patch)
+                assert [decide(points).to_json(), decisions([points])] == got
 
     def test_decisions_as_drawn(self, monkeypatch):
         """Inputs that `_ensure_general_position` relabeled, fuzz seed 5
@@ -1136,22 +1306,24 @@ class TestColumnProgram:
                     configs.append(points)
         assert len(configs) > 80
         programmed = decisions(configs)
-        monkeypatch.setattr(generic_case, "column_test_point", drawn_column)
+        all_drawn(monkeypatch)
         assert decisions(configs) == programmed
 
     def test_built_lazily_once_from_the_reference(self):
         """Importing the package builds no program; the first generic
-        decision builds the column program and the frames program, each
-        once, by drawing column 0 of the reference configuration and its
-        tetrahedron, whatever was decided first.  Untraced decisions compile
-        the untraced function of each alone."""
+        decision builds the generic program once, by drawing column 0 of the
+        reference configuration on one tape and its tetrahedron on another,
+        whatever was decided first.  Untraced decisions compile its
+        untraced function alone, on the first that the mod-p filter does not
+        answer and whose row 0 of M has no zero: here a YES decision."""
         firsts = {
             "main shape": fixtures.generate_branch("generic", 1),
             "another chart": chart_one_points(),
             "special position": fixtures.generate_branch("duplicate", 1),
         }
         for name, first in firsts.items():
-            configs = [cli.points_to_json(points)["points"] for points in (first, chart_one_points())]
+            yes = sample_on_quadric(1, 10, transformed=True, bound=2**64)
+            configs = [cli.points_to_json(points)["points"] for points in (first, chart_one_points(), yes)]
             result = subprocess.run(
                 [sys.executable, "-c", LAZY_BUILD, str(SRC), json.dumps(configs)],
                 capture_output=True,
@@ -1160,9 +1332,9 @@ class TestColumnProgram:
             )
             assert result.returncode == 0, result.stderr
             report = json.loads(result.stdout)
-            assert report["built_at_import"] == [0, 0], name
-            assert report["builds"] == [1, 1], name
-            assert report["compiled"] == [["_untraced"], ["_untraced"]], name
+            assert report["built_at_import"] == 0, name
+            assert report["builds"] == 1, name
+            assert report["compiled"] == ["_untraced"], name
             assert report["drawn_on_a_tape"] == [[list(c) for c in generic_case.REFERENCE_POINTS]]
             vertices = [list(c) for c in generic_case.REFERENCE_POINTS[6:]]
             assert report["tetrahedra_on_a_tape"] == [vertices]
@@ -1206,9 +1378,9 @@ def spy_on_filter(monkeypatch):
 
 class TestModPFilter:
     """An untraced decision with no zero in row 0 of M and det M nonzero
-    mod P first runs the column program mod P; it answers NO where the four
-    test points are not coplanar mod P, and the exact columns decide
-    everything else, every YES among it."""
+    mod P first runs the generic program mod P; it answers NO where the
+    four test points are not coplanar mod P, and the exact program or the
+    drawn columns decide everything else, every YES among it."""
 
     def sampled_configs(self):
         """The configurations of `test_sampled_columns_as_drawn`."""
@@ -1220,30 +1392,22 @@ class TestModPFilter:
         return configs
 
     def test_mod_p_columns_are_the_exact_ones_mod_p(self):
-        """On the sampled configurations the frames program completes mod P
-        and exactly, and each of its 40 mod-p values equals the exact one
-        mod P up to a nonzero scale, the vertices and the lines of the
-        frames included.  On every column, where both the mod-p and the
-        exact column program complete, their points are equal mod P up to
-        scale; the filter answers NO on the random samples and never on the
-        on-quadric ones, which a decision does not run it on."""
-        program = column_program()
+        """On the sampled configurations the generic program completes mod
+        P and exactly, and each of its four mod-p test points equals the
+        exact one mod P up to a nonzero scale; the filter answers NO on the
+        random samples and never on the on-quadric ones, which a decision
+        does not run it on."""
         compared = 0
         for points in self.sampled_configs():
             figure, gated = gated_figure(points)
             assert gated is not oracle_decide(points)
-            shared = frames_program().run_mod_p(reduced_mod_p(figure.frame_inputs()))
-            assert len(shared) == len(figure.frame_leaves) == 40
-            for mod, exact in zip(shared, figure.frame_leaves):
-                assert projectively_equal_mod_p(mod, exact)
-            for col in range(4):
-                mod = program.run_mod_p(mod_p_leaves(figure, col))
-                exact = program.run(figure.column_leaves(col))
-                if mod is not None and exact is not None:
-                    assert projectively_equal_mod_p(mod, exact)
-                    compared += 1
+            mod = points_function(mod_p=True)(mod_p_leaves(figure))
+            exact = points_function()(figure.program_leaves())
+            assert len(mod) == len(exact) == 4
+            assert all(projectively_equal_mod_p(u, v) for u, v in zip(mod, exact))
+            compared += 1
             assert generic_case._no_mod_p(figure) is not oracle_decide(points)
-        assert compared == 32
+        assert compared == 8
 
     @given(st.integers(0, 2**32), st.sampled_from((2**6, 2**16, 2**32, 2**64, 2**256)))
     @settings(max_examples=12)
@@ -1302,7 +1466,7 @@ class TestModPFilter:
         def det_m(x):
             row = [
                 plane_with_point(a.coeffs, x)[0] * plane_with_point(b.coeffs, x)[0]
-                for a, b in figure.basis_planes
+                for a, b in figure.m.basis_planes
             ]
             return cofactor_det([*rows, row])
 
@@ -1319,19 +1483,19 @@ class TestModPFilter:
         figure, gated = gated_figure(points)
         assert all(figure.m.entries[0]) and not gated
         assert decide(points).labeling.perm == tuple(range(10))
-        program = column_program()
-        assert all(program.run_mod_p(mod_p_leaves(figure, col)) for col in range(4))
+        assert generic_program().run_mod_p(mod_p_leaves(figure)) == 0
         assert not generic_case._no_mod_p(figure)
         ran = []
+        real = generic_case.bracket_of_test_points
 
-        def counting(figure, col, trace=None):
-            ran.append(col)
-            return column_test_point(figure, col, trace)
+        def counting(figure, trace=None):
+            ran.append(real(figure, trace))
+            return ran[-1]
 
-        monkeypatch.setattr(generic_case, "column_test_point", counting)
+        monkeypatch.setattr(generic_case, "bracket_of_test_points", counting)
         filtered = spy_on_filter(monkeypatch)
         decision = decide(points)
-        assert ran == [0, 1, 2, 3] and filtered == []
+        assert ran == [generic_program().run(figure.program_leaves())] and ran[0] and filtered == []
         assert decision.on_quadric is oracle_decide(points) is False
 
     def test_pinned_untraced_digest(self):
@@ -1412,10 +1576,9 @@ class TestModPFilter:
     def test_built_lazily_once_on_the_first_gated_decision(self):
         """Importing the package builds no mod-p kernel; a YES decision,
         whose det M is 0 mod P, a traced one and one with a zero in row 0 of
-        M compile no mod-p program, neither the frames program nor the
-        column program, and the first untraced decision the filter runs on,
-        a NO of small coordinates, builds the kernels and compiles both
-        programs, each once."""
+        M compile no mod-p function, and the first untraced decision the
+        filter runs on, a NO of small coordinates, builds the kernels and
+        compiles the generic program's mod-p function, once."""
         large = sample_generic(1, 10, bound=2**64)
         on_quadric = sample_on_quadric(1, 10, transformed=True, bound=2**64)
         small = fixtures.generate_branch("generic", 1)
@@ -1443,21 +1606,20 @@ class TestModPFilter:
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout)
         assert report["built_at_import"] == 0
-        both = ["column", "frames"]
-        assert report["after_each"] == [[0, []]] * 3 + [[1, both]] * 3
+        assert report["after_each"] == [[0, []]] * 3 + [[1, ["generic"]]] * 3
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Imports the package from the source directory given, then decides the
-# configurations given as JSON and reports how often the column program was
+# configurations given as JSON and reports how often the generic program was
 # built and on what points.
 LAZY_BUILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from quadricheck import cli, generic_case, reductions
-programs = (generic_case.column_program, generic_case.frames_program)
-built_at_import = [program.cache_info().currsize for program in programs]
+program = generic_case.generic_program
+built_at_import = program.cache_info().currsize
 drawn, tetrahedra = [], []
 real, real_tetrahedron = generic_case.construct_test_point, generic_case.Tetrahedron
 def spy(points, col, trace=None, figure=None):
@@ -1474,8 +1636,8 @@ for raw in json.loads(sys.argv[2]):
     reductions.decide(cli.load_points({"points": raw}).points)
 print(json.dumps({
     "built_at_import": built_at_import,
-    "builds": [program.cache_info().misses for program in programs],
-    "compiled": [sorted(set(vars(program())) & {"_untraced", "_traced"}) for program in programs],
+    "builds": program.cache_info().misses,
+    "compiled": sorted(set(vars(program())) & {"_untraced", "_traced"}),
     "drawn_on_a_tape": drawn,
     "tetrahedra_on_a_tape": tetrahedra,
 }))
@@ -1484,7 +1646,7 @@ print(json.dumps({
 # Imports the package from the source directory given, then decides the
 # configurations given as JSON, each traced or not, and reports after each
 # how often the mod-p kernels were built and which mod-p programs were
-# compiled: the column program, the frames program (the canonical one).
+# compiled: the generic program, the one with a shared part.
 MOD_P_BUILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -1492,10 +1654,10 @@ from quadricheck import cli, constructions, extensors, reductions
 built_at_import = extensors.modp_kernels.cache_info().currsize
 compiled = []
 real = constructions._program_source
-def spy(tape, leaves, result, traced, mod_p=False, canonical=False):
+def spy(tape, leaves, result, traced, mod_p=False, shared=None):
     if mod_p:
-        compiled.append("frames" if canonical else "column")
-    return real(tape, leaves, result, traced, mod_p, canonical)
+        compiled.append("figure" if shared is None else "generic")
+    return real(tape, leaves, result, traced, mod_p, shared)
 constructions._program_source = spy
 after_each = []
 for raw, traced in json.loads(sys.argv[2]):
