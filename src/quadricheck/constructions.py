@@ -29,10 +29,12 @@ into a generated function of the figure's leaves, the values it reads and
 does not compute: each step or sum is a line of code, or reads the leaf,
 earlier output or earlier step of the same op and inputs that holds the
 value, and each check, with each check of a computed step (a nonzero join
-or meet point, coplanar lines that meet), is an inline guard.  The
-program thus holds in the shape of the drawing, and returns None wherever
-the figure would take another shape or raise; run traced, it hands its
-steps to `_record` only once it completes, in the figure's order.  A
+or meet point, coplanar lines that meet), is an inline guard of the
+traced function.  The program thus holds in the shape of the drawing, and
+returns None wherever the figure would take another shape or raise; run
+traced, it hands its steps to `_record` only once it completes, in the
+figure's order.  Untraced and mod P it leaves out the checks that hold on
+every figure it is run on (the arguments above `_CHECK_CODE`).  A
 figure may read a shared part drawn on a tape of its own, such as a
 tetrahedron with its frames: the program then runs the shared part once,
 the figure once per column of leaves, and returns the bracket of the
@@ -840,26 +842,54 @@ _CHART_HIT_CODE = (
 # program's reduced mod P, up to a scale nonzero mod P, wherever the values
 # it needs are nonzero mod P.
 #
-# The "on" guards, and the skew guards of the meets, must find zero, and on
-# a figure built from points they always do.  Each point checked to be on a
-# line is a meet with that line itself: an edge frame's unit is the meet of
-# its edge's line with a plane, a von Staudt factor a meet of the frame's
-# line with a plane, a product or an inverse the meet of a line with the
-# frame's line, and a chart's projection the inverse on the frame of its
-# edge, whose line is the edge.  Every line a von Staudt figure meets, and
-# every line of a frame's scaffold, lies in the plane through the frame's
-# line and its auxiliary direction E_k, which holds the factors, the unit,
-# the auxiliary point a = zero + 2·infinity + E_k and L' = zero·(infinity +
-# E_k), so any two of them are coplanar.  So these guards never decline on
-# such a figure, and mod P, where a guard that must find zero can only pass
-# spuriously, the mod-p program declines only where the exact one does or
-# where a value is 0 mod P.  The one "on" guard of another kind, a basis
-# point before a frame's auxiliary direction lying on its line
-# (`LineFrame.aux_index`), is drawn on no program: the reference
-# configuration's chart-0 edges miss E0, so its frames pick E0 and note
-# only that it is off.  The "off", "apart", "span" and nonzero guards must
-# find a nonzero value; a value nonzero mod P is nonzero over Z, so where
-# the mod-p program passes one, the exact program passes it too.
+# Which checks a program guards (`_program_source`).  The traced figure,
+# the loop of the traced function, guards every check, so it mirrors the
+# drawn figure step by step.  An untraced section (the shared part, which
+# is the same in every function, or a figure compiled alone, untraced or
+# mod P) guards no "on" check, no skew check of a meet and no "span"
+# check, and the untraced and mod-p loops guard no check at all.  A
+# check left out is proved on every figure built from points that the
+# generic program runs on: configurations that `GenericConfig.validate`
+# passed, whose M has no zero entry (the gate, `GenericFigure.zero_free`).
+# - "on", which must find zero: each point checked to be on a line is a
+#   meet with that line itself.  An edge frame's unit is the meet of its
+#   edge's line with a plane, a von Staudt factor a meet of the frame's
+#   line with a plane, a product or an inverse the meet of a line with the
+#   frame's line, and a chart's projection the inverse on the frame of its
+#   edge, whose line is the edge.
+# - skew, which must find zero: every line a von Staudt figure meets, and
+#   every line of a frame's scaffold, lies in the plane through the frame's
+#   line and its auxiliary direction E_k, which holds the factors, the
+#   unit, the auxiliary point a = zero + 2·infinity + E_k and L' =
+#   zero·(infinity + E_k), so any two of them are coplanar.
+# - "span": the shared part's are [6789], which `validate` refuses to be
+#   0, and the brackets of three vertices with the unit (v6 + v7 + v8 +
+#   v9)/c, each ±[6789]/c.
+# - "apart", a factor from the frame's zero and infinity: the factor
+#   x = [A v_j] v_0 - [A v_0] v_j on the edge 0j, for a basis plane A of
+#   the column, is v_0 only where [A v_j] = 0 and v_j only where
+#   [A v_0] = 0, and these brackets are factors of the column's entries of
+#   M in rows j and 0.
+# - "apart", a projection from its infinity vertex: the projection is
+#   1/(xy) on its edge, the infinity vertex only where a factor is zero or
+#   infinite; where it were, the recovery's hit would be zero, and its
+#   nonzero guard stays.
+# - "off", the recovered point off each opposite edge kl: the point's
+#   coordinates in the vertex frame are the column of M (acceptance
+#   criterion 10), with no zero, and the points of kl have x_i = x_j = 0.
+# The one "on" check of another kind, a basis point before a frame's
+# auxiliary direction lying on its line (`LineFrame.aux_index`), is drawn
+# on no program: the reference configuration's chart-0 edges miss E0, so
+# its frames pick E0 and note only that it is off.  That "off" check can
+# fail, so the shared part keeps its "off" checks, and its "apart" ones.
+#
+# So mod P the guards left that can decline are those that must find a
+# nonzero value, chiefly each computed value's.  A value nonzero mod P is
+# nonzero over Z, so where the mod-p program passes one, the exact program
+# passes it too, and every scale a mod-p value carries is nonzero mod P.
+# The identities hold mod P as well, and the gate is checked exactly, on
+# M, before any program runs; so a bracket nonzero mod P still shows the
+# exact bracket nonzero.
 _CHECK_CODE = {
     "on": "if any(jlp({0}, {1})): return",
     "off": "if not any(jlp({0}, {1})): return",
@@ -876,7 +906,6 @@ def _program_names(join_kernels, meet_kernels, witness_bracket, chart_hit, meet_
         "any": any,
         "jp": join_kernels[1, 1],
         "jlp": join_kernels[2, 1],
-        "jll": join_kernels[2, 2],
         "mlp": meet_kernels[2, 3],
         "mpp": meet_kernels[3, 3],
         "wb": witness_bracket,
@@ -927,15 +956,20 @@ class StraightLine:
     or read from the leaf or earlier step that holds it, as the figure
     reads a memoized value, or from an earlier step of the same op on the
     same names.  Each vector sum is one line, and reads only leaves and
-    the basis points, which the program writes as literals.  Each check of
-    the tape, and each check that a computed step makes, is an inline
-    guard, so the program holds in the figure's shape on the tape and
+    the basis points, which the program writes as literals.  Each check
+    that a computed step makes (a nonzero join or meet point) is an inline
+    guard in every function.  In the traced function each check of the
+    tape is one too, so it holds in the figure's shape on the tape and
     returns None everywhere else: there the figure takes another shape or
-    raises.  `leaves` lists the tape's leaves, each matched to the tape's
-    values by identity, and `result` is the figure's output; `run` takes
-    the leaves of another figure in the same order and, with no shared
-    part, returns that output: the form in which the tests compile a
-    single figure, such as one von Staudt product.
+    raises.  The untraced and mod-p functions leave out the checks that
+    the arguments above `_CHECK_CODE` prove: "on", skew and "span" checks
+    everywhere, and in the loop over the columns every check, which the
+    generic program's gate proves; so they hold to the figure's shape only
+    on the figures that pass it.  `leaves` lists the tape's leaves, each
+    matched to the tape's values by identity, and `result` is the figure's
+    output; `run` takes the leaves of another figure in the same order
+    and, with no shared part, returns that output: the form in which the
+    tests compile a single figure, such as one von Staudt product.
 
     `shared`, when given, is the (tape, leaves) of a part the figure reads
     and draws nothing of, such as a tetrahedron with its frames: its
@@ -949,13 +983,13 @@ class StraightLine:
     The traced function computes every step of the figure as the figure
     does, so each output it hands the trace is canonical.  The untraced
     function holds every point of the figure up to scale and makes only its
-    result canonical, so it gives what the traced function gives.  Outside
-    the traced figure, apart guards are projective, and a line the program
-    joined meets a coplanar line by `_meet_of_join`.  Where a chart
-    recovery drawn on the tape noted its vertex frame, the untraced function
-    expands the recovered point in that frame as `_CHART_HIT_CODE` says, in
-    place of the recovery's two meets, which the traced function computes
-    and records.
+    result canonical, so on a figure that passes the gate it gives what the
+    traced function gives.  Outside the traced figure, apart guards are
+    projective, and a line the program joined meets a coplanar line by
+    `_meet_of_join`.  Where a chart recovery drawn on the tape noted its
+    vertex frame, the untraced function expands the recovered point in that
+    frame as `_CHART_HIT_CODE` says, in place of the recovery's two meets,
+    which the traced function computes and records.
 
     The mod-p function, which `run_mod_p` runs, is the untraced body
     compiled on other names, with kernels built on its first run (see
@@ -1019,14 +1053,15 @@ def reduced_mod_p(values) -> tuple:
 def _program_source(tape, leaves, result, traced, mod_p=False, shared=None):
     """Source of the function `traced`, `untraced` or `mod_p` that
     StraightLine runs: it unpacks the leaves it reads, runs the tape's
-    steps, sums and checks in order, and returns the result, and when
-    traced also every step as an (op, grades, inputs, output) tuple.  With
-    a shared part, it runs the shared tape first, then the tape in a loop
-    over the columns, and returns the bracket of their results, and when
-    traced also the steps of every column.  The untraced and mod-p
-    functions share one body, and differ only in the names they bind.  The
-    shared part, and a traced figure, make each point canonical where the
-    figure does."""
+    steps, sums and the checks it guards in order, and returns the
+    result, and when traced also every step as an (op, grades, inputs,
+    output) tuple.  With a shared part, it runs the shared tape first,
+    then the tape in a loop over the columns, and returns the bracket of
+    their results, and when traced also the steps of every column.  Which
+    checks each section guards is set out above `_CHECK_CODE`.  The
+    untraced and mod-p functions share one body, and differ only in the
+    names they bind.  The shared part, and a traced figure, make each
+    point canonical where the figure does."""
     names = {}
     for prefix, values in (("a", shared[1]), ("b", leaves)) if shared else (("a", leaves),):
         for i, value in enumerate(values):
@@ -1055,12 +1090,12 @@ def _program_source(tape, leaves, result, traced, mod_p=False, shared=None):
     def meet_of_join(line, other, out):
         """The code that meets the line joined from p and q with a coplanar
         line by `meet_of_join`, from the brackets [πp] and [πq] for the
-        plane π = join(other, E3).  The skew guard comes first; it is the
-        figure's, and never declines on a figure built from points (the
-        argument above `_CHECK_CODE`).  Each bracket is a witness bracket
-        bound to a name of its own the first time a meet reads it."""
+        plane π = join(other, E3).  It has no skew guard: the two lines are
+        coplanar on every figure built from points (the argument above
+        `_CHECK_CODE`).  Each bracket is a witness bracket bound to a name of
+        its own the first time a meet reads it."""
         p, q = joined[line]
-        code = [f"if jll({line}, {other})[0]: return"]
+        code = []
         for point in (p, q):
             if (other, point) not in brackets:
                 brackets[other, point] = f"w{len(brackets)}"
@@ -1069,9 +1104,10 @@ def _program_source(tape, leaves, result, traced, mod_p=False, shared=None):
         code.append(f"{out} = meet_of_join({al}, {be}, {p}, {q}, {line}, {other})")
         return code + [f"if {out} is None: return"]
 
-    def section(tape, traced, canonical):
-        """The lines of the tape's steps, sums and checks, and the tuples
-        of its steps that a traced function returns."""
+    def section(tape, traced, canonical, kept):
+        """The lines of the tape's steps, sums and the checks of the kinds
+        `kept`, and the tuples of its steps that a traced function
+        returns."""
         body, steps = [], []
         cut = None  # the step that meets a recovery's first two planes, while its hit is to come
         for entry in tape.steps:
@@ -1090,6 +1126,8 @@ def _program_source(tape, leaves, result, traced, mod_p=False, shared=None):
                 continue
             if type(entry) is not TraceStep:
                 kind, *values = entry
+                if kind not in kept:
+                    continue
                 args = [name(v) for v in values]
                 if kind == "apart" and not traced:
                     point, *others = args
@@ -1137,8 +1175,13 @@ def _program_source(tape, leaves, result, traced, mod_p=False, shared=None):
         leaf_names = (f"{prefix}{i}" for i in range(len(values)))
         return ", ".join(leaf if leaf in read else "_" for leaf in leaf_names)
 
-    first = section(shared[0], False, True)[0] if shared else []
-    body, steps = section(tape, traced, traced)
+    # Which checks each section guards (the arguments above `_CHECK_CODE`):
+    # a traced figure all of them; an untraced one no "on", skew (see
+    # `meet_of_join`) or "span" check; the untraced loop no check at all.
+    untraced = ("apart", "off")
+    first = section(shared[0], False, True, untraced)[0] if shared else []
+    kept = _CHECK_CODE if traced else () if shared else untraced
+    body, steps = section(tape, traced, traced, kept)
     output = name(result)
     if shared is None:
         ends = [f"return {output}, ({', '.join(steps)},)" if traced else f"return canon({output})"]

@@ -9,9 +9,10 @@ synthetically by constructing the images of M's columns and testing the
 four constructed points for coplanarity.
 
 `construct_test_point` draws a column through the figures of
-`constructions`.  Where row 0 of M has no zero, so that every column is
-built in chart 0, a decision runs the generic program in its place
-(`generic_program`): the tetrahedron of a fixed reference configuration,
+`constructions`.  Where M has no zero (`GenericFigure.zero_free`, the
+gate), so that every column is built in chart 0 and every von Staudt
+factor is finite and nonzero, a decision runs the generic program in its
+place (`generic_program`): the tetrahedron of a fixed reference configuration,
 drawn on one Tape, and column 0 of that configuration, drawn on a second
 Tape that reads the tetrahedron, compiled to one straight-line program.
 The program runs the tetrahedron's part once, making every point
@@ -24,14 +25,17 @@ canonical, and recovers it in the vertex frame of the tetrahedron, where
 the traced one records the recovery's two meets; the mod-p function is
 the untraced one on other names (see `StraightLine`).  The program holds
 in the main shape (each chart-0 frame picks E0 as its auxiliary
-direction, and every von Staudt factor is finite and nonzero), and there
-it gives the drawn bracket and trace steps.  Its guards hold every check
-of the drawing, so where a frame or a column takes another shape, or the
-figure would raise, it declines, and all four columns are drawn and
-record only what the drawing records.
+direction, and the figure passes the gate), and there it gives the drawn
+bracket and trace steps.  The traced loop guards every check of the
+drawn column; the untraced and mod-p loops guard only their computed
+steps, since the gate and the identities of the figure prove the rest
+(see `constructions._CHECK_CODE`).  So where a frame takes another shape,
+or the figure would raise, the program declines, and all four columns are
+drawn and record only what the drawing records; where M has a zero, no
+program runs, and all four are drawn too.
 
-Before the exact program, an untraced decision with every entry of M's
-row 0 nonzero and det M nonzero mod the prime P runs the program mod P
+Before the exact program, an untraced decision that passes the gate
+and has det M nonzero mod the prime P runs the program mod P
 (`StraightLine.run_mod_p`).  The figure is made of joins, meets and vector
 sums of the input points, which are polynomial in the coordinates, so each
 mod-p test point is a multiple of the exact one reduced mod P; if the
@@ -193,6 +197,13 @@ class GenericFigure:
         self.m = build_M(self.points)
 
     @cached_property
+    def zero_free(self) -> bool:
+        """Whether no entry of M is zero: the gate of the generic program,
+        whose untraced loop relies on it in place of guards (see
+        `bracket_of_test_points`)."""
+        return all(map(all, self.m.entries))
+
+    @cached_property
     def unit(self) -> Point:
         return global_unit(self.points)
 
@@ -290,11 +301,13 @@ def construct_test_point(points, col, trace=None, figure=None) -> Point:
 
 def bracket_of_test_points(figure, trace=None) -> int:
     """The bracket of the four test points of the figure, with the trace
-    steps of `construct_test_point`, which draws them.  Where row 0 of M
-    has no zero, the generic program gives it; its guards hold every check
-    of the figure, so where a frame or a column takes another shape, or the
-    figure would raise, it returns None, and all four columns are drawn."""
-    if all(figure.m.entries[0]):
+    steps of `construct_test_point`, which draws them.  Where M has no
+    zero, the generic program gives it: its untraced loop keeps no check of
+    the drawn column, since on such a figure each holds (the arguments
+    above `constructions._CHECK_CODE`).  Where a frame takes another shape,
+    or a computed step is zero, it returns None, and all four columns are
+    drawn, as they are where M has a zero."""
+    if figure.zero_free:
         det = generic_program().run(figure.program_leaves(), trace)
         if det is not None:
             return det
@@ -357,9 +370,9 @@ def decide_generic(points, trace=None, table=None) -> Decision:
     Decision), takes the two-planes exit on a zero column of M, otherwise
     constructs the four test points and answers by their coplanarity; on a
     YES verdict the quadric is recovered from the kernel of M through the
-    reducible-quadric basis.  An untraced decision whose row 0 of M has no
-    zero and whose det M is nonzero mod P may answer NO first, from the
-    mod-p filter (see the module docstring).  `table` is the IncidenceTable
+    reducible-quadric basis.  An untraced decision whose M has no zero and
+    whose det M is nonzero mod P may answer NO first, from the mod-p
+    filter (see the module docstring).  `table` is the IncidenceTable
     of the points, built when not given.
     """
     config = GenericConfig.validate(points, table)
@@ -376,7 +389,7 @@ def decide_generic(points, trace=None, table=None) -> Decision:
             )
     if (
         trace is None
-        and all(m.entries[0])
+        and figure.zero_free
         and det4(*reduced_mod_p(m.entries)) % P  # det M, from its rows
         and _no_mod_p(figure)
     ):

@@ -522,9 +522,9 @@ class TestGenericFigure:
     @pytest.mark.parametrize("make", [segre_generic_points, chart_one_points])
     def test_decide_builds_m_once_and_each_frame_once(self, monkeypatch, make):
         """A decision builds M once, and each frame it draws once: where
-        the generic program runs it builds no frame, and where row 0 of M
-        has a zero, or the program declines, each column draws the frames of
-        its chart's edges."""
+        the generic program runs it builds no frame, and where M has a zero,
+        or the program declines, each column draws the frames of its chart's
+        edges."""
         decide(make())  # builds the programs, which draw the reference frames
         built, frames = [], []
         real_build_M, real_choose = generic_case.build_M, constructions.choose_auxiliaries
@@ -546,7 +546,7 @@ class TestGenericFigure:
         points = decision.labeling.apply(make())
         figure = GenericFigure(points)
         edges = set()
-        if not (all(m.entries[0]) and program_runs(figure)):
+        if not program_runs(figure):
             for col in range(4):
                 chart = next(r for r, entry in enumerate(m.column(col)) if entry)
                 edges.update((chart, j) for j in range(4) if j != chart)
@@ -698,8 +698,9 @@ def assert_as_drawn(figure):
 
 
 def program_runs(figure):
-    """Whether the generic program completes on the figure's leaves."""
-    return generic_program().run(figure.program_leaves()) is not None
+    """Whether a decision's generic program completes on the figure: the
+    figure passes the gate, and the program completes on its leaves."""
+    return figure.zero_free and generic_program().run(figure.program_leaves()) is not None
 
 
 def mod_p_leaves(figure):
@@ -718,8 +719,7 @@ def mod_p_runs(figure):
 def points_function(traced=False, mod_p=False):
     """A function of the generic program compiled afresh with a `det4` that
     returns its arguments: it returns the four test points in place of
-    their bracket (with the steps, when traced), and its span guards, which
-    read the same `det4`, always pass."""
+    their bracket (with the steps, when traced)."""
     tape, leaves, result, shared = generic_program()._figure
     names = dict(constructions._mod_p_program_names() if mod_p else constructions._PROGRAM_NAMES)
     names["det4"] = lambda *points: points
@@ -754,7 +754,7 @@ def all_drawn(monkeypatch):
     monkeypatch.setattr(generic_case, "generic_program", Declines)
 
 
-KERNEL_CALL = re.compile(r"\b(jp|jlp|jll|mlp|mpp|wb|chart_hit|meet_of_join|det4)\(([^()]*)\)")
+KERNEL_CALL = re.compile(r"\b(jp|jlp|mlp|mpp|wb|chart_hit|meet_of_join|det4)\(([^()]*)\)")
 
 
 def kernel_calls(source):
@@ -816,8 +816,8 @@ def decisions(configs):
 
 
 class TestColumnProgram:
-    """Where row 0 of M has no zero, the generic program gives the bracket
-    of the four test points; where it declines, or row 0 has a zero, every
+    """Where M has no zero, the generic program gives the bracket of the
+    four test points; where it declines, or M has a zero, every
     column is drawn.  Either way the test points, the traces and what is
     raised are those of the figure drawn alone."""
 
@@ -838,20 +838,21 @@ class TestColumnProgram:
         lie on the frame's line and that neither factor is the frame's zero
         or infinity; per projection, that it lies on its edge and is not the
         infinity vertex; and that the recovered point is off each opposite
-        edge.  The program's loop guards each of those checks, and each
+        edge.  The traced loop guards each of those checks, and each
         computed step as the figure's step does, and reads every value of
-        the tetrahedron from the shared part.  The untraced loop holds every
-        point up to scale: each of its 9 apart guards is projective, only
-        the point it appends is made canonical, and each of the 18 meets of
-        coplanar lines keeps the figure's skew guard and runs
-        `meet_of_join`, whose fallback is `line_meet_line`; the 6 meets with
-        L' through the auxiliary point read its bracket from the shared part;
-        the recovery's point is expanded in the vertex frame by one call,
-        with no meet of planes.  The mod-p function is the same source on
-        other names.  The traced loop computes every step as the figure
-        does: the recovery meets its first two planes in a line and that
-        line with the third.  The shared part guards every check of the
-        chart-0 frames: see `test_every_check_of_the_drawn_frames_is_a_guard`."""
+        the tetrahedron from the shared part; it computes every step as the
+        figure does: the recovery meets its first two planes in a line and
+        that line with the third.  The untraced loop guards none of those
+        checks, which are identities or follow from the gate (the arguments
+        above `constructions._CHECK_CODE`), and each computed step as the
+        traced loop does.  It holds every point up to scale: only the point
+        it appends is made canonical, and each of the 18 meets of coplanar
+        lines runs `meet_of_join`, with no skew guard, whose fallback is
+        `line_meet_line`; the 6 meets with L' through the auxiliary point
+        read its bracket from the shared part; the recovery's point is
+        expanded in the vertex frame by one call, with no meet of planes.
+        The mod-p function is the same source on other names.  The shared
+        part's guards: see `test_every_check_of_the_drawn_frames_is_a_guard`."""
         (shared, shared_leaves), (tape, leaves, result) = self.reference_tapes()
         checks = Counter(entry[0] for entry in tape.steps if type(entry) is not TraceStep)
         assert checks == {"on": 12, "apart": 9, "off": 3}
@@ -867,17 +868,16 @@ class TestColumnProgram:
         joins = computed[("join", (1, 1, 2))] + computed[("join", (1, 1, 1, 3))]
         for traced in (False, True):
             _, lines = program_parts(traced)
-            assert sum(line.startswith("if any(jlp(") for line in lines) == checks["on"]
-            assert sum(line.startswith("if not any(jlp(") for line in lines) == checks["off"]
-            apart = sum(" in (" in line for line in lines)
-            projective = [line for line in lines if line.startswith("if not any(jp(")]
-            assert apart + len(projective) == checks["apart"]
             nonzero = sum(line.startswith("if not any(v") for line in lines)
             assert nonzero == joins + computed[("meet", (2, 3, 1))]
             if traced:
+                assert sum(line.startswith("if any(jlp(") for line in lines) == checks["on"]
+                assert sum(line.startswith("if not any(jlp(") for line in lines) == checks["off"]
+                assert sum(" in (" in line for line in lines) == checks["apart"]
                 assert sum(line == "except ValueError: return" for line in lines) == meets
                 assert sum("= line_meet_line(" in line for line in lines) == meets
-                assert not projective and not any("jll(" in line or "wb(" in line for line in lines)
+                assert not any("jp(" in line and line.startswith("if ") for line in lines)
+                assert not any("wb(" in line for line in lines)
                 cuts = [line.split(" = ")[0] for line in lines if " = mpp(" in line]
                 assert len(cuts) == computed[("meet", (3, 3, 2))] == 1
                 assert sum(f" = mlp({cuts[0]}, " in line for line in lines) == 1
@@ -890,13 +890,16 @@ class TestColumnProgram:
                 continue
             assert not any("mpp(" in line for line in lines)
             assert sum(" = chart_hit(" in line for line in lines) == 1
-            assert apart == 0
             assert [line for line in lines if "canon(" in line] == [lines[-2]]
             assert lines[-2].startswith("points.append(canon(")
             assert lines[-1] == "return det4(*points)"
-            skew = [line for line in lines if line.startswith("if jll(")]
-            assert len(skew) == meets and all(line.endswith(")[0]: return") for line in skew)
-            assert not any("line_meet_line(" in line or "except" in line for line in lines)
+            # a guard of a computed step is the only guard of the loop
+            guards = [line for line in lines if line.startswith("if ")]
+            computed_step = re.compile(r"if (not any\(v\d+\)|v\d+ is None): return")
+            assert all(computed_step.fullmatch(line) for line in guards)
+            assert len(guards) == nonzero + meets
+            assert not any("jll(" in line or "line_meet_line(" in line for line in lines)
+            assert not any("except" in line for line in lines)
             combined = [line for line in lines if " = meet_of_join(w" in line]
             assert len({line.split(" = ")[0] for line in combined}) == len(combined) == meets
             assert sum(" = wb(" in line for line in lines) == 2 * meets - 6
@@ -909,7 +912,10 @@ class TestColumnProgram:
         that E0, its auxiliary direction, is off its line, and that the
         auxiliary point a is off its line and off L'; and each join and
         meet is nonzero, and each pair of scaffold lines that meets is
-        coplanar.  The shared part guards each of those checks.  It makes
+        coplanar.  The shared part guards each of those checks but three
+        kinds, whose proofs are above `constructions._CHECK_CODE`: the span
+        checks, which `GenericConfig.validate` proves; each unit on its
+        line, a meet with that line; and the coplanar scaffold lines.  It makes
         every point canonical, as the figure does, and meets each scaffold
         line it joined by `meet_of_join`; its two vector sums per frame,
         infinity + E0 and a = zero + 2·infinity + E0, read only the vertices
@@ -932,10 +938,9 @@ class TestColumnProgram:
         assert computed == {(1, 1, 2): 24, (2, 1, 3): 3, (2, 3, 1): 3, (2, 2, 1): 6}
         lines, _ = program_parts()
         assert lines == program_parts(traced=True)[0]
-        assert sum(line.startswith("if not det4(") for line in lines) == checks["span"]
+        assert not any("det4(" in line or "jll(" in line for line in lines)
         # the only on-line check is each unit's, which is a meet with its line
-        on = [line for line in lines if line.startswith("if any(jlp(")]
-        assert len(on) == checks["on"] == 3
+        assert checks["on"] == 3 and not any(line.startswith("if any(jlp(") for line in lines)
         off = [line for line in lines if line.startswith("if not any(jlp(")]
         assert len(off) == checks["off"]
         assert sum(f", {e0!r})" in line for line in off) == 3
@@ -947,10 +952,8 @@ class TestColumnProgram:
         assert sum(line.count("jp(") for line in lines) == 27 == joins + 6
         canon = [line for line in lines if " = canon(" in line]
         assert len(canon) == computed[2, 3, 1] + computed[2, 2, 1] + len(sums)
-        skew = [line for line in lines if line.startswith("if jll(")]
-        assert len(skew) == computed[2, 2, 1] == 6
         assert sum(" = wb(" in line for line in lines) == 6
-        assert sum(" = meet_of_join(" in line for line in lines) == 6
+        assert sum(" = meet_of_join(" in line for line in lines) == computed[2, 2, 1] == 6
         assert not any(" in (" in line or "mpp(" in line or "chart_hit(" in line for line in lines)
         assert lines == program_parts(mod_p=True)[0]
 
@@ -974,40 +977,71 @@ class TestColumnProgram:
         assert generic_program().run(figure.program_leaves()) == bracket(*map(Point, drawn_points(figure)))
         for points in generic_fixtures()[:-1]:
             figure = GenericFigure(points)
-            assert all(figure.m.entries[0]) and program_runs(figure)
+            assert program_runs(figure)
             assert_as_drawn(figure)
 
     def test_infinity_factor(self):
+        """A zero of M outside row 0 puts the figure outside the gate, so
+        no decision runs the program on it; the traced loop, which keeps
+        the apart guard of each factor, declines on it all the same."""
         pts = infinity_factor_points()
         assert genericity_violation(pts) is None and compute_Q(pts[:6]) != 0
         figure = GenericFigure(pts)
         assert all(figure.m.entries[0]) and not figure.m.entries[1][0]
-        assert not program_runs(figure) and not mod_p_runs(figure)
+        assert not figure.zero_free and not program_runs(figure)
+        assert generic_program().run(figure.program_leaves(), ConstructionTrace()) is None
         assert_as_drawn(figure)
 
     def doctored(self, figure, plane):
-        """The figure with the first plane of column 0 replaced."""
+        """The figure with the first plane of column 0 replaced and M
+        rebuilt from its planes, as `build_M` builds it, and a copy that
+        keeps M's entries, so draws column 0 in chart 0 as before."""
         planes = figure.m.basis_planes
-        figure.m = replace(figure.m, basis_planes=((plane, planes[0][1]), *planes[1:]))
-        return figure
+        planes = ((plane, planes[0][1]), *planes[1:])
+        bracket_with = generic_case._plane_with_point
+        entries = tuple(
+            tuple(bracket_with(a.coeffs, x)[0] * bracket_with(b.coeffs, x)[0] for a, b in planes)
+            for x in (point.coords for point in figure.points[6:])
+        )
+        stale = GenericFigure(figure.points)
+        stale.m = replace(figure.m, basis_planes=planes)
+        figure.m = replace(figure.m, entries=entries, basis_planes=planes)
+        return figure, stale
+
+    def assert_declines_outside_the_gate(self, figure):
+        """The doctored figure fails the gate, so no decision runs the
+        program on it; fed its leaves anyway, the program declines, exactly
+        and mod P, on a guard of a computed step, which every function
+        keeps."""
+        assert not figure.zero_free and not program_runs(figure)
+        assert generic_program().run(figure.program_leaves()) is None
+        assert not mod_p_runs(figure)
 
     def test_zero_factor_raises_what_the_figure_raises(self):
-        """With the first plane of column 0 moved through vertex 0, the
-        factor x is the frame's zero on every edge: the product is the
-        zero, its inverse the infinity vertex, and the recovery raises."""
+        """With the first plane of column 0 moved through vertex 0, M[0][0]
+        is 0.  Drawn in chart 0, the factor x is the frame's zero on every
+        edge: the product is the zero, its inverse the infinity vertex, and
+        the recovery raises; the program's recovery hit is zero there."""
         pts = segre_generic_points()
-        figure = self.doctored(GenericFigure(pts), plane_through(pts[6], pts[0], pts[1]))
-        assert not program_runs(figure) and not mod_p_runs(figure)
-        point, _ = outcome(lambda t: drawn_column(figure, 0, t))
+        figure, stale = self.doctored(GenericFigure(pts), plane_through(pts[6], pts[0], pts[1]))
+        assert not figure.m.entries[0][0] and stale.m.entries[0][0]
+        self.assert_declines_outside_the_gate(figure)
+        point, _ = outcome(lambda t: drawn_column(stale, 0, t))
         assert point[0] is constructions.OutsideChart
         assert_as_drawn(figure)
+        assert_as_drawn(stale)
 
     def test_degenerate_meet_raises_what_the_figure_raises(self):
+        """With the first plane of column 0 through vertices 0 and 1, M[0][0]
+        and M[1][0] are 0, and the edge 01 lies in the plane: drawn in chart
+        0, the meet of the two raises, and the program's is zero."""
         pts = segre_generic_points()
-        figure = self.doctored(GenericFigure(pts), plane_through(pts[6], pts[7], pts[0]))
-        assert not program_runs(figure) and not mod_p_runs(figure)
-        assert outcome(lambda t: drawn_column(figure, 0, t))[0][0] is constructions.DegenerateMeet
+        figure, stale = self.doctored(GenericFigure(pts), plane_through(pts[6], pts[7], pts[0]))
+        assert not (figure.m.entries[0][0] or figure.m.entries[1][0])
+        self.assert_declines_outside_the_gate(figure)
+        assert outcome(lambda t: drawn_column(stale, 0, t))[0][0] is constructions.DegenerateMeet
         assert_as_drawn(figure)
+        assert_as_drawn(stale)
 
     def test_skew_lines_and_zero_joins_raise_what_the_figure_raises(self):
         """A frame whose L' is skew to the figure's lines, and one whose
@@ -1016,8 +1050,12 @@ class TestColumnProgram:
         frames from the vertices and the unit, so no input reaches these
         guards of its loop; the program of the frame's von Staudt product,
         which reads the frame's scaffold as leaves, gives the drawn product
-        on the frame as built, and declines, exactly and mod P, on the
-        doctored scaffold."""
+        on the frame as built, and its traced function, which keeps every
+        guard, declines on the doctored scaffold.  Its untraced and mod-p
+        functions keep the guard of the zero join, and decline there too;
+        they have no skew guard, since on a figure built from points the
+        lines it guards are coplanar (the argument above
+        `constructions._CHECK_CODE`), and a skew L' is no such figure."""
         pts = segre_generic_points()
         for doctor, raised in (
             (lambda s, py: s._replace(lprime=line_through(pts[0], pts[1])), constructions.SkewLines),
@@ -1041,7 +1079,9 @@ class TestColumnProgram:
             }
             other = tuple(swapped.get(id(value), value) for value in leaves)
             assert other != leaves
-            assert program.run(other) is None and program.run_mod_p(reduced_mod_p(other)) is None
+            assert program.run(other, ConstructionTrace()) is None
+            if raised is constructions.ZeroExtensor:
+                assert program.run(other) is None and program.run_mod_p(reduced_mod_p(other)) is None
             point, trace = outcome(lambda t: drawn_column(figure, 0, t))
             assert point[0] is raised and trace["steps"]
 
@@ -1052,10 +1092,11 @@ class TestColumnProgram:
         E3 zero on each of the 6 meets of its shared part and the 18 of each
         column, and meets the lines in `line_meet_line`; on a figure in
         general position it never does.  Column 3 has zero entries in rows 2
-        and 3, so an infinity factor on the edges 02 and 03, and the program
-        declines there, after the 6 meets of its edge 01.  On columns 0, 1,
-        2 and 0 again the untraced and the traced functions give the drawn
-        test points, and the traced steps the drawn trace."""
+        and 3, so an infinity factor on the edges 02 and 03: the figure is
+        outside the gate, and the traced function, which keeps every guard,
+        declines on that column.  On columns 0, 1, 2 and 0 again the
+        untraced and the traced functions give the drawn test points, and
+        the traced steps the drawn trace."""
         pts = segre_generic_points()
         pts[6] = E3
         assert genericity_violation(pts) is None and compute_Q(pts[:6]) != 0
@@ -1085,23 +1126,23 @@ class TestColumnProgram:
         # the bracket of a repeated point
         assert program.run(repeated, trace) == 0
         assert trace.to_json() == drawn.to_json()
-        fallbacks.clear()
-        assert program.run((shared, columns)) is None
-        assert len(fallbacks) == 6 + 3 * 18 + 6
+        assert not figure.zero_free
+        assert program.run((shared, columns), ConstructionTrace()) is None
+        assert points_function(traced=True)((shared, columns[3:])) is None
         assert_as_drawn(figure)
 
     def test_frames_program_returns_the_drawn_values(self):
         """On samples with coordinates up to 2^6, 2^64 and 2^256, on the
         fixtures and on a figure whose vertex 0 is E3, the shared part of
-        the generic program completes, and on each column whose entry in row
-        0 is nonzero and on which the program completes, its untraced and
-        traced functions give the drawn test point and the drawn trace.  The
-        traced steps read the shared part's values, so those are the drawn
-        tetrahedron's and its frames', bit for bit.  Where every column
-        completes, the program gives the drawn bracket and trace.  The
-        columns it declines are those with a zero entry in M, so an
-        infinity factor: two of the infinity-factor fixture, one of the
-        chart-1 fixture and column 3 of the figure at E3."""
+        the generic program completes.  Of the columns whose entry in row 0
+        is nonzero, the traced function, which keeps every guard, declines
+        exactly those with a zero entry in M, so an infinity factor: two of
+        the infinity-factor fixture, one of the chart-1 fixture and column 3
+        of the figure at E3.  On each of the others its untraced and traced
+        functions give the drawn test point and the drawn trace.  The traced
+        steps read the shared part's values, so those are the drawn
+        tetrahedron's and its frames', bit for bit.  Where the figure passes
+        the gate, the program gives the drawn bracket and trace."""
         configs = [generic_fixtures()[0], chart_one_points(), infinity_factor_points()]
         for bound in (2**6, 2**64, 2**256):
             for seed in (1, 2, 3):
@@ -1121,14 +1162,15 @@ class TestColumnProgram:
                 if not figure.m.entries[0][col]:
                     continue
                 leaves = (shared, columns[col : col + 1])
-                untraced = points_function()(leaves)
-                assert (untraced is None) is (0 in figure.m.column(col))
-                if untraced is None:
+                done = points_function(traced=True)(leaves)
+                assert (done is None) is (0 in figure.m.column(col))
+                if done is None:
                     declined += 1
                     continue
                 drawn = ConstructionTrace()
                 want = (drawn_column(figure, col, drawn).coords,)
-                traced, steps = points_function(traced=True)(leaves)
+                untraced = points_function()(leaves)
+                traced, steps = done
                 trace = ConstructionTrace()
                 for step in steps:
                     constructions._record(trace, *step)
@@ -1155,7 +1197,7 @@ class TestColumnProgram:
             assert figure.points[6:] == points[6:]
             assert contains_point(figure.tetrahedron.edge_line(0, 1), E0)
             assert figure.tetrahedron.edge_frame(0, 1).aux_index == 1
-            assert all(figure.m.entries[0])
+            assert figure.zero_free
             assert not program_runs(figure) and not mod_p_runs(figure)
             configs.append(points)
         for points in configs:
@@ -1200,7 +1242,7 @@ class TestColumnProgram:
         """As in acceptance criterion 10, on configurations with coordinates
         up to 20 and on three seeded samples each up to 2^64 and 2^256:
         the untraced test point of every column is the drawn one and the
-        image tau(column of M).  The figures with no zero in row 0 of M run
+        image tau(column of M).  The figures with no zero in M run
         the program, whose recovery expands each point in the vertex frame;
         the drawn columns, which `drawn_column` draws for every column and
         the fixtures in chart 1 and with an infinity factor add, recover it
@@ -1232,7 +1274,7 @@ class TestColumnProgram:
                 compared += 1
             if len(images) == 4:
                 assert bracket_of_test_points(figure) == bracket(*images)
-            if all(figure.m.entries[0]):
+            if figure.zero_free:
                 point_coords = points_function()(figure.program_leaves())
                 if point_coords is not None:
                     assert point_coords == tuple(image.coords for image in images)
@@ -1252,12 +1294,13 @@ class TestColumnProgram:
         assert ran == []
 
     def test_a_declined_decision_is_drawn_whole(self, monkeypatch):
-        """One case of each way a decision falls back: a zero in row 0 of M,
-        which runs no program; a frame off the main shape, where the shared
-        part declines; and an infinity factor, where a column declines.  The
-        decision JSON and the trace JSON, traced and untraced, are those of
-        the decision that draws every column, each decision draws all four
-        columns, and no result of the program is used."""
+        """One case of each way a decision falls back: a zero in row 0 of M
+        and an infinity factor, a zero of M outside row 0, neither of which
+        passes the gate, so no program runs; and a frame off the main shape,
+        where the shared part declines.  The decision JSON and the trace
+        JSON, traced and untraced, are those of the decision that draws
+        every column, each decision draws all four columns, and no result of
+        the program is used."""
         cases = [chart_one_points(), e0_on_edge_points(25, 3), infinity_factor_points()]
         real_program, real_draw = generic_program(), generic_case.construct_test_point
         results, drawn = [], []
@@ -1275,9 +1318,9 @@ class TestColumnProgram:
             drawn.append(col)
             return real_draw(points, col, trace, figure)
 
-        for points, runs in zip(cases, (False, True, True)):
+        for points, runs in zip(cases, (False, True, False)):
             figure = GenericFigure(decide(points).labeling.apply(points))
-            assert all(figure.m.entries[0]) is runs
+            assert figure.zero_free is runs
             with monkeypatch.context() as patch:
                 patch.setattr(generic_case, "generic_program", Spy)
                 patch.setattr(generic_case, "construct_test_point", drawing)
@@ -1289,6 +1332,51 @@ class TestColumnProgram:
             with monkeypatch.context() as patch:
                 all_drawn(patch)
                 assert [decide(points).to_json(), decisions([points])] == got
+
+    def test_the_gate_stands_in_for_the_guards_it_proves(self, monkeypatch):
+        """The untraced and mod-p loops keep no check of the drawn column,
+        and the gate, no zero in M, stands in for those that are not
+        identities.  On the generic figures of fuzz seeds 0-2, of random and
+        on-quadric samples from 2^6 to 2^256, of the E0-on-edge
+        configurations and of projective images of the chart-1 fixture:
+        where the figure passes the gate, the untraced program declines
+        exactly where the traced one, whose loop keeps every guard,
+        declines, and otherwise gives the same bracket, and a bracket
+        nonzero mod P goes with a nonzero exact one.  A figure with a zero
+        in M never calls the program, and its bracket is the drawn one."""
+        configs = [cli.fuzz_configuration(seed, index) for seed in range(3) for index in range(300)]
+        for bound in (2**6, 2**16, 2**32, 2**64, 2**256):
+            for seed in (1, 2, 3):
+                configs.append(sample_generic(seed, 10, bound=bound))
+                configs.append(sample_on_quadric(seed, 10, transformed=True, bound=bound))
+        configs += [e0_on_edge_points(25, 3), e0_on_edge_points(2**64, 2**70 + 1)]
+        rng = random.Random("gate-chart-one")
+        for bound in (2**6, 2**64):
+            configs += [[random_transform(rng, bound).apply(p) for p in chart_one_points()]]
+        program, calls = generic_program(), []
+        seen = Counter()
+        for points in configs:
+            decision = decide(points)
+            if decision.branch != "generic":
+                continue
+            figure = GenericFigure(decision.labeling.apply(points))
+            leaves = figure.program_leaves()
+            if not figure.zero_free:
+                with monkeypatch.context() as patch:
+                    patch.setattr(generic_case, "generic_program", lambda: calls.append(1) or program)
+                    assert decide(points).to_json() == decision.to_json()
+                    assert_as_drawn(figure)
+                assert calls == []
+                seen["zero in M"] += 1
+                continue
+            untraced = program.run(leaves)
+            assert untraced == program.run(leaves, ConstructionTrace())
+            modp = program.run_mod_p(mod_p_leaves(figure))
+            if modp:
+                assert untraced
+            seen["declined" if untraced is None else "nonzero mod P" if modp else "ran"] += 1
+        assert seen["zero in M"] >= 40 and seen["declined"] >= 2
+        assert seen["nonzero mod P"] >= 100 and seen["ran"] >= 100
 
     def test_decisions_as_drawn(self, monkeypatch):
         """Inputs that `_ensure_general_position` relabeled, fuzz seed 5
@@ -1315,7 +1403,7 @@ class TestColumnProgram:
         reference configuration on one tape and its tetrahedron on another,
         whatever was decided first.  Untraced decisions compile its
         untraced function alone, on the first that the mod-p filter does not
-        answer and whose row 0 of M has no zero: here a YES decision."""
+        answer and whose M has no zero: here a YES decision."""
         firsts = {
             "main shape": fixtures.generate_branch("generic", 1),
             "another chart": chart_one_points(),
@@ -1350,11 +1438,11 @@ def projectively_equal_mod_p(u, v):
 
 def gated_figure(points):
     """The figure a decision of the generic points builds, and whether an
-    untraced decision runs the mod-p filter on it: row 0 of M has no zero
-    and det M is nonzero mod P."""
+    untraced decision runs the mod-p filter on it: M has no zero and det M
+    is nonzero mod P."""
     relabeled = decide(points).labeling.apply(points)
     figure = GenericFigure(relabeled)
-    return figure, all(figure.m.entries[0]) and cofactor_det(figure.m.entries) % P != 0
+    return figure, figure.zero_free and cofactor_det(figure.m.entries) % P != 0
 
 
 def filter_off(figure):
@@ -1377,7 +1465,7 @@ def spy_on_filter(monkeypatch):
 
 
 class TestModPFilter:
-    """An untraced decision with no zero in row 0 of M and det M nonzero
+    """An untraced decision with no zero in M and det M nonzero
     mod P first runs the generic program mod P; it answers NO where the
     four test points are not coplanar mod P, and the exact program or the
     drawn columns decide everything else, every YES among it."""
@@ -1481,7 +1569,7 @@ class TestModPFilter:
         assert det_m(x) % P == 0 and det_m(x) != 0 and gcd(*x) % P
         points[9] = Point(x)
         figure, gated = gated_figure(points)
-        assert all(figure.m.entries[0]) and not gated
+        assert figure.zero_free and not gated
         assert decide(points).labeling.perm == tuple(range(10))
         assert generic_program().run_mod_p(mod_p_leaves(figure)) == 0
         assert not generic_case._no_mod_p(figure)
@@ -1533,8 +1621,8 @@ class TestModPFilter:
 
     def test_routed_by_det_m_mod_p(self, monkeypatch):
         """On the fixtures and on random and on-quadric samples from 2^6 to
-        2^256, the filter runs on exactly the untraced decisions whose row
-        0 of M has no zero and whose det M is nonzero mod P, on the figure
+        2^256, the filter runs on exactly the untraced decisions whose M
+        has no zero and whose det M is nonzero mod P, on the figure
         the decision builds, and never on a YES or a traced decision.  The
         det M mod P of the routing, the `det4` of M's rows reduced mod P, is
         the cofactor determinant of M mod P."""
