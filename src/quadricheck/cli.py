@@ -19,9 +19,9 @@ from fractions import Fraction
 
 from . import fixtures, reductions
 from .constructions import ConstructionTrace
-from .generic_case import build_M, compute_Q
+from .generic_case import GenericFigure, bracket_of_test_points, build_M, compute_Q
 from .oracle import oracle_decide, oracle_det, sample_generic, sample_on_quadric
-from .projective import _INTEGER_TEXT, Point, bareiss_det, clear_denominators
+from .projective import _INTEGER_TEXT, Point, bareiss_det, bracket, clear_denominators
 
 
 class ConfigError(ValueError):
@@ -216,13 +216,15 @@ def fuzz_configuration(seed, index):
 
 
 def fuzz_check(seed, index):
-    """Decide fuzz configuration `index` of `seed` by both methods, and
-    check det(M) = Q·det(N) on the points as a generic decision labels them.
+    """Decide fuzz configuration `index` of `seed` by both methods, and on
+    the points as a generic decision labels them check det(M) = Q·det(N)
+    and that the exact bracket of the four test points is that of M's
+    columns in the frame of the vertices 6..9 (`_bracket_of_columns`).
 
     Returns (decision, failure).  failure is None when the verdicts agree
-    and the identity holds.  Otherwise it is a JSON-ready record with the
-    seed, the index and the configuration: of the disagreement or the
-    failed identity (with the branch), or of the exception `decide` raised
+    and both identities hold.  Otherwise it is a JSON-ready record with
+    the seed, the index and the configuration: of the disagreement or the
+    failed identity (with the branch), or of the exception a check raised
     (with its text and traceback; decision is then None), so that one bad
     configuration does not end a fuzz run.
     """
@@ -230,19 +232,46 @@ def fuzz_check(seed, index):
     record = {"seed": seed, "index": index, "points": points_to_json(points)["points"]}
     try:
         decision = reductions.decide(points)
+        failure = _failure(points, decision)
     except Exception as exc:  # recorded with its configuration; the run goes on
         record["error"] = f"{type(exc).__name__}: {exc}"
         record["traceback"] = traceback.format_exc()
         return None, record
+    if failure is None:
+        return decision, None
+    record.update(failure)
+    return decision, record
+
+
+def _failure(points, decision):
+    """The fields of a fuzz record that say which check of the decision
+    failed, or None.  The bracket of the test points is taken exactly, as
+    a YES decision takes it, since a mod-p NO decision never computes it."""
     if decision.on_quadric != oracle_decide(points):
-        record["branch"] = decision.branch
-        return decision, record
-    if decision.branch == "generic":
-        labeled = decision.labeling.apply(points)
-        if bareiss_det(build_M(labeled).entries) != compute_Q(labeled) * oracle_det(labeled):
-            record.update(branch="generic", identity="det(M) != Q * det(N)")
-            return decision, record
-    return decision, None
+        return {"branch": decision.branch}
+    if decision.branch != "generic":
+        return None
+    labeled = decision.labeling.apply(points)
+    if bareiss_det(build_M(labeled).entries) != compute_Q(labeled) * oracle_det(labeled):
+        return {"branch": "generic", "identity": "det(M) != Q * det(N)"}
+    figure = GenericFigure(labeled)
+    if bracket_of_test_points(figure) != _bracket_of_columns(figure):
+        return {"branch": "generic", "identity": "[test points] != [M's columns in 6789's frame]"}
+    return None
+
+
+def _bracket_of_columns(figure):
+    """The bracket of M's four columns, each expanded in the frame of the
+    vertices v6..v9 as the sum of M[r][c]·v_{6+r} over the rows r, and
+    made canonical: these are the four test points (acceptance criterion
+    10), so it is their bracket."""
+    vertices = [p.coords for p in figure.points[6:]]
+    return bracket(
+        *(
+            Point([sum(m * v[k] for m, v in zip(figure.m.column(c), vertices)) for k in range(4)])
+            for c in range(4)
+        )
+    )
 
 
 def cmd_fuzz(args) -> int:

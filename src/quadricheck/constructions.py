@@ -39,9 +39,12 @@ figure may read a shared part drawn on a tape of its own, such as a
 tetrahedron with its frames: the program then runs the shared part once,
 the figure once per column of leaves, and returns the bracket of the
 columns' results.  Run untraced, it meets a line pq with a coplanar line l
-at [πp]q - [πq]p for the plane π = join(l, E3), makes every point of the
-shared part canonical, and holds every point of the figure up to scale
-but its result.  Run mod the prime P (`run_mod_p`), it is the same body
+at [πp]q - [πq]p for the plane π = join(l, E3), which needs no line pq:
+in the loop over the columns it joins no line that only such a meet
+reads, and the point, zero exactly where p and q are dependent, is the
+guard the join would be.  It makes every point of the shared part
+canonical, and holds every point of the figure up to scale but its
+result.  Run mod the prime P (`run_mod_p`), it is the same body
 on other names: kernels that reduce mod P, on the leaves reduced mod P.
 It declines wherever a value it needs is 0 mod P; its output is then the
 untraced output reduced mod P, up to a scale nonzero mod P, which is
@@ -780,40 +783,52 @@ _STEP_CODE = {
     ("meet", (3, 3, 2)): ("{out} = mpp({0}, {1})",),
 }
 
-def _meet_of_join(al, be, p, q, l1, l2):
-    """The point [πp]q - [πq]p where the line l1, joined from the points p
-    and q, meets the coplanar line l2, from al = [πp] and be = [πq] for the
-    plane π = join(l2, E3).  The two brackets are divided by their gcd,
-    which keeps the point small at the cost of a gcd of two brackets in
-    place of the four-coordinate gcd of a canonical point.  The point is
-    nonzero, since the join guard keeps p and q apart.  Where both brackets
-    vanish, E3 lies on the common plane (or the lines coincide), and the
-    lines meet in `line_meet_line`; None where it raises."""
+def _meet_of_join(al, be, p, q, l2):
+    """The point [πp]q - [πq]p where the line through the points p and q
+    meets the coplanar line l2, from al = [πp] and be = [πq] for the plane
+    π = join(l2, E3), or None where p and q are dependent.  It reads no
+    line pq: the untraced and mod-p loops join no line that only this meet
+    reads.  The two brackets are divided by their gcd, which keeps the
+    point small at the cost of a gcd of two brackets in place of the
+    four-coordinate gcd of a canonical point.  With al or be nonzero, the
+    point is zero exactly when p and q are dependent: q = λp gives
+    be = λ·al and a zero point, and al·q = be·p makes one of them a
+    multiple of the other.  So the point's own test declines where a guard
+    on the join would.  Where both brackets vanish, E3 lies on the common
+    plane (or the lines coincide): p and q are joined here, and the lines
+    meet in `line_meet_line`; None where the join is zero or it raises."""
     if al or be:
         g = gcd(al, be)
         al, be = al // g, be // g
         (p0, p1, p2, p3), (q0, q1, q2, q3) = p, q
-        return (al * q0 - be * p0, al * q1 - be * p1, al * q2 - be * p2, al * q3 - be * p3)
+        point = (al * q0 - be * p0, al * q1 - be * p1, al * q2 - be * p2, al * q3 - be * p3)
+        return point if any(point) else None
+    l1 = _join_points(p, q)
+    if not any(l1):
+        return None
     try:
         return line_meet_line(l1, l2)
     except ValueError:
         return None
 
 
-def _meet_of_join_mod_p(al, be, p, q, l1, l2):
+def _meet_of_join_mod_p(al, be, p, q, l2):
     """`_meet_of_join` mod P, on values reduced mod P, with no gcd and each
-    coordinate reduced; None where both brackets are 0 mod P: where they
-    are 0 over Z the exact program meets the lines in `line_meet_line`, and
-    where they are 0 mod P only, the point is not known mod P."""
+    coordinate reduced: None where both brackets are 0 mod P, since where they are 0 over Z the exact program meets the
+    lines in `line_meet_line`, and where they are 0 mod P only, the point
+    is not known mod P.  None too where the point is 0 mod P, which with
+    al or be nonzero mod P is where p and q are dependent mod P, so where
+    their join is 0 mod P."""
     if not (al or be):
         return None
     (p0, p1, p2, p3), (q0, q1, q2, q3) = p, q
-    return (
+    point = (
         (al * q0 - be * p0) % P,
         (al * q1 - be * p1) % P,
         (al * q2 - be * p2) % P,
         (al * q3 - be * p3) % P,
     )
+    return point if any(point) else None
 
 
 # The untraced program recovers a chart's point from the names {0}, {1},
@@ -832,6 +847,14 @@ _CHART_HIT_CODE = (
 # other point is nonzero, which holds its points up to scale, and tests
 # nothing of two points it has joined already: the join's own guard is
 # that test.  Four points span space where their bracket is nonzero.
+#
+# A line of two points p and q that only `meet_of_join` reads has no
+# guard of its own in the untraced and mod-p loops, which do not join it
+# (`_program_source`).  The meet's point [πp]q - [πq]p stands in for it:
+# with [πp] or [πq] nonzero, the point is zero exactly when p and q are
+# dependent, which is where the join is zero, over Z and mod P alike, and
+# `meet_of_join` returns None there; with both zero it joins p and q
+# itself, and returns None where the join is zero.
 #
 # The mod-p program is the exact program's body on other names
 # (`_mod_p_program_names`): kernels that reduce mod P, run on leaves
@@ -955,21 +978,21 @@ class StraightLine:
     its output is computed by the generated kernels as `_STEP_CODE` says,
     or read from the leaf or earlier step that holds it, as the figure
     reads a memoized value, or from an earlier step of the same op on the
-    same names.  Each vector sum is one line, and reads only leaves and
-    the basis points, which the program writes as literals.  Each check
-    that a computed step makes (a nonzero join or meet point) is an inline
-    guard in every function.  In the traced function each check of the
-    tape is one too, so it holds in the figure's shape on the tape and
-    returns None everywhere else: there the figure takes another shape or
-    raises.  The untraced and mod-p functions leave out the checks that
-    the arguments above `_CHECK_CODE` prove: "on", skew and "span" checks
-    everywhere, and in the loop over the columns every check, which the
-    generic program's gate proves; so they hold to the figure's shape only
-    on the figures that pass it.  `leaves` lists the tape's leaves, each
-    matched to the tape's values by identity, and `result` is the figure's
-    output; `run` takes the leaves of another figure in the same order
-    and, with no shared part, returns that output: the form in which the
-    tests compile a single figure, such as one von Staudt product.
+    same names.  Each vector sum is one line, and reads only leaves and the
+    basis points, which the program writes as literals.  Each check that a
+    computed step makes (a nonzero join or meet point) is an inline guard
+    in every function that computes the step.  In the traced function each
+    check of the tape is one too, so it holds in the figure's shape on the
+    tape and returns None everywhere else: there the figure takes another
+    shape or raises.  The untraced and mod-p functions leave out the checks
+    that the arguments above `_CHECK_CODE` prove: "on", skew and "span"
+    checks everywhere, and in the loop over the columns every check, which
+    the generic program's gate proves; so they hold to the figure's shape
+    only on the figures that pass it.  `leaves` lists the tape's leaves,
+    each matched to the tape's values by identity, and `result` is the
+    figure's output; `run` takes the leaves of another figure in the same
+    order and, with no shared part, returns that output: the form in which
+    the tests compile a single figure, such as one von Staudt product.
 
     `shared`, when given, is the (tape, leaves) of a part the figure reads
     and draws nothing of, such as a tetrahedron with its frames: its
@@ -985,11 +1008,14 @@ class StraightLine:
     function holds every point of the figure up to scale and makes only its
     result canonical, so on a figure that passes the gate it gives what the
     traced function gives.  Outside the traced figure, apart guards are
-    projective, and a line the program joined meets a coplanar line by
-    `_meet_of_join`.  Where a chart recovery drawn on the tape noted its
-    vertex frame, the untraced function expands the recovered point in that
-    frame as `_CHART_HIT_CODE` says, in place of the recovery's two meets,
-    which the traced function computes and records.
+    projective, and a line of two points meets a coplanar line by
+    `_meet_of_join`, from the two points; the untraced and mod-p loops
+    over the columns join no line that only such a meet reads, so they
+    make neither its join nor the join's guard, and the meet's nonzero
+    point is that guard.  Where a chart recovery drawn on the tape noted
+    its vertex frame, the untraced function expands the recovered point in
+    that frame as `_CHART_HIT_CODE` says, in place of the recovery's two
+    meets, which the traced function computes and records.
 
     The mod-p function, which `run_mod_p` runs, is the untraced body
     compiled on other names, with kernels built on its first run (see
@@ -1074,6 +1100,9 @@ def _program_source(tape, leaves, result, traced, mod_p=False, shared=None):
     joined = {}  # the name of each line the program joins -> its two points' names
     apart = set()  # the pairs of point names the program has joined, so knows apart
     brackets = {}  # (line, point) names -> the name of their witness bracket
+    # the name of each line of the untraced loop that only `meet_of_join`
+    # has read so far, so no code has joined yet -> the code that joins it
+    unjoined = {}
 
     def name(value):
         held = names.get(id(value))
@@ -1092,8 +1121,9 @@ def _program_source(tape, leaves, result, traced, mod_p=False, shared=None):
         line by `meet_of_join`, from the brackets [πp] and [πq] for the
         plane π = join(other, E3).  It has no skew guard: the two lines are
         coplanar on every figure built from points (the argument above
-        `_CHECK_CODE`).  Each bracket is a witness bracket bound to a name of
-        its own the first time a meet reads it."""
+        `_CHECK_CODE`).  It hands over the line's two points, not the line.
+        Each bracket is a witness bracket bound to a name of its own the
+        first time a meet reads it."""
         p, q = joined[line]
         code = []
         for point in (p, q):
@@ -1101,13 +1131,18 @@ def _program_source(tape, leaves, result, traced, mod_p=False, shared=None):
                 brackets[other, point] = f"w{len(brackets)}"
                 code.append(f"{brackets[other, point]} = wb({other}, {point})[0]")
         al, be = brackets[other, p], brackets[other, q]
-        code.append(f"{out} = meet_of_join({al}, {be}, {p}, {q}, {line}, {other})")
+        code.append(f"{out} = meet_of_join({al}, {be}, {p}, {q}, {other})")
         return code + [f"if {out} is None: return"]
 
     def section(tape, traced, canonical, kept):
         """The lines of the tape's steps, sums and the checks of the kinds
         `kept`, and the tuples of its steps that a traced function
-        returns."""
+        returns.  A section that keeps no check, the untraced loop, is
+        lazy: it joins a line of two points only where a step other than
+        `meet_of_join` first reads it, and so joins none that only
+        `meet_of_join` reads.  Deferring a join needs that no check is
+        kept: an apart check would read the pair as joined."""
+        lazy = not kept
         body, steps = [], []
         cut = None  # the step that meets a recovery's first two planes, while its hit is to come
         for entry in tape.steps:
@@ -1155,10 +1190,17 @@ def _program_source(tape, leaves, result, traced, mod_p=False, shared=None):
             if out is None:
                 out = new_name(entry.output)
                 joins = not traced and entry.grades == (2, 2, 1) and args[0] in joined
+                # a meet of a line it joined reads the line's points, not the line
+                for arg in args[joins:]:
+                    body += unjoined.pop(arg, ())
                 if joins:
                     body += meet_of_join(*args, out)
                 else:
-                    body += (line.format(*args, out=out, frame=frame) for line in code)
+                    written = [line.format(*args, out=out, frame=frame) for line in code]
+                    if lazy and entry.grades == (1, 1, 2):
+                        unjoined[out] = written
+                    else:
+                        body += written
                 # `line_meet_line` makes its point canonical itself
                 if canonical and entry.grades[-1] == 1 and (joins or entry.grades != (2, 2, 1)):
                     body.append(f"{out} = canon({out})")
@@ -1177,7 +1219,8 @@ def _program_source(tape, leaves, result, traced, mod_p=False, shared=None):
 
     # Which checks each section guards (the arguments above `_CHECK_CODE`):
     # a traced figure all of them; an untraced one no "on", skew (see
-    # `meet_of_join`) or "span" check; the untraced loop no check at all.
+    # `meet_of_join`) or "span" check; the untraced loop no check at all,
+    # and it is lazy.  The shared part is the same in every function.
     untraced = ("apart", "off")
     first = section(shared[0], False, True, untraced)[0] if shared else []
     kept = _CHECK_CODE if traced else () if shared else untraced

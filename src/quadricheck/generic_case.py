@@ -29,7 +29,9 @@ direction, and the figure passes the gate), and there it gives the drawn
 bracket and trace steps.  The traced loop guards every check of the
 drawn column; the untraced and mod-p loops guard only their computed
 steps, since the gate and the identities of the figure prove the rest
-(see `constructions._CHECK_CODE`).  So where a frame takes another shape,
+(see `constructions._CHECK_CODE`), and compute no line that only a meet
+of coplanar lines reads: that meet's point is zero where the line's
+join would be.  So where a frame takes another shape,
 or the figure would raise, the program declines, and all four columns are
 drawn and record only what the drawing records; where M has a zero, no
 program runs, and all four are drawn too.

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from quadricheck import cli, fixtures, reductions
+from quadricheck import cli, fixtures, generic_case, reductions
 from quadricheck.constructions import ConstructionTrace, verify_replay
 from quadricheck.decision import Decision, InternalInconsistency
-from quadricheck.generic_case import MatrixM, build_M
+from quadricheck.generic_case import GenericFigure, MatrixM, build_M
 from quadricheck.oracle import sample_on_quadric
 from quadricheck.projective import Point, QuadricCoeffs
 
@@ -342,6 +342,39 @@ class TestFuzz:
             assert failure["identity"] == "det(M) != Q * det(N)"
             config = cli.fuzz_configuration(1, failure["index"])
             assert failure["points"] == cli.points_to_json(config)["points"]
+
+    def test_doctored_program_fails_the_test_point_identity(self, capsys, monkeypatch):
+        """fuzz checks, on every generic decision, that the exact bracket of
+        the test points is that of M's columns in the frame of 6789: a
+        generic program whose bracket is doubled keeps every verdict, and
+        fails the check on each generic NO decision that runs it, including
+        those that the mod-p filter decided."""
+        program = generic_case.generic_program()
+
+        class Doubled:
+            def run(self, leaves, trace=None):
+                det = program.run(leaves, trace)
+                return None if det is None else 2 * det
+
+            def run_mod_p(self, leaves):
+                return program.run_mod_p(leaves)
+
+        assert cli.main(["fuzz", "--seed", "1", "--count", "10"]) == 0
+        honest = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(generic_case, "generic_program", Doubled)
+        assert cli.main(["fuzz", "--seed", "1", "--count", "10"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["census"] == honest["census"] and out["errors"] == []
+        failures = out["disagreements"]
+        assert [failure["index"] for failure in failures] == [1, 6]
+        for failure in failures:
+            assert failure["seed"] == 1 and failure["branch"] == "generic"
+            assert failure["identity"] == "[test points] != [M's columns in 6789's frame]"
+            config = cli.fuzz_configuration(1, failure["index"])
+            assert failure["points"] == cli.points_to_json(config)["points"]
+            decision = reductions.decide(config)
+            assert not decision.on_quadric
+            assert GenericFigure(decision.labeling.apply(config)).zero_free
 
     def test_injected_bug_detected(self, capsys, monkeypatch):
         true_decide = reductions.decide

@@ -3,6 +3,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -47,6 +48,7 @@ from quadricheck.constructions import (
     von_staudt_product,
 )
 from quadricheck.extensors import (
+    P,
     Extensor,
     as_point,
     contains_point,
@@ -1028,6 +1030,125 @@ class TestStraightLine:
             scaled = tuple(tuple(3 * k for k in line) for line in (l1, l2))
             assert program.run((l1, l2)) == program.run(scaled) == line_meet_line(l1, l2) == p
             assert program.run_mod_p((l1, l2)) is None
+
+    def test_a_joined_line_that_another_step_reads(self):
+        """A loop over columns whose body joins the line pq, meets it with
+        the shared line rs, and meets the line yz with the plane of pq and
+        x.  The untraced loop hands `meet_of_join` the points p and q, and
+        joins the line pq only where the plane reads it, just before the
+        plane; the traced loop joins it first.  Both give the bracket of the drawn points."""
+        r, s, t = (1, 2, 0, 3), (0, 1, 4, 1), (2, 0, 1, 1)
+        shared = Tape()
+        rs = constructions._join(shared, r, s)
+
+        def draw(tape, p, q, x, y, z):
+            pq = constructions._join(tape, p, q)
+            constructions._meet_lines(tape, pq, rs)
+            plane = constructions._join_line_point(pq, x)
+            constructions._record(tape, "join", (2, 1, 3), (pq, x), plane)
+            line = constructions._join(tape, y, z)
+            point = constructions._canonical_nonzero(constructions._meet_line_plane(line, plane))
+            constructions._record(tape, "meet", (2, 3, 1), (line, plane), point)
+            return point
+
+        def on_plane(a, b, c):
+            return tuple(a * i + b * j + c * k for i, j, k in zip(r, s, t))
+
+        columns = (
+            (on_plane(1, 0, 1), on_plane(0, 1, 2), (1, 0, 0, 0), (0, 1, 0, 5), (3, 0, 1, 1)),
+            (on_plane(2, 1, 1), on_plane(1, 3, 0), (0, 3, 1, 0), (2, 0, 1, 1), (1, 1, 1, 1)),
+            (on_plane(1, 1, 3), on_plane(0, 2, 1), (1, 1, 0, 2), (0, 0, 1, 0), (4, 1, 0, 1)),
+            (on_plane(3, 0, 2), on_plane(1, 0, 5), (5, 0, 2, 1), (1, 4, 0, 0), (0, 2, 3, 1)),
+        )
+        tape = Tape()
+        figure = (tape, columns[0], draw(tape, *columns[0]), (shared, (r, s)))
+        program = StraightLine(*figure)
+        leaves = ((r, s), columns)
+        want = projective.det4(*(draw(None, *column) for column in columns))
+        assert want and program.run(leaves) == program.run(leaves, ConstructionTrace()) == want
+        for traced in (False, True):
+            source = constructions._program_source(*figure[:3], traced, False, figure[3])
+            lines = [line.strip() for line in source.splitlines()]
+            meets = ("meet_of_join(", "line_meet_line(")
+            meet = next(i for i, line in enumerate(lines) if any(m in line for m in meets))
+            join = next(i for i, line in enumerate(lines) if line.endswith(" = jp(b0, b1)"))
+            pq = lines[join].split(" = ")[0]
+            plane = next(i for i, line in enumerate(lines) if line.endswith(f" = jlp({pq}, b2)"))
+            if traced:
+                assert join < meet < plane
+            else:
+                assert lines[meet].endswith(" = meet_of_join(w0, w1, b0, b1, v0)")
+                assert meet < join == plane - 2
+
+
+class TestMeetOfJoin:
+    """`meet_of_join` of the untraced and the mod-p programs: the point
+    [πp]q - [πq]p where the line pq meets a coplanar line l2, from the
+    brackets of p and q with the plane π = join(l2, E3), or None where p
+    and q are dependent.  It reads the points p and q, never their line.
+    The line l2 runs through r and s, and the points below lie in a plane
+    with it."""
+
+    r, s, t = (1, 2, 0, 3), (0, 1, 4, 1), (2, 0, 1, 1)
+    l2 = constructions._join(None, r, s)
+
+    def on_plane(self, a, b, c):
+        return tuple(a * x + b * y + c * z for x, y, z in zip(self.r, self.s, self.t))
+
+    def brackets(self, p, q, mod_p=False):
+        if mod_p:
+            l2, p, q = constructions.reduced_mod_p((self.l2, p, q))
+            wb = extensors.modp_kernels()[2]
+        else:
+            l2, wb = self.l2, extensors._WITNESS_BRACKETS[3]
+        return wb(l2, p)[0], wb(l2, q)[0], p, q, l2
+
+    def run(self, p, q, mod_p=False):
+        al, be, p, q, l2 = self.brackets(p, q, mod_p)
+        meet = constructions._meet_of_join_mod_p if mod_p else constructions._meet_of_join
+        return meet(al, be, p, q, l2)
+
+    def test_independent_points(self):
+        """The point [πp]q - [πq]p, over Z divided by gcd([πp], [πq]), and
+        mod P reduced; made canonical, it is where the lines meet."""
+        p, q = self.on_plane(1, 0, 1), self.on_plane(0, 1, 2)
+        al, be, _, _, _ = self.brackets(p, q)
+        g = gcd(al, be)
+        assert al and be and g > 1
+        point = tuple((al * y - be * x) // g for x, y in zip(p, q))
+        joined = constructions._join_points(p, q)
+        assert self.run(p, q) == point
+        assert constructions._canonical_nonzero(point) == line_meet_line(joined, self.l2)
+        assert self.run(p, q, mod_p=True) == tuple(g * c % P for c in point)
+
+    def test_dependent_points_with_a_nonzero_bracket(self):
+        """p and a multiple of it: the point is zero, so None, as a guard on
+        their zero join would decline, exactly and mod P."""
+        p = self.on_plane(1, 0, 1)
+        for q in (p, tuple(3 * c for c in p), tuple(-2 * c for c in p)):
+            al, be, _, _, _ = self.brackets(p, q)
+            assert al and be
+            assert not any(constructions._join_points(p, q))
+            assert self.run(p, q) is None
+            assert self.run(p, q, mod_p=True) is None
+
+    def test_both_brackets_zero(self):
+        """p and q on π, which holds E3: over Z the line pq is joined and
+        meets l2 in `line_meet_line`, None where p and q are dependent;
+        mod P, where the point is not known, None."""
+        e3 = E3.coords
+        p = tuple(x + e for x, e in zip(self.r, e3))
+        q = tuple(x + 2 * e for x, e in zip(self.s, e3))
+        assert self.brackets(p, q)[:2] == (0, 0)
+        joined = constructions._join_points(p, q)
+        want = line_meet_line(joined, self.l2)
+        assert self.run(p, q) == want
+        assert self.run(p, q, mod_p=True) is None
+        for dependent in (p, tuple(5 * c for c in p)):
+            assert not any(constructions._join_points(p, dependent))
+            assert self.run(p, dependent) is None
+            assert self.run(p, dependent, mod_p=True) is None
+
 
 class TestTetrahedron:
     def test_unit_on_face_rejected(self):

@@ -845,10 +845,16 @@ class TestColumnProgram:
         that line with the third.  The untraced loop guards none of those
         checks, which are identities or follow from the gate (the arguments
         above `constructions._CHECK_CODE`), and each computed step as the
-        traced loop does.  It holds every point up to scale: only the point
-        it appends is made canonical, and each of the 18 meets of coplanar
-        lines runs `meet_of_join`, with no skew guard, whose fallback is
-        `line_meet_line`; the 6 meets with L' through the auxiliary point
+        traced loop does, but for the 18 joins of two points: only
+        `meet_of_join` reads those lines, so the untraced loop computes none
+        of them, and hands it the two points, never a line.  The
+        point that it returns is zero exactly where the points are
+        dependent, so where the join's guard would decline, and with both
+        brackets zero it joins the points itself.  It holds every point up
+        to scale: only the point it appends is made canonical, and each of
+        the 18 meets of coplanar lines runs `meet_of_join`, with no skew
+        guard, whose fallback is `line_meet_line`; the 6 meets with L'
+        through the auxiliary point
         read its bracket from the shared part; the recovery's point is
         expanded in the vertex frame by one call, with no meet of planes.
         The mod-p function is the same source on other names.  The shared
@@ -865,11 +871,12 @@ class TestColumnProgram:
                 computed[step.op, step.grades] += 1
         meets = computed[("meet", (2, 2, 1))]
         assert meets == 18 and sum(computed.values()) == 47
-        joins = computed[("join", (1, 1, 2))] + computed[("join", (1, 1, 1, 3))]
+        planes = computed[("join", (1, 1, 1, 3))]
+        joins = computed[("join", (1, 1, 2))] + planes
         for traced in (False, True):
             _, lines = program_parts(traced)
             nonzero = sum(line.startswith("if not any(v") for line in lines)
-            assert nonzero == joins + computed[("meet", (2, 3, 1))]
+            assert nonzero == (joins if traced else planes) + computed[("meet", (2, 3, 1))]
             if traced:
                 assert sum(line.startswith("if any(jlp(") for line in lines) == checks["on"]
                 assert sum(line.startswith("if not any(jlp(") for line in lines) == checks["off"]
@@ -902,6 +909,9 @@ class TestColumnProgram:
             assert not any("except" in line for line in lines)
             combined = [line for line in lines if " = meet_of_join(w" in line]
             assert len({line.split(" = ")[0] for line in combined}) == len(combined) == meets
+            call = re.compile(r"v\d+ = meet_of_join\(w\d+, w\d+, \w+, \w+, \w+\)")
+            assert all(call.fullmatch(line) for line in combined)
+            assert not any(" = jp(" in line for line in lines)
             assert sum(" = wb(" in line for line in lines) == 2 * meets - 6
         assert program_parts() == program_parts(mod_p=True)
 
@@ -961,14 +971,22 @@ class TestColumnProgram:
         """No two kernel calls of the untraced or the mod-p function share a
         kernel and argument names, so no join, meet, bracket or guard is
         computed twice on the same values; the shared part makes 27 point
-        joins."""
+        joins.  The loop makes no point join whose line only `meet_of_join`
+        reads, of which the traced loop makes 18: its only 3 are those of
+        the recovery planes, each joined with a vertex."""
         for mod_p in (False, True):
             tape, leaves, result, shared = generic_program()._figure
             source = constructions._program_source(tape, leaves, result, False, mod_p, shared)
             calls = Counter(kernel_calls(source))
             assert calls and calls.most_common(1)[0][1] == 1
-            first, _ = program_parts(mod_p=mod_p)
+            first, loop = program_parts(mod_p=mod_p)
             assert sum(line.count("jp(") for line in first) == 27
+            calls = kernel_calls("\n".join(loop))
+            joins = [f"call{k}" for k, (kernel, _) in enumerate(calls, 1) if kernel == "jp"]
+            planes = [args.split(", ")[0] for kernel, args in calls if kernel == "jlp"]
+            assert len(joins) == 3 and planes == joins
+        _, traced = program_parts(traced=True)
+        assert sum(" = jp(" in line for line in traced) == 18
 
     def test_reference_and_fixture_columns_run_the_program(self):
         points = [Point(coords) for coords in generic_case.REFERENCE_POINTS]
